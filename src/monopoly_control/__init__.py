@@ -152,6 +152,7 @@ __all__ = [
     "static_candidate",
     "static_optimality_test",
     "subgradient",
+    "validate_problem",
     "write_dp_csv",
     "write_trajectory_csv",
     "write_value_csv",

@@ -103,6 +103,8 @@ def _load(args):
     path = args.config_flag or args.config
     if not path:
         raise InvalidParameter("no config file given")
+    if not Path(args.out).is_dir():
+        raise InvalidParameter(f"output directory {args.out} does not exist")
     overrides = list(args.set)
     if args.grid_n is not None:
         overrides.append(f"problem.grid_n={args.grid_n}")

@@ -14,10 +14,12 @@ Conjugate queries come in two orientations:
 * ``fenchel_cost``     sup_a  { a z - C(a) }   over a convex envelope,
 * ``fenchel_revenue``  sup_q  { R(q) - q z }   over a concave envelope,
 
-both reducible to one kernel on the oriented (lower-hull) data.  Grid
-variants evaluate the piecewise-linear conjugate for whole z arrays; the
-scalar variants optionally refine the maximizer against the original curve
-through its derivative.
+both views of one array kernel on the oriented (lower-hull) data, which
+returns the conjugate value and the attaining span for every slope of a
+batch; a scalar query is a batch of one.  Where the curve has a closed-form
+derivative inverse the kernel polishes the maximizer against the original
+curve, so the value is exact off the sample knots.  The ``_grid`` and
+``argmax_grid`` functions are the same kernel, read one field at a time.
 """
 
 from __future__ import annotations
@@ -45,12 +47,13 @@ class ConjugateValue:
 
     argmax_lo == argmax_hi for a unique maximizer; they differ when the
     query slope ties an affine piece of the envelope, in which case the
-    whole piece attains.
+    whole piece attains.  Fields are floats for a scalar query and arrays
+    of the query's shape for an array query.
     """
 
-    value: float
-    argmax_lo: float
-    argmax_hi: float
+    value: float | np.ndarray
+    argmax_lo: float | np.ndarray
+    argmax_hi: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +75,7 @@ class Envelope:
     # oriented internals: _g = sign*f has a lower hull with increasing slopes
     _sign: float = field(repr=False)
     _vidx: np.ndarray = field(repr=False)       # vertex indices into xs
+    _vx: np.ndarray = field(repr=False)         # vertex abscissae, xs[_vidx]
     _vg: np.ndarray = field(repr=False)         # oriented values at vertices
     _es: np.ndarray = field(repr=False)         # oriented edge slopes, increasing
     _eval: Callable | None = field(repr=False, default=None)
@@ -103,9 +107,7 @@ class Envelope:
 
     def hull_at(self, x):
         """Envelope value, piecewise linear through hull vertices."""
-        vx = self.xs[self._vidx]
-        vy = self._sign * self._vg
-        out = np.interp(x, vx, vy)
+        out = np.interp(x, self._vx, self._sign * self._vg)
         return float(out) if np.ndim(x) == 0 else out
 
     def hull_exact(self, x: float) -> float:
@@ -121,8 +123,7 @@ class Envelope:
             raise OutOfDomain(f"{x} outside [{lo}, {hi}]")
         e = self._edge_of(x)
         if e is not None and (self.finite_support or self._edge_is_bridge(e)):
-            vx = self.xs[self._vidx]
-            a, b = vx[e], vx[e + 1]
+            a, b = self._vx[e], self._vx[e + 1]
             ga, gb = self._vg[e], self._vg[e + 1]
             t = (x - a) / (b - a)
             return self._sign * ((1.0 - t) * ga + t * gb)
@@ -142,8 +143,7 @@ class Envelope:
         if self._deriv is not None:
             return float(self._deriv(min(max(x, lo), hi)))
         # x coincides with a vertex of a table envelope: mean of edge slopes
-        vx = self.xs[self._vidx]
-        k = int(np.searchsorted(vx, x))
+        k = int(np.searchsorted(self._vx, x))
         k = min(max(k, 0), len(self._es) - 1)
         s_lo = self._es[max(k - 1, 0)]
         s_hi = self._es[min(k, len(self._es) - 1)]
@@ -151,7 +151,7 @@ class Envelope:
 
     def _edge_of(self, x: float):
         """Index of the hull edge whose open x-interval holds x, else None."""
-        vx = self.xs[self._vidx]
+        vx = self._vx
         k = int(np.searchsorted(vx, x))
         if k == 0 or k >= len(vx):
             return None
@@ -328,9 +328,9 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
         dinv = derivative_inverse if sign > 0 else (lambda w: derivative_inverse(-np.asarray(w)))
 
     return Envelope(kind=kind, xs=xs, f=fs, hull=hull, contact=contact,
-                    segments=segments, _sign=sign, _vidx=vidx_arr, _vg=vg,
-                    _es=es, _eval=evaluator, _deriv=derivative, _dinv=dinv,
-                    finite_support=finite)
+                    segments=segments, _sign=sign, _vidx=vidx_arr, _vx=vx,
+                    _vg=vg, _es=es, _eval=evaluator, _deriv=derivative,
+                    _dinv=dinv, finite_support=finite)
 
 
 def convex_hull(xs, fs, *, evaluator=None, derivative=None,
@@ -355,115 +355,83 @@ def concave_hull(xs, fs, *, evaluator=None, derivative=None,
 # conjugates
 
 
-def _kernel_grid(env: Envelope, ws: np.ndarray) -> np.ndarray:
-    """sup_x { x w - g(x) } for arrays of w (piecewise-linear data only)."""
-    vx = env.xs[env._vidx]
-    idx = np.searchsorted(env._es, ws)
-    return vx[idx] * ws - env._vg[idx]
+def _conjugate(env: Envelope, w: np.ndarray) -> tuple:
+    """sup_x { x w - g(x) } and its attaining span [lo, hi] for an array of w.
+
+    A slope within a relative 1e-9 of an edge slope ties that edge and the
+    whole edge attains, except a one-cell edge of a smooth arc, which is a
+    sampling artifact and not a true flat.  Off ties the vertex maximizer is
+    polished by the curve's derivative inverse, kept inside the sample cell
+    around the vertex and taken only where it does not lower the value.
+    """
+    es, vx, vg = env._es, env._vx, env._vg
+    last = len(es) - 1
+    idx = np.searchsorted(es, w)
+    tol = 1e-9 * np.maximum(1.0, np.abs(w))
+    lo_i = idx - ((idx > 0) & (np.abs(es[np.maximum(idx - 1, 0)] - w) <= tol))
+    hi_i = idx + ((idx <= last) & (np.abs(es[np.minimum(idx, last)] - w) <= tol))
+    if env.refinable:
+        one_cell = env._vidx[hi_i] - env._vidx[lo_i] == 1
+        lo_i = np.where(one_cell, idx, lo_i)
+        hi_i = np.where(one_cell, idx, hi_i)
+    x_lo, x_hi = vx[lo_i], vx[hi_i]
+    val = np.maximum(x_lo * w - vg[lo_i], x_hi * w - vg[hi_i])
+    if env._dinv is not None:
+        xs = env.xs
+        p = env._vidx[idx]
+        xr = np.asarray(env._dinv(w), dtype=float)
+        vr = xr * w - env._sign * env._eval(xr)
+        take = ((lo_i == hi_i) & (xr > xs[np.maximum(p - 1, 0)])
+                & (xr < xs[np.minimum(p + 1, len(xs) - 1)]) & (vr >= val))
+        x_lo, x_hi = np.where(take, xr, x_lo), np.where(take, xr, x_hi)
+        val = np.where(take, vr, val)
+    return val, x_lo, x_hi
 
 
-def _kernel(env: Envelope, w: float, refine: bool) -> ConjugateValue:
-    """sup_x { x w - g(x) } with attaining-set endpoints."""
-    vx = env.xs[env._vidx]
-    es = env._es
-    idx = int(np.searchsorted(es, w))
-    span_tol = 1e-9 * max(1.0, abs(w))
-    lo_i = hi_i = idx
-    if idx < len(es) and abs(es[idx] - w) <= span_tol:
-        hi_i = idx + 1
-    if idx > 0 and abs(es[idx - 1] - w) <= span_tol:
-        lo_i = idx - 1
-
-    if lo_i != hi_i and refine and env.refinable \
-            and env._vidx[hi_i] - env._vidx[lo_i] == 1:
-        # a tie across a single sample cell of a smooth arc is a sampling
-        # artifact, not a true flat; fall through to point refinement
-        lo_i = hi_i = idx
-
-    if lo_i != hi_i:
-        # w ties an affine piece: the whole edge attains
-        x_lo, x_hi = float(vx[lo_i]), float(vx[hi_i])
-        val = max(x_lo * w - float(env._vg[lo_i]), x_hi * w - float(env._vg[hi_i]))
-        return ConjugateValue(val, x_lo, x_hi)
-
-    x_star = float(vx[idx])
-    val = x_star * w - float(env._vg[idx])
-    if refine and env.refinable:
-        p = int(env._vidx[idx])
-        sgn = env._sign
-        gder = (lambda t: float(env._deriv(t))) if sgn > 0 else (lambda t: -float(env._deriv(t)))
-        b_lo = float(env.xs[p - 1]) if p > 0 else x_star
-        b_hi = float(env.xs[p + 1]) if p < len(env.xs) - 1 else x_star
-        x_ref = _tangency_point(gder, w, b_lo, x_star, b_hi)
-        g_ref = sgn * float(env._eval(x_ref))
-        v_ref = x_ref * w - g_ref
-        if v_ref >= val:
-            x_star, val = x_ref, v_ref
-    return ConjugateValue(val, x_star, x_star)
+def _view(env: Envelope, z, kind: str) -> ConjugateValue:
+    """Batch view of the kernel in the orientation of env; a scalar z is a
+    batch of one and comes back as floats."""
+    if env.kind != kind:
+        side = "cost" if kind == "convex" else "revenue"
+        raise InvalidParameter(f"{side} conjugate needs a {kind} envelope")
+    z = np.asarray(z, dtype=float)
+    val, lo, hi = _conjugate(env, z if kind == "convex" else -z)
+    if z.ndim == 0:
+        return ConjugateValue(float(val), float(lo), float(hi))
+    return ConjugateValue(val, lo, hi)
 
 
-def fenchel_cost(env: Envelope, z: float, *, refine: bool = True) -> ConjugateValue:
+def fenchel_cost(env: Envelope, z) -> ConjugateValue:
     """sup_a { a z - C(a) } over the convex envelope of the cost."""
-    if env.kind != "convex":
-        raise InvalidParameter("cost conjugate needs a convex envelope")
-    return _kernel(env, float(z), refine)
+    return _view(env, z, "convex")
 
 
-def fenchel_revenue(env: Envelope, z: float, *, refine: bool = True) -> ConjugateValue:
+def fenchel_revenue(env: Envelope, z) -> ConjugateValue:
     """sup_q { R(q) - q z } over the concave envelope of the revenue."""
-    if env.kind != "concave":
-        raise InvalidParameter("revenue conjugate needs a concave envelope")
-    return _kernel(env, -float(z), refine)
+    return _view(env, z, "concave")
 
 
 def fenchel_cost_grid(env: Envelope, zs) -> np.ndarray:
-    if env.kind != "convex":
-        raise InvalidParameter("cost conjugate needs a convex envelope")
-    return _kernel_grid(env, np.asarray(zs, dtype=float))
+    return _view(env, zs, "convex").value
 
 
 def fenchel_revenue_grid(env: Envelope, zs) -> np.ndarray:
-    if env.kind != "concave":
-        raise InvalidParameter("revenue conjugate needs a concave envelope")
-    return _kernel_grid(env, -np.asarray(zs, dtype=float))
-
-
-def _argmax_grid(env: Envelope, ws: np.ndarray, side: str) -> np.ndarray:
-    """Vectorized maximizer of x*w - g(x).  Where w ties an edge slope
-    exactly, side='left' picks the lower vertex and side='right' the upper.
-    Off ties the maximizer is polished through the analytic derivative
-    inverse when the curve carries one; the polish is confined to the
-    sample cell around the discrete argmax, so a wrong branch is rejected
-    rather than trusted."""
-    vx = env.xs[env._vidx]
-    idx = np.searchsorted(env._es, ws, side=side)
-    x0 = vx[idx]
-    if env._dinv is None:
-        return x0
-    p = env._vidx[idx]
-    lo = env.xs[np.maximum(p - 1, 0)]
-    hi = env.xs[np.minimum(p + 1, len(env.xs) - 1)]
-    xr = np.asarray(env._dinv(ws), dtype=float)
-    ok = np.isfinite(xr) & (xr > lo) & (xr < hi)
-    return np.where(ok, xr, x0)
+    return _view(env, zs, "concave").value
 
 
 def cost_argmax_grid(env: Envelope, zs, side: str = "left") -> np.ndarray:
-    """Maximizers of a*z - C(a); side resolves exact slope ties."""
-    if env.kind != "convex":
-        raise InvalidParameter("cost argmax needs a convex envelope")
-    return _argmax_grid(env, np.asarray(zs, dtype=float), side)
+    """Maximizers of a*z - C(a); side='left' picks the smaller a at ties."""
+    cv = _view(env, zs, "convex")
+    return cv.argmax_lo if side == "left" else cv.argmax_hi
 
 
 def revenue_argmax_grid(env: Envelope, zs, side: str = "left") -> np.ndarray:
     """Maximizers of R(q) - q*z; side='left' picks the smaller q at ties."""
-    if env.kind != "concave":
-        raise InvalidParameter("revenue argmax needs a concave envelope")
-    # w = -z reverses nothing in x order, so tie sides carry over directly
-    return _argmax_grid(env, -np.asarray(zs, dtype=float), side)
+    cv = _view(env, zs, "concave")
+    return cv.argmax_lo if side == "left" else cv.argmax_hi
 
 
-def contact_argmax_intervals(env: Envelope, z: float, *, refine: bool = True) -> list:
+def contact_argmax_intervals(env: Envelope, z: float) -> list:
     """Maximizers of the conjugate objective over the original curve.
 
     Returns closed intervals [lo, hi] (degenerate for isolated points).
@@ -471,8 +439,8 @@ def contact_argmax_intervals(env: Envelope, z: float, *, refine: bool = True) ->
     exactly at contact points, so bridges contribute their two endpoints
     while true affine runs contribute the whole run.
     """
-    cv = fenchel_cost(env, z, refine=refine) if env.kind == "convex" \
-        else fenchel_revenue(env, z, refine=refine)
+    cv = fenchel_cost(env, z) if env.kind == "convex" \
+        else fenchel_revenue(env, z)
     if cv.argmax_lo == cv.argmax_hi:
         return [(cv.argmax_lo, cv.argmax_hi)]
     i = int(np.searchsorted(env.xs, cv.argmax_lo))

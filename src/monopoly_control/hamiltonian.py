@@ -8,15 +8,15 @@ enough that the minimum is interior, truncating an unbounded production
 set high enough that the truncation is invisible to every query on the
 grid.
 
-One-sided derivative selections of H come from the attaining sets:
-H'(z+) = max attaining a - min attaining q, H'(z-) the mirror.  zeta is
-the first zero crossing of H'(z+), found by bisection on refined
-conjugate queries.
+Every reading of H combines the two conjugates of the envelope kernel at
+the same slopes, and every query takes a scalar or an array alike: H(z) is
+the sum of the conjugate values, H'(z+) = max attaining a - min attaining
+q, H'(z-) the mirror, and the controls are the smallest attaining pair.
+zeta is the first zero crossing of H'(z+), found by bisection.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +25,8 @@ from .envelope import (
     Envelope,
     concave_hull,
     convex_hull,
-    cost_argmax_grid,
     fenchel_cost,
-    fenchel_cost_grid,
     fenchel_revenue,
-    fenchel_revenue_grid,
-    revenue_argmax_grid,
 )
 from .errors import InvalidParameter, OutOfDomain, TruncationFailed
 from .problem import ValidatedProblem, validate_problem
@@ -42,11 +38,11 @@ _MAX_GROWTH = 60
 class HamiltonianModel:
     """Tabulated running-profit function with its minimizer band.
 
-    z_grid/H are the piecewise-linear tabulation used for bulk queries;
-    scalar queries go back to the envelopes and refine.  [m_lo, m_hi] is
-    the set of minimizers of H, with zeta = m_lo the one the value
-    function uses.  trunc_bound is the production ceiling substituted for
-    an unbounded production set (None when the set was already bounded).
+    H holds the running-profit function on z_grid, read from the same
+    envelope kernel as every query.  [m_lo, m_hi] is the set of minimizers
+    of H, with zeta = m_lo the one the value function uses.  trunc_bound is
+    the production ceiling substituted for an unbounded production set
+    (None when the set was already bounded).
     """
 
     problem: ValidatedProblem = field(repr=False)
@@ -92,8 +88,9 @@ def _cost_envelope(problem: ValidatedProblem, ceiling: float | None) -> Envelope
                        **_curve_kwargs(curve, problem.production_set))
 
 
-def _h_refined(rev_env: Envelope, cost_env: Envelope, z: float) -> float:
-    return fenchel_revenue(rev_env, z).value + fenchel_cost(cost_env, z).value
+def _conjugates(rev_env: Envelope, cost_env: Envelope, z) -> tuple:
+    """(cost, revenue) conjugates at the slopes z."""
+    return fenchel_cost(cost_env, z), fenchel_revenue(rev_env, z)
 
 
 def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianModel:
@@ -119,10 +116,19 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
     z_max = 2.0 * max(1.0, rev_slope)
 
     cost_env = _cost_envelope(problem, ceiling)
-    h0 = _h_refined(rev_env, cost_env, 0.0)
+
+    def h(z):
+        c, r = _conjugates(rev_env, cost_env, z)
+        return r.value + c.value
+
+    def h_plus(z):
+        c, r = _conjugates(rev_env, cost_env, z)
+        return c.argmax_hi - r.argmax_lo
+
+    h0 = h(0.0)
     gap = 1e-9 * max(1.0, abs(h0))
     for _ in range(_MAX_GROWTH):
-        wide = _h_refined(rev_env, cost_env, z_max) > h0 + gap
+        wide = h(z_max) > h0 + gap
         covered = True
         if unbounded:
             covered = fenchel_cost(cost_env, z_max).argmax_hi < 0.9 * ceiling
@@ -139,24 +145,17 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
             "production set may fail the coercivity margin")
 
     z_grid = np.linspace(0.0, z_max, problem.grid_n)
-    H = fenchel_revenue_grid(rev_env, z_grid) + fenchel_cost_grid(cost_env, z_grid)
+    c_grid, r_grid = _conjugates(rev_env, cost_env, z_grid)
+    H = r_grid.value + c_grid.value
 
     kinks = np.concatenate([rev_env.kink_slopes(), cost_env.kink_slopes()])
     kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
 
-    def h_plus(z: float) -> float:
-        cv_c = fenchel_cost(cost_env, z)
-        cv_r = fenchel_revenue(rev_env, z)
-        return cv_c.argmax_hi - cv_r.argmax_lo
-
     if h_plus(0.0) >= 0.0:
         zeta = 0.0
     else:
-        # coarse vertex-level scan for a sign bracket, then bisect refined
-        a_hi = cost_argmax_grid(cost_env, z_grid, side="right")
-        q_lo = revenue_argmax_grid(rev_env, z_grid, side="left")
-        coarse = a_hi - q_lo
-        nz = np.nonzero(coarse >= 0.0)[0]
+        # scan the grid for a sign bracket, then bisect
+        nz = np.nonzero(c_grid.argmax_hi - r_grid.argmax_lo >= 0.0)[0]
         i = int(nz[0]) if len(nz) else len(z_grid) - 1
         lo = float(z_grid[max(i - 2, 0)])
         hi = float(z_grid[min(i + 1, len(z_grid) - 1)])
@@ -177,16 +176,15 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
         # tolerance; snap when a kink sits within that haze
         for kz in kinks:
             if abs(kz - zeta) <= 1e-8 * max(1.0, kz):
-                cv_c = fenchel_cost(cost_env, kz)
-                cv_r = fenchel_revenue(rev_env, kz)
-                if cv_c.argmax_hi - cv_r.argmax_lo >= 0.0 \
-                        and cv_c.argmax_lo - cv_r.argmax_hi <= 0.0:
+                c, r = _conjugates(rev_env, cost_env, kz)
+                if c.argmax_hi - r.argmax_lo >= 0.0 \
+                        and c.argmax_lo - r.argmax_hi <= 0.0:
                     zeta = kz
                     break
 
-    h_min = _h_refined(rev_env, cost_env, zeta)
+    h_min = h(zeta)
     thr = h_min + 1e-12 * max(1.0, abs(h_min))
-    if _h_refined(rev_env, cost_env, z_max) <= thr:
+    if h(z_max) <= thr:
         m_hi = z_max
     else:
         lo, hi = zeta, z_max
@@ -194,7 +192,7 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
             if hi - lo <= 1e-15 * max(1.0, hi):
                 break
             mid = 0.5 * (lo + hi)
-            if _h_refined(rev_env, cost_env, mid) <= thr:
+            if h(mid) <= thr:
                 lo = mid
             else:
                 hi = mid
@@ -206,50 +204,39 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
                             trunc_bound=ceiling)
 
 
-def h_at(model: HamiltonianModel, z, *, refine: bool = True):
-    """H(z); refined scalar queries hit the envelopes, bulk ones the table."""
-    if np.ndim(z) == 0:
-        z = float(z)
-        if not (0.0 <= z <= model.z_max):
-            raise OutOfDomain(f"z={z} outside [0, {model.z_max}]")
-        if refine:
-            return _h_refined(model.rev_env, model.cost_env, z)
-        return float(np.interp(z, model.z_grid, model.H))
-    z = np.asarray(z, dtype=float)
-    if z.size and (z.min() < 0.0 or z.max() > model.z_max):
-        raise OutOfDomain("z grid outside tabulated range")
-    return np.interp(z, model.z_grid, model.H)
+def _in_domain(model: HamiltonianModel, z) -> tuple:
+    """Conjugates at z after checking that z lies in [0, z_max]."""
+    zs = np.asarray(z, dtype=float)
+    if zs.size and not (zs.min() >= 0.0 and zs.max() <= model.z_max):
+        raise OutOfDomain(f"z outside [0, {model.z_max}]")
+    return _conjugates(model.rev_env, model.cost_env, z)
 
 
-def subgradient(model: HamiltonianModel, z: float) -> tuple:
+def h_at(model: HamiltonianModel, z):
+    """H(z) for a scalar or an array of slopes."""
+    c, r = _in_domain(model, z)
+    return r.value + c.value
+
+
+def subgradient(model: HamiltonianModel, z) -> tuple:
     """One-sided derivatives (H'(z-), H'(z+)) from the attaining sets."""
-    z = float(z)
-    if not (0.0 <= z <= model.z_max):
-        raise OutOfDomain(f"z={z} outside [0, {model.z_max}]")
-    cv_c = fenchel_cost(model.cost_env, z)
-    cv_r = fenchel_revenue(model.rev_env, z)
-    return (cv_c.argmax_lo - cv_r.argmax_hi, cv_c.argmax_hi - cv_r.argmax_lo)
+    c, r = _in_domain(model, z)
+    return (c.argmax_lo - r.argmax_hi, c.argmax_hi - r.argmax_lo)
 
 
 def deriv_plus_grid(model: HamiltonianModel, zs) -> np.ndarray:
     """H'(z+) on an array of z; exact at tabulated kink slopes."""
-    zs = np.asarray(zs, dtype=float)
-    a = cost_argmax_grid(model.cost_env, zs, side="right")
-    q = revenue_argmax_grid(model.rev_env, zs, side="left")
-    return a - q
+    c, r = _conjugates(model.rev_env, model.cost_env, zs)
+    return c.argmax_hi - r.argmax_lo
 
 
 def deriv_minus_grid(model: HamiltonianModel, zs) -> np.ndarray:
     """H'(z-) on an array of z."""
-    zs = np.asarray(zs, dtype=float)
-    a = cost_argmax_grid(model.cost_env, zs, side="left")
-    q = revenue_argmax_grid(model.rev_env, zs, side="right")
-    return a - q
+    c, r = _conjugates(model.rev_env, model.cost_env, zs)
+    return c.argmax_lo - r.argmax_hi
 
 
-def controls_at(model: HamiltonianModel, z: float) -> tuple:
+def controls_at(model: HamiltonianModel, z) -> tuple:
     """Smallest attaining (production, sales) pair at slope z."""
-    z = float(z)
-    cv_c = fenchel_cost(model.cost_env, z)
-    cv_r = fenchel_revenue(model.rev_env, z)
-    return (cv_c.argmax_lo, cv_r.argmax_lo)
+    c, r = _conjugates(model.rev_env, model.cost_env, z)
+    return (c.argmax_lo, r.argmax_lo)

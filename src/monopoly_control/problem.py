@@ -107,6 +107,14 @@ class ControlSet:
 # curves
 
 
+def _positive(family: str, name: str, value: float) -> float:
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InvalidParameter(
+            f"{family} needs a positive finite {name}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Curve:
     """Revenue or cost curve.
@@ -130,25 +138,22 @@ class Curve:
 
     @staticmethod
     def linear_demand_revenue(a: float, b: float) -> "Curve":
-        if a <= 0 or b <= 0:
-            raise InvalidParameter("linear demand needs positive coefficients")
-        return Curve("linear_demand", (float(a), float(b)))
+        return Curve("linear_demand", (_positive("linear demand", "a", a),
+                                       _positive("linear demand", "b", b)))
 
     @staticmethod
     def affine_cost(c: float) -> "Curve":
-        if c <= 0:
-            raise InvalidParameter("affine cost needs a positive slope")
-        return Curve("affine", (float(c),))
+        return Curve("affine", (_positive("affine cost", "c", c),))
 
     @staticmethod
     def cubic_cost(k: float) -> "Curve":
-        if k <= 0:
-            raise InvalidParameter("cubic cost needs k > 0")
-        return Curve("cubic", (float(k),))
+        return Curve("cubic", (_positive("cubic cost", "k", k),))
 
     @staticmethod
     def table(points) -> "Curve":
         pts = sorted((float(x), float(y)) for x, y in points)
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+            raise InvalidParameter("table points must be finite")
         if len(pts) < 2:
             raise DegenerateGrid("table needs at least two knots")
         xs = tuple(p[0] for p in pts)

@@ -229,18 +229,31 @@ def static_candidate(problem) -> tuple:
 
 
 def _match_tolerance(env: Envelope) -> float:
+    """Slack for matching contact intervals: refinable envelopes pin their
+    contacts to the curve, anything else (tables, finite sets) has contacts
+    only at knots, which must match exactly."""
     if env.refinable:
         lo, hi = env.domain
         return 1e-6 * max(1.0, hi - lo)
-    return 2.0 * float(np.diff(env.xs).max())
+    return 0.0
 
 
 def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
     """Static plan is optimal iff best sales and best production at slope
-    zeta can agree on a common rate."""
+    zeta can agree on a common rate.
+
+    A witness counts only if it is admissible (in Q intersect A) and its
+    running profit reaches min H, so the verdict cannot contradict the gap.
+    """
     problem = validate_problem(problem)
     u_hat, payoff = static_candidate(problem)
     gap = model.h_min - payoff
+    floor = model.h_min - 1e-6 * max(1.0, abs(model.h_min))
+
+    def attains(w: float) -> bool:
+        return (problem.demand_set.contains(w)
+                and problem.production_set.contains(w)
+                and float(problem.revenue(w) - problem.cost(w)) >= floor)
 
     iv_r = contact_argmax_intervals(model.rev_env, model.zeta)
     iv_c = contact_argmax_intervals(model.cost_env, model.zeta)
@@ -253,8 +266,10 @@ def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
             hi = min(rhi + d_r, chi + d_c)
             if lo <= hi:
                 w = 0.5 * (max(rlo, clo) + min(rhi, chi))
-                witness = float(min(max(w, lo), hi))
-                break
+                w = float(min(max(w, lo), hi))
+                if attains(w):
+                    witness = w
+                    break
         if witness is not None:
             break
     return StaticReport(optimal=witness is not None, u_hat=u_hat,
@@ -276,8 +291,7 @@ def convexified_static(problem, model: HamiltonianModel) -> tuple:
         return lo, float(model.rev_env.hull_at(lo) - model.cost_env.hull_at(lo))
     grid = [np.linspace(lo, hi, problem.grid_n)]
     for env in (model.rev_env, model.cost_env):
-        vx = env.xs[env._vidx]
-        grid.append(vx[(vx >= lo) & (vx <= hi)])
+        grid.append(env._vx[(env._vx >= lo) & (env._vx <= hi)])
     us = np.unique(np.concatenate(grid))
     vals = model.rev_env.hull_at(us) - model.cost_env.hull_at(us)
     m = float(vals.max())
@@ -287,17 +301,29 @@ def convexified_static(problem, model: HamiltonianModel) -> tuple:
     def exact(t: float) -> float:
         return float(model.rev_env.hull_exact(t) - model.cost_env.hull_exact(t))
 
+    def slope(t: float) -> float:
+        return model.rev_env.hull_slope(t) - model.cost_env.hull_slope(t)
+
     # polish against the exact envelopes: bracket endpoints plus, where the
-    # convexified profit's slope changes sign, its root
-    b_lo = float(us[max(idx - 1, 0)])
-    b_hi = float(us[min(idx + 1, len(us) - 1)])
+    # convexified profit's slope changes sign, its root.  The argmax of the
+    # interpolated envelopes can sit cells away from that root, so widen
+    # the bracket outward (the profit is concave) until the sign changes.
+    i_lo, i_hi = max(idx - 1, 0), min(idx + 1, len(us) - 1)
+    s_lo, s_hi = slope(float(us[i_lo])), slope(float(us[i_hi]))
+    step = 1
+    while s_hi > 0.0 and i_hi < len(us) - 1:
+        i_lo, s_lo = i_hi, s_hi
+        i_hi = min(i_hi + step, len(us) - 1)
+        s_hi, step = slope(float(us[i_hi])), 2 * step
+    step = 1
+    while s_lo < 0.0 and i_lo > 0:
+        i_hi, s_hi = i_lo, s_lo
+        i_lo = max(i_lo - step, 0)
+        s_lo, step = slope(float(us[i_lo])), 2 * step
+    b_lo, b_hi = float(us[i_lo]), float(us[i_hi])
     cands = [float(us[idx]), b_lo, b_hi]
-    s_lo = model.rev_env.hull_slope(b_lo) - model.cost_env.hull_slope(b_lo)
-    s_hi = model.rev_env.hull_slope(b_hi) - model.cost_env.hull_slope(b_hi)
     if b_hi > b_lo and s_lo > 0.0 > s_hi:
-        cands.append(float(brentq(
-            lambda t: model.rev_env.hull_slope(t) - model.cost_env.hull_slope(t),
-            b_lo, b_hi, xtol=1e-15, rtol=8.9e-16)))
+        cands.append(float(brentq(slope, b_lo, b_hi, xtol=1e-15, rtol=8.9e-16)))
     u, payoff = min(cands), exact(min(cands))
     for t in cands:
         v = exact(t)
@@ -472,16 +498,13 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
     else:
         pts = [(float(t), None) for t in base]
 
-    n = len(pts)
     t_knots = np.array([p[0] for p in pts])
-    x_knots = np.empty(n)
-    a_knots = np.empty(n)
-    q_knots = np.empty(n)
-    for i, (t, z_side) in enumerate(pts):
-        xi = min(xi0 * math.exp(beta * t), model.zeta)
-        x_knots[i] = vf.psi(float(xi))
-        z_query = xi if z_side is None else min(max(z_side, 0.0), model.zeta)
-        a_knots[i], q_knots[i] = _h_controls(model, float(z_query))
+    # math.exp per knot: np.exp rounds differently on some inputs
+    xis = [min(xi0 * math.exp(beta * t), model.zeta) for t, _ in pts]
+    z_query = [xi if z_side is None else min(max(z_side, 0.0), model.zeta)
+               for xi, (_, z_side) in zip(xis, pts)]
+    x_knots = vf.psi(np.array(xis))
+    a_knots, q_knots = _h_controls(model, np.array(z_query))
     x_knots[0] = x0
     x_knots[-1] = 0.0
     return DrawdownPlan(x0=float(x0), tau=float(tau), t_knots=t_knots,
@@ -531,7 +554,6 @@ def arvan_moses_reference(a_coef: float, b_coef: float, k: float) -> AMReference
     zeta = t1
     u_tilde = (A - t1) / (2.0 * B)
     nu = 1.0 - 2.0 * u_tilde / (3.0 * K)
-    u_static, _ = (u_tilde, None)
     return AMReference(regime="ii", t1=t1, t2=t2, zeta=zeta, u_static=u_tilde,
                        static_optimal=False, u_tilde=u_tilde, nu=nu,
                        support=(0.0, 1.5 * K))

@@ -13,8 +13,10 @@ zeta = 0 holding stock is pointless and v is the constant H(0)/beta.
 
 Psi is integrated cell by cell with Simpson's rule on a geometric slope
 grid refined by the kink slopes of H', using the one-sided derivative that
-points into each cell at its edges; the inversion xi(x) runs a bracketed
-root search inside the unique cell containing x.
+points into each cell at its edges.  One cell integrator serves the knot
+table, Psi between knots (for scalars and arrays alike) and the inversion
+xi(x), a bracketed root search inside the unique cell containing x, so Psi
+at and between its knots comes from the same derivative code.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidParameter, OutOfDomain
-from .hamiltonian import (
-    HamiltonianModel,
-    deriv_minus_grid,
-    deriv_plus_grid,
-    h_at,
-    subgradient,
-)
+from .hamiltonian import HamiltonianModel, h_at, subgradient
 from .tableio import write_csv
 
 
@@ -58,27 +54,22 @@ class ValueFunction:
         """Stock level up to which the slope table resolves v'."""
         return 0.0 if self.constant else float(self.psi_knots[-1])
 
-    def psi(self, xi: float) -> float:
-        """Stock level at which the marginal value equals xi."""
+    def psi(self, xi):
+        """Stock level at which the marginal value equals xi (a scalar or
+        an array of slopes)."""
         if self.constant:
             raise InvalidParameter("flat value function has no slope map")
-        xi = float(xi)
-        if xi > self.zeta or xi < self.xi_knots[-1] * (1.0 - 1e-12):
+        xi = np.asarray(xi, dtype=float)
+        floor = float(self.xi_knots[-1])
+        if not (np.all(xi <= self.zeta) and np.all(xi >= floor * (1.0 - 1e-12))):
             raise OutOfDomain(
-                f"slope {xi} outside resolved range "
-                f"[{self.xi_knots[-1]}, {self.zeta}]")
-        xi = min(max(xi, float(self.xi_knots[-1])), self.zeta)
-        k = len(self.xi_knots) - 1 - np.searchsorted(self.xi_knots[::-1], xi,
-                                                     side="left")
-        k = int(k)
-        if k < 0:
-            return 0.0
-        if xi == self.xi_knots[k]:
-            return float(self.psi_knots[k])
-        # xi sits strictly inside the cell (xi_knots[k+1], xi_knots[k])
-        return float(self.psi_knots[k]
-                     + _cell_integral(self.model, self.beta, xi,
-                                      float(self.xi_knots[k])))
+                f"slope outside resolved range [{floor}, {self.zeta}]")
+        xi = np.minimum(np.maximum(xi, floor), self.zeta)
+        # xi_knots[k] is the smallest knot at or above xi
+        k = len(self.xi_knots) - 1 - np.searchsorted(self.xi_knots[::-1], xi)
+        out = self.psi_knots[k] + _cells(self.model, self.beta, xi,
+                                         self.xi_knots[k])
+        return float(out) if out.ndim == 0 else out
 
     def v_prime(self, x: float) -> float:
         """Marginal value of stock; decreasing, v'(0) = zeta."""
@@ -99,7 +90,7 @@ class ValueFunction:
         base = float(self.psi_knots[k - 1])
 
         def gap(xi: float) -> float:
-            return base + _cell_integral(self.model, self.beta, xi, hi_xi) - x
+            return base + float(_cells(self.model, self.beta, xi, hi_xi)) - x
 
         # defensive against last-bit disagreement with the tabulated knots
         if gap(lo_xi) < 0.0:
@@ -107,13 +98,6 @@ class ValueFunction:
         if gap(hi_xi) > 0.0:
             return hi_xi
         return float(brentq(gap, lo_xi, hi_xi, xtol=1e-15, rtol=8.9e-16))
-
-    def v_prime_table(self, xs) -> np.ndarray:
-        """Piecewise-linear bulk approximation of v' (knot-exact)."""
-        xs = np.asarray(xs, dtype=float)
-        if self.constant:
-            return np.zeros_like(xs)
-        return np.interp(xs, self.psi_knots, self.xi_knots)
 
     def value_at(self, x: float) -> float:
         if self.constant:
@@ -123,19 +107,22 @@ class ValueFunction:
         return float(h_at(self.model, self.v_prime(x))) / self.beta
 
 
-def _cell_integral(model: HamiltonianModel, beta: float,
-                   z_lo: float, z_hi: float) -> float:
-    """Simpson integral of -H'(z)/(beta z) over one kink-free cell."""
-    if z_hi <= z_lo:
-        return 0.0
-    g_lo = -subgradient(model, z_lo)[1] / (beta * z_lo)
-    g_hi = -subgradient(model, z_hi)[0] / (beta * z_hi)
+def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi) -> np.ndarray:
+    """Simpson integrals of -H'(z)/(beta z) over kink-free cells [z_lo, z_hi].
+
+    Cell edges take the one-sided derivative pointing into the cell; the
+    midpoint, kink-free by construction, the mean of both.  An empty cell
+    (z_hi <= z_lo) integrates to zero.
+    """
     z_mid = 0.5 * (z_lo + z_hi)
-    d_lo, d_hi = subgradient(model, z_mid)
-    g_mid = -0.5 * (d_lo + d_hi) / (beta * z_mid)
-    val = (z_hi - z_lo) / 6.0 * (max(g_lo, 0.0) + 4.0 * max(g_mid, 0.0)
-                                 + max(g_hi, 0.0))
-    return max(val, 0.0)
+    d_minus, d_plus = subgradient(model, np.stack([z_lo, z_mid, z_hi]))
+    g_lo = -d_plus[0] / (beta * z_lo)
+    g_mid = -0.5 * (d_minus[1] + d_plus[1]) / (beta * z_mid)
+    g_hi = -d_minus[2] / (beta * z_hi)
+    val = (z_hi - z_lo) / 6.0 * (np.maximum(g_lo, 0.0)
+                                 + 4.0 * np.maximum(g_mid, 0.0)
+                                 + np.maximum(g_hi, 0.0))
+    return np.where(z_hi > z_lo, np.maximum(val, 0.0), 0.0)
 
 
 def build_value(model: HamiltonianModel, *, n_xi: int = 2000,
@@ -163,21 +150,8 @@ def build_value(model: HamiltonianModel, *, n_xi: int = 2000,
         keep[1:] = np.abs(np.diff(xi)) > 1e-13 * xi[:-1]
         xi = xi[keep]
 
-    # vectorized Simpson per cell; edges take the one-sided derivative
-    # pointing into the cell, midpoints are kink-free by construction
-    asc = xi[::-1]
-    g_plus = -deriv_plus_grid(model, asc) / (beta * asc)
-    g_minus = -deriv_minus_grid(model, asc) / (beta * asc)
-    mids = 0.5 * (asc[:-1] + asc[1:])
-    g_mid = -0.5 * (deriv_plus_grid(model, mids)
-                    + deriv_minus_grid(model, mids)) / (beta * mids)
-    w = np.diff(asc)
-    cells = w / 6.0 * (np.maximum(g_plus[:-1], 0.0)
-                       + 4.0 * np.maximum(g_mid, 0.0)
-                       + np.maximum(g_minus[1:], 0.0))
-    cells = np.maximum(cells, 0.0)
-    # psi accumulates from zeta (asc[-1]) downward through the cells
-    psi = np.concatenate([[0.0], np.cumsum(cells[::-1])])
+    # psi accumulates from zeta (xi[0]) downward through the cells
+    psi = np.concatenate([[0.0], np.cumsum(_cells(model, beta, xi[1:], xi[:-1]))])
 
     return ValueFunction(model=model, beta=beta, constant=False,
                          v_flat=float(h_at(model, 0.0)) / beta, zeta=zeta,
@@ -212,5 +186,5 @@ def write_value_csv(vf: ValueFunction, path) -> None:
     else:
         xs = vf.psi_knots
         ds = vf.xi_knots
-        vs = np.array([h_at(vf.model, float(z)) for z in ds]) / vf.beta
+        vs = h_at(vf.model, ds) / vf.beta
     write_csv(path, ["x", "v", "v_prime"], [xs, vs, ds])

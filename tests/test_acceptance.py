@@ -44,6 +44,8 @@ _TRIPLES = (
     (0.2, 1.0, 1.0), (0.1, 0.5, 1.2), (0.5, 2.0, 1.6),
     (1.0, 1.0, 1.0), (0.6, 0.5, 0.8), (2.0, 1.5, 0.9),
     (4.0, 0.5, 1.0), (6.0, 1.0, 1.2), (3.0, 0.4, 0.7),
+    # interior static rate whose sampled argmax sits cells from the root
+    (4.434, 0.582, 1.009),
 )
 
 
@@ -78,7 +80,8 @@ def test_criterion_1_cubic_family_closed_forms():
             worst = max(worst, err)
             assert err <= 1e-6, \
                 f"{label} at (a={a}, b={b}, k={k}): {num!r} vs {cf!r}"
-    print(f"9 triples, worst relative error {worst:.3g} (bound 1e-6)")
+    print(f"{len(_TRIPLES)} triples, worst relative error {worst:.3g} "
+          f"(bound 1e-6)")
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +358,23 @@ def test_criterion_8_invariant_battery(make_random_instance):
                 direct, _ = brute_conjugate(env.xs, env.f, float(z), kind)
                 refined = fen(env, float(z)).value
                 assert abs(refined - direct) <= 1e-9 * scale, (seed, z)
+
+        # the static verdict agrees with its gap, and an optimal one names
+        # an admissible witness
+        report = static_optimality_test(problem, model)
+        if report.optimal:
+            assert report.gap <= 1e-6 * scale, (seed, report)
+            assert problem.demand_set.contains(report.witness) \
+                and problem.production_set.contains(report.witness), \
+                (seed, report)
+        else:
+            assert report.gap > 0.0, (seed, report)
+
+        # the automatic drawdown plan is playable
+        if not vf.constant:
+            x0 = min(0.1, 0.5 * vf.x_resolved)
+            plan = drawdown_plan(problem, vf, model, x0=x0, tail="auto")
+            simulate(problem, plan, horizon=4.0 / beta)
 
     # truncating the production ray anywhere sensible must not move zeta
     worst_shift = 0.0

@@ -173,6 +173,27 @@ def test_cli_exit_code_on_missing_config(tmp_path):
     assert main(["solve", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_cli_exit_code_on_missing_out_dir(cfg, tmp_path, capsys):
+    missing = tmp_path / "no_such_dir"
+    assert main(["solve", str(cfg), "--out", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("name", ["arvan_moses_high", "arvan_moses_low",
+                                  "arvan_moses_mid", "linear_cost",
+                                  "table_curves"])
+def test_cli_simulate_drawdown_on_shipped_configs(configs_dir, tmp_path, name):
+    rc = main(["simulate", str(configs_dir / f"{name}.cfg"),
+               "--out", str(tmp_path), "--x0", "0.2"])
+    assert rc == 0
+    summary = dict(
+        line.split(" = ", 1)
+        for line in (tmp_path / "simulate_summary.txt").read_text().splitlines())
+    # criterion-6 bounds on the realized profit gap
+    assert -1e-6 <= float(summary["profit_gap"]) <= 2e-3
+
+
 def test_cli_exit_code_on_assumption_violation(cfg, tmp_path):
     rc = main(["solve", str(cfg), "--out", str(tmp_path),
                "--set", "sets.q=interval 0.5 1"])

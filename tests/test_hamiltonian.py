@@ -10,13 +10,16 @@ from monopoly_control import (
     Curve,
     ProblemSpec,
     build_hamiltonian,
+    build_value,
     builtin_arvan_moses,
     controls_at,
     h_at,
+    load_problem,
     subgradient,
     validate_problem,
 )
 from monopoly_control.errors import OutOfDomain
+from monopoly_control.hamiltonian import deriv_minus_grid, deriv_plus_grid
 
 
 def test_linear_cost_hamiltonian_closed_values(linear_cost_model):
@@ -163,3 +166,39 @@ def test_zeta_closed_form_sweep():
         m = build_hamiltonian(validate_problem(
             builtin_arvan_moses(a, b, k, beta=0.5)))
         assert m.zeta == pytest.approx(zeta_closed(a, b, k), rel=1e-8), (a, b, k)
+
+
+@pytest.mark.parametrize("name", ["arvan_moses_mid", "linear_cost",
+                                  "table_curves"])
+def test_batch_of_one_is_exact(configs_dir, name):
+    # every query is one kernel: an array call must equal, bit for bit,
+    # the same query made one scalar at a time
+    m = build_hamiltonian(validate_problem(
+        load_problem(configs_dir / f"{name}.cfg")))
+    vf = build_value(m)
+    zs = np.concatenate([np.linspace(0.0, m.z_max, 101), m.kink_zs, [m.zeta]])
+    xis = np.concatenate([vf.xi_knots[::37],
+                          np.geomspace(vf.zeta, vf.xi_knots[-1], 101)])
+
+    def scalars(f, points):
+        return np.array([f(float(p)) for p in points])
+
+    assert np.array_equal(vf.psi(xis), scalars(vf.psi, xis))
+    assert np.array_equal(h_at(m, zs), scalars(lambda z: h_at(m, z), zs))
+    a, q = controls_at(m, zs)
+    ctl = np.array([controls_at(m, float(z)) for z in zs])
+    assert np.array_equal(a, ctl[:, 0]) and np.array_equal(q, ctl[:, 1])
+    for deriv in (deriv_plus_grid, deriv_minus_grid):
+        assert np.array_equal(deriv(m, zs),
+                              scalars(lambda z: deriv(m, z), zs))
+
+    for bad in (-0.1, 1.5 * m.z_max):
+        with pytest.raises(OutOfDomain):
+            h_at(m, bad)
+        with pytest.raises(OutOfDomain):
+            h_at(m, np.array([0.0, bad]))
+    for bad in (1.1 * vf.zeta, 0.5 * vf.xi_knots[-1]):
+        with pytest.raises(OutOfDomain):
+            vf.psi(bad)
+        with pytest.raises(OutOfDomain):
+            vf.psi(np.array([vf.zeta, bad]))

@@ -66,6 +66,32 @@ def test_curve_families_evaluate():
     assert a(3.0) == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda v: Curve.linear_demand_revenue(v, 1.0), "a"),
+    (lambda v: Curve.linear_demand_revenue(1.0, v), "b"),
+    (Curve.affine_cost, "c"),
+    (Curve.cubic_cost, "k"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_curve_constructors_reject_non_finite_coefficients(make, name, bad):
+    with pytest.raises(InvalidParameter, match=f"positive finite {name}\\b"):
+        make(bad)
+
+
+def test_table_rejects_non_finite_points():
+    for pts in ([(0.0, 0.0), (1.0, math.nan)], [(0.0, 0.0), (math.inf, 1.0)]):
+        with pytest.raises(InvalidParameter, match="finite"):
+            Curve.table(pts)
+
+
+def test_all_lists_every_public_name():
+    import inspect
+    import monopoly_control
+    public = {name for name, obj in vars(monopoly_control).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert sorted(monopoly_control.__all__) == sorted(public)
+
+
 def test_table_curve_interpolates_linearly():
     t = Curve.table([(0.0, 0.0), (1.0, 1.0), (2.0, 1.5)])
     assert t(0.5) == pytest.approx(0.5)

@@ -13,6 +13,7 @@ from monopoly_control import (
     arvan_moses_reference,
     build_hamiltonian,
     build_value,
+    builtin_arvan_moses,
     convexified_static,
     cyclic_strategy,
     cyclic_value,
@@ -48,6 +49,20 @@ def test_am_mid_static_fails(am_mid_problem, am_mid_model):
     assert rep.u_hat == pytest.approx(0.0, abs=1e-10)
     assert rep.payoff == pytest.approx(0.0, abs=1e-12)
     assert rep.gap == pytest.approx(0.140625, abs=1e-9)
+
+
+def test_finite_production_verdict_agrees_with_gap():
+    # the only static rate in Q n A = {0, 0.7} earns nothing while min H is
+    # 0.140625, so no constant rate is optimal and the verdict must say so
+    spec = builtin_arvan_moses(1.0, 1.0, 1.0, 0.5)
+    spec = ProblemSpec(beta=spec.beta, demand_set=spec.demand_set,
+                       production_set=ControlSet.finite((0.0, 0.7, 1.5)),
+                       revenue=spec.revenue, cost=spec.cost)
+    problem = validate_problem(spec)
+    rep = static_optimality_test(problem, build_hamiltonian(problem))
+    assert rep.gap == pytest.approx(0.140625, abs=1e-9)
+    assert not rep.optimal
+    assert rep.witness is None
 
 
 def test_am_mid_relaxed_mixture(am_mid_problem, am_mid_model):
