@@ -212,7 +212,7 @@ def _cmd_simulate(args) -> int:
     items = [
         ("x0", float(args.x0)),
         ("horizon", float(horizon)),
-        ("plan", plan.describe() if hasattr(plan, "describe") else str(plan)),
+        ("plan", plan.describe()),
         ("discounted_total", traj.total),
         ("tail_rate", traj.tail_rate),
         ("value_x0", vf.value_at(args.x0)),
@@ -243,8 +243,7 @@ def _cmd_compare(args) -> int:
     res = dp_value(problem, x_max=args.x0, dt=args.dt)
     lo_half = res.x_grid <= 0.5 * args.x0 + 1e-12
     xs = res.x_grid[lo_half]
-    gap_grid = np.abs(res.v_hat[lo_half]
-                      - np.array([vf.value_at(x) for x in xs]))
+    gap_grid = np.abs(res.v_hat[lo_half] - vf.value_at(xs))
     k = int(np.argmax(gap_grid))
     horizon = args.horizon if args.horizon is not None else 24.0 / problem.beta
     items = [

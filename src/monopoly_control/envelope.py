@@ -25,13 +25,12 @@ curve, so the value is exact off the sample knots.  The ``_grid`` and
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import bracket_root
 from .errors import DecompositionMismatch, DegenerateGrid, InvalidParameter, OutOfDomain
 
 
@@ -220,7 +219,7 @@ def _tangency_point(gder, w: float, b_lo: float, b_mid: float, b_hi: float) -> f
         lo, hi = b_mid, b_hi
         if lo >= hi or gder(hi) - w <= 0.0:
             return hi
-    return float(brentq(lambda t: gder(t) - w, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return float(bracket_root(lambda t, _: gder(t) - w, lo, hi)[1])
 
 
 def _refine_bridges(xs: np.ndarray, gs: np.ndarray, vidx: list,
@@ -286,7 +285,7 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
     if evaluator is not None:
         geval = (lambda t: float(evaluator(t))) if sign > 0 else (lambda t: -float(evaluator(t)))
     if derivative is not None:
-        gder = (lambda t: float(derivative(t))) if sign > 0 else (lambda t: -float(derivative(t)))
+        gder = derivative if sign > 0 else (lambda t: -derivative(t))
 
     gs = sign * fs
     vidx = _chain_lower(xs.tolist(), gs.tolist())

@@ -12,7 +12,8 @@ Every reading of H combines the two conjugates of the envelope kernel at
 the same slopes, and every query takes a scalar or an array alike: H(z) is
 the sum of the conjugate values, H'(z+) = max attaining a - min attaining
 q, H'(z-) the mirror, and the controls are the smallest attaining pair.
-zeta is the first zero crossing of H'(z+), found by bisection.
+zeta is the first z with H'(z+) >= 0 and m_hi the last with H'(z-) <= 0,
+from a kink or the bracketed root search in the grid cell of the change.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._roots import bracket_root
 from .envelope import (
     Envelope,
     concave_hull,
@@ -93,6 +95,11 @@ def _conjugates(rev_env: Envelope, cost_env: Envelope, z) -> tuple:
     return fenchel_cost(cost_env, z), fenchel_revenue(rev_env, z)
 
 
+def _slopes(c, r) -> tuple:
+    """(H'(z-), H'(z+)) from the attaining spans of the two conjugates."""
+    return c.argmax_lo - r.argmax_hi, c.argmax_hi - r.argmax_lo
+
+
 def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianModel:
     """Tabulate H, locate its minimizer band, and freeze the model.
 
@@ -121,9 +128,8 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
         c, r = _conjugates(rev_env, cost_env, z)
         return r.value + c.value
 
-    def h_plus(z):
-        c, r = _conjugates(rev_env, cost_env, z)
-        return c.argmax_hi - r.argmax_lo
+    def d(z):
+        return _slopes(*_conjugates(rev_env, cost_env, z))
 
     h0 = h(0.0)
     gap = 1e-9 * max(1.0, abs(h0))
@@ -151,52 +157,32 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
     kinks = np.concatenate([rev_env.kink_slopes(), cost_env.kink_slopes()])
     kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
 
-    if h_plus(0.0) >= 0.0:
-        zeta = 0.0
-    else:
-        # scan the grid for a sign bracket, then bisect
-        nz = np.nonzero(c_grid.argmax_hi - r_grid.argmax_lo >= 0.0)[0]
-        i = int(nz[0]) if len(nz) else len(z_grid) - 1
-        lo = float(z_grid[max(i - 2, 0)])
-        hi = float(z_grid[min(i + 1, len(z_grid) - 1)])
-        while h_plus(lo) >= 0.0 and lo > 0.0:
-            lo = max(0.0, lo - (hi - lo))
-        while h_plus(hi) < 0.0 and hi < z_max:
-            hi = min(z_max, hi + (hi - lo))
-        for _ in range(100):
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if h_plus(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        zeta = hi
-        # a minimizer at a kink resolves only to the conjugate span
-        # tolerance; snap when a kink sits within that haze
-        for kz in kinks:
-            if abs(kz - zeta) <= 1e-8 * max(1.0, kz):
-                c, r = _conjugates(rev_env, cost_env, kz)
-                if c.argmax_hi - r.argmax_lo >= 0.0 \
-                        and c.argmax_lo - r.argmax_hi <= 0.0:
-                    zeta = kz
-                    break
+    def edge(f, i: int, side: int) -> float:
+        # where f changes class in [z_grid[i-1], z_grid[i]]; a kink holding 0
+        # in its subgradient is the edge if f changes within 1e-8 of it
+        lo, hi = z_grid[i - 1], z_grid[i]
+        hs = 1e-8 * np.maximum(1.0, kinks)
+        near = (kinks + hs >= lo) & (kinks - hs <= hi)
+        for kz, hz in zip(kinks[near], hs[near]):
+            dm, dp = d(kz)
+            if dm <= 0.0 <= dp and (f(kz - hz) < 0.0) != (f(kz + hz) < 0.0):
+                return float(kz)
+        return float(bracket_root(lambda z, _: f(z), lo, hi)[side])
 
+    # zeta is the first z with H'(z+) >= 0 and m_hi the last with
+    # H'(z-) <= 0; the table brackets both within one grid cell, since
+    # grid and scalar readings of the kernel agree bit for bit
+    d_minus, d_plus = _slopes(c_grid, r_grid)
+    up = np.nonzero(d_plus >= 0.0)[0]
+    i = int(up[0]) if len(up) else len(z_grid) - 1
+    zeta = edge(lambda z: d(z)[1], i, 1) if i > 0 else 0.0
+    up = np.nonzero(d_minus > 0.0)[0]
+    i = int(up[0]) if len(up) else len(z_grid)
+    m_hi = float(z_grid[max(i - 1, 0)])
+    if 0 < i < len(z_grid):
+        m_hi = edge(lambda z: -d(z)[0], i, 0)
+    m_hi = max(m_hi, zeta)
     h_min = h(zeta)
-    thr = h_min + 1e-12 * max(1.0, abs(h_min))
-    if h(z_max) <= thr:
-        m_hi = z_max
-    else:
-        lo, hi = zeta, z_max
-        for _ in range(100):
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if h(mid) <= thr:
-                lo = mid
-            else:
-                hi = mid
-        m_hi = lo
 
     return HamiltonianModel(problem=problem, rev_env=rev_env, cost_env=cost_env,
                             z_grid=z_grid, H=H, zeta=float(zeta), m_lo=float(zeta),
@@ -220,20 +206,17 @@ def h_at(model: HamiltonianModel, z):
 
 def subgradient(model: HamiltonianModel, z) -> tuple:
     """One-sided derivatives (H'(z-), H'(z+)) from the attaining sets."""
-    c, r = _in_domain(model, z)
-    return (c.argmax_lo - r.argmax_hi, c.argmax_hi - r.argmax_lo)
+    return _slopes(*_in_domain(model, z))
 
 
 def deriv_plus_grid(model: HamiltonianModel, zs) -> np.ndarray:
     """H'(z+) on an array of z; exact at tabulated kink slopes."""
-    c, r = _conjugates(model.rev_env, model.cost_env, zs)
-    return c.argmax_hi - r.argmax_lo
+    return _slopes(*_conjugates(model.rev_env, model.cost_env, zs))[1]
 
 
 def deriv_minus_grid(model: HamiltonianModel, zs) -> np.ndarray:
     """H'(z-) on an array of z."""
-    c, r = _conjugates(model.rev_env, model.cost_env, zs)
-    return c.argmax_lo - r.argmax_hi
+    return _slopes(*_conjugates(model.rev_env, model.cost_env, zs))[0]
 
 
 def controls_at(model: HamiltonianModel, z) -> tuple:

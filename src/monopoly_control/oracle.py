@@ -144,12 +144,24 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     fix_gap = math.inf
     it = 0
     delta = v
-    for it in range(1, max_iter + 1):
-        vi = v[ilo] * (1.0 - w1) + v[ilo + 1] * w1
-        cand1 = np.where(feas, -c_pay[:, None] + gamma * vi, _BIG_NEG)
+    # sweeps write into buffers made once: a fresh temporary this large per
+    # sweep would be a new memory mapping, faulted in page by page
+    cand1, tmp1, cand2, tmp2 = (np.empty(a.shape) for a in (w1, w1, w2, w2))
+    ilo1, jlo1, w0, w20, infeas = ilo + 1, jlo + 1, 1.0 - w1, 1.0 - w2, ~feas
+
+    def stages(v):  # one sweep: production stage into cand1, sales into cand2
+        np.multiply(np.take(v, ilo, out=cand1), w0, out=cand1)
+        np.add(cand1, np.multiply(np.take(v, ilo1, out=tmp1), w1, out=tmp1), out=cand1)
+        np.subtract(np.multiply(cand1, gamma, out=cand1), c_pay[:, None], out=cand1)
+        np.copyto(cand1, _BIG_NEG, where=infeas)
         u = cand1.max(axis=0)
-        ui = u[jlo] * (1.0 - w2) + u[jlo + 1] * w2
-        v_new = (r_gain[:, None] + ui).max(axis=0)
+        np.multiply(np.take(u, jlo, out=cand2), w20, out=cand2)
+        np.add(cand2, np.multiply(np.take(u, jlo1, out=tmp2), w2, out=tmp2), out=cand2)
+        np.add(cand2, r_gain[:, None], out=cand2)
+
+    for it in range(1, max_iter + 1):
+        stages(v)
+        v_new = cand2.max(axis=0)
         delta = v_new - v
         sup = float(np.abs(delta).max())
         v = v_new
@@ -161,15 +173,9 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
                            f"{fix_gap:.3g} after {max_iter} sweeps")
 
     v = v + g * 0.5 * (float(delta.min()) + float(delta.max()))
-
-    vi = v[ilo] * (1.0 - w1) + v[ilo + 1] * w1
-    cand1 = np.where(feas, -c_pay[:, None] + gamma * vi, _BIG_NEG)
-    u = cand1.max(axis=0)
+    stages(v)
     a_star_y = a_grid[cand1.argmax(axis=0)]
-    ui = u[jlo] * (1.0 - w2) + u[jlo + 1] * w2
-    cand2 = r_gain[:, None] + ui
-    q_idx = cand2.argmax(axis=0)
-    q_star = q_grid[q_idx]
+    q_star = q_grid[cand2.argmax(axis=0)]
     y_star = x_grid - q_star * dt
     a_star = np.interp(y_star, y_grid, a_star_y)
 

@@ -199,9 +199,7 @@ def simulate(problem, plan, *, horizon: float, x0: float | None = None,
                                 plan.describe(), rate)
 
     if isinstance(plan, RelaxedStatic):
-        a_mean = plan.nu * plan.a1 + (1.0 - plan.nu) * plan.a2
-        q_mean = plan.gamma * plan.q1 + (1.0 - plan.gamma) * plan.q2
-        return _const_rate_traj(beta, horizon, x0, a_mean, q_mean,
+        return _const_rate_traj(beta, horizon, x0, *plan.controls_at(0.0),
                                 plan.payoff, plan.describe() + " (mean rates)",
                                 plan.payoff)
 

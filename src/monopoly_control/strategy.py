@@ -24,8 +24,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from ._roots import bracket_root
 from .envelope import Envelope, contact_argmax_intervals, hull_decompose
 from .errors import DecompositionMismatch, InvalidParameter, OutOfDomain, ZetaZeroWarning
 from .hamiltonian import HamiltonianModel, controls_at as _h_controls
@@ -37,6 +37,9 @@ from .value import ValueFunction
 class StaticPlan:
     """Produce and sell at the constant rate u."""
     u: float
+
+    def controls_at(self, t: float) -> tuple:
+        return (self.u, self.u)
 
     def describe(self) -> str:
         return f"static u={self.u:.10g}"
@@ -75,6 +78,11 @@ class RelaxedStatic:
     @property
     def production_mixed(self) -> bool:
         return self.a1 != self.a2
+
+    def controls_at(self, t: float) -> tuple:
+        """Mean production and sales rates of the two mixtures."""
+        return (self.nu * self.a1 + (1.0 - self.nu) * self.a2,
+                self.gamma * self.q1 + (1.0 - self.gamma) * self.q2)
 
     def describe(self) -> str:
         return (f"relaxed u~={self.u_tilde:.10g} "
@@ -138,18 +146,12 @@ class DrawdownPlan:
         if t < 0.0:
             raise OutOfDomain("time runs forward only")
         if t >= self.tau:
-            tail = self.tail
-            if isinstance(tail, StaticPlan):
-                return (tail.u, tail.u)
-            if isinstance(tail, RelaxedStatic):
-                return (tail.nu * tail.a1 + (1.0 - tail.nu) * tail.a2,
-                        tail.gamma * tail.q1 + (1.0 - tail.gamma) * tail.q2)
-            return tail.controls_at(t - self.tau)
+            return self.tail.controls_at(t - self.tau)
         return _h_controls(self._model, self.slope_at(t))
 
     def describe(self) -> str:
-        tail_desc = self.tail.describe() if hasattr(self.tail, "describe") else str(self.tail)
-        return f"drawdown x0={self.x0:.10g} tau={self.tau:.10g} then {tail_desc}"
+        return (f"drawdown x0={self.x0:.10g} tau={self.tau:.10g} "
+                f"then {self.tail.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,44 +190,48 @@ def _candidate_rates(problem: ValidatedProblem) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
+def _best_rate(us: np.ndarray, vals: np.ndarray, profit, slope=None) -> tuple:
+    """(u, payoff) at the first maximizer of a concave profit sampled as
+    vals on us, polished by the root of its slope, bracketed outward from
+    the sampled argmax.  The root wins ties with the sampled point: both
+    lie on one hump, so a tie is a flat top, not a second maximum."""
+    m = float(vals.max())
+    tol = 1e-12 * max(1.0, abs(m))
+    idx = int(np.nonzero(vals >= m - tol)[0][0])
+    u, payoff = float(us[idx]), float(profit(us[idx]))
+    if slope is None:
+        return u, payoff
+    i_lo, i_hi = max(idx - 1, 0), min(idx + 1, len(us) - 1)
+    s_lo, s_hi = slope(us[i_lo]), slope(us[i_hi])
+    step = 1
+    while s_hi > 0.0 and i_hi < len(us) - 1:
+        i_lo, s_lo, i_hi = i_hi, s_hi, min(i_hi + step, len(us) - 1)
+        s_hi, step = slope(us[i_hi]), 2 * step
+    step = 1
+    while s_lo < 0.0 and i_lo > 0:
+        i_hi, s_hi, i_lo = i_lo, s_lo, max(i_lo - step, 0)
+        s_lo, step = slope(us[i_lo]), 2 * step
+    if s_lo > 0.0 > s_hi:
+        root = float(bracket_root(lambda t, _: slope(t), us[i_lo], us[i_hi])[0])
+        v = float(profit(root))
+        if v >= payoff - tol:
+            u, payoff = root, v
+    return u, payoff
+
+
 def static_candidate(problem) -> tuple:
     """Best constant rate: argmax of R(u) - C(u) over Q intersect A.
 
     Ties go to the smallest rate.  Returns (u_hat, payoff).
     """
     problem = validate_problem(problem)
+    rev, cost = problem.revenue, problem.cost
     us = _candidate_rates(problem)
-    vals = problem.revenue(us) - problem.cost(us)
-    vals = np.atleast_1d(vals)
-    m = float(vals.max())
-    tol = 1e-12 * max(1.0, abs(m))
-    idx = int(np.nonzero(vals >= m - tol)[0][0])
-    u, payoff = float(us[idx]), float(vals[idx])
-
-    smooth = problem.revenue.has_derivative and problem.cost.has_derivative
-    interval_like = problem.demand_set.kind != "finite" \
-        and problem.production_set.kind != "finite"
-    if smooth and interval_like and len(us) > 2:
-        lo = float(us[max(idx - 1, 0)])
-        hi = float(us[min(idx + 1, len(us) - 1)])
-        if hi > lo:
-            res = minimize_scalar(
-                lambda t: float(problem.cost(t) - problem.revenue(t)),
-                bounds=(lo, hi), method="bounded",
-                options={"xatol": 1e-13 * max(1.0, hi)})
-            if res.success and -res.fun > payoff + tol:
-                u, payoff = float(res.x), float(-res.fun)
-            # a sign change of the profit slope pins interior maxima far
-            # tighter than a derivative-free search
-            ds = problem.revenue.derivative
-            dc = problem.cost.derivative
-            if ds(lo) - dc(lo) > 0.0 > ds(hi) - dc(hi):
-                root = float(brentq(lambda t: ds(t) - dc(t), lo, hi,
-                                    xtol=1e-15, rtol=8.9e-16))
-                v = float(problem.revenue(root) - problem.cost(root))
-                if v > payoff + tol or (abs(v - payoff) <= tol and root < u):
-                    u, payoff = root, v
-    return u, payoff
+    smooth = rev.has_derivative and cost.has_derivative and "finite" not in (
+        problem.demand_set.kind, problem.production_set.kind)
+    return _best_rate(us, np.atleast_1d(rev(us) - cost(us)),
+                      lambda t: rev(t) - cost(t),
+                      (lambda t: rev.derivative(t) - cost.derivative(t)) if smooth else None)
 
 
 def _match_tolerance(env: Envelope) -> float:
@@ -284,52 +290,21 @@ def convexified_static(problem, model: HamiltonianModel) -> tuple:
     """Best mean rate for the relaxed problem: argmax of the convexified
     running profit over co(Q) intersect co(A).  Returns (u_tilde, payoff)."""
     problem = validate_problem(problem)
-    q_lo, q_hi = model.rev_env.domain
-    a_lo, a_hi = model.cost_env.domain
-    lo, hi = max(q_lo, a_lo), min(q_hi, a_hi)
+    rev, cost = model.rev_env, model.cost_env
+    lo, hi = max(rev.domain[0], cost.domain[0]), min(rev.domain[1], cost.domain[1])
     if hi <= lo:
-        return lo, float(model.rev_env.hull_at(lo) - model.cost_env.hull_at(lo))
+        return lo, float(rev.hull_at(lo) - cost.hull_at(lo))
     grid = [np.linspace(lo, hi, problem.grid_n)]
-    for env in (model.rev_env, model.cost_env):
+    for env in (rev, cost):
         grid.append(env._vx[(env._vx >= lo) & (env._vx <= hi)])
     us = np.unique(np.concatenate(grid))
-    vals = model.rev_env.hull_at(us) - model.cost_env.hull_at(us)
-    m = float(vals.max())
-    tol = 1e-12 * max(1.0, abs(m))
-    idx = int(np.nonzero(vals >= m - tol)[0][0])
-
-    def exact(t: float) -> float:
-        return float(model.rev_env.hull_exact(t) - model.cost_env.hull_exact(t))
-
-    def slope(t: float) -> float:
-        return model.rev_env.hull_slope(t) - model.cost_env.hull_slope(t)
-
-    # polish against the exact envelopes: bracket endpoints plus, where the
-    # convexified profit's slope changes sign, its root.  The argmax of the
-    # interpolated envelopes can sit cells away from that root, so widen
-    # the bracket outward (the profit is concave) until the sign changes.
-    i_lo, i_hi = max(idx - 1, 0), min(idx + 1, len(us) - 1)
-    s_lo, s_hi = slope(float(us[i_lo])), slope(float(us[i_hi]))
-    step = 1
-    while s_hi > 0.0 and i_hi < len(us) - 1:
-        i_lo, s_lo = i_hi, s_hi
-        i_hi = min(i_hi + step, len(us) - 1)
-        s_hi, step = slope(float(us[i_hi])), 2 * step
-    step = 1
-    while s_lo < 0.0 and i_lo > 0:
-        i_hi, s_hi = i_lo, s_lo
-        i_lo = max(i_lo - step, 0)
-        s_lo, step = slope(float(us[i_lo])), 2 * step
-    b_lo, b_hi = float(us[i_lo]), float(us[i_hi])
-    cands = [float(us[idx]), b_lo, b_hi]
-    if b_hi > b_lo and s_lo > 0.0 > s_hi:
-        cands.append(float(brentq(slope, b_lo, b_hi, xtol=1e-15, rtol=8.9e-16)))
-    u, payoff = min(cands), exact(min(cands))
-    for t in cands:
-        v = exact(t)
-        if v > payoff + tol or (abs(v - payoff) <= tol and t < u):
-            u, payoff = t, v
-    return u, payoff
+    # piecewise-linear envelopes peak at a hull vertex, which is on the grid
+    slope = None
+    if rev.refinable or cost.refinable:
+        slope = np.vectorize(lambda t: rev.hull_slope(t) - cost.hull_slope(t),
+                             otypes=[float])
+    return _best_rate(us, rev.hull_at(us) - cost.hull_at(us),
+                      lambda t: rev.hull_exact(t) - cost.hull_exact(t), slope)
 
 
 def relaxed_static(problem, model: HamiltonianModel,

@@ -14,9 +14,10 @@ zeta = 0 holding stock is pointless and v is the constant H(0)/beta.
 Psi is integrated cell by cell with Simpson's rule on a geometric slope
 grid refined by the kink slopes of H', using the one-sided derivative that
 points into each cell at its edges.  One cell integrator serves the knot
-table, Psi between knots (for scalars and arrays alike) and the inversion
-xi(x), a bracketed root search inside the unique cell containing x, so Psi
-at and between its knots comes from the same derivative code.
+table, Psi between knots and the inversion xi(x), a bracketed root search
+inside the unique cell containing x, so Psi at and between its knots comes
+from the same derivative code.  Psi, xi and v take scalars and arrays
+alike; a scalar is a batch of one.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import bracket_root
 from .errors import InvalidParameter, OutOfDomain
 from .hamiltonian import HamiltonianModel, h_at, subgradient
 from .tableio import write_csv
@@ -71,40 +72,35 @@ class ValueFunction:
                                          self.xi_knots[k])
         return float(out) if out.ndim == 0 else out
 
-    def v_prime(self, x: float) -> float:
-        """Marginal value of stock; decreasing, v'(0) = zeta."""
-        x = float(x)
-        if x < 0.0:
+    def v_prime(self, x):
+        """Marginal value of stock (a scalar or an array); decreasing,
+        v'(0) = zeta, held at the slope floor past x_resolved."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0.0):
             raise OutOfDomain("stock must be non-negative")
         if self.constant:
-            return 0.0
-        if x == 0.0:
-            return self.zeta
-        if x >= self.psi_knots[-1]:
-            return float(self.xi_knots[-1])
-        k = int(np.searchsorted(self.psi_knots, x))
-        if self.psi_knots[k] == x:
-            return float(self.xi_knots[k])
-        lo_xi = float(self.xi_knots[k])
-        hi_xi = float(self.xi_knots[k - 1])
-        base = float(self.psi_knots[k - 1])
+            return 0.0 if x.ndim == 0 else np.zeros(x.shape)
+        xs = np.minimum(x, self.psi_knots[-1]).reshape(-1)
+        # psi_knots[k - 1] < x <= psi_knots[k]: exact on a knot, otherwise
+        # the root of Psi(xi) = x in the cell [xi_knots[k], xi_knots[k - 1]]
+        k = np.searchsorted(self.psi_knots, xs)
+        out = self.xi_knots[k]
+        off = np.nonzero(self.psi_knots[k] != xs)[0]
+        k, top = k[off], self.xi_knots[k[off] - 1]
 
-        def gap(xi: float) -> float:
-            return base + float(_cells(self.model, self.beta, xi, hi_xi)) - x
+        def gap(xi, i):
+            return (self.psi_knots[k[i] - 1]
+                    + _cells(self.model, self.beta, xi, top[i]) - xs[off[i]])
 
-        # defensive against last-bit disagreement with the tabulated knots
-        if gap(lo_xi) < 0.0:
-            return lo_xi
-        if gap(hi_xi) > 0.0:
-            return hi_xi
-        return float(brentq(gap, lo_xi, hi_xi, xtol=1e-15, rtol=8.9e-16))
+        out[off] = bracket_root(gap, self.xi_knots[k], top)[0]
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
-    def value_at(self, x: float) -> float:
+    def value_at(self, x):
+        """v(x) for a scalar or an array of stock levels."""
+        xi = self.v_prime(x)
         if self.constant:
-            if x < 0.0:
-                raise OutOfDomain("stock must be non-negative")
-            return self.v_flat
-        return float(h_at(self.model, self.v_prime(x))) / self.beta
+            return self.v_flat if np.ndim(xi) == 0 else np.full(np.shape(xi), self.v_flat)
+        return h_at(self.model, xi) / self.beta
 
 
 def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi) -> np.ndarray:

@@ -1,8 +1,14 @@
 """Config parsing and the command-line workflows."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import monopoly_control
 from monopoly_control import InvalidParameter, load_problem, validate_problem
 from monopoly_control.cli import main
 
@@ -192,6 +198,23 @@ def test_cli_simulate_drawdown_on_shipped_configs(configs_dir, tmp_path, name):
         for line in (tmp_path / "simulate_summary.txt").read_text().splitlines())
     # criterion-6 bounds on the realized profit gap
     assert -1e-6 <= float(summary["profit_gap"]) <= 2e-3
+
+
+def test_cli_solve_runs_without_scipy(configs_dir, tmp_path):
+    # numpy is the only runtime dependency: solve with scipy unimportable
+    src = str(Path(monopoly_control.__file__).parents[1])
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import monopoly_control\n"
+            "from monopoly_control import cli\n"
+            f"sys.exit(cli.main(['solve', {str(configs_dir / 'arvan_moses_mid.cfg')!r}, "
+            f"'--out', {str(tmp_path)!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "summary.txt").exists()
 
 
 def test_cli_exit_code_on_assumption_violation(cfg, tmp_path):

@@ -68,11 +68,15 @@ def test_am_low_flat_band(am_low_model):
     assert m.zeta == pytest.approx(0.2, abs=1e-10)
     # H stays at its minimum from the demand intercept to the bridge slope
     assert m.m_hi > 0.24
+    # the band ends where H'(z-) turns positive, at the bridge slope k^2/4
+    assert m.m_hi == pytest.approx(0.25, abs=1e-12)
 
 
 def test_am_high_interior_zeta(am_high_model):
     z = (-0.5 + math.sqrt(0.25 - 1.0 + 4.0)) ** 2
     assert am_high_model.zeta == pytest.approx(z, rel=1e-10)
+    # strict minimum: the band is the point zeta, not a threshold haze on H
+    assert am_high_model.m_hi - am_high_model.m_lo < 1e-9
 
 
 def test_am_mid_subgradient_at_zeta(am_mid_model):
@@ -191,6 +195,11 @@ def test_batch_of_one_is_exact(configs_dir, name):
     for deriv in (deriv_plus_grid, deriv_minus_grid):
         assert np.array_equal(deriv(m, zs),
                               scalars(lambda z: deriv(m, z), zs))
+    xs = np.concatenate([
+        np.random.default_rng(4).uniform(0.0, vf.x_resolved, 64),
+        vf.psi_knots[::10]])
+    assert np.array_equal(vf.v_prime(xs), scalars(vf.v_prime, xs))
+    assert np.array_equal(vf.value_at(xs), scalars(vf.value_at, xs))
 
     for bad in (-0.1, 1.5 * m.z_max):
         with pytest.raises(OutOfDomain):
@@ -202,3 +211,8 @@ def test_batch_of_one_is_exact(configs_dir, name):
             vf.psi(bad)
         with pytest.raises(OutOfDomain):
             vf.psi(np.array([vf.zeta, bad]))
+    for query in (vf.v_prime, vf.value_at):
+        with pytest.raises(OutOfDomain):
+            query(-0.1)
+        with pytest.raises(OutOfDomain):
+            query(np.array([0.0, -0.1]))

@@ -8,6 +8,7 @@ import pytest
 from monopoly_control import (
     CyclicPlan,
     DrawdownPlan,
+    RelaxedStatic,
     StaticPlan,
     ZetaZeroWarning,
     arvan_moses_reference,
@@ -96,6 +97,23 @@ def test_static_candidate_prefers_smallest_tie(am_mid_problem):
     u, payoff = static_candidate(am_mid_problem)
     assert u == 0.0
     assert payoff == 0.0
+
+
+def test_static_candidate_finds_interior_root():
+    # regime iii: the static rate is the root -b + k + sqrt(b^2 - 2bk + a)
+    # of the profit slope, not a grid point or a derivative-free estimate
+    # on the flat top of the profit
+    rng = np.random.default_rng(3)
+    triples = [(4.723, 1.201, 0.312), (1.855, 0.318, 0.596)]
+    while len(triples) < 40:
+        a, b, k = rng.uniform((0.1, 0.3, 0.2), (6.0, 2.0, 2.0))
+        if a >= 3.0 * b * k + k * k / 4.0:
+            triples.append((float(a), float(b), float(k)))
+    for a, b, k in triples:
+        u, _ = static_candidate(validate_problem(
+            builtin_arvan_moses(a, b, k, beta=0.5)))
+        u_cf = -b + k + math.sqrt(b * b - 2.0 * b * k + a)
+        assert u == pytest.approx(u_cf, rel=1e-12), (a, b, k)
 
 
 def test_cyclic_plan_frozen_shape(am_mid_problem, am_mid_model):
@@ -230,3 +248,16 @@ def test_linear_cost_reference_matches_solver(linear_cost_model, linear_cost_val
     assert ref.zeta == pytest.approx(linear_cost_model.zeta, abs=1e-9)
     assert ref.u_static == pytest.approx(0.3, abs=1e-12)
     assert ref.x_hat == pytest.approx(linear_cost_value.psi(0.2), abs=1e-9)
+
+
+def test_drawdown_relaxed_tail_runs_mean_rates(am_mid_problem, am_mid_model,
+                                               am_mid_value):
+    plan = drawdown_plan(am_mid_problem, am_mid_value, am_mid_model, 0.2,
+                         tail="relaxed")
+    rel = plan.tail
+    assert isinstance(rel, RelaxedStatic)
+    mean_a = rel.nu * rel.a1 + (1.0 - rel.nu) * rel.a2
+    mean_q = rel.gamma * rel.q1 + (1.0 - rel.gamma) * rel.q2
+    assert plan.controls_at(plan.tau + 1.0) == (mean_a, mean_q)
+    assert mean_a == pytest.approx(0.375, abs=1e-9)
+    assert mean_q == pytest.approx(0.375, abs=1e-9)
