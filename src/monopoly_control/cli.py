@@ -18,6 +18,7 @@ input (config or assumption violations), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,18 @@ from .tableio import write_csv, write_keyvalues
 from .value import build_value, write_value_csv
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for numeric flags: NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", nargs="?", help="problem config file")
@@ -70,32 +83,32 @@ def _parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("strategy", parents=[common],
                         help="stationary plans; --x0 adds a drawdown path")
-    ps.add_argument("--x0", type=float, default=None,
+    ps.add_argument("--x0", type=_finite_float, default=None,
                     help="initial stock for the drawdown plan")
-    ps.add_argument("--eps", type=float, default=None,
+    ps.add_argument("--eps", type=_finite_float, default=None,
                     help="cycle period for the cyclic plan")
 
     pm = sub.add_parser("simulate", parents=[common],
                         help="integrate the optimal plan from --x0")
-    pm.add_argument("--x0", type=float, default=0.0)
-    pm.add_argument("--eps", type=float, default=None,
+    pm.add_argument("--x0", type=_finite_float, default=0.0)
+    pm.add_argument("--eps", type=_finite_float, default=None,
                     help="force a cyclic tail with this period")
-    pm.add_argument("--horizon", type=float, default=None,
+    pm.add_argument("--horizon", type=_finite_float, default=None,
                     help="simulation length (default 16/beta)")
 
     po = sub.add_parser("oracle", parents=[common],
-                        help="discrete-time value iteration")
-    po.add_argument("--x0", type=float, default=0.5, metavar="X_MAX",
+                        help="discrete-time dynamic-programming table")
+    po.add_argument("--x0", type=_finite_float, default=0.5, metavar="X_MAX",
                     help="top of the stock grid (default 0.5)")
-    po.add_argument("--dt", type=float, default=0.002)
+    po.add_argument("--dt", type=_finite_float, default=0.002)
 
     pc = sub.add_parser("compare", parents=[common],
                         help="cross-check solver against the oracle")
-    pc.add_argument("--x0", type=float, default=0.5, metavar="X_MAX",
+    pc.add_argument("--x0", type=_finite_float, default=0.5, metavar="X_MAX",
                     help="top of the oracle stock grid (default 0.5)")
-    pc.add_argument("--dt", type=float, default=0.002)
-    pc.add_argument("--horizon", type=float, default=None)
-    pc.add_argument("--eps", type=float, default=None)
+    pc.add_argument("--dt", type=_finite_float, default=0.002)
+    pc.add_argument("--horizon", type=_finite_float, default=None)
+    pc.add_argument("--eps", type=_finite_float, default=None)
     return p
 
 

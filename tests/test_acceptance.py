@@ -203,8 +203,7 @@ def test_criterion_4_linear_cost_closed_forms(linear_cost_problem,
 def _oracle_error(problem, vf, **kw) -> float:
     dp = dp_value(problem, x_max=0.5, **kw)
     xs = dp.x_grid[dp.x_grid <= 0.25 + 1e-12]
-    exact = np.array([vf.value_at(float(x)) for x in xs])
-    return float(np.max(np.abs(dp.value_at(xs) - exact)))
+    return float(np.max(np.abs(dp.value_at(xs) - vf.value_at(xs))))
 
 
 @pytest.mark.parametrize("instance", ["linear_cost", "cubic_unit"])
@@ -343,7 +342,7 @@ def test_criterion_8_invariant_battery(make_random_instance):
         # inequality holds past zeta
         cap = float(h_at(model, 0.0)) / beta
         xs = np.linspace(0.0, 1.25 * vf.x_resolved + 0.1, 40)
-        vals = np.array([vf.value_at(float(x)) for x in xs])
+        vals = vf.value_at(xs)
         assert np.all(vals <= cap + 1e-9 * max(1.0, abs(cap))), seed
         v0 = vf.value_at(0.0)
         tail = model.z_grid[model.z_grid >= model.zeta]

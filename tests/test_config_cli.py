@@ -229,3 +229,21 @@ def test_cli_grid_n_shorthand(cfg, tmp_path):
     assert rc == 0
     summary = (tmp_path / "summary.txt").read_text()
     assert "zeta = 0.4" in summary
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--x0", "nan"],
+    ["oracle", "--dt", "nan"],
+    ["oracle", "--x0", "inf"],
+    ["simulate", "--x0", "nan"],
+    ["simulate", "--horizon", "nan"],
+    ["simulate", "--horizon", "inf"],
+    ["simulate", "--eps", "nan"],
+    ["strategy", "--x0", "inf"],
+])
+def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
+    command, flag, text = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(cfg), "--out", str(tmp_path), flag, text])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err

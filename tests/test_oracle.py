@@ -1,10 +1,13 @@
 """Discrete-time DP oracle: convergence, policies, guards."""
 
+import math
+
 import numpy as np
 import pytest
 
 from monopoly_control import (
     InvalidParameter,
+    NotConverged,
     brute_conjugate,
     dp_value,
     production_cap,
@@ -12,11 +15,41 @@ from monopoly_control import (
 )
 
 
+# deliberately coarse so the module tests stay fast; the acceptance
+# suite runs the production resolution
+LINEAR_COST_KW = dict(x_max=0.25, nx=128, dt=0.01, na=33, nq=33)
+AM_MID_KW = dict(x_max=0.25, nx=96, dt=0.01, na=25, nq=25)
+
+# (grid index, v_hat, produce, sell) of the plain value-iteration tables at
+# the resolutions above, to 17 digits; both tables are certified within
+# tol_fix = 1e-9 of the discretized fixed point
+PINNED = {
+    "linear_cost": [
+        (0, 0.29517130297231392, 0.29999999999999999, 0.1875),
+        (18, 0.30725704366825235, 0.29999999999999999, 0.375),
+        (36, 0.31594320398637571, 0.29999999999999999, 0.40625),
+        (54, 0.32316243781482967, 0.0, 0.40625),
+        (73, 0.33032711618022081, 0.0, 0.40625),
+        (91, 0.33681719275483135, 0.0, 0.40625),
+        (109, 0.34303032530535965, 0.0, 0.40625),
+        (127, 0.34897833463510564, 0.0, 0.40625),
+    ],
+    "am_mid": [
+        (0, 0.2796656609067048, 1.4875000007083334, 0.375),
+        (14, 0.28872533605437756, 0.0, 0.375),
+        (27, 0.29675016009104604, 0.0, 0.375),
+        (41, 0.30499269046529104, 0.0, 0.375),
+        (54, 0.31229237688988498, 0.0, 0.375),
+        (68, 0.31980778563880419, 0.0, 0.41666666666666663),
+        (81, 0.32649514868604979, 0.0, 0.41666666666666663),
+        (95, 0.33339650229708184, 0.0, 0.41666666666666663),
+    ],
+}
+
+
 @pytest.fixture(scope="module")
 def linear_cost_dp(linear_cost_problem):
-    # deliberately coarse so the module tests stay fast; the acceptance
-    # suite runs the production resolution
-    return dp_value(linear_cost_problem, x_max=0.25, nx=128, dt=0.01, na=33, nq=33)
+    return dp_value(linear_cost_problem, **LINEAR_COST_KW)
 
 
 def test_dp_converges_with_certificate(linear_cost_dp):
@@ -26,9 +59,40 @@ def test_dp_converges_with_certificate(linear_cost_dp):
 
 def test_dp_close_to_analytic(linear_cost_dp, linear_cost_value):
     xs = np.linspace(0.0, 0.12, 50)
-    err = np.abs(linear_cost_dp.value_at(xs)
-                 - np.array([linear_cost_value.value_at(float(x)) for x in xs]))
+    err = np.abs(linear_cost_dp.value_at(xs) - linear_cost_value.value_at(xs))
     assert err.max() < 3e-2
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_dp_matches_pinned_table(name, request):
+    # two certified tables of one discretized problem lie within 2 tol_fix
+    # of each other however the sweeps reached them
+    if name == "linear_cost":
+        dp = request.getfixturevalue("linear_cost_dp")
+    else:
+        dp = dp_value(request.getfixturevalue("am_mid_problem"), **AM_MID_KW)
+    for k, v_hat, produce, sell in PINNED[name]:
+        assert abs(dp.v_hat[k] - v_hat) <= 2e-9, k
+        assert dp.policy_produce[k] == produce, k
+        assert dp.policy_sell[k] == sell, k
+
+
+def test_dp_certificate_is_honest(linear_cost_problem, linear_cost_dp):
+    # the default table is within 1e-9 of the fixed point and this one
+    # within 1e-11, so they are within the sum of the two of each other
+    tight = dp_value(linear_cost_problem, tol_fix=1e-11, **LINEAR_COST_KW)
+    assert tight.fix_gap < 1e-11
+    assert np.abs(tight.v_hat - linear_cost_dp.v_hat).max() <= 1e-9 + 1e-11
+
+
+def test_dp_iterations_count_every_sweep(linear_cost_problem, linear_cost_dp):
+    # max_iter bounds the same count that iterations reports: granting
+    # exactly that many sweeps reproduces the table, one fewer does not
+    n = linear_cost_dp.iterations
+    again = dp_value(linear_cost_problem, max_iter=n, **LINEAR_COST_KW)
+    assert np.array_equal(again.v_hat, linear_cost_dp.v_hat)
+    with pytest.raises(NotConverged):
+        dp_value(linear_cost_problem, max_iter=n - 1, **LINEAR_COST_KW)
 
 
 def test_dp_value_monotone(linear_cost_dp):
@@ -64,6 +128,17 @@ def test_dp_guards(linear_cost_problem):
     with pytest.raises(InvalidParameter):
         # one step would cross the whole grid many times over
         dp_value(linear_cost_problem, x_max=0.01, nx=8, dt=50.0)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(x_max=math.nan), dict(x_max=math.inf),
+    dict(x_max=0.5, dt=math.nan), dict(x_max=0.5, dt=math.inf),
+    dict(x_max=0.5, tol_fix=0.0), dict(x_max=0.5, tol_fix=-1e-9),
+    dict(x_max=0.5, tol_fix=math.nan),
+])
+def test_dp_rejects_non_finite_grid_and_tolerance(linear_cost_problem, kw):
+    with pytest.raises(InvalidParameter):
+        dp_value(linear_cost_problem, **kw)
 
 
 def test_brute_conjugate_kinds():
