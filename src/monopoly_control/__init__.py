@@ -8,6 +8,8 @@ whether a constant production-equals-sales rate is optimal, builds relaxed
 everything against a brute-force dynamic-programming oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AssumptionViolation,
     CoercivityUndetectable,
@@ -58,19 +60,15 @@ from .value import (
     write_value_csv,
 )
 from .strategy import (
-    AMReference,
     CyclicPlan,
     DrawdownPlan,
-    LinearCostReference,
     RelaxedStatic,
     StaticPlan,
     StaticReport,
-    arvan_moses_reference,
     convexified_static,
     cyclic_strategy,
     cyclic_value,
     drawdown_plan,
-    linear_cost_reference,
     relaxed_static,
     static_candidate,
     static_optimality_test,
@@ -90,72 +88,7 @@ from .oracle import (
 )
 from .config import load_problem
 
-__all__ = [
-    "AMReference",
-    "AffineSegment",
-    "AssumptionViolation",
-    "CoercivityUndetectable",
-    "ConjugateValue",
-    "ControlSet",
-    "Curve",
-    "CyclicPlan",
-    "DPResult",
-    "DecompositionMismatch",
-    "DegenerateGrid",
-    "DrawdownPlan",
-    "Envelope",
-    "HamiltonianModel",
-    "HorizonTooShort",
-    "InvalidParameter",
-    "LinearCostReference",
-    "MonopolyControlError",
-    "NotConverged",
-    "OutOfDomain",
-    "ProblemSpec",
-    "RelaxedStatic",
-    "StateViolation",
-    "StaticPlan",
-    "StaticReport",
-    "Trajectory",
-    "TruncationFailed",
-    "ValidatedProblem",
-    "ValueFunction",
-    "ZetaZeroWarning",
-    "arvan_moses_reference",
-    "brute_conjugate",
-    "build_hamiltonian",
-    "build_value",
-    "builtin_arvan_moses",
-    "builtin_linear_cost",
-    "concave_hull",
-    "contact_argmax_intervals",
-    "controls_at",
-    "convex_hull",
-    "convexified_static",
-    "cyclic_strategy",
-    "cyclic_value",
-    "drawdown_plan",
-    "dp_value",
-    "fenchel_cost",
-    "fenchel_cost_grid",
-    "fenchel_revenue",
-    "fenchel_revenue_grid",
-    "h_at",
-    "hjb_residual",
-    "hull_decompose",
-    "linear_cost_reference",
-    "load_problem",
-    "production_cap",
-    "profit_gap",
-    "relaxed_static",
-    "simulate",
-    "static_candidate",
-    "static_optimality_test",
-    "subgradient",
-    "validate_problem",
-    "write_dp_csv",
-    "write_trajectory_csv",
-    "write_value_csv",
-]
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))
 
 __version__ = "0.1.0"

@@ -4,7 +4,6 @@ Subcommands take a problem config (see the config module for the schema)
 and write plain CSV / key=value artifacts into --out:
 
     solve      value.csv + summary.txt (zeta, v(0), static verdict, ...)
-    value      value.csv only
     strategy   strategy.txt; with --x0 also drawdown.csv
     simulate   trajectory.csv + simulate_summary.txt
     oracle     dp.csv from the discrete-time cross-check
@@ -79,7 +78,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sub.add_parser("solve", parents=[common],
                    help="value function, summary, static verdict")
-    sub.add_parser("value", parents=[common], help="value.csv only")
 
     ps = sub.add_parser("strategy", parents=[common],
                         help="stationary plans; --x0 adds a drawdown path")
@@ -170,15 +168,6 @@ def _cmd_solve(args) -> int:
     write_keyvalues(out / "summary.txt", items)
     print(f"zeta = {model.zeta:.10g}, v(0) = {vf.value_at(0.0):.10g}, "
           f"static_optimal = {report.optimal}")
-    return 0
-
-
-def _cmd_value(args) -> int:
-    problem = _load(args)
-    model = build_hamiltonian(problem)
-    vf = build_value(model)
-    write_value_csv(vf, Path(args.out) / "value.csv")
-    print(f"value.csv written, zeta = {model.zeta:.10g}")
     return 0
 
 
@@ -281,7 +270,6 @@ def _cmd_compare(args) -> int:
 
 _COMMANDS = {
     "solve": _cmd_solve,
-    "value": _cmd_value,
     "strategy": _cmd_strategy,
     "simulate": _cmd_simulate,
     "oracle": _cmd_oracle,

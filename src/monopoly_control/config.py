@@ -53,7 +53,10 @@ def _points(raw: str):
         parts = tok.split(":")
         if len(parts) != 2:
             _fail(f"table point {tok!r} is not of the form x:y")
-        pts.append((float(parts[0]), float(parts[1])))
+        try:
+            pts.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            _fail(f"table point {tok!r} is not a pair of numbers")
     if len(pts) < 2:
         _fail("table needs at least two x:y points")
     return pts

@@ -29,6 +29,10 @@ DEFAULT_GRID_N = 4097
 
 # Relative slack used by the sign/monotonicity checks in validate_problem.
 _VAL_TOL = 1e-12
+# Absolute slack of ControlSet membership.
+_MEMBER_TOL = 1e-12
+# Average cost an unbounded production set must reach (see _check_coercive).
+_COERCIVITY_SLOPE_BOUND = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +67,8 @@ class ControlSet:
     @staticmethod
     def finite(values) -> "ControlSet":
         vals = tuple(float(v) for v in values)
+        if not all(math.isfinite(v) for v in vals):
+            raise InvalidParameter(f"finite control set needs finite rates, got {vals}")
         if len(vals) < 2:
             raise InvalidParameter("finite control set needs at least two rates")
         if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -73,6 +79,8 @@ class ControlSet:
 
     @staticmethod
     def right_ray(lo: float = 0.0) -> "ControlSet":
+        if not math.isfinite(lo):
+            raise InvalidParameter(f"ray origin must be finite, got {lo}")
         if lo < 0.0:
             raise InvalidParameter("ray origin must be non-negative")
         return ControlSet("right_ray", float(lo), math.inf)
@@ -81,12 +89,12 @@ class ControlSet:
     def is_bounded(self) -> bool:
         return self.kind != "right_ray"
 
-    def contains(self, x: float, tol: float = 1e-12) -> bool:
-        if x < self.lo - tol:
+    def contains(self, x: float) -> bool:
+        if x < self.lo - _MEMBER_TOL:
             return False
         if self.kind == "finite":
-            return any(abs(x - v) <= tol for v in self.values)
-        return x <= self.hi + tol
+            return any(abs(x - v) <= _MEMBER_TOL for v in self.values)
+        return x <= self.hi + _MEMBER_TOL
 
     def sample(self, n: int, hi: float | None = None) -> np.ndarray:
         """Sample grid over the set (finite sets return their members).
@@ -302,12 +310,12 @@ def _check_curve_domain(curve: Curve, cset: ControlSet, label: str) -> None:
         raise AssumptionViolation(f"{label} table does not cover the control set")
 
 
-def _check_coercive(cost: Curve, slope_bound: float) -> None:
+def _check_coercive(cost: Curve) -> None:
     """Certify C(a)/a -> inf for an unbounded production set.
 
     Samples average cost on a geometric grid, finds its knee (global
     minimum), and requires the average cost to be non-decreasing past the
-    knee and to exceed ``slope_bound`` at the far end.
+    knee and to exceed ``_COERCIVITY_SLOPE_BOUND`` at the far end.
     """
     grid = np.geomspace(1e-6, 1e9, 1024)
     avg = np.asarray(cost(grid)) / grid
@@ -316,15 +324,14 @@ def _check_coercive(cost: Curve, slope_bound: float) -> None:
     scale = max(abs(tail[0]), abs(tail[-1]), 1.0)
     if np.any(np.diff(tail) < -1e-9 * scale):
         raise AssumptionViolation("average production cost decreases past its knee")
-    if tail[-1] < slope_bound:
+    if tail[-1] < _COERCIVITY_SLOPE_BOUND:
         raise AssumptionViolation(
             "production cost is not coercive: average cost stays below "
-            f"{slope_bound:g} on an unbounded production set"
+            f"{_COERCIVITY_SLOPE_BOUND:g} on an unbounded production set"
         )
 
 
-def validate_problem(spec: ProblemSpec | ValidatedProblem,
-                     coercivity_slope_bound: float = 1e6) -> ValidatedProblem:
+def validate_problem(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
     """Check the standing assumptions and freeze the sample grids.
 
     Raises AssumptionViolation (or CoercivityUndetectable / InvalidParameter)
@@ -365,7 +372,7 @@ def validate_problem(spec: ProblemSpec | ValidatedProblem,
     if A.is_bounded:
         a_grid = _merge_knots(A.sample(spec.grid_n), spec.cost, A)
     else:
-        _check_coercive(spec.cost, coercivity_slope_bound)
+        _check_coercive(spec.cost)
         # Coercivity probe doubles as the monotonicity sample.
         a_grid = None
     probe = a_grid if a_grid is not None else np.linspace(0.0, 16.0, spec.grid_n)

@@ -2,9 +2,14 @@
 
 Simulation is the referee: every plan, however it was derived, is run
 forward here under the stock dynamics X' = produce - sell, X >= 0, and
-scored by its discounted profit.  Piecewise-constant stretches integrate
-exactly (both the stock and the discount weight); the drawdown arc, whose
-controls vary continuously, is scored by the trapezoid rule on its knots.
+scored by its discounted profit.  A stationary plan hands over its
+piecewise-constant periodic control through segments(problem) (see the
+strategy module), and one exact path integrates it: the stock and the
+discount weight of each phase in closed form, a single pass when the
+period is infinite.  A DrawdownPlan is its drawdown arc, whose controls
+vary continuously and which is scored by the trapezoid rule on its knots,
+followed by its tail through that same path.  Any other object exposing
+controls_at(t) is run by a left-endpoint Euler scheme.
 
 profit_gap compares a simulated run against the value function, charging
 the horizon truncation at the plan's own stationary tail rate.
@@ -17,13 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HorizonTooShort, InvalidParameter, OutOfDomain, StateViolation
+from .errors import HorizonTooShort, InvalidParameter, StateViolation
 from .problem import ValidatedProblem, validate_problem
-from .strategy import CyclicPlan, DrawdownPlan, RelaxedStatic, StaticPlan
+from .strategy import DrawdownPlan
 from .tableio import write_csv
 from .value import ValueFunction
 
 _X_TOL = 1e-9
+# share of the value the continuation past the horizon may still be worth
+_TOL_TAIL = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +48,6 @@ class Trajectory:
     sell: np.ndarray = field(repr=False)
     j_running: np.ndarray = field(repr=False)
     tail_rate: float
-    desc: str
 
     @property
     def total(self) -> float:
@@ -65,28 +71,17 @@ def _segment_weights(beta: float, t: np.ndarray) -> np.ndarray:
     return (e[:-1] - e[1:]) / beta
 
 
-def _const_rate_traj(beta: float, horizon: float, x0: float, a: float,
-                     q: float, rate: float, desc: str,
-                     tail_rate: float) -> Trajectory:
-    t = np.array([0.0, horizon])
-    drift = a - q
-    stock = np.array([x0, x0 + drift * horizon])
-    j = np.array([0.0, rate * _segment_weights(beta, t)[0]])
-    _check_stock(stock, t, max(1.0, x0))
-    return Trajectory(t=t, stock=stock, produce=np.array([a, a]),
-                      sell=np.array([q, q]), j_running=j,
-                      tail_rate=tail_rate, desc=desc)
-
-
-def _simulate_cyclic(problem: ValidatedProblem, plan: CyclicPlan,
-                     horizon: float, x0: float) -> Trajectory:
+def _simulate_segments(problem: ValidatedProblem, period: float, phases,
+                       mean_rate: float, horizon: float,
+                       x0: float) -> Trajectory:
+    """Exact run of a piecewise-constant control repeating with period."""
     beta = problem.beta
     cuts = [0.0]
     controls = []
     t = 0.0
     base = 0.0
     while t < horizon - 1e-15 * max(1.0, horizon):
-        for t0, t1, a, q, rate in plan.phases:
+        for t0, t1, a, q, rate in phases:
             s0, s1 = base + t0, base + t1
             if s0 >= horizon:
                 break
@@ -94,7 +89,7 @@ def _simulate_cyclic(problem: ValidatedProblem, plan: CyclicPlan,
             if end > cuts[-1]:
                 cuts.append(end)
                 controls.append((a, q, rate))
-        base += plan.eps
+        base += period
         t = base
     tk = np.asarray(cuts)
     a_arr = np.array([c[0] for c in controls] + [controls[-1][0]])
@@ -102,13 +97,12 @@ def _simulate_cyclic(problem: ValidatedProblem, plan: CyclicPlan,
     rates = np.array([c[2] for c in controls])
     drift = a_arr[:-1] - q_arr[:-1]
     stock = x0 + np.concatenate([[0.0], np.cumsum(drift * np.diff(tk))])
-    stock = np.where(np.abs(stock - x0) < 1e-14 * max(1.0, plan.peak_stock),
-                     x0, stock)
-    _check_stock(stock, tk, max(1.0, plan.peak_stock))
+    scale = max(1.0, float(np.abs(stock).max()))
+    stock = np.where(np.abs(stock - x0) < 1e-14 * scale, x0, stock)
+    _check_stock(stock, tk, scale)
     j = np.concatenate([[0.0], np.cumsum(rates * _segment_weights(beta, tk))])
     return Trajectory(t=tk, stock=stock, produce=a_arr, sell=q_arr,
-                      j_running=j, tail_rate=plan.mean_payoff,
-                      desc=plan.describe())
+                      j_running=j, tail_rate=mean_rate)
 
 
 def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
@@ -137,7 +131,7 @@ def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
 
     if tail_traj is None:
         return Trajectory(t=tk, stock=xk, produce=ak, sell=qk, j_running=j,
-                          tail_rate=tail_rate, desc=plan.describe())
+                          tail_rate=tail_rate)
     shift = math.exp(-beta * plan.tau)
     t_all = np.concatenate([tk, plan.tau + tail_traj.t[1:]])
     x_all = np.concatenate([xk, tail_traj.stock[1:]])
@@ -145,8 +139,7 @@ def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
     q_all = np.concatenate([qk[:-1], tail_traj.sell])
     j_all = np.concatenate([j, j[-1] + shift * tail_traj.j_running[1:]])
     return Trajectory(t=t_all, stock=x_all, produce=a_all, sell=q_all,
-                      j_running=j_all, tail_rate=tail_rate,
-                      desc=plan.describe())
+                      j_running=j_all, tail_rate=tail_rate)
 
 
 def _simulate_generic(problem: ValidatedProblem, plan, horizon: float,
@@ -164,7 +157,7 @@ def _simulate_generic(problem: ValidatedProblem, plan, horizon: float,
     rates = problem.revenue(qk[:-1]) - problem.cost(ak[:-1])
     j = np.concatenate([[0.0], np.cumsum(rates * _segment_weights(beta, tk))])
     return Trajectory(t=tk, stock=stock, produce=ak, sell=qk, j_running=j,
-                      tail_rate=float(rates[-1]), desc=f"generic {plan!r}")
+                      tail_rate=float(rates[-1]))
 
 
 def simulate(problem, plan, *, horizon: float, x0: float | None = None,
@@ -178,7 +171,6 @@ def simulate(problem, plan, *, horizon: float, x0: float | None = None,
     problem = validate_problem(problem)
     if horizon <= 0.0:
         raise InvalidParameter("horizon must be positive")
-    beta = problem.beta
 
     if isinstance(plan, DrawdownPlan):
         if x0 is not None and abs(x0 - plan.x0) > 1e-12 * max(1.0, plan.x0):
@@ -188,24 +180,9 @@ def simulate(problem, plan, *, horizon: float, x0: float | None = None,
 
     x0 = 0.0 if x0 is None else float(x0)
     if x0 < 0.0:
-        raise OutOfDomain("initial stock must be non-negative")
-
-    if isinstance(plan, StaticPlan):
-        u = plan.u
-        if not (problem.demand_set.contains(u) and problem.production_set.contains(u)):
-            raise InvalidParameter(f"static rate {u} leaves Q or A")
-        rate = float(problem.revenue(u) - problem.cost(u))
-        return _const_rate_traj(beta, horizon, x0, u, u, rate,
-                                plan.describe(), rate)
-
-    if isinstance(plan, RelaxedStatic):
-        return _const_rate_traj(beta, horizon, x0, *plan.controls_at(0.0),
-                                plan.payoff, plan.describe() + " (mean rates)",
-                                plan.payoff)
-
-    if isinstance(plan, CyclicPlan):
-        return _simulate_cyclic(problem, plan, horizon, x0)
-
+        raise InvalidParameter(f"initial stock must be non-negative, got {x0}")
+    if hasattr(plan, "segments"):
+        return _simulate_segments(problem, *plan.segments(problem), horizon, x0)
     if hasattr(plan, "controls_at"):
         if dt is None:
             dt = horizon / 1024.0
@@ -213,12 +190,13 @@ def simulate(problem, plan, *, horizon: float, x0: float | None = None,
     raise InvalidParameter(f"cannot simulate {type(plan).__name__}")
 
 
-def profit_gap(traj: Trajectory, vf: ValueFunction, tol_tail: float = 1e-3) -> float:
+def profit_gap(traj: Trajectory, vf: ValueFunction) -> float:
     """Relative shortfall of a simulated run against the value function.
 
     The continuation past the horizon is charged at the plan's stationary
     tail rate; if discounting has not yet made the continuation smaller
-    than tol_tail, the horizon is declared too short instead of guessing.
+    than _TOL_TAIL of the value, the horizon is declared too short instead
+    of guessing.
     """
     beta = vf.beta
     horizon = traj.horizon
@@ -226,10 +204,10 @@ def profit_gap(traj: Trajectory, vf: ValueFunction, tol_tail: float = 1e-3) -> f
     v_opt = vf.value_at(x0)
     scale = max(1.0, abs(v_opt))
     leftover = math.exp(-beta * horizon) * max(abs(vf.v_flat), abs(traj.tail_rate) / beta)
-    if leftover > tol_tail * scale:
+    if leftover > _TOL_TAIL * scale:
         raise HorizonTooShort(
             f"discounted continuation {leftover:.3g} still exceeds "
-            f"{tol_tail:.3g} at horizon {horizon}")
+            f"{_TOL_TAIL:.3g} at horizon {horizon}")
     realized = traj.total + math.exp(-beta * horizon) * traj.tail_rate / beta
     return (v_opt - realized) / scale
 

@@ -12,9 +12,12 @@ marginal value of stock rises exponentially at the discount rate along an
 optimal path, so time parametrizes the slope directly and no root finding
 is needed along the trajectory.
 
-arvan_moses_reference and linear_cost_reference carry the closed-form
-answers for the two built-in families; the solver never reads them, they
-exist to be disagreed with.
+Every stationary plan is a piecewise-constant periodic control and says so
+through segments(problem) -> (period, phases, mean_rate), the phases being
+(t0, t1, produce, sell, rate) tuples covering one period.  A static rate
+is one endless phase (period inf), a relaxed optimum one endless phase at
+its mean rates, a cycle its eps-periodic phases.  A DrawdownPlan is the
+drawdown arc followed by one of these as its tail.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .hamiltonian import HamiltonianModel, controls_at as _h_controls
 from .problem import ValidatedProblem, validate_problem
 from .value import ValueFunction
 
+# knots on the drawdown arc, before the two added at each kink crossing
+_DRAWDOWN_KNOTS = 1025
+
 
 @dataclass(frozen=True)
 class StaticPlan:
@@ -40,6 +46,14 @@ class StaticPlan:
 
     def controls_at(self, t: float) -> tuple:
         return (self.u, self.u)
+
+    def segments(self, problem: ValidatedProblem) -> tuple:
+        """One endless phase at u, which must lie in Q intersect A."""
+        u = self.u
+        if not (problem.demand_set.contains(u) and problem.production_set.contains(u)):
+            raise InvalidParameter(f"static rate {u} leaves Q or A")
+        rate = float(problem.revenue(u) - problem.cost(u))
+        return math.inf, ((0.0, math.inf, u, u, rate),), rate
 
     def describe(self) -> str:
         return f"static u={self.u:.10g}"
@@ -84,6 +98,11 @@ class RelaxedStatic:
         return (self.nu * self.a1 + (1.0 - self.nu) * self.a2,
                 self.gamma * self.q1 + (1.0 - self.gamma) * self.q2)
 
+    def segments(self, problem: ValidatedProblem) -> tuple:
+        """One endless phase at the mean rates, earning the mixed payoff."""
+        a, q = self.controls_at(0.0)
+        return math.inf, ((0.0, math.inf, a, q, self.payoff),), self.payoff
+
     def describe(self) -> str:
         return (f"relaxed u~={self.u_tilde:.10g} "
                 f"q=({self.q1:.10g},{self.q2:.10g};{self.gamma:.10g}) "
@@ -112,6 +131,9 @@ class CyclicPlan:
             if t0 <= s < t1:
                 return (a, q)
         return (self.phases[-1][2], self.phases[-1][3])
+
+    def segments(self, problem: ValidatedProblem) -> tuple:
+        return self.eps, self.phases, self.mean_payoff
 
     def describe(self) -> str:
         return (f"cyclic eps={self.eps:.10g} kappa={self.kappa:.10g} "
@@ -402,8 +424,7 @@ def cyclic_value(plan: CyclicPlan, beta: float) -> float:
 
 
 def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
-                  x0: float, tail: str = "auto", eps: float | None = None,
-                  n_knots: int = 1025):
+                  x0: float, tail: str = "auto", eps: float | None = None):
     """Optimal plan from initial stock x0.
 
     tail selects the stationary plan once stock hits zero: "auto" runs the
@@ -413,7 +434,7 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
     """
     problem = validate_problem(problem)
     if x0 < 0.0:
-        raise OutOfDomain("initial stock must be non-negative")
+        raise InvalidParameter(f"initial stock must be non-negative, got {x0}")
     beta = problem.beta
 
     if model.zeta <= 0.0:
@@ -456,9 +477,9 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
     # controls, so quadrature over the knots never straddles a jump.
     switch_zs = [float(z) for z in model.kink_zs
                  if xi0 * (1.0 + 1e-12) <= z <= model.zeta * (1.0 - 1e-12)]
-    base = np.linspace(0.0, tau, n_knots)
+    base = np.linspace(0.0, tau, _DRAWDOWN_KNOTS)
     if switch_zs:
-        keep = np.ones(n_knots, dtype=bool)
+        keep = np.ones(_DRAWDOWN_KNOTS, dtype=bool)
         for z in switch_zs:
             keep &= np.abs(base - math.log(z / xi0) / beta) \
                 > 1e-9 * max(tau, 1.0)
@@ -485,78 +506,3 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
     return DrawdownPlan(x0=float(x0), tau=float(tau), t_knots=t_knots,
                         x_knots=x_knots, a_knots=a_knots, q_knots=q_knots,
                         tail=tail_plan, _model=model, _xi0=float(xi0))
-
-
-# ---------------------------------------------------------------------------
-# closed-form references for the built-in families
-
-
-@dataclass(frozen=True)
-class AMReference:
-    """Closed-form answers for the cubic-cost family."""
-    regime: str                 # "i", "ii", or "iii"
-    t1: float
-    t2: float
-    zeta: float
-    u_static: float
-    static_optimal: bool
-    u_tilde: float
-    nu: float
-    support: tuple
-
-
-def arvan_moses_reference(a_coef: float, b_coef: float, k: float) -> AMReference:
-    """Reference values for demand a - b q and cost a^3/3 - k a^2 + k^2 a.
-
-    Static plans fail exactly for t1 < a < t2 with t1 = k^2/4 and
-    t2 = 3 b k + k^2/4; in between the relaxed optimum mixes production
-    over {0, 3k/2}.
-    """
-    A, B, K = float(a_coef), float(b_coef), float(k)
-    t1 = K * K / 4.0
-    t2 = 3.0 * B * K + K * K / 4.0
-    if A <= t1:
-        return AMReference(regime="i", t1=t1, t2=t2, zeta=A, u_static=0.0,
-                           static_optimal=True, u_tilde=0.0, nu=1.0,
-                           support=(0.0, 0.0))
-    if A >= t2:
-        root = math.sqrt(B * B - 2.0 * B * K + A)
-        zeta = (-B + root) ** 2
-        u = -B + K + root
-        return AMReference(regime="iii", t1=t1, t2=t2, zeta=zeta, u_static=u,
-                           static_optimal=True, u_tilde=u, nu=1.0,
-                           support=(u, u))
-    zeta = t1
-    u_tilde = (A - t1) / (2.0 * B)
-    nu = 1.0 - 2.0 * u_tilde / (3.0 * K)
-    return AMReference(regime="ii", t1=t1, t2=t2, zeta=zeta, u_static=u_tilde,
-                       static_optimal=False, u_tilde=u_tilde, nu=nu,
-                       support=(0.0, 1.5 * K))
-
-
-@dataclass(frozen=True)
-class LinearCostReference:
-    """Closed-form answers for the affine-cost family."""
-    zeta: float
-    u_static: float
-    x_hat: float
-
-
-def linear_cost_reference(c: float, alpha_bar: float, q_bar: float,
-                          a_coef: float, b_coef: float, beta: float) -> LinearCostReference:
-    """Reference values for demand a - b q on [0, q_bar], cost c per unit
-    on [0, alpha_bar], assuming q_bar does not bind at the optimum.
-
-    zeta = min(a, max(c, a - 2 b alpha_bar)); production stops once stock
-    exceeds x_hat, the stock level at which the marginal value drops to c.
-    """
-    A, B = float(a_coef), float(b_coef)
-    c, alpha_bar, beta = float(c), float(alpha_bar), float(beta)
-    zeta = min(A, max(c, A - 2.0 * B * alpha_bar))
-    u_static = min((A - zeta) / (2.0 * B), q_bar)
-    if zeta <= c:
-        x_hat = 0.0
-    else:
-        x_hat = -(1.0 / beta) * ((alpha_bar - A / (2.0 * B)) * math.log(zeta / c)
-                                 + (zeta - c) / (2.0 * B))
-    return LinearCostReference(zeta=zeta, u_static=u_static, x_hat=x_hat)

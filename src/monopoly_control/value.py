@@ -31,6 +31,11 @@ from .errors import InvalidParameter, OutOfDomain
 from .hamiltonian import HamiltonianModel, h_at, subgradient
 from .tableio import write_csv
 
+# the slope table stops where the marginal value has decayed to this share of zeta
+_XI_FLOOR_RATIO = 1e-6
+# relative step of the central difference in hjb_residual
+_FD_STEP = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class ValueFunction:
@@ -121,8 +126,7 @@ def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi) -> np.ndarray:
     return np.where(z_hi > z_lo, np.maximum(val, 0.0), 0.0)
 
 
-def build_value(model: HamiltonianModel, *, n_xi: int = 2000,
-                xi_floor_ratio: float = 1e-6) -> ValueFunction:
+def build_value(model: HamiltonianModel, *, n_xi: int = 2000) -> ValueFunction:
     """Tabulate Psi on a refined slope grid and wrap the inversion."""
     beta = model.problem.beta
     zeta = model.zeta
@@ -134,10 +138,8 @@ def build_value(model: HamiltonianModel, *, n_xi: int = 2000,
 
     if n_xi < 16:
         raise InvalidParameter("slope grid too coarse to trust")
-    if not (0.0 < xi_floor_ratio < 1.0):
-        raise InvalidParameter("floor ratio must lie in (0, 1)")
 
-    xi = np.geomspace(zeta, zeta * xi_floor_ratio, n_xi)
+    xi = np.geomspace(zeta, zeta * _XI_FLOOR_RATIO, n_xi)
     inner = model.kink_zs
     inner = inner[(inner > xi[-1]) & (inner < zeta)]
     if len(inner):
@@ -154,16 +156,15 @@ def build_value(model: HamiltonianModel, *, n_xi: int = 2000,
                          xi_knots=xi, psi_knots=psi)
 
 
-def hjb_residual(value_fn, model: HamiltonianModel, x: float,
-                 step: float = 1e-6) -> float:
+def hjb_residual(value_fn, model: HamiltonianModel, x: float) -> float:
     """Relative defect of beta*v = H(v') using a numerical slope.
 
     value_fn is anything exposing value_at (this module's ValueFunction or
-    the dynamic-programming oracle's adapter); the slope comes from a
+    the dynamic-programming oracle's DPResult); the slope comes from a
     central difference so the check does not reuse the internal inversion.
     """
-    v_at = value_fn.value_at if hasattr(value_fn, "value_at") else value_fn
-    h = step * max(1.0, abs(x))
+    v_at = value_fn.value_at
+    h = _FD_STEP * max(1.0, abs(x))
     if x >= h:
         dv = (v_at(x + h) - v_at(x - h)) / (2.0 * h)
     else:

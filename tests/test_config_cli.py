@@ -95,6 +95,8 @@ a = interval 0 1
     assert spec.revenue(0.25) == pytest.approx(0.2)
     with pytest.raises(InvalidParameter, match="x:y"):
         load_problem(p, ["cost.points=0;0, 1;1"])
+    with pytest.raises(InvalidParameter, match="'x:1' is not a pair of numbers"):
+        load_problem(p, ["revenue.points=0:0, x:1"])
 
 
 def test_demand_ray_rejected(cfg):
@@ -247,3 +249,21 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
         main([command, str(cfg), "--out", str(tmp_path), flag, text])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["strategy", "--x0", "-0.5"], "initial stock must be non-negative"),
+    (["simulate", "--x0", "-0.1"], "initial stock must be non-negative"),
+    (["solve", "--set", "revenue.points=0:0, x:1"], "table point 'x:1'"),
+    (["solve", "--set", "sets.a=finite 0 inf"], "finite rates, got (0.0, inf)"),
+    (["solve", "--set", "sets.a=right_ray nan"], "ray origin must be finite, got nan"),
+    (["solve", "--set", "sets.q=finite nan 1"], "finite rates, got (nan, 1.0)"),
+], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
+        "finite_nan"])
+def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
+                                    message):
+    command, *flags = argv
+    rc = main([command, str(configs_dir / "table_curves.cfg"),
+               "--out", str(tmp_path), *flags])
+    assert rc == 2
+    assert message in capsys.readouterr().err

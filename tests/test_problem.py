@@ -55,6 +55,18 @@ def test_right_ray_unbounded():
         ControlSet.right_ray(-1.0)
 
 
+@pytest.mark.parametrize("make, shown", [
+    (lambda: ControlSet.finite([0.0, math.inf]), "(0.0, inf)"),
+    (lambda: ControlSet.finite([math.nan, 1.0]), "(nan, 1.0)"),
+    (lambda: ControlSet.right_ray(math.nan), "nan"),
+    (lambda: ControlSet.right_ray(math.inf), "inf"),
+], ids=["finite_inf", "finite_nan", "ray_nan", "ray_inf"])
+def test_control_sets_reject_non_finite_values(make, shown):
+    with pytest.raises(InvalidParameter, match="finite") as err:
+        make()
+    assert str(err.value).endswith(f"got {shown}")
+
+
 def test_curve_families_evaluate():
     r = Curve.linear_demand_revenue(1.0, 1.0)
     assert r(0.5) == 0.25

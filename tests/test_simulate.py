@@ -36,6 +36,10 @@ def test_static_plan_closed_form(linear_cost_problem, linear_cost_value):
     assert np.all(traj.stock == 0.0)
     # with the tail folded in, the static plan attains v(0)
     assert profit_gap(traj, linear_cost_value) == pytest.approx(0.0, abs=1e-10)
+    # production matches sales, so stock held at the start stays put
+    held = simulate(linear_cost_problem, StaticPlan(0.3), horizon=40.0, x0=0.5)
+    assert np.all(held.stock == 0.5)
+    assert held.total == traj.total
 
 
 def test_static_plan_must_stay_in_sets(linear_cost_problem):
@@ -121,17 +125,32 @@ def test_generic_plan_state_violation(am_mid_problem):
     assert err.value.inventory < 0.0
 
 
-def test_generic_plan_euler_close_to_exact(am_mid_problem, am_cyclic):
-    # feed the cyclic plan through the generic Euler path and compare
-    _, plan = am_cyclic
+def test_generic_plan_euler_close_to_exact(am_mid_problem, am_high_problem,
+                                          am_high_model, am_cyclic):
+    # feed each kind of stationary plan through the generic Euler path and
+    # compare with its exact accounting through segments; controls_at
+    # reports only a mixture's mean rates, so the relaxed plan is one whose
+    # mixtures collapse to a point
+    _, cyc = am_cyclic
+    rel = relaxed_static(am_high_problem, am_high_model)
+    for problem, plan in ((am_mid_problem, StaticPlan(0.375)),
+                          (am_high_problem, rel), (am_mid_problem, cyc)):
+        class Wrap:
+            def controls_at(self, t):
+                return plan.controls_at(t)
 
-    class Wrap:
-        def controls_at(self, t):
-            return plan.controls_at(t)
+        exact = simulate(problem, plan, horizon=5.0)
+        euler = simulate(problem, Wrap(), horizon=5.0, dt=5.0 / 4096)
+        assert euler.total == pytest.approx(exact.total, abs=5e-3), plan
 
-    exact = simulate(am_mid_problem, plan, horizon=5.0)
-    euler = simulate(am_mid_problem, Wrap(), horizon=5.0, dt=5.0 / 4096)
-    assert euler.total == pytest.approx(exact.total, abs=5e-3)
+
+def test_negative_initial_stock_rejected(linear_cost_problem, linear_cost_model,
+                                         linear_cost_value):
+    with pytest.raises(InvalidParameter, match="initial stock"):
+        drawdown_plan(linear_cost_problem, linear_cost_value,
+                      linear_cost_model, -0.5)
+    with pytest.raises(InvalidParameter, match="initial stock"):
+        simulate(linear_cost_problem, StaticPlan(0.3), horizon=1.0, x0=-0.1)
 
 
 def test_trajectory_csv(tmp_path, linear_cost_problem, linear_cost_model, linear_cost_value):

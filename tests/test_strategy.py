@@ -1,6 +1,7 @@
 """Static tests, relaxed mixtures, cyclic realizations, drawdown plans."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from monopoly_control import (
     RelaxedStatic,
     StaticPlan,
     ZetaZeroWarning,
-    arvan_moses_reference,
     build_hamiltonian,
     build_value,
     builtin_arvan_moses,
@@ -19,13 +19,91 @@ from monopoly_control import (
     cyclic_strategy,
     cyclic_value,
     drawdown_plan,
-    linear_cost_reference,
     relaxed_static,
     static_candidate,
     static_optimality_test,
     validate_problem,
 )
 from monopoly_control.problem import ControlSet, Curve, ProblemSpec
+
+
+# ---------------------------------------------------------------------------
+# closed-form references for the built-in families; the solver never reads
+# them, they exist to be disagreed with
+
+
+@dataclass(frozen=True)
+class AMReference:
+    """Closed-form answers for the cubic-cost family."""
+    regime: str                 # "i", "ii", or "iii"
+    t1: float
+    t2: float
+    zeta: float
+    u_static: float
+    static_optimal: bool
+    u_tilde: float
+    nu: float
+    support: tuple
+
+
+def arvan_moses_reference(a_coef: float, b_coef: float, k: float) -> AMReference:
+    """Reference values for demand a - b q and cost a^3/3 - k a^2 + k^2 a.
+
+    Static plans fail exactly for t1 < a < t2 with t1 = k^2/4 and
+    t2 = 3 b k + k^2/4; in between the relaxed optimum mixes production
+    over {0, 3k/2}.
+    """
+    A, B, K = float(a_coef), float(b_coef), float(k)
+    t1 = K * K / 4.0
+    t2 = 3.0 * B * K + K * K / 4.0
+    if A <= t1:
+        return AMReference(regime="i", t1=t1, t2=t2, zeta=A, u_static=0.0,
+                           static_optimal=True, u_tilde=0.0, nu=1.0,
+                           support=(0.0, 0.0))
+    if A >= t2:
+        root = math.sqrt(B * B - 2.0 * B * K + A)
+        zeta = (-B + root) ** 2
+        u = -B + K + root
+        return AMReference(regime="iii", t1=t1, t2=t2, zeta=zeta, u_static=u,
+                           static_optimal=True, u_tilde=u, nu=1.0,
+                           support=(u, u))
+    zeta = t1
+    u_tilde = (A - t1) / (2.0 * B)
+    nu = 1.0 - 2.0 * u_tilde / (3.0 * K)
+    return AMReference(regime="ii", t1=t1, t2=t2, zeta=zeta, u_static=u_tilde,
+                       static_optimal=False, u_tilde=u_tilde, nu=nu,
+                       support=(0.0, 1.5 * K))
+
+
+@dataclass(frozen=True)
+class LinearCostReference:
+    """Closed-form answers for the affine-cost family."""
+    zeta: float
+    u_static: float
+    x_hat: float
+
+
+def linear_cost_reference(c: float, alpha_bar: float, q_bar: float,
+                          a_coef: float, b_coef: float, beta: float) -> LinearCostReference:
+    """Reference values for demand a - b q on [0, q_bar], cost c per unit
+    on [0, alpha_bar], assuming q_bar does not bind at the optimum.
+
+    zeta = min(a, max(c, a - 2 b alpha_bar)); production stops once stock
+    exceeds x_hat, the stock level at which the marginal value drops to c.
+    """
+    A, B = float(a_coef), float(b_coef)
+    c, alpha_bar, beta = float(c), float(alpha_bar), float(beta)
+    zeta = min(A, max(c, A - 2.0 * B * alpha_bar))
+    u_static = min((A - zeta) / (2.0 * B), q_bar)
+    if zeta <= c:
+        x_hat = 0.0
+    else:
+        x_hat = -(1.0 / beta) * ((alpha_bar - A / (2.0 * B)) * math.log(zeta / c)
+                                 + (zeta - c) / (2.0 * B))
+    return LinearCostReference(zeta=zeta, u_static=u_static, x_hat=x_hat)
+
+
+# ---------------------------------------------------------------------------
 
 
 def test_linear_cost_static_is_optimal(linear_cost_problem, linear_cost_model):
@@ -222,25 +300,22 @@ def test_drawdown_zeta_zero_warns():
 
 
 def test_am_reference_regimes():
-    ref = arvan_moses_reference(1.0, 1.0, 1.0)
-    assert ref.regime == "ii"
-    assert ref.t1 == pytest.approx(0.25)
-    assert ref.t2 == pytest.approx(3.25)
-    assert ref.zeta == pytest.approx(0.25)
-    assert not ref.static_optimal
-    assert ref.u_tilde == pytest.approx(0.375)
-    assert ref.nu == pytest.approx(0.75)
-    assert ref.support == pytest.approx((0.0, 1.5))
-
-    low = arvan_moses_reference(0.2, 1.0, 1.0)
-    assert low.regime == "i" and low.static_optimal
-    assert low.zeta == pytest.approx(0.2)
-    assert low.u_static == 0.0
-
-    high = arvan_moses_reference(4.0, 0.5, 1.0)
-    assert high.regime == "iii" and high.static_optimal
-    assert high.zeta == pytest.approx((-0.5 + math.sqrt(3.25)) ** 2)
-    assert high.u_static == pytest.approx(0.5 + math.sqrt(3.25))
+    # the solver against the closed forms, one triple per regime
+    for abk, regime in (((1.0, 1.0, 1.0), "ii"), ((0.2, 1.0, 1.0), "i"),
+                        ((4.0, 0.5, 1.0), "iii")):
+        ref = arvan_moses_reference(*abk)
+        assert ref.regime == regime
+        problem = validate_problem(builtin_arvan_moses(*abk, beta=0.5))
+        model = build_hamiltonian(problem)
+        assert model.zeta == pytest.approx(ref.zeta, rel=1e-9), abk
+        rep = static_optimality_test(problem, model)
+        assert rep.optimal == ref.static_optimal, abk
+        if ref.static_optimal:
+            assert rep.u_hat == pytest.approx(ref.u_static, abs=1e-9), abk
+        rel = relaxed_static(problem, model)
+        assert rel.u_tilde == pytest.approx(ref.u_tilde, abs=1e-9), abk
+        assert rel.nu == pytest.approx(ref.nu, abs=1e-8), abk
+        assert (rel.a1, rel.a2) == pytest.approx(ref.support, abs=1e-8), abk
 
 
 def test_linear_cost_reference_matches_solver(linear_cost_model, linear_cost_value):
