@@ -34,7 +34,6 @@ from .problem import (
     validate_problem,
 )
 from .envelope import (
-    AffineSegment,
     ConjugateValue,
     Envelope,
     concave_hull,

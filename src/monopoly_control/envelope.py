@@ -7,7 +7,9 @@ built from samples by a monotone chain; where the hull bridges a non-convex
 dip of a closed-form curve, the bridge endpoints are then polished by
 solving the common-tangent conditions on the continuous curve and inserted
 as knots, giving contact points far below sample resolution.  Table curves
-keep knot-only contacts.
+keep knot-only contacts.  The envelope is its edge arrays (vertices, edge
+slopes, and which edges bridge non-contact knots), and its queries
+(hull_exact, hull_slope) take a scalar or an array alike.
 
 Conjugate queries come in two orientations:
 
@@ -26,18 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from ._roots import bracket_root
 from .errors import DecompositionMismatch, DegenerateGrid, InvalidParameter, OutOfDomain
-
-
-class AffineSegment(NamedTuple):
-    slope: float
-    lo: float
-    hi: float
 
 
 @dataclass(frozen=True)
@@ -60,9 +56,10 @@ class Envelope:
     """Envelope of a sampled curve; immutable after construction.
 
     xs, f, hull are parallel arrays (knots, curve values, envelope values).
-    contact marks knots where the envelope touches the curve.  segments are
-    the maximal affine pieces of the envelope; every non-contact knot lies
-    strictly inside one of them.
+    contact marks knots where the envelope touches the curve.  The envelope
+    itself is its edge arrays: vertices _vidx/_vx/_vg, edge slopes _es, and
+    _bridge marking edges that span a non-contact knot; every non-contact
+    knot lies strictly inside a bridge.
     """
 
     kind: str                       # "convex" or "concave"
@@ -70,13 +67,13 @@ class Envelope:
     f: np.ndarray = field(repr=False)
     hull: np.ndarray = field(repr=False)
     contact: np.ndarray = field(repr=False)
-    segments: list = field(repr=False)
     # oriented internals: _g = sign*f has a lower hull with increasing slopes
     _sign: float = field(repr=False)
     _vidx: np.ndarray = field(repr=False)       # vertex indices into xs
     _vx: np.ndarray = field(repr=False)         # vertex abscissae, xs[_vidx]
     _vg: np.ndarray = field(repr=False)         # oriented values at vertices
     _es: np.ndarray = field(repr=False)         # oriented edge slopes, increasing
+    _bridge: np.ndarray = field(repr=False)     # per edge: spans a non-contact knot
     _eval: Callable | None = field(repr=False, default=None)
     _deriv: Callable | None = field(repr=False, default=None)
     _dinv: Callable | None = field(repr=False, default=None)
@@ -109,7 +106,7 @@ class Envelope:
         out = np.interp(x, self._vx, self._sign * self._vg)
         return float(out) if np.ndim(x) == 0 else out
 
-    def hull_exact(self, x: float) -> float:
+    def hull_exact(self, x):
         """Envelope value using the continuous curve off bridges.
 
         On a bridge the refined chord is exact; elsewhere the envelope
@@ -117,52 +114,40 @@ class Envelope:
         With finite support there is no curve between knots and every edge
         is its own chord.
         """
-        lo, hi = self.domain
-        if not (lo - 1e-12 <= x <= hi + 1e-12):
-            raise OutOfDomain(f"{x} outside [{lo}, {hi}]")
-        e = self._edge_of(x)
-        if e is not None and (self.finite_support or self._edge_is_bridge(e)):
-            a, b = self._vx[e], self._vx[e + 1]
-            ga, gb = self._vg[e], self._vg[e + 1]
-            t = (x - a) / (b - a)
-            return self._sign * ((1.0 - t) * ga + t * gb)
-        return float(self.f_at(x))
+        x, e, inside = self._edge_of(x)
+        a, b = self._vx[e], self._vx[e + 1]
+        t = (x - a) / (b - a)
+        chord = self._sign * ((1.0 - t) * self._vg[e] + t * self._vg[e + 1])
+        out = np.where(inside & (self.finite_support | self._bridge[e]), chord,
+                       self.f_at(x))
+        return float(out) if out.ndim == 0 else out
 
-    # -- internal geometry helpers
-
-    def hull_slope(self, x: float) -> float:
+    def hull_slope(self, x):
         """Derivative of the envelope at x (an edge slope where x sits on
         a bridge or between table knots, the curve's own slope elsewhere)."""
-        lo, hi = self.domain
-        if not (lo - 1e-12 <= x <= hi + 1e-12):
-            raise OutOfDomain(f"{x} outside [{lo}, {hi}]")
-        e = self._edge_of(x)
-        if e is not None and (self._edge_is_bridge(e) or self._deriv is None):
-            return float(self._sign * self._es[e])
+        x, e, inside = self._edge_of(x)
+        es = self._es
         if self._deriv is not None:
-            return float(self._deriv(min(max(x, lo), hi)))
-        # x coincides with a vertex of a table envelope: mean of edge slopes
-        k = int(np.searchsorted(self._vx, x))
-        k = min(max(k, 0), len(self._es) - 1)
-        s_lo = self._es[max(k - 1, 0)]
-        s_hi = self._es[min(k, len(self._es) - 1)]
-        return float(self._sign * 0.5 * (s_lo + s_hi))
+            off = self._deriv(np.clip(x, *self.domain))
+        else:
+            # x coincides with a vertex of a table envelope: mean of edge slopes
+            k = np.clip(np.searchsorted(self._vx, x), 0, len(es) - 1)
+            off = self._sign * 0.5 * (es[np.maximum(k - 1, 0)] + es[k])
+        out = np.where(inside & (self._bridge[e] | (self._deriv is None)),
+                       self._sign * es[e], off)
+        return float(out) if out.ndim == 0 else out
 
-    def _edge_of(self, x: float):
-        """Index of the hull edge whose open x-interval holds x, else None."""
+    def _edge_of(self, x) -> tuple:
+        """(x, e, inside) for x in the domain: e the hull edge that could
+        hold x, inside whether x lies in that edge's open x-interval."""
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.domain
+        out = ~((lo - 1e-12 <= x) & (x <= hi + 1e-12))
+        if out.any():
+            raise OutOfDomain(f"{x[out].flat[0]} outside [{lo}, {hi}]")
         vx = self._vx
-        k = int(np.searchsorted(vx, x))
-        if k == 0 or k >= len(vx):
-            return None
-        if x == vx[k] or x == vx[k - 1]:
-            return None
-        return k - 1
-
-    def _edge_is_bridge(self, e: int) -> bool:
-        i, j = self._vidx[e], self._vidx[e + 1]
-        if j - i <= 1:
-            return False
-        return not bool(self.contact[i + 1:j].all())
+        e = np.clip(np.searchsorted(vx, x) - 1, 0, len(vx) - 2)
+        return x, e, (vx[e] < x) & (x < vx[e + 1])
 
     def kink_slopes(self) -> np.ndarray:
         """Slopes where a conjugate's maximizer genuinely jumps.
@@ -175,14 +160,9 @@ class Envelope:
         """
         if not self.refinable:
             return np.unique(self._sign * self._es)
-        out = []
-        for e, s in enumerate(self._es):
-            i, j = self._vidx[e], self._vidx[e + 1]
-            if j - i > 1:
-                out.append(self._sign * s)
-        out.append(float(self._deriv(self.xs[0])))
-        out.append(float(self._deriv(self.xs[-1])))
-        return np.unique(np.asarray(out, dtype=float))
+        return np.unique(np.concatenate([
+            self._sign * self._es[np.diff(self._vidx) > 1],
+            self._deriv(self.xs[[0, -1]])]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +291,9 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
     contact[vidx_arr] = True
 
     es = np.diff(vg) / np.diff(vx)
-    slope_tol = 1e-9 * (float(np.abs(es).max()) + 1.0) if len(es) else 0.0
-    segments: list[AffineSegment] = []
-    e = 0
-    while e < len(es):
-        j = e
-        while j + 1 < len(es) and abs(es[j + 1] - es[e]) <= slope_tol:
-            j += 1
-        segments.append(AffineSegment(float(sign * es[e]), float(vx[e]), float(vx[j + 1])))
-        e = j + 1
+    # non-contact knots strictly inside each edge, by a running count
+    gaps = np.concatenate([[0], np.cumsum(~contact)])
+    bridge = gaps[vidx_arr[1:]] > gaps[vidx_arr[:-1]]
 
     dinv = None
     if derivative_inverse is not None:
@@ -327,8 +301,8 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
         dinv = derivative_inverse if sign > 0 else (lambda w: derivative_inverse(-np.asarray(w)))
 
     return Envelope(kind=kind, xs=xs, f=fs, hull=hull, contact=contact,
-                    segments=segments, _sign=sign, _vidx=vidx_arr, _vx=vx,
-                    _vg=vg, _es=es, _eval=evaluator, _deriv=derivative,
+                    _sign=sign, _vidx=vidx_arr, _vx=vx, _vg=vg, _es=es,
+                    _bridge=bridge, _eval=evaluator, _deriv=derivative,
                     _dinv=dinv, finite_support=finite)
 
 
@@ -443,22 +417,11 @@ def contact_argmax_intervals(env: Envelope, z: float) -> list:
     if cv.argmax_lo == cv.argmax_hi:
         return [(cv.argmax_lo, cv.argmax_hi)]
     i = int(np.searchsorted(env.xs, cv.argmax_lo))
-    j = int(np.searchsorted(env.xs, cv.argmax_hi, side="right")) - 1
-    out = []
-    run_start = None
-    prev = None
-    for k in range(i, j + 1):
-        if env.contact[k]:
-            if run_start is None:
-                run_start = float(env.xs[k])
-            prev = float(env.xs[k])
-        else:
-            if run_start is not None:
-                out.append((run_start, prev))
-                run_start = None
-    if run_start is not None:
-        out.append((run_start, prev))
-    return out
+    j = int(np.searchsorted(env.xs, cv.argmax_hi, side="right"))
+    xs = env.xs[i:j]
+    step = np.diff(np.concatenate([[0], env.contact[i:j], [0]]).astype(np.int8))
+    starts, stops = np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1
+    return [(float(xs[a]), float(xs[b])) for a, b in zip(starts, stops)]
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +440,8 @@ def hull_decompose(env: Envelope, x: float) -> tuple:
         raise OutOfDomain(f"{x} outside [{lo}, {hi}]")
     x = float(min(max(x, lo), hi))
 
-    e = env._edge_of(x)
-    if e is None or not (env.finite_support or env._edge_is_bridge(e)):
+    _, e, inside = env._edge_of(x)
+    if not (inside and (env.finite_support or env._bridge[e])):
         return (x, x, 1.0)
 
     i, j = int(env._vidx[e]), int(env._vidx[e + 1])

@@ -119,8 +119,11 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
             if ray_ceiling <= 0.0:
                 raise InvalidParameter("ray ceiling must be positive")
             ceiling = float(ray_ceiling)
-    rev_slope = max((abs(s.slope) for s in rev_env.segments), default=1.0)
-    z_max = 2.0 * max(1.0, rev_slope)
+    # steepest revenue slope over the starts of affine runs of hull edges
+    es = rev_env._es
+    tol = 1e-9 * (float(np.abs(es).max()) + 1.0)
+    starts = np.concatenate([[0], 1 + np.nonzero(np.diff(es) > tol)[0]])
+    z_max = 2.0 * max(1.0, float(np.abs(es[starts]).max()))
 
     cost_env = _cost_envelope(problem, ceiling)
 

@@ -201,8 +201,8 @@ class Curve:
         elif self.family == "affine":
             out = np.full_like(x, self.params[0])
         else:
-            k = self.params[0]
-            out = (x - k) ** 2
+            d = x - self.params[0]
+            out = d * d     # d**2 on a numpy scalar calls pow(): last bit differs
         return out if out.ndim else float(out)
 
     def derivative_inverse(self):

@@ -169,8 +169,11 @@ def simulate(problem, plan, *, horizon: float, x0: float | None = None,
     StateViolation pinpoints the first breach.
     """
     problem = validate_problem(problem)
-    if horizon <= 0.0:
-        raise InvalidParameter("horizon must be positive")
+    for name, val in (("horizon", horizon), ("time step", dt)):
+        if val is not None and not (math.isfinite(val) and val > 0.0):
+            raise InvalidParameter(f"{name} must be positive and finite, got {val}")
+    if x0 is not None and not math.isfinite(x0):
+        raise InvalidParameter(f"initial stock must be finite, got {x0}")
 
     if isinstance(plan, DrawdownPlan):
         if x0 is not None and abs(x0 - plan.x0) > 1e-12 * max(1.0, plan.x0):

@@ -321,10 +321,8 @@ def convexified_static(problem, model: HamiltonianModel) -> tuple:
         grid.append(env._vx[(env._vx >= lo) & (env._vx <= hi)])
     us = np.unique(np.concatenate(grid))
     # piecewise-linear envelopes peak at a hull vertex, which is on the grid
-    slope = None
-    if rev.refinable or cost.refinable:
-        slope = np.vectorize(lambda t: rev.hull_slope(t) - cost.hull_slope(t),
-                             otypes=[float])
+    slope = ((lambda t: rev.hull_slope(t) - cost.hull_slope(t))
+             if rev.refinable or cost.refinable else None)
     return _best_rate(us, rev.hull_at(us) - cost.hull_at(us),
                       lambda t: rev.hull_exact(t) - cost.hull_exact(t), slope)
 

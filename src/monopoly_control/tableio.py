@@ -8,7 +8,9 @@ and files are byte-identical across runs of the same inputs.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 
 def fmt(x: float) -> str:
@@ -16,15 +18,14 @@ def fmt(x: float) -> str:
 
 
 def write_csv(path: str | os.PathLike, header: Sequence[str],
-              columns: Sequence[Iterable[float]]) -> None:
+              columns: Sequence[Sequence[float]]) -> None:
     """Write columns of floats under a comma-separated header."""
-    cols = [list(c) for c in columns]
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("columns differ in length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(fmt(c[i]) for c in cols))
+    row = ",".join(["%.17g"] * len(cols))
+    lines = [",".join(header)] + [row % r for r in zip(*cols)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

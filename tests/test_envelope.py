@@ -1,5 +1,6 @@
 """Hulls, conjugates, argmax sets, and mixture decomposition."""
 
+import itertools
 import math
 
 import numpy as np
@@ -42,11 +43,13 @@ def test_cubic_hull_bridges_the_dent():
     env = _cubic_env()
     # the concave arc is replaced by one chord through the origin
     assert env.hull_at(0.75) == pytest.approx(0.1875, abs=1e-12)
-    seg = [s for s in env.segments if s.hi - s.lo > 0.5]
-    assert len(seg) == 1
-    assert seg[0].slope == pytest.approx(0.25, abs=1e-9)
-    assert seg[0].lo == pytest.approx(0.0, abs=1e-9)
-    assert seg[0].hi == pytest.approx(1.5, abs=1e-9)
+    long = np.nonzero(np.diff(env._vx) > 0.5)[0]
+    assert len(long) == 1
+    e = long[0]
+    assert env._sign * env._es[e] == pytest.approx(0.25, abs=1e-9)
+    assert env._vx[e] == pytest.approx(0.0, abs=1e-9)
+    assert env._vx[e + 1] == pytest.approx(1.5, abs=1e-9)
+    assert env._bridge[e]
 
 
 def test_convex_hull_stays_below_curve():
@@ -221,3 +224,14 @@ def test_random_tables_hull_invariants():
             assert fenchel_cost(env, z).value >= bv - 1e-10
             rv, _ = brute_conjugate(xs, fs, z, "revenue")
             assert fenchel_revenue(cenv, z).value >= rv - 1e-10
+        # the edge arrays agree with their per-edge and per-knot loops
+        for e in (env, cenv):
+            assert e._bridge.tolist() == [
+                not e.contact[i + 1:j].all() for i, j in zip(e._vidx, e._vidx[1:])]
+            conj = fenchel_cost if e.kind == "convex" else fenchel_revenue
+            for z in e._sign * e._es:
+                cv = conj(e, z)
+                ks = np.nonzero((e.xs >= cv.argmax_lo) & (e.xs <= cv.argmax_hi))[0]
+                runs = [[e.xs[k] for k in grp] for c, grp
+                        in itertools.groupby(ks, key=lambda k: e.contact[k]) if c]
+                assert contact_argmax_intervals(e, z) == [(r[0], r[-1]) for r in runs]

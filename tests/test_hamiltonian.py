@@ -200,6 +200,18 @@ def test_batch_of_one_is_exact(configs_dir, name):
         vf.psi_knots[::10]])
     assert np.array_equal(vf.v_prime(xs), scalars(vf.v_prime, xs))
     assert np.array_equal(vf.value_at(xs), scalars(vf.value_at, xs))
+    for env, curve in ((m.rev_env, m.problem.revenue),
+                       (m.cost_env, m.problem.cost)):
+        lo, hi = env.domain
+        ps = np.concatenate([np.random.default_rng(4).uniform(lo, hi, 4096),
+                             env._vx, [lo, hi]])
+        for query in (env.hull_exact, env.hull_slope):
+            assert np.array_equal(query(ps), scalars(query, ps))
+            with pytest.raises(OutOfDomain):
+                query(np.array([lo, hi + 1.0]))
+        if curve.has_derivative:
+            assert np.array_equal(curve.derivative(ps),
+                                  scalars(curve.derivative, ps))
 
     for bad in (-0.1, 1.5 * m.z_max):
         with pytest.raises(OutOfDomain):

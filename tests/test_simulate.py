@@ -107,12 +107,19 @@ def test_profit_gap_requires_long_horizon(linear_cost_problem, linear_cost_model
     traj = simulate(linear_cost_problem, plan, horizon=1.0)
     with pytest.raises(HorizonTooShort):
         profit_gap(traj, linear_cost_value)
+    # a horizon that is not a positive finite number is rejected up front
+    for bad in (math.nan, math.inf):
+        for p in (plan, StaticPlan(0.3)):
+            with pytest.raises(InvalidParameter, match="horizon"):
+                simulate(linear_cost_problem, p, horizon=bad)
 
 
 def test_drawdown_x0_mismatch_rejected(linear_cost_problem, linear_cost_model, linear_cost_value):
     plan = drawdown_plan(linear_cost_problem, linear_cost_value, linear_cost_model, 0.2)
     with pytest.raises(InvalidParameter):
         simulate(linear_cost_problem, plan, horizon=5.0, x0=0.3)
+    with pytest.raises(InvalidParameter):
+        simulate(linear_cost_problem, plan, horizon=5.0, x0=math.nan)
 
 
 def test_generic_plan_state_violation(am_mid_problem):
@@ -142,6 +149,10 @@ def test_generic_plan_euler_close_to_exact(am_mid_problem, am_high_problem,
         exact = simulate(problem, plan, horizon=5.0)
         euler = simulate(problem, Wrap(), horizon=5.0, dt=5.0 / 4096)
         assert euler.total == pytest.approx(exact.total, abs=5e-3), plan
+    # the Euler step must be a positive finite number
+    for bad in (0.0, math.nan, -1.0):
+        with pytest.raises(InvalidParameter, match="time step"):
+            simulate(am_mid_problem, Wrap(), horizon=5.0, dt=bad)
 
 
 def test_negative_initial_stock_rejected(linear_cost_problem, linear_cost_model,
@@ -149,8 +160,9 @@ def test_negative_initial_stock_rejected(linear_cost_problem, linear_cost_model,
     with pytest.raises(InvalidParameter, match="initial stock"):
         drawdown_plan(linear_cost_problem, linear_cost_value,
                       linear_cost_model, -0.5)
-    with pytest.raises(InvalidParameter, match="initial stock"):
-        simulate(linear_cost_problem, StaticPlan(0.3), horizon=1.0, x0=-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match="initial stock"):
+            simulate(linear_cost_problem, StaticPlan(0.3), horizon=1.0, x0=bad)
 
 
 def test_trajectory_csv(tmp_path, linear_cost_problem, linear_cost_model, linear_cost_value):
