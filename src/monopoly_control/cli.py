@@ -35,6 +35,7 @@ from .oracle import dp_value, write_dp_csv
 from .problem import validate_problem
 from .simulate import profit_gap, simulate, write_trajectory_csv
 from .strategy import (
+    DrawdownPlan,
     StaticPlan,
     convexified_static,
     cyclic_strategy,
@@ -190,7 +191,7 @@ def _cmd_strategy(args) -> int:
         vf = build_value(model)
         plan = drawdown_plan(problem, vf, model, args.x0, eps=args.eps)
         lines.append(f"drawdown: {plan.describe()}")
-        if hasattr(plan, "t_knots"):
+        if isinstance(plan, DrawdownPlan):
             write_csv(out / "drawdown.csv",
                       ["t", "stock", "produce", "sell"],
                       [plan.t_knots, plan.x_knots,

@@ -130,9 +130,11 @@ class Envelope:
         if self._deriv is not None:
             off = self._deriv(np.clip(x, *self.domain))
         else:
-            # x coincides with a vertex of a table envelope: mean of edge slopes
-            k = np.clip(np.searchsorted(self._vx, x), 0, len(es) - 1)
-            off = self._sign * 0.5 * (es[np.maximum(k - 1, 0)] + es[k])
+            # x coincides with a vertex of a table envelope: mean of the
+            # slopes of the edges on either side, the one edge at an end
+            k, last = np.searchsorted(self._vx, x), len(es) - 1
+            off = self._sign * 0.5 * (es[np.clip(k - 1, 0, last)]
+                                      + es[np.clip(k, 0, last)])
         out = np.where(inside & (self._bridge[e] | (self._deriv is None)),
                        self._sign * es[e], off)
         return float(out) if out.ndim == 0 else out

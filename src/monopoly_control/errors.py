@@ -52,7 +52,7 @@ class StateViolation(MonopolyControlError):
     def __init__(self, time: float, inventory: float):
         super().__init__(
             f"inventory {inventory:.6g} below tolerance at t={time:.6g}; "
-            "plan is inadmissible under this step size"
+            "plan is inadmissible"
         )
         self.time = time
         self.inventory = inventory

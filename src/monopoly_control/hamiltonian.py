@@ -212,16 +212,6 @@ def subgradient(model: HamiltonianModel, z) -> tuple:
     return _slopes(*_in_domain(model, z))
 
 
-def deriv_plus_grid(model: HamiltonianModel, zs) -> np.ndarray:
-    """H'(z+) on an array of z; exact at tabulated kink slopes."""
-    return _slopes(*_conjugates(model.rev_env, model.cost_env, zs))[1]
-
-
-def deriv_minus_grid(model: HamiltonianModel, zs) -> np.ndarray:
-    """H'(z-) on an array of z."""
-    return _slopes(*_conjugates(model.rev_env, model.cost_env, zs))[0]
-
-
 def controls_at(model: HamiltonianModel, z) -> tuple:
     """Smallest attaining (production, sales) pair at slope z."""
     c, r = _conjugates(model.rev_env, model.cost_env, z)

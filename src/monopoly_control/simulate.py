@@ -8,8 +8,9 @@ strategy module), and one exact path integrates it: the stock and the
 discount weight of each phase in closed form, a single pass when the
 period is infinite.  A DrawdownPlan is its drawdown arc, whose controls
 vary continuously and which is scored by the trapezoid rule on its knots,
-followed by its tail through that same path.  Any other object exposing
-controls_at(t) is run by a left-endpoint Euler scheme.
+followed by its tail through that same path.  Any other object is
+rejected.  An independent Euler referee that samples a plan's controls
+over time lives with the tests, not here.
 
 profit_gap compares a simulated run against the value function, charging
 the horizon truncation at the plan's own stationary tail rate.
@@ -142,26 +143,8 @@ def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
                       j_running=j_all, tail_rate=tail_rate)
 
 
-def _simulate_generic(problem: ValidatedProblem, plan, horizon: float,
-                      x0: float, dt: float) -> Trajectory:
-    """Left-endpoint Euler for any object exposing controls_at(t)."""
-    beta = problem.beta
-    n = max(int(math.ceil(horizon / dt)), 1)
-    tk = np.linspace(0.0, horizon, n + 1)
-    ak = np.empty(n + 1)
-    qk = np.empty(n + 1)
-    for i, t in enumerate(tk):
-        ak[i], qk[i] = plan.controls_at(float(t))
-    stock = x0 + np.concatenate([[0.0], np.cumsum((ak[:-1] - qk[:-1]) * np.diff(tk))])
-    _check_stock(stock, tk, max(1.0, float(np.abs(stock).max())))
-    rates = problem.revenue(qk[:-1]) - problem.cost(ak[:-1])
-    j = np.concatenate([[0.0], np.cumsum(rates * _segment_weights(beta, tk))])
-    return Trajectory(t=tk, stock=stock, produce=ak, sell=qk, j_running=j,
-                      tail_rate=float(rates[-1]))
-
-
-def simulate(problem, plan, *, horizon: float, x0: float | None = None,
-             dt: float | None = None) -> Trajectory:
+def simulate(problem, plan, *, horizon: float,
+             x0: float | None = None) -> Trajectory:
     """Run a plan for the given horizon and account its discounted profit.
 
     x0 defaults to the plan's own initial stock (drawdown) or zero.  The
@@ -169,9 +152,8 @@ def simulate(problem, plan, *, horizon: float, x0: float | None = None,
     StateViolation pinpoints the first breach.
     """
     problem = validate_problem(problem)
-    for name, val in (("horizon", horizon), ("time step", dt)):
-        if val is not None and not (math.isfinite(val) and val > 0.0):
-            raise InvalidParameter(f"{name} must be positive and finite, got {val}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise InvalidParameter(f"horizon must be positive and finite, got {horizon}")
     if x0 is not None and not math.isfinite(x0):
         raise InvalidParameter(f"initial stock must be finite, got {x0}")
 
@@ -184,13 +166,11 @@ def simulate(problem, plan, *, horizon: float, x0: float | None = None,
     x0 = 0.0 if x0 is None else float(x0)
     if x0 < 0.0:
         raise InvalidParameter(f"initial stock must be non-negative, got {x0}")
-    if hasattr(plan, "segments"):
-        return _simulate_segments(problem, *plan.segments(problem), horizon, x0)
-    if hasattr(plan, "controls_at"):
-        if dt is None:
-            dt = horizon / 1024.0
-        return _simulate_generic(problem, plan, horizon, x0, float(dt))
-    raise InvalidParameter(f"cannot simulate {type(plan).__name__}")
+    try:
+        segments = plan.segments
+    except AttributeError:
+        raise InvalidParameter(f"cannot simulate {type(plan).__name__}") from None
+    return _simulate_segments(problem, *segments(problem), horizon, x0)
 
 
 def profit_gap(traj: Trajectory, vf: ValueFunction) -> float:

@@ -17,7 +17,9 @@ through segments(problem) -> (period, phases, mean_rate), the phases being
 (t0, t1, produce, sell, rate) tuples covering one period.  A static rate
 is one endless phase (period inf), a relaxed optimum one endless phase at
 its mean rates, a cycle its eps-periodic phases.  A DrawdownPlan is the
-drawdown arc followed by one of these as its tail.
+drawdown arc, tabulated at its knots, followed by one of these as its
+tail.  Plans are this data and nothing else: simulate reads it, and the
+Euler referee that samples controls over time lives with the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from ._roots import bracket_root
 from .envelope import Envelope, contact_argmax_intervals, hull_decompose
-from .errors import DecompositionMismatch, InvalidParameter, OutOfDomain, ZetaZeroWarning
+from .errors import DecompositionMismatch, InvalidParameter, ZetaZeroWarning
 from .hamiltonian import HamiltonianModel, controls_at as _h_controls
 from .problem import ValidatedProblem, validate_problem
 from .value import ValueFunction
@@ -43,9 +45,6 @@ _DRAWDOWN_KNOTS = 1025
 class StaticPlan:
     """Produce and sell at the constant rate u."""
     u: float
-
-    def controls_at(self, t: float) -> tuple:
-        return (self.u, self.u)
 
     def segments(self, problem: ValidatedProblem) -> tuple:
         """One endless phase at u, which must lie in Q intersect A."""
@@ -93,14 +92,10 @@ class RelaxedStatic:
     def production_mixed(self) -> bool:
         return self.a1 != self.a2
 
-    def controls_at(self, t: float) -> tuple:
-        """Mean production and sales rates of the two mixtures."""
-        return (self.nu * self.a1 + (1.0 - self.nu) * self.a2,
-                self.gamma * self.q1 + (1.0 - self.gamma) * self.q2)
-
     def segments(self, problem: ValidatedProblem) -> tuple:
         """One endless phase at the mean rates, earning the mixed payoff."""
-        a, q = self.controls_at(0.0)
+        a = self.nu * self.a1 + (1.0 - self.nu) * self.a2
+        q = self.gamma * self.q1 + (1.0 - self.gamma) * self.q2
         return math.inf, ((0.0, math.inf, a, q, self.payoff),), self.payoff
 
     def describe(self) -> str:
@@ -124,13 +119,6 @@ class CyclicPlan:
     kappa: float
     peak_stock: float
     mean_payoff: float
-
-    def controls_at(self, t: float) -> tuple:
-        s = math.fmod(float(t), self.eps)
-        for t0, t1, a, q, _ in self.phases:
-            if t0 <= s < t1:
-                return (a, q)
-        return (self.phases[-1][2], self.phases[-1][3])
 
     def segments(self, problem: ValidatedProblem) -> tuple:
         return self.eps, self.phases, self.mean_payoff
@@ -156,20 +144,6 @@ class DrawdownPlan:
     a_knots: np.ndarray = field(repr=False)
     q_knots: np.ndarray = field(repr=False)
     tail: object
-    _model: HamiltonianModel = field(repr=False)
-    _xi0: float
-
-    def slope_at(self, t: float) -> float:
-        beta = self._model.problem.beta
-        return min(self._xi0 * math.exp(beta * float(t)), self._model.zeta)
-
-    def controls_at(self, t: float) -> tuple:
-        t = float(t)
-        if t < 0.0:
-            raise OutOfDomain("time runs forward only")
-        if t >= self.tau:
-            return self.tail.controls_at(t - self.tau)
-        return _h_controls(self._model, self.slope_at(t))
 
     def describe(self) -> str:
         return (f"drawdown x0={self.x0:.10g} tau={self.tau:.10g} "
@@ -503,4 +477,4 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
     x_knots[-1] = 0.0
     return DrawdownPlan(x0=float(x0), tau=float(tau), t_knots=t_knots,
                         x_knots=x_knots, a_knots=a_knots, q_knots=q_knots,
-                        tail=tail_plan, _model=model, _xi0=float(xi0))
+                        tail=tail_plan)

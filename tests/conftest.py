@@ -1,5 +1,7 @@
-"""Shared fixtures: the worked example instances, solved once per session."""
+"""Shared fixtures: the worked example instances, solved once per session,
+and an Euler referee that scores plans independently of simulate."""
 
+import math
 import pathlib
 
 import numpy as np
@@ -8,11 +10,17 @@ import pytest
 from monopoly_control import (
     ControlSet,
     Curve,
+    CyclicPlan,
+    DrawdownPlan,
     ProblemSpec,
+    RelaxedStatic,
+    StateViolation,
+    StaticPlan,
     build_hamiltonian,
     build_value,
     builtin_arvan_moses,
     builtin_linear_cost,
+    controls_at,
     validate_problem,
 )
 
@@ -60,6 +68,68 @@ def random_table_instance(rng: np.random.Generator):
         grid_n=257,
     )
     return validate_problem(spec)
+
+
+def _plan_rates(problem, plan, t, model):
+    """(running payoff, stock drift) of a plan's control at the times t.
+
+    A relaxed control is a measure: it earns the mixture of R and C, not R
+    and C at its mean rates, and moves stock at the means.  A drawdown
+    takes its controls from the feedback rule at the slope
+    min(xi0 e^(beta t), zeta), xi0 = zeta e^(-beta tau), not from its knots.
+    """
+    rev, cost = problem.revenue, problem.cost
+    if isinstance(plan, DrawdownPlan):
+        beta, zeta = problem.beta, model.zeta
+        xi0 = zeta * math.exp(-beta * plan.tau)
+        arc = t < plan.tau
+        a, q = controls_at(model, np.minimum(xi0 * np.exp(beta * t[arc]), zeta))
+        pay, drift = _plan_rates(problem, plan.tail, t[~arc] - plan.tau, model)
+        return (np.concatenate([rev(q) - cost(a), pay]),
+                np.concatenate([a - q, drift]))
+    if isinstance(plan, StaticPlan):
+        u = np.full_like(t, plan.u)
+        return rev(u) - cost(u), np.zeros_like(t)
+    if isinstance(plan, RelaxedStatic):
+        g, n = plan.gamma, plan.nu
+        pay = (g * rev(plan.q1) + (1.0 - g) * rev(plan.q2)
+               - n * cost(plan.a1) - (1.0 - n) * cost(plan.a2))
+        drift = (n * plan.a1 + (1.0 - n) * plan.a2
+                 - g * plan.q1 - (1.0 - g) * plan.q2)
+        return np.full_like(t, pay), np.full_like(t, drift)
+    if isinstance(plan, CyclicPlan):
+        ph = np.array(plan.phases)
+        k = np.searchsorted(ph[:, 1], np.fmod(t, plan.eps), side="right")
+        k = np.minimum(k, len(ph) - 1)
+        a, q = ph[k, 2], ph[k, 3]
+        return rev(q) - cost(a), a - q
+    raise TypeError(f"no referee for {type(plan).__name__}")
+
+
+def euler_referee(problem, plan, *, horizon, x0=0.0, model=None, steps=4096):
+    """Discounted total of a plan run by an Euler scheme on a uniform grid.
+
+    Each step holds the control at its midpoint (so a grid that contains
+    every switch integrates a piecewise-constant plan exactly) and is
+    weighted by the exact discount mass of the step.  A step places a
+    switch only to within its length, so stock counts as breached below
+    minus one step's largest move, and the first breach raises
+    StateViolation.  model is the HamiltonianModel a drawdown's feedback
+    rule reads.
+    """
+    t = np.linspace(0.0, horizon, steps + 1)
+    pay, drift = _plan_rates(problem, plan, 0.5 * (t[:-1] + t[1:]), model)
+    stock = x0 + np.concatenate([[0.0], np.cumsum(drift * np.diff(t))])
+    bad = np.nonzero(stock < -(horizon / steps) * np.abs(drift).max() - 1e-12)[0]
+    if len(bad):
+        raise StateViolation(float(t[bad[0]]), float(stock[bad[0]]))
+    disc = np.exp(-problem.beta * t)
+    return float(np.sum(pay * (disc[:-1] - disc[1:])) / problem.beta)
+
+
+@pytest.fixture(scope="session")
+def referee():
+    return euler_referee
 
 
 @pytest.fixture(scope="session")

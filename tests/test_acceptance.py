@@ -276,22 +276,31 @@ def test_criterion_6_simulated_drawdown_optimality(
 
 
 def test_criterion_7_cyclic_first_order(am_mid_problem, am_mid_model,
-                                        am_mid_value):
+                                        am_mid_value, referee):
     rel = relaxed_static(am_mid_problem, am_mid_model)
     v0 = am_mid_value.value_at(0.0)
     beta = am_mid_problem.beta
-    gaps = []
+    # the Euler referee scores the relaxed plan under its measure; a step
+    # of 0.025/32 puts every phase switch of each cycle on its grid
+    run = dict(horizon=5.0, steps=6400)
+    j_relaxed = referee(am_mid_problem, rel, **run)
+    gaps, ref_gaps = [], []
     for eps in (0.1, 0.05, 0.025):
         plan = cyclic_strategy(am_mid_problem, rel, eps)
         gaps.append(abs(cyclic_value(plan, beta) - v0))
+        ref_gaps.append(j_relaxed - referee(am_mid_problem, plan, **run))
         peak_bound = plan.kappa * (rel.a2 - rel.q1) * eps + 1e-9
         assert plan.peak_stock <= peak_bound, \
             f"peak {plan.peak_stock:.3g} above {peak_bound:.3g} at eps={eps}"
     assert gaps[0] > gaps[1] > gaps[2], f"gaps not decreasing: {gaps}"
     orders = [math.log2(gaps[i] / gaps[i + 1]) for i in range(2)]
     assert min(orders) >= 0.9, f"orders {orders}"
+    ref_orders = [math.log2(ref_gaps[i] / ref_gaps[i + 1]) for i in range(2)]
+    assert min(ref_gaps) > 0.0 and min(ref_orders) >= 0.9, \
+        f"referee gaps {ref_gaps}, orders {ref_orders}"
     print(f"gaps {[f'{g:.3e}' for g in gaps]}, "
-          f"orders {[f'{o:.3f}' for o in orders]} (bound 0.9); "
+          f"orders {[f'{o:.3f}' for o in orders]}, referee orders "
+          f"{[f'{o:.3f}' for o in ref_orders]} (bound 0.9); "
           f"peak stock within kappa*(a2-q1)*eps")
 
 

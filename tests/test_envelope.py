@@ -203,6 +203,17 @@ def test_table_kink_slopes_are_edge_slopes():
     assert sorted(env.kink_slopes()) == pytest.approx([0.2, 0.6], abs=1e-12)
 
 
+def test_table_hull_slope_one_sided_at_ends():
+    # an end vertex has one edge, whose slope is the envelope's there; an
+    # interior vertex takes the mean of its two edges
+    xs = np.linspace(0.0, 1.0, 5)
+    for env, sign in ((convex_hull(xs, xs ** 2), 1.0),
+                      (concave_hull(xs, -xs ** 2), -1.0)):
+        got = [env.hull_slope(x) for x in (0.0, 0.5, 1.0)]
+        assert got == pytest.approx([sign * 0.25, sign * 1.0, sign * 1.75],
+                                    abs=1e-12)
+
+
 def test_random_tables_hull_invariants():
     rng = np.random.default_rng(20240817)
     for _ in range(25):

@@ -19,7 +19,6 @@ from monopoly_control import (
     validate_problem,
 )
 from monopoly_control.errors import OutOfDomain
-from monopoly_control.hamiltonian import deriv_minus_grid, deriv_plus_grid
 
 
 def test_linear_cost_hamiltonian_closed_values(linear_cost_model):
@@ -192,9 +191,9 @@ def test_batch_of_one_is_exact(configs_dir, name):
     a, q = controls_at(m, zs)
     ctl = np.array([controls_at(m, float(z)) for z in zs])
     assert np.array_equal(a, ctl[:, 0]) and np.array_equal(q, ctl[:, 1])
-    for deriv in (deriv_plus_grid, deriv_minus_grid):
-        assert np.array_equal(deriv(m, zs),
-                              scalars(lambda z: deriv(m, z), zs))
+    lo, hi = subgradient(m, zs)
+    sub = np.array([subgradient(m, float(z)) for z in zs])
+    assert np.array_equal(lo, sub[:, 0]) and np.array_equal(hi, sub[:, 1])
     xs = np.concatenate([
         np.random.default_rng(4).uniform(0.0, vf.x_resolved, 64),
         vf.psi_knots[::10]])

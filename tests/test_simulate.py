@@ -1,5 +1,6 @@
 """Trajectory integration, profit accounting, admissibility checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from monopoly_control import (
     HorizonTooShort,
+    CyclicPlan,
     InvalidParameter,
     StateViolation,
     StaticPlan,
@@ -122,37 +124,66 @@ def test_drawdown_x0_mismatch_rejected(linear_cost_problem, linear_cost_model, l
         simulate(linear_cost_problem, plan, horizon=5.0, x0=math.nan)
 
 
-def test_generic_plan_state_violation(am_mid_problem):
+def test_generic_plan_state_violation(am_mid_problem, referee):
+    sell_always = CyclicPlan(eps=1.0, u_tilde=0.5,
+                             phases=((0.0, 1.0, 0.0, 0.5, 0.25),), kappa=0.0,
+                             peak_stock=0.0, mean_payoff=0.25)
+    with pytest.raises(StateViolation) as err:
+        referee(am_mid_problem, sell_always, horizon=2.0, x0=0.0)
+    assert err.value.inventory < 0.0
+
+
+def test_cyclic_sell_first_violates_at_first_breach(am_mid_problem, am_cyclic):
+    # the exact path checks stock at every phase end: selling down from
+    # zero before producing breaches at the end of the sell phase
+    _, plan = am_cyclic
+    (_, _, *prod), (s0, s1, *sell) = plan.phases
+    swapped = dataclasses.replace(plan, phases=(
+        (0.0, s1 - s0, *sell), (s1 - s0, plan.eps, *prod)))
+    with pytest.raises(StateViolation) as err:
+        simulate(am_mid_problem, swapped, horizon=5.0)
+    assert err.value.time == pytest.approx(0.1875, abs=1e-12)
+    assert err.value.inventory == pytest.approx(-0.0703125, abs=1e-12)
+
+
+def test_only_segment_plans_simulate(am_mid_problem):
     class SellAlways:
         def controls_at(self, t):
             return (0.0, 0.5)
 
-    with pytest.raises(StateViolation) as err:
-        simulate(am_mid_problem, SellAlways(), horizon=2.0, x0=0.0)
-    assert err.value.inventory < 0.0
+    with pytest.raises(InvalidParameter, match="cannot simulate SellAlways"):
+        simulate(am_mid_problem, SellAlways(), horizon=2.0)
 
 
 def test_generic_plan_euler_close_to_exact(am_mid_problem, am_high_problem,
-                                          am_high_model, am_cyclic):
-    # feed each kind of stationary plan through the generic Euler path and
-    # compare with its exact accounting through segments; controls_at
-    # reports only a mixture's mean rates, so the relaxed plan is one whose
-    # mixtures collapse to a point
-    _, cyc = am_cyclic
-    rel = relaxed_static(am_high_problem, am_high_model)
+                                          am_high_model, am_cyclic, referee):
+    # the Euler referee samples each kind of stationary plan over time and
+    # must agree with its exact accounting through segments; the am_mid
+    # relaxed plan mixes its production support
+    rel, cyc = am_cyclic
     for problem, plan in ((am_mid_problem, StaticPlan(0.375)),
-                          (am_high_problem, rel), (am_mid_problem, cyc)):
-        class Wrap:
-            def controls_at(self, t):
-                return plan.controls_at(t)
-
+                          (am_high_problem, relaxed_static(am_high_problem,
+                                                           am_high_model)),
+                          (am_mid_problem, rel), (am_mid_problem, cyc)):
         exact = simulate(problem, plan, horizon=5.0)
-        euler = simulate(problem, Wrap(), horizon=5.0, dt=5.0 / 4096)
-        assert euler.total == pytest.approx(exact.total, abs=5e-3), plan
-    # the Euler step must be a positive finite number
-    for bad in (0.0, math.nan, -1.0):
-        with pytest.raises(InvalidParameter, match="time step"):
-            simulate(am_mid_problem, Wrap(), horizon=5.0, dt=bad)
+        assert referee(problem, plan, horizon=5.0) == \
+            pytest.approx(exact.total, abs=5e-3), plan
+    assert rel.production_mixed
+    assert simulate(am_mid_problem, rel, horizon=5.0).total == \
+        pytest.approx(0.25816, abs=1e-5)
+
+
+def test_referee_close_to_exact_drawdown(am_mid_problem, am_mid_model,
+                                         am_mid_value, referee):
+    # the referee reads the arc's controls from the feedback rule, not from
+    # the plan's knots, then runs the relaxed or cyclic tail
+    for tail in ("relaxed", "cyclic"):
+        plan = drawdown_plan(am_mid_problem, am_mid_value, am_mid_model, 0.2,
+                             tail=tail)
+        exact = simulate(am_mid_problem, plan, horizon=5.0)
+        got = referee(am_mid_problem, plan, horizon=5.0, x0=0.2,
+                      model=am_mid_model)
+        assert got == pytest.approx(exact.total, abs=5e-3), tail
 
 
 def test_negative_initial_stock_rejected(linear_cost_problem, linear_cost_model,

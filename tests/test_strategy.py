@@ -250,7 +250,7 @@ def test_drawdown_linear_cost(linear_cost_problem, linear_cost_model, linear_cos
     assert isinstance(plan, DrawdownPlan)
     xi0 = linear_cost_value.v_prime(0.2)
     assert plan.tau == pytest.approx(math.log(0.4 / xi0) / 0.5, abs=1e-12)
-    a0, q0 = plan.controls_at(0.0)
+    a0, q0 = plan.a_knots[0], plan.q_knots[0]
     # above the threshold stock, production is off and sales follow
     # the marginal-revenue inverse
     assert a0 == 0.0
@@ -261,7 +261,7 @@ def test_drawdown_linear_cost(linear_cost_problem, linear_cost_model, linear_cos
     # tail hands over to the optimal static rate
     assert isinstance(plan.tail, StaticPlan)
     assert plan.tail.u == pytest.approx(0.3, abs=1e-10)
-    a_tail, q_tail = plan.controls_at(plan.tau + 1.0)
+    _, ((_, _, a_tail, q_tail, _),), _ = plan.tail.segments(linear_cost_problem)
     assert a_tail == q_tail == pytest.approx(0.3, abs=1e-10)
 
 
@@ -269,8 +269,8 @@ def test_drawdown_production_resumes_below_threshold(linear_cost_problem,
                                                      linear_cost_model, linear_cost_value):
     plan = drawdown_plan(linear_cost_problem, linear_cost_value, linear_cost_model, 0.2)
     x_hat = linear_cost_value.psi(0.2)
-    inside = plan.t_knots[plan.x_knots < x_hat * 0.9]
-    a, _ = plan.controls_at(float(inside[len(inside) // 2]))
+    inside = plan.a_knots[plan.x_knots < x_hat * 0.9]
+    a = inside[len(inside) // 2]
     assert a == pytest.approx(0.3, abs=1e-10)
 
 
@@ -333,6 +333,9 @@ def test_drawdown_relaxed_tail_runs_mean_rates(am_mid_problem, am_mid_model,
     assert isinstance(rel, RelaxedStatic)
     mean_a = rel.nu * rel.a1 + (1.0 - rel.nu) * rel.a2
     mean_q = rel.gamma * rel.q1 + (1.0 - rel.gamma) * rel.q2
-    assert plan.controls_at(plan.tau + 1.0) == (mean_a, mean_q)
+    period, ((t0, t1, a, q, rate),), mean_rate = rel.segments(am_mid_problem)
+    assert (period, t0, t1) == (math.inf, 0.0, math.inf)
+    assert (a, q) == (mean_a, mean_q)
+    assert rate == mean_rate == rel.payoff
     assert mean_a == pytest.approx(0.375, abs=1e-9)
     assert mean_q == pytest.approx(0.375, abs=1e-9)
