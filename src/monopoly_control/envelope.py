@@ -8,8 +8,9 @@ dip of a closed-form curve, the bridge endpoints are then polished by
 solving the common-tangent conditions on the continuous curve and inserted
 as knots, giving contact points far below sample resolution.  Table curves
 keep knot-only contacts.  The envelope is its edge arrays (vertices, edge
-slopes, and which edges bridge non-contact knots), and its queries
-(hull_exact, hull_slope) take a scalar or an array alike.
+slopes, and which edges bridge non-contact knots), and its value query
+hull_exact takes a scalar or an array alike; slopes are read from the
+conjugates' attaining spans, not from the envelope.
 
 Conjugate queries come in two orientations:
 
@@ -94,18 +95,6 @@ class Envelope:
         rng = float(self.f.max() - self.f.min())
         return 1e-9 * (rng if rng > 0.0 else max(1.0, float(np.abs(self.f).max())))
 
-    def f_at(self, x):
-        """Original curve, exact for closed forms."""
-        if self._eval is not None:
-            return self._eval(x)
-        out = np.interp(x, self.xs, self.f)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def hull_at(self, x):
-        """Envelope value, piecewise linear through hull vertices."""
-        out = np.interp(x, self._vx, self._sign * self._vg)
-        return float(out) if np.ndim(x) == 0 else out
-
     def hull_exact(self, x):
         """Envelope value using the continuous curve off bridges.
 
@@ -118,25 +107,10 @@ class Envelope:
         a, b = self._vx[e], self._vx[e + 1]
         t = (x - a) / (b - a)
         chord = self._sign * ((1.0 - t) * self._vg[e] + t * self._vg[e + 1])
+        curve = (self._eval(x) if self._eval is not None
+                 else np.interp(x, self.xs, self.f))
         out = np.where(inside & (self.finite_support | self._bridge[e]), chord,
-                       self.f_at(x))
-        return float(out) if out.ndim == 0 else out
-
-    def hull_slope(self, x):
-        """Derivative of the envelope at x (an edge slope where x sits on
-        a bridge or between table knots, the curve's own slope elsewhere)."""
-        x, e, inside = self._edge_of(x)
-        es = self._es
-        if self._deriv is not None:
-            off = self._deriv(np.clip(x, *self.domain))
-        else:
-            # x coincides with a vertex of a table envelope: mean of the
-            # slopes of the edges on either side, the one edge at an end
-            k, last = np.searchsorted(self._vx, x), len(es) - 1
-            off = self._sign * 0.5 * (es[np.clip(k - 1, 0, last)]
-                                      + es[np.clip(k, 0, last)])
-        out = np.where(inside & (self._bridge[e] | (self._deriv is None)),
-                       self._sign * es[e], off)
+                       curve)
         return float(out) if out.ndim == 0 else out
 
     def _edge_of(self, x) -> tuple:

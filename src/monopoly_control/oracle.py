@@ -117,6 +117,10 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
                                "nx >= 8")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParameter("time step must be finite and positive")
+    gamma = math.exp(-beta * dt)
+    if gamma >= 1.0:
+        raise InvalidParameter(f"time step {dt:g} is too small: the per-step "
+                               "discount exp(-beta dt) rounds to 1")
     if not tol_fix > 0.0:
         raise InvalidParameter("fixed-point tolerance must be positive")
 
@@ -134,8 +138,7 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     pad = int(math.ceil(float(q_grid[-1]) * dt / h)) + 1
     y_grid = np.concatenate([x_grid[0] - h * np.arange(pad, 0, -1), x_grid])
 
-    k = (1.0 - math.exp(-beta * dt)) / beta
-    gamma = math.exp(-beta * dt)
+    k = (1.0 - gamma) / beta
     r_gain = np.asarray(problem.revenue(q_grid), dtype=float) * k
     c_pay = np.asarray(problem.cost(a_grid), dtype=float) * k
 

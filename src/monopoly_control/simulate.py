@@ -30,6 +30,7 @@ from .tableio import write_csv
 from .value import ValueFunction
 
 _X_TOL = 1e-9
+_MAX_PHASES = 10**6   # phases a periodic run may lay out up to its horizon
 # share of the value the continuation past the horizon may still be worth
 _TOL_TAIL = 1e-3
 
@@ -76,6 +77,10 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
                        mean_rate: float, horizon: float,
                        x0: float) -> Trajectory:
     """Exact run of a piecewise-constant control repeating with period."""
+    if np.ceil(horizon / period) * len(phases) > _MAX_PHASES:
+        raise InvalidParameter(
+            f"cycle period {period:g} repeats too often over horizon "
+            f"{horizon:g}: more than {_MAX_PHASES} phases to lay out")
     beta = problem.beta
     cuts = [0.0]
     controls = []

@@ -154,15 +154,6 @@ class DrawdownPlan:
 # static analysis
 
 
-def _intersection_span(problem: ValidatedProblem) -> tuple:
-    q, a = problem.demand_set, problem.production_set
-    lo = max(q.lo, a.lo)
-    hi = min(q.hi, a.hi)
-    if a.kind == "right_ray":
-        hi = q.hi
-    return lo, hi
-
-
 def _candidate_rates(problem: ValidatedProblem) -> np.ndarray:
     """Grid over Q intersect A, honoring finite members and table knots."""
     q, a = problem.demand_set, problem.production_set
@@ -175,7 +166,8 @@ def _candidate_rates(problem: ValidatedProblem) -> np.ndarray:
         if not members:
             members = [0.0]
         return np.unique(np.asarray(members, dtype=float))
-    lo, hi = _intersection_span(problem)
+    lo = max(q.lo, a.lo)
+    hi = q.hi if a.kind == "right_ray" else min(q.hi, a.hi)
     if hi <= lo:
         return np.array([lo])
     pts = [np.linspace(lo, hi, problem.grid_n)]
@@ -186,17 +178,30 @@ def _candidate_rates(problem: ValidatedProblem) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
-def _best_rate(us: np.ndarray, vals: np.ndarray, profit, slope=None) -> tuple:
-    """(u, payoff) at the first maximizer of a concave profit sampled as
-    vals on us, polished by the root of its slope, bracketed outward from
-    the sampled argmax.  The root wins ties with the sampled point: both
-    lie on one hump, so a tie is a flat top, not a second maximum."""
+def static_candidate(problem) -> tuple:
+    """Best constant rate: argmax of R(u) - C(u) over Q intersect A.
+
+    On intervals with smooth curves the first sampled maximizer is polished
+    by the root of R' - C' bracketed outward from it; the root wins a tie,
+    being on the same hump.  Ties go to the smallest rate.  Returns
+    (u_hat, payoff).
+    """
+    problem = validate_problem(problem)
+    rev, cost = problem.revenue, problem.cost
+    us = _candidate_rates(problem)
+    vals = np.atleast_1d(rev(us) - cost(us))
     m = float(vals.max())
     tol = 1e-12 * max(1.0, abs(m))
     idx = int(np.nonzero(vals >= m - tol)[0][0])
-    u, payoff = float(us[idx]), float(profit(us[idx]))
-    if slope is None:
+    u, payoff = float(us[idx]), float(rev(us[idx]) - cost(us[idx]))
+    smooth = rev.has_derivative and cost.has_derivative and "finite" not in (
+        problem.demand_set.kind, problem.production_set.kind)
+    if not smooth:
         return u, payoff
+
+    def slope(t):
+        return rev.derivative(t) - cost.derivative(t)
+
     i_lo, i_hi = max(idx - 1, 0), min(idx + 1, len(us) - 1)
     s_lo, s_hi = slope(us[i_lo]), slope(us[i_hi])
     step = 1
@@ -209,25 +214,10 @@ def _best_rate(us: np.ndarray, vals: np.ndarray, profit, slope=None) -> tuple:
         s_lo, step = slope(us[i_lo]), 2 * step
     if s_lo > 0.0 > s_hi:
         root = float(bracket_root(lambda t, _: slope(t), us[i_lo], us[i_hi])[0])
-        v = float(profit(root))
+        v = float(rev(root) - cost(root))
         if v >= payoff - tol:
             u, payoff = root, v
     return u, payoff
-
-
-def static_candidate(problem) -> tuple:
-    """Best constant rate: argmax of R(u) - C(u) over Q intersect A.
-
-    Ties go to the smallest rate.  Returns (u_hat, payoff).
-    """
-    problem = validate_problem(problem)
-    rev, cost = problem.revenue, problem.cost
-    us = _candidate_rates(problem)
-    smooth = rev.has_derivative and cost.has_derivative and "finite" not in (
-        problem.demand_set.kind, problem.production_set.kind)
-    return _best_rate(us, np.atleast_1d(rev(us) - cost(us)),
-                      lambda t: rev(t) - cost(t),
-                      (lambda t: rev.derivative(t) - cost.derivative(t)) if smooth else None)
 
 
 def _match_tolerance(env: Envelope) -> float:
@@ -284,21 +274,19 @@ def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
 
 def convexified_static(problem, model: HamiltonianModel) -> tuple:
     """Best mean rate for the relaxed problem: argmax of the convexified
-    running profit over co(Q) intersect co(A).  Returns (u_tilde, payoff)."""
-    problem = validate_problem(problem)
+    running profit R^ - C^ over co(Q) intersect co(A), read at zeta.
+
+    H(z) >= R^(u) - C^(u) for all u and z (Young-Fenchel), with equality
+    iff u attains both conjugates at z, and min H is the relaxed optimum:
+    every maximizer lies in both attaining spans, [r_lo, r_hi] for sales
+    and [c_lo, c_hi] for production, at zeta.  These meet, as H'(zeta+) =
+    c_hi - r_lo >= 0 >= c_lo - r_hi = H'(zeta-), and max(r_lo, c_lo), their
+    smallest common point, keeps ties at the smallest rate.  Returns
+    (u_tilde, payoff); only model is read.
+    """
+    u = max(_h_controls(model, model.zeta))
     rev, cost = model.rev_env, model.cost_env
-    lo, hi = max(rev.domain[0], cost.domain[0]), min(rev.domain[1], cost.domain[1])
-    if hi <= lo:
-        return lo, float(rev.hull_at(lo) - cost.hull_at(lo))
-    grid = [np.linspace(lo, hi, problem.grid_n)]
-    for env in (rev, cost):
-        grid.append(env._vx[(env._vx >= lo) & (env._vx <= hi)])
-    us = np.unique(np.concatenate(grid))
-    # piecewise-linear envelopes peak at a hull vertex, which is on the grid
-    slope = ((lambda t: rev.hull_slope(t) - cost.hull_slope(t))
-             if rev.refinable or cost.refinable else None)
-    return _best_rate(us, rev.hull_at(us) - cost.hull_at(us),
-                      lambda t: rev.hull_exact(t) - cost.hull_exact(t), slope)
+    return u, float(rev.hull_exact(u) - cost.hull_exact(u))
 
 
 def relaxed_static(problem, model: HamiltonianModel,

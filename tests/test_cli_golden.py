@@ -15,7 +15,7 @@ from monopoly_control.cli import main
 
 GOLDEN = {
     "arvan_moses_high": {
-        "summary.txt": "f8ae0b51be64be131ef132a3c17472e88b294810d0264165590b4ecbaabe6582",
+        "summary.txt": "8b052d73aaa6bd4eb632d61990fcec0a9f573865d8662166d915f055c6326624",
         "value.csv": "2d091f0521f609674387d389ca43caa388685fbb64d39d1e534fa0f8e84d8969",
         "simulate_summary.txt": "1aa5dec592e7bcb67e12d1dd4e2e5e14d47e76f5b58a8fc1c061107d83d03a41",
         "trajectory.csv": "1665bc64103724dd9b5235634f81d370d82e3345d8e22d163a8ed96956e159e8",

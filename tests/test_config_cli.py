@@ -258,8 +258,11 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["solve", "--set", "sets.a=finite 0 inf"], "finite rates, got (0.0, inf)"),
     (["solve", "--set", "sets.a=right_ray nan"], "ray origin must be finite, got nan"),
     (["solve", "--set", "sets.q=finite nan 1"], "finite rates, got (nan, 1.0)"),
+    (["oracle", "--dt", "1e-17"], "discount exp(-beta dt) rounds to 1"),
+    (["compare", "--dt", "1e-17"], "discount exp(-beta dt) rounds to 1"),
+    (["simulate", "--x0", "0.1", "--eps", "1e-9"], "cycle period 1e-09"),
 ], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
-        "finite_nan"])
+        "finite_nan", "oracle_dt", "compare_dt", "simulate_eps"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                                     message):
     command, *flags = argv

@@ -42,7 +42,7 @@ def _rev_env(n=2001):
 def test_cubic_hull_bridges_the_dent():
     env = _cubic_env()
     # the concave arc is replaced by one chord through the origin
-    assert env.hull_at(0.75) == pytest.approx(0.1875, abs=1e-12)
+    assert env.hull_exact(0.75) == pytest.approx(0.1875, abs=1e-12)
     long = np.nonzero(np.diff(env._vx) > 0.5)[0]
     assert len(long) == 1
     e = long[0]
@@ -68,7 +68,7 @@ def test_convex_hull_stays_below_curve():
 def test_concave_hull_of_strictly_concave_curve_is_itself():
     env = _rev_env()
     xs = np.linspace(0.0, 1.0, 313)
-    assert np.allclose(env.hull_at(xs), REV(xs), atol=1e-7)
+    assert np.allclose(env.hull_exact(xs), REV(xs), atol=1e-7)
     assert all(env.contact)
 
 
@@ -190,7 +190,7 @@ def test_dented_table_hull_and_decompose():
     c = Curve.table(pts)
     xs = np.array([p[0] for p in pts])
     env = convex_hull(xs, c(xs))
-    assert env.hull_at(0.5) == pytest.approx(0.15, abs=1e-12)
+    assert env.hull_exact(0.5) == pytest.approx(0.15, abs=1e-12)
     x1, x2, w = hull_decompose(env, 0.5)
     assert (x1, x2, w) == pytest.approx((0.0, 1.0, 0.5), abs=1e-12)
 
@@ -201,17 +201,6 @@ def test_table_kink_slopes_are_edge_slopes():
     xs = np.array([p[0] for p in pts])
     env = convex_hull(xs, c(xs))
     assert sorted(env.kink_slopes()) == pytest.approx([0.2, 0.6], abs=1e-12)
-
-
-def test_table_hull_slope_one_sided_at_ends():
-    # an end vertex has one edge, whose slope is the envelope's there; an
-    # interior vertex takes the mean of its two edges
-    xs = np.linspace(0.0, 1.0, 5)
-    for env, sign in ((convex_hull(xs, xs ** 2), 1.0),
-                      (concave_hull(xs, -xs ** 2), -1.0)):
-        got = [env.hull_slope(x) for x in (0.0, 0.5, 1.0)]
-        assert got == pytest.approx([sign * 0.25, sign * 1.0, sign * 1.75],
-                                    abs=1e-12)
 
 
 def test_random_tables_hull_invariants():

@@ -128,6 +128,9 @@ def test_dp_guards(linear_cost_problem):
     with pytest.raises(InvalidParameter):
         # one step would cross the whole grid many times over
         dp_value(linear_cost_problem, x_max=0.01, nx=8, dt=50.0)
+    with pytest.raises(InvalidParameter, match="rounds to 1"):
+        # exp(-beta dt) rounds to 1: no discount per step
+        dp_value(linear_cost_problem, x_max=0.5, dt=1e-17)
 
 
 @pytest.mark.parametrize("kw", [

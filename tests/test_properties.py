@@ -125,6 +125,14 @@ def test_static_below_relaxed_below_min_h(solved_instances):
         scale = max(1.0, abs(model.h_min))
         assert static_payoff <= relaxed_payoff + 1e-8 * scale
         assert relaxed_payoff <= model.h_min + 1e-6 * scale
+        # duality: the convexified optimum reaches min H
+        assert abs(relaxed_payoff - model.h_min) <= 1e-12 * scale
+        # grid referee: nothing on the common domain beats the reading at zeta
+        rev, cost = model.rev_env, model.cost_env
+        us = np.linspace(max(rev.domain[0], cost.domain[0]),
+                         min(rev.domain[1], cost.domain[1]), 20001)
+        best = float((rev.hull_exact(us) - cost.hull_exact(us)).max())
+        assert best <= relaxed_payoff + 1e-12 * scale
 
 
 def test_relaxed_mixture_identities(solved_instances):

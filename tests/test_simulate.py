@@ -155,6 +155,15 @@ def test_only_segment_plans_simulate(am_mid_problem):
         simulate(am_mid_problem, SellAlways(), horizon=2.0)
 
 
+def test_tiny_cycle_period_rejected(am_mid_problem, am_cyclic):
+    # a period of 1e-9 would lay out 6e10 phases before the horizon;
+    # the run is refused up front, naming the period and the horizon
+    rel, _ = am_cyclic
+    plan = cyclic_strategy(am_mid_problem, rel, 1e-9)
+    with pytest.raises(InvalidParameter, match="period 1e-09 .* horizon 30"):
+        simulate(am_mid_problem, plan, horizon=30.0)
+
+
 def test_generic_plan_euler_close_to_exact(am_mid_problem, am_high_problem,
                                           am_high_model, am_cyclic, referee):
     # the Euler referee samples each kind of stationary plan over time and

@@ -167,6 +167,7 @@ def test_am_high_relaxed_collapses_to_point(am_high_problem, am_high_model):
     u, _ = convexified_static(am_high_problem, am_high_model)
     u_star = -0.5 + 1.0 + math.sqrt(0.25 - 1.0 + 4.0)
     assert u == pytest.approx(u_star, rel=1e-9)
+    assert abs(u - u_star) <= math.ulp(u_star)
     rel = relaxed_static(am_high_problem, am_high_model, u)
     assert not rel.production_mixed and not rel.sales_mixed
 
