@@ -6,6 +6,7 @@ and bisects when three steps have not halved a bracket.  Each bracket (a
 scalar is a batch of one) stops on its own at |hi - lo| <= 1e-15 + 8.9e-16
 |x|, x its latest point, so a batch equals its scalar calls bit for bit.
 f(x, i) evaluates brackets i at x; both ends return in their classes.
+An empty batch returns at once, with no call to f.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 
 def bracket_root(f, lo, hi) -> tuple:
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if not lo.size:
+        return lo, hi
     i = np.arange(lo.size)                          # brackets still running
     a, b = lo.reshape(-1).copy(), hi.reshape(-1).copy()
     fa, fb = np.asarray(f(a, i), dtype=float), np.asarray(f(b, i), dtype=float)

@@ -12,13 +12,14 @@ subject to x + (a - q) dt >= 0, with stock clamped at the top of the grid
 separates through the post-sales level y = x - q dt, so each sweep is two
 one-dimensional maximizations instead of a joint one.
 
-The fixed point is found by modified policy iteration (Puterman 1994,
-section 6.5): each full Bellman sweep, with its max over controls, is
-followed by _EVAL_SWEEPS cheap sweeps that evaluate that sweep's greedy
-policy with no max.  Only the Bellman sweeps decide when to stop.  The
-bound they give (see dp_value) holds whatever table they start from, so
-the evaluation sweeps change how fast the table gets there, not the
-fixed point nor how closely it is certified.
+The fixed point is found by policy iteration with exact evaluation
+(Howard's method; Puterman 1994, section 6.4): each full Bellman sweep,
+with its max over controls, picks a greedy policy, and one banded linear
+solve (_solve_policy) sets the table to that policy's exact value.  Only
+the Bellman sweeps decide when to stop.  The bound they give (see
+dp_value) holds whatever table they start from, so the solves change how
+fast the table gets there, not the fixed point nor how closely it is
+certified.
 
 An unbounded production set is capped independently of the main solver:
 no rational producer exceeds argmax_a { s a - C(a) } where s is the best
@@ -38,8 +39,9 @@ from .problem import ValidatedProblem, validate_problem
 from .tableio import write_csv
 
 _BIG_NEG = -1e30
-# evaluation sweeps per greedy policy in modified policy iteration
-_EVAL_SWEEPS = 64
+# smallest block of the block-tridiagonal policy solve; a stencil reaching
+# further from the diagonal widens the blocks to its reach
+_MIN_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,36 +87,92 @@ def production_cap(problem: ValidatedProblem) -> float:
                            "to outgrow revenue on any probed range")
 
 
-def _control_grid(cset, n: int, cap: float | None) -> np.ndarray:
+def _count(name: str, n, least: int) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise InvalidParameter(f"{name} must be an integer >= {least}, "
+                               f"got {n!r}")
+    return int(n)
+
+
+def _control_grid(cset, name: str, n, cap: float | None) -> np.ndarray:
     if cset.kind == "finite":
         return np.asarray(cset.values, dtype=float)
+    # one point would drop the interval to its lower end
+    n = _count(name, n, 2)
     hi = cset.hi if cset.is_bounded else cap
     return np.linspace(cset.lo, hi, n)
+
+
+def _solve_policy(pay, idx, wts) -> np.ndarray:
+    """Exact value of one policy: v solving (I - W) v = pay, where
+    W[x, idx[k, x]] += wts[k, x].
+
+    The weights are non-negative and each row of W sums below 1 (they
+    carry the discount), so I - W is strictly diagonally dominant.  With
+    blocks as wide as the stencil reaches from the diagonal, I - W is
+    block tridiagonal, and block Thomas elimination needs no pivoting
+    across blocks.
+    """
+    n = pay.size
+    rows = np.broadcast_to(np.arange(n), idx.shape)
+    m = max(int(np.abs(idx - rows).max()), _MIN_BLOCK)
+    nb = -(-n // m)
+    bi, ri = np.divmod(rows, m)
+    bj, cj = np.divmod(idx, m)
+    # blocks[b] holds block row b: sub-diagonal, diagonal, super-diagonal
+    cell = ((3 * bi + (bj - bi + 1)) * m + ri) * m + cj
+    blocks = -np.bincount(cell.ravel(), wts.ravel(), minlength=nb * 3 * m * m)
+    blocks = blocks.reshape(nb, 3, m, m)
+    lower, diag = blocks[:, 0], blocks[:, 1]
+    diag += np.eye(m)
+    # aug[b] = [upper | rhs] of block row b, overwritten by D_b^-1 [U_b | r_b]
+    # as elimination turns D_b and r_b into their reduced forms; padding rows
+    # past n are identity rows with zero right-hand side
+    aug = np.zeros((nb, m, m + 1))
+    aug[:, :, :m] = blocks[:, 2]
+    aug[:, :, m] = np.pad(pay, (0, nb * m - n)).reshape(nb, m)
+    for b in range(nb):
+        if b:
+            t = lower[b] @ aug[b - 1]
+            diag[b] -= t[:, :m]
+            aug[b, :, m] -= t[:, m]
+        aug[b] = np.linalg.solve(diag[b], aug[b])
+    v = aug[:, :, m]
+    for b in range(nb - 2, -1, -1):
+        v[b] -= aug[b, :, :m] @ v[b + 1]
+    return v.reshape(-1)[:n]
 
 
 def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
              tol_fix: float = 1e-9, na: int = 65, nq: int = 65,
              max_iter: int = 200_000) -> DPResult:
-    """Modified policy iteration on the discretized problem.
+    """Policy iteration with exact evaluation on the discretized problem.
 
     Per-step rates use the exact discount weight for a constant rate, so
     the only discretization errors are the control/stock grids and the
     piecewise-constant-in-dt policy class.  Each round is one Bellman
-    sweep v -> Tv, then _EVAL_SWEEPS sweeps v -> r + gamma P v that
-    evaluate the greedy policy of that Bellman sweep (Puterman 1994,
-    section 6.5).  The rounds stop once a Bellman sweep's contraction
-    sandwich (see below) certifies the corrected table within tol_fix of
-    the discretized fixed point.  That bound holds for any table the
-    sweep starts from, so the evaluation sweeps leave the fixed point and
-    the certificate as plain value iteration has them and only save the
-    max over controls.  ``iterations`` and ``max_iter`` count every sweep
-    applied to the table, Bellman and evaluation alike.
+    sweep v -> Tv, then one linear solve that sets v to the exact value of
+    that sweep's greedy policy, v = r + gamma P v (Howard's policy
+    iteration; Puterman 1994, section 6.4).  The rounds stop once a
+    Bellman sweep's contraction sandwich (see below) certifies the
+    corrected table within tol_fix of the discretized fixed point.  That
+    bound holds for any table the sweep starts from, so the solves leave
+    the fixed point and the certificate as plain value iteration has them
+    and only cut the number of rounds.  ``iterations`` and ``max_iter``
+    count the Bellman sweeps and policy solves applied to the table.
+
+    A greedy policy equal to the one just solved means the table is
+    already that policy's value: every later round would repeat this one
+    bit for bit.  If its certificate is still above tol_fix (rounding, at
+    a discount this close to 1, keeps it there), NotConverged is raised
+    at once with the certified gap.
     """
     problem = validate_problem(problem)
     beta = problem.beta
-    if not (math.isfinite(x_max) and x_max > 0.0) or nx < 8:
-        raise InvalidParameter("stock grid must be finite and positive with "
-                               "nx >= 8")
+    nx = _count("nx", nx, 8)
+    max_iter = _count("max_iter", max_iter, 1)
+    if not (math.isfinite(x_max) and x_max > 0.0):
+        raise InvalidParameter("stock grid must be finite and positive")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParameter("time step must be finite and positive")
     gamma = math.exp(-beta * dt)
@@ -127,8 +185,8 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     cap = None
     if problem.a_grid is None:
         cap = production_cap(problem)
-    a_grid = _control_grid(problem.production_set, na, cap)
-    q_grid = _control_grid(problem.demand_set, nq, None)
+    a_grid = _control_grid(problem.production_set, "na", na, cap)
+    q_grid = _control_grid(problem.demand_set, "nq", nq, None)
     h = x_max / (nx - 1)
     if dt * (float(a_grid[-1]) + float(q_grid[-1])) > 8.0 * h * max(nx, 1):
         raise InvalidParameter("time step moves stock across the whole grid; "
@@ -167,6 +225,7 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     fix_gap = math.inf
     it = 0
     delta = v
+    solved = None   # the greedy policy whose exact value v holds
     # sweeps write into buffers made once: a fresh temporary this large per
     # sweep would be a new memory mapping, faulted in page by page
     cand1, tmp1, cand2, tmp2 = (np.empty(a.shape) for a in (w1, w1, w2, w2))
@@ -183,18 +242,16 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
         np.add(cand2, np.multiply(np.take(u, jlo1, out=tmp2), w2, out=tmp2), out=cand2)
         np.add(cand2, r_gain[:, None], out=cand2)
 
-    def greedy_stencil():
-        """The last sweep's greedy policy as one 4-point stencil: evaluating
+    def greedy_stencil(ia, iq):
+        """The greedy policy (ia per y, iq per x) as one 4-point stencil:
         it maps v to pay + sum_k wts[k] * v[idx[k]], with no max."""
         # production at each post-sales level y: u = pay1 + u0 v[lo] +
         # u1 v[lo + 1]; an infeasible y keeps the floor and no weights
-        ia = cand1.argmax(axis=0)
         ok = feas[ia, ys]
         pay1 = np.where(ok, -c_pay[ia], _BIG_NEG)
         lo = ilo[ia, ys]
         u0, u1 = gamma * ok * w0[ia, ys], gamma * ok * w1[ia, ys]
         # sales at each x: u interpolated between y-points j and j + 1
-        iq = cand2.argmax(axis=0)
         j, s0, s1 = jlo[iq, xs], w20[iq, xs], w2[iq, xs]
         pay = r_gain[iq] + s0 * pay1[j] + s1 * pay1[j + 1]
         idx = np.stack([lo[j], lo[j] + 1, lo[j + 1], lo[j + 1] + 1])
@@ -212,13 +269,17 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
         fix_gap = g * 0.5 * (float(delta.max()) - float(delta.min()))
         if fix_gap < tol_fix:
             break
-        pay, idx, wts = greedy_stencil()
-        for _ in range(min(_EVAL_SWEEPS, max_iter - it)):
-            v = pay + np.einsum("kx,kx->x", wts, v.take(idx))
+        policy = cand1.argmax(axis=0), cand2.argmax(axis=0)
+        if solved is not None and all(map(np.array_equal, policy, solved)):
+            raise NotConverged(f"greedy policy repeats with certified gap "
+                               f"{fix_gap:.3g} after {it} sweeps and solves")
+        if it < max_iter:
+            v = _solve_policy(*greedy_stencil(*policy))
+            solved = policy
             it += 1
     else:
         raise NotConverged(f"policy iteration stalled with certified gap "
-                           f"{fix_gap:.3g} after {max_iter} sweeps")
+                           f"{fix_gap:.3g} after {max_iter} sweeps and solves")
 
     v = v + g * 0.5 * (float(delta.min()) + float(delta.max()))
     stages(v)

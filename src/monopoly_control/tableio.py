@@ -12,6 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
+# rows formatted per write in write_csv
+_CHUNK_ROWS = 4096
+
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -19,15 +22,21 @@ def fmt(x: float) -> str:
 
 def write_csv(path: str | os.PathLike, header: Sequence[str],
               columns: Sequence[Sequence[float]]) -> None:
-    """Write columns of floats under a comma-separated header."""
-    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    """Write columns of floats under a comma-separated header.
+
+    Rows are formatted and written _CHUNK_ROWS at a time, so memory stays
+    bounded however long the table is.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("columns differ in length")
     row = ",".join(["%.17g"] * len(cols))
-    lines = [",".join(header)] + [row % r for r in zip(*cols)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for s in range(0, n, _CHUNK_ROWS):
+            chunk = zip(*(c[s:s + _CHUNK_ROWS].tolist() for c in cols))
+            fh.write("\n".join([row % r for r in chunk]) + "\n")
 
 
 def write_keyvalues(path: str | os.PathLike, items: Sequence[tuple[str, object]]) -> None:

@@ -177,6 +177,15 @@ def test_cli_oracle_and_compare(cfg, tmp_path):
     assert "profit_gap_static" in report
 
 
+def test_cli_oracle_repeated_policy_exits_3(configs_dir, tmp_path, capsys):
+    # no table certifies at this step; the oracle says so after a few
+    # rounds instead of running out max_iter
+    rc = main(["oracle", str(configs_dir / "arvan_moses_high.cfg"),
+               "--out", str(tmp_path), "--dt", "1e-9"])
+    assert rc == 3
+    assert "greedy policy repeats" in capsys.readouterr().err
+
+
 def test_cli_exit_code_on_missing_config(tmp_path):
     assert main(["solve", str(tmp_path / "nope.cfg")]) == 2
 

@@ -1,6 +1,7 @@
 """Discrete-time DP oracle: convergence, policies, guards."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from monopoly_control import (
     NotConverged,
     brute_conjugate,
     dp_value,
+    load_problem,
     production_cap,
     write_dp_csv,
 )
+from monopoly_control.oracle import _solve_policy
 
 
 # deliberately coarse so the module tests stay fast; the acceptance
@@ -131,6 +134,84 @@ def test_dp_guards(linear_cost_problem):
     with pytest.raises(InvalidParameter, match="rounds to 1"):
         # exp(-beta dt) rounds to 1: no discount per step
         dp_value(linear_cost_problem, x_max=0.5, dt=1e-17)
+    # one point drops an interval set to its lower end: a table of zeros
+    # for nq, no production for na, both "certified"
+    for name, n in (("na", 0), ("nq", 0), ("na", 1), ("nq", 1)):
+        with pytest.raises(InvalidParameter, match=name):
+            dp_value(linear_cost_problem, x_max=0.5, **{name: n})
+    with pytest.raises(InvalidParameter, match="nx"):
+        dp_value(linear_cost_problem, x_max=0.5, nx=64.5)
+    for max_iter in (0, -1):
+        with pytest.raises(InvalidParameter, match="max_iter"):
+            dp_value(linear_cost_problem, x_max=0.5, max_iter=max_iter)
+
+
+def test_dp_finite_sets_ignore_grid_counts(linear_cost_problem):
+    from monopoly_control.problem import ControlSet, ProblemSpec
+    from monopoly_control import validate_problem
+
+    spec = linear_cost_problem.spec
+    finite = validate_problem(ProblemSpec(
+        beta=spec.beta,
+        demand_set=ControlSet.finite([0.0, 0.25, 0.5]),
+        production_set=ControlSet.finite([0.0, 0.3]),
+        revenue=spec.revenue,
+        cost=spec.cost,
+        grid_n=spec.grid_n,
+    ))
+    kw = dict(x_max=0.25, nx=64, dt=0.01)
+    ref = dp_value(finite, **kw)
+    assert ref.fix_gap < 1e-9
+    for n in (0, 1):
+        again = dp_value(finite, na=n, nq=n, **kw)
+        assert np.array_equal(again.v_hat, ref.v_hat)
+
+
+def test_dp_repeated_policy_fails_fast(am_high_problem):
+    # at dt = 1e-9 the discount rounds so close to 1 that no table can be
+    # certified; once the greedy policy repeats, every later round would
+    # repeat too, so the oracle gives up then instead of at max_iter
+    with pytest.raises(NotConverged, match="greedy policy repeats") as exc:
+        dp_value(am_high_problem, x_max=0.5, dt=1e-9)
+    count = int(re.search(r"after (\d+) sweeps and solves",
+                          str(exc.value)).group(1))
+    assert count < 100
+
+
+@pytest.mark.parametrize("name", ["arvan_moses_high", "arvan_moses_low",
+                                  "arvan_moses_mid", "linear_cost",
+                                  "table_curves"])
+def test_dp_policy_iteration_rounds(name, configs_dir):
+    # each round's exact solve leaves only a handful of rounds; evaluating
+    # policies by sweeps took 781-4226 at these defaults
+    problem = load_problem(configs_dir / f"{name}.cfg")
+    dp = dp_value(problem, x_max=0.5)
+    assert dp.fix_gap < 1e-9
+    assert dp.iterations <= 40
+
+
+def _dense(idx, wts):
+    n = idx.shape[1]
+    a = np.eye(n)
+    np.add.at(a, (np.broadcast_to(np.arange(n), idx.shape), idx), -wts)
+    return a
+
+
+@pytest.mark.parametrize("band", [1, 9, 40])
+@pytest.mark.parametrize("n", [8, 100, 512, 1024])
+def test_policy_solve_matches_dense(band, n):
+    rng = np.random.default_rng(n * 100 + band)
+    x = np.arange(n)
+    idx = np.clip(x + rng.integers(-band, band + 1, (4, n)), 0, n - 1)
+    idx[0, n // 2] = np.clip(n // 2 + band, 0, n - 1)   # reach the full band
+    wts = rng.uniform(0.0, 1.0, (4, n))
+    wts *= 0.999 / wts.sum(axis=0)
+    pay = rng.normal(size=n)
+    v = _solve_policy(pay, idx, wts)
+    a = _dense(idx, wts)
+    assert np.linalg.norm(a @ v - pay) <= 1e-12 * np.linalg.norm(pay)
+    ref = np.linalg.solve(a, pay)
+    assert np.linalg.norm(v - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("kw", [

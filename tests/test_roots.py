@@ -38,3 +38,11 @@ def test_jump_and_multiple_root_converge():
                     (lambda x, _: (x - 0.7) ** 5, 0.7)):
         lo, hi = bracket_root(f, 0.0, 1.0)
         assert lo <= root <= hi and _width_ok(lo, hi)
+
+
+def test_empty_batch_returns_at_once():
+    def f(x, i):
+        raise AssertionError("f called on an empty batch")
+
+    lo, hi = bracket_root(f, np.zeros(0), np.ones(0))
+    assert lo.shape == hi.shape == (0,)
