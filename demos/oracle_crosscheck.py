@@ -28,7 +28,8 @@ def check(name: str, spec, nx: int, dt: float, na: int) -> None:
     err = np.abs(dp.value_at(xs) - vf.value_at(xs))
     k = int(np.argmax(err))
     print(f"{name}: nx={nx} dt={dt} controls={na}")
-    print(f"  sweeps {dp.iterations}, certified fixed-point gap {dp.fix_gap:.1e}")
+    print(f"  {dp.iterations - dp.solves} Bellman sweeps, {dp.solves} policy "
+          f"solves, certified fixed-point gap {dp.fix_gap:.1e}")
     print(f"  max |dp - v| = {err.max():.3e} at x = {xs[k]:.4f}")
     print(f"  v(0): analytic {vf.value_at(0.0):.8f}, grid {dp.value_at(0.0):.8f}")
 

@@ -80,7 +80,6 @@ from .simulate import (
 )
 from .oracle import (
     DPResult,
-    brute_conjugate,
     dp_value,
     production_cap,
     write_dp_csv,

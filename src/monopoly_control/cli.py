@@ -233,8 +233,8 @@ def _cmd_oracle(args) -> int:
     problem = _load(args)
     res = dp_value(problem, x_max=args.x0, dt=args.dt)
     write_dp_csv(res, Path(args.out) / "dp.csv")
-    print(f"dp.csv written, {res.iterations} sweeps, "
-          f"v_hat(0) = {res.value_at(0.0):.10g}")
+    print(f"dp.csv written, {res.iterations - res.solves} Bellman sweeps, "
+          f"{res.solves} policy solves, v_hat(0) = {res.value_at(0.0):.10g}")
     return 0
 
 

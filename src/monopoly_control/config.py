@@ -2,7 +2,7 @@
 
 Line-oriented ``key = value`` in four sections::
 
-    [problem]           beta (required), grid_n (optional)
+    [problem]           beta (required), grid_n (optional, 9 to 262145)
     [revenue]           family = linear_demand | table, plus family params
     [cost]              family = affine | cubic | table, plus family params
     [sets]              q = interval LO HI | finite V1 V2 ...

@@ -41,7 +41,7 @@ from .tableio import write_csv
 _BIG_NEG = -1e30
 # smallest block of the block-tridiagonal policy solve; a stencil reaching
 # further from the diagonal widens the blocks to its reach
-_MIN_BLOCK = 16
+_MIN_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +55,7 @@ class DPResult:
     beta: float
     dt: float
     iterations: int
+    solves: int
     sup_change: float
     fix_gap: float
 
@@ -109,37 +110,44 @@ def _solve_policy(pay, idx, wts) -> np.ndarray:
 
     The weights are non-negative and each row of W sums below 1 (they
     carry the discount), so I - W is strictly diagonally dominant.  With
-    blocks as wide as the stencil reaches from the diagonal, I - W is
-    block tridiagonal, and block Thomas elimination needs no pivoting
-    across blocks.
+    blocks of m >= bw rows, bw = max |idx[k, x] - x| the stencil's reach,
+    I - W is block tridiagonal, and block Thomas elimination needs no
+    pivoting across blocks.  The coupling is narrow too: block row b reads
+    only the last bw columns of block b - 1 and the first bw of block
+    b + 1, so elimination carries D_b^-1 [U_b | r_b] with bw + 1 columns,
+    not m + 1.  m is at least _MIN_BLOCK = 32 because each block costs one
+    LAPACK call whose fixed overhead dwarfs its arithmetic at this size:
+    16-row blocks make twice the calls, and 64-row blocks, with a dearer
+    LU each, were no faster.
     """
     n = pay.size
     rows = np.broadcast_to(np.arange(n), idx.shape)
-    m = max(int(np.abs(idx - rows).max()), _MIN_BLOCK)
+    bw = int(np.abs(idx - rows).max())
+    m = max(bw, _MIN_BLOCK)
     nb = -(-n // m)
-    bi, ri = np.divmod(rows, m)
-    bj, cj = np.divmod(idx, m)
-    # blocks[b] holds block row b: sub-diagonal, diagonal, super-diagonal
-    cell = ((3 * bi + (bj - bi + 1)) * m + ri) * m + cj
-    blocks = -np.bincount(cell.ravel(), wts.ravel(), minlength=nb * 3 * m * m)
-    blocks = blocks.reshape(nb, 3, m, m)
-    lower, diag = blocks[:, 0], blocks[:, 1]
+    # row x of block b = x // m sees columns b m - bw ... b m + m + bw - 1:
+    # the last bw of block b - 1, all of block b, the first bw of block b + 1
+    span = m + 2 * bw
+    cell = rows * span + (idx - (rows // m * m - bw))
+    band = -np.bincount(cell.ravel(), wts.ravel(), minlength=nb * m * span)
+    band = band.reshape(nb, m, span)
+    lower, diag = band[:, :, :bw], band[:, :, bw:bw + m]
     diag += np.eye(m)
     # aug[b] = [upper | rhs] of block row b, overwritten by D_b^-1 [U_b | r_b]
     # as elimination turns D_b and r_b into their reduced forms; padding rows
     # past n are identity rows with zero right-hand side
-    aug = np.zeros((nb, m, m + 1))
-    aug[:, :, :m] = blocks[:, 2]
-    aug[:, :, m] = np.pad(pay, (0, nb * m - n)).reshape(nb, m)
+    aug = np.empty((nb, m, bw + 1))
+    aug[:, :, :bw] = band[:, :, bw + m:]
+    aug[:, :, bw] = np.pad(pay, (0, nb * m - n)).reshape(nb, m)
     for b in range(nb):
         if b:
-            t = lower[b] @ aug[b - 1]
-            diag[b] -= t[:, :m]
-            aug[b, :, m] -= t[:, m]
+            t = lower[b] @ aug[b - 1, m - bw:]
+            diag[b, :, :bw] -= t[:, :bw]
+            aug[b, :, bw] -= t[:, bw]
         aug[b] = np.linalg.solve(diag[b], aug[b])
-    v = aug[:, :, m]
+    v = aug[:, :, bw]
     for b in range(nb - 2, -1, -1):
-        v[b] -= aug[b, :, :m] @ v[b + 1]
+        v[b] -= aug[b, :, :bw] @ v[b + 1, :bw]
     return v.reshape(-1)[:n]
 
 
@@ -159,7 +167,13 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     bound holds for any table the sweep starts from, so the solves leave
     the fixed point and the certificate as plain value iteration has them
     and only cut the number of rounds.  ``iterations`` and ``max_iter``
-    count the Bellman sweeps and policy solves applied to the table.
+    count the Bellman sweeps and policy solves applied to the table;
+    ``solves`` counts the solves alone.
+
+    Everything a sweep reads but v is tabulated once per call: the
+    interpolation indices and weights of both stages and the production
+    stage's pay with its floor on infeasible moves.  Each sweep is then
+    four gathers and a few in-place products into buffers made once.
 
     A greedy policy equal to the one just solved means the table is
     already that policy's value: every later round would repeat this one
@@ -200,18 +214,29 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     r_gain = np.asarray(problem.revenue(q_grid), dtype=float) * k
     c_pay = np.asarray(problem.cost(a_grid), dtype=float) * k
 
-    # stage 1 (production): v at clip(y + a dt) for every (a, y)
-    tgt = y_grid[None, :] + a_grid[:, None] * dt
-    feas = tgt >= -1e-12
-    pos = np.clip(tgt, 0.0, x_max) / h
-    ilo = np.clip(pos.astype(np.intp), 0, nx - 2)
-    w1 = pos - ilo
+    # stage 1 (production): v at clip(y + a dt) for every (a, y), read
+    # between v[ilo] and v[1:][ilo] with weights w0 and w1
+    w1 = y_grid[None, :] + a_grid[:, None] * dt
+    feas = w1 >= -1e-12
+    np.clip(w1, 0.0, x_max, out=w1)
+    w1 /= h
+    ilo = w1.astype(np.intp)
+    np.minimum(ilo, nx - 2, out=ilo)
+    w1 -= ilo
+    # the production stage's pay, added to the discounted gather: -c_pay,
+    # or the floor where y + a dt < 0.  x + (-c) == x - c exactly, and the
+    # floor absorbs any table value, so no masked copy is needed per sweep
+    pay1 = np.where(feas, -c_pay[:, None], _BIG_NEG)
 
-    # stage 2 (sales): u at x - q dt for every (q, x)
-    pts = x_grid[None, :] - q_grid[:, None] * dt
-    pos2 = (pts - y_grid[0]) / h
-    jlo = np.clip(pos2.astype(np.intp), 0, len(y_grid) - 2)
-    w2 = np.clip(pos2 - jlo, 0.0, 1.0)
+    # stage 2 (sales): u at x - q dt for every (q, x); the pad keeps the
+    # offset from y_grid[0] positive
+    w2 = x_grid[None, :] - q_grid[:, None] * dt
+    w2 -= y_grid[0]
+    w2 /= h
+    jlo = w2.astype(np.intp)
+    np.minimum(jlo, len(y_grid) - 2, out=jlo)
+    w2 -= jlo
+    np.clip(w2, 0.0, 1.0, out=w2)
 
     # contraction sandwich: after any Bellman sweep with increment
     # delta = Tv - v, the fixed point lies between Tv + g*min(delta) and
@@ -223,23 +248,26 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     v = np.zeros(nx)
     sup = math.inf
     fix_gap = math.inf
-    it = 0
+    it = solves = 0
     delta = v
     solved = None   # the greedy policy whose exact value v holds
     # sweeps write into buffers made once: a fresh temporary this large per
     # sweep would be a new memory mapping, faulted in page by page
     cand1, tmp1, cand2, tmp2 = (np.empty(a.shape) for a in (w1, w1, w2, w2))
-    ilo1, jlo1, w0, w20, infeas = ilo + 1, jlo + 1, 1.0 - w1, 1.0 - w2, ~feas
+    w0, w20 = 1.0 - w1, 1.0 - w2
     ys, xs = np.arange(len(y_grid)), np.arange(nx)
 
+    # ilo and jlo are in range by construction; mode='clip' keeps np.take
+    # from buffering the whole gather, as the default 'raise' does with out=
     def stages(v):  # one sweep: production stage into cand1, sales into cand2
-        np.multiply(np.take(v, ilo, out=cand1), w0, out=cand1)
-        np.add(cand1, np.multiply(np.take(v, ilo1, out=tmp1), w1, out=tmp1), out=cand1)
-        np.subtract(np.multiply(cand1, gamma, out=cand1), c_pay[:, None], out=cand1)
-        np.copyto(cand1, _BIG_NEG, where=infeas)
+        np.multiply(np.take(v, ilo, out=cand1, mode="clip"), w0, out=cand1)
+        np.multiply(np.take(v[1:], ilo, out=tmp1, mode="clip"), w1, out=tmp1)
+        np.add(cand1, tmp1, out=cand1)
+        np.add(np.multiply(cand1, gamma, out=cand1), pay1, out=cand1)
         u = cand1.max(axis=0)
-        np.multiply(np.take(u, jlo, out=cand2), w20, out=cand2)
-        np.add(cand2, np.multiply(np.take(u, jlo1, out=tmp2), w2, out=tmp2), out=cand2)
+        np.multiply(np.take(u, jlo, out=cand2, mode="clip"), w20, out=cand2)
+        np.multiply(np.take(u[1:], jlo, out=tmp2, mode="clip"), w2, out=tmp2)
+        np.add(cand2, tmp2, out=cand2)
         np.add(cand2, r_gain[:, None], out=cand2)
 
     def greedy_stencil(ia, iq):
@@ -248,12 +276,12 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
         # production at each post-sales level y: u = pay1 + u0 v[lo] +
         # u1 v[lo + 1]; an infeasible y keeps the floor and no weights
         ok = feas[ia, ys]
-        pay1 = np.where(ok, -c_pay[ia], _BIG_NEG)
+        p1 = pay1[ia, ys]
         lo = ilo[ia, ys]
         u0, u1 = gamma * ok * w0[ia, ys], gamma * ok * w1[ia, ys]
         # sales at each x: u interpolated between y-points j and j + 1
         j, s0, s1 = jlo[iq, xs], w20[iq, xs], w2[iq, xs]
-        pay = r_gain[iq] + s0 * pay1[j] + s1 * pay1[j + 1]
+        pay = r_gain[iq] + s0 * p1[j] + s1 * p1[j + 1]
         idx = np.stack([lo[j], lo[j] + 1, lo[j + 1], lo[j + 1] + 1])
         wts = np.stack([s0 * u0[j], s0 * u1[j],
                         s1 * u0[j + 1], s1 * u1[j + 1]])
@@ -277,6 +305,7 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
             v = _solve_policy(*greedy_stencil(*policy))
             solved = policy
             it += 1
+            solves += 1
     else:
         raise NotConverged(f"policy iteration stalled with certified gap "
                            f"{fix_gap:.3g} after {max_iter} sweeps and solves")
@@ -290,25 +319,7 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
 
     return DPResult(x_grid=x_grid, v_hat=v, policy_produce=a_star,
                     policy_sell=q_star, beta=beta, dt=dt, iterations=it,
-                    sup_change=sup, fix_gap=fix_gap)
-
-
-def brute_conjugate(xs, fs, z: float, kind: str) -> tuple:
-    """Exhaustive conjugate over raw samples; the envelope module's rival.
-
-    kind 'cost' maximizes x z - f, 'revenue' maximizes f - x z.  Returns
-    (value, argmax).
-    """
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    if kind == "cost":
-        vals = xs * z - fs
-    elif kind == "revenue":
-        vals = fs - xs * z
-    else:
-        raise InvalidParameter("kind must be 'cost' or 'revenue'")
-    k = int(np.argmax(vals))
-    return float(vals[k]), float(xs[k])
+                    solves=solves, sup_change=sup, fix_gap=fix_gap)
 
 
 def write_dp_csv(res: DPResult, path) -> None:

@@ -26,6 +26,8 @@ from .errors import (
 )
 
 DEFAULT_GRID_N = 4097
+# Largest grid_n accepted: 64 times the default, checked before any sampling.
+MAX_GRID_N = 2**18 + 1
 
 # Relative slack used by the sign/monotonicity checks in validate_problem.
 _VAL_TOL = 1e-12
@@ -342,8 +344,11 @@ def validate_problem(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
         return spec
     if not (spec.beta > 0 and math.isfinite(spec.beta)):
         raise InvalidParameter("discount rate beta must be positive and finite")
-    if spec.grid_n < 9:
-        raise InvalidParameter("grid_n must be at least 9")
+    n = spec.grid_n
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+            or not 9 <= n <= MAX_GRID_N:
+        raise InvalidParameter(f"grid_n must be an integer from 9 to "
+                               f"{MAX_GRID_N}, got {n!r}")
 
     Q, A = spec.demand_set, spec.production_set
     if not Q.is_bounded:

@@ -1,5 +1,6 @@
 """Shared fixtures: the worked example instances, solved once per session,
-and an Euler referee that scores plans independently of simulate."""
+an Euler referee that scores plans independently of simulate, and an
+exhaustive conjugate that checks the envelope module's."""
 
 import math
 import pathlib
@@ -12,6 +13,7 @@ from monopoly_control import (
     Curve,
     CyclicPlan,
     DrawdownPlan,
+    InvalidParameter,
     ProblemSpec,
     RelaxedStatic,
     StateViolation,
@@ -127,9 +129,32 @@ def euler_referee(problem, plan, *, horizon, x0=0.0, model=None, steps=4096):
     return float(np.sum(pay * (disc[:-1] - disc[1:])) / problem.beta)
 
 
+def _brute_conjugate(xs, fs, z: float, kind: str) -> tuple:
+    """Exhaustive conjugate over raw samples; the envelope module's rival.
+
+    kind 'cost' maximizes x z - f, 'revenue' maximizes f - x z.  Returns
+    (value, argmax).
+    """
+    xs = np.asarray(xs, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    if kind == "cost":
+        vals = xs * z - fs
+    elif kind == "revenue":
+        vals = fs - xs * z
+    else:
+        raise InvalidParameter("kind must be 'cost' or 'revenue'")
+    k = int(np.argmax(vals))
+    return float(vals[k]), float(xs[k])
+
+
 @pytest.fixture(scope="session")
 def referee():
     return euler_referee
+
+
+@pytest.fixture(scope="session")
+def brute_conjugate():
+    return _brute_conjugate
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,6 @@ from monopoly_control import (
     fenchel_cost,
     fenchel_revenue,
     h_at,
-    brute_conjugate,
     relaxed_static,
     simulate,
     static_optimality_test,
@@ -327,7 +326,8 @@ def _random_ray_instance(rng: np.random.Generator):
     ))
 
 
-def test_criterion_8_invariant_battery(make_random_instance):
+def test_criterion_8_invariant_battery(make_random_instance,
+                                       brute_conjugate):
     rng = np.random.default_rng(88)
     for seed in range(100):
         problem = make_random_instance(rng)

@@ -1,6 +1,7 @@
 """Config parsing and the command-line workflows."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,11 +162,16 @@ def test_cli_simulate(cfg, tmp_path):
     assert (tmp_path / "trajectory.csv").exists()
 
 
-def test_cli_oracle_and_compare(cfg, tmp_path):
+def test_cli_oracle_and_compare(cfg, tmp_path, capsys):
     rc = main(["oracle", str(cfg), "--out", str(tmp_path),
                "--x0", "0.25", "--dt", "0.01"])
     assert rc == 0
     assert (tmp_path / "dp.csv").exists()
+    # each round is a sweep and a solve, and one last sweep certifies
+    counts = re.search(r"(\d+) Bellman sweeps, (\d+) policy solves",
+                       capsys.readouterr().out)
+    sweeps, solves = map(int, counts.groups())
+    assert sweeps == solves + 1 > 1
     rc = main(["compare", str(cfg), "--out", str(tmp_path),
                "--x0", "0.25", "--dt", "0.01"])
     assert rc == 0
@@ -270,8 +276,9 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["oracle", "--dt", "1e-17"], "discount exp(-beta dt) rounds to 1"),
     (["compare", "--dt", "1e-17"], "discount exp(-beta dt) rounds to 1"),
     (["simulate", "--x0", "0.1", "--eps", "1e-9"], "cycle period 1e-09"),
+    (["solve", "--set", "problem.grid_n=262146"], "from 9 to 262145"),
 ], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
-        "finite_nan", "oracle_dt", "compare_dt", "simulate_eps"])
+        "finite_nan", "oracle_dt", "compare_dt", "simulate_eps", "grid_n_cap"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                                     message):
     command, *flags = argv

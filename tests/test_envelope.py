@@ -19,7 +19,6 @@ from monopoly_control import (
     hull_decompose,
 )
 from monopoly_control.envelope import cost_argmax_grid, revenue_argmax_grid
-from monopoly_control.oracle import brute_conjugate
 
 CUBIC = Curve.cubic_cost(1.0)
 REV = Curve.linear_demand_revenue(1.0, 1.0)
@@ -137,7 +136,7 @@ def test_conjugate_grids_match_scalars():
     assert np.all(rg <= rs + 1e-12)
 
 
-def test_conjugate_dominates_brute_force():
+def test_conjugate_dominates_brute_force(brute_conjugate):
     env = _cubic_env()
     xs = env.xs
     for z in (0.1, 0.25, 0.4, 0.9, 1.7):
@@ -203,7 +202,7 @@ def test_table_kink_slopes_are_edge_slopes():
     assert sorted(env.kink_slopes()) == pytest.approx([0.2, 0.6], abs=1e-12)
 
 
-def test_random_tables_hull_invariants():
+def test_random_tables_hull_invariants(brute_conjugate):
     rng = np.random.default_rng(20240817)
     for _ in range(25):
         n = rng.integers(5, 60)

@@ -1,5 +1,6 @@
 """Discrete-time DP oracle: convergence, policies, guards."""
 
+import hashlib
 import math
 import re
 
@@ -9,7 +10,6 @@ import pytest
 from monopoly_control import (
     InvalidParameter,
     NotConverged,
-    brute_conjugate,
     dp_value,
     load_problem,
     production_cap,
@@ -58,6 +58,11 @@ def linear_cost_dp(linear_cost_problem):
 def test_dp_converges_with_certificate(linear_cost_dp):
     assert linear_cost_dp.fix_gap < 1e-9
     assert linear_cost_dp.iterations > 10
+
+
+def test_dp_counts_sweeps_and_solves(linear_cost_dp):
+    # every round is a sweep and a solve; the last sweep certifies alone
+    assert linear_cost_dp.iterations == 2 * linear_cost_dp.solves + 1
 
 
 def test_dp_close_to_analytic(linear_cost_dp, linear_cost_value):
@@ -178,16 +183,58 @@ def test_dp_repeated_policy_fails_fast(am_high_problem):
     assert count < 100
 
 
-@pytest.mark.parametrize("name", ["arvan_moses_high", "arvan_moses_low",
-                                  "arvan_moses_mid", "linear_cost",
-                                  "table_curves"])
-def test_dp_policy_iteration_rounds(name, configs_dir):
+# sha256 of the float64 bytes of policy_produce and policy_sell, and the
+# iterations, of dp_value(problem, x_max=0.5) on each shipped config
+SHIPPED_POLICIES = {
+    "arvan_moses_high": (
+        "038bb13f6d88056edb51e1939ca9c697c086a75a568c03a9552d07fef5b96106",
+        "2ea66dfccaf8f0f890b60f580939cb34010de9645e9cc131c32fa80138616870",
+        15),
+    "arvan_moses_low": (
+        "ad7facb2586fc6e966c004d7d1d16b024f5805ff7cb47c7a85dabd8b48892ca7",
+        "a129bc3dd60850f1e0dea3c9881b6cdfb5a2f8f8ae6accccafe64c532972e81a",
+        11),
+    "arvan_moses_mid": (
+        "e7d21ff4eff73f9d66e73c40a2756c475a66aba20e6f4738cd0fdc749fffb5e0",
+        "8ed76270a5b54eaa501bae52a185b31737acbd50018257b8530f89f3aa25f040",
+        13),
+    "linear_cost": (
+        "b94064355835040b9d4dd82ca327cf6eb1be5891e45bfee0d960559d1ccffde9",
+        "f782f6ced71ceddfae2dc0991b4c9b891b0406a0aceb032e89cc48f374c23aec",
+        15),
+    "table_curves": (
+        "a6bc95a2bed64c46f069eb3da54e0452c99ada34cc58c0c5723090615114c4f5",
+        "fd0e29ac3500b548f5a03de32a3e16ae218c62bdc8d5fada312e4919c3c7229e",
+        9),
+}
+
+
+def _sha256(a):
+    return hashlib.sha256(np.asarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module", params=sorted(SHIPPED_POLICIES))
+def shipped_dp(request, configs_dir):
+    problem = load_problem(configs_dir / f"{request.param}.cfg")
+    return request.param, dp_value(problem, x_max=0.5)
+
+
+def test_dp_policy_iteration_rounds(shipped_dp):
     # each round's exact solve leaves only a handful of rounds; evaluating
     # policies by sweeps took 781-4226 at these defaults
-    problem = load_problem(configs_dir / f"{name}.cfg")
-    dp = dp_value(problem, x_max=0.5)
+    _, dp = shipped_dp
     assert dp.fix_gap < 1e-9
     assert dp.iterations <= 40
+
+
+def test_dp_shipped_policies_pinned(shipped_dp):
+    # how the policy solve is partitioned moves v_hat by rounding only;
+    # the greedy policies and the rounds taken to certify must not move
+    name, dp = shipped_dp
+    produce, sell, iterations = SHIPPED_POLICIES[name]
+    assert _sha256(dp.policy_produce) == produce
+    assert _sha256(dp.policy_sell) == sell
+    assert dp.iterations == iterations
 
 
 def _dense(idx, wts):
@@ -197,8 +244,9 @@ def _dense(idx, wts):
     return a
 
 
-@pytest.mark.parametrize("band", [1, 9, 40])
-@pytest.mark.parametrize("n", [8, 100, 512, 1024])
+# bands 31-33 sit either side of the smallest block, 32 rows
+@pytest.mark.parametrize("band", [1, 2, 9, 31, 32, 33, 40])
+@pytest.mark.parametrize("n", [8, 100, 511, 512, 1024])
 def test_policy_solve_matches_dense(band, n):
     rng = np.random.default_rng(n * 100 + band)
     x = np.arange(n)
@@ -225,7 +273,7 @@ def test_dp_rejects_non_finite_grid_and_tolerance(linear_cost_problem, kw):
         dp_value(linear_cost_problem, **kw)
 
 
-def test_brute_conjugate_kinds():
+def test_brute_conjugate_kinds(brute_conjugate):
     xs = np.array([0.0, 1.0, 2.0])
     fs = np.array([0.0, 0.5, 2.0])
     val, arg = brute_conjugate(xs, fs, 1.0, "cost")

@@ -1,6 +1,8 @@
 """Problem validation: control sets, curve families, standing assumptions."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from monopoly_control import (
     builtin_linear_cost,
     validate_problem,
 )
+from monopoly_control.problem import MAX_GRID_N
 
 
 def test_interval_contains_and_sampling():
@@ -183,6 +186,21 @@ def test_table_cost_on_ray_is_rejected():
     )
     with pytest.raises(CoercivityUndetectable):
         validate_problem(spec)
+
+
+@pytest.mark.parametrize("grid_n", [MAX_GRID_N + 1, 4097.5, True, 8])
+def test_validate_rejects_bad_grid_n(linear_cost_problem, grid_n):
+    # refused before any grid is sampled: nothing near the size asked for
+    # is allocated
+    spec = dataclasses.replace(linear_cost_problem.spec, grid_n=grid_n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter, match=f"from 9 to {MAX_GRID_N}"):
+            validate_problem(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_validate_idempotent(linear_cost_problem):

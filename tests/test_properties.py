@@ -24,7 +24,6 @@ from monopoly_control import (
     static_candidate,
     validate_problem,
 )
-from monopoly_control.oracle import brute_conjugate
 from monopoly_control.strategy import StaticPlan
 
 N_SEEDS = 30
@@ -86,7 +85,7 @@ def test_psi_vprime_roundtrip(solved_instances):
             assert vf.psi(xi) == pytest.approx(float(x), abs=1e-7)
 
 
-def test_conjugates_dominate_brute(solved_instances):
+def test_conjugates_dominate_brute(solved_instances, brute_conjugate):
     rng = np.random.default_rng(333)
     for _, model, _ in solved_instances:
         for z in rng.uniform(0.0, model.z_max, 4):
@@ -101,7 +100,7 @@ def test_conjugates_dominate_brute(solved_instances):
             assert rv.value >= br - 1e-10
 
 
-def test_conjugate_hull_equivalence(solved_instances):
+def test_conjugate_hull_equivalence(solved_instances, brute_conjugate):
     # conjugating the raw samples or their hull gives the same function
     rng = np.random.default_rng(555)
     for _, model, _ in solved_instances:
