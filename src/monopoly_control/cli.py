@@ -17,6 +17,7 @@ input (config or assumption violations), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -59,7 +60,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    as it was, and the append action of --set copies its default list."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", nargs="?", help="problem config file")
     common.add_argument("--config", dest="config_flag", metavar="PATH",

@@ -144,22 +144,128 @@ class Envelope:
 # ---------------------------------------------------------------------------
 # construction
 
+# a run of at least this many consecutive triples that all pop, or all
+# keep, is worth an array step; shorter runs, such as the random pops that
+# rounding causes on collinear samples, stay with the stack loop.  Any run
+# this long covers two whole bytes of the packed outcomes
+_MIN_RUN = 23
 
-def _chain_lower(xs: list, gs: list) -> list:
+
+def _chain_lower(xs: np.ndarray, gs: np.ndarray) -> list:
     """Monotone chain for the lower hull of a graph; collinear interior
-    points are dropped, so affine runs become single edges."""
-    out: list[int] = []
-    for i in range(len(xs)):
-        while len(out) >= 2:
-            i0, i1 = out[-2], out[-1]
-            lhs = (gs[i1] - gs[i0]) * (xs[i] - xs[i1])
-            rhs = (gs[i] - gs[i1]) * (xs[i1] - xs[i0])
-            if lhs >= rhs:
+    points are dropped, so affine runs become single edges.
+
+    The chain is Andrew's stack loop (_stack_loop).  Long stretches of it
+    are evaluated as array expressions, elementwise the same float
+    operations in the same order, so the vertex list is the loop's to the
+    bit.  Every consecutive triple (i - 2, i - 1, i) is tested at once, and
+    the runs of _MIN_RUN or more equal outcomes mark where that pays:
+
+    * a run that keeps (convex stretch): with (i - 2, i - 1) on top the
+      loop tests only the consecutive triple, so everything up to the next
+      triple that pops is pushed in one step;
+    * a run that pops (concave stretch under a bridge): with (p, a, i - 1)
+      on top each new i pops i - 1 and keeps a, which _anchor_run tests
+      for growing chunks of i, stopping at the first i that breaks it.
+
+    Everything else runs the loop itself on Python floats.
+    """
+    n = len(xs)
+    if n < 3:
+        return list(range(n))
+    dx, dg = np.diff(xs), np.diff(gs)
+    pops = dg[:-1] * dx[1:] >= dg[1:] * dx[:-1]
+    # runs (c, e, popping) of equal outcomes for the points c..e - 1; the
+    # triple ending at point k is pops[k - 2].  Scattered outcomes, with no
+    # two equal whole bytes in a row, have no run to find
+    runs = ()
+    b = np.packbits(pops)
+    if np.any((b[1:] == b[:-1]) & ((b[1:] == 0) | (b[1:] == 255))):
+        cut = np.concatenate(([0], np.flatnonzero(pops[1:] != pops[:-1]) + 1,
+                              [len(pops)]))
+        long = np.flatnonzero(np.diff(cut) >= _MIN_RUN)
+        runs = zip((cut[long] + 2).tolist(), (cut[long + 1] + 2).tolist(),
+                   pops[cut[long]].tolist())
+    out = [0, 1]
+    lists = []      # xs and gs as Python floats, made for the first long loop
+
+    def loop(lo: int, hi: int) -> None:
+        # a few steps read the arrays (numpy scalars round alike) rather
+        # than pay for the lists
+        if not lists and hi - lo >= _MIN_RUN:
+            lists[:] = xs.tolist(), gs.tolist()
+        _stack_loop(*(lists or (xs, gs)), out, lo, hi)
+
+    i = 2
+    for c, e, popping in runs:
+        if e - max(c, i) < _MIN_RUN:
+            continue
+        if i < c:
+            loop(i, c)
+            i = c
+        if popping:
+            i = _anchor_run(xs, gs, out, i, e - i)
+            continue
+        if out[-2] != i - 2:
+            loop(i, i + 1)
+            i += 1
+        if out[-2] == i - 2:
+            # no triple ending in [i, e) pops
+            out.extend(range(i, e))
+            i = e
+    loop(i, n)
+    return out
+
+
+def _stack_loop(xl: list, gl: list, out: list, lo: int, hi: int) -> None:
+    """Andrew's loop over points lo..hi - 1, out holding at least two: pop
+    the top i1 (under i0) for a new point i while (g[i1] - g[i0]) (x[i] -
+    x[i1]) >= (g[i] - g[i1]) (x[i1] - x[i0]), then push i.  The top two
+    points' coordinates are kept in locals (x1, g1 and x0, g0)."""
+    size = len(out)
+    x0, g0 = xl[out[-2]], gl[out[-2]]
+    x1, g1 = xl[out[-1]], gl[out[-1]]
+    for i in range(lo, hi):
+        x, g = xl[i], gl[i]
+        while size >= 2:
+            if (g1 - g0) * (x - x1) >= (g - g1) * (x1 - x0):
                 out.pop()
+                size -= 1
+                x1, g1 = x0, g0
+                if size >= 2:
+                    k = out[-2]
+                    x0, g0 = xl[k], gl[k]
             else:
                 break
         out.append(i)
-    return out
+        size += 1
+        x0, g0, x1, g1 = x1, g1, x, g
+
+
+def _anchor_run(xs: np.ndarray, gs: np.ndarray, out: list, i: int,
+                size: int) -> int:
+    """Push the anchor run starting at i, (..., p, a, i - 1) on top, onto
+    out; returns the first index the run does not cover."""
+    n = len(xs)
+    a = out[-2]
+    p = out[-3] if len(out) >= 3 else None
+    while i < n:
+        j = np.arange(i, min(i + size, n))
+        # the triple (a, j - 1, j) pops j - 1 ...
+        ok = ((gs[j - 1] - gs[a]) * (xs[j] - xs[j - 1])
+              >= (gs[j] - gs[j - 1]) * (xs[j - 1] - xs[a]))
+        if p is not None:
+            # ... and (p, a, j) keeps a
+            ok &= ~((gs[a] - gs[p]) * (xs[j] - xs[a])
+                    >= (gs[j] - gs[a]) * (xs[a] - xs[p]))
+        k = len(j) if ok.all() else int(np.argmin(ok))
+        if k:
+            out[-1] = i + k - 1
+            i += k
+        if k < len(j):
+            break
+        size *= 2
+    return i
 
 
 def _tangency_point(gder, w: float, b_lo: float, b_mid: float, b_hi: float) -> float:
@@ -244,7 +350,7 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
         gder = derivative if sign > 0 else (lambda t: -derivative(t))
 
     gs = sign * fs
-    vidx = _chain_lower(xs.tolist(), gs.tolist())
+    vidx = _chain_lower(xs, gs)
     if geval is not None and gder is not None:
         new_pts = _refine_bridges(xs, gs, vidx, geval, gder)
         if new_pts:
@@ -253,7 +359,7 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
             xs = np.insert(xs, pos, add)
             gs = np.insert(gs, pos, [geval(p) for p in add])
             fs = sign * gs
-            vidx = _chain_lower(xs.tolist(), gs.tolist())
+            vidx = _chain_lower(xs, gs)
 
     vidx_arr = np.asarray(vidx, dtype=np.intp)
     vx = xs[vidx_arr]

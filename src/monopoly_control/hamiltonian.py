@@ -160,30 +160,54 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
     kinks = np.concatenate([rev_env.kink_slopes(), cost_env.kink_slopes()])
     kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
 
-    def edge(f, i: int, side: int) -> float:
-        # where f changes class in [z_grid[i-1], z_grid[i]]; a kink holding 0
-        # in its subgradient is the edge if f changes within 1e-8 of it
+    # zeta is the first z with H'(z+) >= 0 and m_hi the last with
+    # H'(z-) <= 0: slot 0 reads H'(z+) and slot 1 reads -H'(z-), each
+    # turning non-negative at its edge.  The table brackets both within
+    # one grid cell, since grid and scalar readings of the kernel agree bit
+    # for bit
+    def rising(dm, dp, slot):
+        return np.where(slot == 0, dp, -dm)
+
+    def kink_edge(slot: int, i: int) -> float | None:
+        # the first kink holding 0 in its subgradient where the sign
+        # changes within 1e-8 of it is the edge in [z_grid[i-1], z_grid[i]];
+        # all kinks near the cell are read in one batch
         lo, hi = z_grid[i - 1], z_grid[i]
         hs = 1e-8 * np.maximum(1.0, kinks)
         near = (kinks + hs >= lo) & (kinks - hs <= hi)
-        for kz, hz in zip(kinks[near], hs[near]):
-            dm, dp = d(kz)
-            if dm <= 0.0 <= dp and (f(kz - hz) < 0.0) != (f(kz + hz) < 0.0):
-                return float(kz)
-        return float(bracket_root(lambda z, _: f(z), lo, hi)[side])
+        kz, hz = kinks[near], hs[near]
+        if not len(kz):
+            return None
+        dm, dp = d(np.concatenate([kz, kz - hz, kz + hz]))
+        neg = rising(dm, dp, slot) < 0.0
+        m = len(kz)
+        hit = np.flatnonzero((dm[:m] <= 0.0) & (0.0 <= dp[:m])
+                            & (neg[m:2 * m] != neg[2 * m:]))
+        return float(kz[hit[0]]) if len(hit) else None
 
-    # zeta is the first z with H'(z+) >= 0 and m_hi the last with
-    # H'(z-) <= 0; the table brackets both within one grid cell, since
-    # grid and scalar readings of the kernel agree bit for bit
     d_minus, d_plus = _slopes(c_grid, r_grid)
     up = np.nonzero(d_plus >= 0.0)[0]
-    i = int(up[0]) if len(up) else len(z_grid) - 1
-    zeta = edge(lambda z: d(z)[1], i, 1) if i > 0 else 0.0
+    i_zeta = int(up[0]) if len(up) else len(z_grid) - 1
     up = np.nonzero(d_minus > 0.0)[0]
-    i = int(up[0]) if len(up) else len(z_grid)
-    m_hi = float(z_grid[max(i - 1, 0)])
-    if 0 < i < len(z_grid):
-        m_hi = edge(lambda z: -d(z)[0], i, 0)
+    i_mhi = int(up[0]) if len(up) else len(z_grid)
+    edges = [0.0, float(z_grid[max(i_mhi - 1, 0)])]      # zeta, m_hi
+    cells = {slot: i for slot, i in enumerate((i_zeta, i_mhi))
+             if 0 < i < len(z_grid)}
+    for slot, i in list(cells.items()):
+        kz = kink_edge(slot, i)
+        if kz is not None:
+            edges[slot] = kz
+            del cells[slot]
+    if cells:
+        # edges off a kink: one batch of brackets, equal to its scalar
+        # searches bit for bit; zeta is the upper end, m_hi the lower
+        slots = np.array(list(cells))
+        i = np.array(list(cells.values()))
+        ends = bracket_root(lambda z, k: rising(*d(z), slots[k]),
+                            z_grid[i - 1], z_grid[i])
+        for n, slot in enumerate(slots):
+            edges[slot] = float(ends[1 - slot][n])
+    zeta, m_hi = edges
     m_hi = max(m_hi, zeta)
     h_min = h(zeta)
 

@@ -39,6 +39,11 @@ from .problem import ValidatedProblem, validate_problem
 from .tableio import write_csv
 
 _BIG_NEG = -1e30
+_EPS = float(np.finfo(float).eps)
+# ulps of |v| in the rounding floor for tol_fix: on the shipped configs the
+# least certifiable gap lies between 0.44 and 2.1 of them (defaults and
+# criterion 5's fine grids, beta 0.3 to 1.5)
+_FLOOR_ULPS = 4.0
 # smallest block of the block-tridiagonal policy solve; a stencil reaching
 # further from the diagonal widens the blocks to its reach
 _MIN_BLOCK = 32
@@ -152,8 +157,8 @@ def _solve_policy(pay, idx, wts) -> np.ndarray:
 
 
 def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
-             tol_fix: float = 1e-9, na: int = 65, nq: int = 65,
-             max_iter: int = 200_000) -> DPResult:
+             tol_fix: float | None = None, na: int = 65, nq: int = 65,
+             max_iter: int | None = None) -> DPResult:
     """Policy iteration with exact evaluation on the discretized problem.
 
     Per-step rates use the exact discount weight for a constant rate, so
@@ -170,6 +175,14 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     count the Bellman sweeps and policy solves applied to the table;
     ``solves`` counts the solves alone.
 
+    The default max_iter is 4 nx + 64, two rounds per stock node with
+    room to spare.  The shipped configs take 9 to 19 iterations, but a
+    greedy policy whose switching point creeps one stock node per round
+    takes about one round per node: random tables took up to 513 solves
+    at nx = 512 and 1018 at nx = 1024.  A table that never settles then
+    ends in NotConverged within seconds at the defaults, not after the
+    minutes that the value-iteration budget of 200 000 sweeps took.
+
     Everything a sweep reads but v is tabulated once per call: the
     interpolation indices and weights of both stages and the production
     stage's pay with its floor on infeasible moves.  Each sweep is then
@@ -180,11 +193,20 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     bit for bit.  If its certificate is still above tol_fix (rounding, at
     a discount this close to 1, keeps it there), NotConverged is raised
     at once with the certified gap.
+
+    The certificate cannot fall below the rounding of a sweep, a few ulps
+    of |v| amplified by g = gamma/(1 - gamma).  A tol_fix the caller
+    passes below that floor, _FLOOR_ULPS g eps max|v| with max|v| bounded
+    from the pay tables, is rejected with InvalidParameter before the
+    first sweep.  The default tol_fix, 1e-9, clears the floor on every
+    shipped config; where a very fine dt lifts the floor above it, the
+    run ends in NotConverged once the greedy policy repeats.
     """
     problem = validate_problem(problem)
     beta = problem.beta
     nx = _count("nx", nx, 8)
-    max_iter = _count("max_iter", max_iter, 1)
+    max_iter = _count("max_iter", 4 * nx + 64 if max_iter is None
+                      else max_iter, 1)
     if not (math.isfinite(x_max) and x_max > 0.0):
         raise InvalidParameter("stock grid must be finite and positive")
     if not (math.isfinite(dt) and dt > 0.0):
@@ -193,6 +215,8 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     if gamma >= 1.0:
         raise InvalidParameter(f"time step {dt:g} is too small: the per-step "
                                "discount exp(-beta dt) rounds to 1")
+    floor_checked = tol_fix is not None
+    tol_fix = 1e-9 if tol_fix is None else tol_fix
     if not tol_fix > 0.0:
         raise InvalidParameter("fixed-point tolerance must be positive")
 
@@ -213,6 +237,17 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     k = (1.0 - gamma) / beta
     r_gain = np.asarray(problem.revenue(q_grid), dtype=float) * k
     c_pay = np.asarray(problem.cost(a_grid), dtype=float) * k
+    g = gamma / (1.0 - gamma)
+    # |v| is at most the best revenue plus the cheapest production, per
+    # unit of 1 - gamma
+    v_max = (float(np.abs(r_gain).max()) + abs(float(c_pay.min()))) \
+        / (1.0 - gamma)
+    floor = _FLOOR_ULPS * g * _EPS * v_max
+    if floor_checked and tol_fix < floor:
+        raise InvalidParameter(
+            f"tol_fix {tol_fix:.3g} is below the rounding floor {floor:.3g} "
+            f"= {_FLOOR_ULPS:g} eps gamma/(1-gamma) |v|max: no sweep can "
+            "certify it")
 
     # stage 1 (production): v at clip(y + a dt) for every (a, y), read
     # between v[ilo] and v[1:][ilo] with weights w0 and w1
@@ -244,7 +279,6 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     # shrinks at the rate of the gap between delta components, far faster
     # than delta itself, so this both terminates early and certifies the
     # result.
-    g = gamma / (1.0 - gamma)
     v = np.zeros(nx)
     sup = math.inf
     fix_gap = math.inf

@@ -390,7 +390,9 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
     tail selects the stationary plan once stock hits zero: "auto" runs the
     static test and falls back to relaxed/cyclic, "static", "relaxed", and
     "cyclic" force a kind.  eps sets the cycle period when the tail
-    cycles (default 1/beta scaled down to 2^-6).
+    cycles (default 1/beta scaled down to 2^-6).  Stock past
+    vf.x_resolved, where the slope table ends, is rejected with
+    InvalidParameter rather than dropped.
     """
     problem = validate_problem(problem)
     if x0 < 0.0:
@@ -402,6 +404,11 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
                       "and the static plan at rate 0 is already optimal",
                       ZetaZeroWarning)
         return StaticPlan(0.0)
+
+    if x0 > vf.x_resolved:
+        raise InvalidParameter(
+            f"initial stock {x0:g} exceeds x_resolved = {vf.x_resolved:g}, "
+            "the largest stock the slope table resolves")
 
     report = static_optimality_test(problem, model)
     if tail == "auto":
@@ -425,11 +432,7 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
     if x0 == 0.0:
         return tail_plan
 
-    xi0 = vf.v_prime(x0)
-    xi0 = min(xi0, model.zeta)
-    if xi0 <= 0.0:
-        raise InvalidParameter("marginal value vanished; stock too large "
-                               "for the resolved slope table")
+    xi0 = min(vf.v_prime(x0), model.zeta)
     tau = math.log(model.zeta / xi0) / beta
 
     # Controls jump where the slope path crosses a kink of H.  Each

@@ -22,6 +22,7 @@ alike; a scalar is a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,9 @@ class ValueFunction:
     zeta: float
     xi_knots: np.ndarray = field(repr=False)
     psi_knots: np.ndarray = field(repr=False)
+    # (x, v'(x)) of the last scalar v_prime query; NaN matches nothing
+    _last: list = field(default_factory=lambda: [(math.nan, math.nan)],
+                        init=False, repr=False)
 
     @property
     def x_resolved(self) -> float:
@@ -79,7 +83,17 @@ class ValueFunction:
 
     def v_prime(self, x):
         """Marginal value of stock (a scalar or an array); decreasing,
-        v'(0) = zeta, held at the slope floor past x_resolved."""
+        v'(0) = zeta, held at the slope floor past x_resolved.
+
+        A scalar query repeated at the same stock, as a plan, its summary
+        and its profit gap all ask at x0, returns the float the last one
+        computed instead of searching again; arrays always search.
+        """
+        if np.ndim(x) == 0:
+            x = float(x)
+            key, xi = self._last[0]
+            if key == x:
+                return xi
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise OutOfDomain("stock must be non-negative")
@@ -98,7 +112,11 @@ class ValueFunction:
                     + _cells(self.model, self.beta, xi, top[i]) - xs[off[i]])
 
         out[off] = bracket_root(gap, self.xi_knots[k], top)[0]
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+        if x.ndim:
+            return out.reshape(x.shape)
+        xi = float(out[0])
+        self._last[0] = (float(x), xi)
+        return xi
 
     def value_at(self, x):
         """v(x) for a scalar or an array of stock levels."""

@@ -1,6 +1,7 @@
 """Shared fixtures: the worked example instances, solved once per session,
-an Euler referee that scores plans independently of simulate, and an
-exhaustive conjugate that checks the envelope module's."""
+an Euler referee that scores plans independently of simulate, an
+exhaustive conjugate that checks the envelope module's, and the plain
+monotone-chain loop that its array evaluation must reproduce."""
 
 import math
 import pathlib
@@ -145,6 +146,30 @@ def _brute_conjugate(xs, fs, z: float, kind: str) -> tuple:
         raise InvalidParameter("kind must be 'cost' or 'revenue'")
     k = int(np.argmax(vals))
     return float(vals[k]), float(xs[k])
+
+
+def _reference_chain(xs, gs) -> list:
+    """Andrew's monotone chain for a lower hull, one stack step at a time
+    on Python floats: the vertex list envelope._chain_lower must return."""
+    xs = np.asarray(xs, dtype=float).tolist()
+    gs = np.asarray(gs, dtype=float).tolist()
+    out: list[int] = []
+    for i in range(len(xs)):
+        while len(out) >= 2:
+            i0, i1 = out[-2], out[-1]
+            lhs = (gs[i1] - gs[i0]) * (xs[i] - xs[i1])
+            rhs = (gs[i] - gs[i1]) * (xs[i1] - xs[i0])
+            if lhs >= rhs:
+                out.pop()
+            else:
+                break
+        out.append(i)
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_chain():
+    return _reference_chain
 
 
 @pytest.fixture(scope="session")

@@ -277,8 +277,13 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["compare", "--dt", "1e-17"], "discount exp(-beta dt) rounds to 1"),
     (["simulate", "--x0", "0.1", "--eps", "1e-9"], "cycle period 1e-09"),
     (["solve", "--set", "problem.grid_n=262146"], "from 9 to 262145"),
+    (["strategy", "--x0", "1e6"], "exceeds x_resolved"),
+    (["simulate", "--x0", "1e6"], "exceeds x_resolved"),
+    (["compare", "--x0", "1e9"], "exceeds x_resolved"),
 ], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
-        "finite_nan", "oracle_dt", "compare_dt", "simulate_eps", "grid_n_cap"])
+        "finite_nan", "oracle_dt", "compare_dt", "simulate_eps", "grid_n_cap",
+        "strategy_past_x_resolved", "simulate_past_x_resolved",
+        "compare_past_x_resolved"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                                     message):
     command, *flags = argv
@@ -286,3 +291,35 @@ def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                "--out", str(tmp_path), *flags])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def test_cli_parser_reuse_matches_fresh_processes(configs_dir, tmp_path):
+    # main builds its parser once per process; calls in a row with
+    # different flags write what separate processes write
+    cfg = str(configs_dir / "linear_cost.cfg")
+    runs = [
+        ["simulate", cfg, "--set", "problem.beta=0.7", "--x0", "0.1"],
+        ["simulate", cfg, "--x0", "0.2"],
+        ["solve", cfg, "--set", "problem.beta=0.9",
+         "--set", "problem.grid_n=1025"],
+        ["solve", cfg, "--grid-n", "513"],
+        ["solve", cfg],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(monopoly_control.__file__)
+                                          .parents[1]))
+    for k, argv in enumerate(runs):
+        inproc, fresh = tmp_path / f"in{k}", tmp_path / f"fresh{k}"
+        inproc.mkdir()
+        fresh.mkdir()
+        assert main(argv + ["--out", str(inproc)]) == 0
+        subprocess.run([sys.executable, "-m", "monopoly_control.cli", *argv,
+                        "--out", str(fresh)], check=True, env=env,
+                       capture_output=True)
+        assert _tree_bytes(inproc) == _tree_bytes(fresh)
+    parser = monopoly_control.cli._parser()
+    assert parser is monopoly_control.cli._parser()
+    assert parser.parse_args(["solve", cfg]).set == []

@@ -8,6 +8,9 @@ import pytest
 
 from monopoly_control import (
     Curve,
+    build_hamiltonian,
+    load_problem,
+    validate_problem,
     DecompositionMismatch,
     concave_hull,
     contact_argmax_intervals,
@@ -18,6 +21,7 @@ from monopoly_control import (
     fenchel_revenue_grid,
     hull_decompose,
 )
+from monopoly_control import envelope
 from monopoly_control.envelope import cost_argmax_grid, revenue_argmax_grid
 
 CUBIC = Curve.cubic_cost(1.0)
@@ -234,3 +238,89 @@ def test_random_tables_hull_invariants(brute_conjugate):
                 runs = [[e.xs[k] for k in grp] for c, grp
                         in itertools.groupby(ks, key=lambda k: e.contact[k]) if c]
                 assert contact_argmax_intervals(e, z) == [(r[0], r[-1]) for r in runs]
+
+
+SHIPPED = ["arvan_moses_high", "arvan_moses_low", "arvan_moses_mid",
+           "linear_cost", "table_curves"]
+
+
+def test_chain_matches_loop_on_shipped_envelopes(configs_dir, monkeypatch,
+                                                 reference_chain):
+    # every chain a build runs, on the samples and again on the knots
+    # bridge refinement inserts, is the plain loop's vertex list
+    calls = []
+    chain = envelope._chain_lower
+
+    def record(xs, gs):
+        out = chain(xs, gs)
+        calls.append((xs.copy(), gs.copy(), out))
+        return out
+
+    monkeypatch.setattr(envelope, "_chain_lower", record)
+    builds = 0
+    for name in SHIPPED:
+        for beta in ([], ["problem.beta=0.3"], ["problem.beta=1.5"]):
+            build_hamiltonian(validate_problem(
+                load_problem(configs_dir / f"{name}.cfg", beta)))
+            builds += 1
+    assert len(calls) > 2 * builds        # refined envelopes are in
+    for xs, gs, out in calls:
+        assert out == reference_chain(xs, gs)
+
+
+def _chain_inputs(rng, make_random_instance):
+    """Seeded (xs, gs) samples covering every path of the chain: convex and
+    concave stretches, dents, rounding noise on collinear samples, exactly
+    collinear samples, finite sets, and the shortest inputs."""
+    def knots(n, uniform):
+        if uniform:
+            return np.linspace(0.0, rng.uniform(0.5, 3.0), n)
+        return np.unique(rng.uniform(0.0, 3.0, n))
+
+    for n in (1, 2, 3):
+        for _ in range(30):
+            xs = knots(n, rng.uniform() < 0.5)
+            yield xs, rng.normal(size=len(xs))
+    for _ in range(420):                        # random tables
+        xs = knots(int(rng.integers(4, 120)), rng.uniform() < 0.5)
+        yield xs, rng.uniform(0.0, 1.0, len(xs))
+    for _ in range(150):                        # sampled random tables
+        p = make_random_instance(rng)
+        yield p.q_grid, -p.revenue(p.q_grid)
+        yield p.a_grid, p.cost(p.a_grid)
+    for _ in range(300):                        # affine, rounding noise
+        xs = knots(int(rng.integers(20, 1500)), rng.uniform() < 0.7)
+        yield xs, rng.normal() * xs + rng.normal()
+    for _ in range(200):                        # exactly collinear
+        n = int(rng.integers(3, 600))
+        xs = np.arange(n) * 2.0 ** -int(rng.integers(0, 10))
+        yield xs, float(rng.integers(-3, 4)) * xs + float(rng.integers(-5, 5))
+    for _ in range(200):                        # finite sets
+        xs = knots(int(rng.integers(2, 9)), False)
+        yield xs, rng.uniform(0.0, 1.0, len(xs))
+    for _ in range(300):                        # dents, both orientations
+        xs = knots(int(rng.integers(50, 2500)), rng.uniform() < 0.8)
+        mid = rng.uniform(0.2, 0.8) * xs[-1]
+        gs = (xs - mid) ** 3 - rng.uniform(0.0, 2.0) * (xs - mid) ** 2 \
+            + rng.uniform(0.5, 3.0) * xs
+        yield xs, gs if rng.uniform() < 0.5 else -gs
+    for _ in range(200):                        # smooth, rounded or wavy
+        xs = knots(int(rng.integers(50, 2000)), rng.uniform() < 0.8)
+        k = int(rng.integers(1, 6))
+        if rng.uniform() < 0.5:
+            yield xs, np.round(xs ** 2 - np.sin(k * xs), k)
+        else:
+            yield xs, np.sin(k * xs) + rng.uniform(-0.3, 0.3) * xs ** 2
+
+
+def test_chain_matches_loop_on_seeded_inputs(reference_chain,
+                                             make_random_instance):
+    rng = np.random.default_rng(20260418)
+    count = 0
+    for xs, gs in _chain_inputs(rng, make_random_instance):
+        xs = np.asarray(xs, dtype=float)
+        gs = np.asarray(gs, dtype=float)
+        assert envelope._chain_lower(xs, gs) == reference_chain(xs, gs), \
+            (len(xs), count)
+        count += 1
+    assert count >= 2000

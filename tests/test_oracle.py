@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from monopoly_control import (
     dp_value,
     load_problem,
     production_cap,
+    validate_problem,
     write_dp_csv,
 )
+from monopoly_control import oracle
 from monopoly_control.oracle import _solve_policy
 
 
@@ -313,3 +316,40 @@ def test_dp_bounded_production_equals_ray_under_cap(am_mid_problem,
     ray = dp_value(am_mid_problem, **kw)
     box = dp_value(validate_problem(capped), **kw)
     assert np.allclose(ray.v_hat, box.v_hat, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["linear_cost", "arvan_moses_mid"])
+def test_dp_rejects_tolerance_below_rounding_floor(configs_dir, name,
+                                                   monkeypatch):
+    # 1e-13 is below what rounding lets a sweep certify on these configs;
+    # it is refused before any round, naming the floor, while 1e-12 and
+    # the default still certify
+    problem = validate_problem(load_problem(configs_dir / f"{name}.cfg"))
+
+    def no_round(*args):
+        raise AssertionError("policy solve reached")
+
+    monkeypatch.setattr(oracle, "_solve_policy", no_round)
+    with pytest.raises(InvalidParameter, match="rounding floor"):
+        dp_value(problem, x_max=0.5, tol_fix=1e-13)
+    monkeypatch.undo()
+    for tol in (1e-12, None):
+        assert dp_value(problem, x_max=0.5, tol_fix=tol).fix_gap < 1e-9
+
+
+def test_dp_default_budget_stops_a_table_that_never_settles(configs_dir,
+                                                            monkeypatch):
+    # a policy solve that never lands on a fixed point (seeded noise on
+    # the exact solve) changes the greedy policy every round; the default
+    # budget, 4 nx + 64 sweeps and solves, ends it in seconds
+    problem = validate_problem(load_problem(configs_dir / "linear_cost.cfg"))
+    rng = np.random.default_rng(7)
+
+    def noisy(pay, idx, wts):
+        return _solve_policy(pay, idx, wts) + rng.normal(0.0, 1e-3, pay.size)
+
+    monkeypatch.setattr(oracle, "_solve_policy", noisy)
+    t0 = time.perf_counter()
+    with pytest.raises(NotConverged, match="after 2112 sweeps and solves"):
+        dp_value(problem, x_max=0.5)
+    assert time.perf_counter() - t0 < 20.0

@@ -9,6 +9,7 @@ import pytest
 from monopoly_control import (
     CyclicPlan,
     DrawdownPlan,
+    InvalidParameter,
     RelaxedStatic,
     StaticPlan,
     ZetaZeroWarning,
@@ -298,6 +299,20 @@ def test_drawdown_zeta_zero_warns():
         plan = drawdown_plan(problem, vf, model, 0.7)
     assert isinstance(plan, StaticPlan)
     assert plan.u == 0.0
+
+
+def test_drawdown_rejects_stock_past_x_resolved(linear_cost_problem,
+                                                linear_cost_model,
+                                                linear_cost_value):
+    # the slope table ends at x_resolved: stock past it is refused, not
+    # dropped
+    vf = linear_cost_value
+    plan = drawdown_plan(linear_cost_problem, vf, linear_cost_model,
+                         vf.x_resolved)
+    assert plan.x0 == vf.x_resolved
+    for x0 in (vf.x_resolved * (1.0 + 1e-9), 100.0, 1e6):
+        with pytest.raises(InvalidParameter, match="x_resolved"):
+            drawdown_plan(linear_cost_problem, vf, linear_cost_model, x0)
 
 
 def test_am_reference_regimes():

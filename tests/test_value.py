@@ -1,5 +1,6 @@
 """Value function: quadrature, inversion, HJB residuals, export."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -129,3 +130,31 @@ def test_value_csv_roundtrip(tmp_path, am_mid_value):
     k = len(data["x"]) // 2
     assert am_mid_value.value_at(float(data["x"][k])) == pytest.approx(
         float(data["v"][k]), abs=1e-12)
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+@pytest.mark.parametrize("name", ["linear_cost_value", "am_mid_value"])
+def test_v_prime_memo_is_exact(name, request):
+    # a repeated scalar query returns the float the first one computed, and
+    # every answer has the bits of a ValueFunction that never saw a query
+    vf = dataclasses.replace(request.getfixturevalue(name))
+    fresh = dataclasses.replace(vf)
+    x = 0.37 * vf.x_resolved
+    first = vf.v_prime(x)
+    assert vf.v_prime(x) is first
+    assert _bits(first) == _bits(fresh.v_prime(x))
+    assert _bits(vf.value_at(x)) == _bits(dataclasses.replace(vf).value_at(x))
+    assert vf.v_prime(np.float64(x)) is first
+    # arrays bypass the memo and equal their scalar queries one by one
+    xs = np.concatenate([[0.0, x], np.linspace(0.0, vf.x_resolved, 57)])
+    batch = vf.v_prime(xs)
+    assert vf.v_prime(x) is first
+    one_by_one = [dataclasses.replace(vf).v_prime(float(p)) for p in xs]
+    assert [_bits(b) for b in batch] == [_bits(b) for b in one_by_one]
+    assert [_bits(vf.v_prime(float(p))) for p in xs] == \
+        [_bits(b) for b in one_by_one]
+    # one entry, the last scalar query
+    assert vf._last == [(float(xs[-1]), vf.v_prime(float(xs[-1])))]
