@@ -55,7 +55,6 @@ from .hamiltonian import (
 from .value import (
     ValueFunction,
     build_value,
-    hjb_residual,
     write_value_csv,
 )
 from .strategy import (

@@ -247,6 +247,10 @@ def _cmd_compare(args) -> int:
     out = Path(args.out)
     model = build_hamiltonian(problem)
     vf = build_value(model)
+    # the plan checks x_mid against x_resolved before the oracle runs
+    x_mid = 0.5 * args.x0
+    tail = "auto" if args.eps is None else "cyclic"
+    plan = drawdown_plan(problem, vf, model, x_mid, tail=tail, eps=args.eps)
     res = dp_value(problem, x_max=args.x0, dt=args.dt)
     lo_half = res.x_grid <= 0.5 * args.x0 + 1e-12
     xs = res.x_grid[lo_half]
@@ -259,9 +263,6 @@ def _cmd_compare(args) -> int:
         ("dp_iterations", res.iterations),
         ("dp_fix_gap", res.fix_gap),
     ]
-    x_mid = 0.5 * args.x0
-    tail = "auto" if args.eps is None else "cyclic"
-    plan = drawdown_plan(problem, vf, model, x_mid, tail=tail, eps=args.eps)
     traj = simulate(problem, plan, horizon=horizon, x0=x_mid)
     items.append(("profit_gap_drawdown", profit_gap(traj, vf)))
     report = static_optimality_test(problem, model)

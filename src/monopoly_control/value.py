@@ -34,8 +34,6 @@ from .tableio import write_csv
 
 # the slope table stops where the marginal value has decayed to this share of zeta
 _XI_FLOOR_RATIO = 1e-6
-# relative step of the central difference in hjb_residual
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,17 +125,21 @@ class ValueFunction:
 
 
 def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi) -> np.ndarray:
-    """Simpson integrals of -H'(z)/(beta z) over kink-free cells [z_lo, z_hi].
-
-    Cell edges take the one-sided derivative pointing into the cell; the
-    midpoint, kink-free by construction, the mean of both.  An empty cell
-    (z_hi <= z_lo) integrates to zero.
-    """
+    """Simpson integrals of -H'(z)/(beta z) over kink-free cells [z_lo, z_hi]."""
     z_mid = 0.5 * (z_lo + z_hi)
     d_minus, d_plus = subgradient(model, np.stack([z_lo, z_mid, z_hi]))
-    g_lo = -d_plus[0] / (beta * z_lo)
-    g_mid = -0.5 * (d_minus[1] + d_plus[1]) / (beta * z_mid)
-    g_hi = -d_minus[2] / (beta * z_hi)
+    return _simpson(beta, z_lo, z_mid, z_hi, d_plus[0],
+                    0.5 * (d_minus[1] + d_plus[1]), d_minus[2])
+
+
+def _simpson(beta, z_lo, z_mid, z_hi, d_lo, d_mid, d_hi) -> np.ndarray:
+    """Simpson's rule for -H'(z)/(beta z) on cells [z_lo, z_hi] from H' at
+    the edges, one-sided into the cell (d_lo = H'(z_lo+), d_hi =
+    H'(z_hi-)), and at the kink-free midpoint (d_mid, the mean of both
+    sides).  An empty cell (z_hi <= z_lo) integrates to zero."""
+    g_lo = -d_lo / (beta * z_lo)
+    g_mid = -d_mid / (beta * z_mid)
+    g_hi = -d_hi / (beta * z_hi)
     val = (z_hi - z_lo) / 6.0 * (np.maximum(g_lo, 0.0)
                                  + 4.0 * np.maximum(g_mid, 0.0)
                                  + np.maximum(g_hi, 0.0))
@@ -166,30 +168,19 @@ def build_value(model: HamiltonianModel, *, n_xi: int = 2000) -> ValueFunction:
         keep[1:] = np.abs(np.diff(xi)) > 1e-13 * xi[:-1]
         xi = xi[keep]
 
-    # psi accumulates from zeta (xi[0]) downward through the cells
-    psi = np.concatenate([[0.0], np.cumsum(_cells(model, beta, xi[1:], xi[:-1]))])
+    # psi accumulates from zeta (xi[0]) downward through the cells; H' is
+    # read once at every knot and every midpoint
+    n = len(xi)
+    z_lo, z_hi = xi[1:], xi[:-1]
+    z_mid = 0.5 * (z_lo + z_hi)
+    d_minus, d_plus = subgradient(model, np.concatenate([xi, z_mid]))
+    cells = _simpson(beta, z_lo, z_mid, z_hi, d_plus[1:n],
+                     0.5 * (d_minus[n:] + d_plus[n:]), d_minus[:n - 1])
+    psi = np.concatenate([[0.0], np.cumsum(cells)])
 
     return ValueFunction(model=model, beta=beta, constant=False,
                          v_flat=float(h_at(model, 0.0)) / beta, zeta=zeta,
                          xi_knots=xi, psi_knots=psi)
-
-
-def hjb_residual(value_fn, model: HamiltonianModel, x: float) -> float:
-    """Relative defect of beta*v = H(v') using a numerical slope.
-
-    value_fn is anything exposing value_at (this module's ValueFunction or
-    the dynamic-programming oracle's DPResult); the slope comes from a
-    central difference so the check does not reuse the internal inversion.
-    """
-    v_at = value_fn.value_at
-    h = _FD_STEP * max(1.0, abs(x))
-    if x >= h:
-        dv = (v_at(x + h) - v_at(x - h)) / (2.0 * h)
-    else:
-        dv = (v_at(x + h) - v_at(max(x, 0.0))) / h
-    dv = min(max(dv, 0.0), model.zeta)
-    lhs = model.problem.beta * v_at(x)
-    return abs(lhs - float(h_at(model, dv))) / max(1.0, abs(lhs))
 
 
 def write_value_csv(vf: ValueFunction, path) -> None:

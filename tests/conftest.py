@@ -1,7 +1,8 @@
 """Shared fixtures: the worked example instances, solved once per session,
 an Euler referee that scores plans independently of simulate, an
-exhaustive conjugate that checks the envelope module's, and the plain
-monotone-chain loop that its array evaluation must reproduce."""
+exhaustive conjugate that checks the envelope module's, the plain
+monotone-chain loop that its array evaluation must reproduce, the HJB
+residual of a value function, and the % loop the CSV kernel must match."""
 
 import math
 import pathlib
@@ -24,6 +25,7 @@ from monopoly_control import (
     builtin_arvan_moses,
     builtin_linear_cost,
     controls_at,
+    h_at,
     validate_problem,
 )
 
@@ -165,6 +167,47 @@ def _reference_chain(xs, gs) -> list:
                 break
         out.append(i)
     return out
+
+
+# relative step of the central difference in _hjb_residual
+_FD_STEP = 1e-6
+
+
+def _hjb_residual(value_fn, model, x: float) -> float:
+    """Relative defect of beta*v = H(v') using a numerical slope.
+
+    value_fn is anything exposing value_at (a ValueFunction or the
+    dynamic-programming oracle's DPResult); the slope comes from a central
+    difference so the check does not reuse the internal inversion.
+    """
+    v_at = value_fn.value_at
+    h = _FD_STEP * max(1.0, abs(x))
+    if x >= h:
+        dv = (v_at(x + h) - v_at(x - h)) / (2.0 * h)
+    else:
+        dv = (v_at(x + h) - v_at(max(x, 0.0))) / h
+    dv = min(max(dv, 0.0), model.zeta)
+    lhs = model.problem.beta * v_at(x)
+    return abs(lhs - float(h_at(model, dv))) / max(1.0, abs(lhs))
+
+
+def _reference_csv(header, columns) -> bytes:
+    """The CSV bytes of the % loop every table was written with before the
+    numpy kernel: tableio.write_csv must write exactly these."""
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    row = ",".join(["%.17g"] * len(cols))
+    lines = [",".join(header)] + [row % r for r in zip(*cols)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.fixture(scope="session")
+def hjb_residual():
+    return _hjb_residual
+
+
+@pytest.fixture(scope="session")
+def reference_csv():
+    return _reference_csv
 
 
 @pytest.fixture(scope="session")

@@ -293,6 +293,20 @@ def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
     assert message in capsys.readouterr().err
 
 
+def test_compare_rejects_x0_before_the_oracle(configs_dir, tmp_path, capsys,
+                                              monkeypatch):
+    # x0 / 2 past x_resolved ends in exit 2 without solving the oracle on
+    # a grid of that width
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("dp_value ran before the x_resolved check")
+
+    monkeypatch.setattr(monopoly_control.cli, "dp_value", no_oracle)
+    rc = main(["compare", str(configs_dir / "table_curves.cfg"),
+               "--out", str(tmp_path), "--x0", "1e9"])
+    assert rc == 2
+    assert "exceeds x_resolved" in capsys.readouterr().err
+
+
 def _tree_bytes(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 

@@ -12,11 +12,12 @@ from monopoly_control import (
     ProblemSpec,
     build_hamiltonian,
     build_value,
-    hjb_residual,
+    load_problem,
     validate_problem,
     write_value_csv,
 )
 from monopoly_control.errors import OutOfDomain
+from monopoly_control.value import _cells
 
 
 def _linear_cost_psi_closed(xi, zeta=0.4, c=0.2, alpha_bar=0.3, a=1.0, b=1.0,
@@ -75,7 +76,7 @@ def test_value_monotone_concave_bounded(linear_cost_value, am_mid_value):
 
 
 def test_hjb_residual_small(linear_cost_value, linear_cost_model, am_mid_value,
-                            am_mid_model):
+                            am_mid_model, hjb_residual):
     for vf, m in ((linear_cost_value, linear_cost_model), (am_mid_value, am_mid_model)):
         for x in (0.01, 0.05, 0.12, 0.3):
             assert abs(hjb_residual(vf, m, x)) < 1e-6, (x, m)
@@ -158,3 +159,15 @@ def test_v_prime_memo_is_exact(name, request):
         [_bits(b) for b in one_by_one]
     # one entry, the last scalar query
     assert vf._last == [(float(xs[-1]), vf.v_prime(float(xs[-1])))]
+
+
+def test_psi_knots_match_the_per_cell_integrator(configs_dir):
+    # build_value reads H' once per knot and midpoint; the table it builds
+    # has the bits of integrating cell by cell through _cells
+    for cfg in sorted(configs_dir.glob("*.cfg")):
+        model = build_hamiltonian(validate_problem(load_problem(cfg)))
+        vf = build_value(model)
+        xi = vf.xi_knots
+        per_cell = np.concatenate(
+            [[0.0], np.cumsum(_cells(model, vf.beta, xi[1:], xi[:-1]))])
+        assert vf.psi_knots.tobytes() == per_cell.tobytes(), cfg.name
