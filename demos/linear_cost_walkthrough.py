@@ -14,9 +14,11 @@ from monopoly_control import (
     build_value,
     builtin_linear_cost,
     drawdown_plan,
+    h_at,
     profit_gap,
     simulate,
     static_optimality_test,
+    stationary_plan,
 )
 
 
@@ -27,7 +29,7 @@ def main() -> None:
     model = build_hamiltonian(spec)
 
     print("running-profit function")
-    print(f"  H(0)   = {float(model.H[0]):.6f}   (best revenue alone, 0.25)")
+    print(f"  H(0)   = {float(h_at(model, 0.0)):.6f}   (best revenue alone, 0.25)")
     print(f"  zeta   = {model.zeta:.6f}   (marginal value of the first unit)")
     print(f"  min H  = {model.h_min:.6f}")
 
@@ -51,7 +53,7 @@ def main() -> None:
     # drawdown from twice the threshold: sell-only at first, then sell and
     # produce, then hand over to the static rate
     x0 = 2.0 * x_hat
-    plan = drawdown_plan(spec, vf, model, x0=x0)
+    plan = drawdown_plan(vf, x0, stationary_plan(spec, model))
     print("\ndrawdown from x0 =", f"{x0:.6f}")
     print(f"  tau = {plan.tau:.6f}  ({plan.describe()})")
 

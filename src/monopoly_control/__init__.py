@@ -70,6 +70,7 @@ from .strategy import (
     relaxed_static,
     static_candidate,
     static_optimality_test,
+    stationary_plan,
 )
 from .simulate import (
     Trajectory,

@@ -43,6 +43,7 @@ from .strategy import (
     drawdown_plan,
     relaxed_static,
     static_optimality_test,
+    stationary_plan,
 )
 from .tableio import write_csv, write_keyvalues
 from .value import build_value, write_value_csv
@@ -188,12 +189,11 @@ def _cmd_strategy(args) -> int:
     ]
     relaxed = relaxed_static(problem, model, u_tilde)
     lines.append(f"relaxed: {relaxed.describe()} payoff={relaxed.payoff:.10g}")
-    eps = args.eps if args.eps is not None else (1.0 / problem.beta) / 64.0
-    cyc = cyclic_strategy(problem, relaxed, eps)
+    cyc = cyclic_strategy(problem, relaxed, args.eps)
     lines.append(f"cyclic: {cyc.describe()}")
     if args.x0 is not None:
-        vf = build_value(model)
-        plan = drawdown_plan(problem, vf, model, args.x0, eps=args.eps)
+        tail = StaticPlan(report.witness) if report.optimal else cyc
+        plan = drawdown_plan(build_value(model), args.x0, tail)
         lines.append(f"drawdown: {plan.describe()}")
         if isinstance(plan, DrawdownPlan):
             write_csv(out / "drawdown.csv",
@@ -211,8 +211,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     model = build_hamiltonian(problem)
     vf = build_value(model)
-    tail = "auto" if args.eps is None else "cyclic"
-    plan = drawdown_plan(problem, vf, model, args.x0, tail=tail, eps=args.eps)
+    plan = drawdown_plan(vf, args.x0, stationary_plan(problem, model, args.eps))
     horizon = args.horizon if args.horizon is not None else 16.0 / problem.beta
     traj = simulate(problem, plan, horizon=horizon, x0=args.x0)
     write_trajectory_csv(traj, out / "trajectory.csv")
@@ -249,8 +248,7 @@ def _cmd_compare(args) -> int:
     vf = build_value(model)
     # the plan checks x_mid against x_resolved before the oracle runs
     x_mid = 0.5 * args.x0
-    tail = "auto" if args.eps is None else "cyclic"
-    plan = drawdown_plan(problem, vf, model, x_mid, tail=tail, eps=args.eps)
+    plan = drawdown_plan(vf, x_mid, stationary_plan(problem, model, args.eps))
     res = dp_value(problem, x_max=args.x0, dt=args.dt)
     lo_half = res.x_grid <= 0.5 * args.x0 + 1e-12
     xs = res.x_grid[lo_half]

@@ -3,10 +3,10 @@
 H(z) = sup_q {R(q) - q z} + sup_a {a z - C(a)} prices a unit of stock at z
 and asks for the best instantaneous profit.  It is convex; its smallest
 minimizer zeta is the marginal value of the first unit of inventory and
-drives the whole value function.  The model tabulates H on a z grid wide
-enough that the minimum is interior, truncating an unbounded production
-set high enough that the truncation is invisible to every query on the
-grid.
+drives the whole value function.  The model keeps the two envelopes and
+a slope range [0, z_max] wide enough that the minimum is interior,
+truncating an unbounded production set high enough that the truncation is
+invisible to every query in that range.  H itself is not stored.
 
 Every reading of H combines the two conjugates of the envelope kernel at
 the same slopes, and every query takes a scalar or an array alike: H(z) is
@@ -30,38 +30,36 @@ from .envelope import (
     fenchel_cost,
     fenchel_revenue,
 )
-from .errors import InvalidParameter, OutOfDomain, TruncationFailed
+from .errors import OutOfDomain, TruncationFailed
 from .problem import ValidatedProblem, validate_problem
 
 _MAX_GROWTH = 60
+# an unbounded production set is first truncated at this multiple of
+# q_hi + 1; the ceiling doubles until it covers every queried slope
+_FIRST_CEILING = 2.0
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianModel:
-    """Tabulated running-profit function with its minimizer band.
+    """Running-profit function with its minimizer band.
 
-    H holds the running-profit function on z_grid, read from the same
-    envelope kernel as every query.  [m_lo, m_hi] is the set of minimizers
-    of H, with zeta = m_lo the one the value function uses.  trunc_bound is
-    the production ceiling substituted for an unbounded production set
-    (None when the set was already bounded).
+    H is read on [0, z_max] from the two envelopes through the conjugate
+    kernel.  [m_lo, m_hi] is the set of minimizers of H, with zeta = m_lo
+    the one the value function uses.  trunc_bound is the production
+    ceiling substituted for an unbounded production set (None when the set
+    was already bounded).
     """
 
     problem: ValidatedProblem = field(repr=False)
     rev_env: Envelope = field(repr=False)
     cost_env: Envelope = field(repr=False)
-    z_grid: np.ndarray = field(repr=False)
-    H: np.ndarray = field(repr=False)
+    z_max: float
     zeta: float
     m_lo: float
     m_hi: float
     h_min: float
     kink_zs: np.ndarray = field(repr=False)
     trunc_bound: float | None
-
-    @property
-    def z_max(self) -> float:
-        return float(self.z_grid[-1])
 
 
 def _curve_kwargs(curve, cset):
@@ -84,7 +82,7 @@ def _cost_envelope(problem: ValidatedProblem, ceiling: float | None) -> Envelope
     if problem.a_grid is not None:
         xs = problem.a_grid
     else:
-        xs = problem.a_grid_to(ceiling)
+        xs = problem.production_set.sample(problem.grid_n, hi=ceiling)
     return convex_hull(xs, curve(xs),
                        finite=problem.production_set.kind == "finite",
                        **_curve_kwargs(curve, problem.production_set))
@@ -100,12 +98,14 @@ def _slopes(c, r) -> tuple:
     return c.argmax_lo - r.argmax_hi, c.argmax_hi - r.argmax_lo
 
 
-def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianModel:
-    """Tabulate H, locate its minimizer band, and freeze the model.
+def build_hamiltonian(problem) -> HamiltonianModel:
+    """Build the envelopes, bracket the minimum of H, locate its minimizer
+    band, and freeze the model.
 
-    ray_ceiling overrides the starting truncation bound for an unbounded
-    production set (it still grows if too tight).  Results must not
-    depend on it; it exists so tests can verify exactly that.
+    An unbounded production set is truncated at _FIRST_CEILING (q_hi + 1)
+    first, and the ceiling doubles while the largest rate attaining the
+    cost conjugate at z_max reaches 0.9 of it; results do not depend on
+    the starting value.
     """
     problem = validate_problem(problem)
     rev_env = _revenue_envelope(problem)
@@ -114,11 +114,7 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
     q_hi = float(problem.q_grid[-1])
     ceiling = None
     if unbounded:
-        ceiling = 2.0 * (q_hi + 1.0)
-        if ray_ceiling is not None:
-            if ray_ceiling <= 0.0:
-                raise InvalidParameter("ray ceiling must be positive")
-            ceiling = float(ray_ceiling)
+        ceiling = _FIRST_CEILING * (q_hi + 1.0)
     # steepest revenue slope over the starts of affine runs of hull edges
     es = rev_env._es
     tol = 1e-9 * (float(np.abs(es).max()) + 1.0)
@@ -155,7 +151,6 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
 
     z_grid = np.linspace(0.0, z_max, problem.grid_n)
     c_grid, r_grid = _conjugates(rev_env, cost_env, z_grid)
-    H = r_grid.value + c_grid.value
 
     kinks = np.concatenate([rev_env.kink_slopes(), cost_env.kink_slopes()])
     kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
@@ -212,7 +207,7 @@ def build_hamiltonian(problem, ray_ceiling: float | None = None) -> HamiltonianM
     h_min = h(zeta)
 
     return HamiltonianModel(problem=problem, rev_env=rev_env, cost_env=cost_env,
-                            z_grid=z_grid, H=H, zeta=float(zeta), m_lo=float(zeta),
+                            z_max=float(z_max), zeta=float(zeta), m_lo=float(zeta),
                             m_hi=float(m_hi), h_min=float(h_min), kink_zs=kinks,
                             trunc_bound=ceiling)
 

@@ -248,8 +248,8 @@ class ValidatedProblem:
     """A ProblemSpec that passed validate_problem, plus its sample grids.
 
     ``q_grid`` covers co(Q).  ``a_grid`` covers co(A) for bounded A and is
-    None for a right ray, where the truncation bound is chosen later by the
-    Hamiltonian builder (see ``a_grid_to``).
+    None for a right ray, where the Hamiltonian builder chooses the
+    truncation bound and samples the set up to it.
     """
 
     spec: ProblemSpec
@@ -279,10 +279,6 @@ class ValidatedProblem:
     @property
     def grid_n(self) -> int:
         return self.spec.grid_n
-
-    def a_grid_to(self, ceiling: float) -> np.ndarray:
-        """Production grid up to a truncation ceiling (right rays only)."""
-        return self.production_set.sample(self.grid_n, hi=ceiling)
 
 
 def _merge_knots(grid: np.ndarray, curve: Curve, cset: ControlSet) -> np.ndarray:

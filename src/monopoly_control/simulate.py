@@ -84,9 +84,10 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
     beta = problem.beta
     cuts = [0.0]
     controls = []
-    t = 0.0
     base = 0.0
-    while t < horizon - 1e-15 * max(1.0, horizon):
+    # the first period is always laid out, so a horizon shorter than the
+    # stop tolerance still gets its one step
+    while True:
         for t0, t1, a, q, rate in phases:
             s0, s1 = base + t0, base + t1
             if s0 >= horizon:
@@ -96,7 +97,8 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
                 cuts.append(end)
                 controls.append((a, q, rate))
         base += period
-        t = base
+        if base >= horizon - 1e-15 * max(1.0, horizon):
+            break
     tk = np.asarray(cuts)
     a_arr = np.array([c[0] for c in controls] + [controls[-1][0]])
     q_arr = np.array([c[1] for c in controls] + [controls[-1][1]])

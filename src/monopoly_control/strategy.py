@@ -7,9 +7,11 @@ rates and two production rates with matching means (the relaxed optimum),
 realized physically by fast production/sales cycles whose payoff comes
 within order epsilon of the bound while stock stays non-negative.
 
-Positive initial stock is drawn down along the feedback rule first: the
-marginal value of stock rises exponentially at the discount rate along an
-optimal path, so time parametrizes the slope directly and no root finding
+An optimal plan draws positive initial stock down in finite time, then
+runs a stationary plan forever; stationary_plan is the one rule that picks
+that tail, and drawdown_plan builds the arc from the solved value function.
+Along the arc the marginal value of stock rises exponentially at the
+discount rate, so time parametrizes the slope directly and no root finding
 is needed along the trajectory.
 
 Every stationary plan is a piecewise-constant periodic control and says so
@@ -324,14 +326,17 @@ def relaxed_static(problem, model: HamiltonianModel,
                          a1=a1, a2=a2, nu=float(nu), payoff=float(payoff))
 
 
-def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float):
+def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float | None = None):
     """Realize a relaxed optimum as a production/sales cycle of period eps.
 
-    High production and low sales lead the cycle, so stock rises from zero
-    first and returns to zero at the period's end; with both mixtures
-    degenerate this collapses to the static plan.
+    eps defaults to (1/beta)/64.  High production and low sales lead the
+    cycle, so stock rises from zero first and returns to zero at the
+    period's end; with both mixtures degenerate this collapses to the
+    static plan.
     """
     problem = validate_problem(problem)
+    if eps is None:
+        eps = (1.0 / problem.beta) / 64.0
     if eps <= 0.0:
         raise InvalidParameter("cycle period must be positive")
     if not relaxed.sales_mixed and not relaxed.production_mixed:
@@ -379,25 +384,36 @@ def cyclic_value(plan: CyclicPlan, beta: float) -> float:
     return one / (1.0 - math.exp(-beta * plan.eps))
 
 
+def stationary_plan(problem, model: HamiltonianModel, eps: float | None = None):
+    """The stationary plan to run once stock is gone.
+
+    Without eps: the static witness if a constant rate attains min H,
+    otherwise the relaxed optimum realized as a cycle of the default
+    period (see cyclic_strategy).  With eps: that cycle at period eps.
+    """
+    if eps is None:
+        report = static_optimality_test(problem, model)
+        if report.optimal:
+            return StaticPlan(report.witness)
+    return cyclic_strategy(problem, relaxed_static(problem, model), eps)
+
+
 # ---------------------------------------------------------------------------
 # drawdown of initial stock
 
 
-def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
-                  x0: float, tail: str = "auto", eps: float | None = None):
-    """Optimal plan from initial stock x0.
+def drawdown_plan(vf: ValueFunction, x0: float, tail):
+    """Optimal plan from initial stock x0: the drawdown arc, then tail.
 
-    tail selects the stationary plan once stock hits zero: "auto" runs the
-    static test and falls back to relaxed/cyclic, "static", "relaxed", and
-    "cyclic" force a kind.  eps sets the cycle period when the tail
-    cycles (default 1/beta scaled down to 2^-6).  Stock past
-    vf.x_resolved, where the slope table ends, is rejected with
+    The model and the discount rate are read from the solved value
+    function vf; tail is the stationary plan that runs once stock hits
+    zero (see stationary_plan), returned as it is when x0 is zero.  Stock
+    past vf.x_resolved, where the slope table ends, is rejected with
     InvalidParameter rather than dropped.
     """
-    problem = validate_problem(problem)
     if x0 < 0.0:
         raise InvalidParameter(f"initial stock must be non-negative, got {x0}")
-    beta = problem.beta
+    model, beta = vf.model, vf.beta
 
     if model.zeta <= 0.0:
         warnings.warn("stock has no marginal value; selling it is pointless "
@@ -410,27 +426,8 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
             f"initial stock {x0:g} exceeds x_resolved = {vf.x_resolved:g}, "
             "the largest stock the slope table resolves")
 
-    report = static_optimality_test(problem, model)
-    if tail == "auto":
-        tail = "static" if report.optimal else "cyclic"
-    if tail == "static":
-        if not report.optimal:
-            raise InvalidParameter(
-                "static tail requested but no constant rate attains min H")
-        tail_plan = StaticPlan(report.witness if report.witness is not None
-                               else report.u_hat)
-    elif tail == "relaxed":
-        tail_plan = relaxed_static(problem, model)
-    elif tail == "cyclic":
-        relaxed = relaxed_static(problem, model)
-        if eps is None:
-            eps = (1.0 / beta) / 64.0
-        tail_plan = cyclic_strategy(problem, relaxed, eps)
-    else:
-        raise InvalidParameter(f"unknown tail kind {tail!r}")
-
     if x0 == 0.0:
-        return tail_plan
+        return tail
 
     xi0 = min(vf.v_prime(x0), model.zeta)
     tau = math.log(model.zeta / xi0) / beta
@@ -468,4 +465,4 @@ def drawdown_plan(problem, vf: ValueFunction, model: HamiltonianModel,
     x_knots[-1] = 0.0
     return DrawdownPlan(x0=float(x0), tau=float(tau), t_knots=t_knots,
                         x_knots=x_knots, a_knots=a_knots, q_knots=q_knots,
-                        tail=tail_plan)
+                        tail=tail)

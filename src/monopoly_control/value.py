@@ -11,12 +11,13 @@ fallen to xi.  H' is negative on (0, zeta), making Psi increasing as xi
 decreases; v is then increasing, concave, and capped by H(0)/beta.  With
 zeta = 0 holding stock is pointless and v is the constant H(0)/beta.
 
-Psi is integrated cell by cell with Simpson's rule on a geometric slope
-grid refined by the kink slopes of H', using the one-sided derivative that
-points into each cell at its edges.  One cell integrator serves the knot
-table, Psi between knots and the inversion xi(x), a bracketed root search
-inside the unique cell containing x, so Psi at and between its knots comes
-from the same derivative code.  Psi, xi and v take scalars and arrays
+Psi is integrated cell by cell with Simpson's rule on _N_XI geometric
+slopes from zeta down to _XI_FLOOR_RATIO zeta, refined by the kink slopes
+of H', using the one-sided derivative that points into each cell at its
+edges.  One cell integrator serves the knot table, Psi between knots and
+the inversion xi(x), a bracketed root search inside the unique cell
+containing x, so Psi at and between its knots comes from the same
+derivative code.  Psi, xi and v take scalars and arrays
 alike; a scalar is a batch of one.
 """
 
@@ -34,6 +35,8 @@ from .tableio import write_csv
 
 # the slope table stops where the marginal value has decayed to this share of zeta
 _XI_FLOOR_RATIO = 1e-6
+# geometric slope knots from zeta down to the floor, before the kink slopes
+_N_XI = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +149,9 @@ def _simpson(beta, z_lo, z_mid, z_hi, d_lo, d_mid, d_hi) -> np.ndarray:
     return np.where(z_hi > z_lo, np.maximum(val, 0.0), 0.0)
 
 
-def build_value(model: HamiltonianModel, *, n_xi: int = 2000) -> ValueFunction:
-    """Tabulate Psi on a refined slope grid and wrap the inversion."""
+def build_value(model: HamiltonianModel) -> ValueFunction:
+    """Tabulate Psi on _N_XI geometric slopes, refined by the kink slopes of
+    H, and wrap the inversion."""
     beta = model.problem.beta
     zeta = model.zeta
     if zeta <= 0.0:
@@ -156,10 +160,7 @@ def build_value(model: HamiltonianModel, *, n_xi: int = 2000) -> ValueFunction:
                              v_flat=v_flat, zeta=0.0,
                              xi_knots=np.empty(0), psi_knots=np.empty(0))
 
-    if n_xi < 16:
-        raise InvalidParameter("slope grid too coarse to trust")
-
-    xi = np.geomspace(zeta, zeta * _XI_FLOOR_RATIO, n_xi)
+    xi = np.geomspace(zeta, zeta * _XI_FLOOR_RATIO, _N_XI)
     inner = model.kink_zs
     inner = inner[(inner > xi[-1]) & (inner < zeta)]
     if len(inner):

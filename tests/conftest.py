@@ -1,6 +1,7 @@
 """Shared fixtures: the worked example instances, solved once per session,
 an Euler referee that scores plans independently of simulate, an
-exhaustive conjugate that checks the envelope module's, the plain
+exhaustive conjugate that checks the envelope module's, a Hamiltonian
+built from another truncation ceiling, the plain
 monotone-chain loop that its array evaluation must reproduce, the HJB
 residual of a value function, and the % loop the CSV kernel must match."""
 
@@ -28,6 +29,7 @@ from monopoly_control import (
     h_at,
     validate_problem,
 )
+from monopoly_control import hamiltonian
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -228,6 +230,18 @@ def brute_conjugate():
 @pytest.fixture(scope="session")
 def make_random_instance():
     return random_table_instance
+
+
+@pytest.fixture(scope="session")
+def build_hamiltonian_from():
+    """build_hamiltonian(problem) with an unbounded production set first
+    truncated at ceiling instead of _FIRST_CEILING (q_hi + 1)."""
+    def build(problem, ceiling):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hamiltonian, "_FIRST_CEILING",
+                       ceiling / (float(problem.q_grid[-1]) + 1.0))
+            return build_hamiltonian(problem)
+    return build
 
 
 @pytest.fixture(scope="session")

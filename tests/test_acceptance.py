@@ -31,8 +31,10 @@ from monopoly_control import (
     relaxed_static,
     simulate,
     static_optimality_test,
+    stationary_plan,
     validate_problem,
 )
+from monopoly_control import value
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +188,8 @@ def test_criterion_4_linear_cost_closed_forms(linear_cost_problem,
         "x_hat": abs(vf.psi(0.2) - x_hat),
         "v(0)": abs(vf.value_at(0.0) - 0.3),
     }
-    plan = drawdown_plan(linear_cost_problem, vf, linear_cost_model,
-                         x0=psi_03)
+    plan = drawdown_plan(vf, psi_03,
+                         stationary_plan(linear_cost_problem, linear_cost_model))
     errs["tau"] = abs(plan.tau - tau)
     for label, err in errs.items():
         assert err <= 1e-6, f"{label} off by {err:.3g}"
@@ -239,18 +241,16 @@ def test_criterion_6_simulated_drawdown_optimality(
         am_mid_problem, am_mid_model, am_mid_value):
     horizon = 60.0
     cases = (
-        (linear_cost_problem, linear_cost_model, linear_cost_value,
-         dict(tail="auto")),
-        (am_mid_problem, am_mid_model, am_mid_value,
-         dict(tail="cyclic", eps=0.005)),
+        (linear_cost_problem, linear_cost_model, linear_cost_value, None),
+        (am_mid_problem, am_mid_model, am_mid_value, 0.005),
     )
     worst_rel = 0.0
-    for problem, model, vf, tail_kw in cases:
+    for problem, model, vf, eps in cases:
         beta = problem.beta
         report = static_optimality_test(problem, model)
         for x0 in _INVENTORIES:
             v0 = vf.value_at(x0)
-            plan = drawdown_plan(problem, vf, model, x0=x0, **tail_kw)
+            plan = drawdown_plan(vf, x0, stationary_plan(problem, model, eps))
             traj = simulate(problem, plan, horizon=horizon)
             realized = _realized(traj, beta, horizon)
             assert realized <= v0 + 1e-6
@@ -327,18 +327,21 @@ def _random_ray_instance(rng: np.random.Generator):
 
 
 def test_criterion_8_invariant_battery(make_random_instance,
-                                       brute_conjugate):
+                                       brute_conjugate,
+                                       build_hamiltonian_from, monkeypatch):
     rng = np.random.default_rng(88)
+    monkeypatch.setattr(value, "_N_XI", 300)
     for seed in range(100):
         problem = make_random_instance(rng)
         model = build_hamiltonian(problem)
-        vf = build_value(model, n_xi=300)
+        vf = build_value(model)
         beta = problem.beta
         scale = max(1.0, abs(model.h_min))
 
         # running profit function is convex with a non-negative least
         # minimizer
-        slopes = np.diff(model.H) / np.diff(model.z_grid)
+        z_grid = np.linspace(0.0, model.z_max, problem.grid_n)
+        slopes = np.diff(h_at(model, z_grid)) / np.diff(z_grid)
         assert np.all(np.diff(slopes) >= -1e-7 * scale), seed
         assert model.zeta >= 0.0
 
@@ -354,7 +357,7 @@ def test_criterion_8_invariant_battery(make_random_instance,
         vals = vf.value_at(xs)
         assert np.all(vals <= cap + 1e-9 * max(1.0, abs(cap))), seed
         v0 = vf.value_at(0.0)
-        tail = model.z_grid[model.z_grid >= model.zeta]
+        tail = z_grid[z_grid >= model.zeta]
         assert np.all(np.asarray(h_at(model, tail))
                       >= beta * v0 - 1e-7 * scale), seed
 
@@ -381,7 +384,7 @@ def test_criterion_8_invariant_battery(make_random_instance,
         # the automatic drawdown plan is playable
         if not vf.constant:
             x0 = min(0.1, 0.5 * vf.x_resolved)
-            plan = drawdown_plan(problem, vf, model, x0=x0, tail="auto")
+            plan = drawdown_plan(vf, x0, stationary_plan(problem, model))
             simulate(problem, plan, horizon=4.0 / beta)
 
     # truncating the production ray anywhere sensible must not move zeta
@@ -389,7 +392,8 @@ def test_criterion_8_invariant_battery(make_random_instance,
     for seed in range(100):
         problem = _random_ray_instance(rng)
         m1 = build_hamiltonian(problem)
-        m2 = build_hamiltonian(problem, ray_ceiling=4.0 * m1.trunc_bound)
+        m2 = build_hamiltonian_from(problem, 4.0 * m1.trunc_bound)
+        assert m2.trunc_bound >= 4.0 * m1.trunc_bound, seed
         shift = abs(m1.zeta - m2.zeta)
         worst_shift = max(worst_shift, shift)
         assert shift <= 1e-10 * max(1.0, m1.zeta), seed

@@ -1,17 +1,22 @@
-"""The layer entry points that perfbench's tracer wraps still exist.
+"""The layer entry points that perfbench's tracer wraps still exist, and
+the calls its workloads make still bind.
 
-perfbench/spans.py names them by module and attribute; a rename or removal
-here would break ``perfbench/run.py --trace 1`` without failing any other
-test in this suite.  The module is loaded by path and only read.
+perfbench/spans.py names them by module and attribute, and
+perfbench/workloads.py calls them with fixed argument shapes; a rename,
+a removal or a signature change here would break ``perfbench/run.py``
+without failing any other test in this suite (perfbench's own tests are
+outside its test paths).  The spans module is loaded by path and only
+read.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-from monopoly_control import hamiltonian, strategy
+from monopoly_control import hamiltonian, oracle, strategy, value
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,3 +43,22 @@ def test_drawdown_controls_alias_is_traced():
     # the tracer finds hamiltonian.controls_at inside the drawdown by
     # identity under this alias
     assert strategy._h_controls is hamiltonian.controls_at
+
+
+# (function, positional args, keyword args) as perfbench/workloads.py
+# passes them; the values are placeholders, only the shape is bound
+WORKLOAD_CALLS = (
+    (hamiltonian.build_hamiltonian, ("p",), {}),
+    (value.build_value, ("model",), {}),
+    (strategy.static_optimality_test, ("p", "model"), {}),
+    (strategy.convexified_static, ("p", "model"), {}),
+    (strategy.relaxed_static, ("p", "model", "u_tilde"), {}),
+    (hamiltonian.controls_at, ("model", "d"), {}),
+    (oracle.dp_value, ("p",), {"x_max": 0.5}),
+)
+
+
+@pytest.mark.parametrize("fn, args, kwargs", WORKLOAD_CALLS,
+                         ids=[call[0].__name__ for call in WORKLOAD_CALLS])
+def test_workload_call_shapes_bind(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)

@@ -1,8 +1,10 @@
 """CLI output is byte-identical to recorded digests.
 
 ``solve``, ``strategy --x0 0.2`` and ``simulate --x0 0.2`` run in process on
-every shipped config, and the sha256 of each file they write is compared
-with a digest recorded from a known-good build.  A refactor must leave
+every shipped config, and so do the ``--eps`` tail paths ``strategy --x0
+0.2 --eps 0.05`` and ``simulate --x0 0.1 --eps 0.05``.  The sha256 of each
+file they write is compared with a digest recorded from a known-good
+build.  A refactor must leave
 these bytes alone.  An intended change of output must update the digests
 here and list the change in CHANGES.md.
 """
@@ -66,3 +68,49 @@ def test_cli_output_matches_digests(name, configs_dir, tmp_path):
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
            for f in GOLDEN[name]}
     assert got == GOLDEN[name]
+
+
+# strategy --x0 0.2 --eps 0.05 and simulate --x0 0.1 --eps 0.05
+GOLDEN_EPS = {
+    "arvan_moses_high": {
+        "strategy.txt": "1cdaa1ed652c134b868a5b65a7a7358b48914631d9eed3f302db52c0e5c92d9c",
+        "drawdown.csv": "11c9c09766726c8bab79cb5ac37733d925d207fc629a3b497c63b504f19ff577",
+        "trajectory.csv": "6a1289325389258115853aee8431b3ca133447a400c468b31fd084ae41cb7bcb",
+        "simulate_summary.txt": "3b7b795e11d5609f4e1082874385d857392b78473c4ded048c9fb6aa291ee984",
+    },
+    "arvan_moses_low": {
+        "strategy.txt": "f152811e62aaedf0e34ad745627a65c71c8e70583589c49318ec033d44f0df47",
+        "drawdown.csv": "aed941e1a51f21af290254f16aff91f35385803794ba605975d5d32d05093296",
+        "trajectory.csv": "9ebe03feda0328f65b316c73e3c9809c883374c7e52b330fd746b537bcb8f24f",
+        "simulate_summary.txt": "2fd0b8424d32e553293eeae9e9a8cb66d3a964d0de78766a0d9dd6fcb8dfa1f2",
+    },
+    "arvan_moses_mid": {
+        "strategy.txt": "a633e5d2cd91b105d067f3a8d3aeaafaca9b7044258a03792aa2fd14337a5b27",
+        "drawdown.csv": "60c82b09a32c1458a790d9608cd5efa429eee313f32864b7d65134ee72d243df",
+        "trajectory.csv": "0da6e22d4d789532faf77ab228217d23eab7327b04dd26a99f485c85c1e5dca5",
+        "simulate_summary.txt": "77e47adcad390dd1d70a8cef7d8828d3c6db20d8903c760ea064cc70a06fd7d1",
+    },
+    "linear_cost": {
+        "strategy.txt": "d96eb1314cc2f025ab0696c5aad9febe422eb7a498279be18edf49f444417850",
+        "drawdown.csv": "67610907048f65ae7b456dcdaf219b59ad8d6f9cf1bc8d9a97391c4af0a5b075",
+        "trajectory.csv": "bd6fd7f2da3ae96a89af96dac1d39baa31cc0eadc02d4d351ce929e098e4706b",
+        "simulate_summary.txt": "985e2b28a44b38ebd29bf9f4ad63d478431a499ea5a21c567ccf6e76696cab60",
+    },
+    "table_curves": {
+        "strategy.txt": "6bebc9972bde6e9aff2985a25e5cc66c404320e4c41786333ef0c5d9e2509ddc",
+        "drawdown.csv": "98f960fba18b77695623a695d104a50b63cba5101147660d97001d888d8511fe",
+        "trajectory.csv": "fa4d1ae53146adbfa4a6fd28cc9f4c1e83bdffc6f7812df1cb2f29fa315bbfc0",
+        "simulate_summary.txt": "98b3744a0b249a463fb6e608871a336d2cbd0dcd3c34fbd46e1d7f31f9db778c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EPS))
+def test_cli_eps_tail_outputs_match_digests(name, configs_dir, tmp_path):
+    cfg = str(configs_dir / f"{name}.cfg")
+    out = ["--eps", "0.05", "--out", str(tmp_path)]
+    assert main(["strategy", cfg, "--x0", "0.2", *out]) == 0
+    assert main(["simulate", cfg, "--x0", "0.1", *out]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in GOLDEN_EPS[name]}
+    assert got == GOLDEN_EPS[name]

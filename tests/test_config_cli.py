@@ -217,6 +217,20 @@ def test_cli_simulate_drawdown_on_shipped_configs(configs_dir, tmp_path, name):
     assert -1e-6 <= float(summary["profit_gap"]) <= 2e-3
 
 
+def test_cli_simulate_horizon_below_stop_tolerance(configs_dir, tmp_path):
+    # a positive horizon under the 1e-15 stop tolerance runs one step and
+    # is too short to score, instead of ending in a traceback
+    rc = main(["simulate", str(configs_dir / "arvan_moses_mid.cfg"),
+               "--out", str(tmp_path), "--horizon", "1e-16"])
+    assert rc == 0
+    summary = dict(
+        line.split(" = ", 1)
+        for line in (tmp_path / "simulate_summary.txt").read_text().splitlines())
+    assert summary["horizon_too_short"] == "True"
+    traj = np.genfromtxt(tmp_path / "trajectory.csv", delimiter=",", names=True)
+    assert traj["t"].tolist() == [0.0, 1e-16]
+
+
 def test_cli_solve_runs_without_scipy(configs_dir, tmp_path):
     # numpy is the only runtime dependency: solve with scipy unimportable
     src = str(Path(monopoly_control.__file__).parents[1])

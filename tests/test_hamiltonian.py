@@ -93,7 +93,8 @@ def test_controls_at_picks_smallest_pair(am_mid_model):
 
 def test_h_convex_on_grid(am_mid_model, linear_cost_model):
     for m in (am_mid_model, linear_cost_model):
-        slopes = np.diff(m.H) / np.diff(m.z_grid)
+        z_grid = np.linspace(0.0, m.z_max, m.problem.grid_n)
+        slopes = np.diff(h_at(m, z_grid)) / np.diff(z_grid)
         assert np.all(np.diff(slopes) >= -1e-7)
 
 
@@ -106,10 +107,11 @@ def test_subgradient_order_everywhere(am_mid_model):
 
 def test_h_at_matches_grid_and_refines(linear_cost_model):
     m = linear_cost_model
-    zs = m.z_grid[::97]
-    for z in zs:
-        k = int(np.searchsorted(m.z_grid, z))
-        assert h_at(m, float(z)) == pytest.approx(float(m.H[k]), abs=1e-9)
+    z_grid = np.linspace(0.0, m.z_max, m.problem.grid_n)
+    H = h_at(m, z_grid)
+    for z in z_grid[::97]:
+        k = int(np.searchsorted(z_grid, z))
+        assert h_at(m, float(z)) == pytest.approx(float(H[k]), abs=1e-9)
 
 
 def test_h_at_out_of_domain(linear_cost_model):

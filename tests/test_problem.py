@@ -229,5 +229,5 @@ def test_grids_cover_sets(am_mid_problem):
     q = am_mid_problem.q_grid
     assert q[0] == 0.0 and q[-1] == pytest.approx(1.0)
     assert am_mid_problem.a_grid is None
-    a = am_mid_problem.a_grid_to(4.0)
+    a = am_mid_problem.production_set.sample(am_mid_problem.grid_n, hi=4.0)
     assert a[0] == 0.0 and a[-1] == pytest.approx(4.0)

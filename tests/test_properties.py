@@ -19,11 +19,13 @@ from monopoly_control import (
     cyclic_value,
     fenchel_cost,
     fenchel_revenue,
+    h_at,
     relaxed_static,
     simulate,
     static_candidate,
     validate_problem,
 )
+from monopoly_control import value
 from monopoly_control.strategy import StaticPlan
 
 N_SEEDS = 30
@@ -33,18 +35,27 @@ N_SEEDS = 30
 def solved_instances(make_random_instance):
     rng = np.random.default_rng(91171)
     out = []
-    for _ in range(N_SEEDS):
-        problem = make_random_instance(rng)
-        model = build_hamiltonian(problem)
-        vf = build_value(model, n_xi=400)
-        out.append((problem, model, vf))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(value, "_N_XI", 400)
+        for _ in range(N_SEEDS):
+            problem = make_random_instance(rng)
+            model = build_hamiltonian(problem)
+            vf = build_value(model)
+            out.append((problem, model, vf))
     return out
+
+
+def _h_grid(model) -> tuple:
+    """(z, H(z)) on grid_n points spanning [0, z_max]."""
+    zs = np.linspace(0.0, model.z_max, model.problem.grid_n)
+    return zs, h_at(model, zs)
 
 
 def test_hamiltonian_convex_and_zeta_nonneg(solved_instances):
     for _, model, _ in solved_instances:
-        scale = max(1.0, float(np.abs(model.H).max()))
-        slopes = np.diff(model.H) / np.diff(model.z_grid)
+        z_grid, H = _h_grid(model)
+        scale = max(1.0, float(np.abs(H).max()))
+        slopes = np.diff(H) / np.diff(z_grid)
         assert np.all(np.diff(slopes) >= -1e-7 * scale)
         assert model.zeta >= 0.0
         assert model.m_lo <= model.m_hi
@@ -69,9 +80,10 @@ def test_boundary_subsolution(solved_instances):
     # beta v(0) never exceeds H at or beyond the least minimizer
     for _, model, vf in solved_instances:
         beta = model.problem.beta
-        tail = model.z_grid >= model.zeta - 1e-12
+        z_grid, H = _h_grid(model)
+        tail = z_grid >= model.zeta - 1e-12
         scale = max(1.0, abs(model.h_min))
-        assert np.all(model.H[tail] >= beta * vf.value_at(0.0)
+        assert np.all(H[tail] >= beta * vf.value_at(0.0)
                       - 1e-7 * scale)
 
 
@@ -183,7 +195,7 @@ def test_no_simulated_plan_beats_value(solved_instances):
             assert realized <= vf.value_at(0.0) + 1e-6
 
 
-def test_zeta_invariant_under_truncation():
+def test_zeta_invariant_under_truncation(build_hamiltonian_from):
     rng = np.random.default_rng(13579)
     for _ in range(10):
         a = float(rng.uniform(0.1, 5.0))
@@ -191,6 +203,7 @@ def test_zeta_invariant_under_truncation():
         k = float(rng.uniform(0.3, 1.8))
         problem = validate_problem(builtin_arvan_moses(a, b, k, beta=0.7))
         m1 = build_hamiltonian(problem)
-        m2 = build_hamiltonian(problem, ray_ceiling=4.0 * m1.trunc_bound)
+        m2 = build_hamiltonian_from(problem, 4.0 * m1.trunc_bound)
+        assert m2.trunc_bound >= 4.0 * m1.trunc_bound
         assert m2.zeta == pytest.approx(m1.zeta, abs=1e-10 * max(1.0, m1.zeta))
         assert m2.h_min == pytest.approx(m1.h_min, abs=1e-9)

@@ -19,6 +19,7 @@ from monopoly_control import (
     profit_gap,
     relaxed_static,
     simulate,
+    stationary_plan,
     write_trajectory_csv,
 )
 
@@ -49,6 +50,17 @@ def test_static_plan_must_stay_in_sets(linear_cost_problem):
         simulate(linear_cost_problem, StaticPlan(0.35), horizon=1.0)
 
 
+def test_horizon_below_stop_tolerance_takes_one_step(am_mid_problem, am_cyclic):
+    # a positive horizon at or under the 1e-15 stop tolerance still lays out
+    # the first period: the run is the two points [0, horizon]
+    _, cyc = am_cyclic
+    for plan in (StaticPlan(0.375), cyc):
+        for horizon in (1e-16, 1e-300):
+            traj = simulate(am_mid_problem, plan, horizon=horizon)
+            assert traj.t.tolist() == [0.0, horizon], (plan, horizon)
+            assert traj.stock.tolist() == [0.0, 0.0]
+
+
 def test_relaxed_mean_rates(am_mid_problem, am_mid_model, am_cyclic):
     rel, _ = am_cyclic
     traj = simulate(am_mid_problem, rel, horizon=30.0)
@@ -74,7 +86,8 @@ def test_cyclic_simulation_exact(am_mid_problem, am_cyclic):
 
 
 def test_drawdown_profit_gap_small(linear_cost_problem, linear_cost_model, linear_cost_value):
-    plan = drawdown_plan(linear_cost_problem, linear_cost_value, linear_cost_model, 0.2)
+    plan = drawdown_plan(linear_cost_value, 0.2,
+                         stationary_plan(linear_cost_problem, linear_cost_model))
     traj = simulate(linear_cost_problem, plan, horizon=40.0)
     assert traj.stock[0] == pytest.approx(0.2)
     assert traj.stock[-1] == pytest.approx(0.0, abs=1e-12)
@@ -87,8 +100,8 @@ def test_drawdown_profit_gap_small(linear_cost_problem, linear_cost_model, linea
 
 def test_drawdown_with_cyclic_tail(am_mid_problem, am_mid_model,
                                    am_mid_value):
-    plan = drawdown_plan(am_mid_problem, am_mid_value, am_mid_model, 0.3,
-                         tail="cyclic", eps=0.02)
+    plan = drawdown_plan(am_mid_value, 0.3,
+                         stationary_plan(am_mid_problem, am_mid_model, 0.02))
     traj = simulate(am_mid_problem, plan, horizon=40.0)
     gap = profit_gap(traj, am_mid_value)
     # gap is the cyclic tail's O(eps) loss plus knot discretization
@@ -97,7 +110,8 @@ def test_drawdown_with_cyclic_tail(am_mid_problem, am_mid_model,
 
 
 def test_drawdown_truncated_before_tau(linear_cost_problem, linear_cost_model, linear_cost_value):
-    plan = drawdown_plan(linear_cost_problem, linear_cost_value, linear_cost_model, 0.2)
+    plan = drawdown_plan(linear_cost_value, 0.2,
+                         stationary_plan(linear_cost_problem, linear_cost_model))
     traj = simulate(linear_cost_problem, plan, horizon=plan.tau / 2.0)
     assert traj.t[-1] == pytest.approx(plan.tau / 2.0)
     assert traj.stock[-1] > 0.0
@@ -105,7 +119,8 @@ def test_drawdown_truncated_before_tau(linear_cost_problem, linear_cost_model, l
 
 def test_profit_gap_requires_long_horizon(linear_cost_problem, linear_cost_model,
                                           linear_cost_value):
-    plan = drawdown_plan(linear_cost_problem, linear_cost_value, linear_cost_model, 0.2)
+    plan = drawdown_plan(linear_cost_value, 0.2,
+                         stationary_plan(linear_cost_problem, linear_cost_model))
     traj = simulate(linear_cost_problem, plan, horizon=1.0)
     with pytest.raises(HorizonTooShort):
         profit_gap(traj, linear_cost_value)
@@ -117,7 +132,8 @@ def test_profit_gap_requires_long_horizon(linear_cost_problem, linear_cost_model
 
 
 def test_drawdown_x0_mismatch_rejected(linear_cost_problem, linear_cost_model, linear_cost_value):
-    plan = drawdown_plan(linear_cost_problem, linear_cost_value, linear_cost_model, 0.2)
+    plan = drawdown_plan(linear_cost_value, 0.2,
+                         stationary_plan(linear_cost_problem, linear_cost_model))
     with pytest.raises(InvalidParameter):
         simulate(linear_cost_problem, plan, horizon=5.0, x0=0.3)
     with pytest.raises(InvalidParameter):
@@ -186,27 +202,27 @@ def test_referee_close_to_exact_drawdown(am_mid_problem, am_mid_model,
                                          am_mid_value, referee):
     # the referee reads the arc's controls from the feedback rule, not from
     # the plan's knots, then runs the relaxed or cyclic tail
-    for tail in ("relaxed", "cyclic"):
-        plan = drawdown_plan(am_mid_problem, am_mid_value, am_mid_model, 0.2,
-                             tail=tail)
+    rel = relaxed_static(am_mid_problem, am_mid_model)
+    for tail in (rel, cyclic_strategy(am_mid_problem, rel)):
+        plan = drawdown_plan(am_mid_value, 0.2, tail)
         exact = simulate(am_mid_problem, plan, horizon=5.0)
         got = referee(am_mid_problem, plan, horizon=5.0, x0=0.2,
                       model=am_mid_model)
-        assert got == pytest.approx(exact.total, abs=5e-3), tail
+        assert got == pytest.approx(exact.total, abs=5e-3), tail.describe()
 
 
 def test_negative_initial_stock_rejected(linear_cost_problem, linear_cost_model,
                                          linear_cost_value):
     with pytest.raises(InvalidParameter, match="initial stock"):
-        drawdown_plan(linear_cost_problem, linear_cost_value,
-                      linear_cost_model, -0.5)
+        drawdown_plan(linear_cost_value, -0.5, StaticPlan(0.3))
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(InvalidParameter, match="initial stock"):
             simulate(linear_cost_problem, StaticPlan(0.3), horizon=1.0, x0=bad)
 
 
 def test_trajectory_csv(tmp_path, linear_cost_problem, linear_cost_model, linear_cost_value):
-    plan = drawdown_plan(linear_cost_problem, linear_cost_value, linear_cost_model, 0.1)
+    plan = drawdown_plan(linear_cost_value, 0.1,
+                         stationary_plan(linear_cost_problem, linear_cost_model))
     traj = simulate(linear_cost_problem, plan, horizon=10.0)
     p1 = tmp_path / "t1.csv"
     p2 = tmp_path / "t2.csv"

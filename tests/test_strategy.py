@@ -23,6 +23,7 @@ from monopoly_control import (
     relaxed_static,
     static_candidate,
     static_optimality_test,
+    stationary_plan,
     validate_problem,
 )
 from monopoly_control.problem import ControlSet, Curve, ProblemSpec
@@ -247,8 +248,30 @@ def test_cyclic_degenerate_mixture_returns_static(linear_cost_problem, linear_co
     assert plan.u == pytest.approx(0.3, abs=1e-10)
 
 
+def test_stationary_plan_static_or_cycle(linear_cost_problem, linear_cost_model,
+                                        am_mid_problem, am_mid_model):
+    # a static-optimal problem runs its witness; otherwise the relaxed
+    # optimum cycles at the default period (1/beta)/64, or at eps if given
+    plan = stationary_plan(linear_cost_problem, linear_cost_model)
+    rep = static_optimality_test(linear_cost_problem, linear_cost_model)
+    assert plan == StaticPlan(rep.witness)
+    rel = relaxed_static(am_mid_problem, am_mid_model)
+    plan = stationary_plan(am_mid_problem, am_mid_model)
+    assert isinstance(plan, CyclicPlan)
+    assert plan.eps == (1.0 / am_mid_problem.beta) / 64.0
+    assert plan.phases == cyclic_strategy(am_mid_problem, rel).phases
+    plan = stationary_plan(am_mid_problem, am_mid_model, 0.05)
+    assert plan.phases == cyclic_strategy(am_mid_problem, rel, 0.05).phases
+    # with eps the cycle is built even where the static plan is optimal;
+    # linear_cost's mixtures are degenerate, so it collapses to u_tilde
+    plan = stationary_plan(linear_cost_problem, linear_cost_model, 0.05)
+    assert plan == StaticPlan(relaxed_static(linear_cost_problem,
+                                             linear_cost_model).u_tilde)
+
+
 def test_drawdown_linear_cost(linear_cost_problem, linear_cost_model, linear_cost_value):
-    plan = drawdown_plan(linear_cost_problem, linear_cost_value, linear_cost_model, 0.2)
+    plan = drawdown_plan(linear_cost_value, 0.2,
+                         stationary_plan(linear_cost_problem, linear_cost_model))
     assert isinstance(plan, DrawdownPlan)
     xi0 = linear_cost_value.v_prime(0.2)
     assert plan.tau == pytest.approx(math.log(0.4 / xi0) / 0.5, abs=1e-12)
@@ -269,7 +292,8 @@ def test_drawdown_linear_cost(linear_cost_problem, linear_cost_model, linear_cos
 
 def test_drawdown_production_resumes_below_threshold(linear_cost_problem,
                                                      linear_cost_model, linear_cost_value):
-    plan = drawdown_plan(linear_cost_problem, linear_cost_value, linear_cost_model, 0.2)
+    plan = drawdown_plan(linear_cost_value, 0.2,
+                         stationary_plan(linear_cost_problem, linear_cost_model))
     x_hat = linear_cost_value.psi(0.2)
     inside = plan.a_knots[plan.x_knots < x_hat * 0.9]
     a = inside[len(inside) // 2]
@@ -278,8 +302,9 @@ def test_drawdown_production_resumes_below_threshold(linear_cost_problem,
 
 def test_drawdown_from_zero_returns_tail(am_mid_problem, am_mid_model,
                                          am_mid_value):
-    plan = drawdown_plan(am_mid_problem, am_mid_value, am_mid_model, 0.0,
-                         tail="cyclic", eps=0.125)
+    tail = stationary_plan(am_mid_problem, am_mid_model, 0.125)
+    plan = drawdown_plan(am_mid_value, 0.0, tail)
+    assert plan is tail
     assert isinstance(plan, CyclicPlan)
     assert plan.eps == 0.125
 
@@ -296,7 +321,7 @@ def test_drawdown_zeta_zero_warns():
     model = build_hamiltonian(problem)
     vf = build_value(model)
     with pytest.warns(ZetaZeroWarning):
-        plan = drawdown_plan(problem, vf, model, 0.7)
+        plan = drawdown_plan(vf, 0.7, stationary_plan(problem, model))
     assert isinstance(plan, StaticPlan)
     assert plan.u == 0.0
 
@@ -307,12 +332,12 @@ def test_drawdown_rejects_stock_past_x_resolved(linear_cost_problem,
     # the slope table ends at x_resolved: stock past it is refused, not
     # dropped
     vf = linear_cost_value
-    plan = drawdown_plan(linear_cost_problem, vf, linear_cost_model,
-                         vf.x_resolved)
+    tail = stationary_plan(linear_cost_problem, linear_cost_model)
+    plan = drawdown_plan(vf, vf.x_resolved, tail)
     assert plan.x0 == vf.x_resolved
     for x0 in (vf.x_resolved * (1.0 + 1e-9), 100.0, 1e6):
         with pytest.raises(InvalidParameter, match="x_resolved"):
-            drawdown_plan(linear_cost_problem, vf, linear_cost_model, x0)
+            drawdown_plan(vf, x0, tail)
 
 
 def test_am_reference_regimes():
@@ -343,8 +368,8 @@ def test_linear_cost_reference_matches_solver(linear_cost_model, linear_cost_val
 
 def test_drawdown_relaxed_tail_runs_mean_rates(am_mid_problem, am_mid_model,
                                                am_mid_value):
-    plan = drawdown_plan(am_mid_problem, am_mid_value, am_mid_model, 0.2,
-                         tail="relaxed")
+    plan = drawdown_plan(am_mid_value, 0.2,
+                         relaxed_static(am_mid_problem, am_mid_model))
     rel = plan.tail
     assert isinstance(rel, RelaxedStatic)
     mean_a = rel.nu * rel.a1 + (1.0 - rel.nu) * rel.a2
