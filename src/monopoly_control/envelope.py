@@ -60,7 +60,10 @@ class Envelope:
     contact marks knots where the envelope touches the curve.  The envelope
     itself is its edge arrays: vertices _vidx/_vx/_vg, edge slopes _es, and
     _bridge marking edges that span a non-contact knot; every non-contact
-    knot lies strictly inside a bridge.
+    knot lies strictly inside a bridge.  _table holds, per vertex, the
+    conjugate kernel's reads: the slopes of the edges below and above (-inf
+    and +inf past the ends), whether each is wider than one sample cell,
+    and the samples either side.
     """
 
     kind: str                       # "convex" or "concave"
@@ -75,6 +78,7 @@ class Envelope:
     _vg: np.ndarray = field(repr=False)         # oriented values at vertices
     _es: np.ndarray = field(repr=False)         # oriented edge slopes, increasing
     _bridge: np.ndarray = field(repr=False)     # per edge: spans a non-contact knot
+    _table: tuple = field(repr=False)           # per vertex, for _conjugate
     _eval: Callable | None = field(repr=False, default=None)
     _deriv: Callable | None = field(repr=False, default=None)
     _dinv: Callable | None = field(repr=False, default=None)
@@ -151,9 +155,9 @@ class Envelope:
 _MIN_RUN = 23
 
 
-def _chain_lower(xs: np.ndarray, gs: np.ndarray) -> list:
-    """Monotone chain for the lower hull of a graph; collinear interior
-    points are dropped, so affine runs become single edges.
+def _chain_lower(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """Monotone chain for the lower hull of a graph (an index array);
+    collinear interior points are dropped, so affine runs become single edges.
 
     The chain is Andrew's stack loop (_stack_loop).  Long stretches of it
     are evaluated as array expressions, elementwise the same float
@@ -163,16 +167,17 @@ def _chain_lower(xs: np.ndarray, gs: np.ndarray) -> list:
 
     * a run that keeps (convex stretch): with (i - 2, i - 1) on top the
       loop tests only the consecutive triple, so everything up to the next
-      triple that pops is pushed in one step;
+      triple that pops is pushed in one step, as an arange;
     * a run that pops (concave stretch under a bridge): with (p, a, i - 1)
       on top each new i pops i - 1 and keeps a, which _anchor_run tests
       for growing chunks of i, stopping at the first i that breaks it.
 
-    Everything else runs the loop itself on Python floats.
+    Everything else runs the loop itself on Python floats.  The stack is a
+    list of Python ints on top of the index arrays in below.
     """
     n = len(xs)
     if n < 3:
-        return list(range(n))
+        return np.arange(n)
     dx, dg = np.diff(xs), np.diff(gs)
     pops = dg[:-1] * dx[1:] >= dg[1:] * dx[:-1]
     # runs (c, e, popping) of equal outcomes for the points c..e - 1; the
@@ -187,6 +192,7 @@ def _chain_lower(xs: np.ndarray, gs: np.ndarray) -> list:
         runs = zip((cut[long] + 2).tolist(), (cut[long + 1] + 2).tolist(),
                    pops[cut[long]].tolist())
     out = [0, 1]
+    below = []
     lists = []      # xs and gs as Python floats, made for the first long loop
 
     def loop(lo: int, hi: int) -> None:
@@ -194,7 +200,7 @@ def _chain_lower(xs: np.ndarray, gs: np.ndarray) -> list:
         # than pay for the lists
         if not lists and hi - lo >= _MIN_RUN:
             lists[:] = xs.tolist(), gs.tolist()
-        _stack_loop(*(lists or (xs, gs)), out, lo, hi)
+        _stack_loop(*(lists or (xs, gs)), out, below, lo, hi)
 
     i = 2
     for c, e, popping in runs:
@@ -204,51 +210,56 @@ def _chain_lower(xs: np.ndarray, gs: np.ndarray) -> list:
             loop(i, c)
             i = c
         if popping:
-            i = _anchor_run(xs, gs, out, i, e - i)
+            i = _anchor_run(xs, gs, out, below, i, e - i)
             continue
         if out[-2] != i - 2:
             loop(i, i + 1)
             i += 1
         if out[-2] == i - 2:
             # no triple ending in [i, e) pops
-            out.extend(range(i, e))
+            if len(out) > 2:
+                below.append(np.array(out[:-2], dtype=np.intp))
+            below.append(np.arange(i - 2, e - 2))
+            out[:] = [e - 2, e - 1]
             i = e
     loop(i, n)
-    return out
+    return np.concatenate([*below, np.array(out, dtype=np.intp)])
 
 
-def _stack_loop(xl: list, gl: list, out: list, lo: int, hi: int) -> None:
-    """Andrew's loop over points lo..hi - 1, out holding at least two: pop
-    the top i1 (under i0) for a new point i while (g[i1] - g[i0]) (x[i] -
-    x[i1]) >= (g[i] - g[i1]) (x[i1] - x[i0]), then push i.  The top two
-    points' coordinates are kept in locals (x1, g1 and x0, g0)."""
-    size = len(out)
+def _stack_loop(xl: list, gl: list, out: list, below: list, lo: int,
+                hi: int) -> None:
+    """Andrew's loop over points lo..hi - 1, the stack (out over below)
+    holding at least two: pop the top i1 (under i0) for a new point i while
+    (g[i1] - g[i0]) (x[i] - x[i1]) >= (g[i] - g[i1]) (x[i1] - x[i0]), then
+    push i.  The top two points' coordinates are kept in locals (x1, g1 and
+    x0, g0); a pop that leaves out with one moves up to 64 back from below."""
     x0, g0 = xl[out[-2]], gl[out[-2]]
     x1, g1 = xl[out[-1]], gl[out[-1]]
+    push, pop = out.append, out.pop
     for i in range(lo, hi):
         x, g = xl[i], gl[i]
-        while size >= 2:
-            if (g1 - g0) * (x - x1) >= (g - g1) * (x1 - x0):
-                out.pop()
-                size -= 1
-                x1, g1 = x0, g0
-                if size >= 2:
-                    k = out[-2]
-                    x0, g0 = xl[k], gl[k]
-            else:
-                break
-        out.append(i)
-        size += 1
+        while (g1 - g0) * (x - x1) >= (g - g1) * (x1 - x0):
+            pop()
+            x1, g1 = x0, g0
+            if len(out) < 2:
+                if not below:
+                    break
+                top = below.pop()
+                out[:0] = top[-64:].tolist()
+                below += [top[:-64]] if len(top) > 64 else []
+            k = out[-2]
+            x0, g0 = xl[k], gl[k]
+        push(i)
         x0, g0, x1, g1 = x1, g1, x, g
 
 
-def _anchor_run(xs: np.ndarray, gs: np.ndarray, out: list, i: int,
-                size: int) -> int:
+def _anchor_run(xs: np.ndarray, gs: np.ndarray, out: list, below: list,
+                i: int, size: int) -> int:
     """Push the anchor run starting at i, (..., p, a, i - 1) on top, onto
     out; returns the first index the run does not cover."""
     n = len(xs)
     a = out[-2]
-    p = out[-3] if len(out) >= 3 else None
+    p = out[-3] if len(out) >= 3 else int(below[-1][-1]) if below else None
     while i < n:
         j = np.arange(i, min(i + size, n))
         # the triple (a, j - 1, j) pops j - 1 ...
@@ -268,65 +279,64 @@ def _anchor_run(xs: np.ndarray, gs: np.ndarray, out: list, i: int,
     return i
 
 
-def _tangency_point(gder, w: float, b_lo: float, b_mid: float, b_hi: float) -> float:
-    """Solve gder(x) = w near b_mid; endpoints win when the sign allows."""
+def _tangency_points(gder, w, b_lo, b_mid, b_hi) -> np.ndarray:
+    """Solve gder(x) = w near b_mid, for arrays of brackets; an endpoint
+    wins where the sign allows, and the rest are one bracket_root batch."""
     d_mid = gder(b_mid) - w
-    if d_mid == 0.0:
-        return b_mid
-    if d_mid > 0.0:
-        lo, hi = b_lo, b_mid
-        if lo >= hi or gder(lo) - w >= 0.0:
-            return lo
-    else:
-        lo, hi = b_mid, b_hi
-        if lo >= hi or gder(hi) - w <= 0.0:
-            return hi
-    return float(bracket_root(lambda t, _: gder(t) - w, lo, hi)[1])
+    up = d_mid > 0.0
+    lo, hi = np.where(up, b_lo, b_mid), np.where(up, b_mid, b_hi)
+    end = np.where(up, lo, hi)
+    d_end = gder(end) - w
+    out = np.where(d_mid == 0.0, b_mid, end)
+    k = np.flatnonzero((d_mid != 0.0) & (lo < hi)
+                       & np.where(up, d_end < 0.0, d_end > 0.0))
+    out[k] = bracket_root(lambda t, i: gder(t) - w[k[i]], lo[k], hi[k])[1]
+    return out
 
 
-def _refine_bridges(xs: np.ndarray, gs: np.ndarray, vidx: list,
-                    geval, gder) -> list:
+def _refine_bridges(xs: np.ndarray, gs: np.ndarray, vidx: np.ndarray,
+                    geval, gder) -> np.ndarray:
     """Polish bridge endpoints by the common-tangent conditions.
 
     Returns new knots (tangency abscissae) to insert.  A bridge whose
-    endpoint sits on the domain boundary keeps that endpoint fixed.
+    endpoint sits on the domain boundary keeps that endpoint fixed.  Each
+    round moves the free ends of every bridge still moving in one batch.
     """
     n = len(xs)
     span = float(xs[-1] - xs[0])
-    new_pts: list[float] = []
-    for a_i, b_i in zip(vidx, vidx[1:]):
-        if b_i - a_i <= 1:
-            continue
-        left_free = a_i > 0
-        right_free = b_i < n - 1
-        if not (left_free or right_free):
-            continue
-        x1, x2 = float(xs[a_i]), float(xs[b_i])
-        f1, f2 = float(gs[a_i]), float(gs[b_i])
-        lo1 = float(xs[a_i - 1]) if left_free else x1
-        hi1 = float(xs[a_i + 1])
-        lo2 = float(xs[b_i - 1])
-        hi2 = float(xs[b_i + 1]) if right_free else x2
-        for _ in range(60):
-            s = (f2 - f1) / (x2 - x1)
-            x1_new, x2_new = x1, x2
-            if left_free:
-                x1_new = _tangency_point(gder, s, lo1, x1, min(hi1, x2 - 1e-15 * span))
-                f1 = float(geval(x1_new))
-            if right_free:
-                x2_new = _tangency_point(gder, s, max(lo2, x1 + 1e-15 * span), x2, hi2)
-                f2 = float(geval(x2_new))
-            moved = abs(x1_new - x1) + abs(x2_new - x2)
-            x1, x2 = x1_new, x2_new
-            if moved <= 1e-14 * span:
-                break
-        for p in (x1, x2):
-            k = int(np.searchsorted(xs, p))
-            near = min(abs(p - xs[k - 1]) if k > 0 else math.inf,
-                       abs(p - xs[k]) if k < n else math.inf)
-            if near > 1e-12 * span:
-                new_pts.append(p)
-    return new_pts
+    e = np.flatnonzero(np.diff(vidx) > 1)
+    a_i, b_i = vidx[e], vidx[e + 1]
+    left, right = a_i > 0, b_i < n - 1
+    free = left | right
+    a_i, b_i, left, right = a_i[free], b_i[free], left[free], right[free]
+    x1, x2, f1, f2 = xs[a_i], xs[b_i], gs[a_i], gs[b_i]
+    lo1, hi1 = xs[a_i - left], xs[a_i + 1]
+    lo2, hi2 = xs[b_i - 1], xs[b_i + right]
+    run = np.arange(len(a_i))               # bridges still moving
+    for _ in range(60):
+        if not len(run):
+            break
+        s = (f2[run] - f1[run]) / (x2[run] - x1[run])
+        ls, rs = left[run], right[run]
+        lb, rb = run[ls], run[rs]
+        m = len(lb)
+        t = _tangency_points(
+            gder, np.concatenate([s[ls], s[rs]]),
+            np.concatenate([lo1[lb], np.maximum(lo2[rb], x1[rb] + 1e-15 * span)]),
+            np.concatenate([x1[lb], x2[rb]]),
+            np.concatenate([np.minimum(hi1[lb], x2[lb] - 1e-15 * span), hi2[rb]]))
+        g = geval(t)
+        old1, old2 = x1[run], x2[run]
+        x1[lb], f1[lb] = t[:m], g[:m]
+        x2[rb], f2[rb] = t[m:], g[m:]
+        moved = np.abs(x1[run] - old1) + np.abs(x2[run] - old2)
+        run = run[~(moved <= 1e-14 * span)]
+    p = np.concatenate([x1, x2])
+    k = np.searchsorted(xs, p)
+    near = np.minimum(
+        np.where(k > 0, np.abs(p - xs[np.maximum(k - 1, 0)]), math.inf),
+        np.where(k < n, np.abs(p - xs[np.minimum(k, n - 1)]), math.inf))
+    return p[near > 1e-12 * span]
 
 
 def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
@@ -343,39 +353,33 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
         raise InvalidParameter("samples must be finite")
 
     sign = 1.0 if kind == "convex" else -1.0
-    geval = gder = None
-    if evaluator is not None:
-        geval = (lambda t: float(evaluator(t))) if sign > 0 else (lambda t: -float(evaluator(t)))
-    if derivative is not None:
-        gder = derivative if sign > 0 else (lambda t: -derivative(t))
-
     gs = sign * fs
     vidx = _chain_lower(xs, gs)
-    if geval is not None and gder is not None:
-        new_pts = _refine_bridges(xs, gs, vidx, geval, gder)
-        if new_pts:
-            add = np.asarray(sorted(set(new_pts)), dtype=float)
+    if evaluator is not None and derivative is not None:
+        geval, gder = (lambda t: sign * evaluator(t)), (lambda t: sign * derivative(t))
+        add = np.unique(_refine_bridges(xs, gs, vidx, geval, gder))
+        if len(add):
             pos = np.searchsorted(xs, add)
             xs = np.insert(xs, pos, add)
-            gs = np.insert(gs, pos, [geval(p) for p in add])
+            gs = np.insert(gs, pos, geval(add))
             fs = sign * gs
             vidx = _chain_lower(xs, gs)
 
-    vidx_arr = np.asarray(vidx, dtype=np.intp)
-    vx = xs[vidx_arr]
-    vg = gs[vidx_arr]
+    vx = xs[vidx]
+    vg = gs[vidx]
     hull_g = np.interp(xs, vx, vg)
     hull = sign * hull_g
 
     rng = float(fs.max() - fs.min())
     tol = 1e-9 * (rng if rng > 0.0 else max(1.0, float(np.abs(fs).max())))
     contact = np.abs(hull - fs) <= tol
-    contact[vidx_arr] = True
+    contact[vidx] = True
 
-    es = np.diff(vg) / np.diff(vx)
+    es = np.concatenate([[-math.inf], np.diff(vg) / np.diff(vx), [math.inf]])
+    wide = np.concatenate([[True], np.diff(vidx) > 1, [True]])
     # non-contact knots strictly inside each edge, by a running count
     gaps = np.concatenate([[0], np.cumsum(~contact)])
-    bridge = gaps[vidx_arr[1:]] > gaps[vidx_arr[:-1]]
+    bridge = gaps[vidx[1:]] > gaps[vidx[:-1]]
 
     dinv = None
     if derivative_inverse is not None:
@@ -383,9 +387,13 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
         dinv = derivative_inverse if sign > 0 else (lambda w: derivative_inverse(-np.asarray(w)))
 
     return Envelope(kind=kind, xs=xs, f=fs, hull=hull, contact=contact,
-                    _sign=sign, _vidx=vidx_arr, _vx=vx, _vg=vg, _es=es,
-                    _bridge=bridge, _eval=evaluator, _deriv=derivative,
-                    _dinv=dinv, finite_support=finite)
+                    _sign=sign, _vidx=vidx, _vx=vx, _vg=vg, _es=es[1:-1],
+                    _bridge=bridge, _table=(
+                        es[:-1], es[1:], wide[:-1], wide[1:],
+                        xs[np.maximum(vidx - 1, 0)],
+                        xs[np.minimum(vidx + 1, len(xs) - 1)]),
+                    _eval=evaluator, _deriv=derivative, _dinv=dinv,
+                    finite_support=finite)
 
 
 def convex_hull(xs, fs, *, evaluator=None, derivative=None,
@@ -415,29 +423,36 @@ def _conjugate(env: Envelope, w: np.ndarray) -> tuple:
 
     A slope within a relative 1e-9 of an edge slope ties that edge and the
     whole edge attains, except a one-cell edge of a smooth arc, which is a
-    sampling artifact and not a true flat.  Off ties the vertex maximizer is
-    polished by the curve's derivative inverse, kept inside the sample cell
-    around the vertex and taken only where it does not lower the value.
+    sampling artifact and not a true flat (unless the other edge ties too).
+    Off ties the vertex maximizer is polished by the curve's derivative
+    inverse, kept inside the sample cell around the vertex and taken only
+    where it does not lower the value.  Edges and samples are read from the
+    envelope's _table at the vertex idx that w sorts to; spans are worked
+    out only for a batch where some slope ties.
     """
-    es, vx, vg = env._es, env._vx, env._vg
-    last = len(es) - 1
-    idx = np.searchsorted(es, w)
+    es_lo, es_hi, wide_lo, wide_hi, x_below, x_above = env._table
+    idx = np.searchsorted(env._es, w)
     tol = 1e-9 * np.maximum(1.0, np.abs(w))
-    lo_i = idx - ((idx > 0) & (np.abs(es[np.maximum(idx - 1, 0)] - w) <= tol))
-    hi_i = idx + ((idx <= last) & (np.abs(es[np.minimum(idx, last)] - w) <= tol))
-    if env.refinable:
-        one_cell = env._vidx[hi_i] - env._vidx[lo_i] == 1
-        lo_i = np.where(one_cell, idx, lo_i)
-        hi_i = np.where(one_cell, idx, hi_i)
-    x_lo, x_hi = vx[lo_i], vx[hi_i]
-    val = np.maximum(x_lo * w - vg[lo_i], x_hi * w - vg[hi_i])
+    # es_lo[idx] < w <= es_hi[idx], so these are the distances to w
+    tie_lo = w - es_lo[idx] <= tol
+    tie_hi = es_hi[idx] - w <= tol
+    vx, vg = env._vx, env._vg
+    x_lo = x_hi = vx[idx]
+    val = x_lo * w - vg[idx]
+    spans = tie_lo | tie_hi
+    if spans.any():
+        if env.refinable:
+            tie_lo, tie_hi = (tie_lo & (wide_lo[idx] | tie_hi),
+                              tie_hi & (wide_hi[idx] | tie_lo))
+        lo_i, hi_i = idx - tie_lo, idx + tie_hi
+        x_lo, x_hi = vx[lo_i], vx[hi_i]
+        val = np.maximum(x_lo * w - vg[lo_i], x_hi * w - vg[hi_i])
+        spans = lo_i != hi_i
     if env._dinv is not None:
-        xs = env.xs
-        p = env._vidx[idx]
         xr = np.asarray(env._dinv(w), dtype=float)
         vr = xr * w - env._sign * env._eval(xr)
-        take = ((lo_i == hi_i) & (xr > xs[np.maximum(p - 1, 0)])
-                & (xr < xs[np.minimum(p + 1, len(xs) - 1)]) & (vr >= val))
+        take = ((xr > x_below[idx]) & (xr < x_above[idx]) & (vr >= val)
+                & ~spans)
         x_lo, x_hi = np.where(take, xr, x_lo), np.where(take, xr, x_hi)
         val = np.where(take, vr, val)
     return val, x_lo, x_hi

@@ -14,6 +14,10 @@ the sum of the conjugate values, H'(z+) = max attaining a - min attaining
 q, H'(z-) the mirror, and the controls are the smallest attaining pair.
 zeta is the first z with H'(z+) >= 0 and m_hi the last with H'(z-) <= 0,
 from a kink or the bracketed root search in the grid cell of the change.
+That cell is found coarse to fine: the readings at every 64th grid slope
+locate the coarse step where each sign turns, and only the slopes inside
+it are read.  H is convex, so both readings are monotone in z and each
+sign turns once; the first index found is then the full scan's.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .errors import OutOfDomain, TruncationFailed
 from .problem import ValidatedProblem, validate_problem
 
 _MAX_GROWTH = 60
+# the zeta and m_hi cells are searched on every _COARSE-th grid slope first
+_COARSE = 64
 # an unbounded production set is first truncated at this multiple of
 # q_hi + 1; the ceiling doubles until it covers every queried slope
 _FIRST_CEILING = 2.0
@@ -111,10 +117,8 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     rev_env = _revenue_envelope(problem)
 
     unbounded = problem.a_grid is None
-    q_hi = float(problem.q_grid[-1])
-    ceiling = None
-    if unbounded:
-        ceiling = _FIRST_CEILING * (q_hi + 1.0)
+    ceiling = (_FIRST_CEILING * (float(problem.q_grid[-1]) + 1.0)
+               if unbounded else None)
     # steepest revenue slope over the starts of affine runs of hull edges
     es = rev_env._es
     tol = 1e-9 * (float(np.abs(es).max()) + 1.0)
@@ -133,10 +137,9 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     h0 = h(0.0)
     gap = 1e-9 * max(1.0, abs(h0))
     for _ in range(_MAX_GROWTH):
-        wide = h(z_max) > h0 + gap
-        covered = True
-        if unbounded:
-            covered = fenchel_cost(cost_env, z_max).argmax_hi < 0.9 * ceiling
+        c, r = _conjugates(rev_env, cost_env, z_max)
+        wide = r.value + c.value > h0 + gap
+        covered = not unbounded or c.argmax_hi < 0.9 * ceiling
         if wide and covered:
             break
         if not covered:
@@ -150,15 +153,14 @@ def build_hamiltonian(problem) -> HamiltonianModel:
             "production set may fail the coercivity margin")
 
     z_grid = np.linspace(0.0, z_max, problem.grid_n)
-    c_grid, r_grid = _conjugates(rev_env, cost_env, z_grid)
 
     kinks = np.concatenate([rev_env.kink_slopes(), cost_env.kink_slopes()])
     kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
 
     # zeta is the first z with H'(z+) >= 0 and m_hi the last with
     # H'(z-) <= 0: slot 0 reads H'(z+) and slot 1 reads -H'(z-), each
-    # turning non-negative at its edge.  The table brackets both within
-    # one grid cell, since grid and scalar readings of the kernel agree bit
+    # turning non-negative at its edge.  The grid brackets both within
+    # one cell, since batch and scalar readings of the kernel agree bit
     # for bit
     def rising(dm, dp, slot):
         return np.where(slot == 0, dp, -dm)
@@ -180,11 +182,7 @@ def build_hamiltonian(problem) -> HamiltonianModel:
                             & (neg[m:2 * m] != neg[2 * m:]))
         return float(kz[hit[0]]) if len(hit) else None
 
-    d_minus, d_plus = _slopes(c_grid, r_grid)
-    up = np.nonzero(d_plus >= 0.0)[0]
-    i_zeta = int(up[0]) if len(up) else len(z_grid) - 1
-    up = np.nonzero(d_minus > 0.0)[0]
-    i_mhi = int(up[0]) if len(up) else len(z_grid)
+    i_zeta, i_mhi = _first_turns(d, z_grid)
     edges = [0.0, float(z_grid[max(i_mhi - 1, 0)])]      # zeta, m_hi
     cells = {slot: i for slot, i in enumerate((i_zeta, i_mhi))
              if 0 < i < len(z_grid)}
@@ -210,6 +208,30 @@ def build_hamiltonian(problem) -> HamiltonianModel:
                             z_max=float(z_max), zeta=float(zeta), m_lo=float(zeta),
                             m_hi=float(m_hi), h_min=float(h_min), kink_zs=kinks,
                             trunc_bound=ceiling)
+
+
+def _first_turns(d, z_grid: np.ndarray) -> list:
+    """[i_zeta, i_mhi]: the first i with H'(z_i+) >= 0 (else the last
+    index) and the first with H'(z_i-) > 0 (else len(z_grid)), read on
+    every _COARSE-th slope and the last, then on the slopes inside the
+    coarse steps where the signs turn, in one more batch."""
+    n = len(z_grid)
+    coarse = np.minimum(np.arange(0, n + _COARSE - 1, _COARSE), n - 1)
+    dm, dp = d(z_grid[coarse])
+    ends, cells = [], []
+    for turned, none in ((dp >= 0.0, n - 1), (dm > 0.0, n)):
+        j = np.flatnonzero(turned)
+        ends.append(int(coarse[j[0]]) if len(j) else none)
+        # the turn lies in (coarse[j - 1], coarse[j]]
+        cells.append(np.arange(coarse[j[0] - 1] + 1 if len(j) and j[0]
+                               else ends[-1], ends[-1]))
+    fine = np.union1d(*cells)
+    if len(fine):
+        dm, dp = d(z_grid[fine])
+        for s, turned in enumerate((dp >= 0.0, dm > 0.0)):
+            at = turned[np.searchsorted(fine, cells[s])]
+            ends[s] = int(np.append(cells[s][at], ends[s])[0])
+    return ends
 
 
 def _in_domain(model: HamiltonianModel, z) -> tuple:

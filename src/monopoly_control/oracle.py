@@ -176,12 +176,13 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     ``solves`` counts the solves alone.
 
     The default max_iter is 4 nx + 64, two rounds per stock node with
-    room to spare.  The shipped configs take 9 to 19 iterations, but a
-    greedy policy whose switching point creeps one stock node per round
-    takes about one round per node: random tables took up to 513 solves
-    at nx = 512 and 1018 at nx = 1024.  A table that never settles then
-    ends in NotConverged within seconds at the defaults, not after the
-    minutes that the value-iteration budget of 200 000 sweeps took.
+    room to spare.  The shipped configs take 9 to 15 iterations at the
+    defaults and 9 to 17 on criterion 5's fine grids, but a greedy policy
+    whose switching point creeps one stock node per round takes about one
+    round per node: random tables took up to 513 solves at nx = 512 and
+    1018 at nx = 1024.  A table that never settles then ends in
+    NotConverged within seconds at the defaults, not after the minutes
+    that the value-iteration budget of 200 000 sweeps took.
 
     Everything a sweep reads but v is tabulated once per call: the
     interpolation indices and weights of both stages and the production

@@ -82,27 +82,20 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
             f"cycle period {period:g} repeats too often over horizon "
             f"{horizon:g}: more than {_MAX_PHASES} phases to lay out")
     beta = problem.beta
-    cuts = [0.0]
-    controls = []
-    base = 0.0
-    # the first period is always laid out, so a horizon shorter than the
-    # stop tolerance still gets its one step
-    while True:
-        for t0, t1, a, q, rate in phases:
-            s0, s1 = base + t0, base + t1
-            if s0 >= horizon:
-                break
-            end = min(s1, horizon)
-            if end > cuts[-1]:
-                cuts.append(end)
-                controls.append((a, q, rate))
-        base += period
-        if base >= horizon - 1e-15 * max(1.0, horizon):
-            break
-    tk = np.asarray(cuts)
-    a_arr = np.array([c[0] for c in controls] + [controls[-1][0]])
-    q_arr = np.array([c[1] for c in controls] + [controls[-1][1]])
-    rates = np.array([c[2] for c in controls])
+    ph = np.array(phases, dtype=float)
+    # period starts summed one period at a time, as a running clock; the
+    # first is always laid out, the others while 1e-15 short of the horizon
+    starts = np.cumsum(np.full(int(np.ceil(horizon / period)) + 1, period))
+    k = int(np.argmax(starts >= horizon - 1e-15 * max(1.0, horizon)))
+    base = np.concatenate([[0.0], starts[:k]])[:, None]
+    live = (base + ph[:, 0]).ravel() < horizon
+    end = np.minimum((base + ph[:, 1]).ravel()[live], horizon)
+    # a phase is kept where it ends past every phase before it
+    keep = end > np.maximum.accumulate(np.concatenate([[0.0], end[:-1]]))
+    tk = np.concatenate([[0.0], end[keep]])
+    controls = np.tile(ph[:, 2:], (k + 1, 1))[live][keep]
+    a_arr, q_arr = (np.append(controls[:, j], controls[-1, j]) for j in (0, 1))
+    rates = controls[:, 2]
     drift = a_arr[:-1] - q_arr[:-1]
     stock = x0 + np.concatenate([[0.0], np.cumsum(drift * np.diff(tk))])
     scale = max(1.0, float(np.abs(stock).max()))

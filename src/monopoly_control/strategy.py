@@ -407,19 +407,22 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
 
     The model and the discount rate are read from the solved value
     function vf; tail is the stationary plan that runs once stock hits
-    zero (see stationary_plan), returned as it is when x0 is zero.  Stock
-    past vf.x_resolved, where the slope table ends, is rejected with
-    InvalidParameter rather than dropped.
+    zero (see stationary_plan), returned as it is when x0 is zero or when
+    stock has no marginal value (zeta <= 0).  Stock past vf.x_resolved,
+    where the slope table ends, is rejected with InvalidParameter rather
+    than dropped.  Psi and the controls at every knot come from one batch
+    of readings.
     """
     if x0 < 0.0:
         raise InvalidParameter(f"initial stock must be non-negative, got {x0}")
     model, beta = vf.model, vf.beta
+    zeta = model.zeta
 
-    if model.zeta <= 0.0:
-        warnings.warn("stock has no marginal value; selling it is pointless "
-                      "and the static plan at rate 0 is already optimal",
+    if zeta <= 0.0:
+        warnings.warn("stock has no marginal value; there is no drawdown "
+                      "arc and the stationary tail is already optimal",
                       ZetaZeroWarning)
-        return StaticPlan(0.0)
+        return tail
 
     if x0 > vf.x_resolved:
         raise InvalidParameter(
@@ -429,40 +432,35 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
     if x0 == 0.0:
         return tail
 
-    xi0 = min(vf.v_prime(x0), model.zeta)
-    tau = math.log(model.zeta / xi0) / beta
+    xi0 = min(vf.v_prime(x0), zeta)
+    tau = math.log(zeta / xi0) / beta
 
     # Controls jump where the slope path crosses a kink of H.  Each
     # crossing gets two knots at the same instant carrying the one-sided
-    # controls, so quadrature over the knots never straddles a jump.
-    switch_zs = [float(z) for z in model.kink_zs
-                 if xi0 * (1.0 + 1e-12) <= z <= model.zeta * (1.0 - 1e-12)]
-    base = np.linspace(0.0, tau, _DRAWDOWN_KNOTS)
-    if switch_zs:
-        keep = np.ones(_DRAWDOWN_KNOTS, dtype=bool)
-        for z in switch_zs:
-            keep &= np.abs(base - math.log(z / xi0) / beta) \
-                > 1e-9 * max(tau, 1.0)
-        keep[0] = keep[-1] = True
-        pts = [(float(t), None) for t in base[keep]]
-        for z in switch_zs:
-            t_star = math.log(z / xi0) / beta
-            dz = 1e-7 * max(1.0, z)
-            pts.append((t_star, z - dz))
-            pts.append((t_star, z + dz))
-        pts.sort(key=lambda p: (p[0], p[1] if p[1] is not None else 0.0))
-    else:
-        pts = [(float(t), None) for t in base]
-
-    t_knots = np.array([p[0] for p in pts])
-    # math.exp per knot: np.exp rounds differently on some inputs
-    xis = [min(xi0 * math.exp(beta * t), model.zeta) for t, _ in pts]
-    z_query = [xi if z_side is None else min(max(z_side, 0.0), model.zeta)
-               for xi, (_, z_side) in zip(xis, pts)]
-    x_knots = vf.psi(np.array(xis))
-    a_knots, q_knots = _h_controls(model, np.array(z_query))
+    # controls, so quadrature over the knots never straddles a jump.  The
+    # knots are sorted by time, then by the slope their controls are read
+    # at (0 for the others).  math.log per kink and math.exp per knot:
+    # numpy's round differently on some inputs
+    kz = model.kink_zs
+    kz = kz[(xi0 * (1.0 + 1e-12) <= kz) & (kz <= zeta * (1.0 - 1e-12))]
+    t_kink = np.fromiter(map(math.log, kz / xi0), float, len(kz)) / beta
+    t_knots = np.linspace(0.0, tau, _DRAWDOWN_KNOTS)
+    keep = np.all(np.abs(t_knots[:, None] - t_kink) > 1e-9 * max(tau, 1.0),
+                  axis=1)
+    keep[0] = keep[-1] = True
+    m = int(keep.sum())
+    dz = 1e-7 * np.maximum(1.0, kz)
+    sides = np.column_stack([kz - dz, kz + dz]).ravel()
+    t_knots = np.concatenate([t_knots[keep], np.repeat(t_kink, 2)])
+    order = np.lexsort((np.concatenate([np.zeros(m), sides]), t_knots))
+    t_knots, n = t_knots[order], len(order)
+    xis = np.minimum(
+        xi0 * np.fromiter(map(math.exp, beta * t_knots), float, n), zeta)
+    # one batch: the knots' slopes, their cell midpoints, the kink sides
+    x_knots, c, r = vf._psi_read(xis, np.minimum(np.maximum(sides, 0.0), zeta))
+    read_at = np.where(order < m, np.arange(n), order - m + 2 * n)
     x_knots[0] = x0
     x_knots[-1] = 0.0
     return DrawdownPlan(x0=float(x0), tau=float(tau), t_knots=t_knots,
-                        x_knots=x_knots, a_knots=a_knots, q_knots=q_knots,
-                        tail=tail)
+                        x_knots=x_knots, a_knots=c.argmax_lo[read_at],
+                        q_knots=r.argmax_lo[read_at], tail=tail)

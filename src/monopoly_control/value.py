@@ -17,8 +17,11 @@ of H', using the one-sided derivative that points into each cell at its
 edges.  One cell integrator serves the knot table, Psi between knots and
 the inversion xi(x), a bracketed root search inside the unique cell
 containing x, so Psi at and between its knots comes from the same
-derivative code.  Psi, xi and v take scalars and arrays
-alike; a scalar is a batch of one.
+derivative code.  Psi, xi and v take scalars and arrays alike; a
+scalar is a batch of one.  The table keeps H and H'(xi-) at its knots,
+read in one batch with H(0): v at a knot and the value table read the
+kept H, and a cell between knots reads H' only at its lower edge and
+midpoint, its top being kept.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from ._roots import bracket_root
 from .errors import InvalidParameter, OutOfDomain
-from .hamiltonian import HamiltonianModel, h_at, subgradient
+from .hamiltonian import HamiltonianModel, _in_domain, _slopes, h_at
 from .tableio import write_csv
 
 # the slope table stops where the marginal value has decayed to this share of zeta
@@ -44,9 +47,10 @@ class ValueFunction:
     """Value of the control problem as a function of initial stock.
 
     xi_knots run from zeta down to the resolved slope floor; psi_knots are
-    the matching stock levels (increasing from 0).  Beyond the last knot
-    the marginal value has decayed below zeta times the floor ratio and is
-    clamped there, which perturbs the value by an invisible amount.
+    the matching stock levels (increasing from 0), and h_knots and _d_knots
+    the H and H'(xi-) read there.  Beyond the last knot the marginal value
+    has decayed below zeta times the floor ratio and is clamped there,
+    which perturbs the value by an invisible amount.  v_flat is H(0)/beta.
     """
 
     model: HamiltonianModel = field(repr=False)
@@ -56,6 +60,8 @@ class ValueFunction:
     zeta: float
     xi_knots: np.ndarray = field(repr=False)
     psi_knots: np.ndarray = field(repr=False)
+    h_knots: np.ndarray = field(repr=False)
+    _d_knots: np.ndarray = field(repr=False)
     # (x, v'(x)) of the last scalar v_prime query; NaN matches nothing
     _last: list = field(default_factory=lambda: [(math.nan, math.nan)],
                         init=False, repr=False)
@@ -68,6 +74,13 @@ class ValueFunction:
     def psi(self, xi):
         """Stock level at which the marginal value equals xi (a scalar or
         an array of slopes)."""
+        out = self._psi_read(xi)[0]
+        return float(out) if out.ndim == 0 else out
+
+    def _psi_read(self, xi, extra=()) -> tuple:
+        """(Psi at xi, cost and revenue conjugates): the conjugates are
+        those of Psi's one batch, read at xi, then at the midpoints of
+        their cells, then at the slopes extra."""
         if self.constant:
             raise InvalidParameter("flat value function has no slope map")
         xi = np.asarray(xi, dtype=float)
@@ -78,9 +91,9 @@ class ValueFunction:
         xi = np.minimum(np.maximum(xi, floor), self.zeta)
         # xi_knots[k] is the smallest knot at or above xi
         k = len(self.xi_knots) - 1 - np.searchsorted(self.xi_knots[::-1], xi)
-        out = self.psi_knots[k] + _cells(self.model, self.beta, xi,
-                                         self.xi_knots[k])
-        return float(out) if out.ndim == 0 else out
+        cells, c, r = _cells(self.model, self.beta, xi, self.xi_knots[k],
+                             self._d_knots[k], extra)
+        return self.psi_knots[k] + cells, c, r
 
     def v_prime(self, x):
         """Marginal value of stock (a scalar or an array); decreasing,
@@ -109,8 +122,9 @@ class ValueFunction:
         k, top = k[off], self.xi_knots[k[off] - 1]
 
         def gap(xi, i):
-            return (self.psi_knots[k[i] - 1]
-                    + _cells(self.model, self.beta, xi, top[i]) - xs[off[i]])
+            return (self.psi_knots[k[i] - 1] + _cells(
+                self.model, self.beta, xi, top[i], self._d_knots[k[i] - 1])[0]
+                - xs[off[i]])
 
         out[off] = bracket_root(gap, self.xi_knots[k], top)[0]
         if x.ndim:
@@ -120,19 +134,33 @@ class ValueFunction:
         return xi
 
     def value_at(self, x):
-        """v(x) for a scalar or an array of stock levels."""
+        """v(x) for a scalar or an array of stock levels; on a knot of the
+        table it is the H kept there."""
         xi = self.v_prime(x)
         if self.constant:
             return self.v_flat if np.ndim(xi) == 0 else np.full(np.shape(xi), self.v_flat)
-        return h_at(self.model, xi) / self.beta
+        xs = np.minimum(x, self.psi_knots[-1])
+        k = np.searchsorted(self.psi_knots, xs)
+        h, off = np.array(self.h_knots[k]), self.psi_knots[k] != xs
+        if off.any():
+            h[off] = h_at(self.model, np.asarray(xi)[off])
+        return h / self.beta if h.ndim else float(h) / self.beta
 
 
-def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi) -> np.ndarray:
-    """Simpson integrals of -H'(z)/(beta z) over kink-free cells [z_lo, z_hi]."""
+def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi, d_hi,
+           extra=()) -> tuple:
+    """Simpson integrals of -H'(z)/(beta z) over kink-free cells [z_lo,
+    z_hi], H'(z_hi-) = d_hi kept by the table, and the cost and revenue
+    conjugates of the one batch that reads H' at z_lo, then at the
+    midpoints, then at the slopes extra."""
     z_mid = 0.5 * (z_lo + z_hi)
-    d_minus, d_plus = subgradient(model, np.stack([z_lo, z_mid, z_hi]))
-    return _simpson(beta, z_lo, z_mid, z_hi, d_plus[0],
-                    0.5 * (d_minus[1] + d_plus[1]), d_minus[2])
+    m, shape = np.size(z_lo), np.shape(z_lo)
+    c, r = _in_domain(model, np.concatenate([np.ravel(z_lo), np.ravel(z_mid),
+                                             extra]))
+    d_minus, d_plus = _slopes(c, r)
+    d_mid = 0.5 * (d_minus[m:2 * m] + d_plus[m:2 * m])
+    return (_simpson(beta, z_lo, z_mid, z_hi, d_plus[:m].reshape(shape),
+                     d_mid.reshape(shape), d_hi), c, r)
 
 
 def _simpson(beta, z_lo, z_mid, z_hi, d_lo, d_mid, d_hi) -> np.ndarray:
@@ -155,10 +183,11 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
     beta = model.problem.beta
     zeta = model.zeta
     if zeta <= 0.0:
-        v_flat = float(h_at(model, 0.0)) / beta
+        empty = np.empty(0)
         return ValueFunction(model=model, beta=beta, constant=True,
-                             v_flat=v_flat, zeta=0.0,
-                             xi_knots=np.empty(0), psi_knots=np.empty(0))
+                             v_flat=float(h_at(model, 0.0)) / beta, zeta=0.0,
+                             xi_knots=empty, psi_knots=empty, h_knots=empty,
+                             _d_knots=empty)
 
     xi = np.geomspace(zeta, zeta * _XI_FLOOR_RATIO, _N_XI)
     inner = model.kink_zs
@@ -169,19 +198,21 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
         keep[1:] = np.abs(np.diff(xi)) > 1e-13 * xi[:-1]
         xi = xi[keep]
 
-    # psi accumulates from zeta (xi[0]) downward through the cells; H' is
-    # read once at every knot and every midpoint
+    # psi accumulates from zeta (xi[0]) downward through the cells; the
+    # conjugates are read once at every knot, every midpoint and 0
     n = len(xi)
     z_lo, z_hi = xi[1:], xi[:-1]
     z_mid = 0.5 * (z_lo + z_hi)
-    d_minus, d_plus = subgradient(model, np.concatenate([xi, z_mid]))
+    c, r = _in_domain(model, np.concatenate([xi, z_mid, [0.0]]))
+    h = r.value + c.value
+    d_minus, d_plus = _slopes(c, r)
     cells = _simpson(beta, z_lo, z_mid, z_hi, d_plus[1:n],
-                     0.5 * (d_minus[n:] + d_plus[n:]), d_minus[:n - 1])
+                     0.5 * (d_minus[n:-1] + d_plus[n:-1]), d_minus[:n - 1])
     psi = np.concatenate([[0.0], np.cumsum(cells)])
 
     return ValueFunction(model=model, beta=beta, constant=False,
-                         v_flat=float(h_at(model, 0.0)) / beta, zeta=zeta,
-                         xi_knots=xi, psi_knots=psi)
+                         v_flat=float(h[-1]) / beta, zeta=zeta, xi_knots=xi,
+                         psi_knots=psi, h_knots=h[:n], _d_knots=d_minus[:n])
 
 
 def write_value_csv(vf: ValueFunction, path) -> None:
@@ -193,5 +224,5 @@ def write_value_csv(vf: ValueFunction, path) -> None:
     else:
         xs = vf.psi_knots
         ds = vf.xi_knots
-        vs = h_at(vf.model, ds) / vf.beta
+        vs = vf.h_knots / vf.beta
     write_csv(path, ["x", "v", "v_prime"], [xs, vs, ds])

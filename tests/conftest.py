@@ -3,7 +3,10 @@ an Euler referee that scores plans independently of simulate, an
 exhaustive conjugate that checks the envelope module's, a Hamiltonian
 built from another truncation ceiling, the plain
 monotone-chain loop that its array evaluation must reproduce, the HJB
-residual of a value function, and the % loop the CSV kernel must match."""
+residual of a value function, the % loop the CSV kernel must match, and
+the per-knot drawdown layout and running-clock phase loop that the
+strategy and simulate modules' array layouts must reproduce, with the
+solved cases they are compared on."""
 
 import math
 import pathlib
@@ -30,6 +33,8 @@ from monopoly_control import (
     validate_problem,
 )
 from monopoly_control import hamiltonian
+from monopoly_control.config import load_problem
+from monopoly_control.strategy import _DRAWDOWN_KNOTS
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -171,6 +176,83 @@ def _reference_chain(xs, gs) -> list:
     return out
 
 
+def _reference_drawdown(vf, x0: float, tail) -> DrawdownPlan:
+    """The drawdown arc laid out knot by knot on Python floats, from a
+    sorted list of (time, kink side) pairs, with Psi and the controls read
+    in two separate batches: the plan strategy.drawdown_plan must return,
+    bit for bit, for zeta > 0 and 0 < x0 <= x_resolved."""
+    model, beta = vf.model, vf.beta
+    xi0 = min(vf.v_prime(x0), model.zeta)
+    tau = math.log(model.zeta / xi0) / beta
+    switch_zs = [float(z) for z in model.kink_zs
+                 if xi0 * (1.0 + 1e-12) <= z <= model.zeta * (1.0 - 1e-12)]
+    base = np.linspace(0.0, tau, _DRAWDOWN_KNOTS)
+    keep = np.ones(_DRAWDOWN_KNOTS, dtype=bool)
+    for z in switch_zs:
+        keep &= np.abs(base - math.log(z / xi0) / beta) > 1e-9 * max(tau, 1.0)
+    keep[0] = keep[-1] = True
+    pts = [(float(t), None) for t in base[keep]]
+    for z in switch_zs:
+        t_star = math.log(z / xi0) / beta
+        dz = 1e-7 * max(1.0, z)
+        pts += [(t_star, z - dz), (t_star, z + dz)]
+    pts.sort(key=lambda p: (p[0], p[1] if p[1] is not None else 0.0))
+    xis = [min(xi0 * math.exp(beta * t), model.zeta) for t, _ in pts]
+    z_query = [xi if side is None else min(max(side, 0.0), model.zeta)
+               for xi, (_, side) in zip(xis, pts)]
+    x_knots = vf.psi(np.array(xis))
+    a_knots, q_knots = controls_at(model, np.array(z_query))
+    x_knots[0] = x0
+    x_knots[-1] = 0.0
+    return DrawdownPlan(x0=float(x0), tau=float(tau),
+                        t_knots=np.array([p[0] for p in pts]), x_knots=x_knots,
+                        a_knots=a_knots, q_knots=q_knots, tail=tail)
+
+
+def _reference_segments(period: float, phases, horizon: float) -> tuple:
+    """(cuts, controls) of a periodic control laid out phase by phase on a
+    running clock, a phase kept where it ends past the last cut: the knot
+    times and (produce, sell, rate) rows simulate._simulate_segments must
+    lay out, bit for bit."""
+    cuts, controls, base = [0.0], [], 0.0
+    while True:
+        for t0, t1, a, q, rate in phases:
+            if base + t0 >= horizon:
+                break
+            end = min(base + t1, horizon)
+            if end > cuts[-1]:
+                cuts.append(end)
+                controls.append((a, q, rate))
+        base += period
+        if base >= horizon - 1e-15 * max(1.0, horizon):
+            return cuts, controls
+
+
+def _drawdown_cases() -> list:
+    """(label, problem, model, value function, stocks) to compare the
+    drawdown and phase layouts on: every shipped config at beta 0.3, 0.7
+    and 1.5 from stocks 0.05, 0.2 and 0.49, and 30 seeded random table
+    instances with zeta > 0 from stocks at 0.1, 0.4 and 0.98 of
+    min(0.5, x_resolved)."""
+    cases = []
+    for cfg in sorted((REPO / "configs").glob("*.cfg")):
+        for beta in (0.3, 0.7, 1.5):
+            p = validate_problem(load_problem(cfg, [f"problem.beta={beta}"]))
+            m = build_hamiltonian(p)
+            cases.append((f"{cfg.stem}@{beta}", p, m, build_value(m),
+                          (0.05, 0.2, 0.49)))
+    rng = np.random.default_rng(16)
+    while len(cases) < 15 + 30:
+        p = random_table_instance(rng)
+        m = build_hamiltonian(p)
+        if m.zeta > 0.0:
+            vf = build_value(m)
+            top = min(0.5, vf.x_resolved)
+            cases.append((f"table{len(cases) - 15}", p, m, vf,
+                          (0.1 * top, 0.4 * top, 0.98 * top)))
+    return cases
+
+
 # relative step of the central difference in _hjb_residual
 _FD_STEP = 1e-6
 
@@ -215,6 +297,21 @@ def reference_csv():
 @pytest.fixture(scope="session")
 def reference_chain():
     return _reference_chain
+
+
+@pytest.fixture(scope="session")
+def reference_drawdown():
+    return _reference_drawdown
+
+
+@pytest.fixture(scope="session")
+def reference_segments():
+    return _reference_segments
+
+
+@pytest.fixture(scope="session")
+def drawdown_cases():
+    return _drawdown_cases()
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 
 ``solve``, ``strategy --x0 0.2`` and ``simulate --x0 0.2`` run in process on
 every shipped config, and so do the ``--eps`` tail paths ``strategy --x0
-0.2 --eps 0.05`` and ``simulate --x0 0.1 --eps 0.05``.  The sha256 of each
+0.2 --eps 0.05`` and ``simulate --x0 0.1 --eps 0.05``, and ``solve`` and
+``simulate --x0 0.37`` at ``--set problem.beta=1.3``.  The sha256 of each
 file they write is compared with a digest recorded from a known-good
 build.  A refactor must leave
 these bytes alone.  An intended change of output must update the digests
@@ -114,3 +115,50 @@ def test_cli_eps_tail_outputs_match_digests(name, configs_dir, tmp_path):
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
            for f in GOLDEN_EPS[name]}
     assert got == GOLDEN_EPS[name]
+
+
+# solve and simulate --x0 0.37 at --set problem.beta=1.3, a discount rate
+# and a stock other than each config's own
+GOLDEN_BETA = {
+    "arvan_moses_high": {
+        "summary.txt": "dca88ab3bedb751f62aa8356bc93bdc8fe1e5d33daf4cced5979c1cb8e7591fa",
+        "value.csv": "2ab0f9a1109ab4c040dab33cf41ef1921cf949e81d97a1985d665d0b7812cc1f",
+        "trajectory.csv": "01d5f677bb32a528cd4fb7e3f36db118cfd8d20c8b2933b34d0007a1858c8789",
+        "simulate_summary.txt": "ab0456daa4d4280cf289eaf62b8252ce2512f0a5c3a36b8d83fa526b9f0ef75e",
+    },
+    "arvan_moses_low": {
+        "summary.txt": "fd9e0581438ad4ed3d2b4123c1e10bf37069be40f9909de4896b8c1e6579ddea",
+        "value.csv": "1e15c1046a577a5f237022554b729aefbc1164642e4af6ea0dce43b61aa16fb9",
+        "trajectory.csv": "d233eb46a56660767d8cacf99b42d18dd51f6a6659607f5a6078679bf875a0f6",
+        "simulate_summary.txt": "47ce9680c2290f22e3c294dff8331da484c78f0e5a7ada2a1352c9647df83e0d",
+    },
+    "arvan_moses_mid": {
+        "summary.txt": "63c030f9e3cc5cb5ef900de864c16883b4d9b11cd845d5ea4fd422076901a32f",
+        "value.csv": "9db1c281e486df525c7d992f11fc2a0e4f62df34017a7ac6485a37a00249ef92",
+        "trajectory.csv": "3d07a686d00b2f84ae8d12d2fa0e9a3de28c1af817bbf0dec4273688b83feb88",
+        "simulate_summary.txt": "45b8f866e106f2a493924b25098eeb1f8c40797970e29db567b98ee054734743",
+    },
+    "linear_cost": {
+        "summary.txt": "5e503df8db5c419c168a3d2cc82dda1642114f721a725e62f8ce91461abe66ba",
+        "value.csv": "c1b173c83255924c13c4a294da9df970a3db8a40ad38063da3cf040862d5638c",
+        "trajectory.csv": "dc5fdc0114581a8e2bb9e8ad36cb884e3783d04e5f11ea0031303837b05e2327",
+        "simulate_summary.txt": "cc3915e0b6bc55a38f9f039d4d72065d2d165510e07b75ed523669345835b215",
+    },
+    "table_curves": {
+        "summary.txt": "89a69527ebe6d6613baa0fa267f19dcb75222841c7b5b5eaa79c305d7010c834",
+        "value.csv": "dba1366720b757eb84c085bb17123c491cc1568fc60fa73800f5d3da89516985",
+        "trajectory.csv": "7c1066026dca8cb309a9846a68b95f3cf81edcfa46b0d65c17252b6ec1f3e37c",
+        "simulate_summary.txt": "97ee6659f8da4675b54049ec6be350fca194440280d14248e54d22e75eea6a30",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BETA))
+def test_cli_second_beta_outputs_match_digests(name, configs_dir, tmp_path):
+    cfg = str(configs_dir / f"{name}.cfg")
+    out = ["--set", "problem.beta=1.3", "--out", str(tmp_path)]
+    assert main(["solve", cfg, *out]) == 0
+    assert main(["simulate", cfg, "--x0", "0.37", *out]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in GOLDEN_BETA[name]}
+    assert got == GOLDEN_BETA[name]

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import monopoly_control
-from monopoly_control import InvalidParameter, load_problem, validate_problem
+from monopoly_control import (
+    InvalidParameter,
+    ZetaZeroWarning,
+    load_problem,
+    validate_problem,
+)
 from monopoly_control.cli import main
 
 GOOD = """\
@@ -229,6 +234,37 @@ def test_cli_simulate_horizon_below_stop_tolerance(configs_dir, tmp_path):
     assert summary["horizon_too_short"] == "True"
     traj = np.genfromtxt(tmp_path / "trajectory.csv", delimiter=",", names=True)
     assert traj["t"].tolist() == [0.0, 1e-16]
+
+
+# revenue (1 - q) q on Q = [0, 1] against a zero-cost table on A = [0, 1]:
+# H(z) is smallest at z = 0, so stock has no marginal value
+ZETA_ZERO = GOOD.replace("family = affine\nc = 0.2",
+                         "family = table\npoints = 0:0, 1:0").replace(
+    "a = interval 0 0.3", "a = interval 0 1")
+
+
+def _summary(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+def test_cli_zeta_zero_plays_the_stationary_tail(tmp_path):
+    # with zeta = 0 the optimal plan from any stock is the stationary one,
+    # the static rate 0.5 earning v0 = 0.5, not the rate 0 earning nothing
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZETA_ZERO)
+    assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+    solved = _summary(tmp_path / "summary.txt")
+    assert (solved["zeta"], solved["v0"]) == ("0", "0.5")
+    for command in ("simulate", "strategy"):
+        with pytest.warns(ZetaZeroWarning):
+            assert main([command, str(cfg), "--out", str(tmp_path),
+                         "--x0", "0.2"]) == 0
+    summary = _summary(tmp_path / "simulate_summary.txt")
+    assert summary["plan"] == "static u=0.5"
+    assert abs(float(summary["profit_gap"])) <= 1e-12
+    lines = (tmp_path / "strategy.txt").read_text().splitlines()
+    assert "drawdown: static u=0.5" in lines
+    assert not (tmp_path / "drawdown.csv").exists()
 
 
 def test_cli_solve_runs_without_scipy(configs_dir, tmp_path):

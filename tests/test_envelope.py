@@ -265,7 +265,7 @@ def test_chain_matches_loop_on_shipped_envelopes(configs_dir, monkeypatch,
             builds += 1
     assert len(calls) > 2 * builds        # refined envelopes are in
     for xs, gs, out in calls:
-        assert out == reference_chain(xs, gs)
+        assert out.tolist() == reference_chain(xs, gs)
 
 
 def _chain_inputs(rng, make_random_instance):
@@ -320,7 +320,7 @@ def test_chain_matches_loop_on_seeded_inputs(reference_chain,
     for xs, gs in _chain_inputs(rng, make_random_instance):
         xs = np.asarray(xs, dtype=float)
         gs = np.asarray(gs, dtype=float)
-        assert envelope._chain_lower(xs, gs) == reference_chain(xs, gs), \
+        assert envelope._chain_lower(xs, gs).tolist() == reference_chain(xs, gs), \
             (len(xs), count)
         count += 1
     assert count >= 2000

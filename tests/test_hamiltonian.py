@@ -18,6 +18,7 @@ from monopoly_control import (
     subgradient,
     validate_problem,
 )
+from monopoly_control import hamiltonian
 from monopoly_control.errors import OutOfDomain
 
 
@@ -228,3 +229,35 @@ def test_batch_of_one_is_exact(configs_dir, name):
             query(-0.1)
         with pytest.raises(OutOfDomain):
             query(np.array([0.0, -0.1]))
+
+
+def _full_scan(model) -> list:
+    """[i_zeta, i_mhi] from H' read at every slope of the grid."""
+    z = np.linspace(0.0, model.z_max, model.problem.grid_n)
+    d_minus, d_plus = subgradient(model, z)
+    up, down = np.flatnonzero(d_plus >= 0.0), np.flatnonzero(d_minus > 0.0)
+    return [int(up[0]) if len(up) else len(z) - 1,
+            int(down[0]) if len(down) else len(z)]
+
+
+def test_cell_search_matches_full_scan(configs_dir, make_random_instance):
+    # the coarse-to-fine search finds the zeta and m_hi cells of a full
+    # scan of the grid, on the shipped configs, a problem with zeta = 0,
+    # seeded tables and seeded cubic instances
+    rng = np.random.default_rng(64)
+    problems = [validate_problem(load_problem(cfg))
+                for cfg in sorted(configs_dir.glob("*.cfg"))]
+    problems.append(validate_problem(ProblemSpec(
+        beta=0.5, demand_set=ControlSet.interval(0.0, 1.0),
+        production_set=ControlSet.interval(0.0, 1.0),
+        revenue=Curve.linear_demand_revenue(1.0, 1.0),
+        cost=Curve.table([(0.0, 0.0), (1.0, 0.0)]))))
+    problems += [make_random_instance(rng) for _ in range(40)]
+    problems += [validate_problem(builtin_arvan_moses(
+        rng.uniform(0.1, 6.0), rng.uniform(0.4, 2.0), rng.uniform(0.2, 2.0),
+        beta=0.5)) for _ in range(40)]
+    for k, p in enumerate(problems):
+        m = build_hamiltonian(p)
+        z = np.linspace(0.0, m.z_max, p.grid_n)
+        found = hamiltonian._first_turns(lambda zs: subgradient(m, zs), z)
+        assert found == _full_scan(m), k

@@ -22,6 +22,7 @@ from monopoly_control import (
     stationary_plan,
     write_trajectory_csv,
 )
+from monopoly_control.simulate import _segment_weights, _simulate_segments
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +232,28 @@ def test_trajectory_csv(tmp_path, linear_cost_problem, linear_cost_model, linear
     assert p1.read_bytes() == p2.read_bytes()
     head = p1.read_text().splitlines()[0]
     assert head == "t,stock,produce,sell,j_running"
+
+
+def test_segments_match_running_clock_reference(drawdown_cases,
+                                                reference_segments):
+    # cumsum and tile lay out the phases of the running-clock loop, bit
+    # for bit, over full horizons, the tails of drawdowns and one step
+    for label, problem, model, vf, stocks in drawdown_cases:
+        for eps in (None, 0.05):
+            tail = stationary_plan(problem, model, eps)
+            period, phases, rate = tail.segments(problem)
+            full = 16.0 / problem.beta
+            horizons = [full, 1e-16] + [
+                full - drawdown_plan(vf, x0, tail).tau for x0 in stocks]
+            for horizon in horizons:
+                traj = _simulate_segments(problem, period, phases, rate,
+                                          horizon, 0.0)
+                cuts, rows = reference_segments(period, phases, horizon)
+                rows = np.array(rows)
+                assert traj.t.tobytes() == np.array(cuts).tobytes(), \
+                    (label, eps, horizon)
+                assert traj.produce[:-1].tobytes() == rows[:, 0].tobytes()
+                assert traj.sell[:-1].tobytes() == rows[:, 1].tobytes()
+                j = np.cumsum(rows[:, 2] * _segment_weights(problem.beta,
+                                                            traj.t))
+                assert traj.j_running[1:].tobytes() == j.tobytes()

@@ -380,3 +380,22 @@ def test_drawdown_relaxed_tail_runs_mean_rates(am_mid_problem, am_mid_model,
     assert rate == mean_rate == rel.payoff
     assert mean_a == pytest.approx(0.375, abs=1e-9)
     assert mean_q == pytest.approx(0.375, abs=1e-9)
+
+
+def test_drawdown_matches_per_knot_reference(drawdown_cases,
+                                             reference_drawdown):
+    # the array layout and the one batch of readings give the plan of the
+    # per-knot loop, bit for bit, with and without a forced cycle period
+    crossed = 0
+    for label, problem, model, vf, stocks in drawdown_cases:
+        for eps in (None, 0.05):
+            tail = stationary_plan(problem, model, eps)
+            for x0 in stocks:
+                got = drawdown_plan(vf, x0, tail)
+                want = reference_drawdown(vf, x0, tail)
+                assert (got.x0, got.tau, got.tail) == (want.x0, want.tau, tail)
+                for f in ("t_knots", "x_knots", "a_knots", "q_knots"):
+                    assert getattr(got, f).tobytes() == \
+                        getattr(want, f).tobytes(), (label, eps, x0, f)
+                crossed += len(got.t_knots) > 1025
+    assert crossed >= 20        # plans that cross kinks of H are in

@@ -12,7 +12,9 @@ from monopoly_control import (
     ProblemSpec,
     build_hamiltonian,
     build_value,
+    h_at,
     load_problem,
+    subgradient,
     validate_problem,
     write_value_csv,
 )
@@ -163,11 +165,34 @@ def test_v_prime_memo_is_exact(name, request):
 
 def test_psi_knots_match_the_per_cell_integrator(configs_dir):
     # build_value reads H' once per knot and midpoint; the table it builds
-    # has the bits of integrating cell by cell through _cells
+    # has the bits of integrating cell by cell through _cells, given H' at
+    # each cell's top from a fresh reading
     for cfg in sorted(configs_dir.glob("*.cfg")):
         model = build_hamiltonian(validate_problem(load_problem(cfg)))
         vf = build_value(model)
         xi = vf.xi_knots
+        d_top = subgradient(model, xi[:-1])[0]
         per_cell = np.concatenate(
-            [[0.0], np.cumsum(_cells(model, vf.beta, xi[1:], xi[:-1]))])
+            [[0.0], np.cumsum(_cells(model, vf.beta, xi[1:], xi[:-1], d_top)[0])])
         assert vf.psi_knots.tobytes() == per_cell.tobytes(), cfg.name
+
+
+@pytest.mark.parametrize("name", ["arvan_moses_high", "arvan_moses_low",
+                                  "arvan_moses_mid", "linear_cost",
+                                  "table_curves"])
+def test_kept_readings_equal_fresh_ones(configs_dir, name):
+    # H and H'(xi-) kept at the knots, H(0) behind v_flat, and v at every
+    # knot (array and scalar queries) are the readings h_at and
+    # subgradient make afresh, bit for bit
+    model = build_hamiltonian(validate_problem(
+        load_problem(configs_dir / f"{name}.cfg")))
+    vf = build_value(model)
+    assert vf.h_knots.tobytes() == h_at(model, vf.xi_knots).tobytes()
+    assert vf._d_knots.tobytes() == \
+        subgradient(model, vf.xi_knots)[0].tobytes()
+    assert _bits(vf.v_flat) == _bits(float(h_at(model, 0.0)) / vf.beta)
+    xs = vf.psi_knots
+    fresh = h_at(model, vf.v_prime(xs)) / vf.beta
+    assert vf.value_at(xs).tobytes() == fresh.tobytes()
+    assert [_bits(vf.value_at(float(x))) for x in xs] == \
+        [_bits(v) for v in fresh]
