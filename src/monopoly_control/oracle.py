@@ -10,7 +10,9 @@ equation
 subject to x + (a - q) dt >= 0, with stock clamped at the top of the grid
 (extra stock is worthless there, so the clamp only understates).  The max
 separates through the post-sales level y = x - q dt, so each sweep is two
-one-dimensional maximizations instead of a joint one.
+one-dimensional maximizations instead of a joint one.  A control moves
+stock by the same fraction of a cell from every node of the uniform grid,
+so each is one small product of shifted copies of the table (_stage).
 
 The fixed point is found by policy iteration with exact evaluation
 (Howard's method; Puterman 1994, section 6.4): each full Bellman sweep,
@@ -156,6 +158,93 @@ def _solve_policy(pay, idx, wts) -> np.ndarray:
     return v.reshape(-1)[:n]
 
 
+def _stage(s, base: int, scale: float, pay, n_in: int, n_out: int):
+    """One stage of a Bellman sweep: cand[r, k] = pay[k] + scale t(r + base
+    + s[k]), t read between nodes r + o[k] and r + o[k] + 1 with weights
+    1 - f[k] and f[k] and clamped to t[0] below and t[-1] above.
+
+    The shifts are the same from every node r, so cand = windows @ E: the
+    columns of windows are t shifted to each distinct offset, then ones,
+    and E holds the scaled weights, then pay.  Returns run(t) -> cand, a
+    buffer overwritten by each call, and (o, f).
+    """
+    fl = np.floor(s)
+    f = s - fl
+    o = fl.astype(np.intp) + base
+    offs = np.unique(np.concatenate([o, o + 1]))
+    cols = np.arange(len(s))
+    e = np.zeros((len(offs) + 1, len(s)))
+    e[np.searchsorted(offs, o), cols] = scale * (1.0 - f)
+    e[np.searchsorted(offs, o + 1), cols] = scale * f
+    e[-1] = pay
+    lo, hi = max(0, -int(offs[0])), max(0, int(offs[-1]) + n_out - n_in)
+    padded = np.empty(lo + n_in + hi)
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, n_out)
+    starts = offs + lo
+    # nodes on the rows of windows.T and cand: the argmax runs along rows
+    windows = np.ones((len(offs) + 1, n_out))
+    cand = np.empty((n_out, len(s)))
+
+    def run(t):
+        padded[:lo] = t[0]
+        padded[lo:lo + n_in] = t
+        padded[lo + n_in:] = t[-1]
+        np.take(shifted, starts, axis=0, out=windows[:-1])
+        return np.matmul(windows.T, e, out=cand)
+
+    return run, o, f
+
+
+def _bellman(a_grid, q_grid, a_pay, q_pay, gamma: float, dt: float,
+             h: float, nx: int, pad: int):
+    """dp_value's Bellman sweep on nx stock nodes h apart, and the greedy
+    policy as a stencil.  Production maps v to u on the post-sales grid,
+    pad nodes lower: u(y) = max_a a_pay[a] + gamma v(y + a dt); sales map
+    it back: Tv(x) = max_q q_pay[q] + u(x - q dt).  sweep(v) returns (Tv,
+    ia, iq), the first greedy index per y and per x, Tv read at them.
+    """
+    ny = nx + pad
+    ys, xs = np.arange(ny), np.arange(nx)
+    s_a = a_grid * dt / h
+    stage1, o1, f1 = _stage(s_a, -pad, gamma, a_pay, nx, ny)
+    # a move below zero stock, y + a dt < 0, is floored; it can only occur
+    # on the first pad + 1 post-sales nodes, and the floor absorbs any value
+    floor1 = np.where(ys[:pad + 1, None] - pad + s_a < -1e-12 / h,
+                      _BIG_NEG, 0.0)
+    # pad > q dt / h keeps every sales shift at or above one node
+    stage2, o2, f2 = _stage(pad - q_grid * dt / h, 0, 1.0, q_pay, ny, nx)
+
+    def sweep(v):
+        cand1 = stage1(v)
+        cand1[:pad + 1] += floor1
+        ia = cand1.argmax(axis=1)
+        u = cand1[ys, ia]
+        cand2 = stage2(u)
+        iq = cand2.argmax(axis=1)
+        return cand2[xs, iq], ia, iq
+
+    def greedy_stencil(ia, iq):
+        """The greedy policy (ia per y, iq per x) as one 4-point stencil:
+        it maps v to pay + sum_k wts[k] * v[idx[k]], with no max."""
+        # production at each post-sales level y: u = p1 + u0 v[lo] +
+        # u1 v[hi], floored where the move is infeasible, as in the sweep
+        p1 = a_pay[ia]
+        p1[:pad + 1] += floor1[ys[:pad + 1], ia[:pad + 1]]
+        o = ys + o1[ia]
+        lo, hi = np.clip(o, 0, nx - 1), np.clip(o + 1, 0, nx - 1)
+        u0, u1 = gamma * (1.0 - f1[ia]), gamma * f1[ia]
+        # sales at each x: u interpolated between y-nodes j and j1
+        j = xs + o2[iq]
+        j1 = np.minimum(j + 1, ny - 1)
+        s0, s1 = 1.0 - f2[iq], f2[iq]
+        pay = q_pay[iq] + s0 * p1[j] + s1 * p1[j1]
+        idx = np.stack([lo[j], hi[j], lo[j1], hi[j1]])
+        wts = np.stack([s0 * u0[j], s0 * u1[j], s1 * u0[j1], s1 * u1[j1]])
+        return pay, idx, wts
+
+    return sweep, greedy_stencil
+
+
 def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
              tol_fix: float | None = None, na: int = 65, nq: int = 65,
              max_iter: int | None = None) -> DPResult:
@@ -184,10 +273,11 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     NotConverged within seconds at the defaults, not after the minutes
     that the value-iteration budget of 200 000 sweeps took.
 
-    Everything a sweep reads but v is tabulated once per call: the
-    interpolation indices and weights of both stages and the production
-    stage's pay with its floor on infeasible moves.  Each sweep is then
-    four gathers and a few in-place products into buffers made once.
+    Each stage of a sweep is one matrix product (_stage) of at most two
+    shifted copies of the table per control and a weight matrix made once
+    per call, then one argmax along each node's row.  Its rounding, like
+    the LAPACK solve's, depends on the BLAS build and moves v_hat by
+    rounding only; the tests pin the policies and rounds by hash.
 
     A greedy policy equal to the one just solved means the table is
     already that policy's value: every later round would repeat this one
@@ -250,29 +340,8 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
             f"= {_FLOOR_ULPS:g} eps gamma/(1-gamma) |v|max: no sweep can "
             "certify it")
 
-    # stage 1 (production): v at clip(y + a dt) for every (a, y), read
-    # between v[ilo] and v[1:][ilo] with weights w0 and w1
-    w1 = y_grid[None, :] + a_grid[:, None] * dt
-    feas = w1 >= -1e-12
-    np.clip(w1, 0.0, x_max, out=w1)
-    w1 /= h
-    ilo = w1.astype(np.intp)
-    np.minimum(ilo, nx - 2, out=ilo)
-    w1 -= ilo
-    # the production stage's pay, added to the discounted gather: -c_pay,
-    # or the floor where y + a dt < 0.  x + (-c) == x - c exactly, and the
-    # floor absorbs any table value, so no masked copy is needed per sweep
-    pay1 = np.where(feas, -c_pay[:, None], _BIG_NEG)
-
-    # stage 2 (sales): u at x - q dt for every (q, x); the pad keeps the
-    # offset from y_grid[0] positive
-    w2 = x_grid[None, :] - q_grid[:, None] * dt
-    w2 -= y_grid[0]
-    w2 /= h
-    jlo = w2.astype(np.intp)
-    np.minimum(jlo, len(y_grid) - 2, out=jlo)
-    w2 -= jlo
-    np.clip(w2, 0.0, 1.0, out=w2)
+    sweep, greedy_stencil = _bellman(a_grid, q_grid, -c_pay, r_gain, gamma,
+                                     dt, h, nx, pad)
 
     # contraction sandwich: after any Bellman sweep with increment
     # delta = Tv - v, the fixed point lies between Tv + g*min(delta) and
@@ -286,53 +355,16 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     it = solves = 0
     delta = v
     solved = None   # the greedy policy whose exact value v holds
-    # sweeps write into buffers made once: a fresh temporary this large per
-    # sweep would be a new memory mapping, faulted in page by page
-    cand1, tmp1, cand2, tmp2 = (np.empty(a.shape) for a in (w1, w1, w2, w2))
-    w0, w20 = 1.0 - w1, 1.0 - w2
-    ys, xs = np.arange(len(y_grid)), np.arange(nx)
-
-    # ilo and jlo are in range by construction; mode='clip' keeps np.take
-    # from buffering the whole gather, as the default 'raise' does with out=
-    def stages(v):  # one sweep: production stage into cand1, sales into cand2
-        np.multiply(np.take(v, ilo, out=cand1, mode="clip"), w0, out=cand1)
-        np.multiply(np.take(v[1:], ilo, out=tmp1, mode="clip"), w1, out=tmp1)
-        np.add(cand1, tmp1, out=cand1)
-        np.add(np.multiply(cand1, gamma, out=cand1), pay1, out=cand1)
-        u = cand1.max(axis=0)
-        np.multiply(np.take(u, jlo, out=cand2, mode="clip"), w20, out=cand2)
-        np.multiply(np.take(u[1:], jlo, out=tmp2, mode="clip"), w2, out=tmp2)
-        np.add(cand2, tmp2, out=cand2)
-        np.add(cand2, r_gain[:, None], out=cand2)
-
-    def greedy_stencil(ia, iq):
-        """The greedy policy (ia per y, iq per x) as one 4-point stencil:
-        it maps v to pay + sum_k wts[k] * v[idx[k]], with no max."""
-        # production at each post-sales level y: u = pay1 + u0 v[lo] +
-        # u1 v[lo + 1]; an infeasible y keeps the floor and no weights
-        ok = feas[ia, ys]
-        p1 = pay1[ia, ys]
-        lo = ilo[ia, ys]
-        u0, u1 = gamma * ok * w0[ia, ys], gamma * ok * w1[ia, ys]
-        # sales at each x: u interpolated between y-points j and j + 1
-        j, s0, s1 = jlo[iq, xs], w20[iq, xs], w2[iq, xs]
-        pay = r_gain[iq] + s0 * p1[j] + s1 * p1[j + 1]
-        idx = np.stack([lo[j], lo[j] + 1, lo[j + 1], lo[j + 1] + 1])
-        wts = np.stack([s0 * u0[j], s0 * u1[j],
-                        s1 * u0[j + 1], s1 * u1[j + 1]])
-        return pay, idx, wts
 
     while it < max_iter:
-        stages(v)
+        v_new, *policy = sweep(v)
         it += 1
-        v_new = cand2.max(axis=0)
         delta = v_new - v
         sup = float(np.abs(delta).max())
         v = v_new
         fix_gap = g * 0.5 * (float(delta.max()) - float(delta.min()))
         if fix_gap < tol_fix:
             break
-        policy = cand1.argmax(axis=0), cand2.argmax(axis=0)
         if solved is not None and all(map(np.array_equal, policy, solved)):
             raise NotConverged(f"greedy policy repeats with certified gap "
                                f"{fix_gap:.3g} after {it} sweeps and solves")
@@ -346,9 +378,9 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
                            f"{fix_gap:.3g} after {max_iter} sweeps and solves")
 
     v = v + g * 0.5 * (float(delta.min()) + float(delta.max()))
-    stages(v)
-    a_star_y = a_grid[cand1.argmax(axis=0)]
-    q_star = q_grid[cand2.argmax(axis=0)]
+    _, ia, iq = sweep(v)
+    a_star_y = a_grid[ia]
+    q_star = q_grid[iq]
     y_star = x_grid - q_star * dt
     a_star = np.interp(y_star, y_grid, a_star_y)
 

@@ -62,8 +62,9 @@ class ValueFunction:
     psi_knots: np.ndarray = field(repr=False)
     h_knots: np.ndarray = field(repr=False)
     _d_knots: np.ndarray = field(repr=False)
-    # (x, v'(x)) of the last scalar v_prime query; NaN matches nothing
-    _last: list = field(default_factory=lambda: [(math.nan, math.nan)],
+    # (x, v'(x), H(v'(x)) or None until value_at reads it) of the last
+    # scalar v_prime query; NaN matches nothing
+    _last: list = field(default_factory=lambda: [(math.nan, math.nan, None)],
                         init=False, repr=False)
 
     @property
@@ -105,7 +106,7 @@ class ValueFunction:
         """
         if np.ndim(x) == 0:
             x = float(x)
-            key, xi = self._last[0]
+            key, xi, _ = self._last[0]
             if key == x:
                 return xi
         x = np.asarray(x, dtype=float)
@@ -130,21 +131,30 @@ class ValueFunction:
         if x.ndim:
             return out.reshape(x.shape)
         xi = float(out[0])
-        self._last[0] = (float(x), xi)
+        self._last[0] = (float(x), xi, None)
         return xi
 
     def value_at(self, x):
         """v(x) for a scalar or an array of stock levels; on a knot of the
-        table it is the H kept there."""
+        table it is the H kept there, and a scalar query repeated off the
+        knots reads the H that v_prime's memo kept from the last one."""
         xi = self.v_prime(x)
         if self.constant:
             return self.v_flat if np.ndim(xi) == 0 else np.full(np.shape(xi), self.v_flat)
         xs = np.minimum(x, self.psi_knots[-1])
         k = np.searchsorted(self.psi_knots, xs)
         h, off = np.array(self.h_knots[k]), self.psi_knots[k] != xs
-        if off.any():
-            h[off] = h_at(self.model, np.asarray(xi)[off])
-        return h / self.beta if h.ndim else float(h) / self.beta
+        if h.ndim:
+            if off.any():
+                h[off] = h_at(self.model, xi[off])
+            return h / self.beta
+        if off:
+            # v_prime(x) has just left (x, xi, H or None) in the memo
+            key, xi, h = self._last[0]
+            if h is None:
+                h = float(h_at(self.model, np.array([xi]))[0])
+                self._last[0] = (key, xi, h)
+        return float(h) / self.beta
 
 
 def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi, d_hi,

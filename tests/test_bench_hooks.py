@@ -12,6 +12,7 @@ read.
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,15 @@ WORKLOAD_CALLS = (
                          ids=[call[0].__name__ for call in WORKLOAD_CALLS])
 def test_workload_call_shapes_bind(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_traced_oracle_measures_bind(spans, linear_cost_problem):
+    # the traced oracle run reads dp_value's arguments by name (problem,
+    # nx, dt, x_max, na, nq) to size a sweep; renaming one would break
+    # run.py --trace 1
+    kwargs = dict(x_max=0.25, nx=64, dt=0.01, na=9, nq=9)
+    dp = oracle.dp_value(linear_cost_problem, **kwargs)
+    got = spans._dp_measures((linear_cost_problem,), kwargs, dp)
+    assert got["oracle.sweeps"] == dp.iterations
+    assert all(math.isfinite(got[k]) for k in ("oracle.sweeps",
+                                               "oracle.bytes"))

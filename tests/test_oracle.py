@@ -18,7 +18,8 @@ from monopoly_control import (
     write_dp_csv,
 )
 from monopoly_control import oracle
-from monopoly_control.oracle import _solve_policy
+from monopoly_control.oracle import _BIG_NEG, _bellman, _solve_policy
+from monopoly_control.problem import ControlSet
 
 
 # deliberately coarse so the module tests stay fast; the acceptance
@@ -263,6 +264,83 @@ def test_policy_solve_matches_dense(band, n):
     assert np.linalg.norm(a @ v - pay) <= 1e-12 * np.linalg.norm(pay)
     ref = np.linalg.solve(a, pay)
     assert np.linalg.norm(v - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _brute_sweep(v, a_grid, q_grid, a_pay, q_pay, gamma, dt, h, pad):
+    """One Bellman sweep control by control and node by node: the
+    production stage reads v at clip(y + a dt, 0, x_max) and floors a move
+    below -1e-12, the sales stage reads u at x - q dt."""
+    nx = v.size
+    x_max = h * (nx - 1)
+    x_grid = np.linspace(0.0, x_max, nx)
+    y_grid = np.concatenate([x_grid[0] - h * np.arange(pad, 0, -1), x_grid])
+
+    def read(t, p):
+        lo = min(int(p), len(t) - 2)
+        w = min(max(p - lo, 0.0), 1.0)
+        return t[lo] * (1.0 - w) + t[lo + 1] * w
+
+    u, ia = np.empty(len(y_grid)), np.empty(len(y_grid), dtype=int)
+    for j, y in enumerate(y_grid):
+        cand = [gamma * read(v, min(max(y + a * dt, 0.0), x_max) / h)
+                + (pay if y + a * dt >= -1e-12 else _BIG_NEG)
+                for a, pay in zip(a_grid, a_pay)]
+        ia[j] = int(np.argmax(cand))
+        u[j] = cand[ia[j]]
+    tv, iq = np.empty(nx), np.empty(nx, dtype=int)
+    for i, x in enumerate(x_grid):
+        cand = [read(u, (x - q * dt - y_grid[0]) / h) + pay
+                for q, pay in zip(q_grid, q_pay)]
+        iq[i] = int(np.argmax(cand))
+        tv[i] = cand[iq[i]]
+    return tv, ia, iq
+
+
+# h = 1/32 and dt = 1/64, so a rate r moves stock by r / 2 nodes exactly
+SWEEP_H, SWEEP_DT = 1.0 / 32.0, 1.0 / 64.0
+# a dt = 3 h - 4e-13: from y = -3 h the move ends in [-1e-12, 0)
+_NEAR_ZERO = (3.0 * SWEEP_H - 4e-13) / SWEEP_DT
+SWEEP_SETS = {
+    "interval": (ControlSet.interval(0.0, 3.0), ControlSet.interval(0.0, 2.0)),
+    "capped_ray": (ControlSet.right_ray(0.5), ControlSet.interval(0.25, 1.5)),
+    # members up to 15 nodes apart, shifts of 2 and 15 whole nodes
+    "finite_far": (ControlSet.finite([0.0, 4.0, _NEAR_ZERO, 13.3, 30.0]),
+                   ControlSet.finite([0.0, 0.7, 3.3, 9.0, 20.0])),
+    "finite_near": (ControlSet.finite([0.1, 0.2, 0.3, 0.9, 1.1]),
+                    ControlSet.finite([0.0, 0.05, 0.45, 0.5, 1.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SETS))
+def test_sweep_matches_per_node_formula(name):
+    # the shifted-window products give the per-(control, node) sweep to
+    # rounding and the same greedy indices, and the greedy stencil maps v
+    # to the same Tv without a max
+    a_set, q_set = SWEEP_SETS[name]
+    nx, h, dt, gamma = 24, SWEEP_H, SWEEP_DT, 0.97
+    a_grid = oracle._control_grid(a_set, "na", 5, 5.3)
+    q_grid = oracle._control_grid(q_set, "nq", 5, None)
+    pad = int(math.ceil(float(q_grid[-1]) * dt / h)) + 1
+    # the sweep must see moves clamped at the top and floored at the bottom
+    ends = (np.arange(-pad, nx)[:, None] * h + a_grid * dt).ravel()
+    assert ends.max() > (nx - 1) * h and ends.min() < -1e-12
+    if name == "finite_far":
+        assert np.any((ends >= -1e-12) & (ends < 0.0))
+    rng = np.random.default_rng(sorted(SWEEP_SETS).index(name))
+    a_pay = -rng.uniform(0.0, 0.5, a_grid.size)
+    q_pay = rng.uniform(0.0, 1.0, q_grid.size)
+    sweep, stencil = _bellman(a_grid, q_grid, a_pay, q_pay, gamma, dt, h,
+                              nx, pad)
+    for _ in range(4):
+        v = rng.uniform(1.0, 2.0, nx)
+        tv, ia, iq = sweep(v)
+        ref, ref_ia, ref_iq = _brute_sweep(v, a_grid, q_grid, a_pay, q_pay,
+                                           gamma, dt, h, pad)
+        np.testing.assert_allclose(tv, ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(ia, ref_ia) and np.array_equal(iq, ref_iq)
+        pay, idx, wts = stencil(ia, iq)
+        np.testing.assert_allclose(pay + (wts * v[idx]).sum(axis=0), tv,
+                                   rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kw", [

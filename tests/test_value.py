@@ -160,7 +160,24 @@ def test_v_prime_memo_is_exact(name, request):
     assert [_bits(vf.v_prime(float(p))) for p in xs] == \
         [_bits(b) for b in one_by_one]
     # one entry, the last scalar query
-    assert vf._last == [(float(xs[-1]), vf.v_prime(float(xs[-1])))]
+    assert vf._last == [(float(xs[-1]), vf.v_prime(float(xs[-1])), None)]
+
+
+@pytest.mark.parametrize("name", ["linear_cost_value", "am_mid_value"])
+def test_value_at_memo_keeps_h(name, request, monkeypatch):
+    # a scalar value_at repeated off the knots reads H once; another stock
+    # in between reads it afresh, and every answer has the bits of a
+    # ValueFunction that never saw a query
+    vf = dataclasses.replace(request.getfixturevalue(name))
+    x, y = 0.37 * vf.x_resolved, 0.21 * vf.x_resolved
+    want = {p: _bits(dataclasses.replace(vf).value_at(p)) for p in (x, y)}
+    reads = []
+    monkeypatch.setattr("monopoly_control.value.h_at",
+                        lambda model, z: reads.append(z) or h_at(model, z))
+    assert [_bits(vf.value_at(p)) for p in (x, x, y, x, x)] == \
+        [want[x], want[x], want[y], want[x], want[x]]
+    assert len(reads) == 3
+    assert vf._last[0][2] / vf.beta == vf.value_at(x)
 
 
 def test_psi_knots_match_the_per_cell_integrator(configs_dir):
