@@ -66,16 +66,12 @@ def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
     as it was, and the append action of --set copies its default list."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("config", nargs="?", help="problem config file")
-    common.add_argument("--config", dest="config_flag", metavar="PATH",
-                        help="problem config file (alternative to positional)")
+    common.add_argument("config", help="problem config file")
     common.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current)")
     common.add_argument("--set", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override a config entry; repeatable")
-    common.add_argument("--grid-n", type=int, metavar="N",
-                        help="shorthand for --set problem.grid_n=N")
 
     p = argparse.ArgumentParser(
         prog="monopoly-control",
@@ -117,15 +113,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    path = args.config_flag or args.config
-    if not path:
-        raise InvalidParameter("no config file given")
     if not Path(args.out).is_dir():
         raise InvalidParameter(f"output directory {args.out} does not exist")
-    overrides = list(args.set)
-    if args.grid_n is not None:
-        overrides.append(f"problem.grid_n={args.grid_n}")
-    return validate_problem(load_problem(path, overrides))
+    return validate_problem(load_problem(args.config, args.set))
 
 
 def _regime(problem, report) -> str | None:
@@ -156,7 +146,7 @@ def _cmd_solve(args) -> int:
         ("v0", vf.value_at(0.0)),
         ("v_flat", vf.v_flat),
         ("h_min", model.h_min),
-        ("m_lo", model.m_lo),
+        ("m_lo", model.zeta),
         ("m_hi", model.m_hi),
         ("z_max", model.z_max),
         ("static_optimal", report.optimal),

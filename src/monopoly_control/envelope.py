@@ -156,8 +156,14 @@ _MIN_RUN = 23
 
 
 def _chain_lower(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """Monotone chain for the lower hull of a graph (an index array);
-    collinear interior points are dropped, so affine runs become single edges.
+    """Monotone chain for the lower hull of a graph (an index array).
+
+    An interior point that the orientation test finds collinear is
+    dropped, so an affine run becomes a single edge where its samples
+    stay on one line after rounding (dyadic knots and values, say).
+    Elsewhere rounding can keep some of its points and split the run into
+    edges of nearly equal slope; _build merges those for tables and
+    finite sets.
 
     The chain is Andrew's stack loop (_stack_loop).  Long stretches of it
     are evaluated as array expressions, elementwise the same float
@@ -364,6 +370,17 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
             gs = np.insert(gs, pos, geval(add))
             fs = sign * gs
             vidx = _chain_lower(xs, gs)
+    chain = vidx
+    # a table or finite set has one edge per true slope: rounding splits a
+    # run of collinear samples into edges whose slopes tie under the
+    # kernel's rule, so the vertices between tied edges go
+    while derivative is None and len(vidx) > 2:
+        s = np.diff(gs[vidx]) / np.diff(xs[vidx])
+        tie = np.abs(np.diff(s)) <= 1e-9 * np.maximum(
+            1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
+        if not tie.any():
+            break
+        vidx = np.delete(vidx, 1 + np.flatnonzero(tie))
 
     vx = xs[vidx]
     vg = gs[vidx]
@@ -373,7 +390,7 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
     rng = float(fs.max() - fs.min())
     tol = 1e-9 * (rng if rng > 0.0 else max(1.0, float(np.abs(fs).max())))
     contact = np.abs(hull - fs) <= tol
-    contact[vidx] = True
+    contact[chain] = True
 
     es = np.concatenate([[-math.inf], np.diff(vg) / np.diff(vx), [math.inf]])
     wide = np.concatenate([[True], np.diff(vidx) > 1, [True]])
@@ -489,16 +506,14 @@ def fenchel_revenue_grid(env: Envelope, zs) -> np.ndarray:
     return _view(env, zs, "concave").value
 
 
-def cost_argmax_grid(env: Envelope, zs, side: str = "left") -> np.ndarray:
-    """Maximizers of a*z - C(a); side='left' picks the smaller a at ties."""
-    cv = _view(env, zs, "convex")
-    return cv.argmax_lo if side == "left" else cv.argmax_hi
+def cost_argmax_grid(env: Envelope, zs) -> np.ndarray:
+    """Smallest maximizers of a*z - C(a)."""
+    return _view(env, zs, "convex").argmax_lo
 
 
-def revenue_argmax_grid(env: Envelope, zs, side: str = "left") -> np.ndarray:
-    """Maximizers of R(q) - q*z; side='left' picks the smaller q at ties."""
-    cv = _view(env, zs, "concave")
-    return cv.argmax_lo if side == "left" else cv.argmax_hi
+def revenue_argmax_grid(env: Envelope, zs) -> np.ndarray:
+    """Smallest maximizers of R(q) - q*z."""
+    return _view(env, zs, "concave").argmax_lo
 
 
 def contact_argmax_intervals(env: Envelope, z: float) -> list:

@@ -12,10 +12,6 @@ class AssumptionViolation(MonopolyControlError):
     demand set", "production cost must be non-decreasing").
     """
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class CoercivityUndetectable(AssumptionViolation):
     """Unbounded production set whose cost growth cannot be certified.

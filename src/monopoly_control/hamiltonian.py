@@ -50,8 +50,8 @@ class HamiltonianModel:
     """Running-profit function with its minimizer band.
 
     H is read on [0, z_max] from the two envelopes through the conjugate
-    kernel.  [m_lo, m_hi] is the set of minimizers of H, with zeta = m_lo
-    the one the value function uses.  trunc_bound is the production
+    kernel.  [zeta, m_hi] is the set of minimizers of H, and the value
+    function uses its smallest, zeta.  trunc_bound is the production
     ceiling substituted for an unbounded production set (None when the set
     was already bounded).
     """
@@ -61,7 +61,6 @@ class HamiltonianModel:
     cost_env: Envelope = field(repr=False)
     z_max: float
     zeta: float
-    m_lo: float
     m_hi: float
     h_min: float
     kink_zs: np.ndarray = field(repr=False)
@@ -205,7 +204,7 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     h_min = h(zeta)
 
     return HamiltonianModel(problem=problem, rev_env=rev_env, cost_env=cost_env,
-                            z_max=float(z_max), zeta=float(zeta), m_lo=float(zeta),
+                            z_max=float(z_max), zeta=float(zeta),
                             m_hi=float(m_hi), h_min=float(h_min), kink_zs=kinks,
                             trunc_bound=ceiling)
 

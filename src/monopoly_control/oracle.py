@@ -41,11 +41,8 @@ from .problem import ValidatedProblem, validate_problem
 from .tableio import write_csv
 
 _BIG_NEG = -1e30
-_EPS = float(np.finfo(float).eps)
-# ulps of |v| in the rounding floor for tol_fix: on the shipped configs the
-# least certifiable gap lies between 0.44 and 2.1 of them (defaults and
-# criterion 5's fine grids, beta 0.3 to 1.5)
-_FLOOR_ULPS = 4.0
+# certified distance of the returned table from the discretized fixed point
+_TOL_FIX = 1e-9
 # smallest block of the block-tridiagonal policy solve; a stencil reaching
 # further from the diagonal widens the blocks to its reach
 _MIN_BLOCK = 32
@@ -59,8 +56,6 @@ class DPResult:
     v_hat: np.ndarray = field(repr=False)
     policy_produce: np.ndarray = field(repr=False)
     policy_sell: np.ndarray = field(repr=False)
-    beta: float
-    dt: float
     iterations: int
     solves: int
     sup_change: float
@@ -69,10 +64,6 @@ class DPResult:
     def value_at(self, x):
         out = np.interp(x, self.x_grid, self.v_hat)
         return float(out) if np.ndim(x) == 0 else out
-
-    @property
-    def x_max(self) -> float:
-        return float(self.x_grid[-1])
 
 
 def production_cap(problem: ValidatedProblem) -> float:
@@ -246,8 +237,7 @@ def _bellman(a_grid, q_grid, a_pay, q_pay, gamma: float, dt: float,
 
 
 def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
-             tol_fix: float | None = None, na: int = 65, nq: int = 65,
-             max_iter: int | None = None) -> DPResult:
+             na: int = 65, nq: int = 65) -> DPResult:
     """Policy iteration with exact evaluation on the discretized problem.
 
     Per-step rates use the exact discount weight for a constant rate, so
@@ -257,21 +247,12 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     that sweep's greedy policy, v = r + gamma P v (Howard's policy
     iteration; Puterman 1994, section 6.4).  The rounds stop once a
     Bellman sweep's contraction sandwich (see below) certifies the
-    corrected table within tol_fix of the discretized fixed point.  That
-    bound holds for any table the sweep starts from, so the solves leave
-    the fixed point and the certificate as plain value iteration has them
-    and only cut the number of rounds.  ``iterations`` and ``max_iter``
-    count the Bellman sweeps and policy solves applied to the table;
-    ``solves`` counts the solves alone.
-
-    The default max_iter is 4 nx + 64, two rounds per stock node with
-    room to spare.  The shipped configs take 9 to 15 iterations at the
-    defaults and 9 to 17 on criterion 5's fine grids, but a greedy policy
-    whose switching point creeps one stock node per round takes about one
-    round per node: random tables took up to 513 solves at nx = 512 and
-    1018 at nx = 1024.  A table that never settles then ends in
-    NotConverged within seconds at the defaults, not after the minutes
-    that the value-iteration budget of 200 000 sweeps took.
+    corrected table within _TOL_FIX = 1e-9 of the discretized fixed point.
+    That bound holds for any table the sweep starts from, so the solves
+    leave the fixed point and the certificate as plain value iteration has
+    them and only cut the number of rounds.  ``iterations`` counts the
+    Bellman sweeps and policy solves applied to the table, at most 4 nx +
+    64 of them; ``solves`` counts the solves alone.
 
     Each stage of a sweep is one matrix product (_stage) of at most two
     shifted copies of the table per control and a weight matrix made once
@@ -281,23 +262,16 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
 
     A greedy policy equal to the one just solved means the table is
     already that policy's value: every later round would repeat this one
-    bit for bit.  If its certificate is still above tol_fix (rounding, at
+    bit for bit.  If its certificate is still above _TOL_FIX (rounding, at
     a discount this close to 1, keeps it there), NotConverged is raised
     at once with the certified gap.
-
-    The certificate cannot fall below the rounding of a sweep, a few ulps
-    of |v| amplified by g = gamma/(1 - gamma).  A tol_fix the caller
-    passes below that floor, _FLOOR_ULPS g eps max|v| with max|v| bounded
-    from the pay tables, is rejected with InvalidParameter before the
-    first sweep.  The default tol_fix, 1e-9, clears the floor on every
-    shipped config; where a very fine dt lifts the floor above it, the
-    run ends in NotConverged once the greedy policy repeats.
     """
     problem = validate_problem(problem)
     beta = problem.beta
     nx = _count("nx", nx, 8)
-    max_iter = _count("max_iter", 4 * nx + 64 if max_iter is None
-                      else max_iter, 1)
+    # two rounds per stock node with room to spare: a greedy policy whose
+    # switch point creeps one node per round takes about one per node
+    max_iter = 4 * nx + 64
     if not (math.isfinite(x_max) and x_max > 0.0):
         raise InvalidParameter("stock grid must be finite and positive")
     if not (math.isfinite(dt) and dt > 0.0):
@@ -306,10 +280,6 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     if gamma >= 1.0:
         raise InvalidParameter(f"time step {dt:g} is too small: the per-step "
                                "discount exp(-beta dt) rounds to 1")
-    floor_checked = tol_fix is not None
-    tol_fix = 1e-9 if tol_fix is None else tol_fix
-    if not tol_fix > 0.0:
-        raise InvalidParameter("fixed-point tolerance must be positive")
 
     cap = None
     if problem.a_grid is None:
@@ -329,16 +299,6 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     r_gain = np.asarray(problem.revenue(q_grid), dtype=float) * k
     c_pay = np.asarray(problem.cost(a_grid), dtype=float) * k
     g = gamma / (1.0 - gamma)
-    # |v| is at most the best revenue plus the cheapest production, per
-    # unit of 1 - gamma
-    v_max = (float(np.abs(r_gain).max()) + abs(float(c_pay.min()))) \
-        / (1.0 - gamma)
-    floor = _FLOOR_ULPS * g * _EPS * v_max
-    if floor_checked and tol_fix < floor:
-        raise InvalidParameter(
-            f"tol_fix {tol_fix:.3g} is below the rounding floor {floor:.3g} "
-            f"= {_FLOOR_ULPS:g} eps gamma/(1-gamma) |v|max: no sweep can "
-            "certify it")
 
     sweep, greedy_stencil = _bellman(a_grid, q_grid, -c_pay, r_gain, gamma,
                                      dt, h, nx, pad)
@@ -363,7 +323,7 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
         sup = float(np.abs(delta).max())
         v = v_new
         fix_gap = g * 0.5 * (float(delta.max()) - float(delta.min()))
-        if fix_gap < tol_fix:
+        if fix_gap < _TOL_FIX:
             break
         if solved is not None and all(map(np.array_equal, policy, solved)):
             raise NotConverged(f"greedy policy repeats with certified gap "
@@ -385,7 +345,7 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     a_star = np.interp(y_star, y_grid, a_star_y)
 
     return DPResult(x_grid=x_grid, v_hat=v, policy_produce=a_star,
-                    policy_sell=q_star, beta=beta, dt=dt, iterations=it,
+                    policy_sell=q_star, iterations=it,
                     solves=solves, sup_change=sup, fix_gap=fix_gap)
 
 

@@ -116,7 +116,6 @@ class CyclicPlan:
     time average over a period and equals the relaxed payoff.
     """
     eps: float
-    u_tilde: float
     phases: tuple
     kappa: float
     peak_stock: float
@@ -368,8 +367,8 @@ def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float | None = None):
         mean += rate * (t1 - t0)
     if x < -1e-9 * max(1.0, peak):
         raise DecompositionMismatch("cycle fails to return stock to zero")
-    return CyclicPlan(eps=float(eps), u_tilde=relaxed.u_tilde,
-                      phases=tuple(phases), kappa=float(peak_t / eps),
+    return CyclicPlan(eps=float(eps), phases=tuple(phases),
+                      kappa=float(peak_t / eps),
                       peak_stock=float(max(peak, 0.0)),
                       mean_payoff=float(mean / eps))
 

@@ -3,7 +3,8 @@ an Euler referee that scores plans independently of simulate, an
 exhaustive conjugate that checks the envelope module's, a Hamiltonian
 built from another truncation ceiling, the plain
 monotone-chain loop that its array evaluation must reproduce, the HJB
-residual of a value function, the % loop the CSV kernel must match, and
+residual of a value function, the exact Psi of a piecewise-linear H on
+table_curves and seeded tables, the % loop the CSV kernel must match, and
 the per-knot drawdown layout and running-clock phase loop that the
 strategy and simulate modules' array layouts must reproduce, with the
 solved cases they are compared on."""
@@ -228,6 +229,23 @@ def _reference_segments(period: float, phases, horizon: float) -> tuple:
             return cuts, controls
 
 
+def _exact_table_psi(model, xi) -> np.ndarray:
+    """Psi at the slopes xi (0 < xi <= zeta) of a model whose H is
+    piecewise linear (tables and finite sets): the sum over the cells
+    between kinks of -H'/beta ln(z_hi/z_lo), H' the secant of H across the
+    cell.  Kinks within a relative 1e-9 of the one below count once; H is
+    linear between true kinks, so an extra kink cannot change the sum."""
+    zeta, beta = model.zeta, model.problem.beta
+    ks = model.kink_zs[(model.kink_zs > 0.0) & (model.kink_zs < zeta)]
+    if len(ks):
+        ks = ks[np.concatenate([[True], np.diff(ks) > 1e-9 * ks[1:]])]
+    edges = np.concatenate([[0.0], ks, [zeta]])
+    slope = np.diff(h_at(model, edges)) / np.diff(edges)
+    lo = np.maximum(edges[None, :-1], np.asarray(xi, dtype=float)[:, None])
+    hi = np.maximum(edges[None, 1:], lo)
+    return (-slope / beta * np.log(hi / lo)).sum(axis=1)
+
+
 def _drawdown_cases() -> list:
     """(label, problem, model, value function, stocks) to compare the
     drawdown and phase layouts on: every shipped config at beta 0.3, 0.7
@@ -327,6 +345,22 @@ def brute_conjugate():
 @pytest.fixture(scope="session")
 def make_random_instance():
     return random_table_instance
+
+
+@pytest.fixture(scope="session")
+def exact_table_psi():
+    return _exact_table_psi
+
+
+@pytest.fixture(scope="session")
+def seeded_table_models():
+    """(problem, model) for table_curves and 200 random_table_instance
+    draws from default_rng(7), 54 of them with a finite production set."""
+    rng = np.random.default_rng(7)
+    problems = [validate_problem(load_problem(REPO / "configs"
+                                              / "table_curves.cfg"))]
+    problems += [random_table_instance(rng) for _ in range(200)]
+    return [(p, build_hamiltonian(p)) for p in problems]
 
 
 @pytest.fixture(scope="session")

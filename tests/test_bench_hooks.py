@@ -40,9 +40,10 @@ def test_traced_names_exist(spans):
             f"{mod_name}.{cls_name}.{attr}"
 
 
-def test_drawdown_controls_alias_is_traced():
-    # the tracer finds hamiltonian.controls_at inside the drawdown by
-    # identity under this alias
+def test_strategy_controls_alias_is_hamiltonians():
+    # convexified_static reads hamiltonian.controls_at under this alias,
+    # and perfbench's test_uninstall_restores_every_binding checks that
+    # the tracer rebinds and restores it there
     assert strategy._h_controls is hamiltonian.controls_at
 
 

@@ -51,7 +51,7 @@ GOLDEN = {
     },
     "table_curves": {
         "summary.txt": "1dc3e9e28133d949a5598b3b0c910bf51e6f46651d0939bacd803396498b1481",
-        "value.csv": "8a727b0f35d8b656a0e2c7fedb3a0cc1d7eeb159d1b852b97d8174879eedcd5a",
+        "value.csv": "bfbca5524526931ee5a77427a403d7ce6ba4cc3f2e0ddbd23c751bf2c0b9ff45",
         "simulate_summary.txt": "42f5a845f8cab209d5bad30e306736a71e65613515e8a0e6e47f274aa8b1455c",
         "trajectory.csv": "28f27214568a090af77c3dc1878c0ddd5813af83a469099ebe853f18c319bfb3",
         "strategy.txt": "a7c9a909f3b35230dd9df5debbe2c47237060b95c15d0e477b86f934f36c9009",
@@ -146,9 +146,9 @@ GOLDEN_BETA = {
     },
     "table_curves": {
         "summary.txt": "89a69527ebe6d6613baa0fa267f19dcb75222841c7b5b5eaa79c305d7010c834",
-        "value.csv": "dba1366720b757eb84c085bb17123c491cc1568fc60fa73800f5d3da89516985",
-        "trajectory.csv": "7c1066026dca8cb309a9846a68b95f3cf81edcfa46b0d65c17252b6ec1f3e37c",
-        "simulate_summary.txt": "97ee6659f8da4675b54049ec6be350fca194440280d14248e54d22e75eea6a30",
+        "value.csv": "2a7a6c9b72d89ebab454799785201efd6d69ecc41a29e6b32ac9dd4d90f78c84",
+        "trajectory.csv": "f571099f29fe647cf78fa8ddd72099ea2f9f49941fc5f425ec8d9f168dfee5ca",
+        "simulate_summary.txt": "6c67b82dbdaaa154e6ccb67e14771a520cdb98ab3178377eb1e55c08bcadb7d1",
     },
 }
 

@@ -18,6 +18,9 @@ from monopoly_control import (
 )
 from monopoly_control.cli import main
 
+TABLE_CURVES = str(Path(__file__).resolve().parents[1] / "configs"
+                   / "table_curves.cfg")
+
 GOOD = """\
 [problem]
 beta = 0.5
@@ -190,7 +193,7 @@ def test_cli_oracle_and_compare(cfg, tmp_path, capsys):
 
 def test_cli_oracle_repeated_policy_exits_3(configs_dir, tmp_path, capsys):
     # no table certifies at this step; the oracle says so after a few
-    # rounds instead of running out max_iter
+    # rounds instead of running out its budget
     rc = main(["oracle", str(configs_dir / "arvan_moses_high.cfg"),
                "--out", str(tmp_path), "--dt", "1e-9"])
     assert rc == 3
@@ -290,14 +293,6 @@ def test_cli_exit_code_on_assumption_violation(cfg, tmp_path):
     assert rc == 2
 
 
-def test_cli_grid_n_shorthand(cfg, tmp_path):
-    rc = main(["solve", str(cfg), "--out", str(tmp_path),
-               "--grid-n", "1025"])
-    assert rc == 0
-    summary = (tmp_path / "summary.txt").read_text()
-    assert "zeta = 0.4" in summary
-
-
 @pytest.mark.parametrize("argv", [
     ["oracle", "--x0", "nan"],
     ["oracle", "--dt", "nan"],
@@ -330,15 +325,20 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["strategy", "--x0", "1e6"], "exceeds x_resolved"),
     (["simulate", "--x0", "1e6"], "exceeds x_resolved"),
     (["compare", "--x0", "1e9"], "exceeds x_resolved"),
+    (["solve", "--grid-n", "513"], "unrecognized arguments: --grid-n 513"),
+    (["solve", "--config", TABLE_CURVES], "unrecognized arguments: --config"),
 ], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
         "finite_nan", "oracle_dt", "compare_dt", "simulate_eps", "grid_n_cap",
         "strategy_past_x_resolved", "simulate_past_x_resolved",
-        "compare_past_x_resolved"])
+        "compare_past_x_resolved", "grid_n_flag", "config_flag"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                                     message):
     command, *flags = argv
-    rc = main([command, str(configs_dir / "table_curves.cfg"),
-               "--out", str(tmp_path), *flags])
+    try:
+        rc = main([command, str(configs_dir / "table_curves.cfg"),
+                   "--out", str(tmp_path), *flags])
+    except SystemExit as exc:       # argparse refuses unknown flags
+        rc = exc.code
     assert rc == 2
     assert message in capsys.readouterr().err
 
@@ -370,7 +370,7 @@ def test_cli_parser_reuse_matches_fresh_processes(configs_dir, tmp_path):
         ["simulate", cfg, "--x0", "0.2"],
         ["solve", cfg, "--set", "problem.beta=0.9",
          "--set", "problem.grid_n=1025"],
-        ["solve", cfg, "--grid-n", "513"],
+        ["solve", cfg, "--set", "problem.grid_n=513"],
         ["solve", cfg],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(monopoly_control.__file__)

@@ -153,8 +153,9 @@ def test_conjugate_dominates_brute_force(brute_conjugate):
 def test_argmax_grids_resolve_ties_by_side():
     env = _cubic_env()
     zs = np.array([0.25])
-    lo = cost_argmax_grid(env, zs, side="left")
-    hi = cost_argmax_grid(env, zs, side="right")
+    # the grid keeps the smallest maximizer of the tied bridge
+    lo = cost_argmax_grid(env, zs)
+    hi = fenchel_cost(env, zs).argmax_hi
     assert lo[0] == pytest.approx(0.0, abs=1e-9)
     assert hi[0] == pytest.approx(1.5, abs=1e-9)
     renv = _rev_env()

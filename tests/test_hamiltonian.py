@@ -30,7 +30,6 @@ def test_linear_cost_hamiltonian_closed_values(linear_cost_model):
     assert h_at(m, 0.3) == pytest.approx(0.1525, abs=1e-10)
     assert m.zeta == pytest.approx(0.4, abs=1e-9)
     assert m.h_min == pytest.approx(0.15, abs=1e-10)
-    assert m.m_lo == m.zeta
 
 
 def test_linear_cost_subgradients(linear_cost_model):
@@ -60,7 +59,7 @@ def test_am_mid_zeta_snaps_to_bridge_slope(am_mid_model):
     assert m.zeta == pytest.approx(0.25, abs=1e-12)
     assert m.h_min == pytest.approx(0.140625, abs=1e-10)
     # strict minimum: the flat band degenerates to the point zeta
-    assert m.m_hi - m.m_lo < 1e-9
+    assert m.m_hi - m.zeta < 1e-9
 
 
 def test_am_low_flat_band(am_low_model):
@@ -76,7 +75,7 @@ def test_am_high_interior_zeta(am_high_model):
     z = (-0.5 + math.sqrt(0.25 - 1.0 + 4.0)) ** 2
     assert am_high_model.zeta == pytest.approx(z, rel=1e-10)
     # strict minimum: the band is the point zeta, not a threshold haze on H
-    assert am_high_model.m_hi - am_high_model.m_lo < 1e-9
+    assert am_high_model.m_hi - am_high_model.zeta < 1e-9
 
 
 def test_am_mid_subgradient_at_zeta(am_mid_model):
@@ -261,3 +260,25 @@ def test_cell_search_matches_full_scan(configs_dir, make_random_instance):
         z = np.linspace(0.0, m.z_max, p.grid_n)
         found = hamiltonian._first_turns(lambda zs: subgradient(m, zs), z)
         assert found == _full_scan(m), k
+
+
+def test_table_kinks_read_neighbouring_edge_slopes(seeded_table_models):
+    # a table or finite set has one hull edge per slope, so the
+    # subgradient at each kink is the pair of slopes H takes on the cells
+    # either side: read at the cell midpoints, and equal to H's secants
+    for k, (_, m) in enumerate(seeded_table_models):
+        ks = m.kink_zs[m.kink_zs < m.z_max]
+        edges = np.concatenate([[0.0], ks, [m.z_max]])
+        cell, same = subgradient(m, 0.5 * (edges[:-1] + edges[1:]))
+        assert np.array_equal(cell, same), k
+        secant = np.diff(h_at(m, edges)) / np.diff(edges)
+        assert np.all(np.abs(cell - secant)
+                      <= 1e-10 * np.maximum(1.0, np.abs(cell))), k
+        below, above = subgradient(m, ks)
+        assert np.array_equal(below, cell[:-1]), k
+        assert np.array_equal(above, cell[1:]), k
+    # table_curves: the kink at 0.12 joins the revenue edges of slopes
+    # 0.12 and 0.04 in full
+    m = seeded_table_models[0][1]
+    at = m.kink_zs[np.argmin(np.abs(m.kink_zs - 0.12))]
+    assert subgradient(m, at) == (-0.75, -0.5)

@@ -29,7 +29,7 @@ AM_MID_KW = dict(x_max=0.25, nx=96, dt=0.01, na=25, nq=25)
 
 # (grid index, v_hat, produce, sell) of the plain value-iteration tables at
 # the resolutions above, to 17 digits; both tables are certified within
-# tol_fix = 1e-9 of the discretized fixed point
+# _TOL_FIX = 1e-9 of the discretized fixed point
 PINNED = {
     "linear_cost": [
         (0, 0.29517130297231392, 0.29999999999999999, 0.1875),
@@ -77,7 +77,7 @@ def test_dp_close_to_analytic(linear_cost_dp, linear_cost_value):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_dp_matches_pinned_table(name, request):
-    # two certified tables of one discretized problem lie within 2 tol_fix
+    # two certified tables of one discretized problem lie within 2 _TOL_FIX
     # of each other however the sweeps reached them
     if name == "linear_cost":
         dp = request.getfixturevalue("linear_cost_dp")
@@ -89,22 +89,14 @@ def test_dp_matches_pinned_table(name, request):
         assert dp.policy_sell[k] == sell, k
 
 
-def test_dp_certificate_is_honest(linear_cost_problem, linear_cost_dp):
+def test_dp_certificate_is_honest(linear_cost_problem, linear_cost_dp,
+                                  monkeypatch):
     # the default table is within 1e-9 of the fixed point and this one
     # within 1e-11, so they are within the sum of the two of each other
-    tight = dp_value(linear_cost_problem, tol_fix=1e-11, **LINEAR_COST_KW)
+    monkeypatch.setattr(oracle, "_TOL_FIX", 1e-11)
+    tight = dp_value(linear_cost_problem, **LINEAR_COST_KW)
     assert tight.fix_gap < 1e-11
     assert np.abs(tight.v_hat - linear_cost_dp.v_hat).max() <= 1e-9 + 1e-11
-
-
-def test_dp_iterations_count_every_sweep(linear_cost_problem, linear_cost_dp):
-    # max_iter bounds the same count that iterations reports: granting
-    # exactly that many sweeps reproduces the table, one fewer does not
-    n = linear_cost_dp.iterations
-    again = dp_value(linear_cost_problem, max_iter=n, **LINEAR_COST_KW)
-    assert np.array_equal(again.v_hat, linear_cost_dp.v_hat)
-    with pytest.raises(NotConverged):
-        dp_value(linear_cost_problem, max_iter=n - 1, **LINEAR_COST_KW)
 
 
 def test_dp_value_monotone(linear_cost_dp):
@@ -150,9 +142,6 @@ def test_dp_guards(linear_cost_problem):
             dp_value(linear_cost_problem, x_max=0.5, **{name: n})
     with pytest.raises(InvalidParameter, match="nx"):
         dp_value(linear_cost_problem, x_max=0.5, nx=64.5)
-    for max_iter in (0, -1):
-        with pytest.raises(InvalidParameter, match="max_iter"):
-            dp_value(linear_cost_problem, x_max=0.5, max_iter=max_iter)
 
 
 def test_dp_finite_sets_ignore_grid_counts(linear_cost_problem):
@@ -179,7 +168,7 @@ def test_dp_finite_sets_ignore_grid_counts(linear_cost_problem):
 def test_dp_repeated_policy_fails_fast(am_high_problem):
     # at dt = 1e-9 the discount rounds so close to 1 that no table can be
     # certified; once the greedy policy repeats, every later round would
-    # repeat too, so the oracle gives up then instead of at max_iter
+    # repeat too, so the oracle gives up then instead of at its budget
     with pytest.raises(NotConverged, match="greedy policy repeats") as exc:
         dp_value(am_high_problem, x_max=0.5, dt=1e-9)
     count = int(re.search(r"after (\d+) sweeps and solves",
@@ -346,8 +335,6 @@ def test_sweep_matches_per_node_formula(name):
 @pytest.mark.parametrize("kw", [
     dict(x_max=math.nan), dict(x_max=math.inf),
     dict(x_max=0.5, dt=math.nan), dict(x_max=0.5, dt=math.inf),
-    dict(x_max=0.5, tol_fix=0.0), dict(x_max=0.5, tol_fix=-1e-9),
-    dict(x_max=0.5, tol_fix=math.nan),
 ])
 def test_dp_rejects_non_finite_grid_and_tolerance(linear_cost_problem, kw):
     with pytest.raises(InvalidParameter):
@@ -394,25 +381,6 @@ def test_dp_bounded_production_equals_ray_under_cap(am_mid_problem,
     ray = dp_value(am_mid_problem, **kw)
     box = dp_value(validate_problem(capped), **kw)
     assert np.allclose(ray.v_hat, box.v_hat, atol=1e-12)
-
-
-@pytest.mark.parametrize("name", ["linear_cost", "arvan_moses_mid"])
-def test_dp_rejects_tolerance_below_rounding_floor(configs_dir, name,
-                                                   monkeypatch):
-    # 1e-13 is below what rounding lets a sweep certify on these configs;
-    # it is refused before any round, naming the floor, while 1e-12 and
-    # the default still certify
-    problem = validate_problem(load_problem(configs_dir / f"{name}.cfg"))
-
-    def no_round(*args):
-        raise AssertionError("policy solve reached")
-
-    monkeypatch.setattr(oracle, "_solve_policy", no_round)
-    with pytest.raises(InvalidParameter, match="rounding floor"):
-        dp_value(problem, x_max=0.5, tol_fix=1e-13)
-    monkeypatch.undo()
-    for tol in (1e-12, None):
-        assert dp_value(problem, x_max=0.5, tol_fix=tol).fix_gap < 1e-9
 
 
 def test_dp_default_budget_stops_a_table_that_never_settles(configs_dir,

@@ -58,7 +58,7 @@ def test_hamiltonian_convex_and_zeta_nonneg(solved_instances):
         slopes = np.diff(H) / np.diff(z_grid)
         assert np.all(np.diff(slopes) >= -1e-7 * scale)
         assert model.zeta >= 0.0
-        assert model.m_lo <= model.m_hi
+        assert model.zeta <= model.m_hi
 
 
 def test_value_shape(solved_instances):

@@ -142,7 +142,7 @@ def test_drawdown_x0_mismatch_rejected(linear_cost_problem, linear_cost_model, l
 
 
 def test_generic_plan_state_violation(am_mid_problem, referee):
-    sell_always = CyclicPlan(eps=1.0, u_tilde=0.5,
+    sell_always = CyclicPlan(eps=1.0,
                              phases=((0.0, 1.0, 0.0, 0.5, 0.25),), kappa=0.0,
                              peak_stock=0.0, mean_payoff=0.25)
     with pytest.raises(StateViolation) as err:

@@ -1,5 +1,6 @@
 """Static tests, relaxed mixtures, cyclic realizations, drawdown plans."""
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -399,3 +400,21 @@ def test_drawdown_matches_per_knot_reference(drawdown_cases,
                         getattr(want, f).tobytes(), (label, eps, x0, f)
                 crossed += len(got.t_knots) > 1025
     assert crossed >= 20        # plans that cross kinks of H are in
+
+
+# sha256 of the static verdicts (numpy bool bytes, 44 of them optimal) on
+# the seeded_table_models; merging tied hull edges changed none of them
+TABLE_VERDICTS = \
+    "23cb3622ab76e33733a28b3e8ad091ca6f9deae9bfbbc8a3be0dfc5a29eaa56c"
+
+
+def test_table_static_verdicts_pinned(seeded_table_models):
+    optimal = []
+    for k, (problem, model) in enumerate(seeded_table_models):
+        report = static_optimality_test(problem, model)
+        # the verdict agrees with the gap it prints next to it
+        tol = 1e-6 * max(1.0, abs(model.h_min))
+        assert report.optimal == (report.gap <= tol), k
+        optimal.append(report.optimal)
+    digest = hashlib.sha256(np.array(optimal).tobytes()).hexdigest()
+    assert digest == TABLE_VERDICTS

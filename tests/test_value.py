@@ -194,6 +194,17 @@ def test_psi_knots_match_the_per_cell_integrator(configs_dir):
         assert vf.psi_knots.tobytes() == per_cell.tobytes(), cfg.name
 
 
+def test_table_psi_matches_exact_log_sum(seeded_table_models,
+                                        exact_table_psi):
+    # H' is piecewise constant on tables and finite sets, so Psi is a sum
+    # of logs; Simpson in z is the only error left once each hull edge
+    # reads its true slope at a kink (1.9e-11 at most on these models)
+    for k, (_, model) in enumerate(seeded_table_models):
+        vf = build_value(model)
+        ref = exact_table_psi(model, vf.xi_knots)
+        assert np.all(np.abs(vf.psi_knots - ref) <= 1e-10 * ref), k
+
+
 @pytest.mark.parametrize("name", ["arvan_moses_high", "arvan_moses_low",
                                   "arvan_moses_mid", "linear_cost",
                                   "table_curves"])
