@@ -43,11 +43,12 @@ class DecompositionMismatch(MonopolyControlError):
 
 
 class StateViolation(MonopolyControlError):
-    """Simulated inventory went below the admissibility tolerance."""
+    """Simulated inventory left its range: below zero, or a drawdown's
+    not at zero when its arc ends."""
 
     def __init__(self, time: float, inventory: float):
         super().__init__(
-            f"inventory {inventory:.6g} below tolerance at t={time:.6g}; "
+            f"inventory {inventory:.6g} outside tolerance at t={time:.6g}; "
             "plan is inadmissible"
         )
         self.time = time

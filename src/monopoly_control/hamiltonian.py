@@ -103,6 +103,11 @@ def _slopes(c, r) -> tuple:
     return c.argmax_lo - r.argmax_hi, c.argmax_hi - r.argmax_lo
 
 
+def _sides(c, r) -> np.ndarray:
+    """Rows (produce, sell) below z, then above it: the span ends."""
+    return np.stack([c.argmax_lo, r.argmax_hi, c.argmax_hi, r.argmax_lo])
+
+
 def build_hamiltonian(problem) -> HamiltonianModel:
     """Build the envelopes, bracket the minimum of H, locate its minimizer
     band, and freeze the model.

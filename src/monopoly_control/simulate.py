@@ -6,11 +6,11 @@ scored by its discounted profit.  A stationary plan hands over its
 piecewise-constant periodic control through segments(problem) (see the
 strategy module), and one exact path integrates it: the stock and the
 discount weight of each phase in closed form, a single pass when the
-period is infinite.  A DrawdownPlan is its drawdown arc, whose controls
-vary continuously and which is scored by the trapezoid rule on its knots,
-followed by its tail through that same path.  Any other object is
-rejected.  An independent Euler referee that samples a plan's controls
-over time lives with the tests, not here.
+period is infinite.  A DrawdownPlan is its drawdown arc, whose stock and
+payoff are integrated cell by cell in the slope by Psi's Simpson rule and
+whose stock must reach zero at tau, followed by its tail through that
+same path.  Any other object is rejected.  An independent Euler referee
+that samples a plan's controls over time lives with the tests, not here.
 
 profit_gap compares a simulated run against the value function, charging
 the horizon truncation at the plan's own stationary tail rate.
@@ -27,7 +27,7 @@ from .errors import HorizonTooShort, InvalidParameter, StateViolation
 from .problem import ValidatedProblem, validate_problem
 from .strategy import DrawdownPlan
 from .tableio import write_csv
-from .value import ValueFunction
+from .value import ValueFunction, _simpson
 
 _X_TOL = 1e-9
 _MAX_PHASES = 10**6   # phases a periodic run may lay out up to its horizon
@@ -61,10 +61,9 @@ class Trajectory:
 
 
 def _check_stock(x: np.ndarray, t: np.ndarray, scale: float) -> None:
-    bad = np.nonzero(x < -_X_TOL * max(1.0, scale))[0]
+    bad = np.flatnonzero(x < -_X_TOL * max(1.0, scale))
     if len(bad):
-        k = int(bad[0])
-        raise StateViolation(float(t[k]), float(x[k]))
+        raise StateViolation(float(t[bad[0]]), float(x[bad[0]]))
 
 
 def _segment_weights(beta: float, t: np.ndarray) -> np.ndarray:
@@ -108,39 +107,48 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
 
 def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
                        horizon: float) -> Trajectory:
-    beta = problem.beta
+    """The arc cell by cell in the slope z, dt = dz/(beta z) and e^(-beta
+    t) = xi0/z; a horizon inside a cell integrates Simpson's parabola up
+    to it, the last controls held."""
+    beta, z, a, q = problem.beta, plan.xi_knots, plan.a_knots, plan.q_knots
+    n = len(z)
+    # the rows, then the cell midpoints
+    zz = np.concatenate([z, 0.5 * (z[:-1] + z[1:])])
+    aa, qq = np.concatenate([a, plan.a_mid]), np.concatenate([q, plan.q_mid])
+    pay = (problem.revenue(qq) - problem.cost(aa)) * z[0] / (beta * zz * zz)
+    drop = _simpson(beta, z[:-1], zz[n:], z[1:], a[:-1] - q[:-1],
+                    aa[n:] - qq[n:], a[1:] - q[1:])
+    xk = plan.x0 - np.concatenate([[0.0], np.cumsum(drop)])
+    j = np.concatenate([[0.0], np.cumsum(
+        (z[1:] - z[:-1]) / 6.0 * (pay[:n - 1] + 4.0 * pay[n:] + pay[1:n]))])
     if horizon <= plan.tau:
-        keep = plan.t_knots <= horizon
-        tk = np.concatenate([plan.t_knots[keep], [horizon]])
-        xk = np.concatenate([plan.x_knots[keep],
-                             [float(np.interp(horizon, plan.t_knots, plan.x_knots))]])
-        ak = np.concatenate([plan.a_knots[keep], [plan.a_knots[keep][-1]]])
-        qk = np.concatenate([plan.q_knots[keep], [plan.q_knots[keep][-1]]])
-        tail_rate = 0.0
-        tail_traj = None
-    else:
-        tk, xk = plan.t_knots, plan.x_knots
-        ak, qk = plan.a_knots, plan.q_knots
-        tail_traj = simulate(problem, plan.tail, horizon=horizon - plan.tau, x0=0.0)
-        tail_rate = tail_traj.tail_rate
-    _check_stock(xk, tk, max(1.0, plan.x0))
-
-    rate = problem.revenue(qk) - problem.cost(ak)
-    disc = np.exp(-beta * tk) * rate
-    j = np.concatenate([[0.0],
-                        np.cumsum(0.5 * (disc[:-1] + disc[1:]) * np.diff(tk))])
-
-    if tail_traj is None:
-        return Trajectory(t=tk, stock=xk, produce=ak, sell=qk, j_running=j,
-                          tail_rate=tail_rate)
+        # rows up to m - 1 are reached; the cell from row m - 1 ends at the
+        # horizon, a share s of its width in
+        m = min(int(np.searchsorted(plan.t_knots, horizon, "right")), n - 1)
+        at, w = [m - 1, n + m - 1, m], z[m] - z[m - 1]
+        s = (min(z[0] * math.exp(beta * horizon), z[m]) - z[m - 1]) / w
+        wts = w * s * np.array([1.0 - s * (1.5 - s / 1.5),
+                                s * (2.0 - s / 0.75), s * (s / 1.5 - 0.5)])
+        xk = np.append(xk[:m], xk[m - 1]
+                       - wts @ ((qq[at] - aa[at]) / (beta * zz[at])))
+        tk = np.append(plan.t_knots[:m], horizon)
+        _check_stock(xk, tk, max(1.0, plan.x0))
+        return Trajectory(t=tk, stock=xk, produce=np.append(a[:m], a[m - 1]),
+                          sell=np.append(q[:m], q[m - 1]),
+                          j_running=np.append(j[:m], j[m - 1] + wts @ pay[at]),
+                          tail_rate=0.0)
+    # cells drop stock, never raise it, so its end bounds it from below
+    if abs(xk[-1]) > 1e-10 * max(1.0, plan.x0):
+        raise StateViolation(plan.tau, float(xk[-1]))
+    tail = simulate(problem, plan.tail, horizon=horizon - plan.tau, x0=0.0)
     shift = math.exp(-beta * plan.tau)
-    t_all = np.concatenate([tk, plan.tau + tail_traj.t[1:]])
-    x_all = np.concatenate([xk, tail_traj.stock[1:]])
-    a_all = np.concatenate([ak[:-1], tail_traj.produce])
-    q_all = np.concatenate([qk[:-1], tail_traj.sell])
-    j_all = np.concatenate([j, j[-1] + shift * tail_traj.j_running[1:]])
-    return Trajectory(t=t_all, stock=x_all, produce=a_all, sell=q_all,
-                      j_running=j_all, tail_rate=tail_rate)
+    return Trajectory(
+        t=np.concatenate([plan.t_knots, plan.tau + tail.t[1:]]),
+        stock=np.concatenate([xk, tail.stock[1:]]),
+        produce=np.concatenate([a[:-1], tail.produce]),
+        sell=np.concatenate([q[:-1], tail.sell]),
+        j_running=np.concatenate([j, j[-1] + shift * tail.j_running[1:]]),
+        tail_rate=tail.tail_rate)
 
 
 def simulate(problem, plan, *, horizon: float,

@@ -11,15 +11,15 @@ An optimal plan draws positive initial stock down in finite time, then
 runs a stationary plan forever; stationary_plan is the one rule that picks
 that tail, and drawdown_plan builds the arc from the solved value function.
 Along the arc the marginal value of stock rises exponentially at the
-discount rate, so time parametrizes the slope directly and no root finding
-is needed along the trajectory.
+discount rate, so the slope table's knots are the arc's, at t = ln(xi /
+xi0) / beta, with Psi its stock and the table's controls its controls.
 
 Every stationary plan is a piecewise-constant periodic control and says so
 through segments(problem) -> (period, phases, mean_rate), the phases being
 (t0, t1, produce, sell, rate) tuples covering one period.  A static rate
 is one endless phase (period inf), a relaxed optimum one endless phase at
 its mean rates, a cycle its eps-periodic phases.  A DrawdownPlan is the
-drawdown arc, tabulated at its knots, followed by one of these as its
+drawdown arc at its knots and cell midpoints, then one of these as its
 tail.  Plans are this data and nothing else: simulate reads it, and the
 Euler referee that samples controls over time lives with the tests.
 """
@@ -35,12 +35,10 @@ import numpy as np
 from ._roots import bracket_root
 from .envelope import Envelope, contact_argmax_intervals, hull_decompose
 from .errors import DecompositionMismatch, InvalidParameter, ZetaZeroWarning
-from .hamiltonian import HamiltonianModel, controls_at as _h_controls
+from .hamiltonian import (HamiltonianModel, _in_domain, _sides,
+                          controls_at as _h_controls)
 from .problem import ValidatedProblem, validate_problem
 from .value import ValueFunction
-
-# knots on the drawdown arc, before the two added at each kink crossing
-_DRAWDOWN_KNOTS = 1025
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,12 @@ class CyclicPlan:
 class DrawdownPlan:
     """Feedback drawdown of initial stock, then a stationary tail.
 
-    Along the optimal path the marginal value of stock obeys
-    xi(t) = v'(x0) e^(beta t) until it reaches zeta at time tau; stock,
-    production, and sales at the tabulated knots realize that slope path.
-    After tau the plan hands over to tail (static, relaxed, or cyclic).
+    Along the optimal path the marginal value of stock obeys xi(t) =
+    v'(x0) e^(beta t) until it reaches zeta at time tau.  Row k is the
+    instant t_knots[k] at slope xi_knots[k], with stock x_knots[k] and
+    the production and sales one-sided into the cell that follows (a kink
+    of H holds two rows at one instant), and a_mid, q_mid the controls at
+    the midpoint between rows k and k + 1.  Then tail runs.
     """
     x0: float
     tau: float
@@ -144,6 +144,9 @@ class DrawdownPlan:
     x_knots: np.ndarray = field(repr=False)
     a_knots: np.ndarray = field(repr=False)
     q_knots: np.ndarray = field(repr=False)
+    xi_knots: np.ndarray = field(repr=False)
+    a_mid: np.ndarray = field(repr=False)
+    q_mid: np.ndarray = field(repr=False)
     tail: object
 
     def describe(self) -> str:
@@ -354,16 +357,11 @@ def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float | None = None):
         rate = float(problem.revenue(q) - problem.cost(a))
         phases.append((float(t0), float(t1), float(a), float(q), rate))
 
-    x = 0.0
-    peak, peak_t = 0.0, 0.0
-    mean = 0.0
+    x = peak = peak_t = mean = 0.0
     for t0, t1, a, q, rate in phases:
-        x_next = x + (a - q) * (t1 - t0)
-        if x_next > peak:
-            peak, peak_t = x_next, t1
+        x += (a - q) * (t1 - t0)
         if x > peak:
-            peak, peak_t = x, t0
-        x = x_next
+            peak, peak_t = x, t1
         mean += rate * (t1 - t0)
     if x < -1e-9 * max(1.0, peak):
         raise DecompositionMismatch("cycle fails to return stock to zero")
@@ -409,8 +407,9 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
     zero (see stationary_plan), returned as it is when x0 is zero or when
     stock has no marginal value (zeta <= 0).  Stock past vf.x_resolved,
     where the slope table ends, is rejected with InvalidParameter rather
-    than dropped.  Psi and the controls at every knot come from one batch
-    of readings.
+    than dropped.  The arc's knots are xi0 = v'(x0) and the table's knots
+    in (xi0, zeta], its stock x0 and then the table's Psi, and its
+    controls the table's own; only the cell [xi0, first knot] is read.
     """
     if x0 < 0.0:
         raise InvalidParameter(f"initial stock must be non-negative, got {x0}")
@@ -434,32 +433,26 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
     xi0 = min(vf.v_prime(x0), zeta)
     tau = math.log(zeta / xi0) / beta
 
-    # Controls jump where the slope path crosses a kink of H.  Each
-    # crossing gets two knots at the same instant carrying the one-sided
-    # controls, so quadrature over the knots never straddles a jump.  The
-    # knots are sorted by time, then by the slope their controls are read
-    # at (0 for the others).  math.log per kink and math.exp per knot:
-    # numpy's round differently on some inputs
-    kz = model.kink_zs
-    kz = kz[(xi0 * (1.0 + 1e-12) <= kz) & (kz <= zeta * (1.0 - 1e-12))]
-    t_kink = np.fromiter(map(math.log, kz / xi0), float, len(kz)) / beta
-    t_knots = np.linspace(0.0, tau, _DRAWDOWN_KNOTS)
-    keep = np.all(np.abs(t_knots[:, None] - t_kink) > 1e-9 * max(tau, 1.0),
-                  axis=1)
-    keep[0] = keep[-1] = True
-    m = int(keep.sum())
-    dz = 1e-7 * np.maximum(1.0, kz)
-    sides = np.column_stack([kz - dz, kz + dz]).ravel()
-    t_knots = np.concatenate([t_knots[keep], np.repeat(t_kink, 2)])
-    order = np.lexsort((np.concatenate([np.zeros(m), sides]), t_knots))
-    t_knots, n = t_knots[order], len(order)
-    xis = np.minimum(
-        xi0 * np.fromiter(map(math.exp, beta * t_knots), float, n), zeta)
-    # one batch: the knots' slopes, their cell midpoints, the kink sides
-    x_knots, c, r = vf._psi_read(xis, np.minimum(np.maximum(sides, 0.0), zeta))
-    read_at = np.where(order < m, np.arange(n), order - m + 2 * n)
-    x_knots[0] = x0
-    x_knots[-1] = 0.0
-    return DrawdownPlan(x0=float(x0), tau=float(tau), t_knots=t_knots,
-                        x_knots=x_knots, a_knots=c.argmax_lo[read_at],
-                        q_knots=r.argmax_lo[read_at], tail=tail)
+    # arc knot i is xi0 for i = 0, then table knot j - i; cell i runs from
+    # arc knot i to i + 1, and only cell 0, [xi0, xi_knots[j - 1]], is read
+    j = int(np.count_nonzero(vf.xi_knots > xi0))
+    z = np.concatenate([[xi0], vf.xi_knots[:j][::-1]])
+    first = _sides(*_in_domain(model, np.array([xi0, 0.5 * (xi0 + z[1])])))
+    n = len(vf.xi_knots)
+    sides = np.column_stack([first[:, 0], vf._sides[:, :j][:, ::-1]])
+    mids = np.column_stack([first[:, 1], vf._sides[:, n:n + j - 1][:, ::-1]])
+    # a knot's row holds the controls into the cell above it and the span
+    # means at its midpoint; those below it get a row at zeta and at kinks
+    put = np.union1d(1 + np.flatnonzero(
+        np.any(sides[:2, 1:] != sides[2:, 1:], axis=0)), [j])
+    a, q, a_mid, q_mid = (np.insert(v[:j], put, w[put]) for v, w in (
+        (sides[2], sides[0]), (sides[3], sides[1]),
+        (0.5 * (mids[0] + mids[2]), sides[0]),
+        (0.5 * (mids[1] + mids[3]), sides[1])))
+    at = np.insert(np.arange(j), put, put)
+    x_knots = np.concatenate([[x0], vf.psi_knots[:j][::-1]])
+    return DrawdownPlan(x0=float(x0), tau=float(tau),
+                        t_knots=(np.log(z / xi0) / beta)[at],
+                        x_knots=x_knots[at], a_knots=a, q_knots=q,
+                        xi_knots=z[at], a_mid=a_mid[:-1], q_mid=q_mid[:-1],
+                        tail=tail)

@@ -15,13 +15,13 @@ Psi is integrated cell by cell with Simpson's rule on _N_XI geometric
 slopes from zeta down to _XI_FLOOR_RATIO zeta, refined by the kink slopes
 of H', using the one-sided derivative that points into each cell at its
 edges.  One cell integrator serves the knot table, Psi between knots and
-the inversion xi(x), a bracketed root search inside the unique cell
-containing x, so Psi at and between its knots comes from the same
-derivative code.  Psi, xi and v take scalars and arrays alike; a
-scalar is a batch of one.  The table keeps H and H'(xi-) at its knots,
-read in one batch with H(0): v at a knot and the value table read the
-kept H, and a cell between knots reads H' only at its lower edge and
-midpoint, its top being kept.
+the inversion xi(x), a bracketed root search in ln xi inside the unique
+cell containing x, so Psi at and between its knots comes from the same
+derivative code.  Psi, xi and v take scalars and arrays alike; a scalar
+is a batch of one.  The table keeps H and the one-sided controls of its
+one batch, whence H'(xi-), read with H(0): v at a knot and the value
+table read the kept H, a cell between knots reads H' only at its lower
+edge and midpoint, and the drawdown arc runs on the kept controls.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from ._roots import bracket_root
 from .errors import InvalidParameter, OutOfDomain
-from .hamiltonian import HamiltonianModel, _in_domain, _slopes, h_at
+from .hamiltonian import HamiltonianModel, _in_domain, _sides, _slopes, h_at
 from .tableio import write_csv
 
 # the slope table stops where the marginal value has decayed to this share of zeta
@@ -47,10 +47,12 @@ class ValueFunction:
     """Value of the control problem as a function of initial stock.
 
     xi_knots run from zeta down to the resolved slope floor; psi_knots are
-    the matching stock levels (increasing from 0), and h_knots and _d_knots
-    the H and H'(xi-) read there.  Beyond the last knot the marginal value
-    has decayed below zeta times the floor ratio and is clamped there,
-    which perturbs the value by an invisible amount.  v_flat is H(0)/beta.
+    the matching stock levels (increasing from 0), and h_knots the H read
+    there; _sides holds the one-sided controls (see hamiltonian._sides),
+    whence H'(xi-) and H'(xi+), at the knots, then at the cell midpoints,
+    cell k lying below knot k.  Beyond the last knot the marginal value has
+    decayed below zeta times the floor ratio and is clamped there, which
+    perturbs the value by an invisible amount.  v_flat is H(0)/beta.
     """
 
     model: HamiltonianModel = field(repr=False)
@@ -61,7 +63,7 @@ class ValueFunction:
     xi_knots: np.ndarray = field(repr=False)
     psi_knots: np.ndarray = field(repr=False)
     h_knots: np.ndarray = field(repr=False)
-    _d_knots: np.ndarray = field(repr=False)
+    _sides: np.ndarray = field(repr=False)
     # (x, v'(x), H(v'(x)) or None until value_at reads it) of the last
     # scalar v_prime query; NaN matches nothing
     _last: list = field(default_factory=lambda: [(math.nan, math.nan, None)],
@@ -75,13 +77,6 @@ class ValueFunction:
     def psi(self, xi):
         """Stock level at which the marginal value equals xi (a scalar or
         an array of slopes)."""
-        out = self._psi_read(xi)[0]
-        return float(out) if out.ndim == 0 else out
-
-    def _psi_read(self, xi, extra=()) -> tuple:
-        """(Psi at xi, cost and revenue conjugates): the conjugates are
-        those of Psi's one batch, read at xi, then at the midpoints of
-        their cells, then at the slopes extra."""
         if self.constant:
             raise InvalidParameter("flat value function has no slope map")
         xi = np.asarray(xi, dtype=float)
@@ -92,9 +87,10 @@ class ValueFunction:
         xi = np.minimum(np.maximum(xi, floor), self.zeta)
         # xi_knots[k] is the smallest knot at or above xi
         k = len(self.xi_knots) - 1 - np.searchsorted(self.xi_knots[::-1], xi)
-        cells, c, r = _cells(self.model, self.beta, xi, self.xi_knots[k],
-                             self._d_knots[k], extra)
-        return self.psi_knots[k] + cells, c, r
+        out = self.psi_knots[k] + _cells(
+            self.model, self.beta, xi, self.xi_knots[k],
+            self._sides[0, k] - self._sides[1, k])
+        return float(out) if out.ndim == 0 else out
 
     def v_prime(self, x):
         """Marginal value of stock (a scalar or an array); decreasing,
@@ -120,14 +116,17 @@ class ValueFunction:
         k = np.searchsorted(self.psi_knots, xs)
         out = self.xi_knots[k]
         off = np.nonzero(self.psi_knots[k] != xs)[0]
-        k, top = k[off], self.xi_knots[k[off] - 1]
+        # searched in s = ln xi, whose tolerance is relative in xi
+        k, bot, top = k[off], self.xi_knots[k[off]], self.xi_knots[k[off] - 1]
+        d_top = self._sides[0, k - 1] - self._sides[1, k - 1]
 
-        def gap(xi, i):
+        def gap(s, i):
+            xi = np.clip(np.exp(s), bot[i], top[i])
             return (self.psi_knots[k[i] - 1] + _cells(
-                self.model, self.beta, xi, top[i], self._d_knots[k[i] - 1])[0]
-                - xs[off[i]])
+                self.model, self.beta, xi, top[i], d_top[i]) - xs[off[i]])
 
-        out[off] = bracket_root(gap, self.xi_knots[k], top)[0]
+        s = bracket_root(gap, np.log(bot), np.log(top))[0]
+        out[off] = np.clip(np.exp(s), bot, top)
         if x.ndim:
             return out.reshape(x.shape)
         xi = float(out[0])
@@ -157,20 +156,17 @@ class ValueFunction:
         return float(h) / self.beta
 
 
-def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi, d_hi,
-           extra=()) -> tuple:
+def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi, d_hi):
     """Simpson integrals of -H'(z)/(beta z) over kink-free cells [z_lo,
-    z_hi], H'(z_hi-) = d_hi kept by the table, and the cost and revenue
-    conjugates of the one batch that reads H' at z_lo, then at the
-    midpoints, then at the slopes extra."""
+    z_hi], H'(z_hi-) = d_hi kept by the table, from one batch that reads
+    H' at z_lo and at the midpoints."""
     z_mid = 0.5 * (z_lo + z_hi)
     m, shape = np.size(z_lo), np.shape(z_lo)
-    c, r = _in_domain(model, np.concatenate([np.ravel(z_lo), np.ravel(z_mid),
-                                             extra]))
-    d_minus, d_plus = _slopes(c, r)
-    d_mid = 0.5 * (d_minus[m:2 * m] + d_plus[m:2 * m])
-    return (_simpson(beta, z_lo, z_mid, z_hi, d_plus[:m].reshape(shape),
-                     d_mid.reshape(shape), d_hi), c, r)
+    d_minus, d_plus = _slopes(*_in_domain(
+        model, np.concatenate([np.ravel(z_lo), np.ravel(z_mid)])))
+    d_mid = 0.5 * (d_minus[m:] + d_plus[m:])
+    return _simpson(beta, z_lo, z_mid, z_hi, d_plus[:m].reshape(shape),
+                    d_mid.reshape(shape), d_hi)
 
 
 def _simpson(beta, z_lo, z_mid, z_hi, d_lo, d_mid, d_hi) -> np.ndarray:
@@ -197,7 +193,7 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
         return ValueFunction(model=model, beta=beta, constant=True,
                              v_flat=float(h_at(model, 0.0)) / beta, zeta=0.0,
                              xi_knots=empty, psi_knots=empty, h_knots=empty,
-                             _d_knots=empty)
+                             _sides=empty)
 
     xi = np.geomspace(zeta, zeta * _XI_FLOOR_RATIO, _N_XI)
     inner = model.kink_zs
@@ -222,17 +218,14 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
 
     return ValueFunction(model=model, beta=beta, constant=False,
                          v_flat=float(h[-1]) / beta, zeta=zeta, xi_knots=xi,
-                         psi_knots=psi, h_knots=h[:n], _d_knots=d_minus[:n])
+                         psi_knots=psi, h_knots=h[:n],
+                         _sides=_sides(c, r)[:, :-1])
 
 
 def write_value_csv(vf: ValueFunction, path) -> None:
     """Knot-exact table: stock, value, marginal value."""
     if vf.constant:
-        xs = np.array([0.0, 1.0])
-        vs = np.array([vf.v_flat, vf.v_flat])
-        ds = np.zeros(2)
+        cols = [np.array([0.0, 1.0]), np.full(2, vf.v_flat), np.zeros(2)]
     else:
-        xs = vf.psi_knots
-        ds = vf.xi_knots
-        vs = vf.h_knots / vf.beta
-    write_csv(path, ["x", "v", "v_prime"], [xs, vs, ds])
+        cols = [vf.psi_knots, vf.h_knots / vf.beta, vf.xi_knots]
+    write_csv(path, ["x", "v", "v_prime"], cols)

@@ -35,7 +35,6 @@ from monopoly_control import (
 )
 from monopoly_control import hamiltonian
 from monopoly_control.config import load_problem
-from monopoly_control.strategy import _DRAWDOWN_KNOTS
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -178,36 +177,38 @@ def _reference_chain(xs, gs) -> list:
 
 
 def _reference_drawdown(vf, x0: float, tail) -> DrawdownPlan:
-    """The drawdown arc laid out knot by knot on Python floats, from a
-    sorted list of (time, kink side) pairs, with Psi and the controls read
-    in two separate batches: the plan strategy.drawdown_plan must return,
-    bit for bit, for zeta > 0 and 0 < x0 <= x_resolved."""
+    """The drawdown arc laid out knot by knot on Python floats: xi0 =
+    v'(x0), then the slope table's knots above it with their Psi, the
+    attaining spans read afresh at every knot and cell midpoint in one
+    batch; a knot's row carries the controls into the cell above it, and
+    the controls below it get a row of their own where they differ and
+    at zeta.  The plan strategy.drawdown_plan must return, bit for bit,
+    for zeta > 0 and 0 < x0 <= x_resolved."""
     model, beta = vf.model, vf.beta
     xi0 = min(vf.v_prime(x0), model.zeta)
     tau = math.log(model.zeta / xi0) / beta
-    switch_zs = [float(z) for z in model.kink_zs
-                 if xi0 * (1.0 + 1e-12) <= z <= model.zeta * (1.0 - 1e-12)]
-    base = np.linspace(0.0, tau, _DRAWDOWN_KNOTS)
-    keep = np.ones(_DRAWDOWN_KNOTS, dtype=bool)
-    for z in switch_zs:
-        keep &= np.abs(base - math.log(z / xi0) / beta) > 1e-9 * max(tau, 1.0)
-    keep[0] = keep[-1] = True
-    pts = [(float(t), None) for t in base[keep]]
-    for z in switch_zs:
-        t_star = math.log(z / xi0) / beta
-        dz = 1e-7 * max(1.0, z)
-        pts += [(t_star, z - dz), (t_star, z + dz)]
-    pts.sort(key=lambda p: (p[0], p[1] if p[1] is not None else 0.0))
-    xis = [min(xi0 * math.exp(beta * t), model.zeta) for t, _ in pts]
-    z_query = [xi if side is None else min(max(side, 0.0), model.zeta)
-               for xi, (_, side) in zip(xis, pts)]
-    x_knots = vf.psi(np.array(xis))
-    a_knots, q_knots = controls_at(model, np.array(z_query))
-    x_knots[0] = x0
-    x_knots[-1] = 0.0
-    return DrawdownPlan(x0=float(x0), tau=float(tau),
-                        t_knots=np.array([p[0] for p in pts]), x_knots=x_knots,
-                        a_knots=a_knots, q_knots=q_knots, tail=tail)
+    above = [k for k in range(len(vf.xi_knots)) if vf.xi_knots[k] > xi0]
+    zs = [xi0] + [float(vf.xi_knots[k]) for k in reversed(above)]
+    xs = [float(x0)] + [float(vf.psi_knots[k]) for k in reversed(above)]
+    mids = [0.5 * (lo + hi) for lo, hi in zip(zs, zs[1:])]
+    c, r = hamiltonian._in_domain(model, np.array(zs + mids))
+    last = len(zs) - 1
+    rows = []      # (t, slope, stock, produce, sell, mid produce, mid sell)
+    for i, (z, x) in enumerate(zip(zs, xs)):
+        t = float(np.log(z / xi0)) / beta
+        below = (float(c.argmax_lo[i]), float(r.argmax_hi[i]))
+        into = (float(c.argmax_hi[i]), float(r.argmax_lo[i]))
+        if i == last or (i > 0 and below != into):
+            rows.append((t, z, x, *below, *below))
+        if i < last:
+            k = last + 1 + i
+            rows.append((t, z, x, *into,
+                         0.5 * (c.argmax_lo[k] + c.argmax_hi[k]),
+                         0.5 * (r.argmax_lo[k] + r.argmax_hi[k])))
+    t, z, x, a, q, a_mid, q_mid = (np.array(col) for col in zip(*rows))
+    return DrawdownPlan(x0=float(x0), tau=float(tau), t_knots=t, x_knots=x,
+                        a_knots=a, q_knots=q, xi_knots=z, a_mid=a_mid[:-1],
+                        q_mid=q_mid[:-1], tail=tail)
 
 
 def _reference_segments(period: float, phases, horizon: float) -> tuple:

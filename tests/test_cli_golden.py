@@ -20,42 +20,42 @@ GOLDEN = {
     "arvan_moses_high": {
         "summary.txt": "8b052d73aaa6bd4eb632d61990fcec0a9f573865d8662166d915f055c6326624",
         "value.csv": "2d091f0521f609674387d389ca43caa388685fbb64d39d1e534fa0f8e84d8969",
-        "simulate_summary.txt": "1aa5dec592e7bcb67e12d1dd4e2e5e14d47e76f5b58a8fc1c061107d83d03a41",
-        "trajectory.csv": "1665bc64103724dd9b5235634f81d370d82e3345d8e22d163a8ed96956e159e8",
+        "simulate_summary.txt": "0a81025d60e883a1bf24146f3e16fb72ee563b279dd3de71829e766ca5959b98",
+        "trajectory.csv": "c732f7c61b5d5c0f9c3c820ac903f38254ff208a6782b3f0976366e1c9c6a911",
         "strategy.txt": "1cdaa1ed652c134b868a5b65a7a7358b48914631d9eed3f302db52c0e5c92d9c",
-        "drawdown.csv": "11c9c09766726c8bab79cb5ac37733d925d207fc629a3b497c63b504f19ff577",
+        "drawdown.csv": "2db3f29eef52e20c7ee60d56e4494e3d3d75fcdbbf2f4603d98dd71f8943acc0",
     },
     "arvan_moses_low": {
         "summary.txt": "92b58357bbd2cfa4c4981eea3e6f81128caf1eba5eca6747b1764f2dcd02f007",
         "value.csv": "c7513c593d27ebd809b49103ae263f235143a92266392555b12eb16d8e437b5f",
-        "simulate_summary.txt": "160aaee903c73cc700669020e8e23fc229bf3507a12187d4d7894676be7943dc",
-        "trajectory.csv": "143c5ff5f045b06ba563b939a766321852c2b56925345d14da48a89aceda09bc",
+        "simulate_summary.txt": "2e9e4c15d03a1a780c43434ffdf23502460c58e2279c046647d05a4e3827d064",
+        "trajectory.csv": "6eea6a1029afe45cd32fb422627590e836584a04248d5e930476ee4072af2d62",
         "strategy.txt": "f152811e62aaedf0e34ad745627a65c71c8e70583589c49318ec033d44f0df47",
-        "drawdown.csv": "aed941e1a51f21af290254f16aff91f35385803794ba605975d5d32d05093296",
+        "drawdown.csv": "45b7f825330f3eccabec5b807c8f88011b2f5da32b6705de251c100c6ae4ced2",
     },
     "arvan_moses_mid": {
         "summary.txt": "f1f5ffbd55df783a96b1c602ad28b560890c4f4a3d508a5f6653cb113b869275",
         "value.csv": "4f4308a301d849d39f311e7b3b275c614582f0399d75fdea91a61b6557089b92",
-        "simulate_summary.txt": "278a7d16e3debaaaa0d493db14efd4abddbf6caf846d2c3be41e14a224d6ddb7",
-        "trajectory.csv": "e7becff3499c707d6787f40a54d35053de713acfd4b8abe612c8cffe170a90da",
+        "simulate_summary.txt": "e5f78705c31b4f9a079943662abb696ff767790dfe70e31f93d0465f840d3733",
+        "trajectory.csv": "cac49d93adf194a1fee87ea049a09825f129581356ea330449b15dd12753a55b",
         "strategy.txt": "149d6d7f23a9b0cd80e3cb3797c3c984b50f481ff169b110eeb4dff3df327e61",
-        "drawdown.csv": "60c82b09a32c1458a790d9608cd5efa429eee313f32864b7d65134ee72d243df",
+        "drawdown.csv": "0b1d062174ec2b31772e477807eaae546ec69752518d4172b1d91a9558920fa4",
     },
     "linear_cost": {
         "summary.txt": "5ba8808306efca053327f78fa837092b15161924a3e2879b3991a79e267f80e2",
         "value.csv": "bb633e8368cef278519712b9743e3c576e24aa18ae75852f5ed18eab51f25baa",
-        "simulate_summary.txt": "f4f2cda8eb6bb028c4a37ccf512d8b137bc99c82932f0f7c2b1d5805c990652b",
-        "trajectory.csv": "a05c0446d48f0ce8c9563f09872d96a851f31057a8ce1b4e4a7308ed2562f13e",
+        "simulate_summary.txt": "365f498f952ffeeca7eacab04f71d97f08f86aaebf01c3885ca2b3ef9fa8272a",
+        "trajectory.csv": "ea7f4b00453419dee088d16f91a22b4cd7811827d15a0e4943db8860de0d9d1f",
         "strategy.txt": "d96eb1314cc2f025ab0696c5aad9febe422eb7a498279be18edf49f444417850",
-        "drawdown.csv": "67610907048f65ae7b456dcdaf219b59ad8d6f9cf1bc8d9a97391c4af0a5b075",
+        "drawdown.csv": "554858092f76c7af023438ae6e9879e00016240349dae344a9ed9e1ef9f2234a",
     },
     "table_curves": {
         "summary.txt": "1dc3e9e28133d949a5598b3b0c910bf51e6f46651d0939bacd803396498b1481",
         "value.csv": "bfbca5524526931ee5a77427a403d7ce6ba4cc3f2e0ddbd23c751bf2c0b9ff45",
-        "simulate_summary.txt": "42f5a845f8cab209d5bad30e306736a71e65613515e8a0e6e47f274aa8b1455c",
-        "trajectory.csv": "28f27214568a090af77c3dc1878c0ddd5813af83a469099ebe853f18c319bfb3",
+        "simulate_summary.txt": "c2a3342439d65a5311a6d9ef7ff9137a23d784f63371c77780ff6ada0206786a",
+        "trajectory.csv": "92d87560448dc57e1076b83b07535b2aa05744c7f3ac4d34935ae427ca277825",
         "strategy.txt": "a7c9a909f3b35230dd9df5debbe2c47237060b95c15d0e477b86f934f36c9009",
-        "drawdown.csv": "98f960fba18b77695623a695d104a50b63cba5101147660d97001d888d8511fe",
+        "drawdown.csv": "16cc5ec66dcca65053b34bb32a9cc806e5546ec5857bd85ac8499553743dd1d1",
     },
 }
 
@@ -75,33 +75,33 @@ def test_cli_output_matches_digests(name, configs_dir, tmp_path):
 GOLDEN_EPS = {
     "arvan_moses_high": {
         "strategy.txt": "1cdaa1ed652c134b868a5b65a7a7358b48914631d9eed3f302db52c0e5c92d9c",
-        "drawdown.csv": "11c9c09766726c8bab79cb5ac37733d925d207fc629a3b497c63b504f19ff577",
-        "trajectory.csv": "6a1289325389258115853aee8431b3ca133447a400c468b31fd084ae41cb7bcb",
-        "simulate_summary.txt": "3b7b795e11d5609f4e1082874385d857392b78473c4ded048c9fb6aa291ee984",
+        "drawdown.csv": "2db3f29eef52e20c7ee60d56e4494e3d3d75fcdbbf2f4603d98dd71f8943acc0",
+        "trajectory.csv": "1147981c208393c3c1590b8aa97414f383270ffa2a82dbbc2ce57c5ea5dfb51d",
+        "simulate_summary.txt": "005c7df77571399b2374a4b0b5c87ecae4a5beede33826d6e842d653c1edd781",
     },
     "arvan_moses_low": {
         "strategy.txt": "f152811e62aaedf0e34ad745627a65c71c8e70583589c49318ec033d44f0df47",
-        "drawdown.csv": "aed941e1a51f21af290254f16aff91f35385803794ba605975d5d32d05093296",
-        "trajectory.csv": "9ebe03feda0328f65b316c73e3c9809c883374c7e52b330fd746b537bcb8f24f",
-        "simulate_summary.txt": "2fd0b8424d32e553293eeae9e9a8cb66d3a964d0de78766a0d9dd6fcb8dfa1f2",
+        "drawdown.csv": "45b7f825330f3eccabec5b807c8f88011b2f5da32b6705de251c100c6ae4ced2",
+        "trajectory.csv": "1f0b04f798278ca5803cdfe8f9922e5970ede214b2c7c004988b937e8837c470",
+        "simulate_summary.txt": "13a0314d91255b38aa966b5dfd45287ff636c88791447c3b4490dea904ecf893",
     },
     "arvan_moses_mid": {
         "strategy.txt": "a633e5d2cd91b105d067f3a8d3aeaafaca9b7044258a03792aa2fd14337a5b27",
-        "drawdown.csv": "60c82b09a32c1458a790d9608cd5efa429eee313f32864b7d65134ee72d243df",
-        "trajectory.csv": "0da6e22d4d789532faf77ab228217d23eab7327b04dd26a99f485c85c1e5dca5",
-        "simulate_summary.txt": "77e47adcad390dd1d70a8cef7d8828d3c6db20d8903c760ea064cc70a06fd7d1",
+        "drawdown.csv": "0b1d062174ec2b31772e477807eaae546ec69752518d4172b1d91a9558920fa4",
+        "trajectory.csv": "4b8109c1e280c5dc2cda617afdb4c5e9dd340080825b534444e0a43d676767c6",
+        "simulate_summary.txt": "4b91d776027e0f52364099cde56448eb3d570f4dfb459563c22c0c394a92b5c4",
     },
     "linear_cost": {
         "strategy.txt": "d96eb1314cc2f025ab0696c5aad9febe422eb7a498279be18edf49f444417850",
-        "drawdown.csv": "67610907048f65ae7b456dcdaf219b59ad8d6f9cf1bc8d9a97391c4af0a5b075",
-        "trajectory.csv": "bd6fd7f2da3ae96a89af96dac1d39baa31cc0eadc02d4d351ce929e098e4706b",
-        "simulate_summary.txt": "985e2b28a44b38ebd29bf9f4ad63d478431a499ea5a21c567ccf6e76696cab60",
+        "drawdown.csv": "554858092f76c7af023438ae6e9879e00016240349dae344a9ed9e1ef9f2234a",
+        "trajectory.csv": "fd20c2ed7bcf7a4982b042758c7e4b8bdfca170dc22e40049dd70d448a0f00ea",
+        "simulate_summary.txt": "5a06f7f3c7ee1b7101e1d23e7586df62b3605f75c46a9d4f2014bb361f416b5f",
     },
     "table_curves": {
         "strategy.txt": "6bebc9972bde6e9aff2985a25e5cc66c404320e4c41786333ef0c5d9e2509ddc",
-        "drawdown.csv": "98f960fba18b77695623a695d104a50b63cba5101147660d97001d888d8511fe",
-        "trajectory.csv": "fa4d1ae53146adbfa4a6fd28cc9f4c1e83bdffc6f7812df1cb2f29fa315bbfc0",
-        "simulate_summary.txt": "98b3744a0b249a463fb6e608871a336d2cbd0dcd3c34fbd46e1d7f31f9db778c",
+        "drawdown.csv": "16cc5ec66dcca65053b34bb32a9cc806e5546ec5857bd85ac8499553743dd1d1",
+        "trajectory.csv": "03fff5fcf0837fd2ab7f9816483be0723500547a21b2a9d4668693b4278bb1ce",
+        "simulate_summary.txt": "b9a33b85f485f41806c8afcc3f856b927a42632854263289b4b606b0c3b01164",
     },
 }
 
@@ -123,32 +123,32 @@ GOLDEN_BETA = {
     "arvan_moses_high": {
         "summary.txt": "dca88ab3bedb751f62aa8356bc93bdc8fe1e5d33daf4cced5979c1cb8e7591fa",
         "value.csv": "2ab0f9a1109ab4c040dab33cf41ef1921cf949e81d97a1985d665d0b7812cc1f",
-        "trajectory.csv": "01d5f677bb32a528cd4fb7e3f36db118cfd8d20c8b2933b34d0007a1858c8789",
-        "simulate_summary.txt": "ab0456daa4d4280cf289eaf62b8252ce2512f0a5c3a36b8d83fa526b9f0ef75e",
+        "trajectory.csv": "5ac44f004f260e805a1a290b6264688122924b881b2d89020af9db0a90da046b",
+        "simulate_summary.txt": "29f2b2035167a91d641ad9f62f79602778bf44f7830fa42ea1b50e4e75cb1506",
     },
     "arvan_moses_low": {
         "summary.txt": "fd9e0581438ad4ed3d2b4123c1e10bf37069be40f9909de4896b8c1e6579ddea",
         "value.csv": "1e15c1046a577a5f237022554b729aefbc1164642e4af6ea0dce43b61aa16fb9",
-        "trajectory.csv": "d233eb46a56660767d8cacf99b42d18dd51f6a6659607f5a6078679bf875a0f6",
-        "simulate_summary.txt": "47ce9680c2290f22e3c294dff8331da484c78f0e5a7ada2a1352c9647df83e0d",
+        "trajectory.csv": "6a7e97efd86486c05b54c443fc371e5df70b159391fea9a5f1691b2fc1a93088",
+        "simulate_summary.txt": "22a4222b1f68f6d0bbe6fdb36c1820b1cc158471b1c122342a8bdf403433203f",
     },
     "arvan_moses_mid": {
         "summary.txt": "63c030f9e3cc5cb5ef900de864c16883b4d9b11cd845d5ea4fd422076901a32f",
         "value.csv": "9db1c281e486df525c7d992f11fc2a0e4f62df34017a7ac6485a37a00249ef92",
-        "trajectory.csv": "3d07a686d00b2f84ae8d12d2fa0e9a3de28c1af817bbf0dec4273688b83feb88",
-        "simulate_summary.txt": "45b8f866e106f2a493924b25098eeb1f8c40797970e29db567b98ee054734743",
+        "trajectory.csv": "eba304d22d466d5592529bc6b250b7a3e3f057b4095514be3718063298240bea",
+        "simulate_summary.txt": "a5dcba132125d4d439ab167c4844241456d166564322cb4c5d9a11f2ea9fca07",
     },
     "linear_cost": {
         "summary.txt": "5e503df8db5c419c168a3d2cc82dda1642114f721a725e62f8ce91461abe66ba",
         "value.csv": "c1b173c83255924c13c4a294da9df970a3db8a40ad38063da3cf040862d5638c",
-        "trajectory.csv": "dc5fdc0114581a8e2bb9e8ad36cb884e3783d04e5f11ea0031303837b05e2327",
-        "simulate_summary.txt": "cc3915e0b6bc55a38f9f039d4d72065d2d165510e07b75ed523669345835b215",
+        "trajectory.csv": "187612dcf83ba8ff4efc584a84683d6e8282e47fb09b9b715127180475b7cd68",
+        "simulate_summary.txt": "f44667e33a99e3d034aced90f20dc4d59efe14c9aca1eb6bf61e8e56d2e16dbc",
     },
     "table_curves": {
         "summary.txt": "89a69527ebe6d6613baa0fa267f19dcb75222841c7b5b5eaa79c305d7010c834",
         "value.csv": "2a7a6c9b72d89ebab454799785201efd6d69ecc41a29e6b32ac9dd4d90f78c84",
-        "trajectory.csv": "f571099f29fe647cf78fa8ddd72099ea2f9f49941fc5f425ec8d9f168dfee5ca",
-        "simulate_summary.txt": "6c67b82dbdaaa154e6ccb67e14771a520cdb98ab3178377eb1e55c08bcadb7d1",
+        "trajectory.csv": "e73a055b9ffdcbc970d6e64c641e8a61fdde8f80c6be4506eb78c7871931d0d3",
+        "simulate_summary.txt": "6a8d5a7d22b85c4848ea930393e7c668dc0cc56379bb63776d40531edcf79890",
     },
 }
 

@@ -336,7 +336,7 @@ def test_sweep_matches_per_node_formula(name):
     dict(x_max=math.nan), dict(x_max=math.inf),
     dict(x_max=0.5, dt=math.nan), dict(x_max=0.5, dt=math.inf),
 ])
-def test_dp_rejects_non_finite_grid_and_tolerance(linear_cost_problem, kw):
+def test_dp_rejects_non_finite_grid(linear_cost_problem, kw):
     with pytest.raises(InvalidParameter):
         dp_value(linear_cost_problem, **kw)
 

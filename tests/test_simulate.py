@@ -12,14 +12,19 @@ from monopoly_control import (
     InvalidParameter,
     StateViolation,
     StaticPlan,
+    build_hamiltonian,
+    build_value,
     convexified_static,
     cyclic_strategy,
     cyclic_value,
     drawdown_plan,
+    h_at,
+    load_problem,
     profit_gap,
     relaxed_static,
     simulate,
     stationary_plan,
+    validate_problem,
     write_trajectory_csv,
 )
 from monopoly_control.simulate import _segment_weights, _simulate_segments
@@ -108,6 +113,81 @@ def test_drawdown_with_cyclic_tail(am_mid_problem, am_mid_model,
     # gap is the cyclic tail's O(eps) loss plus knot discretization
     assert 0.0 <= gap < 2e-3
     assert traj.stock.min() >= -1e-12
+
+
+@pytest.fixture(scope="module")
+def shipped_arcs(configs_dir):
+    """(label, problem, model, value function, plan) for every shipped
+    config at stocks 0.1, 0.5, 0.9 and 0.99 of x_resolved, each with the
+    stationary plan's tail."""
+    arcs = []
+    for cfg in sorted(configs_dir.glob("*.cfg")):
+        problem = validate_problem(load_problem(cfg))
+        model = build_hamiltonian(problem)
+        vf = build_value(model)
+        tail = stationary_plan(problem, model)
+        for share in (0.1, 0.5, 0.9, 0.99):
+            plan = drawdown_plan(vf, share * vf.x_resolved, tail)
+            arcs.append((f"{cfg.stem}@{share}", problem, model, vf, plan))
+    return arcs
+
+
+def test_drawdown_total_meets_value_and_stock_closes(shipped_arcs):
+    # along the arc R - C = H(z) - z H'(z) and e^(-beta t) = xi0/z, so the
+    # arc earns H(xi0)/beta - (xi0/zeta) H(zeta)/beta and a static tail
+    # makes the total exactly v(x0); a cycle can only fall short.  The
+    # stock the arc's controls move reaches 0 at tau
+    statics = 0
+    for label, problem, _, vf, plan in shipped_arcs:
+        beta, x0 = problem.beta, plan.x0
+        horizon = plan.tau + 60.0
+        traj = simulate(problem, plan, horizon=horizon)
+        total = traj.total + math.exp(-beta * horizon) * traj.tail_rate / beta
+        v0 = vf.value_at(x0)
+        tol = 1e-9 * max(1.0, abs(v0))
+        if isinstance(plan.tail, StaticPlan):
+            statics += 1
+            assert abs(total - v0) <= tol, (label, total - v0)
+        else:
+            assert total <= v0 + tol, (label, total - v0)
+        end = traj.stock[len(plan.t_knots) - 1]
+        assert traj.t[len(plan.t_knots) - 1] == plan.t_knots[-1]
+        assert abs(end) <= 1e-10 * max(1.0, x0), (label, end)
+    assert statics == 12        # arvan_moses_high, _low and linear_cost
+
+
+def test_drawdown_truncated_inside_a_cell(shipped_arcs):
+    # a horizon inside the arc ends on Simpson's parabola in its cell:
+    # the stock there is Psi at the slope reached, and the payoff the
+    # closed form H(xi0)/beta - (xi0/z) H(z)/beta
+    for label, problem, model, vf, plan in shipped_arcs:
+        beta, xi0 = problem.beta, plan.xi_knots[0]
+        for share in (0.013, 0.5, 0.77):
+            horizon = share * plan.tau
+            traj = simulate(problem, plan, horizon=horizon)
+            z = xi0 * math.exp(beta * horizon)
+            scale = max(1.0, plan.x0)
+            assert traj.t[-1] == horizon and traj.tail_rate == 0.0
+            assert abs(traj.stock[-1] - vf.psi(z)) <= 1e-10 * scale, label
+            pay = (float(h_at(model, xi0))
+                   - xi0 / z * float(h_at(model, z))) / beta
+            tol = 1e-9 * max(1.0, vf.value_at(plan.x0))
+            assert abs(traj.total - pay) <= tol, (label, share)
+
+
+def test_drawdown_stock_must_close_at_tau(linear_cost_problem,
+                                          linear_cost_model,
+                                          linear_cost_value):
+    # an arc whose controls leave stock over at tau is refused
+    plan = drawdown_plan(linear_cost_value, 0.2,
+                         stationary_plan(linear_cost_problem,
+                                         linear_cost_model))
+    simulate(linear_cost_problem, plan, horizon=40.0)
+    off = dataclasses.replace(plan, x0=plan.x0 + 1e-9)
+    with pytest.raises(StateViolation) as err:
+        simulate(linear_cost_problem, off, horizon=40.0)
+    assert err.value.time == plan.tau
+    assert err.value.inventory == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_drawdown_truncated_before_tau(linear_cost_problem, linear_cost_model, linear_cost_value):

@@ -12,6 +12,8 @@ from monopoly_control import (
     ProblemSpec,
     build_hamiltonian,
     build_value,
+    fenchel_cost,
+    fenchel_revenue,
     h_at,
     load_problem,
     subgradient,
@@ -190,7 +192,7 @@ def test_psi_knots_match_the_per_cell_integrator(configs_dir):
         xi = vf.xi_knots
         d_top = subgradient(model, xi[:-1])[0]
         per_cell = np.concatenate(
-            [[0.0], np.cumsum(_cells(model, vf.beta, xi[1:], xi[:-1], d_top)[0])])
+            [[0.0], np.cumsum(_cells(model, vf.beta, xi[1:], xi[:-1], d_top))])
         assert vf.psi_knots.tobytes() == per_cell.tobytes(), cfg.name
 
 
@@ -209,18 +211,37 @@ def test_table_psi_matches_exact_log_sum(seeded_table_models,
                                   "arvan_moses_mid", "linear_cost",
                                   "table_curves"])
 def test_kept_readings_equal_fresh_ones(configs_dir, name):
-    # H and H'(xi-) kept at the knots, H(0) behind v_flat, and v at every
-    # knot (array and scalar queries) are the readings h_at and
-    # subgradient make afresh, bit for bit
+    # H and the one-sided controls kept at the knots and midpoints, H'(xi-)
+    # read off them, H(0) behind v_flat, and v at every knot (array and
+    # scalar queries) are the readings the kernel, h_at and subgradient
+    # make afresh, bit for bit
     model = build_hamiltonian(validate_problem(
         load_problem(configs_dir / f"{name}.cfg")))
     vf = build_value(model)
-    assert vf.h_knots.tobytes() == h_at(model, vf.xi_knots).tobytes()
-    assert vf._d_knots.tobytes() == \
-        subgradient(model, vf.xi_knots)[0].tobytes()
+    xi, n = vf.xi_knots, len(vf.xi_knots)
+    assert vf.h_knots.tobytes() == h_at(model, xi).tobytes()
+    zs = np.concatenate([xi, 0.5 * (xi[1:] + xi[:-1])])
+    c, r = fenchel_cost(model.cost_env, zs), fenchel_revenue(model.rev_env, zs)
+    assert vf._sides.tobytes() == np.stack(
+        [c.argmax_lo, r.argmax_hi, c.argmax_hi, r.argmax_lo]).tobytes()
+    assert (vf._sides[0, :n] - vf._sides[1, :n]).tobytes() == \
+        subgradient(model, xi)[0].tobytes()
     assert _bits(vf.v_flat) == _bits(float(h_at(model, 0.0)) / vf.beta)
     xs = vf.psi_knots
     fresh = h_at(model, vf.v_prime(xs)) / vf.beta
     assert vf.value_at(xs).tobytes() == fresh.tobytes()
     assert [_bits(vf.value_at(float(x))) for x in xs] == \
         [_bits(v) for v in fresh]
+
+
+@pytest.mark.parametrize("name", ["arvan_moses_high", "arvan_moses_low",
+                                  "arvan_moses_mid", "linear_cost",
+                                  "table_curves"])
+def test_v_prime_inverts_psi_to_rounding(configs_dir, name):
+    # the cell is searched in ln xi, so the slope floor's small xi keeps a
+    # relative tolerance: Psi(v'(x)) is x up to rounding across the table
+    vf = build_value(build_hamiltonian(validate_problem(
+        load_problem(configs_dir / f"{name}.cfg"))))
+    for share in (0.1, 0.2, 0.5, 0.9, 0.99):
+        x = share * vf.x_resolved
+        assert abs(vf.psi(vf.v_prime(x)) - x) <= 1e-15 * max(1.0, x), share
