@@ -320,6 +320,8 @@ def _refine_bridges(xs: np.ndarray, gs: np.ndarray, vidx: np.ndarray,
     lo2, hi2 = xs[b_i - 1], xs[b_i + right]
     run = np.arange(len(a_i))               # bridges still moving
     for _ in range(60):
+        # ends that meet leave no chord: the edge was a run of rounding pops
+        run = run[x2[run] > x1[run]]
         if not len(run):
             break
         s = (f2[run] - f1[run]) / (x2[run] - x1[run])
@@ -337,12 +339,54 @@ def _refine_bridges(xs: np.ndarray, gs: np.ndarray, vidx: np.ndarray,
         x2[rb], f2[rb] = t[m:], g[m:]
         moved = np.abs(x1[run] - old1) + np.abs(x2[run] - old2)
         run = run[~(moved <= 1e-14 * span)]
-    p = np.concatenate([x1, x2])
+    kept = x2 > x1
+    p = np.concatenate([x1[kept], x2[kept]])
     k = np.searchsorted(xs, p)
     near = np.minimum(
         np.where(k > 0, np.abs(p - xs[np.maximum(k - 1, 0)]), math.inf),
         np.where(k < n, np.abs(p - xs[np.minimum(k, n - 1)]), math.inf))
     return p[near > 1e-12 * span]
+
+
+# a one-cell hull edge at a dent is split into this many cells, at most
+# _SPLIT_ROUNDS times
+_SPLIT = 64
+_SPLIT_ROUNDS = 8
+
+
+def _split_dents(xs: np.ndarray, gs: np.ndarray, vidx: np.ndarray, geval,
+                 gder, dinv) -> tuple:
+    """Split the sample cells that hide a dent of a smooth curve.
+
+    The tangent at a vertex v passes below a convex curve everywhere, so
+    where the curve dips under it at t = dinv(g'(v)), the point of equal
+    slope on the convex branch, a dent lies between v and t.  When v ends
+    a one-cell hull edge, that dent may sit inside the cell, below sample
+    resolution (the truncated ray of a large problem); the cell is split
+    until the chain sees every such dent across several cells.  Returns
+    (xs, gs, vidx).
+    """
+    span = float(xs[-1] - xs[0])
+    for _ in range(_SPLIT_ROUNDS):
+        v, gv = xs[vidx], gs[vidx]
+        w = gder(v)
+        t = dinv(w)
+        # only a vertex off the convex branch (t != v) can start a dent
+        k = np.flatnonzero(np.abs(t - v) > 1e-12 * span)
+        rise = w[k] * (t[k] - v[k])
+        k = k[geval(t[k]) - gv[k] - rise < -1e-9 * (np.abs(gv[k])
+                                                     + np.abs(rise))]
+        # the one-cell edges either side of those vertices
+        e = np.unique(np.concatenate([k[k < len(v) - 1], k[k > 0] - 1]))
+        e = e[vidx[e + 1] - vidx[e] == 1]
+        if not len(e):
+            break
+        a, b = v[e, None], v[e + 1, None]
+        add = (a + (b - a) * (np.arange(1, _SPLIT) / _SPLIT)).ravel()
+        pos = np.searchsorted(xs, add)
+        xs, gs = np.insert(xs, pos, add), np.insert(gs, pos, geval(add))
+        vidx = _chain_lower(xs, gs)
+    return xs, gs, vidx
 
 
 def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
@@ -361,8 +405,15 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
     sign = 1.0 if kind == "convex" else -1.0
     gs = sign * fs
     vidx = _chain_lower(xs, gs)
+    dinv = None
+    if derivative_inverse is not None:
+        # oriented: solve g'(x) = w, where g = sign*f, so f'(x) = sign*w
+        dinv = derivative_inverse if sign > 0 else (lambda w: derivative_inverse(-np.asarray(w)))
     if evaluator is not None and derivative is not None:
         geval, gder = (lambda t: sign * evaluator(t)), (lambda t: sign * derivative(t))
+        if dinv is not None:
+            xs, gs, vidx = _split_dents(xs, gs, vidx, geval, gder, dinv)
+            fs = sign * gs
         add = np.unique(_refine_bridges(xs, gs, vidx, geval, gder))
         if len(add):
             pos = np.searchsorted(xs, add)
@@ -371,9 +422,9 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
             fs = sign * gs
             vidx = _chain_lower(xs, gs)
     chain = vidx
-    # a table or finite set has one edge per true slope: rounding splits a
-    # run of collinear samples into edges whose slopes tie under the
-    # kernel's rule, so the vertices between tied edges go
+    # a piecewise-linear curve or finite set has one edge per true slope:
+    # rounding splits a run of collinear knots into edges whose slopes tie
+    # under the kernel's rule, so the vertices between tied edges go
     while derivative is None and len(vidx) > 2:
         s = np.diff(gs[vidx]) / np.diff(xs[vidx])
         tie = np.abs(np.diff(s)) <= 1e-9 * np.maximum(
@@ -387,9 +438,11 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
     hull_g = np.interp(xs, vx, vg)
     hull = sign * hull_g
 
-    rng = float(fs.max() - fs.min())
-    tol = 1e-9 * (rng if rng > 0.0 else max(1.0, float(np.abs(fs).max())))
-    contact = np.abs(hull - fs) <= tol
+    # contact within 1e-9 of the values at the knot: a tolerance scaled to
+    # the whole range would hide a dent that is small against the far end
+    # of a truncated ray
+    contact = np.abs(hull_g - gs) <= 1e-9 * np.maximum(np.abs(hull_g),
+                                                       np.abs(gs))
     contact[chain] = True
 
     es = np.concatenate([[-math.inf], np.diff(vg) / np.diff(vx), [math.inf]])
@@ -397,11 +450,6 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
     # non-contact knots strictly inside each edge, by a running count
     gaps = np.concatenate([[0], np.cumsum(~contact)])
     bridge = gaps[vidx[1:]] > gaps[vidx[:-1]]
-
-    dinv = None
-    if derivative_inverse is not None:
-        # oriented: solve g'(x) = w, where g = sign*f, so f'(x) = sign*w
-        dinv = derivative_inverse if sign > 0 else (lambda w: derivative_inverse(-np.asarray(w)))
 
     return Envelope(kind=kind, xs=xs, f=fs, hull=hull, contact=contact,
                     _sign=sign, _vidx=vidx, _vx=vx, _vg=vg, _es=es[1:-1],

@@ -68,7 +68,8 @@ class HamiltonianModel:
 
 
 def _curve_kwargs(curve, cset):
-    if cset.kind != "finite" and curve.has_derivative:
+    # no derivative inverse means piecewise linear: every edge is a kink
+    if cset.kind != "finite" and curve.derivative_inverse() is not None:
         return dict(evaluator=curve, derivative=curve.derivative,
                     derivative_inverse=curve.derivative_inverse())
     return {}
@@ -84,9 +85,8 @@ def _revenue_envelope(problem: ValidatedProblem) -> Envelope:
 
 def _cost_envelope(problem: ValidatedProblem, ceiling: float | None) -> Envelope:
     curve = problem.cost
-    if problem.a_grid is not None:
-        xs = problem.a_grid
-    else:
+    xs = problem.a_grid
+    if xs is None:
         xs = problem.production_set.sample(problem.grid_n, hi=ceiling)
     return convex_hull(xs, curve(xs),
                        finite=problem.production_set.kind == "finite",

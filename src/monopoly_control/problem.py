@@ -8,7 +8,7 @@ average cost C(a)/a must grow without bound, otherwise arbitrarily cheap
 mass production would make the control problem degenerate.
 
 Everything downstream consumes a ValidatedProblem, which freezes the
-sample grids used by the envelope and conjugate machinery.
+points (_points) that validation, the envelopes and the oracle read.
 """
 
 from __future__ import annotations
@@ -245,11 +245,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class ValidatedProblem:
-    """A ProblemSpec that passed validate_problem, plus its sample grids.
+    """A ProblemSpec that passed validate_problem, plus its curves' points.
 
-    ``q_grid`` covers co(Q).  ``a_grid`` covers co(A) for bounded A and is
-    None for a right ray, where the Hamiltonian builder chooses the
-    truncation bound and samples the set up to it.
+    ``q_grid`` holds the revenue's points on Q (see _points) and ``a_grid``
+    the cost's on a bounded A; it is None for a right ray, where the
+    Hamiltonian builder chooses the truncation bound and samples up to it.
     """
 
     spec: ProblemSpec
@@ -281,17 +281,20 @@ class ValidatedProblem:
         return self.spec.grid_n
 
 
-def _merge_knots(grid: np.ndarray, curve: Curve, cset: ControlSet) -> np.ndarray:
-    """Fold table knots into a sample grid.
+def _points(curve: Curve, cset: ControlSet, n: int) -> np.ndarray | None:
+    """The points a curve is read at over a bounded set (None for a ray).
 
-    A linspace can straddle a table knot, hiding a kink (or a whole spike)
-    from anything built on the samples.  Finite sets stay untouched: their
-    members are the only admissible points.
+    A finite set gives its members and a smooth curve n samples.  A
+    piecewise-linear curve (no derivative inverse: affine or table) is fixed
+    by its breakpoints, the set's ends and the knots strictly between them.
     """
-    if curve.family != "table" or cset.kind == "finite":
-        return grid
+    if not cset.is_bounded:
+        return None
+    if cset.kind == "finite" or curve.derivative_inverse() is not None:
+        return cset.sample(n)
     ks = np.asarray(curve.xs, dtype=float)
-    return np.union1d(grid, ks[(ks >= grid[0]) & (ks <= grid[-1])])
+    return np.concatenate([[cset.lo], ks[(ks > cset.lo) & (ks < cset.hi)],
+                           [cset.hi]])
 
 
 def _check_curve_domain(curve: Curve, cset: ControlSet, label: str) -> None:
@@ -362,7 +365,7 @@ def validate_problem(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
     _check_curve_domain(spec.revenue, Q, "revenue")
     _check_curve_domain(spec.cost, A, "cost")
 
-    q_grid = _merge_knots(Q.sample(spec.grid_n), spec.revenue, Q)
+    q_grid = _points(spec.revenue, Q, n)
     r_vals = np.asarray(spec.revenue(q_grid))
     r_scale = float(np.max(np.abs(r_vals))) or 1.0
     if abs(float(spec.revenue(0.0))) > _VAL_TOL * r_scale:
@@ -370,13 +373,10 @@ def validate_problem(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
     if np.any(r_vals < -_VAL_TOL * r_scale):
         raise AssumptionViolation("revenue must be non-negative on the demand set")
 
-    if A.is_bounded:
-        a_grid = _merge_knots(A.sample(spec.grid_n), spec.cost, A)
-    else:
+    a_grid = probe = _points(spec.cost, A, n)
+    if a_grid is None:
         _check_coercive(spec.cost)
-        # Coercivity probe doubles as the monotonicity sample.
-        a_grid = None
-    probe = a_grid if a_grid is not None else np.linspace(0.0, 16.0, spec.grid_n)
+        probe = np.linspace(0.0, 16.0, n)
     c_vals = np.asarray(spec.cost(probe))
     c_scale = float(np.max(np.abs(c_vals))) or 1.0
     if np.any(c_vals < -_VAL_TOL * c_scale):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import HorizonTooShort, InvalidParameter, StateViolation
 from .problem import ValidatedProblem, validate_problem
-from .strategy import DrawdownPlan
+from .strategy import _ARC_X_TOL, DrawdownPlan
 from .tableio import write_csv
 from .value import ValueFunction, _simpson
 
@@ -138,7 +138,7 @@ def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
                           j_running=np.append(j[:m], j[m - 1] + wts @ pay[at]),
                           tail_rate=0.0)
     # cells drop stock, never raise it, so its end bounds it from below
-    if abs(xk[-1]) > 1e-10 * max(1.0, plan.x0):
+    if abs(xk[-1]) > _ARC_X_TOL * max(1.0, plan.x0):
         raise StateViolation(plan.tau, float(xk[-1]))
     tail = simulate(problem, plan.tail, horizon=horizon - plan.tau, x0=0.0)
     shift = math.exp(-beta * plan.tau)

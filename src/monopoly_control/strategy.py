@@ -32,13 +32,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._roots import bracket_root
+from ._roots import bracket_root, stop_width
 from .envelope import Envelope, contact_argmax_intervals, hull_decompose
 from .errors import DecompositionMismatch, InvalidParameter, ZetaZeroWarning
 from .hamiltonian import (HamiltonianModel, _in_domain, _sides,
                           controls_at as _h_controls)
 from .problem import ValidatedProblem, validate_problem
 from .value import ValueFunction
+
+# the drawdown arc's stock reaches zero at tau within this share of
+# max(1, x0)
+_ARC_X_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -407,7 +411,8 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
     zero (see stationary_plan), returned as it is when x0 is zero or when
     stock has no marginal value (zeta <= 0).  Stock past vf.x_resolved,
     where the slope table ends, is rejected with InvalidParameter rather
-    than dropped.  The arc's knots are xi0 = v'(x0) and the table's knots
+    than dropped, and so is stock below the smallest the table resolves
+    next to zeta.  The arc's knots are xi0 = v'(x0) and the table's knots
     in (xi0, zeta], its stock x0 and then the table's Psi, and its
     controls the table's own; only the cell [xi0, first knot] is read.
     """
@@ -438,6 +443,21 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
     j = int(np.count_nonzero(vf.xi_knots > xi0))
     z = np.concatenate([[xi0], vf.xi_knots[:j][::-1]])
     first = _sides(*_in_domain(model, np.array([xi0, 0.5 * (xi0 + z[1])])))
+
+    # the smallest stock the table resolves here.  Psi' = -H'/(beta xi) is
+    # read at xi0+ and at zeta-; a kink at zeta ties the slopes within
+    # 1e-9 max(1, zeta) of it, and the first cell clears four such bands to
+    # read its midpoint.  v' finds ln xi0 to bracket_root's stop width,
+    # which moves stock by q, and the arc must close to _ARC_X_TOL
+    d_zeta = vf._sides[1, 0] - vf._sides[0, 0]
+    q = max(first[3, 0] - first[2, 0], d_zeta) / beta * stop_width(
+        math.log(xi0))
+    x_min = max(4e-9 * max(1.0, zeta) * d_zeta / (beta * zeta),
+                q / _ARC_X_TOL if q > _ARC_X_TOL else 0.0)
+    if x0 < x_min:
+        raise InvalidParameter(
+            f"initial stock {x0:g} is below {x_min:.3g}, the smallest stock "
+            "the slope table resolves next to zeta")
     n = len(vf.xi_knots)
     sides = np.column_stack([first[:, 0], vf._sides[:, :j][:, ::-1]])
     mids = np.column_stack([first[:, 1], vf._sides[:, n:n + j - 1][:, ::-1]])

@@ -403,3 +403,48 @@ def test_criterion_8_invariant_battery(make_random_instance,
         assert shift <= 1e-10 * max(1.0, m1.zeta), seed
     print(f"100 bounded + 100 ray instances pass all invariants; "
           f"worst zeta shift under retruncation {worst_shift:.3g}")
+
+
+def test_criterion_8_whole_pipeline_battery(make_random_instance):
+    # every stage from the curves to the simulated drawdown on 150 random
+    # table instances and 60 tables against a cubic cost on a ray, each
+    # model played from 0.1, 0.5, 0.9 and 0.99 of x_resolved for tau + 60:
+    # a static tail's total is v(x0), a cycle cannot beat it, and the
+    # arc's stock closes at tau
+    rng = np.random.default_rng(2026)
+    n_tables, n_rays = 150, 60
+    worst = {"static": 0.0, "cyclic": 0.0, "stock": 0.0}
+    arcs = statics = 0
+    for k in range(n_tables + n_rays):
+        problem = (make_random_instance(rng) if k < n_tables
+                   else _random_ray_instance(rng))
+        model = build_hamiltonian(problem)
+        vf = build_value(model)
+        if vf.constant:
+            continue
+        beta = problem.beta
+        tail = stationary_plan(problem, model)
+        for share in (0.1, 0.5, 0.9, 0.99):
+            x0 = share * vf.x_resolved
+            plan = drawdown_plan(vf, x0, tail)
+            horizon = plan.tau + 60.0
+            traj = simulate(problem, plan, horizon=horizon)
+            total = traj.total + (math.exp(-beta * horizon)
+                                  * traj.tail_rate / beta)
+            v0 = vf.value_at(x0)
+            scale = max(1.0, abs(v0))
+            arcs += 1
+            if isinstance(plan.tail, StaticPlan):
+                statics += 1
+                worst["static"] = max(worst["static"], abs(total - v0) / scale)
+                assert abs(total - v0) <= 1e-10 * scale, (k, share, total - v0)
+            else:
+                worst["cyclic"] = max(worst["cyclic"], (total - v0) / scale)
+                assert total - v0 <= 1e-10 * scale, (k, share, total - v0)
+            end = traj.stock[len(plan.t_knots) - 1]
+            worst["stock"] = max(worst["stock"], abs(end) / max(1.0, x0))
+            assert abs(end) <= 1e-13 * max(1.0, x0), (k, share, end)
+    assert arcs == 4 * (n_tables + n_rays) and statics >= 100
+    print(f"{n_tables} table + {n_rays} ray draws, {arcs} arcs ({statics} "
+          f"with a static tail); worst relative: " + ", ".join(
+              f"{key} {val:.3g}" for key, val in worst.items()))

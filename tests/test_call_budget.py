@@ -10,12 +10,16 @@ batch of readings (a full slope table, a second reading of kept knots, a
 separate controls batch, a second H at the stock already asked, the
 drawdown reading more than its first cell) fails
 here instead of only slowing the benchmark down.
+
+The points handed to ``convex_hull`` and ``concave_hull`` are counted in
+the same runs.  A piecewise-linear curve (an affine cost, a table) is
+hulled from its breakpoints alone, so sampling one again fails here.
 """
 
 import numpy as np
 import pytest
 
-from monopoly_control import envelope
+from monopoly_control import envelope, hamiltonian
 from monopoly_control.cli import main
 
 # (kernel calls, slopes read) allowed for solve + simulate --x0 0.2
@@ -25,6 +29,18 @@ BUDGET = {
     "arvan_moses_mid": (58, 16882),
     "linear_cost": (64, 16640),
     "table_curves": (56, 16446),
+}
+
+# points passed to the hull builders for solve + simulate --x0 0.2: two
+# builds of 4097 samples per smooth curve (a third cost build where the
+# ray's ceiling doubles), two points per affine cost, ends and knots per
+# table
+HULL_POINTS = {
+    "arvan_moses_high": 16388,
+    "arvan_moses_low": 24582,
+    "arvan_moses_mid": 16388,
+    "linear_cost": 8198,
+    "table_curves": 20,
 }
 
 
@@ -40,8 +56,15 @@ def test_conjugate_readings_within_budget(name, configs_dir, tmp_path,
         return kernel(env, w)
 
     monkeypatch.setattr(envelope, "_conjugate", counted)
+    points = [0]
+    for hull in ("convex_hull", "concave_hull"):
+        def counted_hull(xs, fs, build=getattr(hamiltonian, hull), **kw):
+            points[0] += len(xs)
+            return build(xs, fs, **kw)
+        monkeypatch.setattr(hamiltonian, hull, counted_hull)
     cfg = str(configs_dir / f"{name}.cfg")
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 0
     assert main(["simulate", cfg, "--x0", "0.2", "--out", str(tmp_path)]) == 0
     calls, slopes = BUDGET[name]
     assert counts[0] <= calls and counts[1] <= slopes, (name, counts)
+    assert points[0] <= HULL_POINTS[name], (name, points[0])

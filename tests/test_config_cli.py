@@ -1,5 +1,6 @@
 """Config parsing and the command-line workflows."""
 
+import math
 import os
 import re
 import subprocess
@@ -12,8 +13,16 @@ import pytest
 import monopoly_control
 from monopoly_control import (
     InvalidParameter,
+    StaticPlan,
     ZetaZeroWarning,
+    build_hamiltonian,
+    build_value,
+    drawdown_plan,
+    fenchel_cost,
     load_problem,
+    relaxed_static,
+    simulate,
+    stationary_plan,
     validate_problem,
 )
 from monopoly_control.cli import main
@@ -38,6 +47,15 @@ c = 0.2
 q = interval 0 1
 a = interval 0 0.3
 """
+
+
+# table_curves.cfg with no section header, no [sets] a, no beta
+_TABLE_TEXT = Path(TABLE_CURVES).read_text()
+BROKEN_FILES = {
+    "no_header.cfg": "beta = 0.5\n",
+    "no_a.cfg": _TABLE_TEXT.replace("a = interval 0 2\n", ""),
+    "no_beta.cfg": _TABLE_TEXT.replace("beta = 0.5\n", ""),
+}
 
 
 @pytest.fixture()
@@ -327,16 +345,63 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["compare", "--x0", "1e9"], "exceeds x_resolved"),
     (["solve", "--grid-n", "513"], "unrecognized arguments: --grid-n 513"),
     (["solve", "--config", TABLE_CURVES], "unrecognized arguments: --config"),
+    (["solve", "--set", "problem.beta=abc"], "beta = 'abc' is not a number"),
+    (["solve", "--set", "revenue.points=0:0"], "at least two x:y points"),
+    (["solve", "arvan_moses_mid.cfg", "--set", "revenue.family=table"],
+     "family table needs a points key"),
+    (["solve", "--set", "revenue.family=cubic"],
+     "family = 'cubic' not recognized for this section"),
+    (["solve", "--set", "sets.a="], "[sets] a is empty"),
+    (["solve", "--set", "sets.a=interval 0 x"],
+     "non-numeric bound in 'interval 0 x'"),
+    (["solve", "--set", "sets.a=interval 0"],
+     "a = 'interval 0' not recognized"),
+    (["solve", "--set", "problem.beta"], "override 'problem.beta' lacks '='"),
+    (["solve", "--set", "beta=1"], "key 'beta' must be section.key"),
+    (["solve", "--set", "foo.bar=1"], "unknown section [foo]"),
+    (["solve", "--set", "problem.grid_n=1.5"],
+     "grid_n = '1.5' is not an integer"),
+    (["solve", "--set", "sets.a=finite -1 0 1"], "rates must be non-negative"),
+    (["solve", "--set", "revenue.points=0.5:0, 1:0.3"],
+     "revenue curve is undefined below 0.5"),
+    (["solve", "--set", "revenue.points=0:0, 0.5:0.3"],
+     "revenue table does not cover the control set"),
+    (["solve", "linear_cost.cfg", "--set", "sets.a=right_ray 0"],
+     "production cost is not coercive"),
+    (["solve", "--set", "sets.a=interval 0.5 1"],
+     "0 must belong to the production set"),
+    (["solve", "--set", "revenue.points=0:0.1, 1:0.2"],
+     "revenue must vanish at zero demand"),
+    (["solve", "--set", "revenue.points=0:0, 0.5:-0.1, 1:0.2"],
+     "revenue must be non-negative on the demand set"),
+    (["solve", "--set", "cost.points=0:0, 1:0.5, 2:0.2"],
+     "production cost must be non-decreasing"),
+    (["solve", "no_header.cfg"], "File contains no section headers"),
+    (["solve", "no_a.cfg"], "[sets] needs both q and a"),
+    (["solve", "no_beta.cfg"], "[problem] is missing required key 'beta'"),
 ], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
         "finite_nan", "oracle_dt", "compare_dt", "simulate_eps", "grid_n_cap",
         "strategy_past_x_resolved", "simulate_past_x_resolved",
-        "compare_past_x_resolved", "grid_n_flag", "config_flag"])
+        "compare_past_x_resolved", "grid_n_flag", "config_flag",
+        "beta_text", "one_point", "table_no_points", "revenue_family",
+        "set_empty", "set_bound_text", "set_arity", "override_no_eq",
+        "override_no_dot", "unknown_section", "grid_n_text", "finite_negative",
+        "revenue_below_domain", "revenue_short_table", "affine_on_ray",
+        "production_without_0", "revenue_at_0", "revenue_negative",
+        "cost_decreasing", "no_header", "no_a", "no_beta"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                                     message):
+    # table_curves.cfg, unless the first flag names a shipped config or
+    # one of the broken files
     command, *flags = argv
+    cfg = configs_dir / "table_curves.cfg"
+    if flags[0].endswith(".cfg"):
+        cfg = configs_dir / flags.pop(0)
+        if cfg.name in BROKEN_FILES:
+            cfg = tmp_path / cfg.name
+            cfg.write_text(BROKEN_FILES[cfg.name])
     try:
-        rc = main([command, str(configs_dir / "table_curves.cfg"),
-                   "--out", str(tmp_path), *flags])
+        rc = main([command, str(cfg), "--out", str(tmp_path), *flags])
     except SystemExit as exc:       # argparse refuses unknown flags
         rc = exc.code
     assert rc == 2
@@ -387,3 +452,78 @@ def test_cli_parser_reuse_matches_fresh_processes(configs_dir, tmp_path):
     parser = monopoly_control.cli._parser()
     assert parser is monopoly_control.cli._parser()
     assert parser.parse_args(["solve", cfg]).set == []
+
+
+@pytest.mark.parametrize("a_coef", ["1e3", "1e5", "1e6", "3e6", "1e7", "1e9",
+                                    "1e12"])
+def test_solve_keeps_the_cost_bridge_at_any_demand_scale(configs_dir,
+                                                         tmp_path, a_coef):
+    # arvan_moses_mid with its demand intercept A raised: the ray's
+    # truncation, and with it the sample spacing and the cost's range,
+    # grow with A, but the cost bridge [0, 1.5] of slope 1/4 stays.  The
+    # mixture on it earns A - 5/4 and the best constant rate 1 earns
+    # A - 4/3, so the static gap is 1/12 and no constant rate is optimal
+    cfg = configs_dir / "arvan_moses_mid.cfg"
+    override = f"revenue.A={a_coef}"
+    assert main(["solve", str(cfg), "--out", str(tmp_path),
+                 "--set", override]) == 0
+    summary = _summary(tmp_path / "summary.txt")
+    problem = validate_problem(load_problem(cfg, [override]))
+    model = build_hamiltonian(problem)
+    span = fenchel_cost(model.cost_env, model.zeta)
+    assert abs(model.zeta - 0.25) <= 4 * np.spacing(0.25), model.zeta
+    assert float(summary["zeta"]) == model.zeta
+    assert span.argmax_lo == 0.0, span
+    assert abs(span.argmax_hi - 1.5) <= 8 * np.spacing(1.5), span
+    h_min = float(summary["h_min"])
+    tol = 1e-14 * max(1.0, abs(h_min))
+    assert abs(h_min - (float(a_coef) - 1.25)) <= tol, h_min
+    assert summary["static_optimal"] == "False"
+    assert abs(float(summary["relaxed_payoff"]) - h_min) <= tol, summary
+    assert abs(float(summary["static_gap"]) - 1.0 / 12.0) <= tol, summary
+    # the mean rate 1 mixes the bridge's ends, 0 a third of the time
+    mix = relaxed_static(problem, model)
+    assert (mix.a1, mix.a2) == (0.0, span.argmax_hi), mix
+    assert abs(mix.nu - 1.0 / 3.0) <= 1e-14, mix
+
+
+@pytest.mark.parametrize("beta", ["1e-6", "1e-7", "1e-8", "1e-9", "1e-12"])
+def test_drawdown_at_a_tiny_discount_closes_or_names_its_limit(
+        configs_dir, tmp_path, capsys, beta):
+    # next to zeta the slope table resolves stock only to Psi' times its
+    # slope precision, which grows as 1/beta.  A drawdown either meets the
+    # arc's gates (the total against v(x0), the stock closing at tau) or
+    # is rejected, exit 2, naming the smallest stock the table resolves
+    limit = "the smallest stock the slope table resolves"
+    played = 0
+    for cfg in sorted(configs_dir.glob("*.cfg")):
+        override = f"problem.beta={beta}"
+        problem = validate_problem(load_problem(cfg, [override]))
+        model = build_hamiltonian(problem)
+        vf = build_value(model)
+        tail = stationary_plan(problem, model)
+        for x0 in (0.2, 0.5 * vf.x_resolved):
+            try:
+                plan = drawdown_plan(vf, x0, tail)
+            except InvalidParameter as exc:
+                assert limit in str(exc), (cfg.stem, x0, exc)
+                continue
+            played += 1
+            horizon = plan.tau + 60.0
+            traj = simulate(problem, plan, horizon=horizon)
+            total = traj.total + (math.exp(-problem.beta * horizon)
+                                  * traj.tail_rate / problem.beta)
+            v0 = vf.value_at(x0)
+            tol = 1e-9 * max(1.0, abs(v0))
+            if isinstance(plan.tail, StaticPlan):
+                assert abs(total - v0) <= tol, (cfg.stem, x0, total - v0)
+            else:
+                assert total <= v0 + tol, (cfg.stem, x0, total - v0)
+            end = traj.stock[len(plan.t_knots) - 1]
+            assert abs(end) <= 1e-10 * max(1.0, x0), (cfg.stem, x0, end)
+        rc = main(["simulate", str(cfg), "--out", str(tmp_path),
+                   "--x0", "0.2", "--set", override])
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc == 2 and limit in err), (cfg.stem, rc, err)
+    # every config plays its drawdown from half the resolved stock
+    assert played >= 5

@@ -278,6 +278,14 @@ def _chain_inputs(rng, make_random_instance):
             return np.linspace(0.0, rng.uniform(0.5, 3.0), n)
         return np.unique(rng.uniform(0.0, 3.0, n))
 
+    def sampled(curve, cset, n):
+        # n samples of the set with the table's knots folded in
+        xs = cset.sample(n)
+        if cset.kind == "finite":
+            return xs
+        ks = np.asarray(curve.xs)
+        return np.union1d(xs, ks[(ks >= xs[0]) & (ks <= xs[-1])])
+
     for n in (1, 2, 3):
         for _ in range(30):
             xs = knots(n, rng.uniform() < 0.5)
@@ -287,8 +295,10 @@ def _chain_inputs(rng, make_random_instance):
         yield xs, rng.uniform(0.0, 1.0, len(xs))
     for _ in range(150):                        # sampled random tables
         p = make_random_instance(rng)
-        yield p.q_grid, -p.revenue(p.q_grid)
-        yield p.a_grid, p.cost(p.a_grid)
+        q_xs = sampled(p.revenue, p.demand_set, p.grid_n)
+        a_xs = sampled(p.cost, p.production_set, p.grid_n)
+        yield q_xs, -p.revenue(q_xs)
+        yield a_xs, p.cost(a_xs)
     for _ in range(300):                        # affine, rounding noise
         xs = knots(int(rng.integers(20, 1500)), rng.uniform() < 0.7)
         yield xs, rng.normal() * xs + rng.normal()
