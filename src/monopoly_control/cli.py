@@ -196,6 +196,16 @@ def _cmd_strategy(args) -> int:
     return 0
 
 
+def _append_gap(items: list, key: str, traj, vf) -> None:
+    """Append (key, profit gap), or the horizon_too_short flag once where
+    the horizon is too short to score the trajectory."""
+    try:
+        items.append((key, profit_gap(traj, vf)))
+    except HorizonTooShort:
+        if ("horizon_too_short", True) not in items:
+            items.append(("horizon_too_short", True))
+
+
 def _cmd_simulate(args) -> int:
     problem = _load(args)
     out = Path(args.out)
@@ -213,10 +223,7 @@ def _cmd_simulate(args) -> int:
         ("tail_rate", traj.tail_rate),
         ("value_x0", vf.value_at(args.x0)),
     ]
-    try:
-        items.append(("profit_gap", profit_gap(traj, vf)))
-    except HorizonTooShort:
-        items.append(("horizon_too_short", True))
+    _append_gap(items, "profit_gap", traj, vf)
     write_keyvalues(out / "simulate_summary.txt", items)
     print(f"trajectory.csv written, discounted total = {traj.total:.10g}")
     return 0
@@ -252,11 +259,11 @@ def _cmd_compare(args) -> int:
         ("dp_fix_gap", res.fix_gap),
     ]
     traj = simulate(problem, plan, horizon=horizon, x0=x_mid)
-    items.append(("profit_gap_drawdown", profit_gap(traj, vf)))
+    _append_gap(items, "profit_gap_drawdown", traj, vf)
     report = static_optimality_test(problem, model)
     if report.optimal:
         tstat = simulate(problem, StaticPlan(report.u_hat), horizon=horizon)
-        items.append(("profit_gap_static", profit_gap(tstat, vf)))
+        _append_gap(items, "profit_gap_static", tstat, vf)
     write_keyvalues(out / "compare.txt", items)
     print(f"max |v_hat - v| = {gap_grid.max():.3e} on [0, {xs[-1]:.3g}]")
     return 0

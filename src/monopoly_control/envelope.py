@@ -2,15 +2,18 @@
 
 The solver never needs the raw revenue or cost curve, only its concave or
 convex envelope: the running Hamiltonian is blind to the difference, and
-two-point mixtures recover anything the envelope promises.  An Envelope is
-built from samples by a monotone chain; where the hull bridges a non-convex
-dip of a closed-form curve, the bridge endpoints are then polished by
-solving the common-tangent conditions on the continuous curve and inserted
-as knots, giving contact points far below sample resolution.  Table curves
-keep knot-only contacts.  The envelope is its edge arrays (vertices, edge
-slopes, and which edges bridge non-contact knots), and its value query
-hull_exact takes a scalar or an array alike; slopes are read from the
-conjugates' attaining spans, not from the envelope.
+two-point mixtures recover anything the envelope promises.  A hull is
+built from the curve's points by a monotone chain and, for a smooth curve
+(a Curve with a derivative inverse, on a continuum), from the Curve
+itself: where the hull bridges a non-convex dip, the bridge endpoints are
+polished by solving the common-tangent conditions on the curve and
+inserted as knots, giving contact points far below sample resolution.
+Any other curve is piecewise linear through its points, which keep
+knot-only contacts, and every edge slope is a kink.  The envelope is its
+edge arrays (vertices, edge slopes, and which edges bridge non-contact
+knots), and its value query hull_exact takes a scalar or an array alike;
+slopes are read from the conjugates' attaining spans, not from the
+envelope.
 
 Conjugate queries come in two orientations:
 
@@ -35,6 +38,7 @@ import numpy as np
 
 from ._roots import bracket_root
 from .errors import DecompositionMismatch, DegenerateGrid, InvalidParameter, OutOfDomain
+from .problem import Curve
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,9 @@ class Envelope:
     _es: np.ndarray = field(repr=False)         # oriented edge slopes, increasing
     _bridge: np.ndarray = field(repr=False)     # per edge: spans a non-contact knot
     _table: tuple = field(repr=False)           # per vertex, for _conjugate
-    _eval: Callable | None = field(repr=False, default=None)
-    _deriv: Callable | None = field(repr=False, default=None)
+    # the smooth curve refined and polished against, None when piecewise
+    # linear, and its oriented derivative inverse: solves g'(x) = w
+    _curve: Curve | None = field(repr=False, default=None)
     _dinv: Callable | None = field(repr=False, default=None)
     # knots are the only admissible points; everything between them is
     # reachable solely as a mixture of knots
@@ -88,16 +93,11 @@ class Envelope:
 
     @property
     def refinable(self) -> bool:
-        return self._deriv is not None
+        return self._curve is not None
 
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.xs[0]), float(self.xs[-1])
-
-    @property
-    def value_tol(self) -> float:
-        rng = float(self.f.max() - self.f.min())
-        return 1e-9 * (rng if rng > 0.0 else max(1.0, float(np.abs(self.f).max())))
 
     def hull_exact(self, x):
         """Envelope value using the continuous curve off bridges.
@@ -111,7 +111,7 @@ class Envelope:
         a, b = self._vx[e], self._vx[e + 1]
         t = (x - a) / (b - a)
         chord = self._sign * ((1.0 - t) * self._vg[e] + t * self._vg[e + 1])
-        curve = (self._eval(x) if self._eval is not None
+        curve = (self._curve(x) if self.refinable
                  else np.interp(x, self.xs, self.f))
         out = np.where(inside & (self.finite_support | self._bridge[e]), chord,
                        curve)
@@ -142,7 +142,7 @@ class Envelope:
             return np.unique(self._sign * self._es)
         return np.unique(np.concatenate([
             self._sign * self._es[np.diff(self._vidx) > 1],
-            self._deriv(self.xs[[0, -1]])]))
+            self._curve.derivative(self.xs[[0, -1]])]))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +389,7 @@ def _split_dents(xs: np.ndarray, gs: np.ndarray, vidx: np.ndarray, geval,
     return xs, gs, vidx
 
 
-def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
-           finite: bool = False) -> Envelope:
+def _build(xs, fs, curve: Curve | None, kind: str, finite: bool) -> Envelope:
     xs = np.ascontiguousarray(xs, dtype=float)
     fs = np.ascontiguousarray(fs, dtype=float)
     if xs.ndim != 1 or xs.shape != fs.shape:
@@ -405,15 +404,17 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
     sign = 1.0 if kind == "convex" else -1.0
     gs = sign * fs
     vidx = _chain_lower(xs, gs)
-    dinv = None
-    if derivative_inverse is not None:
+    # a curve with a derivative inverse, on a continuum, is smooth: it is
+    # refined and polished against; anything else is piecewise linear
+    inverse = None if curve is None or finite else curve.derivative_inverse()
+    if inverse is None:
+        curve = dinv = None
+    else:
         # oriented: solve g'(x) = w, where g = sign*f, so f'(x) = sign*w
-        dinv = derivative_inverse if sign > 0 else (lambda w: derivative_inverse(-np.asarray(w)))
-    if evaluator is not None and derivative is not None:
-        geval, gder = (lambda t: sign * evaluator(t)), (lambda t: sign * derivative(t))
-        if dinv is not None:
-            xs, gs, vidx = _split_dents(xs, gs, vidx, geval, gder, dinv)
-            fs = sign * gs
+        dinv = inverse if sign > 0 else (lambda w: inverse(-np.asarray(w)))
+        geval, gder = (lambda t: sign * curve(t)), (lambda t: sign * curve.derivative(t))
+        xs, gs, vidx = _split_dents(xs, gs, vidx, geval, gder, dinv)
+        fs = sign * gs
         add = np.unique(_refine_bridges(xs, gs, vidx, geval, gder))
         if len(add):
             pos = np.searchsorted(xs, add)
@@ -425,7 +426,7 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
     # a piecewise-linear curve or finite set has one edge per true slope:
     # rounding splits a run of collinear knots into edges whose slopes tie
     # under the kernel's rule, so the vertices between tied edges go
-    while derivative is None and len(vidx) > 2:
+    while curve is None and len(vidx) > 2:
         s = np.diff(gs[vidx]) / np.diff(xs[vidx])
         tie = np.abs(np.diff(s)) <= 1e-9 * np.maximum(
             1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
@@ -457,26 +458,23 @@ def _build(xs, fs, evaluator, derivative, derivative_inverse, kind: str,
                         es[:-1], es[1:], wide[:-1], wide[1:],
                         xs[np.maximum(vidx - 1, 0)],
                         xs[np.minimum(vidx + 1, len(xs) - 1)]),
-                    _eval=evaluator, _deriv=derivative, _dinv=dinv,
+                    _curve=curve, _dinv=dinv,
                     finite_support=finite)
 
 
-def convex_hull(xs, fs, *, evaluator=None, derivative=None,
-                derivative_inverse=None, finite=False) -> Envelope:
-    """Greatest convex minorant of the sampled curve.
+def convex_hull(xs, fs, *, curve=None, finite=False) -> Envelope:
+    """Greatest convex minorant of the curve sampled as fs at xs.
 
-    finite marks xs as the only admissible points rather than samples of
-    a continuum.
+    curve is the Curve sampled; a smooth one (with a derivative inverse)
+    refines bridges and polishes conjugates.  finite marks xs as the only
+    admissible points rather than samples of a continuum.
     """
-    return _build(xs, fs, evaluator, derivative, derivative_inverse,
-                  "convex", finite)
+    return _build(xs, fs, curve, "convex", finite)
 
 
-def concave_hull(xs, fs, *, evaluator=None, derivative=None,
-                 derivative_inverse=None, finite=False) -> Envelope:
-    """Least concave majorant of the sampled curve."""
-    return _build(xs, fs, evaluator, derivative, derivative_inverse,
-                  "concave", finite)
+def concave_hull(xs, fs, *, curve=None, finite=False) -> Envelope:
+    """Least concave majorant of the curve sampled as fs at xs."""
+    return _build(xs, fs, curve, "concave", finite)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +511,9 @@ def _conjugate(env: Envelope, w: np.ndarray) -> tuple:
         x_lo, x_hi = vx[lo_i], vx[hi_i]
         val = np.maximum(x_lo * w - vg[lo_i], x_hi * w - vg[hi_i])
         spans = lo_i != hi_i
-    if env._dinv is not None:
+    if env.refinable:
         xr = np.asarray(env._dinv(w), dtype=float)
-        vr = xr * w - env._sign * env._eval(xr)
+        vr = xr * w - env._sign * env._curve(xr)
         take = ((xr > x_below[idx]) & (xr < x_above[idx]) & (vr >= val)
                 & ~spans)
         x_lo, x_hi = np.where(take, xr, x_lo), np.where(take, xr, x_hi)
@@ -613,9 +611,13 @@ def hull_decompose(env: Envelope, x: float) -> tuple:
     if x1 == x2:
         return (x, x, 1.0)
     delta = (x2 - x) / (x2 - x1)
-    mix = delta * float(env.f[int(np.searchsorted(env.xs, x1))]) \
-        + (1.0 - delta) * float(env.f[int(np.searchsorted(env.xs, x2))])
-    if abs(mix - env.hull_exact(x)) > 1e3 * env.value_tol:
+    f1 = float(env.f[int(np.searchsorted(env.xs, x1))])
+    f2 = float(env.f[int(np.searchsorted(env.xs, x2))])
+    mix = delta * f1 + (1.0 - delta) * f2
+    h = env.hull_exact(x)
+    # the bound scales with the values compared, not with the range of all
+    # samples, which the far end of a truncated ray inflates
+    if abs(mix - h) > 1e-6 * max(abs(f1), abs(f2), abs(h)):
         raise DecompositionMismatch(
-            f"mixture value {mix:.12g} vs envelope {env.hull_exact(x):.12g} at x={x:.12g}")
+            f"mixture value {mix:.12g} vs envelope {h:.12g} at x={x:.12g}")
     return (x1, x2, float(delta))

@@ -67,30 +67,18 @@ class HamiltonianModel:
     trunc_bound: float | None
 
 
-def _curve_kwargs(curve, cset):
-    # no derivative inverse means piecewise linear: every edge is a kink
-    if cset.kind != "finite" and curve.derivative_inverse() is not None:
-        return dict(evaluator=curve, derivative=curve.derivative,
-                    derivative_inverse=curve.derivative_inverse())
-    return {}
-
-
 def _revenue_envelope(problem: ValidatedProblem) -> Envelope:
-    curve = problem.revenue
     xs = problem.q_grid
-    return concave_hull(xs, curve(xs),
-                        finite=problem.demand_set.kind == "finite",
-                        **_curve_kwargs(curve, problem.demand_set))
+    return concave_hull(xs, problem.revenue(xs), curve=problem.revenue,
+                        finite=problem.demand_set.kind == "finite")
 
 
 def _cost_envelope(problem: ValidatedProblem, ceiling: float | None) -> Envelope:
-    curve = problem.cost
     xs = problem.a_grid
     if xs is None:
         xs = problem.production_set.sample(problem.grid_n, hi=ceiling)
-    return convex_hull(xs, curve(xs),
-                       finite=problem.production_set.kind == "finite",
-                       **_curve_kwargs(curve, problem.production_set))
+    return convex_hull(xs, problem.cost(xs), curve=problem.cost,
+                       finite=problem.production_set.kind == "finite")
 
 
 def _conjugates(rev_env: Envelope, cost_env: Envelope, z) -> tuple:
@@ -123,11 +111,8 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     unbounded = problem.a_grid is None
     ceiling = (_FIRST_CEILING * (float(problem.q_grid[-1]) + 1.0)
                if unbounded else None)
-    # steepest revenue slope over the starts of affine runs of hull edges
-    es = rev_env._es
-    tol = 1e-9 * (float(np.abs(es).max()) + 1.0)
-    starts = np.concatenate([[0], 1 + np.nonzero(np.diff(es) > tol)[0]])
-    z_max = 2.0 * max(1.0, float(np.abs(es[starts]).max()))
+    # twice the steepest revenue slope
+    z_max = 2.0 * max(1.0, float(np.abs(rev_env._es).max()))
 
     cost_env = _cost_envelope(problem, ceiling)
 

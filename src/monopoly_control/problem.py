@@ -129,9 +129,10 @@ def _positive(family: str, name: str, value: float) -> float:
 class Curve:
     """Revenue or cost curve.
 
-    Closed-form families evaluate exactly anywhere and expose a derivative,
-    which the envelope refinement uses to pin contact points; Table curves
-    interpolate linearly between knots and have no derivative.
+    Closed-form families evaluate exactly anywhere and expose a derivative;
+    the smooth ones (linear demand, cubic) also a derivative inverse, with
+    which the envelope pins contact points.  Table curves interpolate
+    linearly between knots and have no derivative.
 
     Families
     --------

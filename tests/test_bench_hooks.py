@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from monopoly_control import hamiltonian, oracle, strategy, value
+from monopoly_control.config import load_problem
+from test_call_budget import HULL_POINTS
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -76,3 +78,19 @@ def test_traced_oracle_measures_bind(spans, linear_cost_problem):
     assert got["oracle.sweeps"] == dp.iterations
     assert all(math.isfinite(got[k]) for k in ("oracle.sweeps",
                                                "oracle.bytes"))
+
+
+@pytest.mark.parametrize("name", ["linear_cost", "table_curves"])
+def test_traced_hull_points_count_the_samples(spans, configs_dir, name):
+    # the hull measure counts len(args[0]), so every hull call must pass
+    # its points first and positionally; one build is half of the
+    # solve + simulate count in test_call_budget
+    problem = load_problem(configs_dir / f"{name}.cfg")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.current_op = 0
+        hamiltonian.build_hamiltonian(problem)
+    finally:
+        tracer.uninstall()
+    assert tracer.measures["envelope.hull_points"] == HULL_POINTS[name] / 2

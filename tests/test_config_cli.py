@@ -257,6 +257,22 @@ def test_cli_simulate_horizon_below_stop_tolerance(configs_dir, tmp_path):
     assert traj["t"].tolist() == [0.0, 1e-16]
 
 
+@pytest.mark.parametrize("name", ["arvan_moses_high", "arvan_moses_low",
+                                  "arvan_moses_mid", "linear_cost",
+                                  "table_curves"])
+def test_cli_compare_horizon_too_short_to_score(configs_dir, tmp_path, name):
+    # compare scores its plans as simulate does: a horizon too short for
+    # either profit gap is flagged once in the report, not an exit 3
+    rc = main(["compare", str(configs_dir / f"{name}.cfg"),
+               "--out", str(tmp_path), "--x0", "0.01", "--horizon", "1e-3"])
+    assert rc == 0
+    lines = (tmp_path / "compare.txt").read_text().splitlines()
+    report = dict(line.split(" = ", 1) for line in lines)
+    assert report["horizon_too_short"] == "True"
+    assert len(report) == len(lines)
+    assert not any(key.startswith("profit_gap") for key in report)
+
+
 # revenue (1 - q) q on Q = [0, 1] against a zero-cost table on A = [0, 1]:
 # H(z) is smallest at z = 0, so stock has no marginal value
 ZETA_ZERO = GOOD.replace("family = affine\nc = 0.2",

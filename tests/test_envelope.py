@@ -1,5 +1,6 @@
 """Hulls, conjugates, argmax sets, and mixture decomposition."""
 
+import dataclasses
 import itertools
 import math
 
@@ -12,9 +13,12 @@ from monopoly_control import (
     load_problem,
     validate_problem,
     DecompositionMismatch,
+    DegenerateGrid,
+    InvalidParameter,
     concave_hull,
     contact_argmax_intervals,
     convex_hull,
+    convexified_static,
     fenchel_cost,
     fenchel_cost_grid,
     fenchel_revenue,
@@ -30,16 +34,28 @@ REV = Curve.linear_demand_revenue(1.0, 1.0)
 
 def _cubic_env(n=2001, hi=3.0):
     xs = np.linspace(0.0, hi, n)
-    return convex_hull(xs, CUBIC(xs), evaluator=CUBIC,
-                       derivative=CUBIC.derivative,
-                       derivative_inverse=CUBIC.derivative_inverse())
+    return convex_hull(xs, CUBIC(xs), curve=CUBIC)
 
 
 def _rev_env(n=2001):
     xs = np.linspace(0.0, 1.0, n)
-    return concave_hull(xs, REV(xs), evaluator=REV,
-                        derivative=REV.derivative,
-                        derivative_inverse=REV.derivative_inverse())
+    return concave_hull(xs, REV(xs), curve=REV)
+
+
+@pytest.mark.parametrize("hull", [convex_hull, concave_hull])
+@pytest.mark.parametrize("curve", [None, CUBIC], ids=["no_curve", "cubic"])
+@pytest.mark.parametrize("xs, fs, error, match", [
+    (np.zeros((2, 2)), np.zeros((2, 2)), InvalidParameter, "1-d"),
+    ([0.0, 1.0, 2.0], [0.0, 1.0], InvalidParameter, "equal length"),
+    ([0.0], [0.0], DegenerateGrid, "two sample points"),
+    ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], InvalidParameter, "strictly increasing"),
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0], InvalidParameter, "finite"),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 2.0], InvalidParameter, "finite"),
+], ids=["not_1d", "lengths_differ", "one_point", "repeated_knot",
+        "nan_value", "inf_knot"])
+def test_hull_rejects_malformed_samples(hull, curve, xs, fs, error, match):
+    with pytest.raises(error, match=match):
+        hull(xs, fs, curve=curve)
 
 
 def test_cubic_hull_bridges_the_dent():
@@ -57,13 +73,14 @@ def test_cubic_hull_bridges_the_dent():
 
 def test_convex_hull_stays_below_curve():
     env = _cubic_env()
+    tol = 1e-9 * np.ptp(env.f)
     # at the knots the hull never exceeds the samples
-    assert np.all(env.hull <= env.f + env.value_tol)
+    assert np.all(env.hull <= env.f + tol)
     # between knots hull_exact follows the curve or a bridge chord,
     # both of which stay below a convex curve
     xs = np.linspace(0.0, 3.0, 557)
     exact = np.array([env.hull_exact(x) for x in xs])
-    assert np.all(exact <= CUBIC(xs) + env.value_tol)
+    assert np.all(exact <= CUBIC(xs) + tol)
     slopes = np.diff(env.hull) / np.diff(env.xs)
     assert np.all(np.diff(slopes) >= -1e-9)
 
@@ -112,7 +129,7 @@ def test_fenchel_revenue_closed_form():
 def test_affine_cost_conjugate_spans_the_interval():
     c = Curve.affine_cost(0.2)
     xs = np.linspace(0.0, 0.3, 1001)
-    env = convex_hull(xs, c(xs), evaluator=c, derivative=c.derivative)
+    env = convex_hull(xs, c(xs), curve=c)
     above = fenchel_cost(env, 0.5)
     assert (above.value, above.argmax_lo, above.argmax_hi) == \
         pytest.approx((0.09, 0.3, 0.3), abs=1e-12)
@@ -199,6 +216,25 @@ def test_dented_table_hull_and_decompose():
     assert (x1, x2, w) == pytest.approx((0.0, 1.0, 0.5), abs=1e-12)
 
 
+def test_hull_decompose_checks_the_mixture_at_any_scale(configs_dir):
+    # arvan_moses_mid at A = 1e12 truncates the cost ray far out, so the
+    # cost samples span about 1e18 while the mixture (0, 1.5; 1/3) reads
+    # values of at most 0.375: a contact value off by 1e-3 must still fail
+    # the reconstruction check
+    problem = validate_problem(load_problem(
+        configs_dir / "arvan_moses_mid.cfg", ["revenue.A=1e12"]))
+    model = build_hamiltonian(problem)
+    env = model.cost_env
+    u_tilde, _ = convexified_static(problem, model)
+    a1, a2, nu = hull_decompose(env, u_tilde)
+    assert a1 == 0.0 and abs(a2 - 1.5) <= 8 * np.spacing(1.5), (a1, a2)
+    assert abs(nu - 1.0 / 3.0) <= 1e-14, nu
+    f = env.f.copy()
+    f[np.searchsorted(env.xs, a2)] += 1e-3
+    with pytest.raises(DecompositionMismatch):
+        hull_decompose(dataclasses.replace(env, f=f), u_tilde)
+
+
 def test_table_kink_slopes_are_edge_slopes():
     pts = [(0.0, 0.0), (0.5, 0.1), (1.0, 0.4)]
     c = Curve.table(pts)
@@ -216,11 +252,12 @@ def test_random_tables_hull_invariants(brute_conjugate):
         xs = np.unique(xs)
         fs = rng.uniform(0.0, 1.0, len(xs))
         env = convex_hull(xs, fs)
-        assert np.all(env.hull <= fs + env.value_tol)
+        tol = 1e-9 * np.ptp(fs)
+        assert np.all(env.hull <= fs + tol)
         slopes = np.diff(env.hull) / np.diff(env.xs)
         assert np.all(np.diff(slopes) >= -1e-8)
         cenv = concave_hull(xs, fs)
-        assert np.all(cenv.hull >= fs - cenv.value_tol)
+        assert np.all(cenv.hull >= fs - tol)
         cslopes = np.diff(cenv.hull) / np.diff(cenv.xs)
         assert np.all(np.diff(cslopes) <= 1e-8)
         for z in rng.uniform(-1.0, 1.5, 4):
