@@ -86,7 +86,8 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--x0", type=_finite_float, default=None,
                     help="initial stock for the drawdown plan")
     ps.add_argument("--eps", type=_finite_float, default=None,
-                    help="cycle period for the cyclic plan")
+                    help="cycle period for the cyclic plan, which is then "
+                    "also the drawdown's tail")
 
     pm = sub.add_parser("simulate", parents=[common],
                         help="integrate the optimal plan from --x0")
@@ -182,8 +183,8 @@ def _cmd_strategy(args) -> int:
     cyc = cyclic_strategy(problem, relaxed, args.eps)
     lines.append(f"cyclic: {cyc.describe()}")
     if args.x0 is not None:
-        tail = StaticPlan(report.witness) if report.optimal else cyc
-        plan = drawdown_plan(build_value(model), args.x0, tail)
+        plan = drawdown_plan(build_value(model), args.x0,
+                             stationary_plan(problem, model, args.eps))
         lines.append(f"drawdown: {plan.describe()}")
         if isinstance(plan, DrawdownPlan):
             write_csv(out / "drawdown.csv",

@@ -17,11 +17,12 @@ so each is one small product of shifted copies of the table (_stage).
 The fixed point is found by policy iteration with exact evaluation
 (Howard's method; Puterman 1994, section 6.4): each full Bellman sweep,
 with its max over controls, picks a greedy policy, and one banded linear
-solve (_solve_policy) sets the table to that policy's exact value.  Only
-the Bellman sweeps decide when to stop.  The bound they give (see
-dp_value) holds whatever table they start from, so the solves change how
-fast the table gets there, not the fixed point nor how closely it is
-certified.
+solve (_solve_policy: a batched solve of independent interiors, then a
+small system on the separators between them) sets the table to that
+policy's exact value.  Only the Bellman sweeps decide when to stop.  The
+bound they give (see dp_value) holds whatever table they start from, so
+the solves change how fast the table gets there, not the fixed point nor
+how closely it is certified.
 
 An unbounded production set is capped independently of the main solver:
 no rational producer exceeds argmax_a { s a - C(a) } where s is the best
@@ -43,9 +44,9 @@ from .tableio import write_csv
 _BIG_NEG = -1e30
 # certified distance of the returned table from the discretized fixed point
 _TOL_FIX = 1e-9
-# smallest block of the block-tridiagonal policy solve; a stencil reaching
-# further from the diagonal widens the blocks to its reach
-_MIN_BLOCK = 32
+# smallest interior of the policy solve's periods; a stencil reaching
+# further from the diagonal widens the interiors to four times its reach
+_MIN_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,48 +105,58 @@ def _control_grid(cset, name: str, n, cap: float | None) -> np.ndarray:
 
 def _solve_policy(pay, idx, wts) -> np.ndarray:
     """Exact value of one policy: v solving (I - W) v = pay, where
-    W[x, idx[k, x]] += wts[k, x].
+    W[x, idx[i, x]] += wts[i, x].
 
     The weights are non-negative and each row of W sums below 1 (they
-    carry the discount), so I - W is strictly diagonally dominant.  With
-    blocks of m >= bw rows, bw = max |idx[k, x] - x| the stencil's reach,
-    I - W is block tridiagonal, and block Thomas elimination needs no
-    pivoting across blocks.  The coupling is narrow too: block row b reads
-    only the last bw columns of block b - 1 and the first bw of block
-    b + 1, so elimination carries D_b^-1 [U_b | r_b] with bw + 1 columns,
-    not m + 1.  m is at least _MIN_BLOCK = 32 because each block costs one
-    LAPACK call whose fixed overhead dwarfs its arithmetic at this size:
-    16-row blocks make twice the calls, and 64-row blocks, with a dearer
-    LU each, were no faster.
+    carry the discount), so I - W is strictly diagonally dominant, and so
+    are its diagonal blocks and their Schur complements: no pivoting
+    across blocks is needed.  The nodes fall into k periods, each an
+    interior of m = max(_MIN_BLOCK, 4 bw) nodes and a separator of bw,
+    bw = max |idx[i, x] - x| the stencil's reach, padded at the end with
+    identity rows.  No row reaches past the separators either side of its
+    interior, so one batched solve eliminates every interior at once
+    (one-level nested dissection; George 1973), one dense solve takes the
+    separators' Schur complement, block tridiagonal in (k - 1) bw
+    unknowns, and a batched product recovers the interiors.  Each LAPACK
+    call costs a fixed overhead that dwarfs its arithmetic at these sizes,
+    so there are two per policy, one when a single period covers the grid.
     """
     n = pay.size
     rows = np.broadcast_to(np.arange(n), idx.shape)
     bw = int(np.abs(idx - rows).max())
-    m = max(bw, _MIN_BLOCK)
-    nb = -(-n // m)
-    # row x of block b = x // m sees columns b m - bw ... b m + m + bw - 1:
-    # the last bw of block b - 1, all of block b, the first bw of block b + 1
-    span = m + 2 * bw
-    cell = rows * span + (idx - (rows // m * m - bw))
-    band = -np.bincount(cell.ravel(), wts.ravel(), minlength=nb * m * span)
-    band = band.reshape(nb, m, span)
-    lower, diag = band[:, :, :bw], band[:, :, bw:bw + m]
-    diag += np.eye(m)
-    # aug[b] = [upper | rhs] of block row b, overwritten by D_b^-1 [U_b | r_b]
-    # as elimination turns D_b and r_b into their reduced forms; padding rows
-    # past n are identity rows with zero right-hand side
-    aug = np.empty((nb, m, bw + 1))
-    aug[:, :, :bw] = band[:, :, bw + m:]
-    aug[:, :, bw] = np.pad(pay, (0, nb * m - n)).reshape(nb, m)
-    for b in range(nb):
-        if b:
-            t = lower[b] @ aug[b - 1, m - bw:]
-            diag[b, :, :bw] -= t[:, :bw]
-            aug[b, :, bw] -= t[:, bw]
-        aug[b] = np.linalg.solve(diag[b], aug[b])
-    v = aug[:, :, bw]
-    for b in range(nb - 2, -1, -1):
-        v[b] -= aug[b, :, :bw] @ v[b + 1, :bw]
+    m = max(_MIN_BLOCK, 4 * bw)
+    p = m + bw
+    k = -(-(n + bw) // p)
+    # row x of period j = x // p sees columns j p - bw ... j p + p + bw - 1:
+    # separator j - 1, interior j, separator j, the first bw of interior j + 1
+    span = p + 2 * bw
+    cell = rows * span + (idx - (rows // p * p - bw))
+    band = np.bincount(cell.ravel(), -wts.ravel(), minlength=k * p * span)
+    band = band.reshape(k, p, span)
+    band.reshape(k, -1)[:, bw::span + 1] += 1.0   # row r's own column, bw + r
+    rhs = np.zeros((k, p))
+    rhs.flat[:n] = pay
+    # y[j] = A_j^-1 [r_j | coupling to separator j - 1 | to separator j]
+    y = np.linalg.solve(band[:, :m, bw:bw + m], np.concatenate(
+        [rhs[:, :m, None], band[:, :m, :bw], band[:, :m, bw + m:bw + p]], 2))
+    left, right = slice(1, bw + 1), slice(bw + 1, None)
+    # separator j reads the last bw of interior j and the first bw of j + 1
+    lt = band[:-1, m:, m:bw + m] @ y[:-1, m - bw:]
+    rt = band[:-1, m:, p + bw:] @ y[1:, :bw]
+    s4 = np.zeros((k - 1, bw, k - 1, bw))
+    j = np.arange(k - 1)
+    s4[j, :, j] = band[:-1, m:, bw + m:bw + p] - lt[:, :, right] - rt[:, :, left]
+    s4[j[1:], :, j[1:] - 1] = -lt[1:, :, left]
+    s4[j[:-1], :, j[:-1] + 1] = -rt[:-1, :, right]
+    s = rhs[:-1, m:] - lt[:, :, 0] - rt[:, :, 0]
+    if s.size:
+        s = np.linalg.solve(s4.reshape(s.size, s.size), s.ravel())
+    sep = np.zeros((k + 1, bw))
+    sep[1:-1] = s.reshape(k - 1, bw)
+    v = np.zeros((k, p))
+    v[:, :m] = y[:, :, 0] - (y[:, :, 1:] @ np.concatenate(
+        [sep[:-1], sep[1:]], 1)[:, :, None])[:, :, 0]
+    v[:, m:] = sep[1:]
     return v.reshape(-1)[:n]
 
 
@@ -256,9 +267,10 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
 
     Each stage of a sweep is one matrix product (_stage) of at most two
     shifted copies of the table per control and a weight matrix made once
-    per call, then one argmax along each node's row.  Its rounding, like
-    the LAPACK solve's, depends on the BLAS build and moves v_hat by
-    rounding only; the tests pin the policies and rounds by hash.
+    per call, then one argmax along each node's row.  Each policy solve
+    is two LAPACK calls (_solve_policy).  Their rounding depends on the
+    BLAS build and on how the nodes are split, and moves v_hat by rounding
+    only; the tests pin the policies and rounds by hash.
 
     A greedy policy equal to the one just solved means the table is
     already that policy's value: every later round would repeat this one

@@ -14,6 +14,10 @@ here instead of only slowing the benchmark down.
 The points handed to ``convex_hull`` and ``concave_hull`` are counted in
 the same runs.  A piecewise-linear curve (an affine cost, a table) is
 hulled from its breakpoints alone, so sampling one again fails here.
+
+The oracle's LAPACK calls are counted the same way: each policy solve
+eliminates its interiors in one batched call and its separators in one
+more, so a return to one call per block fails here.
 """
 
 import numpy as np
@@ -21,6 +25,8 @@ import pytest
 
 from monopoly_control import envelope, hamiltonian
 from monopoly_control.cli import main
+from monopoly_control.config import load_problem
+from monopoly_control.oracle import dp_value
 
 # (kernel calls, slopes read) allowed for solve + simulate --x0 0.2
 BUDGET = {
@@ -68,3 +74,18 @@ def test_conjugate_readings_within_budget(name, configs_dir, tmp_path,
     calls, slopes = BUDGET[name]
     assert counts[0] <= calls and counts[1] <= slopes, (name, counts)
     assert points[0] <= HULL_POINTS[name], (name, points[0])
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_oracle_lapack_calls_within_budget(name, configs_dir, monkeypatch):
+    calls = [0]
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls[0] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    dp = dp_value(load_problem(configs_dir / f"{name}.cfg"), x_max=0.5)
+    assert dp.solves > 0
+    assert calls[0] <= 2 * dp.solves, (name, calls[0], dp.solves)

@@ -304,6 +304,36 @@ def test_cli_zeta_zero_plays_the_stationary_tail(tmp_path):
     assert not (tmp_path / "drawdown.csv").exists()
 
 
+STATIC_OPTIMAL_TABLES = """\
+[problem]
+beta = 0.5
+[revenue]
+family = table
+points = 0:0, 1:1, 2:1.2, 3:2
+[cost]
+family = table
+points = 0:0, 2:0.2, 4:1.2, 5:3
+[sets]
+q = interval 0 3
+a = interval 0 5
+"""
+
+
+def test_cli_strategy_and_simulate_name_the_same_tail(tmp_path):
+    # a constant rate is optimal here, but --eps asks for the cycle: both
+    # commands must follow the drawdown with that cycle, not the static rate
+    cfg = tmp_path / "static.cfg"
+    cfg.write_text(STATIC_OPTIMAL_TABLES)
+    args = [str(cfg), "--out", str(tmp_path), "--x0", "0.2", "--eps", "0.05"]
+    assert main(["strategy", *args]) == 0
+    assert main(["simulate", *args]) == 0
+    lines = (tmp_path / "strategy.txt").read_text().splitlines()
+    assert "optimal=True" in lines[0]
+    plan = _summary(tmp_path / "simulate_summary.txt")["plan"]
+    assert plan.endswith("then cyclic eps=0.05 kappa=0.5 peak=0.025")
+    assert f"drawdown: {plan}" in lines
+
+
 def test_cli_solve_runs_without_scipy(configs_dir, tmp_path):
     # numpy is the only runtime dependency: solve with scipy unimportable
     src = str(Path(monopoly_control.__file__).parents[1])

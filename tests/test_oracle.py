@@ -237,9 +237,12 @@ def _dense(idx, wts):
     return a
 
 
-# bands 31-33 sit either side of the smallest block, 32 rows
-@pytest.mark.parametrize("band", [1, 2, 9, 31, 32, 33, 40])
-@pytest.mark.parametrize("n", [8, 100, 511, 512, 1024])
+# a period is an interior of max(16, 4 band) rows, then a separator of band
+# rows: bands 0-4 keep the 16-row floor and 5 widens it to 20; bands 31-40
+# leave one or a few wide periods; n = 96 fills whole periods at bands 0
+# and 4 (n + band = 6 * 16 and 5 * 20), and n = 8 is a single period
+@pytest.mark.parametrize("band", [0, 1, 2, 4, 5, 9, 31, 32, 33, 40])
+@pytest.mark.parametrize("n", [8, 96, 100, 511, 512, 1024])
 def test_policy_solve_matches_dense(band, n):
     rng = np.random.default_rng(n * 100 + band)
     x = np.arange(n)
