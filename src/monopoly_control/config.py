@@ -12,6 +12,10 @@ Family params: linear_demand takes A and B; affine takes c; cubic takes K;
 table takes points as comma-separated x:y pairs, e.g.
 ``points = 0:0, 0.5:0.4, 1:0.5``.  Unknown sections or keys are rejected
 so typos fail loudly instead of silently using defaults.
+
+grid_n is the number of samples a smooth curve is hulled from and of the
+candidate rates the static plan is chosen among; the minimizers of H are
+read at the kinks of the hulls, on no slope grid.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ Every reading of H combines the two conjugates of the envelope kernel at
 the same slopes, and every query takes a scalar or an array alike: H(z) is
 the sum of the conjugate values, H'(z+) = max attaining a - min attaining
 q, H'(z-) the mirror, and the controls are the smallest attaining pair.
-zeta is the first z with H'(z+) >= 0 and m_hi the last with H'(z-) <= 0,
-from a kink or the bracketed root search in the grid cell of the change.
-That cell is found coarse to fine: the readings at every 64th grid slope
-locate the coarse step where each sign turns, and only the slopes inside
-it are read.  H is convex, so both readings are monotone in z and each
-sign turns once; the first index found is then the full scan's.
+zeta is the first z with H'(z+) >= 0 and m_hi the last with H'(z-) <= 0.
+H is convex and H' jumps only at the kinks of the two envelopes, so one
+batch at 0, the kinks and z_max gives both one-sided slopes at every
+point where H' can jump.  Each of zeta and m_hi is one of those points
+unless H' crosses zero inside the kink-free cell between two of them, where
+one batch of bracketed root searches finds it.  On tables and finite sets
+H' is constant between kinks, so both are kinks and no search runs.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .errors import OutOfDomain, TruncationFailed
 from .problem import ValidatedProblem, validate_problem
 
 _MAX_GROWTH = 60
-# the zeta and m_hi cells are searched on every _COARSE-th grid slope first
-_COARSE = 64
 # an unbounded production set is first truncated at this multiple of
 # q_hi + 1; the ceiling doubles until it covers every queried slope
 _FIRST_CEILING = 2.0
@@ -115,20 +114,20 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     z_max = 2.0 * max(1.0, float(np.abs(rev_env._es).max()))
 
     cost_env = _cost_envelope(problem, ceiling)
+    rev_kinks = rev_env.kink_slopes()
 
-    def h(z):
-        c, r = _conjugates(rev_env, cost_env, z)
-        return r.value + c.value
-
-    def d(z):
-        return _slopes(*_conjugates(rev_env, cost_env, z))
-
-    h0 = h(0.0)
-    gap = 1e-9 * max(1.0, abs(h0))
+    # each round reads H and its one-sided slopes at 0, the kinks and
+    # z_max in one batch; H(0) of the first round is the growth reference
+    h0 = None
     for _ in range(_MAX_GROWTH):
-        c, r = _conjugates(rev_env, cost_env, z_max)
-        wide = r.value + c.value > h0 + gap
-        covered = not unbounded or c.argmax_hi < 0.9 * ceiling
+        kinks = np.concatenate([rev_kinks, cost_env.kink_slopes()])
+        kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
+        pts = np.unique(np.concatenate([[0.0], kinks, [z_max]]))
+        c, r = _conjugates(rev_env, cost_env, pts)
+        hs = r.value + c.value
+        h0 = hs[0] if h0 is None else h0
+        wide = hs[-1] > h0 + 1e-9 * max(1.0, abs(h0))
+        covered = not unbounded or c.argmax_hi[-1] < 0.9 * ceiling
         if wide and covered:
             break
         if not covered:
@@ -141,86 +140,43 @@ def build_hamiltonian(problem) -> HamiltonianModel:
             "could not bracket the minimum of the running-profit function; "
             "production set may fail the coercivity margin")
 
-    z_grid = np.linspace(0.0, z_max, problem.grid_n)
-
-    kinks = np.concatenate([rev_env.kink_slopes(), cost_env.kink_slopes()])
-    kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
-
-    # zeta is the first z with H'(z+) >= 0 and m_hi the last with
-    # H'(z-) <= 0: slot 0 reads H'(z+) and slot 1 reads -H'(z-), each
-    # turning non-negative at its edge.  The grid brackets both within
-    # one cell, since batch and scalar readings of the kernel agree bit
-    # for bit
-    def rising(dm, dp, slot):
-        return np.where(slot == 0, dp, -dm)
-
-    def kink_edge(slot: int, i: int) -> float | None:
-        # the first kink holding 0 in its subgradient where the sign
-        # changes within 1e-8 of it is the edge in [z_grid[i-1], z_grid[i]];
-        # all kinks near the cell are read in one batch
-        lo, hi = z_grid[i - 1], z_grid[i]
-        hs = 1e-8 * np.maximum(1.0, kinks)
-        near = (kinks + hs >= lo) & (kinks - hs <= hi)
-        kz, hz = kinks[near], hs[near]
-        if not len(kz):
-            return None
-        dm, dp = d(np.concatenate([kz, kz - hz, kz + hz]))
-        neg = rising(dm, dp, slot) < 0.0
-        m = len(kz)
-        hit = np.flatnonzero((dm[:m] <= 0.0) & (0.0 <= dp[:m])
-                            & (neg[m:2 * m] != neg[2 * m:]))
-        return float(kz[hit[0]]) if len(hit) else None
-
-    i_zeta, i_mhi = _first_turns(d, z_grid)
-    edges = [0.0, float(z_grid[max(i_mhi - 1, 0)])]      # zeta, m_hi
-    cells = {slot: i for slot, i in enumerate((i_zeta, i_mhi))
-             if 0 < i < len(z_grid)}
-    for slot, i in list(cells.items()):
-        kz = kink_edge(slot, i)
-        if kz is not None:
-            edges[slot] = kz
-            del cells[slot]
+    # zeta is the first point with H'(z+) >= 0 unless H' turns inside the
+    # cell below it, and m_hi the point before the first with H'(z-) > 0
+    # unless H' turns inside the cell between them
+    dm, dp = _slopes(c, r)
+    up, down = np.flatnonzero(dp >= 0.0), np.flatnonzero(dm > 0.0)
+    j = int(up[0]) if len(up) else len(pts) - 1
+    k = int(down[0]) if len(down) else len(pts)
+    edges = [float(pts[j]), float(pts[max(k - 1, 0)])]     # zeta, m_hi
+    cells = {slot: i for slot, i, turns in (
+        (0, j, j > 0 and dm[j] > 0.0),
+        (1, k, 0 < k < len(pts) and dp[k - 1] <= 0.0)) if turns}
+    seen = dict(zip(pts.tolist(), hs.tolist()))
     if cells:
-        # edges off a kink: one batch of brackets, equal to its scalar
-        # searches bit for bit; zeta is the upper end, m_hi the lower
+        # one batch of brackets, equal to its scalar searches bit for bit:
+        # slot 0 reads H'(z+) and slot 1 reads -H'(z-), each turning
+        # non-negative at its edge; zeta is the upper end, m_hi the lower.
+        # Both ends are points the search read, so H at zeta is in seen
         slots = np.array(list(cells))
         i = np.array(list(cells.values()))
-        ends = bracket_root(lambda z, k: rising(*d(z), slots[k]),
-                            z_grid[i - 1], z_grid[i])
+
+        def rising(z, n):
+            c, r = _conjugates(rev_env, cost_env, z)
+            seen.update(zip(z.tolist(), (r.value + c.value).tolist()))
+            dm, dp = _slopes(c, r)
+            return np.where(slots[n] == 0, dp, -dm)
+
+        ends = bracket_root(rising, pts[i - 1], pts[i])
         for n, slot in enumerate(slots):
             edges[slot] = float(ends[1 - slot][n])
     zeta, m_hi = edges
     m_hi = max(m_hi, zeta)
-    h_min = h(zeta)
+    h_min = seen[zeta]
 
     return HamiltonianModel(problem=problem, rev_env=rev_env, cost_env=cost_env,
                             z_max=float(z_max), zeta=float(zeta),
                             m_hi=float(m_hi), h_min=float(h_min), kink_zs=kinks,
                             trunc_bound=ceiling)
-
-
-def _first_turns(d, z_grid: np.ndarray) -> list:
-    """[i_zeta, i_mhi]: the first i with H'(z_i+) >= 0 (else the last
-    index) and the first with H'(z_i-) > 0 (else len(z_grid)), read on
-    every _COARSE-th slope and the last, then on the slopes inside the
-    coarse steps where the signs turn, in one more batch."""
-    n = len(z_grid)
-    coarse = np.minimum(np.arange(0, n + _COARSE - 1, _COARSE), n - 1)
-    dm, dp = d(z_grid[coarse])
-    ends, cells = [], []
-    for turned, none in ((dp >= 0.0, n - 1), (dm > 0.0, n)):
-        j = np.flatnonzero(turned)
-        ends.append(int(coarse[j[0]]) if len(j) else none)
-        # the turn lies in (coarse[j - 1], coarse[j]]
-        cells.append(np.arange(coarse[j[0] - 1] + 1 if len(j) and j[0]
-                               else ends[-1], ends[-1]))
-    fine = np.union1d(*cells)
-    if len(fine):
-        dm, dp = d(z_grid[fine])
-        for s, turned in enumerate((dp >= 0.0, dm > 0.0)):
-            at = turned[np.searchsorted(fine, cells[s])]
-            ends[s] = int(np.append(cells[s][at], ends[s])[0])
-    return ends
 
 
 def _in_domain(model: HamiltonianModel, z) -> tuple:

@@ -234,7 +234,7 @@ def _match_tolerance(env: Envelope) -> float:
     only at knots, which must match exactly."""
     if env.refinable:
         lo, hi = env.domain
-        return 1e-6 * max(1.0, hi - lo)
+        return 1e-12 * (hi - lo)
     return 0.0
 
 
@@ -248,12 +248,16 @@ def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
     problem = validate_problem(problem)
     u_hat, payoff = static_candidate(problem)
     gap = model.h_min - payoff
-    floor = model.h_min - 1e-6 * max(1.0, abs(model.h_min))
 
     def attains(w: float) -> bool:
-        return (problem.demand_set.contains(w)
-                and problem.production_set.contains(w)
-                and float(problem.revenue(w) - problem.cost(w)) >= floor)
+        # min H = R(w) - zeta w + zeta w - C(w) at a witness, so its slack
+        # scales with those four terms
+        if not (problem.demand_set.contains(w)
+                and problem.production_set.contains(w)):
+            return False
+        r, c = float(problem.revenue(w)), float(problem.cost(w))
+        slack = 1e-12 * (abs(r) + abs(c) + 2.0 * abs(model.zeta * w))
+        return r - c >= model.h_min - slack
 
     iv_r = contact_argmax_intervals(model.rev_env, model.zeta)
     iv_c = contact_argmax_intervals(model.cost_env, model.zeta)

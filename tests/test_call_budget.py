@@ -6,10 +6,11 @@ config while the calls to ``envelope._conjugate`` and the slopes they read
 are counted.  The counts are deterministic, so this counts rather than
 times.  The call budgets are the counts of the current solver and the
 slope budgets add a small margin: a change that brings back a redundant
-batch of readings (a full slope table, a second reading of kept knots, a
-separate controls batch, a second H at the stock already asked, the
-drawdown reading more than its first cell) fails
-here instead of only slowing the benchmark down.
+batch of readings (a full slope table, a slope grid searched for zeta and
+m_hi where one batch at the kinks of H gives them, a separate H at 0 or at
+zeta, a second reading of kept knots, a separate controls batch, a second
+H at the stock already asked, the drawdown reading more than its first
+cell) fails here instead of only slowing the benchmark down.
 
 The points handed to ``convex_hull`` and ``concave_hull`` are counted in
 the same runs.  A piecewise-linear curve (an affine cost, a table) is
@@ -30,11 +31,11 @@ from monopoly_control.oracle import dp_value
 
 # (kernel calls, slopes read) allowed for solve + simulate --x0 0.2
 BUDGET = {
-    "arvan_moses_high": (72, 16662),
-    "arvan_moses_low": (60, 16882),
-    "arvan_moses_mid": (58, 16882),
-    "linear_cost": (64, 16640),
-    "table_curves": (56, 16446),
+    "arvan_moses_high": (72, 16186),
+    "arvan_moses_low": (36, 16122),
+    "arvan_moses_mid": (34, 16098),
+    "linear_cost": (56, 16140),
+    "table_curves": (32, 16122),
 }
 
 # points passed to the hull builders for solve + simulate --x0 0.2: two

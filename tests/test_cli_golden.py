@@ -18,12 +18,12 @@ from monopoly_control.cli import main
 
 GOLDEN = {
     "arvan_moses_high": {
-        "summary.txt": "8b052d73aaa6bd4eb632d61990fcec0a9f573865d8662166d915f055c6326624",
-        "value.csv": "2d091f0521f609674387d389ca43caa388685fbb64d39d1e534fa0f8e84d8969",
-        "simulate_summary.txt": "0a81025d60e883a1bf24146f3e16fb72ee563b279dd3de71829e766ca5959b98",
-        "trajectory.csv": "c732f7c61b5d5c0f9c3c820ac903f38254ff208a6782b3f0976366e1c9c6a911",
-        "strategy.txt": "1cdaa1ed652c134b868a5b65a7a7358b48914631d9eed3f302db52c0e5c92d9c",
-        "drawdown.csv": "2db3f29eef52e20c7ee60d56e4494e3d3d75fcdbbf2f4603d98dd71f8943acc0",
+        "summary.txt": "1fa05ce02ab14c45d7d976a4bcb6f2b9b77e7f653ef303ce7abc2c1967ccf13e",
+        "value.csv": "682e2308c3365f01c5b038f7bb079d4fb862e390ac411bbbce0abbb2fc9c9cb5",
+        "simulate_summary.txt": "0ab67419d85edf5e717761174718ae15cc4a1c36fd247e23da32475f580380b1",
+        "trajectory.csv": "bee83895fe13a034c25409798d8bb531191937bd4ef8680884080dd0a49e0860",
+        "strategy.txt": "494ca87902b1c19f3f76a6fbcc0cec3d14704bc9927095c3a3d973586aa5ed3d",
+        "drawdown.csv": "4cad8a7ef04e933aa08741d6c6cce9284b2fbf0d813ea0cea710341c8c629bb2",
     },
     "arvan_moses_low": {
         "summary.txt": "92b58357bbd2cfa4c4981eea3e6f81128caf1eba5eca6747b1764f2dcd02f007",
@@ -74,9 +74,9 @@ def test_cli_output_matches_digests(name, configs_dir, tmp_path):
 # strategy --x0 0.2 --eps 0.05 and simulate --x0 0.1 --eps 0.05
 GOLDEN_EPS = {
     "arvan_moses_high": {
-        "strategy.txt": "1cdaa1ed652c134b868a5b65a7a7358b48914631d9eed3f302db52c0e5c92d9c",
-        "drawdown.csv": "2db3f29eef52e20c7ee60d56e4494e3d3d75fcdbbf2f4603d98dd71f8943acc0",
-        "trajectory.csv": "1147981c208393c3c1590b8aa97414f383270ffa2a82dbbc2ce57c5ea5dfb51d",
+        "strategy.txt": "494ca87902b1c19f3f76a6fbcc0cec3d14704bc9927095c3a3d973586aa5ed3d",
+        "drawdown.csv": "4cad8a7ef04e933aa08741d6c6cce9284b2fbf0d813ea0cea710341c8c629bb2",
+        "trajectory.csv": "0d2693a7acd5f3eb9ea6540460ceb64757493ff318e69ed58ba5602b21bc4905",
         "simulate_summary.txt": "005c7df77571399b2374a4b0b5c87ecae4a5beede33826d6e842d653c1edd781",
     },
     "arvan_moses_low": {
@@ -121,10 +121,10 @@ def test_cli_eps_tail_outputs_match_digests(name, configs_dir, tmp_path):
 # and a stock other than each config's own
 GOLDEN_BETA = {
     "arvan_moses_high": {
-        "summary.txt": "dca88ab3bedb751f62aa8356bc93bdc8fe1e5d33daf4cced5979c1cb8e7591fa",
-        "value.csv": "2ab0f9a1109ab4c040dab33cf41ef1921cf949e81d97a1985d665d0b7812cc1f",
-        "trajectory.csv": "5ac44f004f260e805a1a290b6264688122924b881b2d89020af9db0a90da046b",
-        "simulate_summary.txt": "29f2b2035167a91d641ad9f62f79602778bf44f7830fa42ea1b50e4e75cb1506",
+        "summary.txt": "95f20f31c105fda58e7872a073520108d21b2199ac43603de07c8744d3ff413a",
+        "value.csv": "eb6daca0ac55b7f2bbaf0f95e037f597bfff80786060fc1478e2d9186149e0a3",
+        "trajectory.csv": "67761366b7be1d27016e4f68018ef9061c1df409299ac5f0b1f4e79ac2bcfe46",
+        "simulate_summary.txt": "e15b6b693638ac14b98d2f952aa9a269beb7b535251bc5bb41b53d0da70926b2",
     },
     "arvan_moses_low": {
         "summary.txt": "fd9e0581438ad4ed3d2b4123c1e10bf37069be40f9909de4896b8c1e6579ddea",

@@ -56,7 +56,7 @@ def test_linear_cost_kinks(linear_cost_model):
 
 def test_am_mid_zeta_snaps_to_bridge_slope(am_mid_model):
     m = am_mid_model
-    assert m.zeta == pytest.approx(0.25, abs=1e-12)
+    assert m.zeta == 0.25
     assert m.h_min == pytest.approx(0.140625, abs=1e-10)
     # strict minimum: the flat band degenerates to the point zeta
     assert m.m_hi - m.zeta < 1e-9
@@ -64,7 +64,7 @@ def test_am_mid_zeta_snaps_to_bridge_slope(am_mid_model):
 
 def test_am_low_flat_band(am_low_model):
     m = am_low_model
-    assert m.zeta == pytest.approx(0.2, abs=1e-10)
+    assert m.zeta == 0.2
     # H stays at its minimum from the demand intercept to the bridge slope
     assert m.m_hi > 0.24
     # the band ends where H'(z-) turns positive, at the bridge slope k^2/4
@@ -239,10 +239,12 @@ def _full_scan(model) -> list:
             int(down[0]) if len(down) else len(z)]
 
 
-def test_cell_search_matches_full_scan(configs_dir, make_random_instance):
-    # the coarse-to-fine search finds the zeta and m_hi cells of a full
-    # scan of the grid, on the shipped configs, a problem with zeta = 0,
-    # seeded tables and seeded cubic instances
+def test_kink_scan_edges_lie_in_full_scan_cells(configs_dir,
+                                                make_random_instance):
+    # zeta and m_hi read from the kinks of H lie in the cells a full scan
+    # of the slope grid finds, on the shipped configs, a problem with
+    # zeta = 0, seeded tables and seeded cubic instances; h_min is H at
+    # zeta bit for bit
     rng = np.random.default_rng(64)
     problems = [validate_problem(load_problem(cfg))
                 for cfg in sorted(configs_dir.glob("*.cfg"))]
@@ -258,8 +260,27 @@ def test_cell_search_matches_full_scan(configs_dir, make_random_instance):
     for k, p in enumerate(problems):
         m = build_hamiltonian(p)
         z = np.linspace(0.0, m.z_max, p.grid_n)
-        found = hamiltonian._first_turns(lambda zs: subgradient(m, zs), z)
-        assert found == _full_scan(m), k
+        for edge, i in zip((m.zeta, m.m_hi), _full_scan(m)):
+            assert z[max(i - 1, 0)] <= edge <= z[min(i, len(z) - 1)], k
+        assert m.h_min == h_at(m, m.zeta), k
+
+
+def test_tables_take_no_root_search(seeded_table_models, monkeypatch):
+    # H' is constant between the kinks of a table or finite set, so zeta
+    # and m_hi are kinks read off the one batch at the kinks: table_curves'
+    # zeta is its kink at 0.3 exactly
+    calls = [0]
+    search = hamiltonian.bracket_root
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(hamiltonian, "bracket_root", counted)
+    for p, _ in seeded_table_models:
+        build_hamiltonian(p)
+    assert calls[0] == 0
+    assert seeded_table_models[0][1].zeta == 0.3
 
 
 def test_table_kinks_read_neighbouring_edge_slopes(seeded_table_models):

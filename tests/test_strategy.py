@@ -27,6 +27,7 @@ from monopoly_control import (
     stationary_plan,
     validate_problem,
 )
+from monopoly_control.config import load_problem
 from monopoly_control.problem import ControlSet, Curve, ProblemSpec
 
 
@@ -143,6 +144,25 @@ def test_finite_production_verdict_agrees_with_gap():
     problem = validate_problem(spec)
     rep = static_optimality_test(problem, build_hamiltonian(problem))
     assert rep.gap == pytest.approx(0.140625, abs=1e-9)
+    assert not rep.optimal
+    assert rep.witness is None
+
+
+@pytest.mark.parametrize("overrides", [
+    ["revenue.A=252999.8", "revenue.B=1", "cost.K=1000",
+     "sets.q=interval 0 252999.8"],
+    # the same problem with stock 1000 and money 1e9 times smaller
+    ["revenue.A=0.2529998", "revenue.B=0.001", "cost.K=1",
+     "sets.q=interval 0 252.9998"]])
+def test_static_verdict_holds_at_large_scale(configs_dir, overrides):
+    # the best constant rate misses the tangency at 1.5 K by 2e-7 K, so its
+    # gap is 4.4e-9 of min H, far above rounding: static play is not
+    # optimal in either unit
+    problem = validate_problem(load_problem(
+        configs_dir / "arvan_moses_mid.cfg", overrides))
+    model = build_hamiltonian(problem)
+    rep = static_optimality_test(problem, model)
+    assert rep.gap > 4e-9 * model.h_min
     assert not rep.optimal
     assert rep.witness is None
 
