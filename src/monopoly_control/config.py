@@ -13,8 +13,9 @@ table takes points as comma-separated x:y pairs, e.g.
 ``points = 0:0, 0.5:0.4, 1:0.5``.  Unknown sections or keys are rejected
 so typos fail loudly instead of silently using defaults.
 
-grid_n is the number of samples a smooth curve is hulled from and of the
-candidate rates the static plan is chosen among; the minimizers of H are
+grid_n is the number of samples validation checks a smooth curve at and of
+the candidate rates the static plan is chosen among.  A smooth curve is
+hulled from its closed form, not from samples, and the minimizers of H are
 read at the kinks of the hulls, on no slope grid.
 """
 

@@ -1,19 +1,17 @@
-"""Convex and concave envelopes of sampled curves, with Fenchel conjugates.
+"""Convex and concave envelopes of curves, with Fenchel conjugates.
 
 The solver never needs the raw revenue or cost curve, only its concave or
 convex envelope: the running Hamiltonian is blind to the difference, and
-two-point mixtures recover anything the envelope promises.  A hull is
-built from the curve's points by a monotone chain and, for a smooth curve
-(a Curve with a derivative inverse, on a continuum), from the Curve
-itself: where the hull bridges a non-convex dip, the bridge endpoints are
-polished by solving the common-tangent conditions on the curve and
-inserted as knots, giving contact points far below sample resolution.
-Any other curve is piecewise linear through its points, which keep
-knot-only contacts, and every edge slope is a kink.  The envelope is its
-edge arrays (vertices, edge slopes, and which edges bridge non-contact
-knots), and its value query hull_exact takes a scalar or an array alike;
-slopes are read from the conjugates' attaining spans, not from the
-envelope.
+two-point mixtures recover anything the envelope promises.  A smooth curve
+on a continuum (a Curve with a hull_kind) is hulled in closed form from the
+Curve itself: the envelope is a run of arcs of the curve and chords
+between them, and a chord of a smooth curve is a bridge that mixes its two
+ends.  Any other curve, and a finite set, is piecewise linear through its
+points, hulled by a monotone chain with knot-only contacts, and every edge
+slope is a kink.  The envelope is its edge arrays (vertices, edge slopes,
+and which edges are arcs and which bridge the curve), and its value query
+hull_exact takes a scalar or an array alike; slopes are read from the
+conjugates' attaining spans, not from the envelope.
 
 Conjugate queries come in two orientations:
 
@@ -22,10 +20,10 @@ Conjugate queries come in two orientations:
 
 both views of one array kernel on the oriented (lower-hull) data, which
 returns the conjugate value and the attaining span for every slope of a
-batch; a scalar query is a batch of one.  Where the curve has a closed-form
-derivative inverse the kernel polishes the maximizer against the original
-curve, so the value is exact off the sample knots.  The ``_grid`` and
-``argmax_grid`` functions are the same kernel, read one field at a time.
+batch; a scalar query is a batch of one.  The kernel reads an arc at the
+curve's derivative inverse, so the value is exact on the curve.  The
+``_grid`` and ``argmax_grid`` functions are the same kernel, read one field
+at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._roots import bracket_root
 from .errors import DecompositionMismatch, DegenerateGrid, InvalidParameter, OutOfDomain
 from .problem import Curve
 
@@ -58,16 +55,18 @@ class ConjugateValue:
 
 @dataclass(frozen=True, eq=False)
 class Envelope:
-    """Envelope of a sampled curve; immutable after construction.
+    """Envelope of a curve; immutable after construction.
 
-    xs, f, hull are parallel arrays (knots, curve values, envelope values).
+    xs, f, hull are parallel arrays (knots, curve values, envelope values):
+    a piecewise-linear curve's points, or a smooth curve's hull vertices.
     contact marks knots where the envelope touches the curve.  The envelope
-    itself is its edge arrays: vertices _vidx/_vx/_vg, edge slopes _es, and
-    _bridge marking edges that span a non-contact knot; every non-contact
-    knot lies strictly inside a bridge.  _table holds, per vertex, the
-    conjugate kernel's reads: the slopes of the edges below and above (-inf
-    and +inf past the ends), whether each is wider than one sample cell,
-    and the samples either side.
+    itself is its edge arrays: vertices _vidx/_vx/_vg, edge slopes _es, _arc
+    marking edges that are arcs of a smooth curve, and _bridge marking
+    edges that leave the curve: chords of a smooth curve, and edges that
+    span a non-contact knot, every one of which lies strictly inside a
+    bridge.  _table holds, per vertex, the conjugate kernel's reads: the
+    slopes of the edges below and above (-inf and +inf past the ends),
+    whether each is a chord, and the ends of the arcs that meet there.
     """
 
     kind: str                       # "convex" or "concave"
@@ -81,9 +80,10 @@ class Envelope:
     _vx: np.ndarray = field(repr=False)         # vertex abscissae, xs[_vidx]
     _vg: np.ndarray = field(repr=False)         # oriented values at vertices
     _es: np.ndarray = field(repr=False)         # oriented edge slopes, increasing
-    _bridge: np.ndarray = field(repr=False)     # per edge: spans a non-contact knot
+    _arc: np.ndarray = field(repr=False)        # per edge: an arc of the curve
+    _bridge: np.ndarray = field(repr=False)     # per edge: leaves the curve
     _table: tuple = field(repr=False)           # per vertex, for _conjugate
-    # the smooth curve refined and polished against, None when piecewise
+    # the smooth curve whose arcs the envelope follows, None when piecewise
     # linear, and its oriented derivative inverse: solves g'(x) = w
     _curve: Curve | None = field(repr=False, default=None)
     _dinv: Callable | None = field(repr=False, default=None)
@@ -92,7 +92,7 @@ class Envelope:
     finite_support: bool = False
 
     @property
-    def refinable(self) -> bool:
+    def smooth(self) -> bool:
         return self._curve is not None
 
     @property
@@ -102,16 +102,16 @@ class Envelope:
     def hull_exact(self, x):
         """Envelope value using the continuous curve off bridges.
 
-        On a bridge the refined chord is exact; elsewhere the envelope
-        coincides with the curve, so the curve itself is the better value.
-        With finite support there is no curve between knots and every edge
-        is its own chord.
+        On a bridge the chord is exact; elsewhere the envelope coincides
+        with the curve, so the curve itself is the better value.  With
+        finite support there is no curve between knots and every edge is
+        its own chord.
         """
         x, e, inside = self._edge_of(x)
         a, b = self._vx[e], self._vx[e + 1]
         t = (x - a) / (b - a)
         chord = self._sign * ((1.0 - t) * self._vg[e] + t * self._vg[e + 1])
-        curve = (self._curve(x) if self.refinable
+        curve = (self._curve(x) if self.smooth
                  else np.interp(x, self.xs, self.f))
         out = np.where(inside & (self.finite_support | self._bridge[e]), chord,
                        curve)
@@ -132,261 +132,44 @@ class Envelope:
     def kink_slopes(self) -> np.ndarray:
         """Slopes where a conjugate's maximizer genuinely jumps.
 
-        For piecewise-linear curves (tables, finite sets) every hull edge
-        slope is such a kink.  For smooth refinable curves only multi-knot
-        affine pieces (bridges, true flats) kink the conjugate, plus the
-        end-of-domain derivatives where the maximizer saturates.  Consumers
-        insert these into their own grids; spurious entries are harmless.
+        These are the chord slopes: every hull edge of a piecewise-linear
+        curve (tables, finite sets), and the chords of a smooth curve, plus
+        its end-of-domain derivatives where the maximizer saturates (along
+        an arc it moves continuously).  Consumers insert these into their
+        own grids; spurious entries are harmless.
         """
-        if not self.refinable:
-            return np.unique(self._sign * self._es)
-        return np.unique(np.concatenate([
-            self._sign * self._es[np.diff(self._vidx) > 1],
-            self._curve.derivative(self.xs[[0, -1]])]))
+        ks = self._sign * self._es[~self._arc]
+        if self.smooth:
+            ks = np.concatenate([ks, self._curve.derivative(self.xs[[0, -1]])])
+        return np.unique(ks)
 
 
 # ---------------------------------------------------------------------------
 # construction
 
-# a run of at least this many consecutive triples that all pop, or all
-# keep, is worth an array step; shorter runs, such as the random pops that
-# rounding causes on collinear samples, stay with the stack loop.  Any run
-# this long covers two whole bytes of the packed outcomes
-_MIN_RUN = 23
-
 
 def _chain_lower(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """Monotone chain for the lower hull of a graph (an index array).
+    """Andrew's monotone chain for the lower hull of a graph (an index
+    array): pop the top i1 (under i0) for a new point i while
+    (g[i1] - g[i0]) (x[i] - x[i1]) >= (g[i] - g[i1]) (x[i1] - x[i0]), then
+    push i.
 
     An interior point that the orientation test finds collinear is
-    dropped, so an affine run becomes a single edge where its samples
-    stay on one line after rounding (dyadic knots and values, say).
-    Elsewhere rounding can keep some of its points and split the run into
-    edges of nearly equal slope; _build merges those for tables and
-    finite sets.
-
-    The chain is Andrew's stack loop (_stack_loop).  Long stretches of it
-    are evaluated as array expressions, elementwise the same float
-    operations in the same order, so the vertex list is the loop's to the
-    bit.  Every consecutive triple (i - 2, i - 1, i) is tested at once, and
-    the runs of _MIN_RUN or more equal outcomes mark where that pays:
-
-    * a run that keeps (convex stretch): with (i - 2, i - 1) on top the
-      loop tests only the consecutive triple, so everything up to the next
-      triple that pops is pushed in one step, as an arange;
-    * a run that pops (concave stretch under a bridge): with (p, a, i - 1)
-      on top each new i pops i - 1 and keeps a, which _anchor_run tests
-      for growing chunks of i, stopping at the first i that breaks it.
-
-    Everything else runs the loop itself on Python floats.  The stack is a
-    list of Python ints on top of the index arrays in below.
+    dropped, so an affine run becomes a single edge where its points stay
+    on one line after rounding (dyadic knots and values, say).  Elsewhere
+    rounding can keep some of its points and split the run into edges of
+    nearly equal slope; _build merges those.
     """
-    n = len(xs)
-    if n < 3:
-        return np.arange(n)
-    dx, dg = np.diff(xs), np.diff(gs)
-    pops = dg[:-1] * dx[1:] >= dg[1:] * dx[:-1]
-    # runs (c, e, popping) of equal outcomes for the points c..e - 1; the
-    # triple ending at point k is pops[k - 2].  Scattered outcomes, with no
-    # two equal whole bytes in a row, have no run to find
-    runs = ()
-    b = np.packbits(pops)
-    if np.any((b[1:] == b[:-1]) & ((b[1:] == 0) | (b[1:] == 255))):
-        cut = np.concatenate(([0], np.flatnonzero(pops[1:] != pops[:-1]) + 1,
-                              [len(pops)]))
-        long = np.flatnonzero(np.diff(cut) >= _MIN_RUN)
-        runs = zip((cut[long] + 2).tolist(), (cut[long + 1] + 2).tolist(),
-                   pops[cut[long]].tolist())
-    out = [0, 1]
-    below = []
-    lists = []      # xs and gs as Python floats, made for the first long loop
-
-    def loop(lo: int, hi: int) -> None:
-        # a few steps read the arrays (numpy scalars round alike) rather
-        # than pay for the lists
-        if not lists and hi - lo >= _MIN_RUN:
-            lists[:] = xs.tolist(), gs.tolist()
-        _stack_loop(*(lists or (xs, gs)), out, below, lo, hi)
-
-    i = 2
-    for c, e, popping in runs:
-        if e - max(c, i) < _MIN_RUN:
-            continue
-        if i < c:
-            loop(i, c)
-            i = c
-        if popping:
-            i = _anchor_run(xs, gs, out, below, i, e - i)
-            continue
-        if out[-2] != i - 2:
-            loop(i, i + 1)
-            i += 1
-        if out[-2] == i - 2:
-            # no triple ending in [i, e) pops
-            if len(out) > 2:
-                below.append(np.array(out[:-2], dtype=np.intp))
-            below.append(np.arange(i - 2, e - 2))
-            out[:] = [e - 2, e - 1]
-            i = e
-    loop(i, n)
-    return np.concatenate([*below, np.array(out, dtype=np.intp)])
-
-
-def _stack_loop(xl: list, gl: list, out: list, below: list, lo: int,
-                hi: int) -> None:
-    """Andrew's loop over points lo..hi - 1, the stack (out over below)
-    holding at least two: pop the top i1 (under i0) for a new point i while
-    (g[i1] - g[i0]) (x[i] - x[i1]) >= (g[i] - g[i1]) (x[i1] - x[i0]), then
-    push i.  The top two points' coordinates are kept in locals (x1, g1 and
-    x0, g0); a pop that leaves out with one moves up to 64 back from below."""
-    x0, g0 = xl[out[-2]], gl[out[-2]]
-    x1, g1 = xl[out[-1]], gl[out[-1]]
-    push, pop = out.append, out.pop
-    for i in range(lo, hi):
-        x, g = xl[i], gl[i]
-        while (g1 - g0) * (x - x1) >= (g - g1) * (x1 - x0):
-            pop()
-            x1, g1 = x0, g0
-            if len(out) < 2:
-                if not below:
-                    break
-                top = below.pop()
-                out[:0] = top[-64:].tolist()
-                below += [top[:-64]] if len(top) > 64 else []
-            k = out[-2]
-            x0, g0 = xl[k], gl[k]
-        push(i)
-        x0, g0, x1, g1 = x1, g1, x, g
-
-
-def _anchor_run(xs: np.ndarray, gs: np.ndarray, out: list, below: list,
-                i: int, size: int) -> int:
-    """Push the anchor run starting at i, (..., p, a, i - 1) on top, onto
-    out; returns the first index the run does not cover."""
-    n = len(xs)
-    a = out[-2]
-    p = out[-3] if len(out) >= 3 else int(below[-1][-1]) if below else None
-    while i < n:
-        j = np.arange(i, min(i + size, n))
-        # the triple (a, j - 1, j) pops j - 1 ...
-        ok = ((gs[j - 1] - gs[a]) * (xs[j] - xs[j - 1])
-              >= (gs[j] - gs[j - 1]) * (xs[j - 1] - xs[a]))
-        if p is not None:
-            # ... and (p, a, j) keeps a
-            ok &= ~((gs[a] - gs[p]) * (xs[j] - xs[a])
-                    >= (gs[j] - gs[a]) * (xs[a] - xs[p]))
-        k = len(j) if ok.all() else int(np.argmin(ok))
-        if k:
-            out[-1] = i + k - 1
-            i += k
-        if k < len(j):
-            break
-        size *= 2
-    return i
-
-
-def _tangency_points(gder, w, b_lo, b_mid, b_hi) -> np.ndarray:
-    """Solve gder(x) = w near b_mid, for arrays of brackets; an endpoint
-    wins where the sign allows, and the rest are one bracket_root batch."""
-    d_mid = gder(b_mid) - w
-    up = d_mid > 0.0
-    lo, hi = np.where(up, b_lo, b_mid), np.where(up, b_mid, b_hi)
-    end = np.where(up, lo, hi)
-    d_end = gder(end) - w
-    out = np.where(d_mid == 0.0, b_mid, end)
-    k = np.flatnonzero((d_mid != 0.0) & (lo < hi)
-                       & np.where(up, d_end < 0.0, d_end > 0.0))
-    out[k] = bracket_root(lambda t, i: gder(t) - w[k[i]], lo[k], hi[k])[1]
-    return out
-
-
-def _refine_bridges(xs: np.ndarray, gs: np.ndarray, vidx: np.ndarray,
-                    geval, gder) -> np.ndarray:
-    """Polish bridge endpoints by the common-tangent conditions.
-
-    Returns new knots (tangency abscissae) to insert.  A bridge whose
-    endpoint sits on the domain boundary keeps that endpoint fixed.  Each
-    round moves the free ends of every bridge still moving in one batch.
-    """
-    n = len(xs)
-    span = float(xs[-1] - xs[0])
-    e = np.flatnonzero(np.diff(vidx) > 1)
-    a_i, b_i = vidx[e], vidx[e + 1]
-    left, right = a_i > 0, b_i < n - 1
-    free = left | right
-    a_i, b_i, left, right = a_i[free], b_i[free], left[free], right[free]
-    x1, x2, f1, f2 = xs[a_i], xs[b_i], gs[a_i], gs[b_i]
-    lo1, hi1 = xs[a_i - left], xs[a_i + 1]
-    lo2, hi2 = xs[b_i - 1], xs[b_i + right]
-    run = np.arange(len(a_i))               # bridges still moving
-    for _ in range(60):
-        # ends that meet leave no chord: the edge was a run of rounding pops
-        run = run[x2[run] > x1[run]]
-        if not len(run):
-            break
-        s = (f2[run] - f1[run]) / (x2[run] - x1[run])
-        ls, rs = left[run], right[run]
-        lb, rb = run[ls], run[rs]
-        m = len(lb)
-        t = _tangency_points(
-            gder, np.concatenate([s[ls], s[rs]]),
-            np.concatenate([lo1[lb], np.maximum(lo2[rb], x1[rb] + 1e-15 * span)]),
-            np.concatenate([x1[lb], x2[rb]]),
-            np.concatenate([np.minimum(hi1[lb], x2[lb] - 1e-15 * span), hi2[rb]]))
-        g = geval(t)
-        old1, old2 = x1[run], x2[run]
-        x1[lb], f1[lb] = t[:m], g[:m]
-        x2[rb], f2[rb] = t[m:], g[m:]
-        moved = np.abs(x1[run] - old1) + np.abs(x2[run] - old2)
-        run = run[~(moved <= 1e-14 * span)]
-    kept = x2 > x1
-    p = np.concatenate([x1[kept], x2[kept]])
-    k = np.searchsorted(xs, p)
-    near = np.minimum(
-        np.where(k > 0, np.abs(p - xs[np.maximum(k - 1, 0)]), math.inf),
-        np.where(k < n, np.abs(p - xs[np.minimum(k, n - 1)]), math.inf))
-    return p[near > 1e-12 * span]
-
-
-# a one-cell hull edge at a dent is split into this many cells, at most
-# _SPLIT_ROUNDS times
-_SPLIT = 64
-_SPLIT_ROUNDS = 8
-
-
-def _split_dents(xs: np.ndarray, gs: np.ndarray, vidx: np.ndarray, geval,
-                 gder, dinv) -> tuple:
-    """Split the sample cells that hide a dent of a smooth curve.
-
-    The tangent at a vertex v passes below a convex curve everywhere, so
-    where the curve dips under it at t = dinv(g'(v)), the point of equal
-    slope on the convex branch, a dent lies between v and t.  When v ends
-    a one-cell hull edge, that dent may sit inside the cell, below sample
-    resolution (the truncated ray of a large problem); the cell is split
-    until the chain sees every such dent across several cells.  Returns
-    (xs, gs, vidx).
-    """
-    span = float(xs[-1] - xs[0])
-    for _ in range(_SPLIT_ROUNDS):
-        v, gv = xs[vidx], gs[vidx]
-        w = gder(v)
-        t = dinv(w)
-        # only a vertex off the convex branch (t != v) can start a dent
-        k = np.flatnonzero(np.abs(t - v) > 1e-12 * span)
-        rise = w[k] * (t[k] - v[k])
-        k = k[geval(t[k]) - gv[k] - rise < -1e-9 * (np.abs(gv[k])
-                                                     + np.abs(rise))]
-        # the one-cell edges either side of those vertices
-        e = np.unique(np.concatenate([k[k < len(v) - 1], k[k > 0] - 1]))
-        e = e[vidx[e + 1] - vidx[e] == 1]
-        if not len(e):
-            break
-        a, b = v[e, None], v[e + 1, None]
-        add = (a + (b - a) * (np.arange(1, _SPLIT) / _SPLIT)).ravel()
-        pos = np.searchsorted(xs, add)
-        xs, gs = np.insert(xs, pos, add), np.insert(gs, pos, geval(add))
-        vidx = _chain_lower(xs, gs)
-    return xs, gs, vidx
+    xl, gl = xs.tolist(), gs.tolist()
+    out = []
+    for i, (x, g) in enumerate(zip(xl, gl)):
+        while len(out) >= 2:
+            i0, i1 = out[-2], out[-1]
+            if (gl[i1] - gl[i0]) * (x - xl[i1]) < (g - gl[i1]) * (xl[i1] - xl[i0]):
+                break
+            out.pop()
+        out.append(i)
+    return np.array(out, dtype=np.intp)
 
 
 def _build(xs, fs, curve: Curve | None, kind: str, finite: bool) -> Envelope:
@@ -402,78 +185,81 @@ def _build(xs, fs, curve: Curve | None, kind: str, finite: bool) -> Envelope:
         raise InvalidParameter("samples must be finite")
 
     sign = 1.0 if kind == "convex" else -1.0
-    gs = sign * fs
-    vidx = _chain_lower(xs, gs)
-    # a curve with a derivative inverse, on a continuum, is smooth: it is
-    # refined and polished against; anything else is piecewise linear
-    inverse = None if curve is None or finite else curve.derivative_inverse()
-    if inverse is None:
-        curve = dinv = None
-    else:
+    dinv = None
+    if curve is not None and not finite and curve.hull_kind == kind:
+        # a smooth curve on a continuum: its hull on [xs[0], xs[-1]] in
+        # closed form, every vertex a contact
+        xs, arc = curve.hull_vertices(float(xs[0]), float(xs[-1]))
+        fs = np.asarray(curve(xs), dtype=float)
+        gs = sign * fs
+        vidx = np.arange(len(xs))
         # oriented: solve g'(x) = w, where g = sign*f, so f'(x) = sign*w
+        inverse = curve.derivative_inverse()
         dinv = inverse if sign > 0 else (lambda w: inverse(-np.asarray(w)))
-        geval, gder = (lambda t: sign * curve(t)), (lambda t: sign * curve.derivative(t))
-        xs, gs, vidx = _split_dents(xs, gs, vidx, geval, gder, dinv)
-        fs = sign * gs
-        add = np.unique(_refine_bridges(xs, gs, vidx, geval, gder))
-        if len(add):
-            pos = np.searchsorted(xs, add)
-            xs = np.insert(xs, pos, add)
-            gs = np.insert(gs, pos, geval(add))
-            fs = sign * gs
-            vidx = _chain_lower(xs, gs)
-    chain = vidx
-    # a piecewise-linear curve or finite set has one edge per true slope:
-    # rounding splits a run of collinear knots into edges whose slopes tie
-    # under the kernel's rule, so the vertices between tied edges go
-    while curve is None and len(vidx) > 2:
-        s = np.diff(gs[vidx]) / np.diff(xs[vidx])
-        tie = np.abs(np.diff(s)) <= 1e-9 * np.maximum(
-            1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
-        if not tie.any():
-            break
-        vidx = np.delete(vidx, 1 + np.flatnonzero(tie))
+    else:
+        curve = None
+        gs = sign * fs
+        vidx = chain = _chain_lower(xs, gs)
+        # a piecewise-linear curve or finite set has one edge per true
+        # slope: rounding splits a run of collinear knots into edges whose
+        # slopes tie under the kernel's rule, so the vertices between tied
+        # edges go
+        while len(vidx) > 2:
+            s = np.diff(gs[vidx]) / np.diff(xs[vidx])
+            tie = np.abs(np.diff(s)) <= 1e-9 * np.maximum(np.abs(s[:-1]),
+                                                          np.abs(s[1:]))
+            if not tie.any():
+                break
+            vidx = np.delete(vidx, 1 + np.flatnonzero(tie))
+        arc = np.zeros(len(vidx) - 1, dtype=bool)
 
     vx = xs[vidx]
     vg = gs[vidx]
     hull_g = np.interp(xs, vx, vg)
     hull = sign * hull_g
 
-    # contact within 1e-9 of the values at the knot: a tolerance scaled to
-    # the whole range would hide a dent that is small against the far end
-    # of a truncated ray
-    contact = np.abs(hull_g - gs) <= 1e-9 * np.maximum(np.abs(hull_g),
-                                                       np.abs(gs))
-    contact[chain] = True
+    if curve is None:
+        # contact within 1e-9 of the values at the knot: a tolerance scaled
+        # to the whole range would hide a dent that is small against the
+        # far end of the knots
+        contact = np.abs(hull_g - gs) <= 1e-9 * np.maximum(np.abs(hull_g),
+                                                           np.abs(gs))
+        contact[chain] = True
+        # non-contact knots strictly inside each edge, by a running count
+        gaps = np.concatenate([[0], np.cumsum(~contact)])
+        bridge = gaps[vidx[1:]] > gaps[vidx[:-1]]
+    else:
+        contact = np.ones(len(xs), dtype=bool)
+        bridge = ~arc
 
-    es = np.concatenate([[-math.inf], np.diff(vg) / np.diff(vx), [math.inf]])
-    wide = np.concatenate([[True], np.diff(vidx) > 1, [True]])
-    # non-contact knots strictly inside each edge, by a running count
-    gaps = np.concatenate([[0], np.cumsum(~contact)])
-    bridge = gaps[vidx[1:]] > gaps[vidx[:-1]]
+    es = np.diff(vg) / np.diff(vx)
+    slopes = np.concatenate([[-math.inf], es, [math.inf]])
+    chord = np.concatenate([[True], ~arc, [True]])
+    # the points a vertex's readings reach: itself, or an arc that meets it
+    reach_lo = np.concatenate([vx[:1], np.where(arc, vx[:-1], vx[1:])])
+    reach_hi = np.concatenate([np.where(arc, vx[1:], vx[:-1]), vx[-1:]])
 
     return Envelope(kind=kind, xs=xs, f=fs, hull=hull, contact=contact,
-                    _sign=sign, _vidx=vidx, _vx=vx, _vg=vg, _es=es[1:-1],
+                    _sign=sign, _vidx=vidx, _vx=vx, _vg=vg, _es=es, _arc=arc,
                     _bridge=bridge, _table=(
-                        es[:-1], es[1:], wide[:-1], wide[1:],
-                        xs[np.maximum(vidx - 1, 0)],
-                        xs[np.minimum(vidx + 1, len(xs) - 1)]),
-                    _curve=curve, _dinv=dinv,
-                    finite_support=finite)
+                        slopes[:-1], slopes[1:], chord[:-1], chord[1:],
+                        reach_lo, reach_hi),
+                    _curve=curve, _dinv=dinv, finite_support=finite)
 
 
 def convex_hull(xs, fs, *, curve=None, finite=False) -> Envelope:
-    """Greatest convex minorant of the curve sampled as fs at xs.
+    """Greatest convex minorant of the curve read as fs at xs.
 
-    curve is the Curve sampled; a smooth one (with a derivative inverse)
-    refines bridges and polishes conjugates.  finite marks xs as the only
-    admissible points rather than samples of a continuum.
+    curve is the Curve read; a smooth one (hull_kind "convex") is hulled
+    from its closed form on [xs[0], xs[-1]], and the values fs and the
+    points between the ends are not read.  finite marks xs as the only
+    admissible points rather than points of a continuum.
     """
     return _build(xs, fs, curve, "convex", finite)
 
 
 def concave_hull(xs, fs, *, curve=None, finite=False) -> Envelope:
-    """Least concave majorant of the curve sampled as fs at xs."""
+    """Least concave majorant of the curve read as fs at xs."""
     return _build(xs, fs, curve, "concave", finite)
 
 
@@ -484,40 +270,33 @@ def concave_hull(xs, fs, *, curve=None, finite=False) -> Envelope:
 def _conjugate(env: Envelope, w: np.ndarray) -> tuple:
     """sup_x { x w - g(x) } and its attaining span [lo, hi] for an array of w.
 
-    A slope within a relative 1e-9 of an edge slope ties that edge and the
-    whole edge attains, except a one-cell edge of a smooth arc, which is a
-    sampling artifact and not a true flat (unless the other edge ties too).
-    Off ties the vertex maximizer is polished by the curve's derivative
-    inverse, kept inside the sample cell around the vertex and taken only
-    where it does not lower the value.  Edges and samples are read from the
-    envelope's _table at the vertex idx that w sorts to; spans are worked
-    out only for a batch where some slope ties.
+    A slope within a relative 1e-9 of a chord's slope ties that chord and
+    the whole chord attains.  Off ties a vertex between chords attains;
+    where an arc meets the vertex, the point of slope w on the curve,
+    clipped to the arc, does.  Edges and arcs are read from the envelope's
+    _table at the vertex idx that w sorts to; spans are worked out only for
+    a batch where some slope ties.
     """
-    es_lo, es_hi, wide_lo, wide_hi, x_below, x_above = env._table
+    es_lo, es_hi, chord_lo, chord_hi, reach_lo, reach_hi = env._table
     idx = np.searchsorted(env._es, w)
-    tol = 1e-9 * np.maximum(1.0, np.abs(w))
+    tol = 1e-9 * np.abs(w)
     # es_lo[idx] < w <= es_hi[idx], so these are the distances to w
-    tie_lo = w - es_lo[idx] <= tol
-    tie_hi = es_hi[idx] - w <= tol
+    tie_lo = chord_lo[idx] & (w - es_lo[idx] <= tol)
+    tie_hi = chord_hi[idx] & (es_hi[idx] - w <= tol)
     vx, vg = env._vx, env._vg
-    x_lo = x_hi = vx[idx]
-    val = x_lo * w - vg[idx]
+    if env.smooth:
+        x_lo = x_hi = np.clip(env._dinv(w), reach_lo[idx], reach_hi[idx])
+        val = x_lo * w - env._sign * env._curve(x_lo)
+    else:
+        x_lo = x_hi = vx[idx]
+        val = x_lo * w - vg[idx]
     spans = tie_lo | tie_hi
     if spans.any():
-        if env.refinable:
-            tie_lo, tie_hi = (tie_lo & (wide_lo[idx] | tie_hi),
-                              tie_hi & (wide_hi[idx] | tie_lo))
         lo_i, hi_i = idx - tie_lo, idx + tie_hi
-        x_lo, x_hi = vx[lo_i], vx[hi_i]
-        val = np.maximum(x_lo * w - vg[lo_i], x_hi * w - vg[hi_i])
-        spans = lo_i != hi_i
-    if env.refinable:
-        xr = np.asarray(env._dinv(w), dtype=float)
-        vr = xr * w - env._sign * env._curve(xr)
-        take = ((xr > x_below[idx]) & (xr < x_above[idx]) & (vr >= val)
-                & ~spans)
-        x_lo, x_hi = np.where(take, xr, x_lo), np.where(take, xr, x_hi)
-        val = np.where(take, vr, val)
+        val = np.where(spans, np.maximum(vx[lo_i] * w - vg[lo_i],
+                                         vx[hi_i] * w - vg[hi_i]), val)
+        x_lo = np.where(spans, vx[lo_i], x_lo)
+        x_hi = np.where(spans, vx[hi_i], x_hi)
     return val, x_lo, x_hi
 
 
@@ -572,10 +351,15 @@ def contact_argmax_intervals(env: Envelope, z: float) -> list:
     """
     cv = fenchel_cost(env, z) if env.kind == "convex" \
         else fenchel_revenue(env, z)
-    if cv.argmax_lo == cv.argmax_hi:
-        return [(cv.argmax_lo, cv.argmax_hi)]
-    i = int(np.searchsorted(env.xs, cv.argmax_lo))
-    j = int(np.searchsorted(env.xs, cv.argmax_hi, side="right"))
+    lo, hi = cv.argmax_lo, cv.argmax_hi
+    if lo == hi:
+        return [(lo, hi)]
+    if env.smooth:
+        # a smooth curve's span is a chord, which touches it at its ends
+        vx = env._vx[(env._vx >= lo) & (env._vx <= hi)]
+        return [(x, x) for x in vx.tolist()]
+    i = int(np.searchsorted(env.xs, lo))
+    j = int(np.searchsorted(env.xs, hi, side="right"))
     xs = env.xs[i:j]
     step = np.diff(np.concatenate([[0], env.contact[i:j], [0]]).astype(np.int8))
     starts, stops = np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1
@@ -616,7 +400,7 @@ def hull_decompose(env: Envelope, x: float) -> tuple:
     mix = delta * f1 + (1.0 - delta) * f2
     h = env.hull_exact(x)
     # the bound scales with the values compared, not with the range of all
-    # samples, which the far end of a truncated ray inflates
+    # knots, which the far end of a truncated ray inflates
     if abs(mix - h) > 1e-6 * max(abs(f1), abs(f2), abs(h)):
         raise DecompositionMismatch(
             f"mixture value {mix:.12g} vs envelope {h:.12g} at x={x:.12g}")

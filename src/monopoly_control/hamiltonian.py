@@ -66,18 +66,28 @@ class HamiltonianModel:
     trunc_bound: float | None
 
 
+def _envelope(build, kind: str, curve, cset, xs) -> Envelope:
+    """build's hull of curve over cset, read at xs: a curve with a closed
+    form kind hull, on a continuum, only at the set's ends."""
+    finite = cset.kind == "finite"
+    if curve.hull_kind == kind and not finite:
+        xs = xs[[0, -1]]
+    return build(xs, curve(xs), curve=curve, finite=finite)
+
+
 def _revenue_envelope(problem: ValidatedProblem) -> Envelope:
-    xs = problem.q_grid
-    return concave_hull(xs, problem.revenue(xs), curve=problem.revenue,
-                        finite=problem.demand_set.kind == "finite")
+    return _envelope(concave_hull, "concave", problem.revenue,
+                     problem.demand_set, problem.q_grid)
 
 
 def _cost_envelope(problem: ValidatedProblem, ceiling: float | None) -> Envelope:
     xs = problem.a_grid
     if xs is None:
-        xs = problem.production_set.sample(problem.grid_n, hi=ceiling)
-    return convex_hull(xs, problem.cost(xs), curve=problem.cost,
-                       finite=problem.production_set.kind == "finite")
+        # a ray carries a smooth cost (validate_problem), hulled up to the
+        # ceiling
+        xs = np.array([problem.production_set.lo, ceiling])
+    return _envelope(convex_hull, "convex", problem.cost,
+                     problem.production_set, xs)
 
 
 def _conjugates(rev_env: Envelope, cost_env: Envelope, z) -> tuple:
@@ -110,11 +120,11 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     unbounded = problem.a_grid is None
     ceiling = (_FIRST_CEILING * (float(problem.q_grid[-1]) + 1.0)
                if unbounded else None)
-    # twice the steepest revenue slope
-    z_max = 2.0 * max(1.0, float(np.abs(rev_env._es).max()))
+    rev_kinks = rev_env.kink_slopes()
+    # twice the steepest revenue slope, which a kink or an end attains
+    z_max = 2.0 * max(1.0, float(np.abs(rev_kinks).max()))
 
     cost_env = _cost_envelope(problem, ceiling)
-    rev_kinks = rev_env.kink_slopes()
 
     # each round reads H and its one-sided slopes at 0, the kinks and
     # z_max in one batch; H(0) of the first round is the growth reference
@@ -126,7 +136,7 @@ def build_hamiltonian(problem) -> HamiltonianModel:
         c, r = _conjugates(rev_env, cost_env, pts)
         hs = r.value + c.value
         h0 = hs[0] if h0 is None else h0
-        wide = hs[-1] > h0 + 1e-9 * max(1.0, abs(h0))
+        wide = hs[-1] > h0 + 1e-9 * abs(h0)
         covered = not unbounded or c.argmax_hi[-1] < 0.9 * ceiling
         if wide and covered:
             break

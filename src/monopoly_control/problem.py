@@ -98,19 +98,16 @@ class ControlSet:
             return any(abs(x - v) <= _MEMBER_TOL for v in self.values)
         return x <= self.hi + _MEMBER_TOL
 
-    def sample(self, n: int, hi: float | None = None) -> np.ndarray:
-        """Sample grid over the set (finite sets return their members).
-
-        For a right ray a finite ceiling ``hi`` must be supplied.
-        """
+    def sample(self, n: int) -> np.ndarray:
+        """Sample grid over a bounded set (finite sets return their
+        members)."""
         if self.kind == "finite":
             return np.asarray(self.values)
-        top = self.hi if hi is None else float(hi)
-        if not math.isfinite(top):
-            raise InvalidParameter("unbounded set needs an explicit ceiling")
+        if not self.is_bounded:
+            raise InvalidParameter("an unbounded set has no sample grid")
         if n < 2:
             raise DegenerateGrid("need at least two sample points")
-        return np.linspace(self.lo, top, n)
+        return np.linspace(self.lo, self.hi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +126,11 @@ def _positive(family: str, name: str, value: float) -> float:
 class Curve:
     """Revenue or cost curve.
 
-    Closed-form families evaluate exactly anywhere and expose a derivative;
-    the smooth ones (linear demand, cubic) also a derivative inverse, with
-    which the envelope pins contact points.  Table curves interpolate
-    linearly between knots and have no derivative.
+    Closed-form families evaluate exactly anywhere and expose a derivative.
+    The smooth ones (linear demand, cubic) also give their envelope on an
+    interval in closed form (hull_kind, hull_vertices) and a derivative
+    inverse, with which the conjugate kernel reads an arc of that envelope.
+    Table curves interpolate linearly between knots and have no derivative.
 
     Families
     --------
@@ -208,11 +206,34 @@ class Curve:
             out = d * d     # d**2 on a numpy scalar calls pow(): last bit differs
         return out if out.ndim else float(out)
 
+    @property
+    def hull_kind(self) -> str | None:
+        """The envelope the solver takes of a smooth family: "concave" for
+        linear demand, "convex" for the cubic, None when piecewise linear."""
+        return {"linear_demand": "concave", "cubic": "convex"}.get(self.family)
+
+    def hull_vertices(self, lo: float, hi: float) -> tuple:
+        """(vertices, arc) of the hull_kind envelope on [lo, hi], lo < hi:
+        arc[i] marks the edge from vertex i to i + 1 as an arc of the curve,
+        else a chord.  Linear demand is its own concave hull.  The cubic is
+        concave below k and convex above, so its convex hull is the chord
+        from lo to the tangency t = (3k - lo)/2, where C(t) - C(lo) =
+        C'(t)(t - lo), then the curve: the chord alone when hi <= t, the
+        curve alone when lo >= k."""
+        if self.family == "cubic":
+            k = self.params[0]
+            t = (3.0 * k - lo) / 2.0
+            if lo < k and hi <= t:
+                return np.array([lo, hi]), np.array([False])
+            if lo < k:
+                return np.array([lo, t, hi]), np.array([False, True])
+        return np.array([lo, hi]), np.array([True])
+
     def derivative_inverse(self):
         """Callable z -> x with derivative(x) = z on the curve's monotone
         branch, or None.  Affine curves have no branch; tables no derivative.
-        The cubic uses its increasing branch x >= k, which is where convex
-        envelopes place interior contacts."""
+        The cubic uses its increasing branch x >= k, where its convex hull
+        follows the curve."""
         if self.family == "linear_demand":
             a, b = self.params
             return lambda z: (a - np.asarray(z, dtype=float)) / (2.0 * b)
@@ -250,7 +271,8 @@ class ValidatedProblem:
 
     ``q_grid`` holds the revenue's points on Q (see _points) and ``a_grid``
     the cost's on a bounded A; it is None for a right ray, where the
-    Hamiltonian builder chooses the truncation bound and samples up to it.
+    Hamiltonian builder chooses the truncation bound and hulls the cost up
+    to it.
     """
 
     spec: ProblemSpec
@@ -285,13 +307,14 @@ class ValidatedProblem:
 def _points(curve: Curve, cset: ControlSet, n: int) -> np.ndarray | None:
     """The points a curve is read at over a bounded set (None for a ray).
 
-    A finite set gives its members and a smooth curve n samples.  A
-    piecewise-linear curve (no derivative inverse: affine or table) is fixed
-    by its breakpoints, the set's ends and the knots strictly between them.
+    A finite set gives its members and a smooth curve n samples, which
+    validation checks; its hull reads only the set's ends.  A
+    piecewise-linear curve (affine or table) is fixed by its breakpoints,
+    the set's ends and the knots strictly between them.
     """
     if not cset.is_bounded:
         return None
-    if cset.kind == "finite" or curve.derivative_inverse() is not None:
+    if cset.kind == "finite" or curve.hull_kind is not None:
         return cset.sample(n)
     ks = np.asarray(curve.xs, dtype=float)
     return np.concatenate([[cset.lo], ks[(ks > cset.lo) & (ks < cset.hi)],

@@ -199,7 +199,7 @@ def static_candidate(problem) -> tuple:
     us = _candidate_rates(problem)
     vals = np.atleast_1d(rev(us) - cost(us))
     m = float(vals.max())
-    tol = 1e-12 * max(1.0, abs(m))
+    tol = 1e-12 * abs(m)
     idx = int(np.nonzero(vals >= m - tol)[0][0])
     u, payoff = float(us[idx]), float(rev(us[idx]) - cost(us[idx]))
     smooth = rev.has_derivative and cost.has_derivative and "finite" not in (
@@ -229,10 +229,10 @@ def static_candidate(problem) -> tuple:
 
 
 def _match_tolerance(env: Envelope) -> float:
-    """Slack for matching contact intervals: refinable envelopes pin their
-    contacts to the curve, anything else (tables, finite sets) has contacts
+    """Slack for matching contact intervals: a smooth curve's contacts are
+    read off the curve, anything else (tables, finite sets) has contacts
     only at knots, which must match exactly."""
-    if env.refinable:
+    if env.smooth:
         lo, hi = env.domain
         return 1e-12 * (hi - lo)
     return 0.0

@@ -13,8 +13,10 @@ H at the stock already asked, the drawdown reading more than its first
 cell) fails here instead of only slowing the benchmark down.
 
 The points handed to ``convex_hull`` and ``concave_hull`` are counted in
-the same runs.  A piecewise-linear curve (an affine cost, a table) is
-hulled from its breakpoints alone, so sampling one again fails here.
+the same runs.  A smooth curve (linear demand, the cubic) is hulled from
+its closed form and is handed only its set's ends, and a piecewise-linear
+curve (an affine cost, a table) only its breakpoints, so sampling either
+again fails here.
 
 The oracle's LAPACK calls are counted the same way: each policy solve
 eliminates its interiors in one batched call and its separators in one
@@ -39,14 +41,14 @@ BUDGET = {
 }
 
 # points passed to the hull builders for solve + simulate --x0 0.2: two
-# builds of 4097 samples per smooth curve (a third cost build where the
-# ray's ceiling doubles), two points per affine cost, ends and knots per
-# table
+# builds of the set's two ends per smooth curve (a third cost build where
+# the ray's ceiling doubles), two points per affine cost, ends and knots
+# per table
 HULL_POINTS = {
-    "arvan_moses_high": 16388,
-    "arvan_moses_low": 24582,
-    "arvan_moses_mid": 16388,
-    "linear_cost": 8198,
+    "arvan_moses_high": 8,
+    "arvan_moses_low": 12,
+    "arvan_moses_mid": 8,
+    "linear_cost": 8,
     "table_curves": 20,
 }
 

@@ -18,7 +18,7 @@ from monopoly_control.cli import main
 
 GOLDEN = {
     "arvan_moses_high": {
-        "summary.txt": "1fa05ce02ab14c45d7d976a4bcb6f2b9b77e7f653ef303ce7abc2c1967ccf13e",
+        "summary.txt": "7ae73e72651ea411d72fab90738ebe87418ca362a308a2bb39622d559f4b1b54",
         "value.csv": "682e2308c3365f01c5b038f7bb079d4fb862e390ac411bbbce0abbb2fc9c9cb5",
         "simulate_summary.txt": "0ab67419d85edf5e717761174718ae15cc4a1c36fd247e23da32475f580380b1",
         "trajectory.csv": "bee83895fe13a034c25409798d8bb531191937bd4ef8680884080dd0a49e0860",
@@ -121,7 +121,7 @@ def test_cli_eps_tail_outputs_match_digests(name, configs_dir, tmp_path):
 # and a stock other than each config's own
 GOLDEN_BETA = {
     "arvan_moses_high": {
-        "summary.txt": "95f20f31c105fda58e7872a073520108d21b2199ac43603de07c8744d3ff413a",
+        "summary.txt": "3a4083b5ecdfa6bda1310af3300bd0bc5b1ba4ebb50507e71c0f0a358a2a4cb3",
         "value.csv": "eb6daca0ac55b7f2bbaf0f95e037f597bfff80786060fc1478e2d9186149e0a3",
         "trajectory.csv": "67761366b7be1d27016e4f68018ef9061c1df409299ac5f0b1f4e79ac2bcfe46",
         "simulate_summary.txt": "e15b6b693638ac14b98d2f952aa9a269beb7b535251bc5bb41b53d0da70926b2",

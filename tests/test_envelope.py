@@ -10,6 +10,7 @@ import pytest
 from monopoly_control import (
     Curve,
     build_hamiltonian,
+    builtin_arvan_moses,
     load_problem,
     validate_problem,
     DecompositionMismatch,
@@ -32,13 +33,13 @@ CUBIC = Curve.cubic_cost(1.0)
 REV = Curve.linear_demand_revenue(1.0, 1.0)
 
 
-def _cubic_env(n=2001, hi=3.0):
-    xs = np.linspace(0.0, hi, n)
+def _cubic_env(hi=3.0):
+    xs = np.array([0.0, hi])
     return convex_hull(xs, CUBIC(xs), curve=CUBIC)
 
 
-def _rev_env(n=2001):
-    xs = np.linspace(0.0, 1.0, n)
+def _rev_env():
+    xs = np.array([0.0, 1.0])
     return concave_hull(xs, REV(xs), curve=REV)
 
 
@@ -60,36 +61,40 @@ def test_hull_rejects_malformed_samples(hull, curve, xs, fs, error, match):
 
 def test_cubic_hull_bridges_the_dent():
     env = _cubic_env()
-    # the concave arc is replaced by one chord through the origin
+    # the concave arc is replaced by one chord through the origin, to the
+    # tangency at 1.5, and the curve follows
     assert env.hull_exact(0.75) == pytest.approx(0.1875, abs=1e-12)
-    long = np.nonzero(np.diff(env._vx) > 0.5)[0]
-    assert len(long) == 1
-    e = long[0]
-    assert env._sign * env._es[e] == pytest.approx(0.25, abs=1e-9)
-    assert env._vx[e] == pytest.approx(0.0, abs=1e-9)
-    assert env._vx[e + 1] == pytest.approx(1.5, abs=1e-9)
-    assert env._bridge[e]
+    assert env._vx.tolist() == [0.0, 1.5, 3.0]
+    assert env._arc.tolist() == [False, True]
+    assert env._bridge.tolist() == [True, False]
+    assert env._sign * env._es[0] == 0.25
+    # points between the ends are not read: the closed form is the hull
+    xs = np.linspace(0.0, 3.0, 2001)
+    sampled = convex_hull(xs, CUBIC(xs), curve=CUBIC)
+    assert np.array_equal(sampled._vx, env._vx)
+    assert np.array_equal(sampled._vg, env._vg)
 
 
 def test_convex_hull_stays_below_curve():
     env = _cubic_env()
-    tol = 1e-9 * np.ptp(env.f)
-    # at the knots the hull never exceeds the samples
-    assert np.all(env.hull <= env.f + tol)
-    # between knots hull_exact follows the curve or a bridge chord,
-    # both of which stay below a convex curve
     xs = np.linspace(0.0, 3.0, 557)
     exact = np.array([env.hull_exact(x) for x in xs])
+    tol = 1e-9 * np.ptp(CUBIC(xs))
+    # at the knots the hull never exceeds the curve
+    assert np.all(env.hull <= env.f + tol)
+    # between knots hull_exact follows the curve or a bridge chord, both
+    # of which stay below the curve, and it is convex
     assert np.all(exact <= CUBIC(xs) + tol)
-    slopes = np.diff(env.hull) / np.diff(env.xs)
+    slopes = np.diff(exact) / np.diff(xs)
     assert np.all(np.diff(slopes) >= -1e-9)
 
 
 def test_concave_hull_of_strictly_concave_curve_is_itself():
     env = _rev_env()
     xs = np.linspace(0.0, 1.0, 313)
-    assert np.allclose(env.hull_exact(xs), REV(xs), atol=1e-7)
+    assert np.array_equal(env.hull_exact(xs), REV(xs))
     assert all(env.contact)
+    assert env._arc.tolist() == [True] and not env._bridge.any()
 
 
 def test_cubic_kink_slopes():
@@ -141,25 +146,22 @@ def test_affine_cost_conjugate_spans_the_interval():
 
 
 def test_conjugate_grids_match_scalars():
-    # grid kernels skip the tangency refinement, so they sit within one
-    # sample-cell quadratic error of the refined scalar values
+    # a batch and its scalar queries run the same kernel
     env = _cubic_env()
     zs = np.linspace(0.0, 2.0, 41)
     grid = fenchel_cost_grid(env, zs)
     scalars = np.array([fenchel_cost(env, z).value for z in zs])
-    assert np.allclose(grid, scalars, atol=5e-7)
-    assert np.all(grid <= scalars + 1e-12)
+    assert np.array_equal(grid, scalars)
     renv = _rev_env()
     zg = np.linspace(0.0, 1.2, 37)
     rg = fenchel_revenue_grid(renv, zg)
     rs = np.array([fenchel_revenue(renv, z).value for z in zg])
-    assert np.allclose(rg, rs, atol=5e-7)
-    assert np.all(rg <= rs + 1e-12)
+    assert np.array_equal(rg, rs)
 
 
 def test_conjugate_dominates_brute_force(brute_conjugate):
     env = _cubic_env()
-    xs = env.xs
+    xs = np.linspace(0.0, 3.0, 2001)
     for z in (0.1, 0.25, 0.4, 0.9, 1.7):
         bv, _ = brute_conjugate(xs, CUBIC(xs), z, "cost")
         refined = fenchel_cost(env, z).value
@@ -235,6 +237,88 @@ def test_hull_decompose_checks_the_mixture_at_any_scale(configs_dir):
         hull_decompose(dataclasses.replace(env, f=f), u_tilde)
 
 
+def _closed_form_cases(rng):
+    """(env, curve, kind) for seeded closed-form hulls: cubic costs with k
+    in 10^-3..10^3 on [0, hi] with hi < k, k < hi < 1.5k and hi > 1.5k,
+    and on a ray, hulled up to the solver's ceiling; linear demands on
+    [0, q_hi] with q_hi <= a/b."""
+    for _ in range(12):
+        k = 10.0 ** rng.uniform(-3.0, 3.0)
+        cubic = Curve.cubic_cost(k)
+        for hi in (rng.uniform(0.1, 1.0) * k, rng.uniform(1.0, 1.5) * k,
+                   rng.uniform(1.5, 6.0) * k):
+            xs = np.array([0.0, hi])
+            yield convex_hull(xs, cubic(xs), curve=cubic), cubic, "cost"
+        a, b = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        model = build_hamiltonian(builtin_arvan_moses(
+            k * k * rng.uniform(0.1, 3.0), b, k, beta=0.5))
+        yield model.cost_env, cubic, "cost"
+        demand = Curve.linear_demand_revenue(a, b)
+        xs = np.array([0.0, rng.uniform(0.05, 1.0) * a / b])
+        yield concave_hull(xs, demand(xs), curve=demand), demand, "revenue"
+
+
+def test_closed_form_hulls_meet_dense_samples(brute_conjugate):
+    # never below the best of 2^16 samples by more than rounding, and
+    # above it by less than the samples' own error: with a maximizer
+    # inside (x z - f)' = 0, so a sample h/2 away loses at most
+    # max|f''| h^2 / 8; the ends are samples
+    rng = np.random.default_rng(2028)
+    n = 2 ** 16
+    count = 0
+    for env, curve, kind in _closed_form_cases(rng):
+        lo, hi = env.domain
+        xs = np.linspace(lo, hi, n)
+        fs = curve(xs)
+        if kind == "revenue":
+            bend = 2.0 * curve.params[1]
+        else:
+            k = curve.params[0]
+            bend = 2.0 * max(abs(lo - k), abs(hi - k))
+        err = bend * ((hi - lo) / (n - 1)) ** 2 / 8.0
+        d = curve.derivative(np.array([lo, hi]))
+        zs = np.concatenate([rng.uniform(min(d) - 1.0, max(d) + 1.0, 6),
+                             env.kink_slopes()])
+        conj = fenchel_cost if kind == "cost" else fenchel_revenue
+        for z in zs:
+            z = float(z)
+            bv, x = brute_conjugate(xs, fs, z, kind)
+            cv = conj(env, z)
+            rounding = 1e-12 * (abs(x * z) + abs(float(curve(x)))
+                                + abs(cv.argmax_lo * z))
+            assert cv.value >= bv - rounding, (kind, lo, hi, z)
+            assert cv.value - bv <= err + rounding, (kind, lo, hi, z)
+            count += 1
+    assert count > 300
+
+
+def test_closed_form_bridge_ends():
+    rng = np.random.default_rng(2029)
+    for hi in (1.6, 3.0, 1e6):
+        env = _cubic_env(hi)
+        assert env._vx[1] == 1.5
+        assert fenchel_cost(env, 0.25).argmax_hi == 1.5
+    for _ in range(20):
+        k = 10.0 ** rng.uniform(-3.0, 3.0)
+        cubic = Curve.cubic_cost(k)
+        xs = np.array([0.0, rng.uniform(0.1, 6.0) * k])
+        env = convex_hull(xs, cubic(xs), curve=cubic)
+        end = float(env._vx[1])
+        slope = float(env._sign * env._es[0])
+        if xs[1] <= 1.5 * k:
+            assert end == xs[1]
+        else:
+            # the chord is tangent at its far end
+            assert end == pytest.approx(1.5 * k, rel=1e-15)
+            assert cubic.derivative(end) == pytest.approx(slope, rel=1e-12)
+        x = rng.uniform(0.05, 0.95) * end
+        x1, x2, delta = hull_decompose(env, x)
+        assert (x1, x2) == (0.0, end)
+        assert delta == pytest.approx((end - x) / end, rel=1e-12)
+        assert contact_argmax_intervals(env, slope) == [(0.0, 0.0),
+                                                        (end, end)]
+
+
 def test_table_kink_slopes_are_edge_slopes():
     pts = [(0.0, 0.0), (0.5, 0.1), (1.0, 0.4)]
     c = Curve.table(pts)
@@ -284,8 +368,9 @@ SHIPPED = ["arvan_moses_high", "arvan_moses_low", "arvan_moses_mid",
 
 def test_chain_matches_loop_on_shipped_envelopes(configs_dir, monkeypatch,
                                                  reference_chain):
-    # every chain a build runs, on the samples and again on the knots
-    # bridge refinement inserts, is the plain loop's vertex list
+    # every chain a build runs, on a table's knots and an affine cost's
+    # ends, is the plain loop's vertex list; a smooth curve is hulled in
+    # closed form and runs no chain
     calls = []
     chain = envelope._chain_lower
 
@@ -295,13 +380,15 @@ def test_chain_matches_loop_on_shipped_envelopes(configs_dir, monkeypatch,
         return out
 
     monkeypatch.setattr(envelope, "_chain_lower", record)
-    builds = 0
     for name in SHIPPED:
         for beta in ([], ["problem.beta=0.3"], ["problem.beta=1.5"]):
-            build_hamiltonian(validate_problem(
+            before = len(calls)
+            model = build_hamiltonian(validate_problem(
                 load_problem(configs_dir / f"{name}.cfg", beta)))
-            builds += 1
-    assert len(calls) > 2 * builds        # refined envelopes are in
+            smooth = [e.smooth for e in (model.rev_env, model.cost_env)]
+            assert len(calls) - before == smooth.count(False), name
+    # table_curves' revenue and cost, linear_cost's affine cost
+    assert len(calls) == 3 * 3
     for xs, gs, out in calls:
         assert out.tolist() == reference_chain(xs, gs)
 

@@ -228,6 +228,7 @@ def test_builtin_guards():
 def test_grids_cover_sets(am_mid_problem):
     q = am_mid_problem.q_grid
     assert q[0] == 0.0 and q[-1] == pytest.approx(1.0)
+    # a ray has no grid: its cost is hulled up to the solver's ceiling
     assert am_mid_problem.a_grid is None
-    a = am_mid_problem.production_set.sample(am_mid_problem.grid_n, hi=4.0)
-    assert a[0] == 0.0 and a[-1] == pytest.approx(4.0)
+    with pytest.raises(InvalidParameter):
+        am_mid_problem.production_set.sample(am_mid_problem.grid_n)
