@@ -354,10 +354,11 @@ def contact_argmax_intervals(env: Envelope, z: float) -> list:
     lo, hi = cv.argmax_lo, cv.argmax_hi
     if lo == hi:
         return [(lo, hi)]
-    if env.smooth:
-        # a smooth curve's span is a chord, which touches it at its ends
-        vx = env._vx[(env._vx >= lo) & (env._vx <= hi)]
-        return [(x, x) for x in vx.tolist()]
+    if env.smooth or env.finite_support:
+        # a smooth curve's span is a chord, which touches it at its ends,
+        # and a finite set has nothing between its members
+        vx = env._vx if env.smooth else env.xs[env.contact]
+        return [(x, x) for x in vx[(vx >= lo) & (vx <= hi)].tolist()]
     i = int(np.searchsorted(env.xs, lo))
     j = int(np.searchsorted(env.xs, hi, side="right"))
     xs = env.xs[i:j]

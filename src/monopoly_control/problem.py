@@ -206,6 +206,20 @@ class Curve:
             out = d * d     # d**2 on a numpy scalar calls pow(): last bit differs
         return out if out.ndim else float(out)
 
+    def slope_coefficients(self, x) -> tuple:
+        """(p0, p1, p2), arrays shaped like x: the slope is p0 + p1 x + p2 x^2
+        on the piece that holds each x (for a table, the cell right of it)."""
+        x = np.asarray(x, dtype=float)
+        zero = np.zeros_like(x)
+        if self.family == "table":
+            xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+            i = np.clip(np.searchsorted(xs, x, "right") - 1, 0, len(xs) - 2)
+            return (np.diff(ys) / np.diff(xs))[i], zero, zero
+        a = self.params[0]      # linear demand's a, affine's c, the cubic's k
+        coef = {"linear_demand": (a, -2.0 * self.params[-1], 0.0),
+                "affine": (a, 0.0, 0.0), "cubic": (a * a, -2.0 * a, 1.0)}
+        return tuple(c + zero for c in coef[self.family])
+
     @property
     def hull_kind(self) -> str | None:
         """The envelope the solver takes of a smooth family: "concave" for

@@ -140,6 +140,7 @@ def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
     # cells drop stock, never raise it, so its end bounds it from below
     if abs(xk[-1]) > _ARC_X_TOL * max(1.0, plan.x0):
         raise StateViolation(plan.tau, float(xk[-1]))
+    xk[-1] = 0.0        # closed: zero, not the rounding of the drops
     tail = simulate(problem, plan.tail, horizon=horizon - plan.tau, x0=0.0)
     shift = math.exp(-beta * plan.tau)
     return Trajectory(

@@ -1,7 +1,8 @@
 """Stationary, relaxed, cyclic, and stock-drawdown strategies.
 
 The static question: is there a single rate u in Q intersect A with
-R(u) - C(u) = min H?  If yes, produce and sell at u forever (once stock is
+R(u) - C(u) = min H?  The best constant rate, exact from the curves'
+pieces, answers it.  If yes, produce and sell at u forever (once stock is
 gone) and nothing beats it.  If no, the gap is closed by mixing two sales
 rates and two production rates with matching means (the relaxed optimum),
 realized physically by fast production/sales cycles whose payoff comes
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._roots import bracket_root, stop_width
-from .envelope import Envelope, contact_argmax_intervals, hull_decompose
+from ._roots import stop_width
+from .envelope import hull_decompose
 from .errors import DecompositionMismatch, InvalidParameter, ZetaZeroWarning
 from .hamiltonian import (HamiltonianModel, _in_domain, _sides,
                           controls_at as _h_controls)
@@ -64,7 +65,8 @@ class StaticPlan:
 
 @dataclass(frozen=True)
 class StaticReport:
-    """Verdict on whether a static plan attains the stationary optimum."""
+    """Whether the best constant rate u_hat, where R - C = payoff, attains
+    min H = payoff + gap; the witness is u_hat if it does, else None."""
     optimal: bool
     u_hat: float
     payoff: float
@@ -162,122 +164,63 @@ class DrawdownPlan:
 # static analysis
 
 
-def _candidate_rates(problem: ValidatedProblem) -> np.ndarray:
-    """Grid over Q intersect A, honoring finite members and table knots."""
-    q, a = problem.demand_set, problem.production_set
-    if q.kind == "finite" or a.kind == "finite":
-        members = []
-        if q.kind == "finite":
-            members.extend(u for u in q.values if a.contains(u))
-        if a.kind == "finite":
-            members.extend(u for u in a.values if q.contains(u))
-        if not members:
-            members = [0.0]
-        return np.unique(np.asarray(members, dtype=float))
-    lo = max(q.lo, a.lo)
-    hi = q.hi if a.kind == "right_ray" else min(q.hi, a.hi)
-    if hi <= lo:
-        return np.array([lo])
-    pts = [np.linspace(lo, hi, problem.grid_n)]
-    for curve in (problem.revenue, problem.cost):
-        if curve.family == "table":
-            ks = np.asarray(curve.xs, dtype=float)
-            pts.append(ks[(ks >= lo) & (ks <= hi)])
-    return np.unique(np.concatenate(pts))
-
-
 def static_candidate(problem) -> tuple:
     """Best constant rate: argmax of R(u) - C(u) over Q intersect A.
 
-    On intervals with smooth curves the first sampled maximizer is polished
-    by the root of R' - C' bracketed outward from it; the root wins a tie,
-    being on the same hump.  Ties go to the smallest rate.  Returns
-    (u_hat, payoff).
+    A finite set offers its members that the other set holds.  A continuum
+    is split at the table knots inside it into cells, on each of which
+    D = R' - C' = p0 + p1 u + p2 u^2 is concave (R' is affine, C' convex),
+    so R - C peaks at a cell end or at D's upper root, taken without
+    cancellation.  R - C is read once at these candidates; ties within
+    1e-12 of the best value go to the smallest rate.  Returns (u_hat,
+    payoff), the same at any grid_n.
     """
     problem = validate_problem(problem)
     rev, cost = problem.revenue, problem.cost
-    us = _candidate_rates(problem)
-    vals = np.atleast_1d(rev(us) - cost(us))
+    q, a = problem.demand_set, problem.production_set
+    if "finite" in (q.kind, a.kind):
+        us = np.unique([u for s, t in ((q, a), (a, q)) if s.kind == "finite"
+                        for u in s.values if t.contains(u)])
+    else:
+        lo, hi = max(q.lo, a.lo), min(q.hi, a.hi)
+        knots = [x for c in (rev, cost) if c.family == "table" for x in c.xs]
+        ends = np.unique([lo, hi] + [x for x in knots if lo < x < hi])
+        mid = 0.5 * (ends[:-1] + ends[1:])
+        p0, p1, p2 = np.subtract(rev.slope_coefficients(mid),
+                                 cost.slope_coefficients(mid))
+        # where D has no upper root this reads nan or +-inf, in no cell
+        with np.errstate(invalid="ignore", divide="ignore"):
+            disc = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
+            root = np.where(p1 < 0.0, 2.0 * p0 / (disc - p1),
+                            (p1 + disc) / (-2.0 * p2))
+        inside = (ends[:-1] < root) & (root < ends[1:])
+        us = np.unique(np.concatenate([ends, root[inside]]))
+    vals = rev(us) - cost(us)
     m = float(vals.max())
-    tol = 1e-12 * abs(m)
-    idx = int(np.nonzero(vals >= m - tol)[0][0])
-    u, payoff = float(us[idx]), float(rev(us[idx]) - cost(us[idx]))
-    smooth = rev.has_derivative and cost.has_derivative and "finite" not in (
-        problem.demand_set.kind, problem.production_set.kind)
-    if not smooth:
-        return u, payoff
-
-    def slope(t):
-        return rev.derivative(t) - cost.derivative(t)
-
-    i_lo, i_hi = max(idx - 1, 0), min(idx + 1, len(us) - 1)
-    s_lo, s_hi = slope(us[i_lo]), slope(us[i_hi])
-    step = 1
-    while s_hi > 0.0 and i_hi < len(us) - 1:
-        i_lo, s_lo, i_hi = i_hi, s_hi, min(i_hi + step, len(us) - 1)
-        s_hi, step = slope(us[i_hi]), 2 * step
-    step = 1
-    while s_lo < 0.0 and i_lo > 0:
-        i_hi, s_hi, i_lo = i_lo, s_lo, max(i_lo - step, 0)
-        s_lo, step = slope(us[i_lo]), 2 * step
-    if s_lo > 0.0 > s_hi:
-        root = float(bracket_root(lambda t, _: slope(t), us[i_lo], us[i_hi])[0])
-        v = float(rev(root) - cost(root))
-        if v >= payoff - tol:
-            u, payoff = root, v
-    return u, payoff
-
-
-def _match_tolerance(env: Envelope) -> float:
-    """Slack for matching contact intervals: a smooth curve's contacts are
-    read off the curve, anything else (tables, finite sets) has contacts
-    only at knots, which must match exactly."""
-    if env.smooth:
-        lo, hi = env.domain
-        return 1e-12 * (hi - lo)
-    return 0.0
+    idx = int(np.argmax(vals >= m - 1e-12 * abs(m)))
+    return float(us[idx]), float(vals[idx])
 
 
 def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
-    """Static plan is optimal iff best sales and best production at slope
-    zeta can agree on a common rate.
+    """Static plan is optimal iff the best constant rate u_hat attains
+    min H.
 
-    A witness counts only if it is admissible (in Q intersect A) and its
-    running profit reaches min H, so the verdict cannot contradict the gap.
+    By Young-Fenchel R(u) - zeta u <= R*(zeta) and zeta u - C(u) <=
+    C*(zeta), and min H = R*(zeta) + C*(zeta), so the gap is the sum of
+    these two non-negative slacks at u_hat.  Optimal iff each vanishes
+    within 1e-12 of its own terms, |R(u)| + |zeta u| and |C(u)| + |zeta u|;
+    u_hat, which lies in Q intersect A, is then the witness.
     """
     problem = validate_problem(problem)
     u_hat, payoff = static_candidate(problem)
-    gap = model.h_min - payoff
-
-    def attains(w: float) -> bool:
-        # min H = R(w) - zeta w + zeta w - C(w) at a witness, so its slack
-        # scales with those four terms
-        if not (problem.demand_set.contains(w)
-                and problem.production_set.contains(w)):
-            return False
-        r, c = float(problem.revenue(w)), float(problem.cost(w))
-        slack = 1e-12 * (abs(r) + abs(c) + 2.0 * abs(model.zeta * w))
-        return r - c >= model.h_min - slack
-
-    iv_r = contact_argmax_intervals(model.rev_env, model.zeta)
-    iv_c = contact_argmax_intervals(model.cost_env, model.zeta)
-    d_r = _match_tolerance(model.rev_env)
-    d_c = _match_tolerance(model.cost_env)
-    witness = None
-    for rlo, rhi in iv_r:
-        for clo, chi in iv_c:
-            lo = max(rlo - d_r, clo - d_c)
-            hi = min(rhi + d_r, chi + d_c)
-            if lo <= hi:
-                w = 0.5 * (max(rlo, clo) + min(rhi, chi))
-                w = float(min(max(w, lo), hi))
-                if attains(w):
-                    witness = w
-                    break
-        if witness is not None:
-            break
-    return StaticReport(optimal=witness is not None, u_hat=u_hat,
-                        payoff=payoff, gap=float(gap), witness=witness)
+    c_star, r_star = _in_domain(model, model.zeta)
+    r, c = float(problem.revenue(u_hat)), float(problem.cost(u_hat))
+    zu = model.zeta * u_hat
+    optimal = (r_star.value - (r - zu) <= 1e-12 * (abs(r) + abs(zu))
+               and c_star.value - (zu - c) <= 1e-12 * (abs(c) + abs(zu)))
+    return StaticReport(optimal=optimal, u_hat=u_hat, payoff=payoff,
+                        gap=float(model.h_min - payoff),
+                        witness=u_hat if optimal else None)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,16 @@ its closed form and is handed only its set's ends, and a piecewise-linear
 curve (an affine cost, a table) only its breakpoints, so sampling either
 again fails here.
 
+The static verdict reads the two conjugates at zeta, one kernel call
+each, and finds its best constant rate in closed form, so a return to a
+root search or to a contact search with more readings fails here.
+
 The oracle's LAPACK calls are counted the same way: each policy solve
 eliminates its interiors in one batched call and its separators in one
 more, so a return to one call per block fails here.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +36,8 @@ from monopoly_control import envelope, hamiltonian
 from monopoly_control.cli import main
 from monopoly_control.config import load_problem
 from monopoly_control.oracle import dp_value
+from monopoly_control.problem import validate_problem
+from monopoly_control.strategy import static_optimality_test
 
 # (kernel calls, slopes read) allowed for solve + simulate --x0 0.2
 BUDGET = {
@@ -77,6 +85,30 @@ def test_conjugate_readings_within_budget(name, configs_dir, tmp_path,
     calls, slopes = BUDGET[name]
     assert counts[0] <= calls and counts[1] <= slopes, (name, counts)
     assert points[0] <= HULL_POINTS[name], (name, points[0])
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_static_test_reads_the_kernel_twice(name, configs_dir, monkeypatch):
+    problem = validate_problem(load_problem(configs_dir / f"{name}.cfg"))
+    model = hamiltonian.build_hamiltonian(problem)
+    calls = []
+    kernel = envelope._conjugate
+
+    def counted(env, w):
+        calls.append("kernel")
+        return kernel(env, w)
+
+    monkeypatch.setattr(envelope, "_conjugate", counted)
+    # every module that imported the root search holds its own name for it
+    for mod in list(sys.modules.values()):
+        root = getattr(mod, "bracket_root", None)
+        if mod.__name__.startswith("monopoly_control") and root is not None:
+            def searched(*args, root=root):
+                calls.append("root")
+                return root(*args)
+            monkeypatch.setattr(mod, "bracket_root", searched)
+    static_optimality_test(problem, model)
+    assert calls == ["kernel", "kernel"], (name, calls)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))

@@ -155,6 +155,62 @@ def test_cli_solve_regime_flag(configs_dir, tmp_path):
     assert "static_optimal = False" in text
 
 
+# a finite production set whose members 0 and 1 both sit on the tied hull
+# edge of slope 0.5, where R - C = 0 = min H
+FINITE_TIE = """\
+[problem]
+beta = 0.5
+
+[revenue]
+family = table
+points = 0:0, 1:0.5
+
+[cost]
+family = table
+points = 0:0, 1:0.5
+
+[sets]
+q = interval 0 1
+a = finite 0 1
+"""
+
+# linear demand against a cost table: R' - C' = 0.6 - 2u on the table's
+# first cell vanishes at u = 0.4, where R - C = 0.16 = min H
+MIXED = """\
+[problem]
+beta = 0.5
+
+[revenue]
+family = linear_demand
+A = 1
+B = 1
+
+[cost]
+family = table
+points = 0:0, 0.5:0.1, 1:0.3, 2:1
+
+[sets]
+q = interval 0 1
+a = interval 0 2
+"""
+
+
+@pytest.mark.parametrize("text, grid_n, u_static", [
+    (FINITE_TIE, 4097, "0"), (MIXED, 9, "0.40000000000000002"),
+    (MIXED, 4097, "0.40000000000000002")],
+    ids=["finite_tie", "mixed_grid9", "mixed_grid4097"])
+def test_cli_static_verdict_is_exact(tmp_path, text, grid_n, u_static):
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text(text)
+    assert main(["solve", str(cfg), "--out", str(tmp_path),
+                 "--set", f"problem.grid_n={grid_n}"]) == 0
+    summary = dict(line.split(" = ", 1) for line in
+                   (tmp_path / "summary.txt").read_text().splitlines())
+    assert summary["static_optimal"] == "True"
+    assert summary["u_static"] == u_static
+    assert summary["static_gap"] == "0"
+
+
 def test_cli_deterministic_outputs(cfg, tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"

@@ -191,6 +191,22 @@ def test_contact_argmax_intervals_bridge():
     assert (l1, h1) == pytest.approx((1.5, 1.5), abs=1e-6)
 
 
+def test_contact_argmax_intervals_finite_members_are_points():
+    # a finite set has nothing between its members, so members on one tied
+    # hull edge are separate contact points, not the run between them
+    xs = np.array([0.0, 1.0])
+    for build in (convex_hull, concave_hull):
+        env = build(xs, np.array([0.0, 0.5]), finite=True)
+        assert contact_argmax_intervals(env, 0.5) == [(0.0, 0.0), (1.0, 1.0)]
+    env = convex_hull(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.5]),
+                      finite=True)
+    assert contact_argmax_intervals(env, 0.5) == [(0.0, 0.0), (0.5, 0.5),
+                                                  (1.0, 1.0)]
+    # a table on a continuum keeps its affine run whole
+    env = convex_hull(xs, np.array([0.0, 0.5]))
+    assert contact_argmax_intervals(env, 0.5) == [(0.0, 1.0)]
+
+
 def test_hull_decompose_mixes_bridge_points():
     env = _cubic_env()
     x1, x2, w = hull_decompose(env, 0.375)

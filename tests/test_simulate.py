@@ -156,6 +156,22 @@ def test_drawdown_total_meets_value_and_stock_closes(shipped_arcs):
     assert statics == 12        # arvan_moses_high, _low and linear_cost
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.3])
+def test_drawdown_arc_ends_at_zero_stock(configs_dir, beta):
+    # once the arc passes its closure check, its stock at tau is zero, not
+    # the rounding of its cells' drops, and no row of the arc is below it
+    for cfg in sorted(configs_dir.glob("*.cfg")):
+        problem = validate_problem(load_problem(cfg, [f"problem.beta={beta}"]))
+        model = build_hamiltonian(problem)
+        plan = drawdown_plan(build_value(model), 0.2,
+                             stationary_plan(problem, model))
+        traj = simulate(problem, plan, horizon=16.0 / beta)
+        n = len(plan.t_knots)
+        assert traj.t[n - 1] == plan.t_knots[-1]
+        assert traj.stock[n - 1] == 0.0, cfg.stem
+        assert traj.stock[:n].min() >= 0.0, cfg.stem
+
+
 def test_drawdown_truncated_inside_a_cell(shipped_arcs):
     # a horizon inside the arc ends on Simpson's parabola in its cell:
     # the stock there is Psi at the slope reached, and the payoff the

@@ -218,6 +218,92 @@ def test_static_candidate_finds_interior_root():
         assert u == pytest.approx(u_cf, rel=1e-12), (a, b, k)
 
 
+def _mixed_probe(grid_n: int) -> ProblemSpec:
+    """Linear demand A = B = 1 on [0, 1] against a cost table on [0, 2];
+    R' - C' = 0.6 - 2u on the table's first cell, so the best rate is 0.4."""
+    return ProblemSpec(
+        beta=0.5, demand_set=ControlSet.interval(0.0, 1.0),
+        production_set=ControlSet.interval(0.0, 2.0),
+        revenue=Curve.linear_demand_revenue(1.0, 1.0),
+        cost=Curve.table([(0.0, 0.0), (0.5, 0.1), (1.0, 0.3), (2.0, 1.0)]),
+        grid_n=grid_n)
+
+
+def test_static_candidate_is_exact_at_any_grid_n():
+    answers = set()
+    for grid_n in (9, 10, 257, 4097, 65537):
+        problem = validate_problem(_mixed_probe(grid_n))
+        answers.add(static_candidate(problem))
+        rep = static_optimality_test(problem, build_hamiltonian(problem))
+        assert rep.optimal and rep.witness == rep.u_hat == 0.4, grid_n
+        assert rep.gap == 0.0, grid_n
+    assert len(answers) == 1
+
+
+def _random_table(rng, hi: float, revenue: bool) -> Curve:
+    """A table on [0, hi] from 0: any non-negative values for a revenue,
+    non-decreasing ones for a cost."""
+    n = int(rng.integers(3, 9))
+    xs = np.unique(np.concatenate([[0.0], rng.uniform(0.0, hi, n - 2), [hi]]))
+    ys = (rng.uniform(0.0, 1.2, len(xs) - 1) if revenue
+          else np.cumsum(rng.uniform(0.0, 0.6, len(xs) - 1)))
+    return Curve.table(zip(xs, np.concatenate([[0.0], ys])))
+
+
+def _mixed_instances():
+    """Seeded problems that pair a smooth curve with a table, or a table
+    revenue with an affine cost: 30 of each."""
+    rng = np.random.default_rng(29)
+    out = []
+    for _ in range(30):
+        a, b = rng.uniform(0.5, 3.0), rng.uniform(0.3, 2.0)
+        q_hi, a_hi = rng.uniform(0.3, 1.0) * a / b, rng.uniform(0.5, 3.0)
+        out.append(ProblemSpec(
+            beta=0.5, demand_set=ControlSet.interval(0.0, q_hi),
+            production_set=ControlSet.interval(0.0, a_hi),
+            revenue=Curve.linear_demand_revenue(a, b),
+            cost=_random_table(rng, a_hi, False)))
+    for _ in range(30):
+        q_hi = rng.uniform(0.5, 3.0)
+        out.append(ProblemSpec(
+            beta=0.5, demand_set=ControlSet.interval(0.0, q_hi),
+            production_set=ControlSet.right_ray(0.0),
+            revenue=_random_table(rng, q_hi, True),
+            cost=Curve.cubic_cost(rng.uniform(0.2, 2.0))))
+    for _ in range(30):
+        q_hi, a_hi = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.5)
+        out.append(ProblemSpec(
+            beta=0.5, demand_set=ControlSet.interval(0.0, q_hi),
+            production_set=ControlSet.interval(0.0, a_hi),
+            revenue=_random_table(rng, q_hi, True),
+            cost=Curve.affine_cost(rng.uniform(0.1, 1.5))))
+    return out
+
+
+def test_static_answer_on_mixed_curves():
+    # the best rate is never beaten by 2^16 samples of Q n A beyond
+    # rounding, and the verdict agrees with the gap printed next to it
+    verdicts = []
+    for i, spec in enumerate(_mixed_instances()):
+        problem = validate_problem(spec)
+        model = build_hamiltonian(problem)
+        rep = static_optimality_test(problem, model)
+        q, a = problem.demand_set, problem.production_set
+        us = np.linspace(0.0, min(q.hi, a.hi), 2**16)
+        r, c = problem.revenue(us), problem.cost(us)
+        best = float((r - c).max())
+        assert rep.payoff >= best - 1e-12 * float((r + c).max()), i
+        assert q.contains(rep.u_hat) and a.contains(rep.u_hat), i
+        if rep.optimal:
+            terms = (problem.revenue(rep.u_hat) + problem.cost(rep.u_hat)
+                     + 2.0 * model.zeta * rep.u_hat)
+            assert abs(rep.gap) <= 2e-12 * terms, i
+        else:
+            assert rep.gap > 0.0, i
+        verdicts.append(rep.optimal)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_cyclic_plan_frozen_shape(am_mid_problem, am_mid_model):
     u, _ = convexified_static(am_mid_problem, am_mid_model)
     rel = relaxed_static(am_mid_problem, am_mid_model, u)
