@@ -33,30 +33,8 @@ from .problem import (
     builtin_linear_cost,
     validate_problem,
 )
-from .envelope import (
-    ConjugateValue,
-    Envelope,
-    concave_hull,
-    contact_argmax_intervals,
-    convex_hull,
-    fenchel_cost,
-    fenchel_cost_grid,
-    fenchel_revenue,
-    fenchel_revenue_grid,
-    hull_decompose,
-)
-from .hamiltonian import (
-    HamiltonianModel,
-    build_hamiltonian,
-    controls_at,
-    h_at,
-    subgradient,
-)
-from .value import (
-    ValueFunction,
-    build_value,
-    write_value_csv,
-)
+from .hamiltonian import HamiltonianModel, build_hamiltonian, h_at
+from .value import ValueFunction, build_value, write_value_csv
 from .strategy import (
     CyclicPlan,
     DrawdownPlan,
@@ -68,7 +46,6 @@ from .strategy import (
     cyclic_value,
     drawdown_plan,
     relaxed_static,
-    static_candidate,
     static_optimality_test,
     stationary_plan,
 )
@@ -78,12 +55,7 @@ from .simulate import (
     simulate,
     write_trajectory_csv,
 )
-from .oracle import (
-    DPResult,
-    dp_value,
-    production_cap,
-    write_dp_csv,
-)
+from .oracle import DPResult, dp_value, write_dp_csv
 from .config import load_problem
 
 __all__ = sorted(name for name, obj in globals().items()

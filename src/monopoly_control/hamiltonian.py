@@ -15,10 +15,11 @@ q, H'(z-) the mirror, and the controls are the smallest attaining pair.
 zeta is the first z with H'(z+) >= 0 and m_hi the last with H'(z-) <= 0.
 H is convex and H' jumps only at the kinks of the two envelopes, so one
 batch at 0, the kinks and z_max gives both one-sided slopes at every
-point where H' can jump.  Each of zeta and m_hi is one of those points
-unless H' crosses zero inside the kink-free cell between two of them, where
-one batch of bracketed root searches finds it.  On tables and finite sets
-H' is constant between kinks, so both are kinks and no search runs.
+point where H' can jump.  Between two of them H' is constant or rises
+strictly, so zeta and m_hi are among those points unless H' crosses zero
+inside a cell; then one bracketed root search finds zeta, and m_hi =
+zeta.  On tables and finite sets H' is constant between kinks, so both are
+kinks and no search runs.
 """
 
 from __future__ import annotations
@@ -150,37 +151,25 @@ def build_hamiltonian(problem) -> HamiltonianModel:
             "could not bracket the minimum of the running-profit function; "
             "production set may fail the coercivity margin")
 
-    # zeta is the first point with H'(z+) >= 0 unless H' turns inside the
-    # cell below it, and m_hi the point before the first with H'(z-) > 0
-    # unless H' turns inside the cell between them
+    # zeta is the first point with H'(z+) >= 0 and m_hi the point before
+    # the first with H'(z-) > 0.  In a kink-free cell H' is constant or
+    # rises strictly, so where it turns inside the cell below zeta the
+    # minimum is strict and m_hi = zeta; elsewhere both are points
     dm, dp = _slopes(c, r)
     up, down = np.flatnonzero(dp >= 0.0), np.flatnonzero(dm > 0.0)
     j = int(up[0]) if len(up) else len(pts) - 1
     k = int(down[0]) if len(down) else len(pts)
-    edges = [float(pts[j]), float(pts[max(k - 1, 0)])]     # zeta, m_hi
-    cells = {slot: i for slot, i, turns in (
-        (0, j, j > 0 and dm[j] > 0.0),
-        (1, k, 0 < k < len(pts) and dp[k - 1] <= 0.0)) if turns}
+    zeta, m_hi = float(pts[j]), float(pts[max(k - 1, 0)])
     seen = dict(zip(pts.tolist(), hs.tolist()))
-    if cells:
-        # one batch of brackets, equal to its scalar searches bit for bit:
-        # slot 0 reads H'(z+) and slot 1 reads -H'(z-), each turning
-        # non-negative at its edge; zeta is the upper end, m_hi the lower.
-        # Both ends are points the search read, so H at zeta is in seen
-        slots = np.array(list(cells))
-        i = np.array(list(cells.values()))
-
-        def rising(z, n):
+    if j > 0 and dm[j] > 0.0:
+        # zeta is the upper end of the bracket on H'(z+), a point the
+        # search read, so H at zeta is in seen
+        def rising(z, _):
             c, r = _conjugates(rev_env, cost_env, z)
             seen.update(zip(z.tolist(), (r.value + c.value).tolist()))
-            dm, dp = _slopes(c, r)
-            return np.where(slots[n] == 0, dp, -dm)
+            return _slopes(c, r)[1]
 
-        ends = bracket_root(rising, pts[i - 1], pts[i])
-        for n, slot in enumerate(slots):
-            edges[slot] = float(ends[1 - slot][n])
-    zeta, m_hi = edges
-    m_hi = max(m_hi, zeta)
+        zeta = m_hi = float(bracket_root(rising, pts[j - 1], pts[j])[1])
     h_min = seen[zeta]
 
     return HamiltonianModel(problem=problem, rev_env=rev_env, cost_env=cost_env,

@@ -67,7 +67,7 @@ class DPResult:
         return float(out) if np.ndim(x) == 0 else out
 
 
-def production_cap(problem: ValidatedProblem) -> float:
+def _production_cap(problem: ValidatedProblem) -> float:
     """Largest production rate any shadow price can justify."""
     q = problem.q_grid
     pos = q[q > 0.0]
@@ -295,7 +295,7 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
 
     cap = None
     if problem.a_grid is None:
-        cap = production_cap(problem)
+        cap = _production_cap(problem)
     a_grid = _control_grid(problem.production_set, "na", na, cap)
     q_grid = _control_grid(problem.demand_set, "nq", nq, None)
     h = x_max / (nx - 1)

@@ -61,7 +61,9 @@ class Trajectory:
 
 
 def _check_stock(x: np.ndarray, t: np.ndarray, scale: float) -> None:
-    bad = np.flatnonzero(x < -_X_TOL * max(1.0, scale))
+    """StateViolation at the first stock below -_X_TOL of scale, the
+    stock the run holds."""
+    bad = np.flatnonzero(x < -_X_TOL * scale)
     if len(bad):
         raise StateViolation(float(t[bad[0]]), float(x[bad[0]]))
 
@@ -95,11 +97,20 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
     controls = np.tile(ph[:, 2:], (k + 1, 1))[live][keep]
     a_arr, q_arr = (np.append(controls[:, j], controls[-1, j]) for j in (0, 1))
     rates = controls[:, 2]
-    drift = a_arr[:-1] - q_arr[:-1]
-    stock = x0 + np.concatenate([[0.0], np.cumsum(drift * np.diff(tk))])
-    scale = max(1.0, float(np.abs(stock).max()))
-    stock = np.where(np.abs(stock - x0) < 1e-14 * scale, x0, stock)
-    _check_stock(stock, tk, scale)
+    # stock from the phases' own durations: a period's running sum of
+    # (produce - sell) * duration, on the net change of the periods before
+    # it, so no period inherits another's rounding.  A sum within 1e-14 of
+    # a period's throughput (an endless phase's up to the horizon) is none
+    flow = ph[:, 2] - ph[:, 3]
+    span = period if math.isfinite(period) else horizon
+    tol = 1e-14 * float((np.abs(ph[:, 2]) + np.abs(ph[:, 3]))
+                        @ (np.minimum(ph[:, 1], span) - ph[:, 0]))
+    dur = np.minimum(ph[:, 1], horizon - base) - ph[:, 0]
+    run = np.cumsum(np.where(live.reshape(dur.shape), flow * dur, 0.0), axis=1)
+    run[np.abs(run) <= tol] = 0.0
+    start = x0 + np.concatenate([[0.0], np.cumsum(run[:-1, -1])])
+    stock = np.concatenate([[x0], (start[:, None] + run).ravel()[live][keep]])
+    _check_stock(stock, tk, float(np.abs(stock).max()))
     j = np.concatenate([[0.0], np.cumsum(rates * _segment_weights(beta, tk))])
     return Trajectory(t=tk, stock=stock, produce=a_arr, sell=q_arr,
                       j_running=j, tail_rate=mean_rate)
@@ -132,7 +143,7 @@ def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
         xk = np.append(xk[:m], xk[m - 1]
                        - wts @ ((qq[at] - aa[at]) / (beta * zz[at])))
         tk = np.append(plan.t_knots[:m], horizon)
-        _check_stock(xk, tk, max(1.0, plan.x0))
+        _check_stock(xk, tk, plan.x0)
         return Trajectory(t=tk, stock=xk, produce=np.append(a[:m], a[m - 1]),
                           sell=np.append(q[:m], q[m - 1]),
                           j_running=np.append(j[:m], j[m - 1] + wts @ pay[at]),

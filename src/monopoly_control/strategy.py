@@ -164,7 +164,7 @@ class DrawdownPlan:
 # static analysis
 
 
-def static_candidate(problem) -> tuple:
+def _static_candidate(problem) -> tuple:
     """Best constant rate: argmax of R(u) - C(u) over Q intersect A.
 
     A finite set offers its members that the other set holds.  A continuum
@@ -212,7 +212,7 @@ def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
     u_hat, which lies in Q intersect A, is then the witness.
     """
     problem = validate_problem(problem)
-    u_hat, payoff = static_candidate(problem)
+    u_hat, payoff = _static_candidate(problem)
     c_star, r_star = _in_domain(model, model.zeta)
     r, c = float(problem.revenue(u_hat)), float(problem.cost(u_hat))
     zu = model.zeta * u_hat
@@ -314,7 +314,7 @@ def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float | None = None):
         if x > peak:
             peak, peak_t = x, t1
         mean += rate * (t1 - t0)
-    if x < -1e-9 * max(1.0, peak):
+    if x < -1e-9 * peak:
         raise DecompositionMismatch("cycle fails to return stock to zero")
     return CyclicPlan(eps=float(eps), phases=tuple(phases),
                       kappa=float(peak_t / eps),
@@ -393,13 +393,13 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
 
     # the smallest stock the table resolves here.  Psi' = -H'/(beta xi) is
     # read at xi0+ and at zeta-; a kink at zeta ties the slopes within
-    # 1e-9 max(1, zeta) of it, and the first cell clears four such bands to
-    # read its midpoint.  v' finds ln xi0 to bracket_root's stop width,
+    # 1e-9 zeta of it, and the first cell clears four such bands to read
+    # its midpoint.  v' finds ln xi0 to bracket_root's stop width,
     # which moves stock by q, and the arc must close to _ARC_X_TOL
     d_zeta = vf._sides[1, 0] - vf._sides[0, 0]
     q = max(first[3, 0] - first[2, 0], d_zeta) / beta * stop_width(
         math.log(xi0))
-    x_min = max(4e-9 * max(1.0, zeta) * d_zeta / (beta * zeta),
+    x_min = max(4e-9 * d_zeta / beta,
                 q / _ARC_X_TOL if q > _ARC_X_TOL else 0.0)
     if x0 < x_min:
         raise InvalidParameter(

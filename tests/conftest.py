@@ -29,12 +29,12 @@ from monopoly_control import (
     build_value,
     builtin_arvan_moses,
     builtin_linear_cost,
-    controls_at,
     h_at,
     validate_problem,
 )
 from monopoly_control import hamiltonian
 from monopoly_control.config import load_problem
+from monopoly_control.hamiltonian import controls_at
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 

@@ -25,8 +25,6 @@ from monopoly_control import (
     cyclic_value,
     dp_value,
     drawdown_plan,
-    fenchel_cost,
-    fenchel_revenue,
     h_at,
     relaxed_static,
     simulate,
@@ -35,6 +33,7 @@ from monopoly_control import (
     validate_problem,
 )
 from monopoly_control import value
+from monopoly_control.envelope import fenchel_cost, fenchel_revenue
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ GOLDEN_EPS = {
     "arvan_moses_mid": {
         "strategy.txt": "a633e5d2cd91b105d067f3a8d3aeaafaca9b7044258a03792aa2fd14337a5b27",
         "drawdown.csv": "0b1d062174ec2b31772e477807eaae546ec69752518d4172b1d91a9558920fa4",
-        "trajectory.csv": "1a034cf18dc6b0ea34ed6f5a0bc649e4825ce094f3ab6c91ba2dda55aa5b9852",
+        "trajectory.csv": "44be78561ada6a11e34070a7d1968a3238b54be77033851500941af3e10f5c27",
         "simulate_summary.txt": "4b91d776027e0f52364099cde56448eb3d570f4dfb459563c22c0c394a92b5c4",
     },
     "linear_cost": {
@@ -100,7 +100,7 @@ GOLDEN_EPS = {
     "table_curves": {
         "strategy.txt": "6bebc9972bde6e9aff2985a25e5cc66c404320e4c41786333ef0c5d9e2509ddc",
         "drawdown.csv": "16cc5ec66dcca65053b34bb32a9cc806e5546ec5857bd85ac8499553743dd1d1",
-        "trajectory.csv": "03fff5fcf0837fd2ab7f9816483be0723500547a21b2a9d4668693b4278bb1ce",
+        "trajectory.csv": "4c77c450298b8ac75e68b347d0ebf9d02887711e62f99bd97aa0a0fcefb6b4f8",
         "simulate_summary.txt": "b9a33b85f485f41806c8afcc3f856b927a42632854263289b4b606b0c3b01164",
     },
 }
@@ -135,7 +135,7 @@ GOLDEN_BETA = {
     "arvan_moses_mid": {
         "summary.txt": "63c030f9e3cc5cb5ef900de864c16883b4d9b11cd845d5ea4fd422076901a32f",
         "value.csv": "9db1c281e486df525c7d992f11fc2a0e4f62df34017a7ac6485a37a00249ef92",
-        "trajectory.csv": "01c20ffbd30717137dfb4ba270aaacab02105e4bdca2b0ae3dfd3415832818fb",
+        "trajectory.csv": "6cbb6281768f22c3efb9852a3c3969a45e34980161d19717468217742f2f0818",
         "simulate_summary.txt": "a5dcba132125d4d439ab167c4844241456d166564322cb4c5d9a11f2ea9fca07",
     },
     "linear_cost": {
@@ -147,7 +147,7 @@ GOLDEN_BETA = {
     "table_curves": {
         "summary.txt": "89a69527ebe6d6613baa0fa267f19dcb75222841c7b5b5eaa79c305d7010c834",
         "value.csv": "2a7a6c9b72d89ebab454799785201efd6d69ecc41a29e6b32ac9dd4d90f78c84",
-        "trajectory.csv": "e73a055b9ffdcbc970d6e64c641e8a61fdde8f80c6be4506eb78c7871931d0d3",
+        "trajectory.csv": "e801cea1afde7b48344a955fbc4cbb80e70c27b32dfb079a4fd9a335a1948610",
         "simulate_summary.txt": "6a8d5a7d22b85c4848ea930393e7c668dc0cc56379bb63776d40531edcf79890",
     },
 }

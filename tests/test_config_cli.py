@@ -18,7 +18,6 @@ from monopoly_control import (
     build_hamiltonian,
     build_value,
     drawdown_plan,
-    fenchel_cost,
     load_problem,
     relaxed_static,
     simulate,
@@ -26,6 +25,7 @@ from monopoly_control import (
     validate_problem,
 )
 from monopoly_control.cli import main
+from monopoly_control.envelope import fenchel_cost
 
 TABLE_CURVES = str(Path(__file__).resolve().parents[1] / "configs"
                    / "table_curves.cfg")

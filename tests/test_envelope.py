@@ -16,18 +16,21 @@ from monopoly_control import (
     DecompositionMismatch,
     DegenerateGrid,
     InvalidParameter,
+    convexified_static,
+)
+from monopoly_control import envelope
+from monopoly_control.envelope import (
     concave_hull,
     contact_argmax_intervals,
     convex_hull,
-    convexified_static,
+    cost_argmax_grid,
     fenchel_cost,
     fenchel_cost_grid,
     fenchel_revenue,
     fenchel_revenue_grid,
     hull_decompose,
+    revenue_argmax_grid,
 )
-from monopoly_control import envelope
-from monopoly_control.envelope import cost_argmax_grid, revenue_argmax_grid
 
 CUBIC = Curve.cubic_cost(1.0)
 REV = Curve.linear_demand_revenue(1.0, 1.0)

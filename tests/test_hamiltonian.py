@@ -12,14 +12,13 @@ from monopoly_control import (
     build_hamiltonian,
     build_value,
     builtin_arvan_moses,
-    controls_at,
     h_at,
     load_problem,
-    subgradient,
     validate_problem,
 )
 from monopoly_control import hamiltonian
 from monopoly_control.errors import OutOfDomain
+from monopoly_control.hamiltonian import controls_at, subgradient
 
 
 def test_linear_cost_hamiltonian_closed_values(linear_cost_model):

@@ -13,12 +13,12 @@ from monopoly_control import (
     NotConverged,
     dp_value,
     load_problem,
-    production_cap,
     validate_problem,
     write_dp_csv,
 )
 from monopoly_control import oracle
-from monopoly_control.oracle import _BIG_NEG, _bellman, _solve_policy
+from monopoly_control.oracle import (_BIG_NEG, _bellman, _production_cap,
+                                     _solve_policy)
 from monopoly_control.problem import ControlSet
 
 
@@ -117,7 +117,7 @@ def test_dp_value_at_interpolates(linear_cost_dp):
 
 
 def test_production_cap_am(am_mid_problem):
-    cap = production_cap(am_mid_problem)
+    cap = _production_cap(am_mid_problem)
     # best average revenue is 1 per unit at q -> 0; marginal cost hits 1
     # again at a = 2, so the cap sits a hair above 2
     assert cap == pytest.approx(2.1, rel=1e-3)
@@ -375,7 +375,7 @@ def test_dp_bounded_production_equals_ray_under_cap(am_mid_problem,
     capped = ProblemSpec(
         beta=spec.beta,
         demand_set=spec.demand_set,
-        production_set=ControlSet.interval(0.0, production_cap(am_mid_problem)),
+        production_set=ControlSet.interval(0.0, _production_cap(am_mid_problem)),
         revenue=spec.revenue,
         cost=spec.cost,
         grid_n=spec.grid_n,

@@ -17,16 +17,14 @@ from monopoly_control import (
     convexified_static,
     cyclic_strategy,
     cyclic_value,
-    fenchel_cost,
-    fenchel_revenue,
     h_at,
     relaxed_static,
     simulate,
-    static_candidate,
     validate_problem,
 )
 from monopoly_control import value
-from monopoly_control.strategy import StaticPlan
+from monopoly_control.envelope import fenchel_cost, fenchel_revenue
+from monopoly_control.strategy import StaticPlan, _static_candidate
 
 N_SEEDS = 30
 
@@ -131,7 +129,7 @@ def test_conjugate_hull_equivalence(solved_instances, brute_conjugate):
 
 def test_static_below_relaxed_below_min_h(solved_instances):
     for problem, model, _ in solved_instances:
-        _, static_payoff = static_candidate(problem)
+        _, static_payoff = _static_candidate(problem)
         _, relaxed_payoff = convexified_static(problem, model)
         scale = max(1.0, abs(model.h_min))
         assert static_payoff <= relaxed_payoff + 1e-8 * scale

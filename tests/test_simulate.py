@@ -27,6 +27,7 @@ from monopoly_control import (
     validate_problem,
     write_trajectory_csv,
 )
+from monopoly_control.cli import main
 from monopoly_control.simulate import _segment_weights, _simulate_segments
 
 
@@ -170,6 +171,22 @@ def test_drawdown_arc_ends_at_zero_stock(configs_dir, beta):
         assert traj.t[n - 1] == plan.t_knots[-1]
         assert traj.stock[n - 1] == 0.0, cfg.stem
         assert traj.stock[:n].min() >= 0.0, cfg.stem
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.3])
+@pytest.mark.parametrize("args", [["--x0", "0.2"],
+                                  ["--x0", "0.1", "--eps", "0.05"]],
+                         ids=["default_tail", "eps_tail"])
+def test_cli_trajectory_stock_is_never_negative(configs_dir, tmp_path,
+                                                beta, args):
+    # a cyclic tail lays out each period from its phases' own durations,
+    # so no period inherits the rounding of the ones before it
+    for cfg in sorted(configs_dir.glob("*.cfg")):
+        assert main(["simulate", str(cfg), *args, "--set",
+                     f"problem.beta={beta}", "--out", str(tmp_path)]) == 0
+        stock = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                           skiprows=1, usecols=1)
+        assert stock.min() >= 0.0, cfg.stem
 
 
 def test_drawdown_truncated_inside_a_cell(shipped_arcs):

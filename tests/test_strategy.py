@@ -2,13 +2,14 @@
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from monopoly_control import (
     CyclicPlan,
+    DecompositionMismatch,
     DrawdownPlan,
     InvalidParameter,
     RelaxedStatic,
@@ -22,13 +23,14 @@ from monopoly_control import (
     cyclic_value,
     drawdown_plan,
     relaxed_static,
-    static_candidate,
+    simulate,
     static_optimality_test,
     stationary_plan,
     validate_problem,
 )
 from monopoly_control.config import load_problem
 from monopoly_control.problem import ControlSet, Curve, ProblemSpec
+from monopoly_control.strategy import _static_candidate
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +198,7 @@ def test_am_high_relaxed_collapses_to_point(am_high_problem, am_high_model):
 
 
 def test_static_candidate_prefers_smallest_tie(am_mid_problem):
-    u, payoff = static_candidate(am_mid_problem)
+    u, payoff = _static_candidate(am_mid_problem)
     assert u == 0.0
     assert payoff == 0.0
 
@@ -212,7 +214,7 @@ def test_static_candidate_finds_interior_root():
         if a >= 3.0 * b * k + k * k / 4.0:
             triples.append((float(a), float(b), float(k)))
     for a, b, k in triples:
-        u, _ = static_candidate(validate_problem(
+        u, _ = _static_candidate(validate_problem(
             builtin_arvan_moses(a, b, k, beta=0.5)))
         u_cf = -b + k + math.sqrt(b * b - 2.0 * b * k + a)
         assert u == pytest.approx(u_cf, rel=1e-12), (a, b, k)
@@ -233,7 +235,7 @@ def test_static_candidate_is_exact_at_any_grid_n():
     answers = set()
     for grid_n in (9, 10, 257, 4097, 65537):
         problem = validate_problem(_mixed_probe(grid_n))
-        answers.add(static_candidate(problem))
+        answers.add(_static_candidate(problem))
         rep = static_optimality_test(problem, build_hamiltonian(problem))
         assert rep.optimal and rep.witness == rep.u_hat == 0.4, grid_n
         assert rep.gap == 0.0, grid_n
@@ -345,6 +347,23 @@ def test_cyclic_gap_shrinks_linearly(am_mid_problem, am_mid_model,
     assert gaps[0] > gaps[1] > gaps[2]
     # halving eps should nearly halve the gap
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.1)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-6, 1e-9, 1e-12])
+def test_cycle_check_scales_with_goods(am_mid_problem, am_mid_model, lam):
+    # the relaxed optimum with every rate scaled by lam is the same cycle in
+    # smaller units of goods: it simulates with stock never below zero, and
+    # with production 5 % short of sales it never returns stock to zero
+    rel = relaxed_static(am_mid_problem, am_mid_model)
+    scaled = replace(rel, u_tilde=lam * rel.u_tilde, q1=lam * rel.q1,
+                     q2=lam * rel.q2, a1=lam * rel.a1, a2=lam * rel.a2)
+    plan = cyclic_strategy(am_mid_problem, scaled)
+    traj = simulate(am_mid_problem, plan, horizon=30.0)
+    assert traj.stock.min() == 0.0
+    assert traj.stock.max() == pytest.approx(plan.peak_stock, rel=1e-12)
+    short = replace(scaled, a1=0.95 * scaled.a1, a2=0.95 * scaled.a2)
+    with pytest.raises(DecompositionMismatch, match="return stock to zero"):
+        cyclic_strategy(am_mid_problem, short)
 
 
 def test_cyclic_degenerate_mixture_returns_static(linear_cost_problem, linear_cost_model):

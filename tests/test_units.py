@@ -2,7 +2,8 @@
 
 Scaling every revenue and cost value by mu scales zeta, min H, the static
 gap and the value function by mu, and leaves the verdict, the relaxed rate
-u_tilde and the resolved stock alone.  A tolerance with an absolute floor
+u_tilde, the resolved stock and the drawdown from stock 0.2 (its end tau
+and its simulated share of v(0.2)) alone.  A tolerance with an absolute floor
 (``max(1, |x|)``) breaks this below unit scale, so each answer is checked
 against the unscaled one to a relative 1e-9.
 """
@@ -16,8 +17,11 @@ from monopoly_control import (
     build_hamiltonian,
     build_value,
     convexified_static,
+    drawdown_plan,
     load_problem,
+    simulate,
     static_optimality_test,
+    stationary_plan,
     validate_problem,
 )
 
@@ -27,11 +31,14 @@ def _answers(spec) -> dict:
     model = build_hamiltonian(problem)
     report = static_optimality_test(problem, model)
     vf = build_value(model)
+    plan = drawdown_plan(vf, 0.2, stationary_plan(problem, model))
+    traj = simulate(problem, plan, horizon=16.0 / problem.beta)
     return {"zeta": model.zeta, "h_min": model.h_min, "gap": report.gap,
             "v(0.2)": float(vf.value_at(0.2)),
             "optimal": report.optimal,
             "u_tilde": convexified_static(problem, model)[0],
-            "x_resolved": vf.x_resolved}
+            "x_resolved": vf.x_resolved, "tau": plan.tau,
+            "total/v(0.2)": traj.total / float(vf.value_at(0.2))}
 
 
 def _scaled(curve: Curve, mu: float) -> Curve:
@@ -47,7 +54,8 @@ def test_table_answers_scale_with_money(configs_dir, mu):
                                        cost=_scaled(spec.cost, mu)))
     assert got["optimal"] == base["optimal"]
     for key, power in (("zeta", 1), ("h_min", 1), ("gap", 1), ("v(0.2)", 1),
-                       ("u_tilde", 0), ("x_resolved", 0)):
+                       ("u_tilde", 0), ("x_resolved", 0), ("tau", 0),
+                       ("total/v(0.2)", 0)):
         want = mu ** power * base[key]
         assert got[key] == pytest.approx(want, rel=1e-9, abs=0.0), \
             (key, got[key], want)

@@ -12,15 +12,14 @@ from monopoly_control import (
     ProblemSpec,
     build_hamiltonian,
     build_value,
-    fenchel_cost,
-    fenchel_revenue,
     h_at,
     load_problem,
-    subgradient,
     validate_problem,
     write_value_csv,
 )
+from monopoly_control.envelope import fenchel_cost, fenchel_revenue
 from monopoly_control.errors import OutOfDomain
+from monopoly_control.hamiltonian import subgradient
 from monopoly_control.value import _cells
 
 
