@@ -1,4 +1,4 @@
-"""The one bracketed root search behind every one-dimensional solve.
+"""The bracketed root search behind zeta, where H' turns inside a cell.
 
 bracket_root(f, lo, hi) shrinks brackets [lo, hi] across which f changes
 class (f < 0 or f >= 0) by Illinois steps, kept half a tolerance inside,
@@ -14,11 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def stop_width(x):
-    """The bracket width at which the search stops, x its latest point."""
-    return 1e-15 + 8.9e-16 * np.abs(x)
-
-
 def bracket_root(f, lo, hi) -> tuple:
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     if not lo.size:
@@ -30,7 +25,7 @@ def bracket_root(f, lo, hi) -> tuple:
     w1 = w2 = w3 = np.full(i.size, np.inf)          # widths one to three steps back
     while True:
         # b is the latest point, a the far end of the bracket
-        w, tol = np.abs(b - a), stop_width(b)
+        w, tol = np.abs(b - a), 1e-15 + 8.9e-16 * np.abs(b)
         run = w > tol
         if not run.all():
             end, b_lo = ~run, ((fb < 0.0) == neg)[~run]

@@ -244,7 +244,7 @@ def _cmd_compare(args) -> int:
     out = Path(args.out)
     model = build_hamiltonian(problem)
     vf = build_value(model)
-    # the plan checks x_mid against x_resolved before the oracle runs
+    # the plan refuses an x_mid it cannot play before the oracle runs
     x_mid = 0.5 * args.x0
     plan = drawdown_plan(vf, x_mid, stationary_plan(problem, model, args.eps))
     res = dp_value(problem, x_max=args.x0, dt=args.dt)

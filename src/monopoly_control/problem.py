@@ -352,10 +352,16 @@ def _check_curve_domain(curve: Curve, cset: ControlSet, label: str) -> None:
 def _check_coercive(cost: Curve) -> None:
     """Certify C(a)/a -> inf for an unbounded production set.
 
-    Samples average cost on a geometric grid, finds its knee (global
-    minimum), and requires the average cost to be non-decreasing past the
-    knee and to exceed ``_COERCIVITY_SLOPE_BOUND`` at the far end.
+    An affine cost's average cost is its slope, at any scale, so its family
+    refuses it.  Otherwise samples average cost on a geometric grid, finds
+    its knee (global minimum), and requires the average cost to be
+    non-decreasing past the knee and to exceed ``_COERCIVITY_SLOPE_BOUND``
+    at the far end.
     """
+    if cost.family == "affine":
+        raise AssumptionViolation(
+            "production cost is not coercive: an affine cost's average cost "
+            "stays at its slope on an unbounded production set")
     grid = np.geomspace(1e-6, 1e9, 1024)
     avg = np.asarray(cost(grid)) / grid
     knee = int(np.argmin(avg))

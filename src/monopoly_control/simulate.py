@@ -7,10 +7,11 @@ piecewise-constant periodic control through segments(problem) (see the
 strategy module), and one exact path integrates it: the stock and the
 discount weight of each phase in closed form, a single pass when the
 period is infinite.  A DrawdownPlan is its drawdown arc, whose stock and
-payoff are integrated cell by cell in the slope by Psi's Simpson rule and
-whose stock must reach zero at tau, followed by its tail through that
-same path.  Any other object is rejected.  An independent Euler referee
-that samples a plan's controls over time lives with the tests, not here.
+payoff are integrated cell by cell in the slope in closed form from the
+rates of its rows, and whose stock must reach zero at tau, followed by its
+tail through that same path.  Any other object is rejected.  An
+independent Euler referee that samples a plan's controls over time lives
+with the tests, not here.
 
 profit_gap compares a simulated run against the value function, charging
 the horizon truncation at the plan's own stationary tail rate.
@@ -27,7 +28,7 @@ from .errors import HorizonTooShort, InvalidParameter, StateViolation
 from .problem import ValidatedProblem, validate_problem
 from .strategy import _ARC_X_TOL, DrawdownPlan
 from .tableio import write_csv
-from .value import ValueFunction, _simpson
+from .value import ValueFunction, _arcs, _h_rise, _psi_rise
 
 _X_TOL = 1e-9
 _MAX_PHASES = 10**6   # phases a periodic run may lay out up to its horizon
@@ -119,34 +120,36 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
 def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
                        horizon: float) -> Trajectory:
     """The arc cell by cell in the slope z, dt = dz/(beta z) and e^(-beta
-    t) = xi0/z; a horizon inside a cell integrates Simpson's parabola up
-    to it, the last controls held."""
+    t) = xi0/z.  A cell runs from one row's rates, above its slope, to the
+    next row's, below its slope, and its stock falls by Psi's closed form
+    on it (see the value module).  With P = R(q) - C(a) - z (q - a), the H
+    the rates attain, P' = a - q along the arc, so the payoff up to slope z
+    is (P(xi0) - xi0 P(z) / z) / beta.  A horizon inside a cell reads both
+    at the slope it reaches, the last controls held."""
     beta, z, a, q = problem.beta, plan.xi_knots, plan.a_knots, plan.q_knots
     n = len(z)
-    # the rows, then the cell midpoints
-    zz = np.concatenate([z, 0.5 * (z[:-1] + z[1:])])
-    aa, qq = np.concatenate([a, plan.a_mid]), np.concatenate([q, plan.q_mid])
-    pay = (problem.revenue(qq) - problem.cost(aa)) * z[0] / (beta * zz * zz)
-    drop = _simpson(beta, z[:-1], zz[n:], z[1:], a[:-1] - q[:-1],
-                    aa[n:] - qq[n:], a[1:] - q[1:])
+    top = z[1:]
+    cells = (top, np.maximum(q[1:] - a[1:], 0.0),
+             *_arcs(problem, a[:-1], q[:-1], a[1:], q[1:]))
+    drop = _psi_rise(beta, *cells, np.log1p((top - z[:-1]) / z[:-1]))
     xk = plan.x0 - np.concatenate([[0.0], np.cumsum(drop)])
-    j = np.concatenate([[0.0], np.cumsum(
-        (z[1:] - z[:-1]) / 6.0 * (pay[:n - 1] + 4.0 * pay[n:] + pay[1:n]))])
+    p = problem.revenue(q) - problem.cost(a) - z * (q - a)
+    j = (p[0] - z[0] / z * p) / beta
     if horizon <= plan.tau:
-        # rows up to m - 1 are reached; the cell from row m - 1 ends at the
-        # horizon, a share s of its width in
+        # rows up to m - 1 are reached; the cell from row m - 1 to row m
+        # ends at the horizon, at slope zh
         m = min(int(np.searchsorted(plan.t_knots, horizon, "right")), n - 1)
-        at, w = [m - 1, n + m - 1, m], z[m] - z[m - 1]
-        s = (min(z[0] * math.exp(beta * horizon), z[m]) - z[m - 1]) / w
-        wts = w * s * np.array([1.0 - s * (1.5 - s / 1.5),
-                                s * (2.0 - s / 0.75), s * (s / 1.5 - 0.5)])
-        xk = np.append(xk[:m], xk[m - 1]
-                       - wts @ ((qq[at] - aa[at]) / (beta * zz[at])))
+        zh = min(z[0] * math.exp(beta * horizon), z[m])
+        cell = tuple(c[m - 1] for c in cells)
+        up = math.log1p((z[m] - zh) / zh)
+        xk = np.append(xk[:m], xk[m] + _psi_rise(beta, *cell, up))
+        ph = p[m] + _h_rise(*cell, up)
         tk = np.append(plan.t_knots[:m], horizon)
         _check_stock(xk, tk, plan.x0)
         return Trajectory(t=tk, stock=xk, produce=np.append(a[:m], a[m - 1]),
                           sell=np.append(q[:m], q[m - 1]),
-                          j_running=np.append(j[:m], j[m - 1] + wts @ pay[at]),
+                          j_running=np.append(j[:m], (p[0] - z[0] / zh * ph)
+                                              / beta),
                           tail_rate=0.0)
     # cells drop stock, never raise it, so its end bounds it from below
     if abs(xk[-1]) > _ARC_X_TOL * max(1.0, plan.x0):

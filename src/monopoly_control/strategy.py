@@ -12,7 +12,7 @@ An optimal plan draws positive initial stock down in finite time, then
 runs a stationary plan forever; stationary_plan is the one rule that picks
 that tail, and drawdown_plan builds the arc from the solved value function.
 Along the arc the marginal value of stock rises exponentially at the
-discount rate, so the slope table's knots are the arc's, at t = ln(xi /
+discount rate, so the value table's knots are the arc's, at t = ln(xi /
 xi0) / beta, with Psi its stock and the table's controls its controls.
 
 Every stationary plan is a piecewise-constant periodic control and says so
@@ -20,9 +20,9 @@ through segments(problem) -> (period, phases, mean_rate), the phases being
 (t0, t1, produce, sell, rate) tuples covering one period.  A static rate
 is one endless phase (period inf), a relaxed optimum one endless phase at
 its mean rates, a cycle its eps-periodic phases.  A DrawdownPlan is the
-drawdown arc at its knots and cell midpoints, then one of these as its
-tail.  Plans are this data and nothing else: simulate reads it, and the
-Euler referee that samples controls over time lives with the tests.
+drawdown arc at its knots, then one of these as its tail.  Plans are this
+data and nothing else: simulate reads it, and the Euler referee that
+samples controls over time lives with the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._roots import stop_width
 from .envelope import hull_decompose
 from .errors import DecompositionMismatch, InvalidParameter, ZetaZeroWarning
 from .hamiltonian import (HamiltonianModel, _in_domain, _sides,
@@ -141,8 +140,7 @@ class DrawdownPlan:
     v'(x0) e^(beta t) until it reaches zeta at time tau.  Row k is the
     instant t_knots[k] at slope xi_knots[k], with stock x_knots[k] and
     the production and sales one-sided into the cell that follows (a kink
-    of H holds two rows at one instant), and a_mid, q_mid the controls at
-    the midpoint between rows k and k + 1.  Then tail runs.
+    of H holds two rows at one instant).  Then tail runs.
     """
     x0: float
     tau: float
@@ -151,8 +149,6 @@ class DrawdownPlan:
     a_knots: np.ndarray = field(repr=False)
     q_knots: np.ndarray = field(repr=False)
     xi_knots: np.ndarray = field(repr=False)
-    a_mid: np.ndarray = field(repr=False)
-    q_mid: np.ndarray = field(repr=False)
     tail: object
 
     def describe(self) -> str:
@@ -208,16 +204,21 @@ def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
     By Young-Fenchel R(u) - zeta u <= R*(zeta) and zeta u - C(u) <=
     C*(zeta), and min H = R*(zeta) + C*(zeta), so the gap is the sum of
     these two non-negative slacks at u_hat.  Optimal iff each vanishes
-    within 1e-12 of its own terms, |R(u)| + |zeta u| and |C(u)| + |zeta u|;
-    u_hat, which lies in Q intersect A, is then the witness.
+    within 1e-12 of the terms of both readings it compares: |R(u)| + |zeta
+    u| and the conjugate's own |R(w)| + |zeta w| at its largest attaining
+    point w, and the same on the cost side; u_hat, which lies in Q
+    intersect A, is then the witness.
     """
     problem = validate_problem(problem)
     u_hat, payoff = _static_candidate(problem)
-    c_star, r_star = _in_domain(model, model.zeta)
+    zeta = model.zeta
+    c_star, r_star = _in_domain(model, zeta)
     r, c = float(problem.revenue(u_hat)), float(problem.cost(u_hat))
-    zu = model.zeta * u_hat
-    optimal = (r_star.value - (r - zu) <= 1e-12 * (abs(r) + abs(zu))
-               and c_star.value - (zu - c) <= 1e-12 * (abs(c) + abs(zu)))
+    zu, zw, za = zeta * u_hat, zeta * r_star.argmax_hi, zeta * c_star.argmax_hi
+    r_terms = abs(r) + abs(zu) + abs(r_star.value + zw) + abs(zw)
+    c_terms = abs(c) + abs(zu) + abs(za - c_star.value) + abs(za)
+    optimal = (r_star.value - (r - zu) <= 1e-12 * r_terms
+               and c_star.value - (zu - c) <= 1e-12 * c_terms)
     return StaticReport(optimal=optimal, u_hat=u_hat, payoff=payoff,
                         gap=float(model.h_min - payoff),
                         witness=u_hat if optimal else None)
@@ -356,12 +357,12 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
     The model and the discount rate are read from the solved value
     function vf; tail is the stationary plan that runs once stock hits
     zero (see stationary_plan), returned as it is when x0 is zero or when
-    stock has no marginal value (zeta <= 0).  Stock past vf.x_resolved,
-    where the slope table ends, is rejected with InvalidParameter rather
-    than dropped, and so is stock below the smallest the table resolves
-    next to zeta.  The arc's knots are xi0 = v'(x0) and the table's knots
-    in (xi0, zeta], its stock x0 and then the table's Psi, and its
-    controls the table's own; only the cell [xi0, first knot] is read.
+    stock has no marginal value (zeta <= 0).  The arc's knots are xi0 =
+    v'(x0) and the table's knots in (xi0, zeta], its stock x0 and then the
+    table's Psi, and its controls the table's own; only xi0 is read.
+    InvalidParameter refuses a stock whose slope v'(x0) underflows, and
+    one that the slope's last bit moves by more than the arc's closing
+    tolerance, as it does at a tiny discount rate.
     """
     if x0 < 0.0:
         raise InvalidParameter(f"initial stock must be non-negative, got {x0}")
@@ -374,52 +375,40 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
                       ZetaZeroWarning)
         return tail
 
-    if x0 > vf.x_resolved:
-        raise InvalidParameter(
-            f"initial stock {x0:g} exceeds x_resolved = {vf.x_resolved:g}, "
-            "the largest stock the slope table resolves")
-
     if x0 == 0.0:
         return tail
 
-    xi0 = min(vf.v_prime(x0), zeta)
+    xi0 = vf.v_prime(x0)
+    if xi0 < zeta * np.finfo(float).tiny:
+        raise InvalidParameter(
+            f"initial stock {x0:g} is past the stock at which the marginal "
+            f"value of stock underflows: v'(x0) / zeta = {xi0 / zeta:.3g}")
     tau = math.log(zeta / xi0) / beta
 
     # arc knot i is xi0 for i = 0, then table knot j - i; cell i runs from
-    # arc knot i to i + 1, and only cell 0, [xi0, xi_knots[j - 1]], is read
+    # arc knot i to i + 1, and only xi0 is read
     j = int(np.count_nonzero(vf.xi_knots > xi0))
     z = np.concatenate([[xi0], vf.xi_knots[:j][::-1]])
-    first = _sides(*_in_domain(model, np.array([xi0, 0.5 * (xi0 + z[1])])))
-
-    # the smallest stock the table resolves here.  Psi' = -H'/(beta xi) is
-    # read at xi0+ and at zeta-; a kink at zeta ties the slopes within
-    # 1e-9 zeta of it, and the first cell clears four such bands to read
-    # its midpoint.  v' finds ln xi0 to bracket_root's stop width,
-    # which moves stock by q, and the arc must close to _ARC_X_TOL
-    d_zeta = vf._sides[1, 0] - vf._sides[0, 0]
-    q = max(first[3, 0] - first[2, 0], d_zeta) / beta * stop_width(
-        math.log(xi0))
-    x_min = max(4e-9 * d_zeta / beta,
-                q / _ARC_X_TOL if q > _ARC_X_TOL else 0.0)
-    if x0 < x_min:
+    first = _sides(*_in_domain(model, z[:1]))
+    # Psi' = -H'/(beta xi), so the stock a double's spacing of xi0 spans
+    # must be finer than the arc's closing tolerance
+    res = (first[1, 0] - first[0, 0]) * np.spacing(xi0) / (beta * xi0)
+    tol = _ARC_X_TOL * max(1.0, x0)
+    if res > tol:
         raise InvalidParameter(
-            f"initial stock {x0:g} is below {x_min:.3g}, the smallest stock "
-            "the slope table resolves next to zeta")
-    n = len(vf.xi_knots)
-    sides = np.column_stack([first[:, 0], vf._sides[:, :j][:, ::-1]])
-    mids = np.column_stack([first[:, 1], vf._sides[:, n:n + j - 1][:, ::-1]])
-    # a knot's row holds the controls into the cell above it and the span
-    # means at its midpoint; those below it get a row at zeta and at kinks
+            f"the stock resolution at v'(x0), |H'| ulp(xi0) / (beta xi0) = "
+            f"{res:.3g}, exceeds the drawdown arc's closing tolerance "
+            f"{tol:.3g}")
+    sides = np.column_stack([first, vf._sides[:, :j][:, ::-1]])
+    # a knot's row holds the controls into the cell above it; those below
+    # it get a row at zeta and at kinks
     put = np.union1d(1 + np.flatnonzero(
         np.any(sides[:2, 1:] != sides[2:, 1:], axis=0)), [j])
-    a, q, a_mid, q_mid = (np.insert(v[:j], put, w[put]) for v, w in (
-        (sides[2], sides[0]), (sides[3], sides[1]),
-        (0.5 * (mids[0] + mids[2]), sides[0]),
-        (0.5 * (mids[1] + mids[3]), sides[1])))
+    a, q = (np.insert(v[:j], put, w[put])
+            for v, w in ((sides[2], sides[0]), (sides[3], sides[1])))
     at = np.insert(np.arange(j), put, put)
     x_knots = np.concatenate([[x0], vf.psi_knots[:j][::-1]])
     return DrawdownPlan(x0=float(x0), tau=float(tau),
                         t_knots=(np.log(z / xi0) / beta)[at],
                         x_knots=x_knots[at], a_knots=a, q_knots=q,
-                        xi_knots=z[at], a_mid=a_mid[:-1], q_mid=q_mid[:-1],
-                        tail=tail)
+                        xi_knots=z[at], tail=tail)

@@ -1,8 +1,7 @@
 """Value function of the stock-constrained problem.
 
-With zeta > 0 the value function never touches its own formula directly:
-it is the composition v(x) = H(xi(x)) / beta where xi(x) inverts the
-state-to-slope map
+With zeta > 0 the value function is the composition v(x) = H(xi(x)) /
+beta where xi(x) inverts the state-to-slope map
 
     Psi(xi) = -integral_xi^zeta H'(z) / (beta z) dz,
 
@@ -11,17 +10,23 @@ fallen to xi.  H' is negative on (0, zeta), making Psi increasing as xi
 decreases; v is then increasing, concave, and capped by H(0)/beta.  With
 zeta = 0 holding stock is pointless and v is the constant H(0)/beta.
 
-Psi is integrated cell by cell with Simpson's rule on _N_XI geometric
-slopes from zeta down to _XI_FLOOR_RATIO zeta, refined by the kink slopes
-of H', using the one-sided derivative that points into each cell at its
-edges.  One cell integrator serves the knot table, Psi between knots and
-the inversion xi(x), a bracketed root search in ln xi inside the unique
-cell containing x, so Psi at and between its knots comes from the same
-derivative code.  Psi, xi and v take scalars and arrays alike; a scalar
-is a batch of one.  The table keeps H and the one-sided controls of its
-one batch, whence H'(xi-), read with H(0): v at a knot and the value
-table read the kept H, a cell between knots reads H' only at its lower
-edge and midpoint, and the drawdown arc runs on the kept controls.
+Psi and H are in closed form, exact to rounding, on each kink cell of H
+(from zeta down through the kinks of H to 0), where each attaining rate of
+-H' = q* - a* is a hull vertex or moves along an arc (see _arcs).  So from
+its value g at the cell's top T, -H' rises as g + s1 (T - z) + s2 (sqrt T -
+sqrt z), and with L = ln(T/xi), phi(L) = L - 1 + e^-L, d = 1 - e^-L and
+e = 1 - e^(-L/2)
+
+    beta (Psi(xi) - Psi(T)) = g L + s1 T phi(L) + 2 s2 sqrt(T) phi(L/2),
+    H(xi) - H(T) = g T d + s1 (T d)^2 / 2 + s2 T^1.5 e^2 (1 - 2e/3):
+
+the antiderivatives c ln z, (A ln z - z)/(2B) and k ln z + 2 sqrt z from
+the top, all terms non-negative, so nothing cancels where H' vanishes at
+zeta.  The table reads both conjugates once, at _N_XI geometric slopes from
+zeta down to _XI_FLOOR_RATIO zeta, the kinks of H and 0.  A query solves
+Psi = x by Newton's steps in the stock's cell, reading no conjugate; past
+the last kink stock grows like L |H'(0+)| / beta, so every stock has a
+slope until it underflows.  Psi, xi and v take scalars and arrays alike.
 """
 
 from __future__ import annotations
@@ -31,28 +36,76 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._roots import bracket_root
 from .errors import InvalidParameter, OutOfDomain
-from .hamiltonian import HamiltonianModel, _in_domain, _sides, _slopes, h_at
+from .hamiltonian import HamiltonianModel, _in_domain, _sides, h_at
 from .tableio import write_csv
 
-# the slope table stops where the marginal value has decayed to this share of zeta
+# geometric slope knots from zeta down to _XI_FLOOR_RATIO zeta
 _XI_FLOOR_RATIO = 1e-6
-# geometric slope knots from zeta down to the floor, before the kink slopes
 _N_XI = 2000
+# phi(L) = L^2 sum_n (-L)^n / (n + 2)!, to 1e-17 where L < 1/4 and L - 1 +
+# e^-L cancels; a query takes at most _MAX_STEPS Newton steps
+_PHI_SERIES = [1.0 / math.factorial(n + 2) for n in range(11, -1, -1)]
+_MAX_STEPS = 60
+
+
+def _phi(L):
+    """L - 1 + e^-L for an array of L >= 0, to rounding."""
+    out, small = L + np.expm1(-L), L < 0.25
+    if small.any():
+        s = L[small]
+        out[small] = s * s * np.polyval(_PHI_SERIES, -s)
+    return out
+
+
+def _psi_rise(beta, top, g, s1, s2, L):
+    """Psi(xi) - Psi(top) on cells, L = ln(top/xi)."""
+    p = _phi(np.stack(np.broadcast_arrays(L, 0.5 * L)))
+    return (g * L + s1 * top * p[0] + 2.0 * s2 * np.sqrt(top) * p[1]) / beta
+
+
+def _h_rise(top, g, s1, s2, L):
+    """H(xi) - H(top) on cells, L = ln(top/xi)."""
+    d, e = -np.expm1(-L), -np.expm1(-0.5 * L)
+    return (top * d * (g + 0.5 * s1 * top * d)
+            + s2 * top * np.sqrt(top) * e * e * (1.0 - e / 1.5))
+
+
+def _arcs(problem, a_lo, q_lo, a_hi, q_hi) -> tuple:
+    """(s1, s2) of kink-free cells whose rates read (a_lo, q_lo) above
+    their bottom and (a_hi, q_hi) below their top.  With p0 + p1 x + p2 x^2
+    a slope (Curve.slope_coefficients), sales that move follow linear
+    demand, q = (z - p0)/p1, and production the cubic, a = k + sqrt(z/p2)."""
+    p1 = problem.revenue.slope_coefficients(q_lo)[1]
+    p2 = problem.cost.slope_coefficients(a_lo)[2]
+    s1 = np.where(q_lo != q_hi, -1.0 / np.where(p1 < 0.0, p1, -np.inf), 0.0)
+    s2 = np.where(a_lo != a_hi, np.where(p2 > 0.0, p2, np.inf) ** -0.5, 0.0)
+    return s1, s2
+
+
+def _at_slope(kinks: np.ndarray, xi) -> tuple:
+    """(columns, L): each slope xi's cell, the one with the smallest top at
+    or above it, and L = ln(top/xi), inf at an underflowed xi = 0."""
+    top = kinks[3]
+    k = len(top) - 1 - np.searchsorted(top[::-1], xi)
+    with np.errstate(divide="ignore"):
+        return kinks[:, k], np.log1p((top[k] - xi) / xi)
+
+
+def _psi_at(kinks: np.ndarray, beta: float, xi) -> np.ndarray:
+    cell, L = _at_slope(kinks, xi)
+    return cell[0] + _psi_rise(beta, *cell[3:], L)
 
 
 @dataclass(frozen=True, eq=False)
 class ValueFunction:
     """Value of the control problem as a function of initial stock.
 
-    xi_knots run from zeta down to the resolved slope floor; psi_knots are
-    the matching stock levels (increasing from 0), and h_knots the H read
-    there; _sides holds the one-sided controls (see hamiltonian._sides),
-    whence H'(xi-) and H'(xi+), at the knots, then at the cell midpoints,
-    cell k lying below knot k.  Beyond the last knot the marginal value has
-    decayed below zeta times the floor ratio and is clamped there, which
-    perturbs the value by an invisible amount.  v_flat is H(0)/beta.
+    xi_knots run from zeta down to the geometric floor and any kink of H
+    below it, with the stock psi_knots, H h_knots and the one-sided
+    controls _sides (see hamiltonian._sides) there.  _kinks has a column
+    per kink cell from zeta down: Psi and H at its top, ln(top/bottom)
+    (inf for the last, which reaches 0) and top, g, s1, s2.
     """
 
     model: HamiltonianModel = field(repr=False)
@@ -64,162 +117,108 @@ class ValueFunction:
     psi_knots: np.ndarray = field(repr=False)
     h_knots: np.ndarray = field(repr=False)
     _sides: np.ndarray = field(repr=False)
-    # (x, v'(x), H(v'(x)) or None until value_at reads it) of the last
-    # scalar v_prime query; NaN matches nothing
-    _last: list = field(default_factory=lambda: [(math.nan, math.nan, None)],
+    _kinks: np.ndarray = field(repr=False)
+    # (x, v'(x)) of the last scalar v_prime query; NaN matches nothing
+    _last: list = field(default_factory=lambda: [(math.nan, math.nan)],
                         init=False, repr=False)
 
     @property
     def x_resolved(self) -> float:
-        """Stock level up to which the slope table resolves v'."""
+        """Stock level of the last knot of the table."""
         return 0.0 if self.constant else float(self.psi_knots[-1])
 
     def psi(self, xi):
-        """Stock level at which the marginal value equals xi (a scalar or
-        an array of slopes)."""
+        """Stock at which the marginal value is xi, slopes in (0, zeta]."""
         if self.constant:
             raise InvalidParameter("flat value function has no slope map")
         xi = np.asarray(xi, dtype=float)
-        floor = float(self.xi_knots[-1])
-        if not (np.all(xi <= self.zeta) and np.all(xi >= floor * (1.0 - 1e-12))):
-            raise OutOfDomain(
-                f"slope outside resolved range [{floor}, {self.zeta}]")
-        xi = np.minimum(np.maximum(xi, floor), self.zeta)
-        # xi_knots[k] is the smallest knot at or above xi
-        k = len(self.xi_knots) - 1 - np.searchsorted(self.xi_knots[::-1], xi)
-        out = self.psi_knots[k] + _cells(
-            self.model, self.beta, xi, self.xi_knots[k],
-            self._sides[0, k] - self._sides[1, k])
+        if not (np.all(xi > 0.0) and np.all(xi <= self.zeta)):
+            raise OutOfDomain(f"slope outside (0, {self.zeta}]")
+        out = _psi_at(self._kinks, self.beta, xi)
         return float(out) if out.ndim == 0 else out
 
     def v_prime(self, x):
-        """Marginal value of stock (a scalar or an array); decreasing,
-        v'(0) = zeta, held at the slope floor past x_resolved.
-
-        A scalar query repeated at the same stock, as a plan, its summary
-        and its profit gap all ask at x0, returns the float the last one
-        computed instead of searching again; arrays always search.
-        """
-        if np.ndim(x) == 0:
-            x = float(x)
-            key, xi, _ = self._last[0]
-            if key == x:
-                return xi
+        """Marginal value of stock, decreasing from v'(0) = zeta.  A scalar
+        query repeated at the same stock, as a plan, its summary and its
+        profit gap all ask at x0, returns the float the last one computed."""
+        if np.ndim(x) == 0 and self._last[0][0] == float(x):
+            return self._last[0][1]
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise OutOfDomain("stock must be non-negative")
         if self.constant:
             return 0.0 if x.ndim == 0 else np.zeros(x.shape)
-        xs = np.minimum(x, self.psi_knots[-1]).reshape(-1)
-        # psi_knots[k - 1] < x <= psi_knots[k]: exact on a knot, otherwise
-        # the root of Psi(xi) = x in the cell [xi_knots[k], xi_knots[k - 1]]
-        k = np.searchsorted(self.psi_knots, xs)
-        out = self.xi_knots[k]
-        off = np.nonzero(self.psi_knots[k] != xs)[0]
-        # searched in s = ln xi, whose tolerance is relative in xi
-        k, bot, top = k[off], self.xi_knots[k[off]], self.xi_knots[k[off] - 1]
-        d_top = self._sides[0, k - 1] - self._sides[1, k - 1]
-
-        def gap(s, i):
-            xi = np.clip(np.exp(s), bot[i], top[i])
-            return (self.psi_knots[k[i] - 1] + _cells(
-                self.model, self.beta, xi, top[i], d_top[i]) - xs[off[i]])
-
-        s = bracket_root(gap, np.log(bot), np.log(top))[0]
-        out[off] = np.clip(np.exp(s), bot, top)
+        xi = self._solve(x.reshape(-1))
         if x.ndim:
-            return out.reshape(x.shape)
-        xi = float(out[0])
-        self._last[0] = (float(x), xi, None)
-        return xi
+            return xi.reshape(x.shape)
+        self._last[0] = (float(x), float(xi[0]))
+        return self._last[0][1]
 
     def value_at(self, x):
-        """v(x) for a scalar or an array of stock levels; on a knot of the
-        table it is the H kept there, and a scalar query repeated off the
-        knots reads the H that v_prime's memo kept from the last one."""
+        """v(x) = H(v'(x))/beta for a scalar or an array of stock levels."""
         xi = self.v_prime(x)
         if self.constant:
-            return self.v_flat if np.ndim(xi) == 0 else np.full(np.shape(xi), self.v_flat)
-        xs = np.minimum(x, self.psi_knots[-1])
-        k = np.searchsorted(self.psi_knots, xs)
-        h, off = np.array(self.h_knots[k]), self.psi_knots[k] != xs
-        if h.ndim:
-            if off.any():
-                h[off] = h_at(self.model, xi[off])
-            return h / self.beta
-        if off:
-            # v_prime(x) has just left (x, xi, H or None) in the memo
-            key, xi, h = self._last[0]
-            if h is None:
-                h = float(h_at(self.model, np.array([xi]))[0])
-                self._last[0] = (key, xi, h)
-        return float(h) / self.beta
+            return self.v_flat + 0.0 * xi
+        cell, L = _at_slope(self._kinks, xi)
+        out = (cell[1] + _h_rise(*cell[3:], L)) / self.beta
+        return float(out) if out.ndim == 0 else out
 
-
-def _cells(model: HamiltonianModel, beta: float, z_lo, z_hi, d_hi):
-    """Simpson integrals of -H'(z)/(beta z) over kink-free cells [z_lo,
-    z_hi], H'(z_hi-) = d_hi kept by the table, from one batch that reads
-    H' at z_lo and at the midpoints."""
-    z_mid = 0.5 * (z_lo + z_hi)
-    m, shape = np.size(z_lo), np.shape(z_lo)
-    d_minus, d_plus = _slopes(*_in_domain(
-        model, np.concatenate([np.ravel(z_lo), np.ravel(z_mid)])))
-    d_mid = 0.5 * (d_minus[m:] + d_plus[m:])
-    return _simpson(beta, z_lo, z_mid, z_hi, d_plus[:m].reshape(shape),
-                    d_mid.reshape(shape), d_hi)
-
-
-def _simpson(beta, z_lo, z_mid, z_hi, d_lo, d_mid, d_hi) -> np.ndarray:
-    """Simpson's rule for -H'(z)/(beta z) on cells [z_lo, z_hi] from H' at
-    the edges, one-sided into the cell (d_lo = H'(z_lo+), d_hi =
-    H'(z_hi-)), and at the kink-free midpoint (d_mid, the mean of both
-    sides).  An empty cell (z_hi <= z_lo) integrates to zero."""
-    g_lo = -d_lo / (beta * z_lo)
-    g_mid = -d_mid / (beta * z_mid)
-    g_hi = -d_hi / (beta * z_hi)
-    val = (z_hi - z_lo) / 6.0 * (np.maximum(g_lo, 0.0)
-                                 + 4.0 * np.maximum(g_mid, 0.0)
-                                 + np.maximum(g_hi, 0.0))
-    return np.where(z_hi > z_lo, np.maximum(val, 0.0), 0.0)
+    def _solve(self, x: np.ndarray) -> np.ndarray:
+        """v' at stocks x: L = ln(top/xi) in each stock's cell by Newton's
+        steps, with Psi' = -H'(xi) / (beta xi) exact."""
+        beta, k = self.beta, np.searchsorted(self._kinks[0], x, "right") - 1
+        psi, _, span, *cell = self._kinks[:, k]
+        (top, g, s1, s2), y = cell, beta * (x - psi)
+        # phi(L) >= L^2 / (2 + L), so beta Psi rises at least as g L + c L^2
+        # / (1 + L/2), c = s1 top/2 + s2 sqrt(top)/4, whose root bounds L;
+        # Psi is convex in L, so the steps fall from there to the root
+        rt = np.sqrt(top)
+        a, b = g + s1 * top + 0.5 * s2 * rt, 2.0 * g - y
+        r = np.sqrt(b * b + 8.0 * a * y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = np.minimum(span, np.where(b > 0.0, 4.0 * y / (b + r),
+                                          (r - b) / (2.0 * a)))
+            for _ in range(_MAX_STEPS):
+                rise = (g - s1 * top * np.expm1(-L)
+                        - s2 * rt * np.expm1(-0.5 * L))
+                nxt = L - (beta * _psi_rise(beta, *cell, L) - y) / rise
+                if not np.any(nxt < L):
+                    break
+                L = np.where(nxt < L, nxt, L)
+        return top * np.exp(-L)
 
 
 def build_value(model: HamiltonianModel) -> ValueFunction:
-    """Tabulate Psi on _N_XI geometric slopes, refined by the kink slopes of
-    H, and wrap the inversion."""
-    beta = model.problem.beta
-    zeta = model.zeta
+    """Read the conjugates at the knots and 0, close Psi on each kink cell
+    of H, and wrap the inversion."""
+    beta, zeta = model.problem.beta, model.zeta
     if zeta <= 0.0:
         empty = np.empty(0)
         return ValueFunction(model=model, beta=beta, constant=True,
                              v_flat=float(h_at(model, 0.0)) / beta, zeta=0.0,
                              xi_knots=empty, psi_knots=empty, h_knots=empty,
-                             _sides=empty)
+                             _sides=empty, _kinks=empty)
 
-    xi = np.geomspace(zeta, zeta * _XI_FLOOR_RATIO, _N_XI)
-    inner = model.kink_zs
-    inner = inner[(inner > xi[-1]) & (inner < zeta)]
-    if len(inner):
-        xi = np.unique(np.concatenate([xi, inner]))[::-1]
-        keep = np.ones(len(xi), dtype=bool)
-        keep[1:] = np.abs(np.diff(xi)) > 1e-13 * xi[:-1]
-        xi = xi[keep]
+    kinks = model.kink_zs[(model.kink_zs > 0.0) & (model.kink_zs < zeta)]
+    xi = np.unique(np.concatenate([
+        np.geomspace(zeta, zeta * _XI_FLOOR_RATIO, _N_XI), kinks]))[::-1]
+    c, r = _in_domain(model, np.append(xi, 0.0))
+    h, sides = r.value + c.value, _sides(c, r)
 
-    # psi accumulates from zeta (xi[0]) downward through the cells; the
-    # conjugates are read once at every knot, every midpoint and 0
-    n = len(xi)
-    z_lo, z_hi = xi[1:], xi[:-1]
-    z_mid = 0.5 * (z_lo + z_hi)
-    c, r = _in_domain(model, np.concatenate([xi, z_mid, [0.0]]))
-    h = r.value + c.value
-    d_minus, d_plus = _slopes(c, r)
-    cells = _simpson(beta, z_lo, z_mid, z_hi, d_plus[1:n],
-                     0.5 * (d_minus[n:-1] + d_plus[n:-1]), d_minus[:n - 1])
-    psi = np.concatenate([[0.0], np.cumsum(cells)])
-
+    # a cell runs from zeta or a kink down to the next kink or 0, its rates
+    # read below its top and above its bottom
+    top = np.append(0, np.flatnonzero(np.isin(xi, kinks)))
+    bot, zs = np.append(top[1:], len(xi)), xi[top]
+    cell = np.stack([zs, np.maximum(sides[1, top] - sides[0, top], 0.0),
+                     *_arcs(model.problem, sides[2, bot], sides[3, bot],
+                            sides[0, top], sides[1, top])])
+    span = np.append(np.log1p((zs[:-1] - zs[1:]) / zs[1:]), math.inf)
+    psi = np.append(0.0, np.cumsum(_psi_rise(beta, *cell[:, :-1], span[:-1])))
+    cells = np.vstack([psi, h[top], span, cell])
     return ValueFunction(model=model, beta=beta, constant=False,
                          v_flat=float(h[-1]) / beta, zeta=zeta, xi_knots=xi,
-                         psi_knots=psi, h_knots=h[:n],
-                         _sides=_sides(c, r)[:, :-1])
+                         psi_knots=_psi_at(cells, beta, xi), h_knots=h[:-1],
+                         _sides=sides[:, :-1], _kinks=cells)
 
 
 def write_value_csv(vf: ValueFunction, path) -> None:

@@ -178,37 +178,32 @@ def _reference_chain(xs, gs) -> list:
 
 def _reference_drawdown(vf, x0: float, tail) -> DrawdownPlan:
     """The drawdown arc laid out knot by knot on Python floats: xi0 =
-    v'(x0), then the slope table's knots above it with their Psi, the
-    attaining spans read afresh at every knot and cell midpoint in one
-    batch; a knot's row carries the controls into the cell above it, and
-    the controls below it get a row of their own where they differ and
-    at zeta.  The plan strategy.drawdown_plan must return, bit for bit,
-    for zeta > 0 and 0 < x0 <= x_resolved."""
+    v'(x0), then the value table's knots above it with their Psi, the
+    attaining spans read afresh at every knot in one batch; a knot's row
+    carries the controls into the cell above it, and the controls below it
+    get a row of their own where they differ and at zeta.  The plan
+    strategy.drawdown_plan must return, bit for bit, for zeta > 0 and a
+    stock x0 > 0 it accepts."""
     model, beta = vf.model, vf.beta
-    xi0 = min(vf.v_prime(x0), model.zeta)
+    xi0 = vf.v_prime(x0)
     tau = math.log(model.zeta / xi0) / beta
     above = [k for k in range(len(vf.xi_knots)) if vf.xi_knots[k] > xi0]
     zs = [xi0] + [float(vf.xi_knots[k]) for k in reversed(above)]
     xs = [float(x0)] + [float(vf.psi_knots[k]) for k in reversed(above)]
-    mids = [0.5 * (lo + hi) for lo, hi in zip(zs, zs[1:])]
-    c, r = hamiltonian._in_domain(model, np.array(zs + mids))
+    c, r = hamiltonian._in_domain(model, np.array(zs))
     last = len(zs) - 1
-    rows = []      # (t, slope, stock, produce, sell, mid produce, mid sell)
+    rows = []      # (t, slope, stock, produce, sell)
     for i, (z, x) in enumerate(zip(zs, xs)):
         t = float(np.log(z / xi0)) / beta
         below = (float(c.argmax_lo[i]), float(r.argmax_hi[i]))
         into = (float(c.argmax_hi[i]), float(r.argmax_lo[i]))
         if i == last or (i > 0 and below != into):
-            rows.append((t, z, x, *below, *below))
+            rows.append((t, z, x, *below))
         if i < last:
-            k = last + 1 + i
-            rows.append((t, z, x, *into,
-                         0.5 * (c.argmax_lo[k] + c.argmax_hi[k]),
-                         0.5 * (r.argmax_lo[k] + r.argmax_hi[k])))
-    t, z, x, a, q, a_mid, q_mid = (np.array(col) for col in zip(*rows))
+            rows.append((t, z, x, *into))
+    t, z, x, a, q = (np.array(col) for col in zip(*rows))
     return DrawdownPlan(x0=float(x0), tau=float(tau), t_knots=t, x_knots=x,
-                        a_knots=a, q_knots=q, xi_knots=z, a_mid=a_mid[:-1],
-                        q_mid=q_mid[:-1], tail=tail)
+                        a_knots=a, q_knots=q, xi_knots=z, tail=tail)
 
 
 def _reference_segments(period: float, phases, horizon: float) -> tuple:
@@ -233,15 +228,16 @@ def _reference_segments(period: float, phases, horizon: float) -> tuple:
 def _exact_table_psi(model, xi) -> np.ndarray:
     """Psi at the slopes xi (0 < xi <= zeta) of a model whose H is
     piecewise linear (tables and finite sets): the sum over the cells
-    between kinks of -H'/beta ln(z_hi/z_lo), H' the secant of H across the
-    cell.  Kinks within a relative 1e-9 of the one below count once; H is
-    linear between true kinks, so an extra kink cannot change the sum."""
+    between kinks of -H'/beta ln(z_hi/z_lo), H' read at the cell's
+    midpoint, where both sides agree.  Kinks within a relative 1e-9 of the
+    one below count once; H is linear between true kinks, so an extra kink
+    cannot change the sum."""
     zeta, beta = model.zeta, model.problem.beta
     ks = model.kink_zs[(model.kink_zs > 0.0) & (model.kink_zs < zeta)]
     if len(ks):
         ks = ks[np.concatenate([[True], np.diff(ks) > 1e-9 * ks[1:]])]
     edges = np.concatenate([[0.0], ks, [zeta]])
-    slope = np.diff(h_at(model, edges)) / np.diff(edges)
+    slope = hamiltonian.subgradient(model, 0.5 * (edges[:-1] + edges[1:]))[0]
     lo = np.maximum(edges[None, :-1], np.asarray(xi, dtype=float)[:, None])
     hi = np.maximum(edges[None, 1:], lo)
     return (-slope / beta * np.log(hi / lo)).sum(axis=1)

@@ -229,7 +229,7 @@ def test_criterion_5_oracle_equivalence(instance, request):
 
 
 _INVENTORIES = (0.02, 0.05, 0.1, 0.2, 0.4)
-# and these shares of x_resolved, up to the end of the slope table
+# and these shares of x_resolved, the stock of the value table's last knot
 _RESOLVED_SHARES = (0.5, 0.9, 0.99)
 
 

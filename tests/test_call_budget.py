@@ -6,11 +6,14 @@ config while the calls to ``envelope._conjugate`` and the slopes they read
 are counted.  The counts are deterministic, so this counts rather than
 times.  The call budgets are the counts of the current solver and the
 slope budgets add a small margin: a change that brings back a redundant
-batch of readings (a full slope table, a slope grid searched for zeta and
-m_hi where one batch at the kinks of H gives them, a separate H at 0 or at
-zeta, a second reading of kept knots, a separate controls batch, a second
-H at the stock already asked, the drawdown reading more than its first
-cell) fails here instead of only slowing the benchmark down.
+batch of readings (midpoints or a slope grid beside the knots, a slope
+grid searched for zeta and m_hi where one batch at the kinks of H gives
+them, a separate H at 0 or at zeta, a second reading of kept knots, a
+separate controls batch, the drawdown reading more than its first slope)
+fails here instead of only slowing the benchmark down.
+
+Psi and H are in closed form on the kink cells of H, so a scalar v' or v
+between the knots reads no conjugate at all.
 
 The points handed to ``convex_hull`` and ``concave_hull`` are counted in
 the same runs.  A smooth curve (linear demand, the cubic) is hulled from
@@ -38,14 +41,15 @@ from monopoly_control.config import load_problem
 from monopoly_control.oracle import dp_value
 from monopoly_control.problem import validate_problem
 from monopoly_control.strategy import static_optimality_test
+from monopoly_control.value import build_value
 
 # (kernel calls, slopes read) allowed for solve + simulate --x0 0.2
 BUDGET = {
-    "arvan_moses_high": (72, 16186),
-    "arvan_moses_low": (36, 16122),
-    "arvan_moses_mid": (34, 16098),
-    "linear_cost": (56, 16140),
-    "table_curves": (32, 16122),
+    "arvan_moses_high": (56, 8150),
+    "arvan_moses_low": (20, 8094),
+    "arvan_moses_mid": (18, 8070),
+    "linear_cost": (32, 8108),
+    "table_curves": (18, 8090),
 }
 
 # points passed to the hull builders for solve + simulate --x0 0.2: two
@@ -85,6 +89,23 @@ def test_conjugate_readings_within_budget(name, configs_dir, tmp_path,
     calls, slopes = BUDGET[name]
     assert counts[0] <= calls and counts[1] <= slopes, (name, counts)
     assert points[0] <= HULL_POINTS[name], (name, points[0])
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_scalar_query_reads_no_kernel(name, configs_dir, monkeypatch):
+    vf = build_value(hamiltonian.build_hamiltonian(
+        validate_problem(load_problem(configs_dir / f"{name}.cfg"))))
+    calls = []
+    kernel = envelope._conjugate
+    monkeypatch.setattr(envelope, "_conjugate",
+                        lambda env, w: calls.append(w) or kernel(env, w))
+    knots = vf.psi_knots
+    for x in (0.5 * (knots[1] + knots[2]), 0.2, 0.37 * vf.x_resolved,
+              2.0 * vf.x_resolved):
+        assert x not in knots
+        vf.v_prime(x)
+        vf.value_at(x * (1.0 + 1e-9))
+    assert calls == [], name
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))

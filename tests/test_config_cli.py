@@ -442,9 +442,9 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["compare", "--dt", "1e-17"], "discount exp(-beta dt) rounds to 1"),
     (["simulate", "--x0", "0.1", "--eps", "1e-9"], "cycle period 1e-09"),
     (["solve", "--set", "problem.grid_n=262146"], "from 9 to 262145"),
-    (["strategy", "--x0", "1e6"], "exceeds x_resolved"),
-    (["simulate", "--x0", "1e6"], "exceeds x_resolved"),
-    (["compare", "--x0", "1e9"], "exceeds x_resolved"),
+    (["strategy", "--x0", "1e6"], "marginal value of stock underflows"),
+    (["simulate", "--x0", "1e6"], "marginal value of stock underflows"),
+    (["compare", "--x0", "1e9"], "marginal value of stock underflows"),
     (["solve", "--grid-n", "513"], "unrecognized arguments: --grid-n 513"),
     (["solve", "--config", TABLE_CURVES], "unrecognized arguments: --config"),
     (["solve", "--set", "problem.beta=abc"], "beta = 'abc' is not a number"),
@@ -470,6 +470,10 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
      "revenue table does not cover the control set"),
     (["solve", "linear_cost.cfg", "--set", "sets.a=right_ray 0"],
      "production cost is not coercive"),
+    (["solve", "linear_cost.cfg", "--set", "sets.a=right_ray 0",
+      "--set", "cost.c=2e6", "--set", "revenue.A=3e6",
+      "--set", "sets.q=interval 0 1.5e6"],
+     "production cost is not coercive"),
     (["solve", "--set", "sets.a=interval 0.5 1"],
      "0 must belong to the production set"),
     (["solve", "--set", "revenue.points=0:0.1, 1:0.2"],
@@ -489,6 +493,7 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
         "set_empty", "set_bound_text", "set_arity", "override_no_eq",
         "override_no_dot", "unknown_section", "grid_n_text", "finite_negative",
         "revenue_below_domain", "revenue_short_table", "affine_on_ray",
+        "steep_affine_on_ray",
         "production_without_0", "revenue_at_0", "revenue_negative",
         "cost_decreasing", "no_header", "no_a", "no_beta"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
@@ -512,16 +517,16 @@ def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
 
 def test_compare_rejects_x0_before_the_oracle(configs_dir, tmp_path, capsys,
                                               monkeypatch):
-    # x0 / 2 past x_resolved ends in exit 2 without solving the oracle on
-    # a grid of that width
+    # an x0 / 2 whose marginal value underflows ends in exit 2 without
+    # solving the oracle on a grid of that width
     def no_oracle(*args, **kwargs):
-        raise AssertionError("dp_value ran before the x_resolved check")
+        raise AssertionError("dp_value ran before the drawdown's checks")
 
     monkeypatch.setattr(monopoly_control.cli, "dp_value", no_oracle)
     rc = main(["compare", str(configs_dir / "table_curves.cfg"),
                "--out", str(tmp_path), "--x0", "1e9"])
     assert rc == 2
-    assert "exceeds x_resolved" in capsys.readouterr().err
+    assert "marginal value of stock underflows" in capsys.readouterr().err
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -592,11 +597,12 @@ def test_solve_keeps_the_cost_bridge_at_any_demand_scale(configs_dir,
 @pytest.mark.parametrize("beta", ["1e-6", "1e-7", "1e-8", "1e-9", "1e-12"])
 def test_drawdown_at_a_tiny_discount_closes_or_names_its_limit(
         configs_dir, tmp_path, capsys, beta):
-    # next to zeta the slope table resolves stock only to Psi' times its
-    # slope precision, which grows as 1/beta.  A drawdown either meets the
-    # arc's gates (the total against v(x0), the stock closing at tau) or
-    # is rejected, exit 2, naming the smallest stock the table resolves
-    limit = "the smallest stock the slope table resolves"
+    # Psi' = -H'/(beta xi) grows as 1/beta, so the last bit of v'(x0)
+    # moves stock by |H'| ulp(xi0) / (beta xi0).  A drawdown meets the
+    # arc's gates (the total against v(x0), the stock closing at tau); at
+    # beta 1e-6 every config plays from 0.2, and below it a drawdown may
+    # instead be refused, exit 2, naming that stock resolution
+    limit = "the stock resolution at v'(x0)"
     played = 0
     for cfg in sorted(configs_dir.glob("*.cfg")):
         override = f"problem.beta={beta}"
@@ -608,7 +614,7 @@ def test_drawdown_at_a_tiny_discount_closes_or_names_its_limit(
             try:
                 plan = drawdown_plan(vf, x0, tail)
             except InvalidParameter as exc:
-                assert limit in str(exc), (cfg.stem, x0, exc)
+                assert beta != "1e-6" and limit in str(exc), (cfg.stem, x0, exc)
                 continue
             played += 1
             horizon = plan.tau + 60.0
@@ -626,6 +632,14 @@ def test_drawdown_at_a_tiny_discount_closes_or_names_its_limit(
         rc = main(["simulate", str(cfg), "--out", str(tmp_path),
                    "--x0", "0.2", "--set", override])
         err = capsys.readouterr().err
-        assert rc == 0 or (rc == 2 and limit in err), (cfg.stem, rc, err)
-    # every config plays its drawdown from half the resolved stock
-    assert played >= 5
+        assert rc == 0 or (beta != "1e-6" and rc == 2 and limit in err), \
+            (cfg.stem, rc, err)
+        summary = _summary(tmp_path / "simulate_summary.txt") if rc == 0 else {}
+        if "profit_gap" in summary:
+            # a cycle of the default period 1/(64 beta) falls short of the
+            # relaxed tail by up to 3.9e-3 of v(0.2) (arvan_moses_mid)
+            gap = float(summary["profit_gap"])
+            assert -1e-6 <= gap <= 4e-3, (cfg.stem, gap)
+    # every config plays its drawdown from half the last knot's stock, and
+    # at beta 1e-6 from 0.2 too
+    assert played >= (10 if beta == "1e-6" else 5)

@@ -196,7 +196,7 @@ def test_batch_of_one_is_exact(configs_dir, name):
     sub = np.array([subgradient(m, float(z)) for z in zs])
     assert np.array_equal(lo, sub[:, 0]) and np.array_equal(hi, sub[:, 1])
     xs = np.concatenate([
-        np.random.default_rng(4).uniform(0.0, vf.x_resolved, 64),
+        np.random.default_rng(4).uniform(0.0, 3.0 * vf.x_resolved, 64),
         vf.psi_knots[::10]])
     assert np.array_equal(vf.v_prime(xs), scalars(vf.v_prime, xs))
     assert np.array_equal(vf.value_at(xs), scalars(vf.value_at, xs))
@@ -217,7 +217,7 @@ def test_batch_of_one_is_exact(configs_dir, name):
             h_at(m, bad)
         with pytest.raises(OutOfDomain):
             h_at(m, np.array([0.0, bad]))
-    for bad in (1.1 * vf.zeta, 0.5 * vf.xi_knots[-1]):
+    for bad in (1.1 * vf.zeta, 0.0):
         with pytest.raises(OutOfDomain):
             vf.psi(bad)
         with pytest.raises(OutOfDomain):

@@ -190,8 +190,8 @@ def test_cli_trajectory_stock_is_never_negative(configs_dir, tmp_path,
 
 
 def test_drawdown_truncated_inside_a_cell(shipped_arcs):
-    # a horizon inside the arc ends on Simpson's parabola in its cell:
-    # the stock there is Psi at the slope reached, and the payoff the
+    # a horizon inside the arc ends inside its cell, in closed form: the
+    # stock there is Psi at the slope reached, and the payoff the
     # closed form H(xi0)/beta - (xi0/z) H(z)/beta
     for label, problem, model, vf, plan in shipped_arcs:
         beta, xi0 = problem.beta, plan.xi_knots[0]

@@ -452,18 +452,24 @@ def test_drawdown_zeta_zero_warns():
     assert plan.u == 0.0
 
 
-def test_drawdown_rejects_stock_past_x_resolved(linear_cost_problem,
-                                                linear_cost_model,
-                                                linear_cost_value):
-    # the slope table ends at x_resolved: stock past it is refused, not
-    # dropped
-    vf = linear_cost_value
-    tail = stationary_plan(linear_cost_problem, linear_cost_model)
-    plan = drawdown_plan(vf, vf.x_resolved, tail)
-    assert plan.x0 == vf.x_resolved
-    for x0 in (vf.x_resolved * (1.0 + 1e-9), 100.0, 1e6):
-        with pytest.raises(InvalidParameter, match="x_resolved"):
-            drawdown_plan(vf, x0, tail)
+def test_drawdown_refuses_stock_whose_slope_underflows(linear_cost_problem,
+                                                       linear_cost_model,
+                                                       linear_cost_value):
+    # stock past the last knot of the table is played: the arc's first
+    # cell reaches down to v'(x0) and its stock closes at tau; only stock
+    # whose v' underflows is refused
+    vf, problem = linear_cost_value, linear_cost_problem
+    tail = stationary_plan(problem, linear_cost_model)
+    for x0 in (vf.x_resolved, vf.x_resolved * (1.0 + 1e-9), 100.0):
+        plan = drawdown_plan(vf, x0, tail)
+        assert plan.x0 == x0 and plan.xi_knots[0] == vf.v_prime(x0)
+        traj = simulate(problem, plan, horizon=plan.tau + 60.0)
+        assert traj.stock[len(plan.t_knots) - 1] == 0.0
+        total = traj.total + (math.exp(-problem.beta * traj.horizon)
+                              * traj.tail_rate / problem.beta)
+        assert total == pytest.approx(vf.value_at(x0), rel=1e-12)
+    with pytest.raises(InvalidParameter, match="underflows"):
+        drawdown_plan(vf, 1e6, tail)
 
 
 def test_am_reference_regimes():
@@ -521,7 +527,7 @@ def test_drawdown_matches_per_knot_reference(drawdown_cases,
                 want = reference_drawdown(vf, x0, tail)
                 assert (got.x0, got.tau, got.tail) == (want.x0, want.tau, tail)
                 for f in ("t_knots", "x_knots", "a_knots", "q_knots",
-                          "xi_knots", "a_mid", "q_mid"):
+                          "xi_knots"):
                     assert getattr(got, f).tobytes() == \
                         getattr(want, f).tobytes(), (label, eps, x0, f)
                 crossed += bool(np.any(np.diff(got.t_knots) == 0.0))

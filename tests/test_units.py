@@ -5,11 +5,14 @@ gap and the value function by mu, and leaves the verdict, the relaxed rate
 u_tilde, the resolved stock and the drawdown from stock 0.2 (its end tau
 and its simulated share of v(0.2)) alone.  A tolerance with an absolute floor
 (``max(1, |x|)``) breaks this below unit scale, so each answer is checked
-against the unscaled one to a relative 1e-9.
+against the unscaled one to a relative 1e-9.  This holds on table_curves
+and on a random table whose zeta is the slope of a revenue hull chord from
+0, where the revenue conjugate at zeta is only the rounding of its terms.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from monopoly_control import (
@@ -45,10 +48,7 @@ def _scaled(curve: Curve, mu: float) -> Curve:
     return Curve.table([(x, mu * y) for x, y in zip(curve.xs, curve.ys)])
 
 
-@pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-8, 1e-7, 1e-6, 1e6, 1e9,
-                                1e12])
-def test_table_answers_scale_with_money(configs_dir, mu):
-    spec = load_problem(configs_dir / "table_curves.cfg")
+def _check_scaled(spec, mu) -> None:
     base = _answers(spec)
     got = _answers(dataclasses.replace(spec, revenue=_scaled(spec.revenue, mu),
                                        cost=_scaled(spec.cost, mu)))
@@ -56,6 +56,31 @@ def test_table_answers_scale_with_money(configs_dir, mu):
     for key, power in (("zeta", 1), ("h_min", 1), ("gap", 1), ("v(0.2)", 1),
                        ("u_tilde", 0), ("x_resolved", 0), ("tau", 0),
                        ("total/v(0.2)", 0)):
+        # an answer that is 0 exactly may read the rounding of its terms,
+        # which are of unit size before scaling
         want = mu ** power * base[key]
-        assert got[key] == pytest.approx(want, rel=1e-9, abs=0.0), \
+        assert got[key] == pytest.approx(want, rel=1e-9,
+                                         abs=1e-15 * mu ** power), \
             (key, got[key], want)
+
+
+MUS = [1e-12, 1e-9, 1e-8, 1e-7, 1e-6, 1e6, 1e9, 1e12]
+
+
+@pytest.mark.parametrize("mu", MUS)
+def test_table_answers_scale_with_money(configs_dir, mu):
+    _check_scaled(load_problem(configs_dir / "table_curves.cfg"), mu)
+
+
+@pytest.mark.parametrize("mu", MUS)
+def test_chord_at_zeta_verdict_scales_with_money(make_random_instance, mu):
+    # draw 9 (from 0) of default_rng(7): u_hat = 0 and the exact gap is 0,
+    # but R*(zeta) = R(w) - zeta w reads 1.06e-22 at mu = 1e-6, the
+    # rounding of terms of 5.5e-7, which a bound on |R(u_hat)| + |zeta
+    # u_hat| = 0 alone would call a slack
+    rng = np.random.default_rng(7)
+    for _ in range(9):
+        make_random_instance(rng)
+    spec = make_random_instance(rng).spec
+    assert _answers(spec)["optimal"]
+    _check_scaled(spec, mu)
