@@ -65,7 +65,7 @@ def main() -> None:
     a_grid = np.linspace(0.05, 4.0, 12)
     verdicts = []
     for a in a_grid:
-        s = builtin_arvan_moses(float(a), B, K, beta=BETA, grid_n=1025)
+        s = builtin_arvan_moses(float(a), B, K, beta=BETA)
         verdicts.append(static_optimality_test(s, build_hamiltonian(s)).optimal)
     flips = [f"{a_grid[i]:.2f}->{a_grid[i+1]:.2f}"
              for i in range(len(verdicts) - 1) if verdicts[i] != verdicts[i+1]]

@@ -13,11 +13,11 @@ table takes points as comma-separated x:y pairs, e.g.
 ``points = 0:0, 0.5:0.4, 1:0.5``.  Unknown sections or keys are rejected
 so typos fail loudly instead of silently using defaults.
 
-grid_n is the number of samples validation checks a smooth curve at, and
-the oracle's production cap reads.  No solver answer reads samples: a
-smooth curve is hulled from its closed form, the minimizers of H are read
-at the kinks of the hulls, and the best constant rate is found exactly
-from the curves' pieces.
+grid_n only sizes the samples from which the oracle bounds its production
+rates.  No solver answer reads samples: validation reads each curve at
+its set's ends and table knots, a smooth curve is hulled from its closed
+form, the minimizers of H are read at the kinks of the hulls, and the
+best constant rate is found exactly from the curves' pieces.
 """
 
 from __future__ import annotations

@@ -67,18 +67,14 @@ class HamiltonianModel:
     trunc_bound: float | None
 
 
-def _envelope(build, kind: str, curve, cset, xs) -> Envelope:
-    """build's hull of curve over cset, read at xs: a curve with a closed
-    form kind hull, on a continuum, only at the set's ends."""
-    finite = cset.kind == "finite"
-    if curve.hull_kind == kind and not finite:
-        xs = xs[[0, -1]]
-    return build(xs, curve(xs), curve=curve, finite=finite)
+def _envelope(build, curve, cset, xs) -> Envelope:
+    """build's hull of curve over cset, read at the curve's points xs."""
+    return build(xs, curve(xs), curve=curve, finite=cset.kind == "finite")
 
 
 def _revenue_envelope(problem: ValidatedProblem) -> Envelope:
-    return _envelope(concave_hull, "concave", problem.revenue,
-                     problem.demand_set, problem.q_grid)
+    return _envelope(concave_hull, problem.revenue, problem.demand_set,
+                     problem.q_grid)
 
 
 def _cost_envelope(problem: ValidatedProblem, ceiling: float | None) -> Envelope:
@@ -87,8 +83,7 @@ def _cost_envelope(problem: ValidatedProblem, ceiling: float | None) -> Envelope
         # a ray carries a smooth cost (validate_problem), hulled up to the
         # ceiling
         xs = np.array([problem.production_set.lo, ceiling])
-    return _envelope(convex_hull, "convex", problem.cost,
-                     problem.production_set, xs)
+    return _envelope(convex_hull, problem.cost, problem.production_set, xs)
 
 
 def _conjugates(rev_env: Envelope, cost_env: Envelope, z) -> tuple:

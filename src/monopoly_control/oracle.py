@@ -68,8 +68,12 @@ class DPResult:
 
 
 def _production_cap(problem: ValidatedProblem) -> float:
-    """Largest production rate any shadow price can justify."""
-    q = problem.q_grid
+    """Largest production rate any shadow price can justify: the best
+    average revenue s over the revenue's points, grid_n samples of a
+    smooth revenue on an interval, against the cost."""
+    q, Q = problem.q_grid, problem.demand_set
+    if Q.kind == "interval" and problem.revenue.hull_kind is not None:
+        q = np.linspace(Q.lo, Q.hi, problem.grid_n)
     pos = q[q > 0.0]
     if not len(pos):
         return 1.0

@@ -8,7 +8,9 @@ average cost C(a)/a must grow without bound, otherwise arbitrarily cheap
 mass production would make the control problem degenerate.
 
 Everything downstream consumes a ValidatedProblem, which freezes the
-points (_points) that validation, the envelopes and the oracle read.
+points (_points) that validation, the envelopes and the oracle read: a
+set's ends and a table's knots, never a sample grid.  grid_n only sizes
+the samples from which the oracle bounds its production rates.
 """
 
 from __future__ import annotations
@@ -26,15 +28,13 @@ from .errors import (
 )
 
 DEFAULT_GRID_N = 4097
-# Largest grid_n accepted: 64 times the default, checked before any sampling.
+# Largest grid_n accepted: 64 times the default.
 MAX_GRID_N = 2**18 + 1
 
 # Relative slack used by the sign/monotonicity checks in validate_problem.
 _VAL_TOL = 1e-12
 # Absolute slack of ControlSet membership.
 _MEMBER_TOL = 1e-12
-# Average cost an unbounded production set must reach (see _check_coercive).
-_COERCIVITY_SLOPE_BOUND = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +97,6 @@ class ControlSet:
         if self.kind == "finite":
             return any(abs(x - v) <= _MEMBER_TOL for v in self.values)
         return x <= self.hi + _MEMBER_TOL
-
-    def sample(self, n: int) -> np.ndarray:
-        """Sample grid over a bounded set (finite sets return their
-        members)."""
-        if self.kind == "finite":
-            return np.asarray(self.values)
-        if not self.is_bounded:
-            raise InvalidParameter("an unbounded set has no sample grid")
-        if n < 2:
-            raise DegenerateGrid("need at least two sample points")
-        return np.linspace(self.lo, self.hi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +275,8 @@ class ValidatedProblem:
     ``q_grid`` holds the revenue's points on Q (see _points) and ``a_grid``
     the cost's on a bounded A; it is None for a right ray, where the
     Hamiltonian builder chooses the truncation bound and hulls the cost up
-    to it.
+    to it.  Neither depends on grid_n, which only sizes the oracle's
+    production cap.
     """
 
     spec: ProblemSpec
@@ -318,18 +308,19 @@ class ValidatedProblem:
         return self.spec.grid_n
 
 
-def _points(curve: Curve, cset: ControlSet, n: int) -> np.ndarray | None:
-    """The points a curve is read at over a bounded set (None for a ray).
+def _points(curve: Curve, cset: ControlSet) -> np.ndarray | None:
+    """The points a curve is read at: a finite set's members, none on a
+    ray, else the set's ends and the table knots strictly between them.
 
-    A finite set gives its members and a smooth curve n samples, which
-    validation checks; its hull reads only the set's ends.  A
-    piecewise-linear curve (affine or table) is fixed by its breakpoints,
-    the set's ends and the knots strictly between them.
+    A piecewise-linear curve (affine or table) is fixed by them, and a
+    smooth one is hulled from its closed form, which reads only the ends;
+    validation decides every assumption there.  No point depends on
+    grid_n, which only sizes the oracle's production cap.
     """
     if not cset.is_bounded:
         return None
-    if cset.kind == "finite" or curve.hull_kind is not None:
-        return cset.sample(n)
+    if cset.kind == "finite":
+        return np.asarray(cset.values)
     ks = np.asarray(curve.xs, dtype=float)
     return np.concatenate([[cset.lo], ks[(ks > cset.lo) & (ks < cset.hi)],
                            [cset.hi]])
@@ -349,35 +340,8 @@ def _check_curve_domain(curve: Curve, cset: ControlSet, label: str) -> None:
         raise AssumptionViolation(f"{label} table does not cover the control set")
 
 
-def _check_coercive(cost: Curve) -> None:
-    """Certify C(a)/a -> inf for an unbounded production set.
-
-    An affine cost's average cost is its slope, at any scale, so its family
-    refuses it.  Otherwise samples average cost on a geometric grid, finds
-    its knee (global minimum), and requires the average cost to be
-    non-decreasing past the knee and to exceed ``_COERCIVITY_SLOPE_BOUND``
-    at the far end.
-    """
-    if cost.family == "affine":
-        raise AssumptionViolation(
-            "production cost is not coercive: an affine cost's average cost "
-            "stays at its slope on an unbounded production set")
-    grid = np.geomspace(1e-6, 1e9, 1024)
-    avg = np.asarray(cost(grid)) / grid
-    knee = int(np.argmin(avg))
-    tail = avg[knee:]
-    scale = max(abs(tail[0]), abs(tail[-1]), 1.0)
-    if np.any(np.diff(tail) < -1e-9 * scale):
-        raise AssumptionViolation("average production cost decreases past its knee")
-    if tail[-1] < _COERCIVITY_SLOPE_BOUND:
-        raise AssumptionViolation(
-            "production cost is not coercive: average cost stays below "
-            f"{_COERCIVITY_SLOPE_BOUND:g} on an unbounded production set"
-        )
-
-
 def validate_problem(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
-    """Check the standing assumptions and freeze the sample grids.
+    """Check the standing assumptions at the curves' points and freeze them.
 
     Raises AssumptionViolation (or CoercivityUndetectable / InvalidParameter)
     with a message naming the violated assumption.  Idempotent: passing an
@@ -385,6 +349,10 @@ def validate_problem(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
     """
     if isinstance(spec, ValidatedProblem):
         return spec
+    # the closed forms decide the assumptions for these roles only
+    if spec.revenue.family == "cubic" or spec.cost.family == "linear_demand":
+        raise InvalidParameter("revenue must be linear demand, affine or a "
+                               "table, and cost affine, cubic or a table")
     if not (spec.beta > 0 and math.isfinite(spec.beta)):
         raise InvalidParameter("discount rate beta must be positive and finite")
     n = spec.grid_n
@@ -409,24 +377,34 @@ def validate_problem(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
     _check_curve_domain(spec.revenue, Q, "revenue")
     _check_curve_domain(spec.cost, A, "cost")
 
-    q_grid = _points(spec.revenue, Q, n)
-    r_vals = np.asarray(spec.revenue(q_grid))
+    # linear demand is concave with R(0) = 0, so it is non-negative on an
+    # interval iff it is at the top end; its peak there scales the slack
+    q_grid = probe = _points(spec.revenue, Q)
+    if spec.revenue.family == "linear_demand" and Q.kind == "interval":
+        a, b = spec.revenue.params
+        probe = np.append(q_grid, np.clip(a / (2.0 * b), Q.lo, Q.hi))
+    r_vals = np.asarray(spec.revenue(probe))
     r_scale = float(np.max(np.abs(r_vals))) or 1.0
     if abs(float(spec.revenue(0.0))) > _VAL_TOL * r_scale:
         raise AssumptionViolation("revenue must vanish at zero demand")
     if np.any(r_vals < -_VAL_TOL * r_scale):
         raise AssumptionViolation("revenue must be non-negative on the demand set")
 
-    a_grid = probe = _points(spec.cost, A, n)
+    # the affine and cubic costs are non-negative and non-decreasing; on a
+    # ray a table was refused above, and only the cubic is coercive
+    a_grid = _points(spec.cost, A)
     if a_grid is None:
-        _check_coercive(spec.cost)
-        probe = np.linspace(0.0, 16.0, n)
-    c_vals = np.asarray(spec.cost(probe))
-    c_scale = float(np.max(np.abs(c_vals))) or 1.0
-    if np.any(c_vals < -_VAL_TOL * c_scale):
-        raise AssumptionViolation("production cost must be non-negative")
-    if np.any(np.diff(c_vals) < -_VAL_TOL * c_scale):
-        raise AssumptionViolation("production cost must be non-decreasing")
+        if spec.cost.family == "affine":
+            raise AssumptionViolation(
+                "production cost is not coercive: an affine cost's average "
+                "cost stays at its slope on an unbounded production set")
+    else:
+        c_vals = np.asarray(spec.cost(a_grid))
+        c_scale = float(np.max(np.abs(c_vals))) or 1.0
+        if np.any(c_vals < -_VAL_TOL * c_scale):
+            raise AssumptionViolation("production cost must be non-negative")
+        if np.any(np.diff(c_vals) < -_VAL_TOL * c_scale):
+            raise AssumptionViolation("production cost must be non-decreasing")
 
     return ValidatedProblem(spec, q_grid, a_grid)
 
@@ -442,14 +420,12 @@ def builtin_linear_cost(c: float, alpha_bar: float, q_bar: float,
     concave revenue.
 
     Q = [0, q_bar], A = [0, alpha_bar], C(a) = c a.  The revenue curve must
-    be strictly concave on [0, q_bar]; checked by second differences.
+    be strictly concave on [0, q_bar], which of the families only linear
+    demand is.
     """
     if c <= 0 or alpha_bar <= 0 or q_bar <= 0 or beta <= 0:
         raise InvalidParameter("c, alpha_bar, q_bar and beta must be positive")
-    qs = np.linspace(0.0, q_bar, 513)
-    rv = np.asarray(revenue(qs))
-    second = np.diff(rv, 2)
-    if np.any(second >= -1e-12 * (np.max(np.abs(rv)) or 1.0)):
+    if revenue.family != "linear_demand":
         raise InvalidParameter("revenue must be strictly concave on [0, q_bar]")
     return ProblemSpec(
         beta=float(beta),

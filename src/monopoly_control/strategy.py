@@ -169,7 +169,8 @@ def _static_candidate(problem) -> tuple:
     so R - C peaks at a cell end or at D's upper root, taken without
     cancellation.  R - C is read once at these candidates; ties within
     1e-12 of the best value go to the smallest rate.  Returns (u_hat,
-    payoff), the same at any grid_n.
+    payoff); grid_n, which only sizes the oracle's production cap, plays
+    no part.
     """
     problem = validate_problem(problem)
     rev, cost = problem.revenue, problem.cost
@@ -399,6 +400,12 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
             f"the stock resolution at v'(x0), |H'| ulp(xi0) / (beta xi0) = "
             f"{res:.3g}, exceeds the drawdown arc's closing tolerance "
             f"{tol:.3g}")
+    # in the kernel's tie band of a kink xi0 reads the kink's whole span;
+    # when that kink is the knot above xi0, the arc starts in the cell
+    # below it, whose controls the knot holds on its lower side
+    below = vf.xi_knots[j] if j < len(vf.xi_knots) else 0.0
+    if j and np.any(first[:2, 0] != first[2:, 0]) and z[1] - xi0 < xi0 - below:
+        first[2:, 0] = vf._sides[:2, j - 1]
     sides = np.column_stack([first, vf._sides[:, :j][:, ::-1]])
     # a knot's row holds the controls into the cell above it; those below
     # it get a row at zeta and at kinks

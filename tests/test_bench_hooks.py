@@ -19,6 +19,7 @@ import pytest
 
 from monopoly_control import hamiltonian, oracle, strategy, value
 from monopoly_control.config import load_problem
+from monopoly_control.problem import ProblemSpec, validate_problem
 from test_call_budget import HULL_POINTS
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -59,6 +60,8 @@ WORKLOAD_CALLS = (
     (strategy.relaxed_static, ("p", "model", "u_tilde"), {}),
     (hamiltonian.controls_at, ("model", "d"), {}),
     (oracle.dp_value, ("p",), {"x_max": 0.5}),
+    (ProblemSpec, (), {"beta": "b", "demand_set": "q", "production_set": "a",
+                       "revenue": "r", "cost": "c", "grid_n": "n"}),
 )
 
 
@@ -78,6 +81,13 @@ def test_traced_oracle_measures_bind(spans, linear_cost_problem):
     assert got["oracle.sweeps"] == dp.iterations
     assert all(math.isfinite(got[k]) for k in ("oracle.sweeps",
                                                "oracle.bytes"))
+
+
+@pytest.mark.parametrize("name", sorted(HULL_POINTS))
+def test_traced_q_hi_is_the_demand_sets_top(configs_dir, name):
+    # the tracer takes q_hi as the last of the revenue's points
+    spec = load_problem(configs_dir / f"{name}.cfg")
+    assert validate_problem(spec).q_grid[-1] == spec.demand_set.hi
 
 
 @pytest.mark.parametrize("name", ["linear_cost", "table_curves"])

@@ -28,9 +28,15 @@ root search or to a contact search with more readings fails here.
 The oracle's LAPACK calls are counted the same way: each policy solve
 eliminates its interiors in one batched call and its separators in one
 more, so a return to one call per block fails here.
+
+Validation reads each curve only at its points (a set's ends and a
+table's knots) and at linear demand's peak, so a return to a sample grid
+or a coercivity grid fails here, and so does one sized by grid_n.
 """
 
+import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +45,7 @@ from monopoly_control import envelope, hamiltonian
 from monopoly_control.cli import main
 from monopoly_control.config import load_problem
 from monopoly_control.oracle import dp_value
-from monopoly_control.problem import validate_problem
+from monopoly_control.problem import MAX_GRID_N, Curve, validate_problem
 from monopoly_control.strategy import static_optimality_test
 from monopoly_control.value import build_value
 
@@ -89,6 +95,31 @@ def test_conjugate_readings_within_budget(name, configs_dir, tmp_path,
     calls, slopes = BUDGET[name]
     assert counts[0] <= calls and counts[1] <= slopes, (name, counts)
     assert points[0] <= HULL_POINTS[name], (name, points[0])
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_validation_reads_the_curves_at_their_points(name, configs_dir,
+                                                     monkeypatch):
+    spec = load_problem(configs_dir / f"{name}.cfg")
+    points = [0]
+    call = Curve.__call__
+
+    def counted(curve, x):
+        points[0] += np.size(x)
+        return call(curve, x)
+
+    monkeypatch.setattr(Curve, "__call__", counted)
+    validate_problem(spec)
+    assert points[0] <= 12, (name, points[0])
+    monkeypatch.undo()
+    # the largest grid_n allocates no grid
+    tracemalloc.start()
+    try:
+        validate_problem(dataclasses.replace(spec, grid_n=MAX_GRID_N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000, (name, peak)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))

@@ -480,6 +480,8 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
      "revenue must vanish at zero demand"),
     (["solve", "--set", "revenue.points=0:0, 0.5:-0.1, 1:0.2"],
      "revenue must be non-negative on the demand set"),
+    (["solve", "linear_cost.cfg", "--set", "sets.q=interval 0 1.5"],
+     "revenue must be non-negative on the demand set"),
     (["solve", "--set", "cost.points=0:0, 1:0.5, 2:0.2"],
      "production cost must be non-decreasing"),
     (["solve", "no_header.cfg"], "File contains no section headers"),
@@ -495,7 +497,7 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
         "revenue_below_domain", "revenue_short_table", "affine_on_ray",
         "steep_affine_on_ray",
         "production_without_0", "revenue_at_0", "revenue_negative",
-        "cost_decreasing", "no_header", "no_a", "no_beta"])
+        "demand_past_zero_price", "cost_decreasing", "no_header", "no_a", "no_beta"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                                     message):
     # table_curves.cfg, unless the first flag names a shipped config or

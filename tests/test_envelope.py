@@ -423,9 +423,9 @@ def _chain_inputs(rng, make_random_instance):
 
     def sampled(curve, cset, n):
         # n samples of the set with the table's knots folded in
-        xs = cset.sample(n)
         if cset.kind == "finite":
-            return xs
+            return np.asarray(cset.values)
+        xs = np.linspace(cset.lo, cset.hi, n)
         ks = np.asarray(curve.xs)
         return np.union1d(xs, ks[(ks >= xs[0]) & (ks <= xs[-1])])
 

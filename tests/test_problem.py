@@ -25,8 +25,6 @@ def test_interval_contains_and_sampling():
     s = ControlSet.interval(0.0, 2.0)
     assert s.contains(0.0) and s.contains(2.0) and s.contains(1.3)
     assert not s.contains(-0.1) and not s.contains(2.0 + 1e-9)
-    g = s.sample(5)
-    assert np.allclose(g, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
 def test_interval_rejects_bad_bounds():
@@ -230,5 +228,31 @@ def test_grids_cover_sets(am_mid_problem):
     assert q[0] == 0.0 and q[-1] == pytest.approx(1.0)
     # a ray has no grid: its cost is hulled up to the solver's ceiling
     assert am_mid_problem.a_grid is None
-    with pytest.raises(InvalidParameter):
-        am_mid_problem.production_set.sample(am_mid_problem.grid_n)
+
+
+def test_linear_demand_rounding_at_zero_price_validates():
+    # Q = [0, A/B] ends where the price (A - B q) is 0, which A/B meets only
+    # to rounding: R(A/B) is a few ulps either side of 0.  The slack scales
+    # with R at its peak, so every draw validates
+    rng = np.random.default_rng(32)
+    below = 0
+    for _ in range(2000):
+        a, b, k = rng.uniform(0.1, 6.0), rng.uniform(0.4, 2.0), rng.uniform(0.2, 2.0)
+        p = validate_problem(builtin_arvan_moses(a, b, k, beta=0.5))
+        below += p.revenue(p.demand_set.hi) < 0.0
+    assert below >= 40          # about 4 % of the draws
+
+
+@pytest.mark.parametrize("revenue, cost", [
+    (Curve.cubic_cost(1.0), Curve.affine_cost(0.1)),
+    (Curve.linear_demand_revenue(1.0, 1.0), Curve.linear_demand_revenue(1.0, 1.0)),
+], ids=["cubic_revenue", "linear_demand_cost"])
+def test_validate_refuses_a_family_in_a_role_it_is_not_decided_for(revenue,
+                                                                   cost):
+    # the cubic's concave hull and linear demand's monotonicity are not
+    # decided by a set's ends, which is all validation and the hulls read
+    spec = ProblemSpec(beta=0.5, demand_set=ControlSet.interval(0.0, 1.0),
+                       production_set=ControlSet.interval(0.0, 1.0),
+                       revenue=revenue, cost=cost)
+    with pytest.raises(InvalidParameter, match="revenue must be linear demand"):
+        validate_problem(spec)

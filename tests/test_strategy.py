@@ -472,6 +472,35 @@ def test_drawdown_refuses_stock_whose_slope_underflows(linear_cost_problem,
         drawdown_plan(vf, 1e6, tail)
 
 
+def test_drawdown_first_row_beside_a_kink(configs_dir):
+    # a slope v'(x0) in the kernel's tie band of a kink reads the kink's
+    # span; the first row holds the controls of the cell the arc starts
+    # in: below zeta nothing is produced at a tiny discount rate
+    problem = validate_problem(load_problem(
+        configs_dir / "arvan_moses_mid.cfg", ["problem.beta=1e-6"]))
+    model = build_hamiltonian(problem)
+    vf = build_value(model)
+    tail = stationary_plan(problem, model)
+    for x0 in (1e-4, 1e-3):
+        plan = drawdown_plan(vf, x0, tail)
+        assert plan.xi_knots[0] < model.zeta and plan.a_knots[0] == 0.0, x0
+    # either side of each kink of H on tables: below a kink the controls
+    # below it, above a kink those above it
+    problem = validate_problem(load_problem(configs_dir / "table_curves.cfg"))
+    model = build_hamiltonian(problem)
+    vf = build_value(model)
+    tail = stationary_plan(problem, model)
+    kinks = np.flatnonzero(np.any(vf._sides[:2] != vf._sides[2:], axis=0))
+    assert kinks[0] == 0 and len(kinks) == 3        # zeta, then two below
+    for k in kinks[1:]:
+        for share in (1.0 + 1e-12, 1.0 - 1e-12):
+            plan = drawdown_plan(vf, vf.psi_knots[k] * share, tail)
+            xi0 = plan.xi_knots[0]
+            assert 0.0 < abs(xi0 / vf.xi_knots[k] - 1.0) < 1e-9
+            want = vf._sides[:2, k] if xi0 < vf.xi_knots[k] else vf._sides[2:, k]
+            assert (plan.a_knots[0], plan.q_knots[0]) == tuple(want), (k, share)
+
+
 def test_am_reference_regimes():
     # the solver against the closed forms, one triple per regime
     for abk, regime in (((1.0, 1.0, 1.0), "ii"), ((0.2, 1.0, 1.0), "i"),
