@@ -24,11 +24,11 @@ kinks and no search runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._roots import bracket_root
 from .envelope import (
     Envelope,
     concave_hull,
@@ -101,6 +101,31 @@ def _sides(c, r) -> np.ndarray:
     return np.stack([c.argmax_lo, r.argmax_hi, c.argmax_hi, r.argmax_lo])
 
 
+def _root_end(f, a: float, b: float) -> float:
+    """The end in the class f >= 0 of [a, b], shrunk around f's change of
+    class (f < 0 or f >= 0) by Illinois steps kept half a tolerance inside
+    it, and by bisection when three steps have not halved it, until
+    |b - a| <= 1e-15 + 8.9e-16 |b|, b the latest point."""
+    fa, fb = f(a), f(b)
+    w1 = w2 = w3 = math.inf             # widths one to three steps back
+    while True:
+        w, tol = abs(b - a), 1e-15 + 8.9e-16 * abs(b)
+        if w <= tol:
+            return b if fb >= 0.0 else a
+        d = 0.5 * tol / w
+        s = min(max(fb / (fb - fa), d), 1.0 - d)
+        x = b - (0.5 if w > 0.5 * w3 else s) * (b - a)
+        fx = f(x)
+        # Illinois: keep the end across the class change; an end kept
+        # twice in a row has its value halved
+        if (fx < 0.0) != (fb < 0.0):
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = x, fx
+        w1, w2, w3 = w, w1, w2
+
+
 def build_hamiltonian(problem) -> HamiltonianModel:
     """Build the envelopes, bracket the minimum of H, locate its minimizer
     band, and freeze the model.
@@ -157,14 +182,14 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     zeta, m_hi = float(pts[j]), float(pts[max(k - 1, 0)])
     seen = dict(zip(pts.tolist(), hs.tolist()))
     if j > 0 and dm[j] > 0.0:
-        # zeta is the upper end of the bracket on H'(z+), a point the
-        # search read, so H at zeta is in seen
-        def rising(z, _):
+        # zeta is the end of the search's bracket where H'(z+) >= 0, a
+        # point the search read, so H at zeta is in seen
+        def rising(z):
             c, r = _conjugates(rev_env, cost_env, z)
-            seen.update(zip(z.tolist(), (r.value + c.value).tolist()))
-            return _slopes(c, r)[1]
+            seen[z] = float(r.value + c.value)
+            return float(_slopes(c, r)[1])
 
-        zeta = m_hi = float(bracket_root(rising, pts[j - 1], pts[j])[1])
+        zeta = m_hi = _root_end(rising, float(pts[j - 1]), float(pts[j]))
     h_min = seen[zeta]
 
     return HamiltonianModel(problem=problem, rev_env=rev_env, cost_env=cost_env,

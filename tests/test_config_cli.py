@@ -326,7 +326,25 @@ def test_cli_compare_horizon_too_short_to_score(configs_dir, tmp_path, name):
     report = dict(line.split(" = ", 1) for line in lines)
     assert report["horizon_too_short"] == "True"
     assert len(report) == len(lines)
-    assert not any(key.startswith("profit_gap") for key in report)
+    # arvan_moses_low's static rate earns nothing and v(0) = 0, so its
+    # static run leaves nothing to charge past the horizon and is scored
+    scored = {k: v for k, v in report.items() if k.startswith("profit_gap")}
+    assert scored == ({"profit_gap_static": "0"}
+                      if name == "arvan_moses_low" else {}), scored
+
+
+def test_cli_simulate_scores_a_run_that_leaves_nothing(configs_dir,
+                                                       tmp_path):
+    # at beta 1e-6 the default horizon 16/beta leaves e^-16 of the value of
+    # unlimited stock, which is more than 1e-3 of v(0.2); but the run ends
+    # at stock 0 with a tail earning 0, and v(0) = 0, so it leaves nothing
+    rc = main(["simulate", str(configs_dir / "arvan_moses_low.cfg"),
+               "--out", str(tmp_path), "--x0", "0.2",
+               "--set", "problem.beta=1e-6"])
+    assert rc == 0
+    summary = _summary(tmp_path / "simulate_summary.txt")
+    assert "horizon_too_short" not in summary
+    assert -1e-6 <= float(summary["profit_gap"]) <= 2e-3
 
 
 # revenue (1 - q) q on Q = [0, 1] against a zero-cost table on A = [0, 1]:

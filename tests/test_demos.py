@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,20 @@ def _package_imports(source: str, filename: str) -> set:
     return {alias.name for node in ast.walk(ast.parse(source, filename))
             if isinstance(node, ast.ImportFrom)
             and node.module == "monopoly_control" for alias in node.names}
+
+
+def test_readme_bullets_name_package_modules():
+    # each backticked module at the head of a "What you get" bullet, before
+    # its dash, is a module of the package
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## What you get", 1)[1].split("\n## ", 1)[0]
+    heads = [line[2:].split(" — ", 1)[0] for line in section.splitlines()
+             if line.startswith("- ")]
+    names = re.findall(r"`([^`]+)`", " ".join(heads))
+    assert "hamiltonian" in names and "config" in names
+    missing = [n for n in names
+               if importlib.util.find_spec(f"monopoly_control.{n}") is None]
+    assert not missing, missing
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in DEMOS.glob("*.py")))

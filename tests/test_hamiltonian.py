@@ -1,5 +1,6 @@
 """Hamiltonian tabulation, least minimizer, subgradients, controls."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -269,13 +270,13 @@ def test_tables_take_no_root_search(seeded_table_models, monkeypatch):
     # and m_hi are kinks read off the one batch at the kinks: table_curves'
     # zeta is its kink at 0.3 exactly
     calls = [0]
-    search = hamiltonian.bracket_root
+    search = hamiltonian._root_end
 
     def counted(*args):
         calls[0] += 1
         return search(*args)
 
-    monkeypatch.setattr(hamiltonian, "bracket_root", counted)
+    monkeypatch.setattr(hamiltonian, "_root_end", counted)
     for p, _ in seeded_table_models:
         build_hamiltonian(p)
     assert calls[0] == 0
@@ -302,3 +303,80 @@ def test_table_kinks_read_neighbouring_edge_slopes(seeded_table_models):
     m = seeded_table_models[0][1]
     at = m.kink_zs[np.argmin(np.abs(m.kink_zs - 0.12))]
     assert subgradient(m, at) == (-0.75, -0.5)
+
+
+def _ends_at_the_change(f, x, toward):
+    """x is in f's class f >= 0, and the point one stop width (1e-15 +
+    8.9e-16 |x|) from it toward the other end of the bracket is not."""
+    return f(x) >= 0.0 > f(x + toward * (1e-15 + 8.9e-16 * abs(x)))
+
+
+def test_bracket_keeps_each_end_in_its_class():
+    cases = [(lambda x, c=c: x ** 3 - c, 2.0, -1.0)
+             for c in np.linspace(0.1, 3.0, 9).tolist()]
+    # decreasing f: the end returned is the lower one
+    cases.append((lambda x: 1.0 - x * x, 3.0, 1.0))
+    for f, hi, toward in cases:
+        assert _ends_at_the_change(f, hamiltonian._root_end(f, 0.0, hi), toward)
+
+
+def test_jump_and_multiple_root_converge():
+    # a step stands in for the jump of H' at a kink; (x - 0.7)^5 for a
+    # root where interpolation steps crawl and bisection takes over
+    for f, root in ((lambda x: 1.0 if x >= 0.3 else -1.0, 0.3),
+                    (lambda x: (x - 0.7) ** 5, 0.7)):
+        x = hamiltonian._root_end(f, 0.0, 1.0)
+        assert x >= root and _ends_at_the_change(f, x, -1.0)
+
+
+def _zeta_battery():
+    """400 Arvan-Moses draws of default_rng(5), then from default_rng(9)
+    200 table revenues against a cubic cost on a ray and 200 linear
+    demands against a table cost on an interval."""
+    def table(rng, hi, ys):
+        n = int(rng.integers(4, 10))
+        xs = np.unique(np.concatenate(
+            [[0.0], np.sort(rng.uniform(0.0, hi, n - 2)), [hi]]))
+        return Curve.table(list(zip(xs, ys(len(xs) - 1))))
+
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        yield builtin_arvan_moses(rng.uniform(0.1, 6.0), rng.uniform(0.4, 2.0),
+                                  rng.uniform(0.2, 2.0), rng.uniform(0.3, 1.5))
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        q_hi = rng.uniform(0.5, 2.0)
+        revenue = table(rng, q_hi, lambda n: np.concatenate(
+            [[0.0], rng.uniform(0.0, 1.2, n)]))
+        yield ProblemSpec(beta=rng.uniform(0.3, 1.5),
+                          demand_set=ControlSet.interval(0.0, q_hi),
+                          production_set=ControlSet.right_ray(0.0),
+                          revenue=revenue,
+                          cost=Curve.cubic_cost(rng.uniform(0.2, 2.0)))
+    for _ in range(200):
+        a, b, a_hi = (rng.uniform(0.1, 6.0), rng.uniform(0.4, 2.0),
+                      rng.uniform(0.5, 2.5))
+        cost = table(rng, a_hi, lambda n: np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.0, 0.6, n))]))
+        yield ProblemSpec(beta=rng.uniform(0.3, 1.5),
+                          demand_set=ControlSet.interval(0.0, a / b),
+                          production_set=ControlSet.interval(0.0, a_hi),
+                          revenue=Curve.linear_demand_revenue(a, b), cost=cost)
+
+
+# sha256 of repr((zeta, m_hi, h_min, z_max, trunc_bound)) over the battery,
+# 210 of whose zetas are searched inside a kink cell
+ZETA_BATTERY = \
+    "f6da2f96254ef47445e84b482d13bd5f9b398871fc49ce4e3c4c1759c8a883f8"
+
+
+def test_zeta_battery_pinned():
+    digest = hashlib.sha256()
+    searched = 0
+    for spec in _zeta_battery():
+        m = build_hamiltonian(spec)
+        searched += m.zeta not in m.kink_zs and 0.0 < m.zeta < m.z_max
+        digest.update(repr((m.zeta, m.m_hi, m.h_min, m.z_max,
+                            m.trunc_bound)).encode())
+    assert searched == 210
+    assert digest.hexdigest() == ZETA_BATTERY

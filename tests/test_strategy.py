@@ -544,11 +544,17 @@ def test_drawdown_relaxed_tail_runs_mean_rates(am_mid_problem, am_mid_model,
 
 
 def test_drawdown_matches_per_knot_reference(drawdown_cases,
-                                             reference_drawdown):
+                                             reference_drawdown, configs_dir):
     # the array layout and the one batch of readings give the plan of the
-    # per-knot loop, bit for bit, with and without a forced cycle period
+    # per-knot loop, bit for bit, with and without a forced cycle period.
+    # On arvan_moses_mid at beta 1e-6, xi0 at x0 = 1e-4 falls in the tie
+    # band below the kink at zeta, 1e-3 outside it
+    p = validate_problem(load_problem(configs_dir / "arvan_moses_mid.cfg",
+                                      ["problem.beta=1e-6"]))
+    m = build_hamiltonian(p)
+    tie = ("arvan_moses_mid@1e-6", p, m, build_value(m), (1e-4, 1e-3))
     crossed = 0
-    for label, problem, model, vf, stocks in drawdown_cases:
+    for label, problem, model, vf, stocks in [*drawdown_cases, tie]:
         for eps in (None, 0.05):
             tail = stationary_plan(problem, model, eps)
             for x0 in stocks:
