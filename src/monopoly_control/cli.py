@@ -120,13 +120,14 @@ def _load(args):
 
 
 def _regime(problem, report) -> str | None:
-    """Classify cubic-cost / linear-demand instances by solver verdicts."""
+    """Classify cubic-cost / linear-demand instances by solver verdicts:
+    shutdown is u_hat = 0 exactly, the lower end of Q intersect A."""
     if (problem.cost.family != "cubic"
             or problem.revenue.family != "linear_demand"):
         return None
     if not report.optimal:
         return "ii"
-    return "i" if report.u_hat <= 1e-9 else "iii"
+    return "i" if report.u_hat == 0.0 else "iii"
 
 
 def _stationary(problem, model):

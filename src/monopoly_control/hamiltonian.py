@@ -72,11 +72,6 @@ def _envelope(build, curve, cset, xs) -> Envelope:
     return build(xs, curve(xs), curve=curve, finite=cset.kind == "finite")
 
 
-def _revenue_envelope(problem: ValidatedProblem) -> Envelope:
-    return _envelope(concave_hull, problem.revenue, problem.demand_set,
-                     problem.q_grid)
-
-
 def _cost_envelope(problem: ValidatedProblem, ceiling: float | None) -> Envelope:
     xs = problem.a_grid
     if xs is None:
@@ -105,11 +100,12 @@ def _root_end(f, a: float, b: float) -> float:
     """The end in the class f >= 0 of [a, b], shrunk around f's change of
     class (f < 0 or f >= 0) by Illinois steps kept half a tolerance inside
     it, and by bisection when three steps have not halved it, until
-    |b - a| <= 1e-15 + 8.9e-16 |b|, b the latest point."""
+    |b - a| <= 1.5e-15 |b|, b the latest point: about 7 ulps of b at any
+    scale."""
     fa, fb = f(a), f(b)
     w1 = w2 = w3 = math.inf             # widths one to three steps back
     while True:
-        w, tol = abs(b - a), 1e-15 + 8.9e-16 * abs(b)
+        w, tol = abs(b - a), 1.5e-15 * abs(b)
         if w <= tol:
             return b if fb >= 0.0 else a
         d = 0.5 * tol / w
@@ -136,7 +132,8 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     the starting value.
     """
     problem = validate_problem(problem)
-    rev_env = _revenue_envelope(problem)
+    rev_env = _envelope(concave_hull, problem.revenue, problem.demand_set,
+                        problem.q_grid)
 
     unbounded = problem.a_grid is None
     ceiling = (_FIRST_CEILING * (float(problem.q_grid[-1]) + 1.0)
@@ -148,16 +145,15 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     cost_env = _cost_envelope(problem, ceiling)
 
     # each round reads H and its one-sided slopes at 0, the kinks and
-    # z_max in one batch; H(0) of the first round is the growth reference
-    h0 = None
+    # z_max in one batch.  H(0) = R^*(0) + C^*(0), the revenue's peak less
+    # C(0), is the same in every round: no conjugate at 0 reads the ceiling
     for _ in range(_MAX_GROWTH):
         kinks = np.concatenate([rev_kinks, cost_env.kink_slopes()])
         kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
         pts = np.unique(np.concatenate([[0.0], kinks, [z_max]]))
         c, r = _conjugates(rev_env, cost_env, pts)
         hs = r.value + c.value
-        h0 = hs[0] if h0 is None else h0
-        wide = hs[-1] > h0 + 1e-9 * abs(h0)
+        wide = hs[-1] > hs[0] + 1e-9 * abs(hs[0])
         covered = not unbounded or c.argmax_hi[-1] < 0.9 * ceiling
         if wide and covered:
             break

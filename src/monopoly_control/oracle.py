@@ -75,8 +75,6 @@ def _production_cap(problem: ValidatedProblem) -> float:
     if Q.kind == "interval" and problem.revenue.hull_kind is not None:
         q = np.linspace(Q.lo, Q.hi, problem.grid_n)
     pos = q[q > 0.0]
-    if not len(pos):
-        return 1.0
     s = float(np.max(problem.revenue(pos) / pos))
     if s <= 0.0:
         return float(pos[-1])
@@ -303,7 +301,7 @@ def dp_value(problem, *, x_max: float, nx: int = 512, dt: float = 0.002,
     a_grid = _control_grid(problem.production_set, "na", na, cap)
     q_grid = _control_grid(problem.demand_set, "nq", nq, None)
     h = x_max / (nx - 1)
-    if dt * (float(a_grid[-1]) + float(q_grid[-1])) > 8.0 * h * max(nx, 1):
+    if dt * (float(a_grid[-1]) + float(q_grid[-1])) > 8.0 * h * nx:
         raise InvalidParameter("time step moves stock across the whole grid; "
                                "refine dt or widen the grid")
 

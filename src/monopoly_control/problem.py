@@ -245,12 +245,6 @@ class Curve:
             return lambda z: k + np.sqrt(np.maximum(np.asarray(z, dtype=float), 0.0))
         return None
 
-    def domain(self) -> tuple[float, float]:
-        """Range over which the curve is trustworthy (tables: knot span)."""
-        if self.family == "table":
-            return self.xs[0], self.xs[-1]
-        return 0.0, math.inf
-
 
 # ---------------------------------------------------------------------------
 # problem spec
@@ -327,16 +321,19 @@ def _points(curve: Curve, cset: ControlSet) -> np.ndarray | None:
 
 
 def _check_curve_domain(curve: Curve, cset: ControlSet, label: str) -> None:
-    lo, hi = curve.domain()
+    """A table must span cset; a closed form holds on [0, inf), which
+    holds every (non-negative) control set."""
+    if curve.family != "table":
+        return
+    lo, hi = curve.xs[0], curve.xs[-1]
     if cset.lo < lo - _VAL_TOL:
         raise AssumptionViolation(f"{label} curve is undefined below {lo}")
-    top = cset.hi if cset.is_bounded else math.inf
-    if top > hi + _VAL_TOL:
-        if curve.family == "table" and not cset.is_bounded:
-            raise CoercivityUndetectable(
-                "a finite cost table cannot certify unbounded average cost growth "
-                "on a production ray"
-            )
+    if not cset.is_bounded:
+        raise CoercivityUndetectable(
+            "a finite cost table cannot certify unbounded average cost growth "
+            "on a production ray"
+        )
+    if cset.hi > hi + _VAL_TOL:
         raise AssumptionViolation(f"{label} table does not cover the control set")
 
 

@@ -160,7 +160,7 @@ class DrawdownPlan:
 # static analysis
 
 
-def _static_candidate(problem) -> tuple:
+def _static_candidate(problem: ValidatedProblem) -> tuple:
     """Best constant rate: argmax of R(u) - C(u) over Q intersect A.
 
     A finite set offers its members that the other set holds.  A continuum
@@ -172,7 +172,6 @@ def _static_candidate(problem) -> tuple:
     payoff); grid_n, which only sizes the oracle's production cap, plays
     no part.
     """
-    problem = validate_problem(problem)
     rev, cost = problem.revenue, problem.cost
     q, a = problem.demand_set, problem.production_set
     if "finite" in (q.kind, a.kind):
@@ -302,8 +301,6 @@ def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float | None = None):
     cuts = sorted({0.0, sw_a, sw_q, eps})
     phases = []
     for t0, t1 in zip(cuts, cuts[1:]):
-        if t1 - t0 <= 0.0:
-            continue
         mid = 0.5 * (t0 + t1)
         a = relaxed.a2 if mid < sw_a else relaxed.a1
         q = relaxed.q1 if mid < sw_q else relaxed.q2

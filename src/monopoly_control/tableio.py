@@ -60,10 +60,6 @@ _LANE10 = np.uint64(0x000F000F000F000F)
 _WORD_WEIGHTS = np.array([1.0, 2.0 ** 64, 2.0 ** 128, 0.0])
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @functools.lru_cache(maxsize=64)
 def _pow10_rows(emin: int, emax: int) -> np.ndarray:
     """Rows hi, head, tail, lo of 10**(16 - e) for e = emin..emax: hi + lo
@@ -248,7 +244,7 @@ def write_keyvalues(path: str | os.PathLike, items: Sequence[tuple[str, object]]
     lines = []
     for key, val in items:
         if isinstance(val, float):
-            val = fmt(val)
+            val = format(val, ".17g")
         lines.append(f"{key} = {val}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 """Hamiltonian tabulation, least minimizer, subgradients, controls."""
 
+import decimal
 import hashlib
 import math
 
@@ -306,9 +307,9 @@ def test_table_kinks_read_neighbouring_edge_slopes(seeded_table_models):
 
 
 def _ends_at_the_change(f, x, toward):
-    """x is in f's class f >= 0, and the point one stop width (1e-15 +
-    8.9e-16 |x|) from it toward the other end of the bracket is not."""
-    return f(x) >= 0.0 > f(x + toward * (1e-15 + 8.9e-16 * abs(x)))
+    """x is in f's class f >= 0, and the point one stop width (1.5e-15 |x|)
+    from it toward the other end of the bracket is not."""
+    return f(x) >= 0.0 > f(x + toward * 1.5e-15 * abs(x))
 
 
 def test_bracket_keeps_each_end_in_its_class():
@@ -367,16 +368,53 @@ def _zeta_battery():
 # sha256 of repr((zeta, m_hi, h_min, z_max, trunc_bound)) over the battery,
 # 210 of whose zetas are searched inside a kink cell
 ZETA_BATTERY = \
-    "f6da2f96254ef47445e84b482d13bd5f9b398871fc49ce4e3c4c1759c8a883f8"
+    "2b5d70e561090b2049794cb6105e56460177a2772e657f21871315e8777022f6"
 
 
-def test_zeta_battery_pinned():
+@pytest.fixture(scope="module")
+def battery_models():
+    return [build_hamiltonian(spec) for spec in _zeta_battery()]
+
+
+def _searched(m):
+    return m.zeta not in m.kink_zs and 0.0 < m.zeta < m.z_max
+
+
+def test_zeta_battery_pinned(battery_models):
     digest = hashlib.sha256()
     searched = 0
-    for spec in _zeta_battery():
-        m = build_hamiltonian(spec)
-        searched += m.zeta not in m.kink_zs and 0.0 < m.zeta < m.z_max
+    for m in battery_models:
+        searched += _searched(m)
         digest.update(repr((m.zeta, m.m_hi, m.h_min, m.z_max,
                             m.trunc_bound)).encode())
     assert searched == 210
     assert digest.hexdigest() == ZETA_BATTERY
+
+
+def _exact_zeta(m):
+    """The root of H' in zeta's cell, in the current decimal context.  In
+    the cell production is K + sqrt(z) on the cubic and sales (A - z)/(2B)
+    on linear demand, a table side holds one vertex, and zeta is where
+    the two rates meet."""
+    D = decimal.Decimal
+    rev, cost = m.problem.revenue, m.problem.cost
+    a, q = (D(float(u)) for u in controls_at(m, m.zeta))
+    if rev.family == "table":
+        return (q - D(cost.params[0])) ** 2
+    A, B = (D(c) for c in rev.params)
+    if cost.family == "table":
+        return A - 2 * B * a
+    K = D(cost.params[0])
+    return ((B * B - 2 * B * K + A).sqrt() - B) ** 2
+
+
+def test_searched_zeta_within_8_ulps_of_exact_root(battery_models):
+    # the search stops at a width relative to zeta, so it is as exact at
+    # any scale; an absolute part of the width cost up to 37.7 ulps here
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for k, m in enumerate(battery_models):
+            if _searched(m):
+                root = _exact_zeta(m)
+                err = abs(decimal.Decimal(m.zeta) - root)
+                assert err <= 8 * decimal.Decimal(math.ulp(float(root))), k

@@ -8,6 +8,7 @@ and its simulated share of v(0.2)) alone.  A tolerance with an absolute floor
 against the unscaled one to a relative 1e-9.  This holds on table_curves
 and on a random table whose zeta is the slope of a revenue hull chord from
 0, where the revenue conjugate at zeta is only the rounding of its terms.
+The cubic configs also take other units of stock, through `solve`.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from monopoly_control import (
     stationary_plan,
     validate_problem,
 )
+from monopoly_control.cli import main
 
 
 def _answers(spec) -> dict:
@@ -84,3 +86,40 @@ def test_chord_at_zeta_verdict_scales_with_money(make_random_instance, mu):
     spec = make_random_instance(rng).spec
     assert _answers(spec)["optimal"]
     _check_scaled(spec, mu)
+
+
+def _solve_summary(cfg, out, sets=()) -> dict:
+    args = ["solve", str(cfg), "--out", str(out)]
+    for s in sets:
+        args += ["--set", s]
+    assert main(args) == 0
+    return dict(line.split(" = ", 1)
+                for line in (out / "summary.txt").read_text().splitlines())
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("name", ["arvan_moses_high", "arvan_moses_low",
+                                  "arvan_moses_mid"])
+def test_cubic_answers_scale_with_stock(configs_dir, tmp_path, name, lam):
+    # stock in units lam and money in lam^3 (K -> lam K, A -> lam^2 A,
+    # B -> lam B, q_hi -> lam q_hi) scale R and C by lam^3: zeta, a price
+    # of stock, by lam^2, min H and v(0) by lam^3, the rates by lam.  The
+    # search for zeta stops at a width relative to it, and shutdown is
+    # the rate 0 itself, so the verdict and the regime hold at any lam
+    cfg = configs_dir / f"{name}.cfg"
+    spec = load_problem(cfg)
+    (a, b), (k,), q_hi = (spec.revenue.params, spec.cost.params,
+                          spec.demand_set.hi)
+    (tmp_path / "base").mkdir()
+    (tmp_path / "scaled").mkdir()
+    base = _solve_summary(cfg, tmp_path / "base")
+    got = _solve_summary(cfg, tmp_path / "scaled", [
+        f"revenue.A={lam * lam * a!r}", f"revenue.B={lam * b!r}",
+        f"cost.K={lam * k!r}", f"sets.q=interval 0 {lam * q_hi!r}"])
+    for key in ("static_optimal", "regime"):
+        assert got[key] == base[key], key
+    for key, power in (("zeta", 2), ("h_min", 3), ("v0", 3),
+                       ("u_static", 1), ("u_tilde", 1)):
+        want = lam ** power * float(base[key])
+        assert float(got[key]) == pytest.approx(want, rel=1e-9), \
+            (key, got[key], want)
