@@ -13,11 +13,12 @@ table takes points as comma-separated x:y pairs, e.g.
 ``points = 0:0, 0.5:0.4, 1:0.5``.  Unknown sections or keys are rejected
 so typos fail loudly instead of silently using defaults.
 
-grid_n only sizes the samples from which the oracle bounds its production
-rates.  No solver answer reads samples: validation reads each curve at
-its set's ends and table knots, a smooth curve is hulled from its closed
-form, the minimizers of H are read at the kinks of the hulls, and the
-best constant rate is found exactly from the curves' pieces.
+grid_n is accepted and range-checked, but nothing reads it.  No answer
+reads samples: validation reads each curve at its set's ends and table
+knots, a smooth curve is hulled from its closed form, the minimizers of H
+are read at the kinks of the hulls, the best constant rate is found
+exactly from the curves' pieces, and the oracle's production cap is read
+in closed form.
 """
 
 from __future__ import annotations

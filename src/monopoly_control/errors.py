@@ -34,8 +34,8 @@ class OutOfDomain(MonopolyControlError, ValueError):
 
 
 class TruncationFailed(MonopolyControlError):
-    """The production-ray truncation bound grew past its cap without the
-    cost conjugate's maximizer becoming interior."""
+    """The slope range [0, z_max] overflowed before H(z_max) rose past
+    H(0)."""
 
 
 class DecompositionMismatch(MonopolyControlError):

@@ -4,9 +4,10 @@ H(z) = sup_q {R(q) - q z} + sup_a {a z - C(a)} prices a unit of stock at z
 and asks for the best instantaneous profit.  It is convex; its smallest
 minimizer zeta is the marginal value of the first unit of inventory and
 drives the whole value function.  The model keeps the two envelopes and
-a slope range [0, z_max] wide enough that the minimum is interior,
-truncating an unbounded production set high enough that the truncation is
-invisible to every query in that range.  H itself is not stored.
+a slope range [0, z_max] wide enough that the minimum is interior.  A
+production ray carries the cubic and is truncated at 2 (k + sqrt z_max),
+twice the largest rate attaining z_max, which no query in that range
+reads (_cost_envelope).  H itself is not stored.
 
 Every reading of H combines the two conjugates of the envelope kernel at
 the same slopes, and every query takes a scalar or an array alike: H(z) is
@@ -39,11 +40,6 @@ from .envelope import (
 from .errors import OutOfDomain, TruncationFailed
 from .problem import ValidatedProblem, validate_problem
 
-_MAX_GROWTH = 60
-# an unbounded production set is first truncated at this multiple of
-# q_hi + 1; the ceiling doubles until it covers every queried slope
-_FIRST_CEILING = 2.0
-
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianModel:
@@ -51,9 +47,9 @@ class HamiltonianModel:
 
     H is read on [0, z_max] from the two envelopes through the conjugate
     kernel.  [zeta, m_hi] is the set of minimizers of H, and the value
-    function uses its smallest, zeta.  trunc_bound is the production
-    ceiling substituted for an unbounded production set (None when the set
-    was already bounded).
+    function uses its smallest, zeta.  trunc_bound is 2 (k + sqrt z_max),
+    the end of the hull taken for an unbounded production set (None when
+    the set was already bounded).
     """
 
     problem: ValidatedProblem = field(repr=False)
@@ -72,12 +68,14 @@ def _envelope(build, curve, cset, xs) -> Envelope:
     return build(xs, curve(xs), curve=curve, finite=cset.kind == "finite")
 
 
-def _cost_envelope(problem: ValidatedProblem, ceiling: float | None) -> Envelope:
+def _cost_envelope(problem: ValidatedProblem, z_max: float) -> Envelope:
     xs = problem.a_grid
     if xs is None:
-        # a ray carries a smooth cost (validate_problem), hulled up to the
-        # ceiling
-        xs = np.array([problem.production_set.lo, ceiling])
+        # a ray carries the cubic (validate_problem): k + sqrt(z) is the
+        # largest rate attaining z, so the hull up to twice that rate at
+        # z_max ends at slope (k + 2 sqrt(z_max))^2 > z_max
+        top = 2.0 * float(problem.cost.derivative_inverse()(z_max))
+        xs = np.array([problem.production_set.lo, top])
     return _envelope(convex_hull, problem.cost, problem.production_set, xs)
 
 
@@ -126,46 +124,36 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     """Build the envelopes, bracket the minimum of H, locate its minimizer
     band, and freeze the model.
 
-    An unbounded production set is truncated at _FIRST_CEILING (q_hi + 1)
-    first, and the ceiling doubles while the largest rate attaining the
-    cost conjugate at z_max reaches 0.9 of it; results do not depend on
-    the starting value.
+    z_max doubles until H(z_max) rises past H(0); a ray is hulled afresh up
+    to 2 (k + sqrt z_max) at each doubling (_cost_envelope), and
+    TruncationFailed means z_max overflowed first.
     """
     problem = validate_problem(problem)
     rev_env = _envelope(concave_hull, problem.revenue, problem.demand_set,
                         problem.q_grid)
-
-    unbounded = problem.a_grid is None
-    ceiling = (_FIRST_CEILING * (float(problem.q_grid[-1]) + 1.0)
-               if unbounded else None)
     rev_kinks = rev_env.kink_slopes()
     # twice the steepest revenue slope, which a kink or an end attains
     z_max = 2.0 * max(1.0, float(np.abs(rev_kinks).max()))
 
-    cost_env = _cost_envelope(problem, ceiling)
-
     # each round reads H and its one-sided slopes at 0, the kinks and
     # z_max in one batch.  H(0) = R^*(0) + C^*(0), the revenue's peak less
-    # C(0), is the same in every round: no conjugate at 0 reads the ceiling
-    for _ in range(_MAX_GROWTH):
+    # C(0), is the same in every round: no conjugate at 0 reads the hull's end
+    cost_env = _cost_envelope(problem, z_max)
+    while True:
         kinks = np.concatenate([rev_kinks, cost_env.kink_slopes()])
         kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
         pts = np.unique(np.concatenate([[0.0], kinks, [z_max]]))
         c, r = _conjugates(rev_env, cost_env, pts)
         hs = r.value + c.value
-        wide = hs[-1] > hs[0] + 1e-9 * abs(hs[0])
-        covered = not unbounded or c.argmax_hi[-1] < 0.9 * ceiling
-        if wide and covered:
+        if hs[-1] > hs[0] + 1e-9 * abs(hs[0]):
             break
-        if not covered:
-            ceiling *= 2.0
-            cost_env = _cost_envelope(problem, ceiling)
-        if not wide:
-            z_max *= 2.0
-    else:
-        raise TruncationFailed(
-            "could not bracket the minimum of the running-profit function; "
-            "production set may fail the coercivity margin")
+        z_max *= 2.0
+        if z_max == math.inf:
+            raise TruncationFailed(
+                "could not bracket the minimum of the running-profit "
+                "function: z_max overflowed before H(z_max) rose past H(0)")
+        if problem.a_grid is None:
+            cost_env = _cost_envelope(problem, z_max)
 
     # zeta is the first point with H'(z+) >= 0 and m_hi the point before
     # the first with H'(z-) > 0.  In a kink-free cell H' is constant or
@@ -188,10 +176,11 @@ def build_hamiltonian(problem) -> HamiltonianModel:
         zeta = m_hi = _root_end(rising, float(pts[j - 1]), float(pts[j]))
     h_min = seen[zeta]
 
-    return HamiltonianModel(problem=problem, rev_env=rev_env, cost_env=cost_env,
-                            z_max=float(z_max), zeta=float(zeta),
-                            m_hi=float(m_hi), h_min=float(h_min), kink_zs=kinks,
-                            trunc_bound=ceiling)
+    top = None if problem.a_grid is not None else float(cost_env.xs[-1])
+    return HamiltonianModel(
+        problem=problem, rev_env=rev_env, cost_env=cost_env, z_max=z_max,
+        zeta=float(zeta), m_hi=float(m_hi), h_min=float(h_min), kink_zs=kinks,
+        trunc_bound=top)
 
 
 def _in_domain(model: HamiltonianModel, z) -> tuple:

@@ -26,8 +26,8 @@ how closely it is certified.
 
 An unbounded production set is capped independently of the main solver:
 no rational producer exceeds argmax_a { s a - C(a) } where s is the best
-average revenue max_q R(q)/q, because stock can never be worth more than
-s per unit.
+average revenue sup_q R(q)/q, because stock can never be worth more than
+s per unit.  Both are read in closed form from the curves (_production_cap).
 """
 
 from __future__ import annotations
@@ -68,25 +68,21 @@ class DPResult:
 
 
 def _production_cap(problem: ValidatedProblem) -> float:
-    """Largest production rate any shadow price can justify: the best
-    average revenue s over the revenue's points, grid_n samples of a
-    smooth revenue on an interval, against the cost."""
-    q, Q = problem.q_grid, problem.demand_set
-    if Q.kind == "interval" and problem.revenue.hull_kind is not None:
-        q = np.linspace(Q.lo, Q.hi, problem.grid_n)
-    pos = q[q > 0.0]
-    s = float(np.max(problem.revenue(pos) / pos))
-    if s <= 0.0:
-        return float(pos[-1])
-    hi = 4.0 * (float(q[-1]) + 1.0)
-    for _ in range(60):
-        a = np.linspace(0.0, hi, 4097)
-        k = int(np.argmax(s * a - problem.cost(a)))
-        if a[k] < 0.9 * hi:
-            return max(float(a[k]), float(q[-1])) * 1.05 + 1e-9
-        hi *= 2.0
-    raise InvalidParameter("production payoff keeps improving; cost fails "
-                           "to outgrow revenue on any probed range")
+    """argmax_a {s a - C(a)} with a 5 % margin.  s = sup R(q)/q is A - B lo
+    for linear demand on an interval, else the largest R(q)/q at the
+    revenue's positive points (R/q is monotone on each linear piece); a
+    ray's cost is the cubic, whose s a - C(a) peaks at 0 or at k + sqrt(s),
+    the largest rate attaining slope s (Curve.derivative_inverse)."""
+    q, R = problem.q_grid, problem.revenue
+    if problem.demand_set.kind == "interval" and R.family == "linear_demand":
+        s = R.params[0] - R.params[1] * problem.demand_set.lo
+    else:
+        pos = q[q > 0.0]
+        s = float(np.max(R(pos) / pos))
+    a = float(problem.cost.derivative_inverse()(s))
+    if s * a - problem.cost(a) <= 0.0:
+        a = 0.0
+    return max(a, float(q[-1])) * 1.05 + 1e-9
 
 
 def _count(name: str, n, least: int) -> int:

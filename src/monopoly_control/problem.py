@@ -9,8 +9,8 @@ mass production would make the control problem degenerate.
 
 Everything downstream consumes a ValidatedProblem, which freezes the
 points (_points) that validation, the envelopes and the oracle read: a
-set's ends and a table's knots, never a sample grid.  grid_n only sizes
-the samples from which the oracle bounds its production rates.
+set's ends and a table's knots, never a sample grid.  grid_n is
+range-checked and otherwise read by nothing.
 """
 
 from __future__ import annotations
@@ -268,9 +268,8 @@ class ValidatedProblem:
 
     ``q_grid`` holds the revenue's points on Q (see _points) and ``a_grid``
     the cost's on a bounded A; it is None for a right ray, where the
-    Hamiltonian builder chooses the truncation bound and hulls the cost up
-    to it.  Neither depends on grid_n, which only sizes the oracle's
-    production cap.
+    Hamiltonian builder hulls the cubic up to 2 (k + sqrt z_max).  Neither
+    depends on grid_n, which nothing reads.
     """
 
     spec: ProblemSpec
@@ -309,7 +308,7 @@ def _points(curve: Curve, cset: ControlSet) -> np.ndarray | None:
     A piecewise-linear curve (affine or table) is fixed by them, and a
     smooth one is hulled from its closed form, which reads only the ends;
     validation decides every assumption there.  No point depends on
-    grid_n, which only sizes the oracle's production cap.
+    grid_n, which nothing reads.
     """
     if not cset.is_bounded:
         return None

@@ -169,8 +169,7 @@ def _static_candidate(problem: ValidatedProblem) -> tuple:
     so R - C peaks at a cell end or at D's upper root, taken without
     cancellation.  R - C is read once at these candidates; ties within
     1e-12 of the best value go to the smallest rate.  Returns (u_hat,
-    payoff); grid_n, which only sizes the oracle's production cap, plays
-    no part.
+    payoff); grid_n, which nothing reads, plays no part.
     """
     rev, cost = problem.revenue, problem.cost
     q, a = problem.demand_set, problem.production_set

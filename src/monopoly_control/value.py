@@ -75,11 +75,16 @@ def _arcs(problem, a_lo, q_lo, a_hi, q_hi) -> tuple:
     """(s1, s2) of kink-free cells whose rates read (a_lo, q_lo) above
     their bottom and (a_hi, q_hi) below their top.  With p0 + p1 x + p2 x^2
     a slope (Curve.slope_coefficients), sales that move follow linear
-    demand, q = (z - p0)/p1, and production the cubic, a = k + sqrt(z/p2)."""
+    demand, q = (z - p0)/p1, and production the cubic, a = k + sqrt(z/p2).
+    A rate moves iff its readings differ by more than rounding: on one curve
+    piece they do only along an arc, and a vertex may read an ulp apart."""
+    def moves(u, w):
+        return np.abs(u - w) > 4.0 * np.spacing(np.maximum(abs(u), abs(w)))
+
     p1 = problem.revenue.slope_coefficients(q_lo)[1]
     p2 = problem.cost.slope_coefficients(a_lo)[2]
-    s1 = np.where(q_lo != q_hi, -1.0 / np.where(p1 < 0.0, p1, -np.inf), 0.0)
-    s2 = np.where(a_lo != a_hi, np.where(p2 > 0.0, p2, np.inf) ** -0.5, 0.0)
+    s1 = -1.0 / np.where(moves(q_lo, q_hi) & (p1 < 0.0), p1, -np.inf)
+    s2 = np.where(moves(a_lo, a_hi) & (p2 > 0.0), p2, np.inf) ** -0.5
     return s1, s2
 
 

@@ -369,12 +369,16 @@ def seeded_table_models():
 
 @pytest.fixture(scope="session")
 def build_hamiltonian_from():
-    """build_hamiltonian(problem) with an unbounded production set first
-    truncated at ceiling instead of _FIRST_CEILING (q_hi + 1)."""
+    """build_hamiltonian(problem) with an unbounded production set hulled
+    up to at least ceiling in every round, not only to 2 (k + sqrt z_max)."""
     def build(problem, ceiling):
+        def cost_envelope(p, z_max):
+            top = max(ceiling, 2.0 * float(p.cost.derivative_inverse()(z_max)))
+            xs = np.array([p.production_set.lo, top])
+            return hamiltonian.convex_hull(xs, p.cost(xs), curve=p.cost)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hamiltonian, "_FIRST_CEILING",
-                       ceiling / (float(problem.q_grid[-1]) + 1.0))
+            mp.setattr(hamiltonian, "_cost_envelope", cost_envelope)
             return build_hamiltonian(problem)
     return build
 

@@ -51,19 +51,18 @@ from monopoly_control.value import build_value
 # (kernel calls, slopes read) allowed for solve + simulate --x0 0.2
 BUDGET = {
     "arvan_moses_high": (56, 8150),
-    "arvan_moses_low": (20, 8094),
+    "arvan_moses_low": (16, 8070),
     "arvan_moses_mid": (18, 8070),
     "linear_cost": (32, 8108),
     "table_curves": (18, 8090),
 }
 
 # points passed to the hull builders for solve + simulate --x0 0.2: two
-# builds of the set's two ends per smooth curve (a third cost build where
-# the ray's ceiling doubles), two points per affine cost, ends and knots
-# per table
+# builds of the set's two ends per smooth curve, two points per affine
+# cost, ends and knots per table
 HULL_POINTS = {
     "arvan_moses_high": 8,
-    "arvan_moses_low": 12,
+    "arvan_moses_low": 8,
     "arvan_moses_mid": 8,
     "linear_cost": 8,
     "table_curves": 20,

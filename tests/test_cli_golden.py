@@ -18,7 +18,7 @@ from monopoly_control.cli import main
 
 GOLDEN = {
     "arvan_moses_high": {
-        "summary.txt": "dc3cb58fd56cc4e0049abdb020cc9eac9d62db60f545c5a59fb057271ee8e6b5",
+        "summary.txt": "3096169613228c2463095493e9b10e2f9d2f8957bca0879a870e7560d80c2020",
         "value.csv": "550fd46e63beabb63965be85b88075ba417c84dcab2ec08f6ee284c3484d8edf",
         "simulate_summary.txt": "cf24d3e4f4fefd75b3c5b1ab862874d74dbea18995760c743f5562e13225cb85",
         "trajectory.csv": "cd4f93ca8e7d5dd31b32038761d17f57efee2eeb27dfe9bcd62da2a9da352e94",
@@ -26,7 +26,7 @@ GOLDEN = {
         "drawdown.csv": "a7a5a93f34b16a75b8ae6c26b459a3df8b19085c3f6c39ba75923ff37c261943",
     },
     "arvan_moses_low": {
-        "summary.txt": "92b58357bbd2cfa4c4981eea3e6f81128caf1eba5eca6747b1764f2dcd02f007",
+        "summary.txt": "b7f70d1bd7495f19cd30a276c4c7fcebd1ae9dfd0529faea22516b1eca75e9d5",
         "value.csv": "65becd8b04dbec210fbdd16dc19dfe7ab9f583ad59de07d78134baa5669cac1d",
         "simulate_summary.txt": "eae732a467ad65df3601c51b81f25c973368915a5da7c197f4bf4a41bc58a6b4",
         "trajectory.csv": "af78b75c09ace110361c38f7a1fb01ce646d3c885284909e8c7c0f01d7db7878",
@@ -34,7 +34,7 @@ GOLDEN = {
         "drawdown.csv": "9f58257e0425195196fa11193a33f5218523da36b702c156e5a7f90db8629548",
     },
     "arvan_moses_mid": {
-        "summary.txt": "f1f5ffbd55df783a96b1c602ad28b560890c4f4a3d508a5f6653cb113b869275",
+        "summary.txt": "1ccf961bab743a69748960ea061da04b7522c7db0e2523015204bc16e8580a35",
         "value.csv": "6b08acd75fe531d63dd956bf514ffaf152baf255f619db9c828b4b25bccb8011",
         "simulate_summary.txt": "6d57d12df5fd7bbc2640c766b0064f4595d525a5c445252b5539a33705b8b28a",
         "trajectory.csv": "b7a66586dd89ebf0920f9ffa5850fe6b873196cb7ccae8b5b0c52e2d3f611ff7",
@@ -121,19 +121,19 @@ def test_cli_eps_tail_outputs_match_digests(name, configs_dir, tmp_path):
 # and a stock other than each config's own
 GOLDEN_BETA = {
     "arvan_moses_high": {
-        "summary.txt": "15d840c1230444d34cfba5a5448cbf47d5172e5e64ec73bcd3f7fbd7b76809fd",
+        "summary.txt": "88153633c7f023125497e0bb9494331d2da08677be23c9aa58bd7bbc3fe54050",
         "value.csv": "f5215a23084077cbba33b4aa956b70f06c3c5acf865f94c1b39df6757d5389a8",
         "trajectory.csv": "af41331b7a96f3e507cd03060fd352e929b490f482fc8c8b9847ffad736736e9",
         "simulate_summary.txt": "d0346e2bd01eb59861025795c947a1a87fa588881c6ee7a86b2746888bba2ee0",
     },
     "arvan_moses_low": {
-        "summary.txt": "fd9e0581438ad4ed3d2b4123c1e10bf37069be40f9909de4896b8c1e6579ddea",
+        "summary.txt": "0675bf419f72fce989af5926b9dafe0f599fc4493b674fb623cf02505673b8d9",
         "value.csv": "7c6c0631cbf0afc0b6db3a19122532e715d0878d334b7c6cf5f8edff3a40dc44",
         "trajectory.csv": "b10d72c1f5c91257c9b1171673393a684260f7511e0e7b982fa1bfeec32d2c88",
         "simulate_summary.txt": "dcad269d16dc45ff956f334f93ad9723ca67a957b404a3f7c32ca9679b8104cc",
     },
     "arvan_moses_mid": {
-        "summary.txt": "63c030f9e3cc5cb5ef900de864c16883b4d9b11cd845d5ea4fd422076901a32f",
+        "summary.txt": "ebd97abb7bb344fa47c07362a89316c0a9f33ac56d925928e473bdee302ac493",
         "value.csv": "761ef48b16d0c515d917fc69a74b347598a9828163f09c79a1af6bedca115847",
         "trajectory.csv": "67d62b4d6e39fa9a50f384de3b3dc518c623f0104dddefc861de02a4ceb17724",
         "simulate_summary.txt": "359871087aba016f7665e0ba7c67850299c900df8ce87db83fd5621e23688929",

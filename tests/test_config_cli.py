@@ -614,6 +614,30 @@ def test_solve_keeps_the_cost_bridge_at_any_demand_scale(configs_dir,
     assert abs(mix.nu - 1.0 / 3.0) <= 1e-14, mix
 
 
+def test_cli_ray_with_a_far_cost_bridge_solves(configs_dir, tmp_path, capsys):
+    # at K = 3e6 the cost's bridge from 0 has slope K^2/4 = 2.25e12, so
+    # z_max doubles about 40 times before H(z_max) rises past H(0); the
+    # hull's end at 2 (K + sqrt z_max) covers every round
+    cfg = str(configs_dir / "arvan_moses_mid.cfg")
+    over = ["--set", "cost.K=3e6", "--set", "revenue.A=1e-8",
+            "--set", "revenue.B=1e-8", "--out", str(tmp_path)]
+    assert main(["solve", cfg, *over]) == 0
+    assert capsys.readouterr().out.startswith("zeta = 1e-08,")
+    assert main(["strategy", cfg, "--x0", "0.2", *over]) == 0
+    assert main(["simulate", cfg, "--x0", "0.2", *over]) == 0
+
+
+@pytest.mark.parametrize("x0", ["0.2", "1", "5"])
+def test_cli_simulate_with_a_kink_at_the_demand_top(configs_dir, tmp_path,
+                                                    x0):
+    # sales at the kink read 0.35 - 1 ulp from below: the last kink cell
+    # holds no arc, so Psi and the drawdown's stock close there
+    cfg = str(configs_dir / "arvan_moses_mid.cfg")
+    assert main(["simulate", cfg, "--x0", x0, "--out", str(tmp_path),
+                 "--set", "revenue.A=0.5", "--set", "revenue.B=0.4",
+                 "--set", "sets.q=interval 0 0.35"]) == 0
+
+
 @pytest.mark.parametrize("beta", ["1e-6", "1e-7", "1e-8", "1e-9", "1e-12"])
 def test_drawdown_at_a_tiny_discount_closes_or_names_its_limit(
         configs_dir, tmp_path, capsys, beta):

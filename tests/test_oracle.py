@@ -19,7 +19,7 @@ from monopoly_control import (
 from monopoly_control import oracle
 from monopoly_control.oracle import (_BIG_NEG, _bellman, _production_cap,
                                      _solve_policy)
-from monopoly_control.problem import ControlSet
+from monopoly_control.problem import ControlSet, Curve, ProblemSpec
 
 
 # deliberately coarse so the module tests stay fast; the acceptance
@@ -116,12 +116,62 @@ def test_dp_value_at_interpolates(linear_cost_dp):
     assert linear_cost_dp.value_at(mid) == pytest.approx(0.5 * (lo + hi), abs=1e-14)
 
 
-def test_production_cap_am(am_mid_problem):
+def test_production_cap_am(am_mid_problem, configs_dir):
     cap = _production_cap(am_mid_problem)
     # best average revenue is 1 per unit at q -> 0; marginal cost hits 1
     # again at a = 2, so the cap sits a hair above 2
     assert cap == pytest.approx(2.1, rel=1e-3)
     assert cap > 1.5
+    # the bits on each ray config: 1.05 max(a, q_hi) + 1e-9
+    for name, bits in (("arvan_moses_high", 8.400000001),
+                       ("arvan_moses_low", 0.21000000100000002),
+                       ("arvan_moses_mid", 2.100000001)):
+        problem = validate_problem(load_problem(configs_dir / f"{name}.cfg"))
+        assert _production_cap(problem) == bits, name
+
+
+def _cubic_ray_draws(rng, n):
+    """(problem, s): a cubic cost on a ray against linear demand on an
+    interval or a finite set, or a table on an interval, with s = sup
+    R(q)/q over the positive demand rates."""
+    for i in range(n):
+        k = float(rng.uniform(0.05, 3.0))
+        kind = i % 3
+        if kind < 2:
+            a, b = rng.uniform([0.1, 0.2], [8.0, 3.0])
+            revenue = Curve.linear_demand_revenue(a, b)
+            if kind == 0:
+                demand, s = ControlSet.interval(0.0, a / b), a
+            else:
+                qs = np.unique(np.append(0.0, rng.uniform(0.0, a / b, 4)))
+                demand = ControlSet.finite(qs)
+                s = float(np.max(a - b * qs[1:]))
+        else:
+            q_hi = float(rng.uniform(0.2, 3.0))
+            xs = np.unique(np.concatenate(
+                [[0.0, q_hi], rng.uniform(0.0, q_hi, 5)]))
+            ys = np.append(0.0, rng.uniform(0.0, 2.0, len(xs) - 1))
+            revenue = Curve.table(list(zip(xs, ys)))
+            demand = ControlSet.interval(0.0, q_hi)
+            s = float(np.max(ys[1:] / xs[1:]))
+        yield validate_problem(ProblemSpec(
+            beta=1.0, demand_set=demand,
+            production_set=ControlSet.right_ray(0.0), revenue=revenue,
+            cost=Curve.cubic_cost(k))), s
+
+
+def test_production_cap_meets_a_brute_force_argmax():
+    # argmax_a {s a - C(a)} over a grid of 2^17 steps on [0, 2 (k + sqrt
+    # s) + 1], past the peak; the cap is 1.05 max(argmax, q_hi) + 1e-9
+    rng = np.random.default_rng(2024)
+    for problem, s in _cubic_ray_draws(rng, 300):
+        k = problem.cost.params[0]
+        a = np.linspace(0.0, 2.0 * (k + math.sqrt(s)) + 1.0, 2**17 + 1)
+        best = float(a[np.argmax(s * a - problem.cost(a))])
+        q_hi = float(problem.q_grid[-1])
+        want = max(best, q_hi) * 1.05 + 1e-9
+        assert abs(_production_cap(problem) - want) <= 1.05 * a[1], \
+            (problem.spec, s)
 
 
 def test_dp_guards(linear_cost_problem):

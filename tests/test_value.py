@@ -275,13 +275,18 @@ def _refined_psi(model, xi, refine=64) -> np.ndarray:
 
 
 def _psi_models(configs_dir, seeded_table_models) -> list:
-    """(label, model): the shipped configs at beta 0.5 and 1.3, the first
-    eight seeded tables with zeta > 0, and six seeded cubic problems."""
+    """(label, model): the shipped configs at beta 0.5 and 1.3, a demand
+    set whose top 0.35 is a kink of H, the first eight seeded tables with
+    zeta > 0, and six seeded cubic problems."""
     out = []
     for cfg in sorted(configs_dir.glob("*.cfg")):
         for beta in (0.5, 1.3):
             out.append((f"{cfg.stem}@{beta}", build_hamiltonian(validate_problem(
                 load_problem(cfg, [f"problem.beta={beta}"])))))
+    # the kink reads sales 0.35 - 1 ulp from below: a vertex, not an arc
+    out.append(("q_hi_kink", build_hamiltonian(validate_problem(load_problem(
+        configs_dir / "arvan_moses_mid.cfg", ["revenue.A=0.5", "revenue.B=0.4",
+                                              "sets.q=interval 0 0.35"])))))
     tables = [m for _, m in seeded_table_models if m.zeta > 0.0]
     out += [(f"table{k}", m) for k, m in enumerate(tables[:8])]
     rng = np.random.default_rng(12)
