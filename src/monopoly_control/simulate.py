@@ -6,12 +6,14 @@ scored by its discounted profit.  A stationary plan hands over its
 piecewise-constant periodic control through segments(problem) (see the
 strategy module), and one exact path integrates it: the stock and the
 discount weight of each phase in closed form, a single pass when the
-period is infinite.  A DrawdownPlan is its drawdown arc, whose stock and
-payoff are integrated cell by cell in the slope in closed form from the
-rates of its rows, and whose stock must reach zero at tau, followed by its
-tail through that same path.  Any other object is rejected.  An
-independent Euler referee that samples a plan's controls over time lives
-with the tests, not here.
+period is infinite, each period's stock summed from zero by _stock_run as
+cyclic_strategy certifies it: a net within the rounding of the fastest
+flow, which no tiny mixture weight shrinks, is zero.  A DrawdownPlan is
+its drawdown arc, whose stock and payoff are integrated cell by cell in
+the slope in closed form from the rates of its rows, and whose stock must
+reach zero at tau, followed by its tail through that same path.  Any other
+object is rejected.  An independent Euler referee that samples a plan's
+controls over time lives with the tests, not here.
 
 profit_gap compares a simulated run against the value function, charging
 the horizon truncation at the plan's own stationary tail rate.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import HorizonTooShort, InvalidParameter, StateViolation
 from .problem import ValidatedProblem, validate_problem
-from .strategy import _ARC_X_TOL, DrawdownPlan
+from .strategy import _ARC_X_TOL, DrawdownPlan, _stock_run
 from .tableio import write_csv
 from .value import ValueFunction, _arcs, _h_rise, _psi_rise
 
@@ -78,12 +80,13 @@ def _segment_weights(beta: float, t: np.ndarray) -> np.ndarray:
 def _simulate_segments(problem: ValidatedProblem, period: float, phases,
                        mean_rate: float, horizon: float,
                        x0: float) -> Trajectory:
-    """Exact run of a piecewise-constant control repeating with period."""
+    """Exact run of a piecewise-constant control repeating with period,
+    each period's stock from strategy._stock_run: a net within the fastest
+    flow's rounding is zero, as in cyclic_strategy's certificate."""
     if np.ceil(horizon / period) * len(phases) > _MAX_PHASES:
         raise InvalidParameter(
             f"cycle period {period:g} repeats too often over horizon "
             f"{horizon:g}: more than {_MAX_PHASES} phases to lay out")
-    beta = problem.beta
     ph = np.array(phases, dtype=float)
     # period starts summed one period at a time, as a running clock; the
     # first is always laid out, the others while 1e-15 short of the horizon
@@ -97,22 +100,15 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
     tk = np.concatenate([[0.0], end[keep]])
     controls = np.tile(ph[:, 2:], (k + 1, 1))[live][keep]
     a_arr, q_arr = (np.append(controls[:, j], controls[-1, j]) for j in (0, 1))
-    rates = controls[:, 2]
-    # stock from the phases' own durations: a period's running sum of
-    # (produce - sell) * duration, on the net change of the periods before
-    # it, so no period inherits another's rounding.  A sum within 1e-14 of
-    # a period's throughput (an endless phase's up to the horizon) is none
-    flow = ph[:, 2] - ph[:, 3]
-    span = period if math.isfinite(period) else horizon
-    tol = 1e-14 * float((np.abs(ph[:, 2]) + np.abs(ph[:, 3]))
-                        @ (np.minimum(ph[:, 1], span) - ph[:, 0]))
+    # each period runs from zero on the nets before it, not on their rounding
     dur = np.minimum(ph[:, 1], horizon - base) - ph[:, 0]
-    run = np.cumsum(np.where(live.reshape(dur.shape), flow * dur, 0.0), axis=1)
-    run[np.abs(run) <= tol] = 0.0
+    run = _stock_run(ph, np.where(live.reshape(dur.shape), dur, 0.0),
+                     period if math.isfinite(period) else horizon)
     start = x0 + np.concatenate([[0.0], np.cumsum(run[:-1, -1])])
     stock = np.concatenate([[x0], (start[:, None] + run).ravel()[live][keep]])
     _check_stock(stock, tk, float(np.abs(stock).max()))
-    j = np.concatenate([[0.0], np.cumsum(rates * _segment_weights(beta, tk))])
+    j = np.concatenate([[0.0], np.cumsum(
+        controls[:, 2] * _segment_weights(problem.beta, tk))])
     return Trajectory(t=tk, stock=stock, produce=a_arr, sell=q_arr,
                       j_running=j, tail_rate=mean_rate)
 

@@ -19,7 +19,10 @@ Every stationary plan is a piecewise-constant periodic control and says so
 through segments(problem) -> (period, phases, mean_rate), the phases being
 (t0, t1, produce, sell, rate) tuples covering one period.  A static rate
 is one endless phase (period inf), a relaxed optimum one endless phase at
-its mean rates, a cycle its eps-periodic phases.  A DrawdownPlan is the
+its mean rates, a cycle its eps-periodic phases: it closes iff its period
+net, zero within 1e-14 of eps times its fastest flow (a tiny mixture
+weight shrinks the peak, not that rounding), is not negative, as
+_stock_run sums it for the plan and for simulate.  A DrawdownPlan is the
 drawdown arc at its knots, then one of these as its tail.  Plans are this
 data and nothing else: simulate reads it, and the Euler referee that
 samples controls over time lives with the tests.
@@ -114,9 +117,9 @@ class CyclicPlan:
     """Periodic realization of a relaxed optimum with period eps.
 
     phases are (t_start, t_end, produce, sell, payoff_rate) tuples covering
-    one period; stock starts and ends each period at zero and peaks at
-    peak_stock = kappa-ish fraction into the cycle.  mean_payoff is the
-    time average over a period and equals the relaxed payoff.
+    one period; its stock rises from zero to peak_stock at kappa * eps and
+    ends at or above zero (see _stock_run).  mean_payoff, the period's
+    time-average payoff, equals the relaxed payoff.
     """
     eps: float
     phases: tuple
@@ -279,13 +282,24 @@ def relaxed_static(problem, model: HamiltonianModel,
                          a1=a1, a2=a2, nu=float(nu), payoff=float(payoff))
 
 
+def _stock_run(ph, dur, span: float) -> np.ndarray:
+    """Running stock from zero of phases ph held for dur (last axis).  A
+    sum within 1e-14 of span times the fastest |produce| + |sell| is zero:
+    a tiny mixture weight shrinks the peak, not that flow's rounding."""
+    run = np.cumsum((ph[:, 2] - ph[:, 3]) * dur, axis=-1)
+    run[np.abs(run) <= 1e-14 * span * np.abs(ph[:, 2:4]).sum(1).max()] = 0.0
+    return run
+
+
 def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float | None = None):
     """Realize a relaxed optimum as a production/sales cycle of period eps.
 
     eps defaults to (1/beta)/64.  High production and low sales lead the
     cycle, so stock rises from zero first and returns to zero at the
     period's end; with both mixtures degenerate this collapses to the
-    static plan.
+    static plan.  It closes iff _stock_run's period net, snapped to zero
+    within the fastest flow's rounding, is not negative; peak and kappa
+    come from the same sums, the ones simulate lays out.
     """
     problem = validate_problem(problem)
     if eps is None:
@@ -297,27 +311,21 @@ def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float | None = None):
 
     sw_a = (1.0 - relaxed.nu) * eps       # produce a2 until here, a1 after
     sw_q = relaxed.gamma * eps            # sell q1 until here, q2 after
-    cuts = sorted({0.0, sw_a, sw_q, eps})
-    phases = []
-    for t0, t1 in zip(cuts, cuts[1:]):
-        mid = 0.5 * (t0 + t1)
-        a = relaxed.a2 if mid < sw_a else relaxed.a1
-        q = relaxed.q1 if mid < sw_q else relaxed.q2
-        rate = float(problem.revenue(q) - problem.cost(a))
-        phases.append((float(t0), float(t1), float(a), float(q), rate))
-
-    x = peak = peak_t = mean = 0.0
-    for t0, t1, a, q, rate in phases:
-        x += (a - q) * (t1 - t0)
-        if x > peak:
-            peak, peak_t = x, t1
-        mean += rate * (t1 - t0)
-    if x < -1e-9 * peak:
+    cuts = np.unique([0.0, sw_a, sw_q, eps])
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    a = np.where(mid < sw_a, relaxed.a2, relaxed.a1)
+    q = np.where(mid < sw_q, relaxed.q1, relaxed.q2)
+    ph = np.column_stack([cuts[:-1], cuts[1:], a, q,
+                          problem.revenue(q) - problem.cost(a)])
+    dur = np.diff(cuts)
+    run = _stock_run(ph, dur, eps)
+    if run[-1] < 0.0:
         raise DecompositionMismatch("cycle fails to return stock to zero")
-    return CyclicPlan(eps=float(eps), phases=tuple(phases),
-                      kappa=float(peak_t / eps),
-                      peak_stock=float(max(peak, 0.0)),
-                      mean_payoff=float(mean / eps))
+    k = int(np.argmax(run))
+    return CyclicPlan(eps=float(eps), phases=tuple(map(tuple, ph.tolist())),
+                      kappa=float(cuts[k + 1] / eps) if run[k] > 0.0 else 0.0,
+                      peak_stock=max(float(run[k]), 0.0),
+                      mean_payoff=float(np.cumsum(ph[:, 4] * dur)[-1] / eps))
 
 
 def cyclic_value(plan: CyclicPlan, beta: float) -> float:

@@ -5,9 +5,9 @@ built from another truncation ceiling, the plain
 monotone-chain loop that its array evaluation must reproduce, the HJB
 residual of a value function, the exact Psi of a piecewise-linear H on
 table_curves and seeded tables, the % loop the CSV kernel must match, and
-the per-knot drawdown layout and running-clock phase loop that the
-strategy and simulate modules' array layouts must reproduce, with the
-solved cases they are compared on."""
+the per-knot drawdown layout, running-clock phase loop and phase-by-phase
+cycle loop that the strategy and simulate modules' array layouts must
+reproduce, with the solved cases they are compared on."""
 
 import math
 import pathlib
@@ -232,6 +232,32 @@ def _reference_segments(period: float, phases, horizon: float) -> tuple:
             return cuts, controls
 
 
+def _reference_cycle(problem, relaxed, eps: float) -> tuple:
+    """(phases, kappa, peak_stock, mean_payoff) of a relaxed optimum's
+    cycle of period eps built phase by phase on Python floats: stock and
+    payoff summed in phase order from zero, the peak at the first strict
+    maximum above zero (kappa 0 if none).  The fields
+    strategy.cyclic_strategy must return, bit for bit, whether or not the
+    cycle's net closes."""
+    sw_a = (1.0 - relaxed.nu) * eps
+    sw_q = relaxed.gamma * eps
+    cuts = sorted({0.0, sw_a, sw_q, eps})
+    phases = []
+    for t0, t1 in zip(cuts, cuts[1:]):
+        mid = 0.5 * (t0 + t1)
+        a = relaxed.a2 if mid < sw_a else relaxed.a1
+        q = relaxed.q1 if mid < sw_q else relaxed.q2
+        rate = float(problem.revenue(q) - problem.cost(a))
+        phases.append((float(t0), float(t1), float(a), float(q), rate))
+    x = peak = peak_t = mean = 0.0
+    for t0, t1, a, q, rate in phases:
+        x += (a - q) * (t1 - t0)
+        if x > peak:
+            peak, peak_t = x, t1
+        mean += rate * (t1 - t0)
+    return tuple(phases), peak_t / eps, peak, mean / eps
+
+
 def _exact_table_psi(model, xi) -> np.ndarray:
     """Psi at the slopes xi (0 < xi <= zeta) of a model whose H is
     piecewise linear (tables and finite sets): the sum over the cells
@@ -329,6 +355,11 @@ def reference_drawdown():
 @pytest.fixture(scope="session")
 def reference_segments():
     return _reference_segments
+
+
+@pytest.fixture(scope="session")
+def reference_cycle():
+    return _reference_cycle
 
 
 @pytest.fixture(scope="session")

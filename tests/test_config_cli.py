@@ -24,6 +24,7 @@ from monopoly_control import (
     stationary_plan,
     validate_problem,
 )
+from monopoly_control import hamiltonian
 from monopoly_control.cli import main
 from monopoly_control.envelope import fenchel_cost
 
@@ -687,3 +688,99 @@ def test_drawdown_at_a_tiny_discount_closes_or_names_its_limit(
     # every config plays its drawdown from half the last knot's stock, and
     # at beta 1e-6 from 0.2 too
     assert played >= (10 if beta == "1e-6" else 5)
+
+
+def _band_edge_draws(seed: int, n: int):
+    """n cubic-on-a-ray problems near the cubic's mixing band (t1, t2),
+    t1 = K^2/4 and t2 = 3BK + K^2/4: B and K at 10^U(-3, 3), A = t1 + (t2
+    - t1) w with w ~ U(0, 1) in even draws and 1 - 10^U(-9, -1) in odd
+    ones, Q = [0, A/B], beta at 10^U(-2, 1.5) and x0 at 10^U(-4, 1).
+    Yields (x0, beta, --set overrides for arvan_moses_mid.cfg)."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        b, k_cost = (10.0 ** rng.uniform(-3.0, 3.0, 2)).tolist()
+        w = rng.uniform() if k % 2 == 0 else 1.0 - 10.0 ** rng.uniform(-9, -1)
+        t1 = k_cost * k_cost / 4.0
+        t2 = 3.0 * b * k_cost + k_cost * k_cost / 4.0
+        a = float(t1 + (t2 - t1) * w)
+        beta = float(10.0 ** rng.uniform(-2.0, 1.5))
+        x0 = float(10.0 ** rng.uniform(-4.0, 1.0))
+        yield x0, beta, [f"revenue.A={a!r}", f"revenue.B={b!r}",
+                         f"cost.K={k_cost!r}", f"problem.beta={beta!r}",
+                         f"sets.q=interval 0 {a / b!r}"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_near_the_mixing_band_edges(configs_dir, tmp_path, capsys):
+    # draws 0-71 of seed 1, 216 runs.  Near the band's top edge a mixture
+    # weight is tiny, so a cycle's peak is tiny while its net per period
+    # is the rounding of its large rate: draws 45, 49 and 65 exited 3,
+    # "cycle fails to return stock to zero", in strategy and in simulate
+    # with a forced cycle.  Each run exits 0, or exits 2 where x0 lies past
+    # the stock at which v' underflows (draws 4, 12, 13, 22, 58), a limit
+    # named in the message
+    cfg = str(configs_dir / "arvan_moses_mid.cfg")
+    limit = "the marginal value of stock underflows"
+    played = 0
+    for k, (x0, beta, sets) in enumerate(_band_edge_draws(1, 72)):
+        over = ["--out", str(tmp_path)]
+        over += [a for s in sets for a in ("--set", s)]
+        for cmd in (["strategy"], ["simulate"],
+                    ["simulate", "--eps", repr((1.0 / beta) / 64.0)]):
+            rc = main([*cmd, cfg, "--x0", repr(x0), *over])
+            err = capsys.readouterr().err
+            assert rc == 0 or (rc == 2 and limit in err), (k, cmd, rc, err)
+            played += rc == 0
+    assert played == 216 - 15, played
+
+
+@pytest.mark.parametrize("cmd", [["strategy", "--x0", "0.2"],
+                                 ["simulate", "--x0", "0.2", "--eps", "0.03"]])
+def test_cli_cycle_one_part_in_1e9_inside_the_band_edge(configs_dir, tmp_path,
+                                                        cmd):
+    # arvan_moses_high with Q = [0, 3], whose band's top edge t2 is 1.75,
+    # at A = t2 (1 - 1e-9): the static verdict is optimal, and the relaxed
+    # optimum's production mixture weighs 0 by 1.2e-9, so its cycle peaks
+    # at 5.5e-11 and nets the rounding of the rate 1.5 per period
+    cfg = str(configs_dir / "arvan_moses_high.cfg")
+    assert main([*cmd[:1], cfg, *cmd[1:], "--out", str(tmp_path),
+                 "--set", "sets.q=interval 0 3",
+                 "--set", "revenue.A=1.74999999825"]) == 0
+
+
+def test_cli_simulate_past_a_kink_at_the_demand_top_battery(configs_dir,
+                                                           tmp_path):
+    # arvan_moses_mid (K = 1 on a ray, beta 0.5) at A in {0.5, 0.6, ...,
+    # 3.0} and B in {0.3, 0.4, ..., 2.0}, demand topped at q_hi in {0.01,
+    # 0.02, ...} below the revenue's peak A/(2B), so that H kinks at z = A
+    # - 2B q_hi.  In a seeded order, the first 8 draws whose kink lies in
+    # (0, zeta) and whose sales the kernel reads there an ulp off q_hi
+    # (cells once taken for an arc, about 3 % of the family), and the
+    # first 8 whose sales read q_hi exactly: each simulates from 4 Psi(kink),
+    # past the kink, with exit 0
+    cfg = configs_dir / "arvan_moses_mid.cfg"
+    family = [(a / 10, b / 10, q / 100) for a in range(5, 31)
+              for b in range(3, 21) for q in range(1, 1000)
+              if q / 100 < (a / 10) / (2.0 * (b / 10))]
+    picked = {True: [], False: []}
+    order = np.random.default_rng(9).permutation(len(family))
+    for tried, i in enumerate(order[:1500]):
+        a, b, q = family[i]
+        sets = [f"revenue.A={a!r}", f"revenue.B={b!r}",
+                f"sets.q=interval 0 {q!r}"]
+        model = build_hamiltonian(validate_problem(load_problem(cfg, sets)))
+        kink = a - 2.0 * b * q
+        if not 0.0 < kink < model.zeta:
+            continue
+        _, r = hamiltonian._in_domain(model, np.array([kink]))
+        misread = bool(r.argmax_lo[0] != q or r.argmax_hi[0] != q)
+        if len(picked[misread]) < 8:
+            x0 = 4.0 * build_value(model).psi(kink)
+            picked[misread].append((a, b, q))
+            over = [t for s in sets for t in ("--set", s)]
+            rc = main(["simulate", str(cfg), "--x0", repr(x0), "--out",
+                       str(tmp_path), *over])
+            assert rc == 0, (a, b, q, x0, misread)
+        if len(picked[True]) == len(picked[False]) == 8:
+            break
+    assert len(picked[True]) == len(picked[False]) == 8, tried

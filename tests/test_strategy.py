@@ -366,6 +366,41 @@ def test_cycle_check_scales_with_goods(am_mid_problem, am_mid_model, lam):
         cyclic_strategy(am_mid_problem, short)
 
 
+# arvan_moses_high with Q = [0, 3] 1e-9 inside the mixing band's top edge
+# t2 = 1.75: the production mixture weighs 0 by 1.2e-9, so the cycle's peak
+# is 5.5e-11 while its net over a period is the rounding of the rate 1.5
+BAND_EDGE = ("sets.q=interval 0 3", "revenue.A=1.74999999825")
+
+
+def test_cycle_fields_match_the_phase_loop(configs_dir, make_random_instance,
+                                           reference_cycle):
+    # phases, kappa, peak_stock and mean_payoff keep the bits of the loop
+    # that summed a cycle phase by phase, on every shipped config at five
+    # discount rates, a cycle 1e-9 inside the band edge that the loop's own
+    # closing rule refused, and 150 seeded tables from each of two seeds
+    problems = [validate_problem(load_problem(cfg, [f"problem.beta={beta}"]))
+                for cfg in sorted(configs_dir.glob("*.cfg"))
+                for beta in (0.3, 0.5, 0.7, 1.3, 1.5)]
+    problems.append(validate_problem(load_problem(
+        configs_dir / "arvan_moses_high.cfg", BAND_EDGE)))
+    for seed in (88, 11):
+        rng = np.random.default_rng(seed)
+        problems += [make_random_instance(rng) for _ in range(150)]
+    cycles = 0
+    for k, problem in enumerate(problems):
+        rel = relaxed_static(problem, build_hamiltonian(problem))
+        for eps in (None, 0.05):
+            plan = cyclic_strategy(problem, rel, eps)
+            if isinstance(plan, StaticPlan):
+                assert not (rel.sales_mixed or rel.production_mixed), k
+                continue
+            cycles += 1
+            assert (plan.phases, plan.kappa, plan.peak_stock,
+                    plan.mean_payoff) == reference_cycle(problem, rel,
+                                                         plan.eps), (k, eps)
+    assert cycles >= 400, cycles
+
+
 def test_cyclic_degenerate_mixture_returns_static(linear_cost_problem, linear_cost_model):
     u, _ = convexified_static(linear_cost_problem, linear_cost_model)
     rel = relaxed_static(linear_cost_problem, linear_cost_model, u)

@@ -275,9 +275,10 @@ def _refined_psi(model, xi, refine=64) -> np.ndarray:
 
 
 def _psi_models(configs_dir, seeded_table_models) -> list:
-    """(label, model): the shipped configs at beta 0.5 and 1.3, a demand
-    set whose top 0.35 is a kink of H, the first eight seeded tables with
-    zeta > 0, and six seeded cubic problems."""
+    """(label, model): the shipped configs at beta 0.5 and 1.3, capped
+    sets whose tops are kinks of H in (0, zeta) (demand below the
+    revenue's peak, production on the cubic's arc, and both), the first
+    eight seeded tables with zeta > 0, and six seeded cubic problems."""
     out = []
     for cfg in sorted(configs_dir.glob("*.cfg")):
         for beta in (0.5, 1.3):
@@ -287,6 +288,19 @@ def _psi_models(configs_dir, seeded_table_models) -> list:
     out.append(("q_hi_kink", build_hamiltonian(validate_problem(load_problem(
         configs_dir / "arvan_moses_mid.cfg", ["revenue.A=0.5", "revenue.B=0.4",
                                               "sets.q=interval 0 0.35"])))))
+    # more demand tops whose kink reads sales an ulp off q_hi, then a
+    # production top at rate 2.2 or 1.9 on the cubic's arc (kink (a - 1)^2),
+    # alone and below a demand top 3.2 under the peak 4 (kink 0.8)
+    capped = {"q_hi_kink_019": ("0.5", "0.7", "interval 0 0.19", None),
+              "q_hi_kink_139": ("2.4", "0.8", "interval 0 1.39", None),
+              "a_hi_arc_22": ("4", "0.5", "interval 0 8", "interval 0 2.2"),
+              "a_hi_arc_19": ("4", "0.5", "interval 0 8", "interval 0 1.9"),
+              "both_capped": ("4", "0.5", "interval 0 3.2", "interval 0 2.2")}
+    for label, (a, b, q, prod) in capped.items():
+        sets = [f"revenue.A={a}", f"revenue.B={b}", f"sets.q={q}"]
+        sets += [f"sets.a={prod}"] if prod else []
+        out.append((label, build_hamiltonian(validate_problem(load_problem(
+            configs_dir / "arvan_moses_mid.cfg", sets)))))
     tables = [m for _, m in seeded_table_models if m.zeta > 0.0]
     out += [(f"table{k}", m) for k, m in enumerate(tables[:8])]
     rng = np.random.default_rng(12)
