@@ -130,14 +130,19 @@ def _regime(problem, report) -> str | None:
     return "i" if report.u_hat == 0.0 else "iii"
 
 
+def _stationary(problem, model):
+    report = static_optimality_test(problem, model)
+    u_tilde, relaxed_payoff = convexified_static(problem, model)
+    return report, u_tilde, relaxed_payoff
+
+
 def _cmd_solve(args) -> int:
     problem = _load(args)
     out = Path(args.out)
     model = build_hamiltonian(problem)
     vf = build_value(model)
     write_value_csv(vf, out / "value.csv")
-    report = static_optimality_test(problem, model)
-    u_tilde, relaxed_payoff = convexified_static(problem, model)
+    report, u_tilde, relaxed_payoff = _stationary(problem, model)
     items = [
         ("zeta", model.zeta),
         ("v0", vf.value_at(0.0)),
@@ -168,8 +173,7 @@ def _cmd_strategy(args) -> int:
     problem = _load(args)
     out = Path(args.out)
     model = build_hamiltonian(problem)
-    report = static_optimality_test(problem, model)
-    u_tilde, _ = convexified_static(problem, model)
+    report, u_tilde, relaxed_payoff = _stationary(problem, model)
     lines = [
         f"static: {StaticPlan(report.u_hat).describe()} "
         f"payoff={report.payoff:.10g} optimal={report.optimal} "

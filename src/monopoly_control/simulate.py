@@ -6,14 +6,13 @@ scored by its discounted profit.  A stationary plan hands over its
 piecewise-constant periodic control through segments(problem) (see the
 strategy module), and one exact path integrates it: the stock and the
 discount weight of each phase in closed form, a single pass when the
-period is infinite, each period's stock summed from zero by _stock_run as
-cyclic_strategy certifies it: a net within the rounding of the fastest
-flow, which no tiny mixture weight shrinks, is zero.  A DrawdownPlan is
-its drawdown arc, whose stock and payoff are integrated cell by cell in
-the slope in closed form from the rates of its rows, and whose stock must
-reach zero at tau, followed by its tail through that same path.  Any other
-object is rejected.  An independent Euler referee that samples a plan's
-controls over time lives with the tests, not here.
+period is infinite, each period's stock summed by strategy._stock_run,
+which certifies a cycle: a net within the fastest flow's rounding is
+zero.  A DrawdownPlan is its drawdown arc, whose stock and payoff are
+integrated cell by cell in the slope in closed form from the rates of its
+rows, and whose stock must reach zero at tau, followed by its tail through
+that same path.  Any other object is rejected.  An independent Euler referee
+that samples a plan's controls over time lives with the tests, not here.
 
 profit_gap compares a simulated run against the value function, charging
 the horizon truncation at the plan's own stationary tail rate.
@@ -81,12 +80,12 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
                        mean_rate: float, horizon: float,
                        x0: float) -> Trajectory:
     """Exact run of a piecewise-constant control repeating with period,
-    each period's stock from strategy._stock_run: a net within the fastest
-    flow's rounding is zero, as in cyclic_strategy's certificate."""
+    each period's stock summed from zero by _stock_run."""
     if np.ceil(horizon / period) * len(phases) > _MAX_PHASES:
         raise InvalidParameter(
             f"cycle period {period:g} repeats too often over horizon "
             f"{horizon:g}: more than {_MAX_PHASES} phases to lay out")
+    beta = problem.beta
     ph = np.array(phases, dtype=float)
     # period starts summed one period at a time, as a running clock; the
     # first is always laid out, the others while 1e-15 short of the horizon
@@ -100,15 +99,14 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
     tk = np.concatenate([[0.0], end[keep]])
     controls = np.tile(ph[:, 2:], (k + 1, 1))[live][keep]
     a_arr, q_arr = (np.append(controls[:, j], controls[-1, j]) for j in (0, 1))
-    # each period runs from zero on the nets before it, not on their rounding
+    rates = controls[:, 2]
     dur = np.minimum(ph[:, 1], horizon - base) - ph[:, 0]
     run = _stock_run(ph, np.where(live.reshape(dur.shape), dur, 0.0),
                      period if math.isfinite(period) else horizon)
     start = x0 + np.concatenate([[0.0], np.cumsum(run[:-1, -1])])
     stock = np.concatenate([[x0], (start[:, None] + run).ravel()[live][keep]])
     _check_stock(stock, tk, float(np.abs(stock).max()))
-    j = np.concatenate([[0.0], np.cumsum(
-        controls[:, 2] * _segment_weights(problem.beta, tk))])
+    j = np.concatenate([[0.0], np.cumsum(rates * _segment_weights(beta, tk))])
     return Trajectory(t=tk, stock=stock, produce=a_arr, sell=q_arr,
                       j_running=j, tail_rate=mean_rate)
 

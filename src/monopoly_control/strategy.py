@@ -19,13 +19,12 @@ Every stationary plan is a piecewise-constant periodic control and says so
 through segments(problem) -> (period, phases, mean_rate), the phases being
 (t0, t1, produce, sell, rate) tuples covering one period.  A static rate
 is one endless phase (period inf), a relaxed optimum one endless phase at
-its mean rates, a cycle its eps-periodic phases: it closes iff its period
-net, zero within 1e-14 of eps times its fastest flow (a tiny mixture
-weight shrinks the peak, not that rounding), is not negative, as
-_stock_run sums it for the plan and for simulate.  A DrawdownPlan is the
-drawdown arc at its knots, then one of these as its tail.  Plans are this
-data and nothing else: simulate reads it, and the Euler referee that
-samples controls over time lives with the tests.
+its mean rates, a cycle its eps-periodic phases, certified to close by
+_stock_run, the sum simulate lays out: a net within the rounding of the
+fastest flow, which a tiny mixture weight does not shrink, is zero.  A
+DrawdownPlan is the drawdown arc at its knots, then one of these as its
+tail.  Plans are this data and nothing else: simulate reads it, and the
+Euler referee that samples controls over time lives with the tests.
 """
 
 from __future__ import annotations
@@ -297,9 +296,8 @@ def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float | None = None):
     eps defaults to (1/beta)/64.  High production and low sales lead the
     cycle, so stock rises from zero first and returns to zero at the
     period's end; with both mixtures degenerate this collapses to the
-    static plan.  It closes iff _stock_run's period net, snapped to zero
-    within the fastest flow's rounding, is not negative; peak and kappa
-    come from the same sums, the ones simulate lays out.
+    static plan.  A cycle is refused iff its period net by _stock_run is
+    negative; its peak, kappa and mean payoff read the same sums.
     """
     problem = validate_problem(problem)
     if eps is None:

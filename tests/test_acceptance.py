@@ -15,6 +15,7 @@ import pytest
 from monopoly_control import (
     ControlSet,
     Curve,
+    CyclicPlan,
     ProblemSpec,
     StaticPlan,
     build_hamiltonian,
@@ -334,6 +335,7 @@ def test_criterion_8_invariant_battery(make_random_instance,
                                        build_hamiltonian_from, monkeypatch):
     rng = np.random.default_rng(88)
     monkeypatch.setattr(value, "_N_XI", 300)
+    cycles = 0
     for seed in range(100):
         problem = make_random_instance(rng)
         model = build_hamiltonian(problem)
@@ -385,10 +387,25 @@ def test_criterion_8_invariant_battery(make_random_instance,
             assert report.gap > 0.0, (seed, report)
 
         # the automatic drawdown plan is playable
+        tail = stationary_plan(problem, model)
         if not vf.constant:
             x0 = min(0.1, 0.5 * vf.x_resolved)
-            plan = drawdown_plan(vf, x0, stationary_plan(problem, model))
+            plan = drawdown_plan(vf, x0, tail)
             simulate(problem, plan, horizon=4.0 / beta)
+
+        # a cycle's certificate and simulate sum each period's stock alike:
+        # from stock 0 over 16/beta, 1024 default periods, the stock never
+        # dips below zero and each period ends at exactly zero (the last
+        # may be cut at the horizon inside a phase)
+        if isinstance(tail, CyclicPlan):
+            cycles += 1
+            traj = simulate(problem, tail, horizon=16.0 / beta)
+            n = len(tail.phases)
+            ends = traj.stock[n::n][:(len(traj.t) - 1) // n]
+            assert len(ends) == 1024 and traj.stock.min() >= 0.0, seed
+            assert not np.any(ends[:-1]), (seed, np.flatnonzero(ends[:-1]))
+
+    assert cycles >= 70, cycles
 
     # truncating the production ray anywhere sensible must not move zeta
     worst_shift = 0.0

@@ -38,34 +38,6 @@ def am_cyclic(am_mid_problem, am_mid_model):
     return rel, cyclic_strategy(am_mid_problem, rel, 0.25)
 
 
-def test_battery_cycles_close_every_period(make_random_instance):
-    # every cycle that criterion 8's invariant battery builds (its tables
-    # from default_rng(88), its two conjugate probes per table drawn too),
-    # run from stock 0 over 16/beta: 1024 periods of the default period.
-    # The plan certifies each period's stock sum and simulate lays every
-    # period out with that sum, so stock never dips below zero and each
-    # period that ends before the horizon ends at exactly zero.  Draw #49's
-    # net is the rounding of its rates; summed over the periods it once
-    # took stock to -1.6e-14 and every period end off zero
-    rng = np.random.default_rng(88)
-    cycles = 0
-    for k in range(100):
-        problem = make_random_instance(rng)
-        model = build_hamiltonian(problem)
-        rng.uniform(0.0, model.z_max, (2, 3))
-        plan = stationary_plan(problem, model)
-        if not isinstance(plan, CyclicPlan):
-            continue
-        cycles += 1
-        traj = simulate(problem, plan, horizon=16.0 / problem.beta)
-        n = len(plan.phases)
-        ends = traj.stock[n::n][:(len(traj.t) - 1) // n]
-        assert len(ends) == 1024 and traj.stock.min() >= 0.0, (k, len(ends))
-        # the last period may be cut at the horizon, inside a phase
-        assert not np.any(ends[:-1]), (k, np.flatnonzero(ends[:-1]))
-    assert cycles >= 70, cycles
-
-
 def test_static_plan_closed_form(linear_cost_problem, linear_cost_value):
     traj = simulate(linear_cost_problem, StaticPlan(0.3), horizon=40.0)
     expect = 0.15 * (1.0 - math.exp(-0.5 * 40.0)) / 0.5
