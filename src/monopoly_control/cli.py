@@ -264,7 +264,7 @@ def _cmd_compare(args) -> int:
     _append_gap(items, "profit_gap_drawdown", traj, vf)
     report = static_optimality_test(problem, model)
     if report.optimal:
-        tstat = simulate(problem, StaticPlan(report.u_hat), horizon=horizon)
+        tstat = simulate(problem, StaticPlan(report.witness), horizon=horizon)
         _append_gap(items, "profit_gap_static", tstat, vf)
     write_keyvalues(out / "compare.txt", items)
     print(f"max |v_hat - v| = {gap_grid.max():.3e} on [0, {xs[-1]:.3g}]")

@@ -126,7 +126,8 @@ class Envelope:
         if out.any():
             raise OutOfDomain(f"{x[out].flat[0]} outside [{lo}, {hi}]")
         vx = self._vx
-        e = np.clip(np.searchsorted(vx, x) - 1, 0, len(vx) - 2)
+        # x's edge is the one past each inner vertex below x
+        e = np.searchsorted(vx[1:-1], x)
         return x, e, (vx[e] < x) & (x < vx[e + 1])
 
     def kink_slopes(self) -> np.ndarray:
@@ -371,12 +372,19 @@ def contact_argmax_intervals(env: Envelope, z: float) -> list:
 # decomposition
 
 
+def _apart(u, w):
+    """Whether readings u and w differ by more than 4 ulps of the larger:
+    one point read two ways, by a closed form and a kernel say, is not."""
+    return np.abs(u - w) > 4.0 * np.spacing(np.maximum(abs(u), abs(w)))
+
+
 def hull_decompose(env: Envelope, x: float) -> tuple:
     """Express x as a two-point mixture of contact points.
 
     Returns (x1, x2, delta) with x = delta*x1 + (1-delta)*x2 and
     hull(x) = delta*f(x1) + (1-delta)*f(x2).  Where the envelope touches
-    the curve the mixture collapses to (x, x, 1).
+    the curve, and at an x not _apart from a contact point beside it, the
+    mixture collapses to (x, x, 1).
     """
     lo, hi = env.domain
     if not (lo - 1e-12 * max(1.0, abs(lo)) <= x <= hi + 1e-12 * max(1.0, abs(hi))):
@@ -393,7 +401,7 @@ def hull_decompose(env: Envelope, x: float) -> tuple:
     right = ks[env.xs[ks] >= x]
     x1 = float(env.xs[left[-1]]) if len(left) else float(env.xs[i])
     x2 = float(env.xs[right[0]]) if len(right) else float(env.xs[j])
-    if x1 == x2:
+    if not (_apart(x, x1) and _apart(x, x2)):
         return (x, x, 1.0)
     delta = (x2 - x) / (x2 - x1)
     f1 = float(env.f[int(np.searchsorted(env.xs, x1))])

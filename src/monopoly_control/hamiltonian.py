@@ -94,16 +94,20 @@ def _sides(c, r) -> np.ndarray:
     return np.stack([c.argmax_lo, r.argmax_hi, c.argmax_hi, r.argmax_lo])
 
 
+# zeta's search stops at this width relative to its latest point: about 7
+# ulps at any scale, so zeta is known to _ZETA_WIDTH zeta
+_ZETA_WIDTH = 1.5e-15
+
+
 def _root_end(f, a: float, b: float) -> float:
     """The end in the class f >= 0 of [a, b], shrunk around f's change of
     class (f < 0 or f >= 0) by Illinois steps kept half a tolerance inside
     it, and by bisection when three steps have not halved it, until
-    |b - a| <= 1.5e-15 |b|, b the latest point: about 7 ulps of b at any
-    scale."""
+    |b - a| <= _ZETA_WIDTH |b|, b the latest point."""
     fa, fb = f(a), f(b)
     w1 = w2 = w3 = math.inf             # widths one to three steps back
     while True:
-        w, tol = abs(b - a), 1.5e-15 * abs(b)
+        w, tol = abs(b - a), _ZETA_WIDTH * abs(b)
         if w <= tol:
             return b if fb >= 0.0 else a
         d = 0.5 * tol / w

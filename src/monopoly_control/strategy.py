@@ -1,12 +1,15 @@
 """Stationary, relaxed, cyclic, and stock-drawdown strategies.
 
 The static question: is there a single rate u in Q intersect A with
-R(u) - C(u) = min H?  The best constant rate, exact from the curves'
-pieces, answers it.  If yes, produce and sell at u forever (once stock is
-gone) and nothing beats it.  If no, the gap is closed by mixing two sales
-rates and two production rates with matching means (the relaxed optimum),
-realized physically by fast production/sales cycles whose payoff comes
-within order epsilon of the bound while stock stays non-negative.
+R(u) - C(u) = min H?  It is decided in rates, by the rule the relaxed
+optimum's mixtures follow: u attains iff it lies in both attaining spans
+at zeta and neither envelope mixes it, and the best constant rate, exact
+from the curves' pieces, is tried first.  If yes, produce and sell at u
+forever (once stock is gone) and nothing beats it.  If no, the gap is
+closed by mixing two sales rates and two production rates with matching
+means (the relaxed optimum), realized physically by fast production/sales
+cycles whose payoff comes within order epsilon of the bound while stock
+stays non-negative.
 
 An optimal plan draws positive initial stock down in finite time, then
 runs a stationary plan forever; stationary_plan is the one rule that picks
@@ -35,9 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import hull_decompose
+from .envelope import _apart, hull_decompose
 from .errors import DecompositionMismatch, InvalidParameter, ZetaZeroWarning
-from .hamiltonian import (HamiltonianModel, _in_domain, _sides,
+from .hamiltonian import (_ZETA_WIDTH, HamiltonianModel, _in_domain, _sides,
                           controls_at as _h_controls)
 from .problem import ValidatedProblem, validate_problem
 from .value import ValueFunction
@@ -66,8 +69,10 @@ class StaticPlan:
 
 @dataclass(frozen=True)
 class StaticReport:
-    """Whether the best constant rate u_hat, where R - C = payoff, attains
-    min H = payoff + gap; the witness is u_hat if it does, else None."""
+    """Whether a constant rate attains min H = payoff + gap, payoff being
+    R - C at the best constant rate u_hat; the witness is the rate that
+    attains (u_hat, or u_tilde in the kernel's slope tie band; see
+    static_optimality_test), None if none does."""
     optimal: bool
     u_hat: float
     payoff: float
@@ -199,30 +204,36 @@ def _static_candidate(problem: ValidatedProblem) -> tuple:
 
 
 def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
-    """Static plan is optimal iff the best constant rate u_hat attains
-    min H.
+    """Static plan is optimal iff a constant rate attains min H.
 
-    By Young-Fenchel R(u) - zeta u <= R*(zeta) and zeta u - C(u) <=
-    C*(zeta), and min H = R*(zeta) + C*(zeta), so the gap is the sum of
-    these two non-negative slacks at u_hat.  Optimal iff each vanishes
-    within 1e-12 of the terms of both readings it compares: |R(u)| + |zeta
-    u| and the conjugate's own |R(w)| + |zeta w| at its largest attaining
-    point w, and the same on the cost side; u_hat, which lies in Q
-    intersect A, is then the witness.
+    A rate attains it iff it lies in both attaining spans at zeta and
+    neither envelope mixes it (hull_decompose, the rule the relaxed
+    optimum's mixtures follow): then R(u) - zeta u = R*(zeta) and zeta u -
+    C(u) = C*(zeta), whose sum is min H, and u lies in Q intersect A.
+    zeta is known to _ZETA_WIDTH zeta (hamiltonian._root_end), so each span
+    is read at zeta (1 - _ZETA_WIDTH), zeta and zeta (1 + _ZETA_WIDTH) and
+    joined, and u_hat lies in both joined spans if it is not _apart from
+    its nearest point of their intersection.  u_tilde = max(c_lo, r_lo) at
+    zeta, the spans' smallest common point, is tried next: it attains
+    where zeta lies in the kernel's 1e-9 slope tie band of a chord that
+    u_hat, on the curve just past the chord's end, is not in.  The first
+    rate that attains is the witness; the gap decides nothing.
     """
     problem = validate_problem(problem)
     u_hat, payoff = _static_candidate(problem)
-    zeta = model.zeta
-    c_star, r_star = _in_domain(model, zeta)
-    r, c = float(problem.revenue(u_hat)), float(problem.cost(u_hat))
-    zu, zw, za = zeta * u_hat, zeta * r_star.argmax_hi, zeta * c_star.argmax_hi
-    r_terms = abs(r) + abs(zu) + abs(r_star.value + zw) + abs(zw)
-    c_terms = abs(c) + abs(zu) + abs(za - c_star.value) + abs(za)
-    optimal = (r_star.value - (r - zu) <= 1e-12 * r_terms
-               and c_star.value - (zu - c) <= 1e-12 * c_terms)
-    return StaticReport(optimal=optimal, u_hat=u_hat, payoff=payoff,
-                        gap=float(model.h_min - payoff),
-                        witness=u_hat if optimal else None)
+    w = _ZETA_WIDTH * np.array([-1.0, 0.0, 1.0])
+    c, r = _in_domain(model, model.zeta * (1.0 + w))
+    lo = max(c.argmax_lo.min(), r.argmax_lo.min())
+    hi = min(c.argmax_hi.max(), r.argmax_hi.max())
+    u_tilde = float(max(c.argmax_lo[1], r.argmax_lo[1]))
+    spanned = not _apart(u_hat, min(max(u_hat, lo), hi))
+    tries = (u_hat, u_tilde) if spanned else (u_tilde,)
+    envs = (model.cost_env, model.rev_env)
+    witness = next((u for u in tries if all(
+        x1 == x2 for x1, x2, _ in (hull_decompose(e, u) for e in envs))), None)
+    return StaticReport(optimal=witness is not None, u_hat=u_hat,
+                        payoff=payoff, gap=float(model.h_min - payoff),
+                        witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +270,17 @@ def relaxed_static(problem, model: HamiltonianModel,
         u_tilde, _ = convexified_static(problem, model)
     u_tilde = float(u_tilde)
 
+    # hull_decompose weighs each mixture so that its mean is u_tilde
     q1, q2, gamma = hull_decompose(model.rev_env, u_tilde)
     a1, a2, nu = hull_decompose(model.cost_env, u_tilde)
-
-    mean_q = gamma * q1 + (1.0 - gamma) * q2
-    mean_a = nu * a1 + (1.0 - nu) * a2
-    tol_mean = 1e-9 * max(1.0, abs(u_tilde))
-    if abs(mean_q - u_tilde) > tol_mean or abs(mean_a - u_tilde) > tol_mean:
-        raise DecompositionMismatch(
-            f"mixture means ({mean_q}, {mean_a}) drift from {u_tilde}")
-
-    rev = gamma * float(problem.revenue(q1)) + (1.0 - gamma) * float(problem.revenue(q2))
-    cost = nu * float(problem.cost(a1)) + (1.0 - nu) * float(problem.cost(a2))
-    payoff = rev - cost
+    r1, r2 = (float(problem.revenue(q)) for q in (q1, q2))
+    c1, c2 = (float(problem.cost(a)) for a in (a1, a2))
+    payoff = gamma * r1 + (1.0 - gamma) * r2 - (nu * c1 + (1.0 - nu) * c2)
     hull_payoff = float(model.rev_env.hull_exact(u_tilde)
                         - model.cost_env.hull_exact(u_tilde))
-    if abs(payoff - hull_payoff) > 1e-6 * max(1.0, abs(hull_payoff)):
+    # a weight is rounded against 1, so the bound scales with the readings
+    # it weighs, not with the mixed sums, which a tiny weight shrinks
+    if abs(payoff - hull_payoff) > 1e-6 * sum(map(abs, (r1, r2, c1, c2))):
         raise DecompositionMismatch(
             f"mixed payoff {payoff:.12g} vs convexified {hull_payoff:.12g}")
     return RelaxedStatic(u_tilde=u_tilde, q1=q1, q2=q2, gamma=float(gamma),

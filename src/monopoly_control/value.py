@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .envelope import _apart
 from .errors import InvalidParameter, OutOfDomain
 from .hamiltonian import HamiltonianModel, _in_domain, _sides, h_at
 from .tableio import write_csv
@@ -76,15 +77,12 @@ def _arcs(problem, a_lo, q_lo, a_hi, q_hi) -> tuple:
     their bottom and (a_hi, q_hi) below their top.  With p0 + p1 x + p2 x^2
     a slope (Curve.slope_coefficients), sales that move follow linear
     demand, q = (z - p0)/p1, and production the cubic, a = k + sqrt(z/p2).
-    A rate moves iff its readings differ by more than rounding: on one curve
-    piece they do only along an arc, and a vertex may read an ulp apart."""
-    def moves(u, w):
-        return np.abs(u - w) > 4.0 * np.spacing(np.maximum(abs(u), abs(w)))
-
+    A rate moves iff its readings are apart (envelope._apart): on one curve
+    piece they are only along an arc, and a vertex may read an ulp off."""
     p1 = problem.revenue.slope_coefficients(q_lo)[1]
     p2 = problem.cost.slope_coefficients(a_lo)[2]
-    s1 = -1.0 / np.where(moves(q_lo, q_hi) & (p1 < 0.0), p1, -np.inf)
-    s2 = np.where(moves(a_lo, a_hi) & (p2 > 0.0), p2, np.inf) ** -0.5
+    s1 = -1.0 / np.where(_apart(q_lo, q_hi) & (p1 < 0.0), p1, -np.inf)
+    s2 = np.where(_apart(a_lo, a_hi) & (p2 > 0.0), p2, np.inf) ** -0.5
     return s1, s2
 
 

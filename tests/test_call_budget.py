@@ -21,9 +21,10 @@ its closed form and is handed only its set's ends, and a piecewise-linear
 curve (an affine cost, a table) only its breakpoints, so sampling either
 again fails here.
 
-The static verdict reads the two conjugates at zeta, one kernel call
-each, and finds its best constant rate in closed form, so a return to a
-root search or to a contact search with more readings fails here.
+The static verdict reads the two conjugates' attaining spans at zeta and
+the two slopes a stop width of its search beside it, one kernel call each,
+and finds its best constant rate in closed form, so a return to a root
+search or to a contact search with more readings fails here.
 
 The oracle's LAPACK calls are counted the same way: each policy solve
 eliminates its interiors in one batched call and its separators in one

@@ -731,21 +731,31 @@ def test_cli_near_the_mixing_band_edges(configs_dir, tmp_path, capsys):
             err = capsys.readouterr().err
             assert rc == 0 or (rc == 2 and limit in err), (k, cmd, rc, err)
             played += rc == 0
+            if rc == 0 and cmd == ["strategy"]:
+                # every draw lies inside the band: no constant rate attains
+                static = (tmp_path / "strategy.txt").read_text().split("\n")[0]
+                assert " optimal=False " in static, (k, static)
     assert played == 216 - 15, played
 
 
 @pytest.mark.parametrize("cmd", [["strategy", "--x0", "0.2"],
-                                 ["simulate", "--x0", "0.2", "--eps", "0.03"]])
+                                 ["simulate", "--x0", "0.2", "--eps", "0.03"],
+                                 ["solve"]])
 def test_cli_cycle_one_part_in_1e9_inside_the_band_edge(configs_dir, tmp_path,
                                                         cmd):
     # arvan_moses_high with Q = [0, 3], whose band's top edge t2 is 1.75,
-    # at A = t2 (1 - 1e-9): the static verdict is optimal, and the relaxed
-    # optimum's production mixture weighs 0 by 1.2e-9, so its cycle peaks
-    # at 5.5e-11 and nets the rounding of the rate 1.5 per period
+    # at A = t2 (1 - 1e-9), inside the band: no constant rate attains, so
+    # solve reads the paper's regime ii, and the relaxed optimum's
+    # production mixture weighs 0 by 1.2e-9, so its cycle peaks at 5.5e-11
+    # and nets the rounding of the rate 1.5 per period
     cfg = str(configs_dir / "arvan_moses_high.cfg")
     assert main([*cmd[:1], cfg, *cmd[1:], "--out", str(tmp_path),
                  "--set", "sets.q=interval 0 3",
                  "--set", "revenue.A=1.74999999825"]) == 0
+    if cmd == ["solve"]:
+        summary = _summary(tmp_path / "summary.txt")
+        assert (summary["static_optimal"], summary["regime"]) \
+            == ("False", "ii"), summary
 
 
 def test_cli_simulate_past_a_kink_at_the_demand_top_battery(configs_dir,

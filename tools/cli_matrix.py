@@ -3,14 +3,15 @@
     python tools/cli_matrix.py OUT SRC
 
 For each config in configs/ at beta 0.5 and 1.3, runs `solve`,
-`strategy --x0 0.2`, `simulate --x0 0.2`, `simulate --x0 0.1 --eps 0.05`,
-`oracle` and `compare --x0 0.25` as `python -m monopoly_control.cli`, with
-the package imported from SRC.  Each run gets a directory under OUT, which
-must not exist yet, holding the files the command wrote and its stdout,
-stderr and exit_code.  A run writes `--out .` from inside its directory,
-so no path of OUT reaches the outputs, and two trees made from two
-checkouts of the package compare with `diff -r`.  Children run with
-PYTHONDONTWRITEBYTECODE=1, so SRC gets no bytecode.
+`strategy --x0 0.2`, `strategy --x0 0.2 --eps 0.05`, `simulate --x0 0.2`,
+`simulate --x0 0.1 --eps 0.05`, `oracle` and `compare --x0 0.25` (70 runs)
+as `python -m monopoly_control.cli`, with the package imported from SRC.
+Each run gets a directory under OUT, which must not exist yet, holding the
+files the command wrote and its stdout, stderr and exit_code.  A run
+writes `--out .` from inside its directory, so no path of OUT reaches the
+outputs, and two trees made from two checkouts of the package compare
+with `diff -r`.  Children run with PYTHONDONTWRITEBYTECODE=1, so SRC gets
+no bytecode.
 """
 
 import argparse
@@ -24,6 +25,7 @@ BETAS = ("0.5", "1.3")
 COMMANDS = (
     ("solve",),
     ("strategy", "--x0", "0.2"),
+    ("strategy", "--x0", "0.2", "--eps", "0.05"),
     ("simulate", "--x0", "0.2"),
     ("simulate", "--x0", "0.1", "--eps", "0.05"),
     ("oracle",),
