@@ -38,7 +38,7 @@ from .simulate import profit_gap, simulate, write_trajectory_csv
 from .strategy import (
     DrawdownPlan,
     StaticPlan,
-    convexified_static,
+    _tail,
     cyclic_strategy,
     drawdown_plan,
     relaxed_static,
@@ -130,19 +130,13 @@ def _regime(problem, report) -> str | None:
     return "i" if report.u_hat == 0.0 else "iii"
 
 
-def _stationary(problem, model):
-    report = static_optimality_test(problem, model)
-    u_tilde, relaxed_payoff = convexified_static(problem, model)
-    return report, u_tilde, relaxed_payoff
-
-
 def _cmd_solve(args) -> int:
     problem = _load(args)
     out = Path(args.out)
     model = build_hamiltonian(problem)
     vf = build_value(model)
     write_value_csv(vf, out / "value.csv")
-    report, u_tilde, relaxed_payoff = _stationary(problem, model)
+    report = static_optimality_test(problem, model)
     items = [
         ("zeta", model.zeta),
         ("v0", vf.value_at(0.0)),
@@ -155,8 +149,8 @@ def _cmd_solve(args) -> int:
         ("u_static", report.u_hat),
         ("static_payoff", report.payoff),
         ("static_gap", report.gap),
-        ("u_tilde", u_tilde),
-        ("relaxed_payoff", relaxed_payoff),
+        ("u_tilde", report.u_tilde),
+        ("relaxed_payoff", report.relaxed_payoff),
     ]
     if model.trunc_bound is not None:
         items.append(("production_ceiling", model.trunc_bound))
@@ -173,19 +167,21 @@ def _cmd_strategy(args) -> int:
     problem = _load(args)
     out = Path(args.out)
     model = build_hamiltonian(problem)
-    report, u_tilde, relaxed_payoff = _stationary(problem, model)
+    report = static_optimality_test(problem, model)
     lines = [
         f"static: {StaticPlan(report.u_hat).describe()} "
         f"payoff={report.payoff:.10g} optimal={report.optimal} "
         f"gap={report.gap:.10g}",
     ]
-    relaxed = relaxed_static(problem, model, u_tilde)
+    relaxed = relaxed_static(problem, model, report.u_tilde)
     lines.append(f"relaxed: {relaxed.describe()} payoff={relaxed.payoff:.10g}")
     cyc = cyclic_strategy(problem, relaxed, args.eps)
     lines.append(f"cyclic: {cyc.describe()}")
     if args.x0 is not None:
-        plan = drawdown_plan(build_value(model), args.x0,
-                             stationary_plan(problem, model, args.eps))
+        # _tail's rule, on the cycle printed above
+        static = args.eps is None and report.optimal
+        tail = StaticPlan(report.witness) if static else cyc
+        plan = drawdown_plan(build_value(model), args.x0, tail)
         lines.append(f"drawdown: {plan.describe()}")
         if isinstance(plan, DrawdownPlan):
             write_csv(out / "drawdown.csv",
@@ -247,7 +243,8 @@ def _cmd_compare(args) -> int:
     vf = build_value(model)
     # the plan refuses an x_mid it cannot play before the oracle runs
     x_mid = 0.5 * args.x0
-    plan = drawdown_plan(vf, x_mid, stationary_plan(problem, model, args.eps))
+    report = static_optimality_test(problem, model)
+    plan = drawdown_plan(vf, x_mid, _tail(problem, model, report, args.eps))
     res = dp_value(problem, x_max=args.x0, dt=args.dt)
     lo_half = res.x_grid <= 0.5 * args.x0 + 1e-12
     xs = res.x_grid[lo_half]
@@ -262,7 +259,6 @@ def _cmd_compare(args) -> int:
     ]
     traj = simulate(problem, plan, horizon=horizon, x0=x_mid)
     _append_gap(items, "profit_gap_drawdown", traj, vf)
-    report = static_optimality_test(problem, model)
     if report.optimal:
         tstat = simulate(problem, StaticPlan(report.witness), horizon=horizon)
         _append_gap(items, "profit_gap_static", tstat, vf)

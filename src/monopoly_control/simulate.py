@@ -175,7 +175,8 @@ def simulate(problem, plan, *, horizon: float,
         raise InvalidParameter(f"initial stock must be finite, got {x0}")
 
     if isinstance(plan, DrawdownPlan):
-        if x0 is not None and abs(x0 - plan.x0) > 1e-12 * max(1.0, plan.x0):
+        # a drawdown's x0 is positive: drawdown_plan returns the tail at 0
+        if x0 is not None and abs(x0 - plan.x0) > 1e-12 * plan.x0:
             raise InvalidParameter(
                 f"plan starts at {plan.x0}, simulation asked for {x0}")
         return _simulate_drawdown(problem, plan, horizon)

@@ -72,12 +72,17 @@ class StaticReport:
     """Whether a constant rate attains min H = payoff + gap, payoff being
     R - C at the best constant rate u_hat; the witness is the rate that
     attains (u_hat, or u_tilde in the kernel's slope tie band; see
-    static_optimality_test), None if none does."""
+    static_optimality_test), None if none does.  u_tilde is the relaxed
+    optimum's mean rate and relaxed_payoff R^ - C^ there, as
+    convexified_static reads them; a report built by hand may leave both
+    None."""
     optimal: bool
     u_hat: float
     payoff: float
     gap: float
     witness: float | None
+    u_tilde: float | None = None
+    relaxed_payoff: float | None = None
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,9 @@ def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
     zeta, the spans' smallest common point, is tried next: it attains
     where zeta lies in the kernel's 1e-9 slope tie band of a chord that
     u_hat, on the curve just past the chord's end, is not in.  The first
-    rate that attains is the witness; the gap decides nothing.
+    rate that attains is the witness; the gap decides nothing.  The
+    report carries u_tilde and its relaxed payoff, so this batch is the
+    one reading of the relaxed optimum a caller needs.
     """
     problem = validate_problem(problem)
     u_hat, payoff = _static_candidate(problem)
@@ -233,11 +240,17 @@ def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
         x1 == x2 for x1, x2, _ in (hull_decompose(e, u) for e in envs))), None)
     return StaticReport(optimal=witness is not None, u_hat=u_hat,
                         payoff=payoff, gap=float(model.h_min - payoff),
-                        witness=witness)
+                        witness=witness, u_tilde=u_tilde,
+                        relaxed_payoff=_hull_payoff(model, u_tilde))
 
 
 # ---------------------------------------------------------------------------
 # relaxed optimum and its cyclic realization
+
+
+def _hull_payoff(model: HamiltonianModel, u: float) -> float:
+    """The convexified running profit R^(u) - C^(u)."""
+    return float(model.rev_env.hull_exact(u) - model.cost_env.hull_exact(u))
 
 
 def convexified_static(problem, model: HamiltonianModel) -> tuple:
@@ -253,8 +266,7 @@ def convexified_static(problem, model: HamiltonianModel) -> tuple:
     (u_tilde, payoff); only model is read.
     """
     u = max(_h_controls(model, model.zeta))
-    rev, cost = model.rev_env, model.cost_env
-    return u, float(rev.hull_exact(u) - cost.hull_exact(u))
+    return u, _hull_payoff(model, u)
 
 
 def relaxed_static(problem, model: HamiltonianModel,
@@ -276,8 +288,7 @@ def relaxed_static(problem, model: HamiltonianModel,
     r1, r2 = (float(problem.revenue(q)) for q in (q1, q2))
     c1, c2 = (float(problem.cost(a)) for a in (a1, a2))
     payoff = gamma * r1 + (1.0 - gamma) * r2 - (nu * c1 + (1.0 - nu) * c2)
-    hull_payoff = float(model.rev_env.hull_exact(u_tilde)
-                        - model.cost_env.hull_exact(u_tilde))
+    hull_payoff = _hull_payoff(model, u_tilde)
     # a weight is rounded against 1, so the bound scales with the readings
     # it weighs, not with the mixed sums, which a tiny weight shrinks
     if abs(payoff - hull_payoff) > 1e-6 * sum(map(abs, (r1, r2, c1, c2))):
@@ -348,12 +359,17 @@ def stationary_plan(problem, model: HamiltonianModel, eps: float | None = None):
     Without eps: the static witness if a constant rate attains min H,
     otherwise the relaxed optimum realized as a cycle of the default
     period (see cyclic_strategy).  With eps: that cycle at period eps.
+    The verdict runs either way, and its u_tilde is the cycle's mean rate.
     """
-    if eps is None:
-        report = static_optimality_test(problem, model)
-        if report.optimal:
-            return StaticPlan(report.witness)
-    return cyclic_strategy(problem, relaxed_static(problem, model), eps)
+    return _tail(problem, model, static_optimality_test(problem, model), eps)
+
+
+def _tail(problem, model: HamiltonianModel, report: StaticReport, eps):
+    """stationary_plan's rule, for a caller that holds the verdict."""
+    if eps is None and report.optimal:
+        return StaticPlan(report.witness)
+    relaxed = relaxed_static(problem, model, report.u_tilde)
+    return cyclic_strategy(problem, relaxed, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ def test_criterion_2_static_optimality_boundary():
             problem = validate_problem(builtin_arvan_moses(a, b, k, beta=0.5))
             model = build_hamiltonian(problem)
             report = static_optimality_test(problem, model)
+            assert (report.u_tilde, report.relaxed_payoff) \
+                == convexified_static(problem, model), (a, b, k)
             rel = relaxed_static(problem, model)
             inside = t1 < a < t2
             assert (report.optimal, rel.sales_mixed or rel.production_mixed) \

@@ -26,6 +26,11 @@ the two slopes a stop width of its search beside it, one kernel call each,
 and finds its best constant rate in closed form, so a return to a root
 search or to a contact search with more readings fails here.
 
+Each CLI command asks each stationary question at most once: the verdict,
+the relaxed decomposition and the cycle run once at most, counted through
+both the strategy and the cli bindings, and the verdict's report carries
+the relaxed optimum and its payoff, so no command calls convexified_static.
+
 The oracle's LAPACK calls are counted the same way: each policy solve
 eliminates its interiors in one batched call and its separators in one
 more, so a return to one call per block fails here.
@@ -41,7 +46,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from monopoly_control import envelope, hamiltonian
+from monopoly_control import cli, envelope, hamiltonian, strategy
 from monopoly_control.cli import main
 from monopoly_control.config import load_problem
 from monopoly_control.oracle import dp_value
@@ -51,11 +56,11 @@ from monopoly_control.value import build_value
 
 # (kernel calls, slopes read) allowed for solve + simulate --x0 0.2
 BUDGET = {
-    "arvan_moses_high": (56, 8150),
-    "arvan_moses_low": (16, 8070),
-    "arvan_moses_mid": (18, 8070),
-    "linear_cost": (32, 8108),
-    "table_curves": (18, 8090),
+    "arvan_moses_high": (54, 8150),
+    "arvan_moses_low": (14, 8070),
+    "arvan_moses_mid": (14, 8070),
+    "linear_cost": (30, 8108),
+    "table_curves": (14, 8090),
 }
 
 # points passed to the hull builders for solve + simulate --x0 0.2: two
@@ -152,6 +157,42 @@ def test_static_test_reads_the_kernel_twice(name, configs_dir, monkeypatch):
     monkeypatch.setattr(envelope, "_conjugate", counted)
     static_optimality_test(problem, model)
     assert calls == ["kernel", "kernel"], (name, calls)
+
+
+# the stationary questions a command may ask at most once each, and
+# convexified_static not at all
+ONCE = ("static_optimality_test", "relaxed_static", "cyclic_strategy",
+        "convexified_static")
+COMMANDS = (
+    ("solve",),
+    ("strategy", "--x0", "0.2"),
+    ("strategy", "--x0", "0.2", "--eps", "0.05"),
+    ("simulate", "--x0", "0.2"),
+    ("simulate", "--x0", "0.2", "--eps", "0.05"),
+    ("compare", "--x0", "0.25"),
+)
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_each_command_asks_each_stationary_question_once(
+        name, configs_dir, tmp_path, monkeypatch):
+    calls = dict.fromkeys(ONCE, 0)
+    for fn in ONCE:
+        orig = getattr(strategy, fn)
+
+        def counted(*args, fn=fn, orig=orig, **kw):
+            calls[fn] += 1
+            return orig(*args, **kw)
+        for mod in (strategy, cli):
+            if getattr(mod, fn, None) is orig:
+                monkeypatch.setattr(mod, fn, counted)
+    cfg = str(configs_dir / f"{name}.cfg")
+    for cmd, *flags in COMMANDS:
+        calls.update(dict.fromkeys(ONCE, 0))
+        assert main([cmd, cfg, *flags, "--out", str(tmp_path)]) == 0
+        # the relaxed optimum is read from the verdict's batch alone
+        assert max(calls.values()) <= 1 and calls["convexified_static"] == 0, (
+            name, cmd, flags, calls)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))

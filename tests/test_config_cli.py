@@ -738,6 +738,91 @@ def test_cli_near_the_mixing_band_edges(configs_dir, tmp_path, capsys):
     assert played == 216 - 15, played
 
 
+def _mixed_scale_draws(seed: int, n: int):
+    """n valid problems at mixed scales: linear demand (60 %) or a table
+    revenue, and a cubic (40 %), affine (20 %) or table cost, every rate
+    and money scale at 10^U(-6, 6).  Q is an interval (70 %) inside linear
+    demand's non-negative range [0, A/B] or a finite set; A is a ray (a
+    cubic's, 40 %), an interval or a finite set; 0 is in both.  beta is at
+    10^U(-4, 2), x0 at 10^U(-6, 2) and the cycle period at 10^U(-2, 0) /
+    beta.  Yields (config text, x0, eps)."""
+    rng = np.random.default_rng(seed)
+
+    def scale(lo=-6.0, hi=6.0):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    def knots(top):
+        inner = rng.uniform(0.0, top, int(rng.integers(1, 5)))
+        return np.unique(np.concatenate([[0.0, top], inner]))
+
+    def finite(top):
+        vals = top * rng.uniform(0.0, 1.0, int(rng.integers(1, 5)))
+        return "finite " + " ".join(
+            map(repr, np.unique(np.append(vals, 0.0)).tolist()))
+
+    def table(xs, ys):
+        return "family = table\npoints = " + ", ".join(
+            f"{x!r}:{y!r}" for x, y in zip(xs.tolist(), ys.tolist()))
+
+    for _ in range(n):
+        if rng.uniform() < 0.6:
+            a, b = scale(), scale()
+            revenue = f"family = linear_demand\nA = {a!r}\nB = {b!r}"
+            q_top = a / b
+        else:
+            xs = knots(scale())
+            revenue = table(xs, scale() * np.concatenate(
+                [[0.0], rng.uniform(0.0, 1.0, len(xs) - 1)]))
+            q_top = float(xs[-1])
+        kind = rng.choice(["cubic", "affine", "table"], p=[0.4, 0.2, 0.4])
+        if kind == "table":
+            xs = knots(scale())
+            cost = table(xs, scale() * np.concatenate(
+                [[0.0], np.cumsum(rng.uniform(0.0, 1.0, len(xs) - 1))]))
+            a_top = float(xs[-1])
+        else:
+            key = "K" if kind == "cubic" else "c"
+            cost, a_top = f"family = {kind}\n{key} = {scale()!r}", scale()
+        q_set = (f"interval 0 {q_top * rng.uniform(0.05, 1.0)!r}"
+                 if rng.uniform() < 0.7 else finite(q_top))
+        u = rng.uniform()
+        if kind == "cubic" and u < 0.4:
+            a_set = "right_ray 0"
+        elif u < 0.75:
+            a_set = f"interval 0 {a_top * rng.uniform(0.05, 1.0)!r}"
+        else:
+            a_set = finite(a_top)
+        beta = scale(-4.0, 2.0)
+        x0, eps = scale(-6.0, 2.0), scale(-2.0, 0.0) / beta
+        yield (f"[problem]\nbeta = {beta!r}\n\n[revenue]\n{revenue}\n\n"
+               f"[cost]\n{cost}\n\n[sets]\nq = {q_set}\na = {a_set}\n",
+               x0, eps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_mixed_scale_battery(tmp_path, capsys):
+    # 160 draws, 640 runs of solve, strategy --x0, simulate --x0 and
+    # simulate --x0 --eps.  Valid input exits 0, or exits 2 naming a limit
+    # of the drawdown from x0: the slope v'(x0) underflows, or its last
+    # bit moves the arc's stock past the arc's closing tolerance
+    cfg = tmp_path / "draw.cfg"
+    limits = ("the marginal value of stock underflows",
+              "exceeds the drawdown arc's closing tolerance")
+    codes = {0: 0, 2: 0}
+    for k, (text, x0, eps) in enumerate(_mixed_scale_draws(0, 160)):
+        cfg.write_text(text)
+        for cmd in (["solve"], ["strategy", "--x0", repr(x0)],
+                    ["simulate", "--x0", repr(x0)],
+                    ["simulate", "--x0", repr(x0), "--eps", repr(eps)]):
+            rc = main([cmd[0], str(cfg), *cmd[1:], "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert rc == 0 or (rc == 2 and any(m in err for m in limits)), \
+                (k, cmd, rc, err, text)
+            codes[rc] += 1
+    print(f"{codes[0]} runs exit 0, {codes[2]} exit 2 at a named limit")
+    assert codes[2] < codes[0], codes
+
+
 @pytest.mark.parametrize("cmd", [["strategy", "--x0", "0.2"],
                                  ["simulate", "--x0", "0.2", "--eps", "0.03"],
                                  ["solve"]])

@@ -20,6 +20,7 @@ from monopoly_control import (
     h_at,
     relaxed_static,
     simulate,
+    static_optimality_test,
     validate_problem,
 )
 from monopoly_control import value
@@ -130,7 +131,11 @@ def test_conjugate_hull_equivalence(solved_instances, brute_conjugate):
 def test_static_below_relaxed_below_min_h(solved_instances):
     for problem, model, _ in solved_instances:
         _, static_payoff = _static_candidate(problem)
-        _, relaxed_payoff = convexified_static(problem, model)
+        u_tilde, relaxed_payoff = convexified_static(problem, model)
+        # the verdict's batch reads the same relaxed optimum, bit for bit
+        report = static_optimality_test(problem, model)
+        assert (report.u_tilde, report.relaxed_payoff) \
+            == (u_tilde, relaxed_payoff)
         scale = max(1.0, abs(model.h_min))
         assert static_payoff <= relaxed_payoff + 1e-8 * scale
         assert relaxed_payoff <= model.h_min + 1e-6 * scale

@@ -254,6 +254,20 @@ def test_drawdown_x0_mismatch_rejected(linear_cost_problem, linear_cost_model, l
         simulate(linear_cost_problem, plan, horizon=5.0, x0=math.nan)
 
 
+def test_drawdown_x0_match_is_relative_to_a_tiny_stock(am_mid_problem,
+                                                       am_mid_model,
+                                                       am_mid_value):
+    # a plan from 1e-15 refuses a run from 500 times its stock, and still
+    # takes one a part in 1e13 off it
+    plan = drawdown_plan(am_mid_value, 1e-15,
+                         stationary_plan(am_mid_problem, am_mid_model))
+    with pytest.raises(InvalidParameter, match="plan starts at"):
+        simulate(am_mid_problem, plan, horizon=5.0, x0=5e-13)
+    traj = simulate(am_mid_problem, plan, horizon=5.0,
+                    x0=plan.x0 * (1.0 + 1e-13))
+    assert traj.stock[0] == plan.x0
+
+
 def test_generic_plan_state_violation(am_mid_problem, referee):
     sell_always = CyclicPlan(eps=1.0,
                              phases=((0.0, 1.0, 0.0, 0.5, 0.25),), kappa=0.0,
