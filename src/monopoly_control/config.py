@@ -2,7 +2,7 @@
 
 Line-oriented ``key = value`` in four sections::
 
-    [problem]           beta (required), grid_n (optional, 9 to 262145)
+    [problem]           beta (required)
     [revenue]           family = linear_demand | table, plus family params
     [cost]              family = affine | cubic | table, plus family params
     [sets]              q = interval LO HI | finite V1 V2 ...
@@ -12,13 +12,6 @@ Family params: linear_demand takes A and B; affine takes c; cubic takes K;
 table takes points as comma-separated x:y pairs, e.g.
 ``points = 0:0, 0.5:0.4, 1:0.5``.  Unknown sections or keys are rejected
 so typos fail loudly instead of silently using defaults.
-
-grid_n is accepted and range-checked, but nothing reads it.  No answer
-reads samples: validation reads each curve at its set's ends and table
-knots, a smooth curve is hulled from its closed form, the minimizers of H
-are read at the kinks of the hulls, the best constant rate is found
-exactly from the curves' pieces, and the oracle's production cap is read
-in closed form.
 """
 
 from __future__ import annotations
@@ -27,10 +20,10 @@ import configparser
 from pathlib import Path
 
 from .errors import InvalidParameter
-from .problem import ControlSet, Curve, ProblemSpec, DEFAULT_GRID_N
+from .problem import ControlSet, Curve, ProblemSpec
 
 _KNOWN = {
-    "problem": {"beta", "grid_n"},
+    "problem": {"beta"},
     "revenue": {"family", "A", "B", "points"},
     "cost": {"family", "c", "K", "points"},
     "sets": {"q", "a"},
@@ -144,12 +137,6 @@ def load_problem(path, overrides=()) -> ProblemSpec:
 
     prob = dict(parser["problem"])
     beta = _float(prob, "problem", "beta")
-    grid_n = DEFAULT_GRID_N
-    if "grid_n" in prob:
-        try:
-            grid_n = int(prob["grid_n"])
-        except ValueError:
-            _fail(f"[problem] grid_n = {prob['grid_n']!r} is not an integer")
 
     revenue = _curve(dict(parser["revenue"]), "revenue")
     cost = _curve(dict(parser["cost"]), "cost")
@@ -160,4 +147,4 @@ def load_problem(path, overrides=()) -> ProblemSpec:
     a_set = _control_set(sets["a"], allow_ray=True, label="a")
 
     return ProblemSpec(beta=beta, demand_set=q_set, production_set=a_set,
-                       revenue=revenue, cost=cost, grid_n=grid_n)
+                       revenue=revenue, cost=cost)

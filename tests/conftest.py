@@ -77,7 +77,6 @@ def random_table_instance(rng: np.random.Generator):
         production_set=production,
         revenue=Curve.table(list(zip(r_xs, r_ys))),
         cost=Curve.table(list(zip(c_xs, c_ys))),
-        grid_n=257,
     )
     return validate_problem(spec)
 

@@ -100,8 +100,7 @@ def test_criterion_2_static_optimality_boundary():
                 skipped += 1
                 continue
             problem = validate_problem(
-                builtin_arvan_moses(float(a), 1.0, float(k), beta=0.5,
-                                    grid_n=1025))
+                builtin_arvan_moses(float(a), 1.0, float(k), beta=0.5))
             report = static_optimality_test(problem, build_hamiltonian(problem))
             assert report.optimal == (not t1 < a < t2), \
                 (float(a), float(k), report.optimal)
@@ -351,7 +350,6 @@ def _random_ray_instance(rng: np.random.Generator):
         production_set=ControlSet.right_ray(0.0),
         revenue=Curve.table(list(zip(r_xs, r_ys))),
         cost=Curve.cubic_cost(k),
-        grid_n=257,
     ))
 
 
@@ -370,7 +368,7 @@ def test_criterion_8_invariant_battery(make_random_instance,
 
         # running profit function is convex with a non-negative least
         # minimizer
-        z_grid = np.linspace(0.0, model.z_max, problem.grid_n)
+        z_grid = np.linspace(0.0, model.z_max, 257)
         slopes = np.diff(h_at(model, z_grid)) / np.diff(z_grid)
         assert np.all(np.diff(slopes) >= -1e-7 * scale), seed
         assert model.zeta >= 0.0

@@ -37,11 +37,8 @@ more, so a return to one call per block fails here.
 
 Validation reads each curve only at its points (a set's ends and a
 table's knots) and at linear demand's peak, so a return to a sample grid
-or a coercivity grid fails here, and so does one sized by grid_n.
+or a coercivity grid fails here.
 """
-
-import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +47,7 @@ from monopoly_control import cli, envelope, hamiltonian, strategy
 from monopoly_control.cli import main
 from monopoly_control.config import load_problem
 from monopoly_control.oracle import dp_value
-from monopoly_control.problem import MAX_GRID_N, Curve, validate_problem
+from monopoly_control.problem import Curve, validate_problem
 from monopoly_control.strategy import static_optimality_test
 from monopoly_control.value import build_value
 
@@ -115,15 +112,6 @@ def test_validation_reads_the_curves_at_their_points(name, configs_dir,
     monkeypatch.setattr(Curve, "__call__", counted)
     validate_problem(spec)
     assert points[0] <= 12, (name, points[0])
-    monkeypatch.undo()
-    # the largest grid_n allocates no grid
-    tracemalloc.start()
-    try:
-        validate_problem(dataclasses.replace(spec, grid_n=MAX_GRID_N))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64_000, (name, peak)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))

@@ -56,6 +56,8 @@ BROKEN_FILES = {
     "no_header.cfg": "beta = 0.5\n",
     "no_a.cfg": _TABLE_TEXT.replace("a = interval 0 2\n", ""),
     "no_beta.cfg": _TABLE_TEXT.replace("beta = 0.5\n", ""),
+    "grid_n.cfg": _TABLE_TEXT.replace("beta = 0.5\n",
+                                      "beta = 0.5\ngrid_n = 1025\n"),
 }
 
 
@@ -196,15 +198,16 @@ a = interval 0 2
 """
 
 
-@pytest.mark.parametrize("text, grid_n, u_static", [
-    (FINITE_TIE, 4097, "0"), (MIXED, 9, "0.40000000000000002"),
-    (MIXED, 4097, "0.40000000000000002")],
+@pytest.mark.parametrize("text, beta, u_static", [
+    (FINITE_TIE, 0.5, "0"), (MIXED, 0.05, "0.40000000000000002"),
+    (MIXED, 5.0, "0.40000000000000002")],
     ids=["finite_tie", "mixed_grid9", "mixed_grid4097"])
-def test_cli_static_verdict_is_exact(tmp_path, text, grid_n, u_static):
+def test_cli_static_verdict_is_exact(tmp_path, text, beta, u_static):
+    # the best constant rate does not depend on the discount rate
     cfg = tmp_path / "prob.cfg"
     cfg.write_text(text)
     assert main(["solve", str(cfg), "--out", str(tmp_path),
-                 "--set", f"problem.grid_n={grid_n}"]) == 0
+                 "--set", f"problem.beta={beta}"]) == 0
     summary = dict(line.split(" = ", 1) for line in
                    (tmp_path / "summary.txt").read_text().splitlines())
     assert summary["static_optimal"] == "True"
@@ -441,13 +444,15 @@ def test_cli_exit_code_on_assumption_violation(cfg, tmp_path):
     ["simulate", "--horizon", "inf"],
     ["simulate", "--eps", "nan"],
     ["strategy", "--x0", "inf"],
+    ["strategy", "--x0", "abc"],
 ])
 def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     command, flag, text = argv
     with pytest.raises(SystemExit) as exc:
         main([command, str(cfg), "--out", str(tmp_path), flag, text])
     assert exc.value.code == 2
-    assert f"argument {flag}" in capsys.readouterr().err
+    assert (f"argument {flag}: expected a finite number, got {text!r}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -460,7 +465,9 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["oracle", "--dt", "1e-17"], "discount exp(-beta dt) rounds to 1"),
     (["compare", "--dt", "1e-17"], "discount exp(-beta dt) rounds to 1"),
     (["simulate", "--x0", "0.1", "--eps", "1e-9"], "cycle period 1e-09"),
-    (["solve", "--set", "problem.grid_n=262146"], "from 9 to 262145"),
+    (["simulate", "--eps", "0"], "cycle period must be positive"),
+    (["solve", "--set", "problem.grid_n=4097"],
+     "unknown key 'grid_n' in [problem]"),
     (["strategy", "--x0", "1e6"], "marginal value of stock underflows"),
     (["simulate", "--x0", "1e6"], "marginal value of stock underflows"),
     (["compare", "--x0", "1e9"], "marginal value of stock underflows"),
@@ -480,8 +487,7 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["solve", "--set", "problem.beta"], "override 'problem.beta' lacks '='"),
     (["solve", "--set", "beta=1"], "key 'beta' must be section.key"),
     (["solve", "--set", "foo.bar=1"], "unknown section [foo]"),
-    (["solve", "--set", "problem.grid_n=1.5"],
-     "grid_n = '1.5' is not an integer"),
+    (["solve", "grid_n.cfg"], "unknown key 'grid_n' in [problem]"),
     (["solve", "--set", "sets.a=finite -1 0 1"], "rates must be non-negative"),
     (["solve", "--set", "revenue.points=0.5:0, 1:0.3"],
      "revenue curve is undefined below 0.5"),
@@ -507,7 +513,8 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["solve", "no_a.cfg"], "[sets] needs both q and a"),
     (["solve", "no_beta.cfg"], "[problem] is missing required key 'beta'"),
 ], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
-        "finite_nan", "oracle_dt", "compare_dt", "simulate_eps", "grid_n_cap",
+        "finite_nan", "oracle_dt", "compare_dt", "simulate_eps",
+        "simulate_eps_zero", "grid_n_cap",
         "strategy_past_x_resolved", "simulate_past_x_resolved",
         "compare_past_x_resolved", "grid_n_flag", "config_flag",
         "beta_text", "one_point", "table_no_points", "revenue_family",
@@ -562,8 +569,8 @@ def test_cli_parser_reuse_matches_fresh_processes(configs_dir, tmp_path):
         ["simulate", cfg, "--set", "problem.beta=0.7", "--x0", "0.1"],
         ["simulate", cfg, "--x0", "0.2"],
         ["solve", cfg, "--set", "problem.beta=0.9",
-         "--set", "problem.grid_n=1025"],
-        ["solve", cfg, "--set", "problem.grid_n=513"],
+         "--set", "cost.c=0.25"],
+        ["solve", cfg, "--set", "cost.c=0.15"],
         ["solve", cfg],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(monopoly_control.__file__)

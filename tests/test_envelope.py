@@ -16,6 +16,7 @@ from monopoly_control import (
     DecompositionMismatch,
     DegenerateGrid,
     InvalidParameter,
+    OutOfDomain,
     convexified_static,
 )
 from monopoly_control import envelope
@@ -225,6 +226,17 @@ def test_hull_decompose_contact_point_is_trivial():
     x1, x2, w = hull_decompose(env, 2.5)
     assert x1 == x2 == pytest.approx(2.5)
     assert w == 1.0
+
+
+def test_envelope_queries_refuse_what_they_do_not_hold():
+    env = _cubic_env()
+    with pytest.raises(OutOfDomain, match=r"outside \[0.0, 3.0\]"):
+        hull_decompose(env, 3.5)
+    with pytest.raises(InvalidParameter, match="cost conjugate needs a convex"):
+        fenchel_cost(_rev_env(), 0.5)
+    with pytest.raises(InvalidParameter,
+                       match="revenue conjugate needs a concave"):
+        fenchel_revenue(env, 0.5)
 
 
 def test_dented_table_hull_and_decompose():
@@ -438,8 +450,8 @@ def _chain_inputs(rng, make_random_instance):
         yield xs, rng.uniform(0.0, 1.0, len(xs))
     for _ in range(150):                        # sampled random tables
         p = make_random_instance(rng)
-        q_xs = sampled(p.revenue, p.demand_set, p.grid_n)
-        a_xs = sampled(p.cost, p.production_set, p.grid_n)
+        q_xs = sampled(p.revenue, p.demand_set, 257)
+        a_xs = sampled(p.cost, p.production_set, 257)
         yield q_xs, -p.revenue(q_xs)
         yield a_xs, p.cost(a_xs)
     for _ in range(300):                        # affine, rounding noise

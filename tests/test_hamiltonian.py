@@ -94,7 +94,7 @@ def test_controls_at_picks_smallest_pair(am_mid_model):
 
 def test_h_convex_on_grid(am_mid_model, linear_cost_model):
     for m in (am_mid_model, linear_cost_model):
-        z_grid = np.linspace(0.0, m.z_max, m.problem.grid_n)
+        z_grid = np.linspace(0.0, m.z_max, 4097)
         slopes = np.diff(h_at(m, z_grid)) / np.diff(z_grid)
         assert np.all(np.diff(slopes) >= -1e-7)
 
@@ -108,7 +108,7 @@ def test_subgradient_order_everywhere(am_mid_model):
 
 def test_h_at_matches_grid_and_refines(linear_cost_model):
     m = linear_cost_model
-    z_grid = np.linspace(0.0, m.z_max, m.problem.grid_n)
+    z_grid = np.linspace(0.0, m.z_max, 4097)
     H = h_at(m, z_grid)
     for z in z_grid[::97]:
         k = int(np.searchsorted(z_grid, z))
@@ -231,9 +231,8 @@ def test_batch_of_one_is_exact(configs_dir, name):
             query(np.array([0.0, -0.1]))
 
 
-def _full_scan(model) -> list:
-    """[i_zeta, i_mhi] from H' read at every slope of the grid."""
-    z = np.linspace(0.0, model.z_max, model.problem.grid_n)
+def _full_scan(model, z) -> list:
+    """[i_zeta, i_mhi] from H' read at every slope of the grid z."""
     d_minus, d_plus = subgradient(model, z)
     up, down = np.flatnonzero(d_plus >= 0.0), np.flatnonzero(d_minus > 0.0)
     return [int(up[0]) if len(up) else len(z) - 1,
@@ -254,14 +253,16 @@ def test_kink_scan_edges_lie_in_full_scan_cells(configs_dir,
         production_set=ControlSet.interval(0.0, 1.0),
         revenue=Curve.linear_demand_revenue(1.0, 1.0),
         cost=Curve.table([(0.0, 0.0), (1.0, 0.0)]))))
-    problems += [make_random_instance(rng) for _ in range(40)]
-    problems += [validate_problem(builtin_arvan_moses(
+    # (problem, slopes scanned): 257 for the seeded tables, else 4097
+    problems = [(p, 4097) for p in problems]
+    problems += [(make_random_instance(rng), 257) for _ in range(40)]
+    problems += [(validate_problem(builtin_arvan_moses(
         rng.uniform(0.1, 6.0), rng.uniform(0.4, 2.0), rng.uniform(0.2, 2.0),
-        beta=0.5)) for _ in range(40)]
-    for k, p in enumerate(problems):
+        beta=0.5)), 4097) for _ in range(40)]
+    for k, (p, n) in enumerate(problems):
         m = build_hamiltonian(p)
-        z = np.linspace(0.0, m.z_max, p.grid_n)
-        for edge, i in zip((m.zeta, m.m_hi), _full_scan(m)):
+        z = np.linspace(0.0, m.z_max, n)
+        for edge, i in zip((m.zeta, m.m_hi), _full_scan(m, z)):
             assert z[max(i - 1, 0)] <= edge <= z[min(i, len(z) - 1)], k
         assert m.h_min == h_at(m, m.zeta), k
 

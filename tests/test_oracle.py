@@ -205,7 +205,6 @@ def test_dp_finite_sets_ignore_grid_counts(linear_cost_problem):
         production_set=ControlSet.finite([0.0, 0.3]),
         revenue=spec.revenue,
         cost=spec.cost,
-        grid_n=spec.grid_n,
     ))
     kw = dict(x_max=0.25, nx=64, dt=0.01)
     ref = dp_value(finite, **kw)
@@ -428,7 +427,6 @@ def test_dp_bounded_production_equals_ray_under_cap(am_mid_problem,
         production_set=ControlSet.interval(0.0, _production_cap(am_mid_problem)),
         revenue=spec.revenue,
         cost=spec.cost,
-        grid_n=spec.grid_n,
     )
     kw = dict(x_max=0.25, nx=96, dt=0.01, na=25, nq=25)
     ray = dp_value(am_mid_problem, **kw)

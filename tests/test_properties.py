@@ -45,8 +45,8 @@ def solved_instances(make_random_instance):
 
 
 def _h_grid(model) -> tuple:
-    """(z, H(z)) on grid_n points spanning [0, z_max]."""
-    zs = np.linspace(0.0, model.z_max, model.problem.grid_n)
+    """(z, H(z)) on 257 points spanning [0, z_max]."""
+    zs = np.linspace(0.0, model.z_max, 257)
     return zs, h_at(model, zs)
 
 

@@ -220,26 +220,18 @@ def test_static_candidate_finds_interior_root():
         assert u == pytest.approx(u_cf, rel=1e-12), (a, b, k)
 
 
-def _mixed_probe(grid_n: int) -> ProblemSpec:
-    """Linear demand A = B = 1 on [0, 1] against a cost table on [0, 2];
-    R' - C' = 0.6 - 2u on the table's first cell, so the best rate is 0.4."""
-    return ProblemSpec(
+def test_static_candidate_is_exact_at_any_grid_n():
+    # linear demand A = B = 1 on [0, 1] against a cost table on [0, 2]:
+    # R' - C' = 0.6 - 2u on the table's first cell, so the best rate is
+    # 0.4, read from the root with no sample grid at all
+    problem = validate_problem(ProblemSpec(
         beta=0.5, demand_set=ControlSet.interval(0.0, 1.0),
         production_set=ControlSet.interval(0.0, 2.0),
         revenue=Curve.linear_demand_revenue(1.0, 1.0),
-        cost=Curve.table([(0.0, 0.0), (0.5, 0.1), (1.0, 0.3), (2.0, 1.0)]),
-        grid_n=grid_n)
-
-
-def test_static_candidate_is_exact_at_any_grid_n():
-    answers = set()
-    for grid_n in (9, 10, 257, 4097, 65537):
-        problem = validate_problem(_mixed_probe(grid_n))
-        answers.add(_static_candidate(problem))
-        rep = static_optimality_test(problem, build_hamiltonian(problem))
-        assert rep.optimal and rep.witness == rep.u_hat == 0.4, grid_n
-        assert rep.gap == 0.0, grid_n
-    assert len(answers) == 1
+        cost=Curve.table([(0.0, 0.0), (0.5, 0.1), (1.0, 0.3), (2.0, 1.0)])))
+    rep = static_optimality_test(problem, build_hamiltonian(problem))
+    assert rep.optimal and rep.witness == rep.u_hat == 0.4
+    assert rep.gap == 0.0
 
 
 def _random_table(rng, hi: float, revenue: bool) -> Curve:
@@ -332,6 +324,8 @@ def test_cyclic_value_closed_form(am_mid_problem, am_mid_model):
     plan = cyclic_strategy(am_mid_problem, rel, 0.25)
     assert cyclic_value(plan, 0.5) == pytest.approx(0.2723715670029071,
                                                     abs=1e-12)
+    with pytest.raises(InvalidParameter, match="discount rate must be positive"):
+        cyclic_value(plan, 0.0)
 
 
 def test_cyclic_gap_shrinks_linearly(am_mid_problem, am_mid_model,

@@ -32,6 +32,12 @@ def test_chunked_csv_bytes_match_one_string(tmp_path):
             (tmp_path / "old.csv").read_bytes()
 
 
+def test_write_csv_refuses_unequal_columns(tmp_path):
+    with pytest.raises(ValueError, match="columns differ in length"):
+        tableio.write_csv(tmp_path / "u.csv", ["a", "b"], [[1.0, 2.0], [3.0]])
+    assert not (tmp_path / "u.csv").exists()
+
+
 def _assert_same(got: bytes, want: bytes):
     # report the first differing line instead of two megabyte strings
     if got != want:

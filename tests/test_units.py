@@ -123,3 +123,38 @@ def test_cubic_answers_scale_with_stock(configs_dir, tmp_path, name, lam):
         want = lam ** power * float(base[key])
         assert float(got[key]) == pytest.approx(want, rel=1e-9), \
             (key, got[key], want)
+
+
+# linear demand against an affine cost on two finite sets that share only
+# the rate 0, whose members lie closer together than 1e-12 in rates of 1e-9
+FINITE_RATES = """\
+[problem]
+beta = 0.5
+
+[revenue]
+family = linear_demand
+A = {A!r}
+B = {B!r}
+
+[cost]
+family = affine
+c = {c!r}
+
+[sets]
+q = finite 0 {q1!r} {q2!r}
+a = finite 0 {a1!r}
+"""
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-9])
+def test_finite_membership_scales_with_rates(tmp_path, lam):
+    # rates in units lam (A -> A / lam, B -> B / lam^2, c -> c / lam) keep
+    # every payoff; 0 stays the only rate both sets hold, so the best
+    # constant rate is 0 and its gap is unchanged
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text(FINITE_RATES.format(A=0.004 / lam, B=1.0 / lam ** 2,
+                                       c=1e-4 / lam, q1=0.001 * lam,
+                                       q2=0.003 * lam, a1=0.002 * lam))
+    got = _solve_summary(cfg, tmp_path)
+    assert got["u_static"] == "0"
+    assert float(got["static_gap"]) == pytest.approx(2.9e-6, rel=1e-9)

@@ -20,7 +20,7 @@ from monopoly_control import (
 )
 from monopoly_control import envelope
 from monopoly_control.envelope import fenchel_cost, fenchel_revenue
-from monopoly_control.errors import OutOfDomain
+from monopoly_control.errors import InvalidParameter, OutOfDomain
 from monopoly_control.hamiltonian import subgradient
 
 
@@ -98,6 +98,8 @@ def test_constant_value_when_zeta_zero():
     assert vf.constant
     assert vf.value_at(0.0) == vf.value_at(5.0) == pytest.approx(0.0)
     assert vf.x_resolved == 0.0
+    with pytest.raises(InvalidParameter, match="flat value function"):
+        vf.psi(0.1)
 
 
 def test_psi_domain_guard(linear_cost_value):

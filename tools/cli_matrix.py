@@ -2,7 +2,8 @@
 
     python tools/cli_matrix.py OUT SRC
 
-For each config in configs/ at beta 0.5 and 1.3, runs `solve`,
+For each config in SRC/../configs (the configs of the checkout that holds
+SRC, so each checkout runs its own) at beta 0.5 and 1.3, runs `solve`,
 `strategy --x0 0.2`, `strategy --x0 0.2 --eps 0.05`, `simulate --x0 0.2`,
 `simulate --x0 0.1 --eps 0.05`, `oracle`, `compare --x0 0.25` and
 `compare --x0 0.25 --eps 0.05` (80 runs) as `python -m monopoly_control.cli`,
@@ -21,7 +22,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BETAS = ("0.5", "1.3")
 COMMANDS = (
     ("solve",),
@@ -44,7 +44,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()),
                PYTHONDONTWRITEBYTECODE="1")
     runs = 0
-    for cfg in sorted(CONFIGS.glob("*.cfg")):
+    for cfg in sorted((args.src.resolve().parent / "configs").glob("*.cfg")):
         for beta in BETAS:
             for cmd, *flags in COMMANDS:
                 name = "_".join([cfg.stem, "beta" + beta, cmd]
