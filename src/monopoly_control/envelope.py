@@ -43,7 +43,7 @@ class ConjugateValue:
     """Conjugate value with the attaining set's endpoints.
 
     argmax_lo == argmax_hi for a unique maximizer; they differ when the
-    query slope ties an affine piece of the envelope, in which case the
+    query slope is an affine piece's slope, to 4 ulps, in which case the
     whole piece attains.  Fields are floats for a scalar query and arrays
     of the query's shape for an array query.
     """
@@ -118,11 +118,13 @@ class Envelope:
         return float(out) if out.ndim == 0 else out
 
     def _edge_of(self, x) -> tuple:
-        """(x, e, inside) for x in the domain: e the hull edge that could
-        hold x, inside whether x lies in that edge's open x-interval."""
+        """(x, e, inside) for x in the domain, widened at each end by 1e-12
+        of its scale max(|lo|, |hi|): e the hull edge that could hold x,
+        inside whether x lies in that edge's open x-interval."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.domain
-        out = ~((lo - 1e-12 <= x) & (x <= hi + 1e-12))
+        tol = 1e-12 * max(abs(lo), abs(hi))
+        out = ~((lo - tol <= x) & (x <= hi + tol))
         if out.any():
             raise OutOfDomain(f"{x[out].flat[0]} outside [{lo}, {hi}]")
         vx = self._vx
@@ -203,8 +205,8 @@ def _build(xs, fs, curve: Curve | None, kind: str, finite: bool) -> Envelope:
         vidx = chain = _chain_lower(xs, gs)
         # a piecewise-linear curve or finite set has one edge per true
         # slope: rounding splits a run of collinear knots into edges whose
-        # slopes tie under the kernel's rule, so the vertices between tied
-        # edges go
+        # slopes agree within a relative 1e-9, the table's collinearity
+        # rule, so the vertices between such edges go
         while len(vidx) > 2:
             s = np.diff(gs[vidx]) / np.diff(xs[vidx])
             tie = np.abs(np.diff(s)) <= 1e-9 * np.maximum(np.abs(s[:-1]),
@@ -271,17 +273,19 @@ def concave_hull(xs, fs, *, curve=None, finite=False) -> Envelope:
 def _conjugate(env: Envelope, w: np.ndarray) -> tuple:
     """sup_x { x w - g(x) } and its attaining span [lo, hi] for an array of w.
 
-    A slope within a relative 1e-9 of a chord's slope ties that chord and
-    the whole chord attains.  Off ties a vertex between chords attains;
-    where an arc meets the vertex, the point of slope w on the curve,
-    clipped to the arc, does.  Edges and arcs are read from the envelope's
-    _table at the vertex idx that w sorts to; spans are worked out only for
-    a batch where some slope ties.
+    A slope ties a chord only when the two are one float read two ways,
+    within 4 ulps of the slope (as _apart), and then the whole chord
+    attains; the -inf and +inf pads past the end edges never tie.  Off
+    ties a vertex between chords attains; where an arc meets the vertex,
+    the point of slope w on the curve, clipped to the arc, does.  Edges
+    and arcs are read from the envelope's _table at the vertex idx that w
+    sorts to; spans are worked out only for a batch where some slope ties.
     """
     es_lo, es_hi, chord_lo, chord_hi, reach_lo, reach_hi = env._table
     idx = np.searchsorted(env._es, w)
-    tol = 1e-9 * np.abs(w)
-    # es_lo[idx] < w <= es_hi[idx], so these are the distances to w
+    tol = 4.0 * np.spacing(np.abs(w))
+    # es_lo[idx] < w <= es_hi[idx], so these are the distances to w, and
+    # a pad's is inf
     tie_lo = chord_lo[idx] & (w - es_lo[idx] <= tol)
     tie_hi = chord_hi[idx] & (es_hi[idx] - w <= tol)
     vx, vg = env._vx, env._vg
@@ -386,12 +390,9 @@ def hull_decompose(env: Envelope, x: float) -> tuple:
     the curve, and at an x not _apart from a contact point beside it, the
     mixture collapses to (x, x, 1).
     """
+    x, e, inside = env._edge_of(x)
     lo, hi = env.domain
-    if not (lo - 1e-12 * max(1.0, abs(lo)) <= x <= hi + 1e-12 * max(1.0, abs(hi))):
-        raise OutOfDomain(f"{x} outside [{lo}, {hi}]")
     x = float(min(max(x, lo), hi))
-
-    _, e, inside = env._edge_of(x)
     if not (inside and (env.finite_support or env._bridge[e])):
         return (x, x, 1.0)
 

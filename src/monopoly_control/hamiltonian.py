@@ -208,5 +208,5 @@ def subgradient(model: HamiltonianModel, z) -> tuple:
 
 def controls_at(model: HamiltonianModel, z) -> tuple:
     """Smallest attaining (production, sales) pair at slope z."""
-    c, r = _conjugates(model.rev_env, model.cost_env, z)
+    c, r = _in_domain(model, z)
     return (c.argmax_lo, r.argmax_lo)

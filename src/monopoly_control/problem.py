@@ -313,19 +313,20 @@ def _points(curve: Curve, cset: ControlSet) -> np.ndarray | None:
 
 
 def _check_curve_domain(curve: Curve, cset: ControlSet, label: str) -> None:
-    """A table must span cset; a closed form holds on [0, inf), which
-    holds every (non-negative) control set."""
+    """A table must span cset, each end within _VAL_TOL of the larger of
+    the two rates compared; a closed form holds on [0, inf), which holds
+    every (non-negative) control set."""
     if curve.family != "table":
         return
     lo, hi = curve.xs[0], curve.xs[-1]
-    if cset.lo < lo - _VAL_TOL:
+    if cset.lo < lo - _VAL_TOL * max(abs(lo), abs(cset.lo)):
         raise AssumptionViolation(f"{label} curve is undefined below {lo}")
     if not cset.is_bounded:
         raise CoercivityUndetectable(
             "a finite cost table cannot certify unbounded average cost growth "
             "on a production ray"
         )
-    if cset.hi > hi + _VAL_TOL:
+    if cset.hi > hi + _VAL_TOL * max(abs(hi), abs(cset.hi)):
         raise AssumptionViolation(f"{label} table does not cover the control set")
 
 

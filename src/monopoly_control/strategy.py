@@ -3,9 +3,9 @@
 The static question: is there a single rate u in Q intersect A with
 R(u) - C(u) = min H?  It is decided in rates, by the rule the relaxed
 optimum's mixtures follow: u attains iff it lies in both attaining spans
-at zeta and neither envelope mixes it, and the best constant rate, exact
-from the curves' pieces, is tried first.  If yes, produce and sell at u
-forever (once stock is gone) and nothing beats it.  If no, the gap is
+at zeta and neither envelope mixes it, and the rate asked is the best
+constant rate, exact from the curves' pieces.  If yes, produce and sell at
+u forever (once stock is gone) and nothing beats it.  If no, the gap is
 closed by mixing two sales rates and two production rates with matching
 means (the relaxed optimum), realized physically by fast production/sales
 cycles whose payoff comes within order epsilon of the bound while stock
@@ -70,10 +70,9 @@ class StaticPlan:
 @dataclass(frozen=True)
 class StaticReport:
     """Whether a constant rate attains min H = payoff + gap, payoff being
-    R - C at the best constant rate u_hat; the witness is the rate that
-    attains (u_hat, or u_tilde in the kernel's slope tie band; see
-    static_optimality_test), None if none does.  u_tilde is the relaxed
-    optimum's mean rate and relaxed_payoff R^ - C^ there, as
+    R - C at the best constant rate u_hat; the witness is u_hat if it
+    attains (see static_optimality_test), None if not.  u_tilde is the
+    relaxed optimum's mean rate and relaxed_payoff R^ - C^ there, as
     convexified_static reads them; a report built by hand may leave both
     None."""
     optimal: bool
@@ -217,13 +216,11 @@ def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
     zeta is known to _ZETA_WIDTH zeta (hamiltonian._root_end), so each span
     is read at zeta (1 - _ZETA_WIDTH), zeta and zeta (1 + _ZETA_WIDTH) and
     joined, and u_hat lies in both joined spans if it is not _apart from
-    its nearest point of their intersection.  u_tilde = max(c_lo, r_lo) at
-    zeta, the spans' smallest common point, is tried next: it attains
-    where zeta lies in the kernel's 1e-9 slope tie band of a chord that
-    u_hat, on the curve just past the chord's end, is not in.  The first
-    rate that attains is the witness; the gap decides nothing.  The
-    report carries u_tilde and its relaxed payoff, so this batch is the
-    one reading of the relaxed optimum a caller needs.
+    its nearest point of their intersection.  u_hat is the witness if it
+    attains; the gap decides nothing.  The report carries u_tilde =
+    max(c_lo, r_lo) at zeta, the spans' smallest common point, and its
+    relaxed payoff, so this batch is the one reading of the relaxed
+    optimum a caller needs.
     """
     problem = validate_problem(problem)
     u_hat, payoff = _static_candidate(problem)
@@ -232,14 +229,12 @@ def static_optimality_test(problem, model: HamiltonianModel) -> StaticReport:
     lo = max(c.argmax_lo.min(), r.argmax_lo.min())
     hi = min(c.argmax_hi.max(), r.argmax_hi.max())
     u_tilde = float(max(c.argmax_lo[1], r.argmax_lo[1]))
-    spanned = not _apart(u_hat, min(max(u_hat, lo), hi))
-    tries = (u_hat, u_tilde) if spanned else (u_tilde,)
-    envs = (model.cost_env, model.rev_env)
-    witness = next((u for u in tries if all(
-        x1 == x2 for x1, x2, _ in (hull_decompose(e, u) for e in envs))), None)
-    return StaticReport(optimal=witness is not None, u_hat=u_hat,
+    optimal = not _apart(u_hat, min(max(u_hat, lo), hi)) and all(
+        x1 == x2 for x1, x2, _ in (hull_decompose(e, u_hat)
+                                   for e in (model.cost_env, model.rev_env)))
+    return StaticReport(optimal=optimal, u_hat=u_hat,
                         payoff=payoff, gap=float(model.h_min - payoff),
-                        witness=witness, u_tilde=u_tilde,
+                        witness=u_hat if optimal else None, u_tilde=u_tilde,
                         relaxed_payoff=_hull_payoff(model, u_tilde))
 
 
@@ -423,12 +418,6 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
             f"the stock resolution at v'(x0), |H'| ulp(xi0) / (beta xi0) = "
             f"{res:.3g}, exceeds the drawdown arc's closing tolerance "
             f"{tol:.3g}")
-    # in the kernel's tie band of a kink xi0 reads the kink's whole span;
-    # when that kink is the knot above xi0, the arc starts in the cell
-    # below it, whose controls the knot holds on its lower side
-    below = vf.xi_knots[j] if j < len(vf.xi_knots) else 0.0
-    if j and np.any(first[:2, 0] != first[2:, 0]) and z[1] - xi0 < xi0 - below:
-        first[2:, 0] = vf._sides[:2, j - 1]
     sides = np.column_stack([first, vf._sides[:, :j][:, ::-1]])
     # a knot's row holds the controls into the cell above it; those below
     # it get a row at zeta and at kinks

@@ -110,7 +110,9 @@ def test_criterion_2_static_optimality_boundary():
     # and at the edges: 60 draws of (b, k) at a = t (1 +- d), t either
     # edge, where a rate error delta costs only about b delta^2 in value,
     # so only a verdict decided in rates sees it; the relaxed optimum mixes
-    # iff the verdict is relaxed
+    # iff the verdict is relaxed, and an optimal verdict's witness is u_hat
+    # (just past the top edge zeta lies within 1e-9 of the cost chord's
+    # slope, and u_hat on the arc past the chord's end)
     rng = np.random.default_rng(1)
     draws = zip(rng.uniform(0.4, 2.0, 60).tolist(),
                 rng.uniform(0.2, 2.0, 60).tolist())
@@ -119,7 +121,8 @@ def test_criterion_2_static_optimality_boundary():
         t1 = k * k / 4.0
         t2 = 3.0 * b * k + t1
         for a in [t * (1.0 + d) for t in (t1, t2)
-                  for d in (-1e-6, 1e-6, -1e-9, 1e-9, -1e-12, 1e-12)]:
+                  for d in (-1e-6, 1e-6, -1e-9, 1e-9, -1e-10, 1e-10,
+                            -1e-12, 1e-12)]:
             problem = validate_problem(builtin_arvan_moses(a, b, k, beta=0.5))
             model = build_hamiltonian(problem)
             report = static_optimality_test(problem, model)
@@ -129,6 +132,8 @@ def test_criterion_2_static_optimality_boundary():
             inside = t1 < a < t2
             assert (report.optimal, rel.sales_mixed or rel.production_mixed) \
                 == (not inside, inside), (a, b, k)
+            assert report.witness == (report.u_hat if report.optimal
+                                      else None), (a, b, k)
             edges += 1
     print(f"{edges} draws within 1e-6 of a band edge classified correctly, "
           f"each beside a relaxed optimum that mixes iff it is relaxed")

@@ -135,6 +135,33 @@ def test_fenchel_revenue_closed_form():
     assert rv.argmax_hi == pytest.approx(0.4, abs=1e-10)
 
 
+def test_a_slope_ties_a_chord_only_within_4_ulps():
+    # a chord's slope read two ways is one float: within 4 ulps the whole
+    # edge attains, and one part in 1e12 off it a vertex does.  The -inf
+    # and +inf pads past the end edges never tie, so slopes below the first
+    # edge slope and above the last read the end vertices
+    xs = np.array([0.0, 1.0, 2.0, 3.0])
+    env = convex_hull(xs, np.array([0.0, 0.1, 0.5, 1.5]))
+    s = float(env._es[1])
+    for w in (s, *np.nextafter(s, [np.inf, -np.inf]),
+              s + 4.0 * np.spacing(s), s - 4.0 * np.spacing(s)):
+        cv = fenchel_cost(env, w)
+        assert (cv.argmax_lo, cv.argmax_hi) == (1.0, 2.0), w
+    for w, x in ((s * (1.0 - 1e-12), 1.0), (s * (1.0 + 1e-12), 2.0),
+                 (s + 5.0 * np.spacing(s), 2.0), (-1e300, 0.0), (0.0, 0.0),
+                 (float(env._es[0]) * 0.5, 0.0), (2.0, 3.0), (1e300, 3.0)):
+        cv = fenchel_cost(env, w)
+        assert (cv.argmax_lo, cv.argmax_hi) == (x, x), w
+    zs = np.array([-1e300, 0.0, 0.05, 2.0, 1e300])
+    cv = fenchel_cost(env, zs)
+    assert np.array_equal(cv.argmax_lo, cv.argmax_hi)
+    assert cv.argmax_lo.tolist() == [0.0, 0.0, 0.0, 3.0, 3.0]
+    rv = fenchel_revenue(concave_hull(xs, np.array([0.0, 1.5, 2.5, 2.9])),
+                         np.array([-1.0, 0.0, 0.2, 3.0]))
+    assert np.array_equal(rv.argmax_lo, rv.argmax_hi)
+    assert rv.argmax_lo.tolist() == [3.0, 3.0, 3.0, 0.0]
+
+
 def test_affine_cost_conjugate_spans_the_interval():
     c = Curve.affine_cost(0.2)
     xs = np.linspace(0.0, 0.3, 1001)
@@ -237,6 +264,21 @@ def test_envelope_queries_refuse_what_they_do_not_hold():
     with pytest.raises(InvalidParameter,
                        match="revenue conjugate needs a concave"):
         fenchel_revenue(env, 0.5)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-15])
+def test_hull_queries_read_the_domain_at_its_scale(lam):
+    # hull_exact and hull_decompose share one domain rule, 1e-12 of the
+    # domain's scale: 500 domains past the top is out at any scale, and
+    # a part in 1e13 past either end is the end
+    env = concave_hull(lam * np.array([0.0, 0.5, 1.0]), [0.0, 0.8, 1.0])
+    for query in (env.hull_exact, lambda x: hull_decompose(env, x)):
+        for x in (500.0 * lam, -500.0 * lam):
+            with pytest.raises(OutOfDomain):
+                query(x)
+    assert hull_decompose(env, lam * (1.0 + 1e-13)) == (lam, lam, 1.0)
+    assert hull_decompose(env, -1e-13 * lam) == (0.0, 0.0, 1.0)
+    assert env.hull_exact(lam * (1.0 + 1e-13)) == pytest.approx(1.0)
 
 
 def test_dented_table_hull_and_decompose():

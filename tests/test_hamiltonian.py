@@ -122,6 +122,32 @@ def test_h_at_out_of_domain(linear_cost_model):
         h_at(linear_cost_model, linear_cost_model.z_max * 1.5)
 
 
+def test_controls_at_refuses_slopes_past_z_max(am_mid_model):
+    # at 10 z_max the truncated ray's end would read as the argmax, short
+    # of the cubic's k + sqrt(z); controls_at checks its domain as h_at does
+    m = am_mid_model
+    for bad in (10.0 * m.z_max, -0.1):
+        with pytest.raises(OutOfDomain):
+            controls_at(m, bad)
+        with pytest.raises(OutOfDomain):
+            controls_at(m, np.array([m.zeta, bad]))
+
+
+def test_m_hi_minimizes_h_beside_the_cubic_end_derivatives():
+    # a mixed-scale draw whose cubic chord slope and two end derivatives on
+    # A lie about 5.5e-10 apart: m_hi is read at a kink where H still
+    # takes its minimum, not in a chord's span one of those slopes misread
+    spec = ProblemSpec(
+        beta=0.009855075468360494,
+        demand_set=ControlSet.interval(0.0, 6.0746847129298135e-06),
+        production_set=ControlSet.interval(0.0, 1.1287415796051126e-05),
+        revenue=Curve.linear_demand_revenue(5.893124559661e-05,
+                                            1.195965231438433),
+        cost=Curve.cubic_cost(20431.509339076332))
+    m = build_hamiltonian(spec)
+    assert m.m_hi > m.zeta and h_at(m, m.m_hi) == m.h_min == 0.0
+
+
 def test_truncation_ceiling_recorded(am_mid_model, linear_cost_model):
     assert am_mid_model.trunc_bound is not None
     assert am_mid_model.trunc_bound > 1.5

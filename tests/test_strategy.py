@@ -481,6 +481,26 @@ def test_drawdown_zeta_zero_warns():
     assert plan.u == 0.0
 
 
+def test_drawdown_first_row_reads_the_rate_at_v_prime():
+    # a mixed-scale draw whose v'(x0) lies a relative 5.5e-11 below a kink
+    # of H: the first row sells what the demand's arc attains at v'(x0)
+    # itself, not the rate at the kink
+    a_coef, b_coef = 225323.97462098196, 216.06600625225946
+    problem = validate_problem(ProblemSpec(
+        beta=0.002514475524967138,
+        demand_set=ControlSet.interval(0.0, 536.5495102547998),
+        production_set=ControlSet.interval(0.0, 19779.847924836307),
+        revenue=Curve.linear_demand_revenue(a_coef, b_coef),
+        cost=Curve.table([(0.0, 0.0),
+                          (13420.862348717654, 52437.47215193458),
+                          (167800.32542854553, 76427.69802233209)])))
+    model = build_hamiltonian(problem)
+    plan = drawdown_plan(build_value(model), 1.1313238889911894e-05,
+                         stationary_plan(problem, model))
+    xi0 = plan.xi_knots[0]
+    assert plan.q_knots[0] == (a_coef - xi0) / (2.0 * b_coef)
+
+
 def test_drawdown_refuses_stock_whose_slope_underflows(linear_cost_problem,
                                                        linear_cost_model,
                                                        linear_cost_value):
@@ -502,9 +522,9 @@ def test_drawdown_refuses_stock_whose_slope_underflows(linear_cost_problem,
 
 
 def test_drawdown_first_row_beside_a_kink(configs_dir):
-    # a slope v'(x0) in the kernel's tie band of a kink reads the kink's
-    # span; the first row holds the controls of the cell the arc starts
-    # in: below zeta nothing is produced at a tiny discount rate
+    # the first row holds the controls of the cell the arc starts in,
+    # read at v'(x0) itself: below zeta nothing is produced at a tiny
+    # discount rate
     problem = validate_problem(load_problem(
         configs_dir / "arvan_moses_mid.cfg", ["problem.beta=1e-6"]))
     model = build_hamiltonian(problem)

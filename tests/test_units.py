@@ -158,3 +158,22 @@ def test_finite_membership_scales_with_rates(tmp_path, lam):
     got = _solve_summary(cfg, tmp_path)
     assert got["u_static"] == "0"
     assert float(got["static_gap"]) == pytest.approx(2.9e-6, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-13])
+def test_table_cover_scales_with_rates(configs_dir, tmp_path, capsys, lam):
+    # table_curves with revenue knots to lam under Q = [0, 1.5 lam]: the
+    # table falls short of the set at every scale, not only where the gap
+    # exceeds an absolute 1e-12 (below it np.interp held R flat past its
+    # last knot and solve printed zeta = 3e12)
+    sets = {"revenue.points": f"0:0, {0.5 * lam!r}:0.4, {lam!r}:0.5",
+            "cost.points": f"0:0, {lam!r}:0.3, {2.0 * lam!r}:1.0",
+            "sets.q": f"interval 0 {1.5 * lam!r}",
+            "sets.a": f"interval 0 {2.0 * lam!r}"}
+    args = ["solve", str(configs_dir / "table_curves.cfg"),
+            "--out", str(tmp_path)]
+    for key, value in sets.items():
+        args += ["--set", f"{key}={value}"]
+    assert main(args) == 2
+    assert "revenue table does not cover the control set" \
+        in capsys.readouterr().err

@@ -5,9 +5,10 @@
 For each config in SRC/../configs (the configs of the checkout that holds
 SRC, so each checkout runs its own) at beta 0.5 and 1.3, runs `solve`,
 `strategy --x0 0.2`, `strategy --x0 0.2 --eps 0.05`, `simulate --x0 0.2`,
-`simulate --x0 0.1 --eps 0.05`, `oracle`, `compare --x0 0.25` and
-`compare --x0 0.25 --eps 0.05` (80 runs) as `python -m monopoly_control.cli`,
-with the package imported from SRC.
+`simulate --x0 0.2 --horizon 0.3` (a horizon inside the drawdown arc on
+every config), `simulate --x0 0.1 --eps 0.05`, `oracle`, `compare --x0 0.25`
+and `compare --x0 0.25 --eps 0.05` (90 runs) as
+`python -m monopoly_control.cli`, with the package imported from SRC.
 Each run gets a directory under OUT, which must not exist yet, holding the
 files the command wrote and its stdout, stderr and exit_code.  A run
 writes `--out .` from inside its directory, so no path of OUT reaches the
@@ -28,6 +29,7 @@ COMMANDS = (
     ("strategy", "--x0", "0.2"),
     ("strategy", "--x0", "0.2", "--eps", "0.05"),
     ("simulate", "--x0", "0.2"),
+    ("simulate", "--x0", "0.2", "--horizon", "0.3"),
     ("simulate", "--x0", "0.1", "--eps", "0.05"),
     ("oracle",),
     ("compare", "--x0", "0.25"),
