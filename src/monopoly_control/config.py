@@ -11,7 +11,8 @@ Line-oriented ``key = value`` in four sections::
 Family params: linear_demand takes A and B; affine takes c; cubic takes K;
 table takes points as comma-separated x:y pairs, e.g.
 ``points = 0:0, 0.5:0.4, 1:0.5``.  Unknown sections or keys are rejected
-so typos fail loudly instead of silently using defaults.
+so typos fail loudly instead of silently using defaults.  Files are read as
+UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ def load_problem(path, overrides=()) -> ProblemSpec:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except UnicodeDecodeError as exc:
+        _fail(f"config file {path} is not UTF-8: {exc}")
     except configparser.Error as exc:
         _fail(f"cannot parse {path}: {exc}")
     apply_overrides(parser, overrides)

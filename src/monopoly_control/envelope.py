@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DecompositionMismatch, DegenerateGrid, InvalidParameter, OutOfDomain
-from .problem import Curve
+from .problem import Curve, _unique
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class Envelope:
         ks = self._sign * self._es[~self._arc]
         if self.smooth:
             ks = np.concatenate([ks, self._curve.derivative(self.xs[[0, -1]])])
-        return np.unique(ks)
+        return _unique(ks)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .envelope import (
     fenchel_revenue,
 )
 from .errors import OutOfDomain, TruncationFailed
-from .problem import ValidatedProblem, validate_problem
+from .problem import ValidatedProblem, _unique, validate_problem
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,8 @@ class HamiltonianModel:
 
     H is read on [0, z_max] from the two envelopes through the conjugate
     kernel.  [zeta, m_hi] is the set of minimizers of H, and the value
-    function uses its smallest, zeta.  trunc_bound is 2 (k + sqrt z_max),
+    function uses its smallest, zeta.  kink_zs, the kinks of H in
+    (0, z_max], are sorted and distinct.  trunc_bound is 2 (k + sqrt z_max),
     the end of the hull taken for an unbounded production set (None when
     the set was already bounded).
     """
@@ -145,8 +146,8 @@ def build_hamiltonian(problem) -> HamiltonianModel:
     cost_env = _cost_envelope(problem, z_max)
     while True:
         kinks = np.concatenate([rev_kinks, cost_env.kink_slopes()])
-        kinks = np.unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
-        pts = np.unique(np.concatenate([[0.0], kinks, [z_max]]))
+        kinks = _unique(kinks[(kinks > 0.0) & (kinks <= z_max)])
+        pts = _unique(np.concatenate([[0.0], kinks, [z_max]]))
         c, r = _conjugates(rev_env, cost_env, pts)
         hs = r.value + c.value
         if hs[-1] > hs[0] + 1e-9 * abs(hs[0]):

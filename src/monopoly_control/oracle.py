@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, NotConverged
-from .problem import ValidatedProblem, validate_problem
+from .problem import ValidatedProblem, _unique, validate_problem
 from .tableio import write_csv
 
 _BIG_NEG = -1e30
@@ -171,7 +171,7 @@ def _stage(s, base: int, scale: float, pay, n_in: int, n_out: int):
     fl = np.floor(s)
     f = s - fl
     o = fl.astype(np.intp) + base
-    offs = np.unique(np.concatenate([o, o + 1]))
+    offs = _unique(np.concatenate([o, o + 1]))
     cols = np.arange(len(s))
     e = np.zeros((len(offs) + 1, len(s)))
     e[np.searchsorted(offs, o), cols] = scale * (1.0 - f)

@@ -32,6 +32,23 @@ _VAL_TOL = 1e-12
 _MEMBER_TOL = 1e-12
 
 
+def _unique(x) -> np.ndarray:
+    """The sorted distinct values of x, flattened, equal bit for bit to
+    numpy's unique(x): the same default sort, then the first of each run of
+    equal values.  The sort is not stable, so which of 0.0 and -0.0 is kept
+    is numpy's choice, as it is in unique; a stable sort differs there.
+
+    numpy's unique, union1d and isin are not used: in numpy 2.x the first
+    call imports the whole numpy.ma package, which nothing else here needs,
+    to ask whether x is masked.  Every input here is finite by validation,
+    so NaN, which unique collapses to one, is out of scope.
+    """
+    s = np.sort(np.ravel(x))
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 # ---------------------------------------------------------------------------
 # control sets
 

@@ -42,7 +42,7 @@ from .envelope import _apart, hull_decompose
 from .errors import DecompositionMismatch, InvalidParameter, ZetaZeroWarning
 from .hamiltonian import (_ZETA_WIDTH, HamiltonianModel, _in_domain, _sides,
                           controls_at as _h_controls)
-from .problem import ValidatedProblem, validate_problem
+from .problem import ValidatedProblem, _unique, validate_problem
 from .value import ValueFunction
 
 # the drawdown arc's stock reaches zero at tau within this share of
@@ -184,12 +184,12 @@ def _static_candidate(problem: ValidatedProblem) -> tuple:
     rev, cost = problem.revenue, problem.cost
     q, a = problem.demand_set, problem.production_set
     if "finite" in (q.kind, a.kind):
-        us = np.unique([u for s, t in ((q, a), (a, q)) if s.kind == "finite"
-                        for u in s.values if t.contains(u)])
+        us = _unique([u for s, t in ((q, a), (a, q)) if s.kind == "finite"
+                      for u in s.values if t.contains(u)])
     else:
         lo, hi = max(q.lo, a.lo), min(q.hi, a.hi)
         knots = [x for c in (rev, cost) if c.family == "table" for x in c.xs]
-        ends = np.unique([lo, hi] + [x for x in knots if lo < x < hi])
+        ends = _unique([lo, hi] + [x for x in knots if lo < x < hi])
         mid = 0.5 * (ends[:-1] + ends[1:])
         p0, p1, p2 = np.subtract(rev.slope_coefficients(mid),
                                  cost.slope_coefficients(mid))
@@ -199,7 +199,7 @@ def _static_candidate(problem: ValidatedProblem) -> tuple:
             root = np.where(p1 < 0.0, 2.0 * p0 / (disc - p1),
                             (p1 + disc) / (-2.0 * p2))
         inside = (ends[:-1] < root) & (root < ends[1:])
-        us = np.unique(np.concatenate([ends, root[inside]]))
+        us = _unique(np.concatenate([ends, root[inside]]))
     vals = rev(us) - cost(us)
     m = float(vals.max())
     idx = int(np.argmax(vals >= m - 1e-12 * abs(m)))
@@ -320,7 +320,7 @@ def cyclic_strategy(problem, relaxed: RelaxedStatic, eps: float | None = None):
 
     sw_a = (1.0 - relaxed.nu) * eps       # produce a2 until here, a1 after
     sw_q = relaxed.gamma * eps            # sell q1 until here, q2 after
-    cuts = np.unique([0.0, sw_a, sw_q, eps])
+    cuts = _unique([0.0, sw_a, sw_q, eps])
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     a = np.where(mid < sw_a, relaxed.a2, relaxed.a1)
     q = np.where(mid < sw_q, relaxed.q1, relaxed.q2)
@@ -421,8 +421,8 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
     sides = np.column_stack([first, vf._sides[:, :j][:, ::-1]])
     # a knot's row holds the controls into the cell above it; those below
     # it get a row at zeta and at kinks
-    put = np.union1d(1 + np.flatnonzero(
-        np.any(sides[:2, 1:] != sides[2:, 1:], axis=0)), [j])
+    put = _unique(np.append(1 + np.flatnonzero(
+        np.any(sides[:2, 1:] != sides[2:, 1:], axis=0)), j))
     a, q = (np.insert(v[:j], put, w[put])
             for v, w in ((sides[2], sides[0]), (sides[3], sides[1])))
     at = np.insert(np.arange(j), put, put)

@@ -39,6 +39,7 @@ import numpy as np
 from .envelope import _apart
 from .errors import InvalidParameter, OutOfDomain
 from .hamiltonian import HamiltonianModel, _in_domain, _sides, h_at
+from .problem import _unique
 from .tableio import write_csv
 
 # geometric slope knots from zeta down to _XI_FLOOR_RATIO zeta
@@ -202,15 +203,23 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
                              xi_knots=empty, psi_knots=empty, h_knots=empty,
                              _sides=empty, _kinks=empty)
 
+    floor = zeta * _XI_FLOOR_RATIO
+    if floor == 0.0:
+        raise InvalidParameter(
+            f"zeta = {zeta:.3g} is too small for the value table: its slope "
+            f"floor zeta * {_XI_FLOOR_RATIO:g} rounds to 0, so zeta must "
+            f"exceed {math.ulp(0.0) / _XI_FLOOR_RATIO / 2.0:.2g}")
+    # kink_zs is sorted and distinct, so each kink's place in xi is read
+    # from the ascending slopes
     kinks = model.kink_zs[(model.kink_zs > 0.0) & (model.kink_zs < zeta)]
-    xi = np.unique(np.concatenate([
-        np.geomspace(zeta, zeta * _XI_FLOOR_RATIO, _N_XI), kinks]))[::-1]
+    asc = _unique(np.concatenate([np.geomspace(zeta, floor, _N_XI), kinks]))
+    xi = asc[::-1]
     c, r = _in_domain(model, np.append(xi, 0.0))
     h, sides = r.value + c.value, _sides(c, r)
 
     # a cell runs from zeta or a kink down to the next kink or 0, its rates
     # read below its top and above its bottom
-    top = np.append(0, np.flatnonzero(np.isin(xi, kinks)))
+    top = np.append(0, len(xi) - 1 - np.searchsorted(asc, kinks[::-1]))
     bot, zs = np.append(top[1:], len(xi)), xi[top]
     cell = np.stack([zs, np.maximum(sides[1, top] - sides[0, top], 0.0),
                      *_arcs(model.problem, sides[2, bot], sides[3, bot],

@@ -58,6 +58,9 @@ BROKEN_FILES = {
     "no_beta.cfg": _TABLE_TEXT.replace("beta = 0.5\n", ""),
     "grid_n.cfg": _TABLE_TEXT.replace("beta = 0.5\n",
                                       "beta = 0.5\ngrid_n = 1025\n"),
+    # arvan_moses_mid.cfg headed by a comment written as Latin-1, not UTF-8
+    "latin1.cfg": "# caf\xe9\n" + (Path(TABLE_CURVES).parent
+                                   / "arvan_moses_mid.cfg").read_text(),
 }
 
 
@@ -429,6 +432,39 @@ def test_cli_solve_runs_without_scipy(configs_dir, tmp_path):
     assert (tmp_path / "summary.txt").exists()
 
 
+def test_cli_never_imports_numpy_ma(configs_dir, tmp_path):
+    # numpy 2.x imports numpy.ma on the first unique, union1d or sorting
+    # isin; the solver's set operations use none of them.  One fresh
+    # interpreter, since pytest's own may hold numpy.ma already.  The last
+    # table has 53 kinks of H below zeta, past isin's sorting threshold
+    q, a = np.linspace(0.0, 1.0, 80).tolist(), np.linspace(0.0, 2.0, 80).tolist()
+    table = tmp_path / "kinks53.cfg"
+    table.write_text(
+        "[problem]\nbeta = 0.5\n[revenue]\nfamily = table\npoints = "
+        + ", ".join(f"{x!r}:{math.sqrt(x)!r}" for x in q)
+        + "\n[cost]\nfamily = table\npoints = "
+        + ", ".join(f"{x!r}:{x * x / 2.0!r}" for x in a)
+        + "\n[sets]\nq = interval 0 1\na = interval 0 2\n")
+    cfgs = [str(p) for p in sorted(configs_dir.glob("*.cfg"))] + [str(table)]
+    src = str(Path(monopoly_control.__file__).parents[1])
+    code = ("import sys\n"
+            "from monopoly_control.cli import main\n"
+            f"for cfg in {cfgs!r}:\n"
+            "    for cmd in (['solve'], ['strategy', '--x0', '0.2', '--eps', "
+            "'0.05'], ['simulate', '--x0', '0.2'], ['oracle'], "
+            "['compare', '--x0', '0.25']):\n"
+            f"        rc = main([cmd[0], cfg, '--out', {str(tmp_path)!r}, "
+            "*cmd[1:]])\n"
+            "        assert rc == 0, (cfg, cmd, rc)\n"
+            "sys.exit('numpy.ma imported' if 'numpy.ma' in sys.modules "
+            "else 0)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_exit_code_on_assumption_violation(cfg, tmp_path):
     rc = main(["solve", str(cfg), "--out", str(tmp_path),
                "--set", "sets.q=interval 0.5 1"])
@@ -512,6 +548,11 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["solve", "no_header.cfg"], "File contains no section headers"),
     (["solve", "no_a.cfg"], "[sets] needs both q and a"),
     (["solve", "no_beta.cfg"], "[problem] is missing required key 'beta'"),
+    (["solve", "latin1.cfg"], "latin1.cfg is not UTF-8"),
+    *((cmd + ["--set", "cost.points=0:0, 1:1e-320, 2:1"],
+       "floor zeta * 1e-06 rounds to 0, so zeta must exceed 2.5e-318")
+      for cmd in (["solve"], ["strategy", "--x0", "0.2"],
+                  ["simulate", "--x0", "0.2"], ["compare"])),
 ], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
         "finite_nan", "oracle_dt", "compare_dt", "simulate_eps",
         "simulate_eps_zero", "grid_n_cap",
@@ -523,7 +564,9 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
         "revenue_below_domain", "revenue_short_table", "affine_on_ray",
         "steep_affine_on_ray",
         "production_without_0", "revenue_at_0", "revenue_negative",
-        "demand_past_zero_price", "cost_decreasing", "no_header", "no_a", "no_beta"])
+        "demand_past_zero_price", "cost_decreasing", "no_header", "no_a", "no_beta",
+        "not_utf8", "zeta_floor_solve", "zeta_floor_strategy",
+        "zeta_floor_simulate", "zeta_floor_compare"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                                     message):
     # table_curves.cfg, unless the first flag names a shipped config or
@@ -534,7 +577,8 @@ def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
         cfg = configs_dir / flags.pop(0)
         if cfg.name in BROKEN_FILES:
             cfg = tmp_path / cfg.name
-            cfg.write_text(BROKEN_FILES[cfg.name])
+            # the same bytes as UTF-8 but for latin1.cfg's e-acute
+            cfg.write_text(BROKEN_FILES[cfg.name], encoding="latin-1")
     try:
         rc = main([command, str(cfg), "--out", str(tmp_path), *flags])
     except SystemExit as exc:       # argparse refuses unknown flags

@@ -18,6 +18,7 @@ from monopoly_control import (
     builtin_linear_cost,
     validate_problem,
 )
+from monopoly_control.problem import _unique
 
 
 def test_interval_contains_and_sampling():
@@ -256,3 +257,22 @@ def test_validate_refuses_a_family_in_a_role_it_is_not_decided_for(revenue,
                        revenue=revenue, cost=cost)
     with pytest.raises(InvalidParameter, match="revenue must be linear demand"):
         validate_problem(spec)
+
+
+_RNG = np.random.default_rng(44)
+
+
+@pytest.mark.parametrize("x", [
+    np.round(_RNG.uniform(-2.0, 2.0, 200), 1),
+    _RNG.choice(_RNG.standard_normal(30), 120),
+    np.array([0.0, -0.0]),
+    np.array([-0.0, 0.0]),
+    np.floor(_RNG.uniform(-20.0, 20.0, 50)).astype(np.intp) + 3,
+    [0.5, 0.25, 0.5, 1.0, 0.25],
+    [],
+], ids=["signed_zeros", "repeats", "zero_minus_zero", "minus_zero_zero",
+        "intp_offsets", "list", "empty"])
+def test_unique_matches_numpy_bit_for_bit(x):
+    got, want = _unique(x), np.unique(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
