@@ -180,7 +180,7 @@ def _cmd_strategy(args) -> int:
     if args.x0 is not None:
         # _tail's rule, on the cycle printed above
         static = args.eps is None and report.optimal
-        tail = StaticPlan(report.witness) if static else cyc
+        tail = StaticPlan(report.u_hat) if static else cyc
         plan = drawdown_plan(build_value(model), args.x0, tail)
         lines.append(f"drawdown: {plan.describe()}")
         if isinstance(plan, DrawdownPlan):
@@ -246,7 +246,7 @@ def _cmd_compare(args) -> int:
     report = static_optimality_test(problem, model)
     plan = drawdown_plan(vf, x_mid, _tail(problem, model, report, args.eps))
     res = dp_value(problem, x_max=args.x0, dt=args.dt)
-    lo_half = res.x_grid <= 0.5 * args.x0 + 1e-12
+    lo_half = res.x_grid <= x_mid
     xs = res.x_grid[lo_half]
     gap_grid = np.abs(res.v_hat[lo_half] - vf.value_at(xs))
     k = int(np.argmax(gap_grid))
@@ -260,7 +260,7 @@ def _cmd_compare(args) -> int:
     traj = simulate(problem, plan, horizon=horizon, x0=x_mid)
     _append_gap(items, "profit_gap_drawdown", traj, vf)
     if report.optimal:
-        tstat = simulate(problem, StaticPlan(report.witness), horizon=horizon)
+        tstat = simulate(problem, StaticPlan(report.u_hat), horizon=horizon)
         _append_gap(items, "profit_gap_static", tstat, vf)
     write_keyvalues(out / "compare.txt", items)
     print(f"max |v_hat - v| = {gap_grid.max():.3e} on [0, {xs[-1]:.3g}]")

@@ -57,8 +57,8 @@ class ConjugateValue:
 class Envelope:
     """Envelope of a curve; immutable after construction.
 
-    xs, f, hull are parallel arrays (knots, curve values, envelope values):
-    a piecewise-linear curve's points, or a smooth curve's hull vertices.
+    xs, f are parallel arrays (knots, curve values): a piecewise-linear
+    curve's points, or a smooth curve's hull vertices.
     contact marks knots where the envelope touches the curve.  The envelope
     itself is its edge arrays: vertices _vidx/_vx/_vg, edge slopes _es, _arc
     marking edges that are arcs of a smooth curve, and _bridge marking
@@ -72,7 +72,6 @@ class Envelope:
     kind: str                       # "convex" or "concave"
     xs: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
-    hull: np.ndarray = field(repr=False)
     contact: np.ndarray = field(repr=False)
     # oriented internals: _g = sign*f has a lower hull with increasing slopes
     _sign: float = field(repr=False)
@@ -137,13 +136,16 @@ class Envelope:
 
         These are the chord slopes: every hull edge of a piecewise-linear
         curve (tables, finite sets), and the chords of a smooth curve, plus
-        its end-of-domain derivatives where the maximizer saturates (along
-        an arc it moves continuously).  Consumers insert these into their
-        own grids; spurious entries are harmless.
+        its slopes at the domain's ends, p0 + p1 x + p2 x^2 from
+        Curve.slope_coefficients, where the maximizer saturates (along an
+        arc it moves continuously).  Consumers insert these into their own
+        grids; spurious entries are harmless.
         """
         ks = self._sign * self._es[~self._arc]
         if self.smooth:
-            ks = np.concatenate([ks, self._curve.derivative(self.xs[[0, -1]])])
+            x = self.xs[[0, -1]]
+            p0, p1, p2 = self._curve.slope_coefficients(x)
+            ks = np.concatenate([ks, p0 + p1 * x + p2 * x * x])
         return _unique(ks)
 
 
@@ -218,10 +220,9 @@ def _build(xs, fs, curve: Curve | None, kind: str, finite: bool) -> Envelope:
 
     vx = xs[vidx]
     vg = gs[vidx]
-    hull_g = np.interp(xs, vx, vg)
-    hull = sign * hull_g
 
     if curve is None:
+        hull_g = np.interp(xs, vx, vg)
         # contact within 1e-9 of the values at the knot: a tolerance scaled
         # to the whole range would hide a dent that is small against the
         # far end of the knots
@@ -242,7 +243,7 @@ def _build(xs, fs, curve: Curve | None, kind: str, finite: bool) -> Envelope:
     reach_lo = np.concatenate([vx[:1], np.where(arc, vx[:-1], vx[1:])])
     reach_hi = np.concatenate([np.where(arc, vx[1:], vx[:-1]), vx[-1:]])
 
-    return Envelope(kind=kind, xs=xs, f=fs, hull=hull, contact=contact,
+    return Envelope(kind=kind, xs=xs, f=fs, contact=contact,
                     _sign=sign, _vidx=vidx, _vx=vx, _vg=vg, _es=es, _arc=arc,
                     _bridge=bridge, _table=(
                         slopes[:-1], slopes[1:], chord[:-1], chord[1:],

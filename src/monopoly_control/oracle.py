@@ -208,9 +208,9 @@ def _bellman(a_grid, q_grid, a_pay, q_pay, gamma: float, dt: float,
     s_a = a_grid * dt / h
     stage1, o1, f1 = _stage(s_a, -pad, gamma, a_pay, nx, ny)
     # a move below zero stock, y + a dt < 0, is floored; it can only occur
-    # on the first pad + 1 post-sales nodes, and the floor absorbs any value
-    floor1 = np.where(ys[:pad + 1, None] - pad + s_a < -1e-12 / h,
-                      _BIG_NEG, 0.0)
+    # on the first pad + 1 post-sales nodes, and the floor absorbs any value.
+    # The move is in nodes, so its rounding slack is too: 1e-9 of a node
+    floor1 = np.where(ys[:pad + 1, None] - pad + s_a < -1e-9, _BIG_NEG, 0.0)
     # pad > q dt / h keeps every sales shift at or above one node
     stage2, o2, f2 = _stage(pad - q_grid * dt / h, 0, 1.0, q_pay, ny, nx)
 

@@ -130,11 +130,12 @@ def _positive(family: str, name: str, value: float) -> float:
 class Curve:
     """Revenue or cost curve.
 
-    Closed-form families evaluate exactly anywhere and expose a derivative.
-    The smooth ones (linear demand, cubic) also give their envelope on an
+    Closed-form families evaluate exactly anywhere.  Every family gives its
+    slope on each piece as a quadratic (slope_coefficients); a table is
+    linear between knots, so its slope is constant on each cell.  The
+    smooth families (linear demand, cubic) also give their envelope on an
     interval in closed form (hull_kind, hull_vertices) and a derivative
     inverse, with which the conjugate kernel reads an arc of that envelope.
-    Table curves interpolate linearly between knots and have no derivative.
 
     Families
     --------
@@ -191,25 +192,6 @@ class Curve:
             raise InvalidParameter(f"unknown curve family {self.family!r}")
         return out if out.ndim else float(out)
 
-    @property
-    def has_derivative(self) -> bool:
-        return self.family != "table"
-
-    def derivative(self, x):
-        """Exact derivative; only closed-form families provide one."""
-        if not self.has_derivative:
-            raise InvalidParameter("table curves have no derivative")
-        x = np.asarray(x, dtype=float)
-        if self.family == "linear_demand":
-            a, b = self.params
-            out = a - 2.0 * b * x
-        elif self.family == "affine":
-            out = np.full_like(x, self.params[0])
-        else:
-            d = x - self.params[0]
-            out = d * d     # d**2 on a numpy scalar calls pow(): last bit differs
-        return out if out.ndim else float(out)
-
     def slope_coefficients(self, x) -> tuple:
         """(p0, p1, p2), arrays shaped like x: the slope is p0 + p1 x + p2 x^2
         on the piece that holds each x (for a table, the cell right of it)."""
@@ -248,8 +230,8 @@ class Curve:
         return np.array([lo, hi]), np.array([True])
 
     def derivative_inverse(self):
-        """Callable z -> x with derivative(x) = z on the curve's monotone
-        branch, or None.  Affine curves have no branch; tables no derivative.
+        """Callable z -> x with slope z at x on the curve's monotone
+        branch, or None.  Affine curves and tables have no such branch.
         The cubic uses its increasing branch x >= k, where its convex hull
         follows the curve."""
         if self.family == "linear_demand":

@@ -70,7 +70,7 @@ class StaticPlan:
 @dataclass(frozen=True)
 class StaticReport:
     """Whether a constant rate attains min H = payoff + gap, payoff being
-    R - C at the best constant rate u_hat; the witness is u_hat if it
+    R - C at the best constant rate u_hat; witness restates u_hat if it
     attains (see static_optimality_test), None if not.  u_tilde is the
     relaxed optimum's mean rate and relaxed_payoff R^ - C^ there, as
     convexified_static reads them; a report built by hand may leave both
@@ -350,9 +350,9 @@ def cyclic_value(plan: CyclicPlan, beta: float) -> float:
 def stationary_plan(problem, model: HamiltonianModel, eps: float | None = None):
     """The stationary plan to run once stock is gone.
 
-    Without eps: the static witness if a constant rate attains min H,
-    otherwise the relaxed optimum realized as a cycle of the default
-    period (see cyclic_strategy).  With eps: that cycle at period eps.
+    Without eps: the constant rate u_hat if it attains min H, otherwise
+    the relaxed optimum realized as a cycle of the default period (see
+    cyclic_strategy).  With eps: that cycle at period eps.
     The verdict runs either way, and its u_tilde is the cycle's mean rate.
     """
     return _tail(problem, model, static_optimality_test(problem, model), eps)
@@ -361,7 +361,7 @@ def stationary_plan(problem, model: HamiltonianModel, eps: float | None = None):
 def _tail(problem, model: HamiltonianModel, report: StaticReport, eps):
     """stationary_plan's rule, for a caller that holds the verdict."""
     if eps is None and report.optimal:
-        return StaticPlan(report.witness)
+        return StaticPlan(report.u_hat)
     relaxed = relaxed_static(problem, model, report.u_tilde)
     return cyclic_strategy(problem, relaxed, eps)
 
@@ -398,7 +398,7 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
         return tail
 
     xi0 = vf.v_prime(x0)
-    if xi0 < zeta * np.finfo(float).tiny:
+    if xi0 <= 0.0 or xi0 < zeta * np.finfo(float).tiny:
         raise InvalidParameter(
             f"initial stock {x0:g} is past the stock at which the marginal "
             f"value of stock underflows: v'(x0) / zeta = {xi0 / zeta:.3g}")

@@ -2,11 +2,10 @@
 the calls its workloads make still bind.
 
 perfbench/spans.py names them by module and attribute, and
-perfbench/workloads.py calls them with fixed argument shapes; a rename,
-a removal or a signature change here would break ``perfbench/run.py``
-without failing any other test in this suite (perfbench's own tests are
-outside its test paths).  The spans module is loaded by path and only
-read.
+perfbench/workloads.py calls them with fixed argument shapes.  A rename,
+a removal or a signature change would also fail perfbench/tests, but
+deep inside a workload run; these tests fail naming the broken binding
+itself.  The spans module is loaded by path and only read.
 """
 
 import importlib

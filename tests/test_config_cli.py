@@ -50,6 +50,12 @@ a = interval 0 0.3
 """
 
 
+# table_curves.cfg's curves at about 1e-21 of their money scale: zeta = 3e-21
+TINY_MONEY = [
+    "--set", "revenue.points=0:0, 0.25:2e-21, 0.5:3e-21, 0.75:3.3e-21, 1:3.4e-21",
+    "--set", "cost.points=0:0, 0.5:2.8e-21, 1:3e-21, 1.5:4.5e-21, 2:9e-21",
+]
+
 # table_curves.cfg with no section header, no [sets] a, no beta
 _TABLE_TEXT = Path(TABLE_CURVES).read_text()
 BROKEN_FILES = {
@@ -507,6 +513,12 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["strategy", "--x0", "1e6"], "marginal value of stock underflows"),
     (["simulate", "--x0", "1e6"], "marginal value of stock underflows"),
     (["compare", "--x0", "1e9"], "marginal value of stock underflows"),
+    # at zeta = 3e-21, zeta times the smallest normal double rounds to 0,
+    # so only v'(x0) <= 0 itself can refuse an x0 whose slope underflows
+    *((cmd + TINY_MONEY,
+       "marginal value of stock underflows: v'(x0) / zeta = 0")
+      for cmd in (["strategy", "--x0", "3000"], ["simulate", "--x0", "3000"],
+                  ["compare", "--x0", "6000"])),
     (["solve", "--grid-n", "513"], "unrecognized arguments: --grid-n 513"),
     (["solve", "--config", TABLE_CURVES], "unrecognized arguments: --config"),
     (["solve", "--set", "problem.beta=abc"], "beta = 'abc' is not a number"),
@@ -557,7 +569,9 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
         "finite_nan", "oracle_dt", "compare_dt", "simulate_eps",
         "simulate_eps_zero", "grid_n_cap",
         "strategy_past_x_resolved", "simulate_past_x_resolved",
-        "compare_past_x_resolved", "grid_n_flag", "config_flag",
+        "compare_past_x_resolved", "strategy_slope_rounds_to_0",
+        "simulate_slope_rounds_to_0", "compare_slope_rounds_to_0",
+        "grid_n_flag", "config_flag",
         "beta_text", "one_point", "table_no_points", "revenue_family",
         "set_empty", "set_bound_text", "set_arity", "override_no_eq",
         "override_no_dot", "unknown_section", "grid_n_text", "finite_negative",

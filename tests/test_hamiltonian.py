@@ -236,9 +236,8 @@ def test_batch_of_one_is_exact(configs_dir, name):
         assert np.array_equal(env.hull_exact(ps), scalars(env.hull_exact, ps))
         with pytest.raises(OutOfDomain):
             env.hull_exact(np.array([lo, hi + 1.0]))
-        if curve.has_derivative:
-            assert np.array_equal(curve.derivative(ps),
-                                  scalars(curve.derivative, ps))
+        assert np.array_equal(curve.slope_coefficients(ps),
+                              scalars(curve.slope_coefficients, ps).T)
 
     for bad in (-0.1, 1.5 * m.z_max):
         with pytest.raises(OutOfDomain):

@@ -11,6 +11,8 @@ import pytest
 from monopoly_control import (
     InvalidParameter,
     NotConverged,
+    build_hamiltonian,
+    build_value,
     dp_value,
     load_problem,
     validate_problem,
@@ -450,3 +452,18 @@ def test_dp_default_budget_stops_a_table_that_never_settles(configs_dir,
     with pytest.raises(NotConverged, match="after 2112 sweeps and solves"):
         dp_value(problem, x_max=0.5)
     assert time.perf_counter() - t0 < 20.0
+
+
+def test_dp_floors_a_move_below_zero_stock_at_any_grid_step(configs_dir):
+    # the floor's rounding slack is a fraction of a node, so it floors a
+    # move below zero stock at any grid step; a slack of 1e-12 in stock
+    # would span the whole pad at this step of 1.6e-15, and the oracle
+    # would certify sales of stock it does not hold (v_hat(0) = 0.68
+    # against v(0) = 0.3).  NotConverged is an honest answer here
+    problem = validate_problem(load_problem(configs_dir / "table_curves.cfg"))
+    v0 = build_value(build_hamiltonian(problem)).value_at(0.0)
+    try:
+        res = dp_value(problem, x_max=1e-13, dt=1e-15, nx=64)
+    except NotConverged:
+        return
+    assert res.value_at(0.0) <= v0 + 1e-3

@@ -113,8 +113,8 @@ def test_table_curve_interpolates_linearly():
         Curve.table([(0.0, 0.0), (0.0, 1.0)])
     with pytest.raises(DegenerateGrid, match="at least two knots"):
         Curve.table([(0.0, 0.0)])
-    with pytest.raises(InvalidParameter, match="no derivative"):
-        t.derivative(0.5)
+    # its slope is the chord of the cell right of x
+    assert [float(c) for c in t.slope_coefficients(1.0)] == [0.5, 0.0, 0.0]
 
 
 def test_derivative_inverse_closed_forms():

@@ -26,6 +26,7 @@ from monopoly_control import (
 from monopoly_control import value
 from monopoly_control.envelope import fenchel_cost, fenchel_revenue
 from monopoly_control.strategy import StaticPlan, _static_candidate
+from test_envelope import _hull_at_knots
 
 N_SEEDS = 30
 
@@ -118,13 +119,14 @@ def test_conjugate_hull_equivalence(solved_instances, brute_conjugate):
         env = model.cost_env
         for z in rng.uniform(0.0, model.z_max, 3):
             raw, _ = brute_conjugate(env.xs, env.f, float(z), "cost")
-            hull, _ = brute_conjugate(env.xs, env.hull, float(z), "cost")
+            hull, _ = brute_conjugate(env.xs, _hull_at_knots(env), float(z),
+                                      "cost")
             assert hull == pytest.approx(raw, abs=1e-9 * max(1.0, abs(raw)))
         renv = model.rev_env
         for z in rng.uniform(0.0, model.z_max, 3):
             raw, _ = brute_conjugate(renv.xs, renv.f, float(z), "revenue")
-            hull, _ = brute_conjugate(renv.xs, renv.hull, float(z),
-                                      "revenue")
+            hull, _ = brute_conjugate(renv.xs, _hull_at_knots(renv),
+                                      float(z), "revenue")
             assert hull == pytest.approx(raw, abs=1e-9 * max(1.0, abs(raw)))
 
 
