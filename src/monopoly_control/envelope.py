@@ -21,16 +21,15 @@ Conjugate queries come in two orientations:
 both views of one array kernel on the oriented (lower-hull) data, which
 returns the conjugate value and the attaining span for every slope of a
 batch; a scalar query is a batch of one.  The kernel reads an arc at the
-curve's derivative inverse, so the value is exact on the curve.  The
-``_grid`` and ``argmax_grid`` functions are the same kernel, read one field
-at a time.
+rate whose slope is the query's (Curve.rate_at_slope), so the value is
+exact on the curve.  The ``_grid`` and ``argmax_grid`` functions are the
+same kernel, read one field at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -83,9 +82,8 @@ class Envelope:
     _bridge: np.ndarray = field(repr=False)     # per edge: leaves the curve
     _table: tuple = field(repr=False)           # per vertex, for _conjugate
     # the smooth curve whose arcs the envelope follows, None when piecewise
-    # linear, and its oriented derivative inverse: solves g'(x) = w
+    # linear
     _curve: Curve | None = field(repr=False, default=None)
-    _dinv: Callable | None = field(repr=False, default=None)
     # knots are the only admissible points; everything between them is
     # reachable solely as a mixture of knots
     finite_support: bool = False
@@ -190,7 +188,6 @@ def _build(xs, fs, curve: Curve | None, kind: str, finite: bool) -> Envelope:
         raise InvalidParameter("samples must be finite")
 
     sign = 1.0 if kind == "convex" else -1.0
-    dinv = None
     if curve is not None and not finite and curve.hull_kind == kind:
         # a smooth curve on a continuum: its hull on [xs[0], xs[-1]] in
         # closed form, every vertex a contact
@@ -198,9 +195,6 @@ def _build(xs, fs, curve: Curve | None, kind: str, finite: bool) -> Envelope:
         fs = np.asarray(curve(xs), dtype=float)
         gs = sign * fs
         vidx = np.arange(len(xs))
-        # oriented: solve g'(x) = w, where g = sign*f, so f'(x) = sign*w
-        inverse = curve.derivative_inverse()
-        dinv = inverse if sign > 0 else (lambda w: inverse(-np.asarray(w)))
     else:
         curve = None
         gs = sign * fs
@@ -248,7 +242,7 @@ def _build(xs, fs, curve: Curve | None, kind: str, finite: bool) -> Envelope:
                     _bridge=bridge, _table=(
                         slopes[:-1], slopes[1:], chord[:-1], chord[1:],
                         reach_lo, reach_hi),
-                    _curve=curve, _dinv=dinv, finite_support=finite)
+                    _curve=curve, finite_support=finite)
 
 
 def convex_hull(xs, fs, *, curve=None, finite=False) -> Envelope:
@@ -291,7 +285,9 @@ def _conjugate(env: Envelope, w: np.ndarray) -> tuple:
     tie_hi = chord_hi[idx] & (es_hi[idx] - w <= tol)
     vx, vg = env._vx, env._vg
     if env.smooth:
-        x_lo = x_hi = np.clip(env._dinv(w), reach_lo[idx], reach_hi[idx])
+        # oriented: g = sign*f has slope w where f has slope sign*w
+        x_lo = x_hi = np.clip(env._curve.rate_at_slope(env._sign * w),
+                              reach_lo[idx], reach_hi[idx])
         val = x_lo * w - env._sign * env._curve(x_lo)
     else:
         x_lo = x_hi = vx[idx]

@@ -75,7 +75,7 @@ def _cost_envelope(problem: ValidatedProblem, z_max: float) -> Envelope:
         # a ray carries the cubic (validate_problem): k + sqrt(z) is the
         # largest rate attaining z, so the hull up to twice that rate at
         # z_max ends at slope (k + 2 sqrt(z_max))^2 > z_max
-        top = 2.0 * float(problem.cost.derivative_inverse()(z_max))
+        top = 2.0 * float(problem.cost.rate_at_slope(z_max))
         xs = np.array([problem.production_set.lo, top])
     return _envelope(convex_hull, problem.cost, problem.production_set, xs)
 

@@ -72,14 +72,14 @@ def _production_cap(problem: ValidatedProblem) -> float:
     for linear demand on an interval, else the largest R(q)/q at the
     revenue's positive points (R/q is monotone on each linear piece); a
     ray's cost is the cubic, whose s a - C(a) peaks at 0 or at k + sqrt(s),
-    the largest rate attaining slope s (Curve.derivative_inverse)."""
+    the largest rate attaining slope s (Curve.rate_at_slope)."""
     q, R = problem.q_grid, problem.revenue
     if problem.demand_set.kind == "interval" and R.family == "linear_demand":
         s = R.params[0] - R.params[1] * problem.demand_set.lo
     else:
         pos = q[q > 0.0]
         s = float(np.max(R(pos) / pos))
-    a = float(problem.cost.derivative_inverse()(s))
+    a = float(problem.cost.rate_at_slope(s))
     if s * a - problem.cost(a) <= 0.0:
         a = 0.0
     return max(a, float(q[-1])) * 1.05 + 1e-9

@@ -134,8 +134,9 @@ class Curve:
     slope on each piece as a quadratic (slope_coefficients); a table is
     linear between knots, so its slope is constant on each cell.  The
     smooth families (linear demand, cubic) also give their envelope on an
-    interval in closed form (hull_kind, hull_vertices) and a derivative
-    inverse, with which the conjugate kernel reads an arc of that envelope.
+    interval in closed form (hull_kind, hull_vertices) and the rate at a
+    slope (rate_at_slope), at which the conjugate kernel reads an arc of
+    that envelope.
 
     Families
     --------
@@ -229,18 +230,19 @@ class Curve:
                 return np.array([lo, t, hi]), np.array([False, True])
         return np.array([lo, hi]), np.array([True])
 
-    def derivative_inverse(self):
-        """Callable z -> x with slope z at x on the curve's monotone
-        branch, or None.  Affine curves and tables have no such branch.
-        The cubic uses its increasing branch x >= k, where its convex hull
-        follows the curve."""
+    def rate_at_slope(self, z):
+        """The rate with slope z on the curve's monotone branch, for a
+        scalar or an array z.  The cubic uses its increasing branch x >= k,
+        where its convex hull follows the curve.  Affine curves and tables
+        have no such branch and raise InvalidParameter."""
+        z = np.asarray(z, dtype=float)
         if self.family == "linear_demand":
             a, b = self.params
-            return lambda z: (a - np.asarray(z, dtype=float)) / (2.0 * b)
+            return (a - z) / (2.0 * b)
         if self.family == "cubic":
-            k = self.params[0]
-            return lambda z: k + np.sqrt(np.maximum(np.asarray(z, dtype=float), 0.0))
-        return None
+            return self.params[0] + np.sqrt(np.maximum(z, 0.0))
+        raise InvalidParameter(f"a {self.family} curve has no arc to read a "
+                               "rate at a slope")
 
 
 # ---------------------------------------------------------------------------
@@ -262,36 +264,21 @@ class ProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class ValidatedProblem:
-    """A ProblemSpec that passed validate_problem, plus its curves' points.
+    """A problem that passed validate_problem: a ProblemSpec's fields, plus
+    its curves' points.
 
     ``q_grid`` holds the revenue's points on Q (see _points) and ``a_grid``
     the cost's on a bounded A; it is None for a right ray, where the
     Hamiltonian builder hulls the cubic up to 2 (k + sqrt z_max).
     """
 
-    spec: ProblemSpec
+    beta: float
+    demand_set: ControlSet
+    production_set: ControlSet
+    revenue: Curve
+    cost: Curve
     q_grid: np.ndarray = field(repr=False)
     a_grid: np.ndarray | None = field(repr=False)
-
-    @property
-    def beta(self) -> float:
-        return self.spec.beta
-
-    @property
-    def demand_set(self) -> ControlSet:
-        return self.spec.demand_set
-
-    @property
-    def production_set(self) -> ControlSet:
-        return self.spec.production_set
-
-    @property
-    def revenue(self) -> Curve:
-        return self.spec.revenue
-
-    @property
-    def cost(self) -> Curve:
-        return self.spec.cost
 
 
 def _points(curve: Curve, cset: ControlSet) -> np.ndarray | None:
@@ -390,7 +377,8 @@ def validate_problem(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
         if np.any(np.diff(c_vals) < -_VAL_TOL * c_scale):
             raise AssumptionViolation("production cost must be non-decreasing")
 
-    return ValidatedProblem(spec, q_grid, a_grid)
+    return ValidatedProblem(spec.beta, Q, A, spec.revenue, spec.cost,
+                            q_grid, a_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,10 @@ def _simulate_segments(problem: ValidatedProblem, period: float, phases,
     beta = problem.beta
     ph = np.array(phases, dtype=float)
     # period starts summed one period at a time, as a running clock; the
-    # first is always laid out, the others while 1e-15 short of the horizon
+    # first is always laid out, the others while short of the horizon by
+    # more than 1e-15 of it
     starts = np.cumsum(np.full(int(np.ceil(horizon / period)) + 1, period))
-    k = int(np.argmax(starts >= horizon - 1e-15 * max(1.0, horizon)))
+    k = int(np.argmax(starts >= horizon - 1e-15 * horizon))
     base = np.concatenate([[0.0], starts[:k]])[:, None]
     live = (base + ph[:, 0]).ravel() < horizon
     end = np.minimum((base + ph[:, 1]).ravel()[live], horizon)

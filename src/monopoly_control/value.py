@@ -178,8 +178,10 @@ class ValueFunction:
         # Psi is convex in L, so the steps fall from there to the root
         rt = np.sqrt(top)
         a, b = g + s1 * top + 0.5 * s2 * rt, 2.0 * g - y
-        r = np.sqrt(b * b + 8.0 * a * y)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a stock far past the table overflows the root to inf, which span
+        # clips, and the steps then return v' = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.sqrt(b * b + 8.0 * a * y)
             L = np.minimum(span, np.where(b > 0.0, 4.0 * y / (b + r),
                                           (r - b) / (2.0 * a)))
             for _ in range(_MAX_STEPS):

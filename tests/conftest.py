@@ -220,7 +220,7 @@ def _reference_segments(period: float, phases, horizon: float) -> tuple:
                 cuts.append(end)
                 controls.append((a, q, rate))
         base += period
-        if base >= horizon - 1e-15 * max(1.0, horizon):
+        if base >= horizon - 1e-15 * horizon:
             return cuts, controls
 
 
@@ -396,7 +396,7 @@ def build_hamiltonian_from():
     up to at least ceiling in every round, not only to 2 (k + sqrt z_max)."""
     def build(problem, ceiling):
         def cost_envelope(p, z_max):
-            top = max(ceiling, 2.0 * float(p.cost.derivative_inverse()(z_max)))
+            top = max(ceiling, 2.0 * float(p.cost.rate_at_slope(z_max)))
             xs = np.array([p.production_set.lo, top])
             return hamiltonian.convex_hull(xs, p.cost(xs), curve=p.cost)
 

@@ -513,6 +513,8 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
     (["strategy", "--x0", "1e6"], "marginal value of stock underflows"),
     (["simulate", "--x0", "1e6"], "marginal value of stock underflows"),
     (["compare", "--x0", "1e9"], "marginal value of stock underflows"),
+    # past about 1e154 the Newton start's square overflows to inf
+    (["simulate", "--x0", "1e300"], "marginal value of stock underflows"),
     # at zeta = 3e-21, zeta times the smallest normal double rounds to 0,
     # so only v'(x0) <= 0 itself can refuse an x0 whose slope underflows
     *((cmd + TINY_MONEY,
@@ -569,7 +571,8 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
         "finite_nan", "oracle_dt", "compare_dt", "simulate_eps",
         "simulate_eps_zero", "grid_n_cap",
         "strategy_past_x_resolved", "simulate_past_x_resolved",
-        "compare_past_x_resolved", "strategy_slope_rounds_to_0",
+        "compare_past_x_resolved", "simulate_x0_overflow",
+        "strategy_slope_rounds_to_0",
         "simulate_slope_rounds_to_0", "compare_slope_rounds_to_0",
         "grid_n_flag", "config_flag",
         "beta_text", "one_point", "table_no_points", "revenue_family",
@@ -886,6 +889,20 @@ def test_cli_mixed_scale_battery(tmp_path, capsys):
             codes[rc] += 1
     print(f"{codes[0]} runs exit 0, {codes[2]} exit 2 at a named limit")
     assert codes[2] < codes[0], codes
+
+
+@pytest.mark.parametrize("draw", [3, 25])
+def test_cli_static_verdict_agrees_with_a_zero_gap(tmp_path, draw):
+    # zeta is known only to _ZETA_WIDTH of itself, and on these draws the
+    # spans read at zeta alone miss u_hat while the window's ends reach it:
+    # the verdict must agree with the gap of 0 printed beside it
+    text, _, _ = list(_mixed_scale_draws(0, draw + 1))[draw]
+    cfg = tmp_path / "draw.cfg"
+    cfg.write_text(text)
+    assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+    summary = _summary(tmp_path / "summary.txt")
+    assert (summary["static_optimal"], summary["static_gap"]) \
+        == ("True", "0"), summary
 
 
 @pytest.mark.parametrize("cmd", [["strategy", "--x0", "0.2"],

@@ -173,7 +173,7 @@ def test_production_cap_meets_a_brute_force_argmax():
         q_hi = float(problem.q_grid[-1])
         want = max(best, q_hi) * 1.05 + 1e-9
         assert abs(_production_cap(problem) - want) <= 1.05 * a[1], \
-            (problem.spec, s)
+            (problem, s)
 
 
 def test_dp_guards(linear_cost_problem):
@@ -200,13 +200,13 @@ def test_dp_finite_sets_ignore_grid_counts(linear_cost_problem):
     from monopoly_control.problem import ControlSet, ProblemSpec
     from monopoly_control import validate_problem
 
-    spec = linear_cost_problem.spec
+    p = linear_cost_problem
     finite = validate_problem(ProblemSpec(
-        beta=spec.beta,
+        beta=p.beta,
         demand_set=ControlSet.finite([0.0, 0.25, 0.5]),
         production_set=ControlSet.finite([0.0, 0.3]),
-        revenue=spec.revenue,
-        cost=spec.cost,
+        revenue=p.revenue,
+        cost=p.cost,
     ))
     kw = dict(x_max=0.25, nx=64, dt=0.01)
     ref = dp_value(finite, **kw)
@@ -422,13 +422,13 @@ def test_dp_bounded_production_equals_ray_under_cap(am_mid_problem,
     from monopoly_control.problem import ControlSet, ProblemSpec
     from monopoly_control import validate_problem
 
-    spec = am_mid_problem.spec
+    p = am_mid_problem
     capped = ProblemSpec(
-        beta=spec.beta,
-        demand_set=spec.demand_set,
-        production_set=ControlSet.interval(0.0, _production_cap(am_mid_problem)),
-        revenue=spec.revenue,
-        cost=spec.cost,
+        beta=p.beta,
+        demand_set=p.demand_set,
+        production_set=ControlSet.interval(0.0, _production_cap(p)),
+        revenue=p.revenue,
+        cost=p.cost,
     )
     kw = dict(x_max=0.25, nx=96, dt=0.01, na=25, nq=25)
     ray = dp_value(am_mid_problem, **kw)

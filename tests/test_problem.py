@@ -117,16 +117,15 @@ def test_table_curve_interpolates_linearly():
     assert [float(c) for c in t.slope_coefficients(1.0)] == [0.5, 0.0, 0.0]
 
 
-def test_derivative_inverse_closed_forms():
+def test_rate_at_slope_closed_forms():
     r = Curve.linear_demand_revenue(1.0, 2.0)
-    inv = r.derivative_inverse()
     # R'(q) = 1 - 4q, so the marginal-revenue preimage of z is (1-z)/4
-    assert inv(0.5) == pytest.approx(0.125)
+    assert r.rate_at_slope(0.5) == pytest.approx(0.125)
     c = Curve.cubic_cost(2.0)
-    cinv = c.derivative_inverse()
     # increasing branch of C'(a) = (a-2)^2: preimage of z is 2 + sqrt(z)
-    assert cinv(0.25) == pytest.approx(2.5)
-    assert Curve.affine_cost(1.0).derivative_inverse() is None
+    assert c.rate_at_slope(0.25) == pytest.approx(2.5)
+    with pytest.raises(InvalidParameter):
+        Curve.affine_cost(1.0).rate_at_slope(0.5)
 
 
 def test_validate_requires_zero_in_both_sets():
@@ -147,8 +146,10 @@ def test_validate_requires_zero_in_both_sets():
 def test_validate_requires_a_positive_rate_in_both_sets(linear_cost_problem,
                                                         role, message):
     # the constructor refuses [0, 0]; one built directly holds only 0
-    spec = dataclasses.replace(linear_cost_problem.spec,
-                               **{role: ControlSet("interval", 0.0, 0.0)})
+    p = linear_cost_problem
+    spec = ProblemSpec(p.beta, p.demand_set, p.production_set, p.revenue,
+                       p.cost)
+    spec = dataclasses.replace(spec, **{role: ControlSet("interval", 0.0, 0.0)})
     with pytest.raises(AssumptionViolation, match=message):
         validate_problem(spec)
 

@@ -68,6 +68,16 @@ def test_horizon_below_stop_tolerance_takes_one_step(am_mid_problem, am_cyclic):
             assert traj.stock.tolist() == [0.0, 0.0]
 
 
+def test_short_cycles_reach_a_horizon_below_1(am_mid_problem, am_cyclic):
+    # the stop tolerance is relative: periods of 3e-16 are laid out up to
+    # a horizon of a few of them, not stopped 1e-15 short of it
+    rel, _ = am_cyclic
+    plan = cyclic_strategy(am_mid_problem, rel, 3e-16)
+    for horizon in (1e-15, 1e-14, 2.5e-15):
+        traj = simulate(am_mid_problem, plan, horizon=horizon)
+        assert traj.horizon == horizon
+
+
 def test_relaxed_mean_rates(am_mid_problem, am_mid_model, am_cyclic):
     rel, _ = am_cyclic
     traj = simulate(am_mid_problem, rel, horizon=30.0)

@@ -18,6 +18,7 @@ import pytest
 
 from monopoly_control import (
     Curve,
+    ProblemSpec,
     build_hamiltonian,
     build_value,
     convexified_static,
@@ -83,7 +84,9 @@ def test_chord_at_zeta_verdict_scales_with_money(make_random_instance, mu):
     rng = np.random.default_rng(7)
     for _ in range(9):
         make_random_instance(rng)
-    spec = make_random_instance(rng).spec
+    p = make_random_instance(rng)
+    spec = ProblemSpec(p.beta, p.demand_set, p.production_set, p.revenue,
+                       p.cost)
     assert _answers(spec)["optimal"]
     _check_scaled(spec, mu)
 

@@ -121,6 +121,9 @@ def test_value_beyond_resolved_clamps(linear_cost_value):
     assert vf.value_at(vf.x_resolved) < v_far <= vf.v_flat
     assert vf.v_prime(1e6) == 0.0
     assert vf.value_at(1e6) == pytest.approx(vf.v_flat, rel=1e-15)
+    # past about 1e154 the Newton start's square overflows to inf, which
+    # the cell's span clips, with no warning
+    assert vf.v_prime(1e300) == 0.0
 
 
 def test_write_value_csv_deterministic(tmp_path, linear_cost_value):
