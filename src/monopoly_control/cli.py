@@ -11,7 +11,7 @@ and write plain CSV / key=value artifacts into --out:
 
 Everything numeric is written with 17 significant digits, so identical
 configs give byte-identical outputs.  Exit codes: 0 success, 2 rejected
-input (config or assumption violations), 3 numerical failure.
+input (config, assumption or double-range limits), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     HorizonTooShort,
     InvalidParameter,
     MonopolyControlError,
+    TruncationFailed,
 )
 from .hamiltonian import build_hamiltonian
 from .oracle import dp_value, write_dp_csv
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (AssumptionViolation, InvalidParameter) as exc:
+    except (AssumptionViolation, InvalidParameter, TruncationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MonopolyControlError as exc:

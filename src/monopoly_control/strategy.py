@@ -385,8 +385,7 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
     """
     if x0 < 0.0:
         raise InvalidParameter(f"initial stock must be non-negative, got {x0}")
-    model, beta = vf.model, vf.beta
-    zeta = model.zeta
+    model, beta, zeta = vf.model, vf.beta, vf.zeta
 
     if zeta <= 0.0:
         warnings.warn("stock has no marginal value; there is no drawdown "
@@ -402,7 +401,6 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
         raise InvalidParameter(
             f"initial stock {x0:g} is past the stock at which the marginal "
             f"value of stock underflows: v'(x0) / zeta = {xi0 / zeta:.3g}")
-    tau = math.log(zeta / xi0) / beta
 
     # arc knot i is xi0 for i = 0, then table knot j - i; cell i runs from
     # arc knot i to i + 1, and only xi0 is read
@@ -427,7 +425,8 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
             for v, w in ((sides[2], sides[0]), (sides[3], sides[1])))
     at = np.insert(np.arange(j), put, put)
     x_knots = np.concatenate([[x0], vf.psi_knots[:j][::-1]])
-    return DrawdownPlan(x0=float(x0), tau=float(tau),
-                        t_knots=(np.log(z / xi0) / beta)[at],
+    # the arc ends at its last knot's time, zeta's: one clock for both
+    t_knots = (np.log(z / xi0) / beta)[at]
+    return DrawdownPlan(x0=float(x0), tau=float(t_knots[-1]), t_knots=t_knots,
                         x_knots=x_knots[at], a_knots=a, q_knots=q,
                         xi_knots=z[at], tail=tail)

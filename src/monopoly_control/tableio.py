@@ -14,9 +14,9 @@ The kernel (_csv_rows) takes a chunk of rows and, per element:
   int / int and float(int) correctly), with hi pre-split for Dekker's
   exact product, so P carries an error of about 2**-47;
 - rounds P to the 17-digit integer N, inserts a zero digit where the
-  decimal point goes, splits the digits eight bytes at a time with
-  multiply-shift steps, and turns them into ASCII with one table word
-  that also places the point and the sign and blanks the leading and
+  decimal point goes, reads the digits four bytes at a time from a table
+  of the digits of 0000..9999, and turns them into ASCII with one table
+  word that also places the point and the sign and blanks the leading and
   trailing bytes the %g rules strip (fixed notation for exponents
   -4..16, otherwise d.ddde+XX);
 - lays each element out in 32 bytes, unused bytes NUL, and deletes the
@@ -51,11 +51,6 @@ _SPLIT = 134217729.0
 _TIE = 2.0 ** -40
 # exponent tables cover E in [-_EOFF, _EOFF], enough for [_LO, _HI]
 _EOFF = 300
-# divide-by-100 and divide-by-10 multipliers with their shifts and lane masks
-_DIV100 = np.uint64(5243)
-_DIV10 = np.uint64(103)
-_LANE100 = np.uint64(0x0000007F0000007F)
-_LANE10 = np.uint64(0x000F000F000F000F)
 # weights that read the three digit words of a field as one number
 _WORD_WEIGHTS = np.array([1.0, 2.0 ** 64, 2.0 ** 128, 0.0])
 
@@ -78,7 +73,8 @@ def _pow10_rows(emin: int, emax: int) -> np.ndarray:
 
 @functools.cache
 def _tables():
-    """Tables indexed by E + _EOFF, and the byte offsets of a field."""
+    """Tables indexed by E + _EOFF, the byte offsets of a field, and the
+    digits of 0000..9999, one value per byte, the first in the lowest."""
     es = np.arange(-_EOFF, _EOFF + 1, dtype=np.int64)
     fixed = (es >= -4) & (es <= 16)
     ef = np.where(fixed, es, 0)                # digits before the point - 1
@@ -101,13 +97,16 @@ def _tables():
     off = np.stack([off, off])
     off[1, :, :, 1] = 0x2D
     off = off.astype(np.uint8).view(np.uint64).reshape(-1, 4)
-    return pow_r, 7 + ef, 25 * (ef + 4), exp_word, off
+    d = np.arange(10, dtype=np.uint32)
+    digits4 = (d[:, None, None, None] | d[:, None, None] << 8
+               | d[:, None] << 16 | d << 24).ravel()
+    return pow_r, 7 + ef, 25 * (ef + 4), exp_word, off, digits4
 
 
 def _csv_rows(block: np.ndarray) -> bytes:
     """The CSV bytes of a 2-D float64 block, each row ending in a newline;
     equal to joining "%.17g" % x by commas and rows by newlines."""
-    pow_r, point_of, row_of, exp_word, off = _tables()
+    pow_r, point_of, row_of, exp_word, off, digits4 = _tables()
     rows, ncol = block.shape
     x = block.ravel()
     n = x.size
@@ -171,29 +170,15 @@ def _csv_rows(block: np.ndarray) -> bytes:
     np.multiply(V[:, 0], 10 ** 8, out=pr)
     np.subtract(N, pr, out=V[:, 1])
     del X, N, pr
-    # split each lane into 4 + 4, 2 + 2 and 1 + 1 digits, the first digit
-    # landing in the lower bytes: one digit value per byte
+    # each lane's first and last four digits, read from the digit table
+    # into the low and high halves of r: one digit value per byte
     q = V // 10 ** 4
     r = q * 10 ** 4
     V -= r
-    V <<= 32
-    V += q
-    V, q, r = V.view(np.uint64), q.view(np.uint64), r.view(np.uint64)
-    np.multiply(V, _DIV100, out=q)
-    q >>= 19
-    q &= _LANE100
-    np.multiply(q, 100, out=r)
-    V -= r
-    V <<= 16
-    V |= q
-    np.multiply(V, _DIV10, out=q)
-    q >>= 10
-    q &= _LANE10
-    np.multiply(q, 10, out=r)
-    V -= r
-    V <<= 8
-    V |= q
-    del r
+    halves = r.view(np.uint32).reshape(n, 4, 2)
+    np.take(digits4, q, out=halves[:, :, 0])
+    np.take(digits4, V, out=halves[:, :, 1])
+    V, q = r.view(np.uint64), q.view(np.uint64)
 
     # one past the last nonzero digit byte: the bit length of the digit
     # words read as one number (bytes are at most 9, so rounding that sum

@@ -194,6 +194,16 @@ class ValueFunction:
         return top * np.exp(-L)
 
 
+def _over_beta(top: float, beta: float) -> float:
+    """top / beta, refused where it overflows: top is the largest |H| or
+    beta Psi, so the values v = H/beta or the stocks would overflow."""
+    if math.isfinite(top) and math.isinf(top / float(beta)):
+        raise InvalidParameter(
+            f"beta = {beta:.3g} is too small: v = H/beta and its stock "
+            f"overflow, so beta must exceed {top / np.finfo(float).max:.2g}")
+    return top / beta
+
+
 def build_value(model: HamiltonianModel) -> ValueFunction:
     """Read the conjugates at the knots and 0, close Psi on each kink cell
     of H, and wrap the inversion."""
@@ -201,9 +211,9 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
     if zeta <= 0.0:
         empty = np.empty(0)
         return ValueFunction(model=model, beta=beta, constant=True,
-                             v_flat=float(h_at(model, 0.0)) / beta, zeta=0.0,
-                             xi_knots=empty, psi_knots=empty, h_knots=empty,
-                             _sides=empty, _kinks=empty)
+                             v_flat=_over_beta(float(h_at(model, 0.0)), beta),
+                             zeta=0.0, xi_knots=empty, psi_knots=empty,
+                             h_knots=empty, _sides=empty, _kinks=empty)
 
     floor = zeta * _XI_FLOOR_RATIO
     if floor == 0.0:
@@ -227,7 +237,11 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
                      *_arcs(model.problem, sides[2, bot], sides[3, bot],
                             sides[0, top], sides[1, top])])
     span = np.append(np.log1p((zs[:-1] - zs[1:]) / zs[1:]), math.inf)
-    psi = np.append(0.0, np.cumsum(_psi_rise(beta, *cell[:, :-1], span[:-1])))
+    # beta Psi rises over each cell, the last one down to the last knot
+    rise = _psi_rise(1.0, *cell,
+                     np.append(span[:-1], math.log(zs[-1] / xi[-1])))
+    _over_beta(max(float(np.abs(h).max()), float(rise.sum())), beta)
+    psi = np.append(0.0, np.cumsum(rise[:-1] / beta))
     cells = np.vstack([psi, h[top], span, cell])
     return ValueFunction(model=model, beta=beta, constant=False,
                          v_flat=float(h[-1]) / beta, zeta=zeta, xi_knots=xi,

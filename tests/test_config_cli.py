@@ -567,6 +567,13 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
        "floor zeta * 1e-06 rounds to 0, so zeta must exceed 2.5e-318")
       for cmd in (["solve"], ["strategy", "--x0", "0.2"],
                   ["simulate", "--x0", "0.2"], ["compare"])),
+    # v = H/beta and the stock Psi overflow at the smallest positive beta
+    *(([cmd, "linear_cost.cfg", "--set", "problem.beta=5e-324", *x0],
+       "v = H/beta and its stock overflow, so beta must exceed 3.6e-308")
+      for cmd, x0 in (("solve", []), ("strategy", ["--x0", "0.2"]),
+                      ("simulate", ["--x0", "0.2"]), ("compare", []))),
+    (["solve", "linear_cost.cfg", "--set", "revenue.A=5e307"],
+     "z_max overflowed before H(z_max) rose past H(0)"),
 ], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
         "finite_nan", "oracle_dt", "compare_dt", "simulate_eps",
         "simulate_eps_zero", "grid_n_cap",
@@ -583,7 +590,9 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
         "production_without_0", "revenue_at_0", "revenue_negative",
         "demand_past_zero_price", "cost_decreasing", "no_header", "no_a", "no_beta",
         "not_utf8", "zeta_floor_solve", "zeta_floor_strategy",
-        "zeta_floor_simulate", "zeta_floor_compare"])
+        "zeta_floor_simulate", "zeta_floor_compare", "beta_overflow_solve",
+        "beta_overflow_strategy", "beta_overflow_simulate",
+        "beta_overflow_compare", "z_max_overflow"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                                     message):
     # table_curves.cfg, unless the first flag names a shipped config or

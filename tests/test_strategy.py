@@ -550,6 +550,17 @@ def test_drawdown_first_row_beside_a_kink(configs_dir):
             assert (plan.a_knots[0], plan.q_knots[0]) == tuple(want), (k, share)
 
 
+def test_drawdown_ends_on_its_last_knot_time(configs_dir):
+    # tau and the last knot time are one number: ln(zeta / xi0) / beta
+    # read once.  Here math.log and np.log once differed by an ulp
+    problem = validate_problem(load_problem(
+        configs_dir / "table_curves.cfg", ["problem.beta=0.37"]))
+    model = build_hamiltonian(problem)
+    plan = drawdown_plan(build_value(model), 0.01,
+                         stationary_plan(problem, model))
+    assert plan.tau == plan.t_knots[-1] == 0.019999999999999893
+
+
 def test_am_reference_regimes():
     # the solver against the closed forms, one triple per regime
     for abk, regime in (((1.0, 1.0, 1.0), "ii"), ((0.2, 1.0, 1.0), "i"),
