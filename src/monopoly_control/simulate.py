@@ -29,7 +29,7 @@ from .errors import HorizonTooShort, InvalidParameter, StateViolation
 from .problem import ValidatedProblem, validate_problem
 from .strategy import _ARC_X_TOL, DrawdownPlan, _stock_run
 from .tableio import write_csv
-from .value import ValueFunction, _arcs, _h_rise, _psi_rise
+from .value import ValueFunction, _cells, _h_rise, _psi_rise
 
 _X_TOL = 1e-9
 _MAX_PHASES = 10**6   # phases a periodic run may lay out up to its horizon
@@ -123,10 +123,8 @@ def _simulate_drawdown(problem: ValidatedProblem, plan: DrawdownPlan,
     at the slope it reaches, the last controls held."""
     beta, z, a, q = problem.beta, plan.xi_knots, plan.a_knots, plan.q_knots
     n = len(z)
-    top = z[1:]
-    cells = (top, np.maximum(q[1:] - a[1:], 0.0),
-             *_arcs(problem, a[:-1], q[:-1], a[1:], q[1:]))
-    drop = _psi_rise(beta, *cells, np.log1p((top - z[:-1]) / z[:-1]))
+    cells = _cells(problem, z[1:], a[1:], q[1:], a[:-1], q[:-1])
+    drop = _psi_rise(beta, *cells, np.log1p((z[1:] - z[:-1]) / z[:-1]))
     xk = plan.x0 - np.concatenate([[0.0], np.cumsum(drop)])
     p = problem.revenue(q) - problem.cost(a) - z * (q - a)
     j = (p[0] - z[0] / z * p) / beta

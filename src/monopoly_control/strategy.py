@@ -268,8 +268,8 @@ def relaxed_static(problem, model: HamiltonianModel,
     """Decompose the relaxed optimum into two-point mixtures.
 
     Point masses appear wherever the relevant envelope touches its curve.
-    Raises DecompositionMismatch if the mixtures fail to reproduce the
-    convexified payoff.
+    hull_decompose checks each mixture against its envelope, so the mixed
+    payoff, their difference, is R^ - C^ at u_tilde within those checks.
     """
     problem = validate_problem(problem)
     if u_tilde is None:
@@ -282,12 +282,6 @@ def relaxed_static(problem, model: HamiltonianModel,
     r1, r2 = (float(problem.revenue(q)) for q in (q1, q2))
     c1, c2 = (float(problem.cost(a)) for a in (a1, a2))
     payoff = gamma * r1 + (1.0 - gamma) * r2 - (nu * c1 + (1.0 - nu) * c2)
-    hull_payoff = _hull_payoff(model, u_tilde)
-    # a weight is rounded against 1, so the bound scales with the readings
-    # it weighs, not with the mixed sums, which a tiny weight shrinks
-    if abs(payoff - hull_payoff) > 1e-6 * sum(map(abs, (r1, r2, c1, c2))):
-        raise DecompositionMismatch(
-            f"mixed payoff {payoff:.12g} vs convexified {hull_payoff:.12g}")
     return RelaxedStatic(u_tilde=u_tilde, q1=q1, q2=q2, gamma=float(gamma),
                          a1=a1, a2=a2, nu=float(nu), payoff=float(payoff))
 
@@ -379,9 +373,10 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
     stock has no marginal value (zeta <= 0).  The arc's knots are xi0 =
     v'(x0) and the table's knots in (xi0, zeta], its stock x0 and then the
     table's Psi, and its controls the table's own; only xi0 is read.
-    InvalidParameter refuses a stock whose slope v'(x0) underflows, and
-    one that the slope's last bit moves by more than the arc's closing
-    tolerance, as it does at a tiny discount rate.
+    InvalidParameter refuses a stock whose slope v'(x0) underflows, and,
+    at a tiny discount rate, one that the slope's last bit moves by more
+    than the arc's closing tolerance or, past that tolerance, one whose
+    slope rounds to zeta: that arc has no cell, so it drains nothing.
     """
     if x0 < 0.0:
         raise InvalidParameter(f"initial stock must be non-negative, got {x0}")
@@ -416,6 +411,10 @@ def drawdown_plan(vf: ValueFunction, x0: float, tail):
             f"the stock resolution at v'(x0), |H'| ulp(xi0) / (beta xi0) = "
             f"{res:.3g}, exceeds the drawdown arc's closing tolerance "
             f"{tol:.3g}")
+    if j == 0 and x0 > tol:
+        raise InvalidParameter(
+            f"v'(x0) rounds to zeta, so the drawdown arc has no cell: stock "
+            f"{x0:g} exceeds the drawdown arc's closing tolerance {tol:.3g}")
     sides = np.column_stack([first, vf._sides[:, :j][:, ::-1]])
     # a knot's row holds the controls into the cell above it; those below
     # it get a row at zeta and at kinks

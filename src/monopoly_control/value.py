@@ -8,11 +8,11 @@ beta where xi(x) inverts the state-to-slope map
 so Psi(xi) is the stock level at which the marginal value of inventory has
 fallen to xi.  H' is negative on (0, zeta), making Psi increasing as xi
 decreases; v is then increasing, concave, and capped by H(0)/beta.  With
-zeta = 0 holding stock is pointless and v is the constant H(0)/beta.
+zeta = 0 holding stock is pointless: v is the constant H(0)/beta = min H/beta.
 
 Psi and H are in closed form, exact to rounding, on each kink cell of H
 (from zeta down through the kinks of H to 0), where each attaining rate of
--H' = q* - a* is a hull vertex or moves along an arc (see _arcs).  So from
+-H' = q* - a* is a hull vertex or moves along an arc (see _cells).  So from
 its value g at the cell's top T, -H' rises as g + s1 (T - z) + s2 (sqrt T -
 sqrt z), and with L = ln(T/xi), phi(L) = L - 1 + e^-L, d = 1 - e^-L and
 e = 1 - e^(-L/2)
@@ -38,7 +38,7 @@ import numpy as np
 
 from .envelope import _apart
 from .errors import InvalidParameter, OutOfDomain
-from .hamiltonian import HamiltonianModel, _in_domain, _sides, h_at
+from .hamiltonian import HamiltonianModel, _in_domain, _sides
 from .problem import _unique
 from .tableio import write_csv
 
@@ -73,18 +73,19 @@ def _h_rise(top, g, s1, s2, L):
             + s2 * top * np.sqrt(top) * e * e * (1.0 - e / 1.5))
 
 
-def _arcs(problem, a_lo, q_lo, a_hi, q_hi) -> tuple:
-    """(s1, s2) of kink-free cells whose rates read (a_lo, q_lo) above
-    their bottom and (a_hi, q_hi) below their top.  With p0 + p1 x + p2 x^2
-    a slope (Curve.slope_coefficients), sales that move follow linear
-    demand, q = (z - p0)/p1, and production the cubic, a = k + sqrt(z/p2).
-    A rate moves iff its readings are apart (envelope._apart): on one curve
-    piece they are only along an arc, and a vertex may read an ulp off."""
+def _cells(problem, top, a_hi, q_hi, a_lo, q_lo) -> tuple:
+    """(top, g, s1, s2) of kink-free cells whose rates read (a_hi, q_hi)
+    below their top and (a_lo, q_lo) above their bottom, g = q - a at the
+    top, floored at 0 where H' vanishes.  With p0 + p1 x + p2 x^2 a slope
+    (Curve.slope_coefficients), sales that move follow linear demand, q =
+    (z - p0)/p1, and production the cubic, a = k + sqrt(z/p2).  A rate
+    moves iff its readings are apart (envelope._apart): on one curve piece
+    they are only along an arc, and a vertex may read an ulp off."""
     p1 = problem.revenue.slope_coefficients(q_lo)[1]
     p2 = problem.cost.slope_coefficients(a_lo)[2]
     s1 = -1.0 / np.where(_apart(q_lo, q_hi) & (p1 < 0.0), p1, -np.inf)
     s2 = np.where(_apart(a_lo, a_hi) & (p2 > 0.0), p2, np.inf) ** -0.5
-    return s1, s2
+    return top, np.maximum(q_hi - a_hi, 0.0), s1, s2
 
 
 def _at_slope(kinks: np.ndarray, xi) -> tuple:
@@ -209,9 +210,10 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
     of H, and wrap the inversion."""
     beta, zeta = model.problem.beta, model.zeta
     if zeta <= 0.0:
+        # H's minimizer is 0, so h_min holds the bits of the model's H(0)
         empty = np.empty(0)
         return ValueFunction(model=model, beta=beta, constant=True,
-                             v_flat=_over_beta(float(h_at(model, 0.0)), beta),
+                             v_flat=_over_beta(model.h_min, beta),
                              zeta=0.0, xi_knots=empty, psi_knots=empty,
                              h_knots=empty, _sides=empty, _kinks=empty)
 
@@ -221,9 +223,9 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
             f"zeta = {zeta:.3g} is too small for the value table: its slope "
             f"floor zeta * {_XI_FLOOR_RATIO:g} rounds to 0, so zeta must "
             f"exceed {math.ulp(0.0) / _XI_FLOOR_RATIO / 2.0:.2g}")
-    # kink_zs is sorted and distinct, so each kink's place in xi is read
-    # from the ascending slopes
-    kinks = model.kink_zs[(model.kink_zs > 0.0) & (model.kink_zs < zeta)]
+    # kink_zs is positive, sorted and distinct, so each kink's place in xi
+    # is read from the ascending slopes
+    kinks = model.kink_zs[model.kink_zs < zeta]
     asc = _unique(np.concatenate([np.geomspace(zeta, floor, _N_XI), kinks]))
     xi = asc[::-1]
     c, r = _in_domain(model, np.append(xi, 0.0))
@@ -233,9 +235,8 @@ def build_value(model: HamiltonianModel) -> ValueFunction:
     # read below its top and above its bottom
     top = np.append(0, len(xi) - 1 - np.searchsorted(asc, kinks[::-1]))
     bot, zs = np.append(top[1:], len(xi)), xi[top]
-    cell = np.stack([zs, np.maximum(sides[1, top] - sides[0, top], 0.0),
-                     *_arcs(model.problem, sides[2, bot], sides[3, bot],
-                            sides[0, top], sides[1, top])])
+    cell = np.stack(_cells(model.problem, zs, sides[0, top], sides[1, top],
+                           sides[2, bot], sides[3, bot]))
     span = np.append(np.log1p((zs[:-1] - zs[1:]) / zs[1:]), math.inf)
     # beta Psi rises over each cell, the last one down to the last knot
     rise = _psi_rise(1.0, *cell,

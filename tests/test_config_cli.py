@@ -574,6 +574,15 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
                       ("simulate", ["--x0", "0.2"]), ("compare", []))),
     (["solve", "linear_cost.cfg", "--set", "revenue.A=5e307"],
      "z_max overflowed before H(z_max) rose past H(0)"),
+    # at beta = 1e-100, v'(0.2) rounds to zeta, where H' vanishes, so the
+    # arc has no cell to drain the stock (compare plays x0 / 2)
+    *(([cmd, cfg, "--set", "problem.beta=1e-100", "--x0", x0],
+       "v'(x0) rounds to zeta, so the drawdown arc has no cell")
+      for cmd, cfg, x0 in (("strategy", "linear_cost.cfg", "0.2"),
+                           ("simulate", "linear_cost.cfg", "0.2"),
+                           ("strategy", "arvan_moses_high.cfg", "0.2"),
+                           ("simulate", "arvan_moses_high.cfg", "0.2"),
+                           ("compare", "linear_cost.cfg", "0.4"))),
 ], ids=["strategy_x0", "simulate_x0", "table_point", "finite_inf", "ray_nan",
         "finite_nan", "oracle_dt", "compare_dt", "simulate_eps",
         "simulate_eps_zero", "grid_n_cap",
@@ -592,7 +601,9 @@ def test_cli_rejects_non_finite_flags(cfg, tmp_path, capsys, argv):
         "not_utf8", "zeta_floor_solve", "zeta_floor_strategy",
         "zeta_floor_simulate", "zeta_floor_compare", "beta_overflow_solve",
         "beta_overflow_strategy", "beta_overflow_simulate",
-        "beta_overflow_compare", "z_max_overflow"])
+        "beta_overflow_compare", "z_max_overflow", "no_cell_strategy_linear",
+        "no_cell_simulate_linear", "no_cell_strategy_high",
+        "no_cell_simulate_high", "no_cell_compare_linear"])
 def test_cli_rejected_input_exits_2(configs_dir, tmp_path, capsys, argv,
                                     message):
     # table_curves.cfg, unless the first flag names a shipped config or
@@ -765,6 +776,17 @@ def test_drawdown_at_a_tiny_discount_closes_or_names_its_limit(
     # every config plays its drawdown from half the last knot's stock, and
     # at beta 1e-6 from 0.2 too
     assert played >= (10 if beta == "1e-6" else 5)
+
+
+@pytest.mark.parametrize("name", ["linear_cost", "arvan_moses_high"])
+def test_cli_stock_within_the_closing_tolerance_needs_no_cell(configs_dir,
+                                                             tmp_path, name):
+    # at beta = 1e-100 v'(x0) rounds to zeta, so the arc has no cell; a
+    # stock the arc's closing tolerance covers still plays, its tail at once
+    cfg = str(configs_dir / f"{name}.cfg")
+    for cmd in ("strategy", "simulate"):
+        assert main([cmd, cfg, "--x0", "1e-20", "--out", str(tmp_path),
+                     "--set", "problem.beta=1e-100"]) == 0
 
 
 def _band_edge_draws(seed: int, n: int):

@@ -30,7 +30,7 @@ from monopoly_control import (
 )
 from monopoly_control.config import load_problem
 from monopoly_control.problem import ControlSet, Curve, ProblemSpec
-from monopoly_control.strategy import _static_candidate
+from monopoly_control.strategy import _hull_payoff, _static_candidate
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,14 @@ def test_cycle_fields_match_the_phase_loop(configs_dir, make_random_instance,
         problems += [make_random_instance(rng) for _ in range(150)]
     cycles = 0
     for k, problem in enumerate(problems):
-        rel = relaxed_static(problem, build_hamiltonian(problem))
+        model = build_hamiltonian(problem)
+        rel = relaxed_static(problem, model)
+        # hull_decompose's checks on both mixtures bound the mixed payoff
+        # against the convexified one by the readings the weights mix
+        r1, r2 = (float(problem.revenue(q)) for q in (rel.q1, rel.q2))
+        c1, c2 = (float(problem.cost(a)) for a in (rel.a1, rel.a2))
+        assert abs(rel.payoff - _hull_payoff(model, rel.u_tilde)) <= 1e-6 * (
+            abs(r1) + abs(r2) + abs(c1) + abs(c2)), k
         for eps in (None, 0.05):
             plan = cyclic_strategy(problem, rel, eps)
             if isinstance(plan, StaticPlan):

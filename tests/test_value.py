@@ -100,6 +100,17 @@ def test_constant_value_when_zeta_zero():
     assert vf.x_resolved == 0.0
     with pytest.raises(InvalidParameter, match="flat value function"):
         vf.psi(0.1)
+    # v is min H / beta read from the model, and h_min has the bits of H(0)
+    # read afresh; the second problem's cost is free, so H(0) = 0.2, the
+    # revenue's peak
+    for problem in (spec, dataclasses.replace(
+            spec, beta=0.3, cost=Curve.table([(0.0, 0.0), (1.0, 0.0)]),
+            revenue=Curve.table([(0.0, 0.0), (0.5, 0.2), (1.0, 0.2)]))):
+        model = build_hamiltonian(validate_problem(problem))
+        vf, beta = build_value(model), problem.beta
+        assert vf.constant and model.zeta == 0.0
+        assert _bits(vf.v_flat) == _bits(model.h_min / beta) \
+            == _bits(float(h_at(model, 0.0)) / beta)
 
 
 def test_psi_domain_guard(linear_cost_value):
